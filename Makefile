@@ -9,11 +9,27 @@ RACE_PKGS = ./internal/datalet/... ./internal/rpc/... ./internal/transport/... .
 # HTTP introspection endpoints (including the end-to-end cluster test).
 OBS_PKGS = ./internal/metrics/... ./internal/trace/... ./internal/obs/...
 
-.PHONY: all check vet build test race obs telemetry migrate nemesis crash wirespeed rsm overload bench bench-pipeline clean
+.PHONY: all check vet build test race obs telemetry migrate nemesis crash wirespeed rsm overload rpcwire bench-smoke bench bench-pipeline clean
 
 all: check
 
-check: vet build test race obs telemetry migrate nemesis crash wirespeed rsm overload
+check: vet build test race obs telemetry migrate nemesis crash wirespeed rsm overload rpcwire bench-smoke
+
+# rpcwire guards the rpc envelope that carries every AA-mode lock and log
+# append: the frame and message-codec fuzz seeds under the race detector,
+# then the allocation gate of a Lock-shaped round trip (not under -race,
+# where sync.Pool sheds on purpose) with the layer's -benchmem numbers.
+rpcwire:
+	$(GO) test -race -run 'Fuzz|TestFrame|TestPayloadKinds|TestMarshalError|TestUnmarshalable' ./internal/rpc/ ./internal/dlm/ ./internal/sharedlog/
+	$(GO) test -run TestCallWireAllocs ./internal/rpc/
+	$(GO) test -run NONE -bench 'CallWire|CallJSON|LockUnlock|Append1$$|ReadBatch' -benchmem -cpu 1,2 ./internal/rpc/ ./internal/dlm/ ./internal/sharedlog/
+
+# bench-smoke runs the repository benchmark (benchmark/, a nested module
+# outside ./...) at -quick sizes, ~5 s: all six workloads end to end with
+# the output check, and the traced layer ladder — whose dlm.Client.Lock and
+# sharedlog.Client.Append rungs are what an rpc change breaks first.
+bench-smoke:
+	$(GO) -C benchmark test ./...
 
 # overload race-tests the end-to-end overload-control plane: the
 # admission-gate/retry-budget/breaker units and the deadline wire-field

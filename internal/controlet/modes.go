@@ -52,20 +52,32 @@ func (s *Server) dispatch(req *wire.Request, resp *wire.Response) {
 	}
 }
 
+// putCopy recycles a pooled request that was filled by struct copy
+// (*fwd = *req). The copy shares req's Pairs backing array, and req — a
+// server connection's scratch request — keeps decoding frames into it;
+// PutRequest keeps a request's Pairs array for its next user, so without
+// the detach every such call parked one more alias of a live connection's
+// array in the pool, and two later batch writes could be handed the same
+// array (seen as chain frames carrying another batch's pairs, or none).
+func putCopy(fwd *wire.Request) {
+	fwd.Pairs = nil
+	wire.PutRequest(fwd)
+}
+
 // localCall forwards a request verbatim to the local datalet, handing it
 // whatever remains of the propagated deadline budget.
 func (s *Server) localCall(req *wire.Request, resp *wire.Response) {
 	fwd := wire.GetRequest()
 	*fwd = *req
 	if !fwd.RestampDeadline(time.Now()) {
-		wire.PutRequest(fwd)
+		putCopy(fwd)
 		ctlDeadlineExpired.Inc()
 		resp.Status = wire.StatusOverloaded
 		resp.Err = "controlet: deadline expired"
 		return
 	}
 	err := s.local.Do(fwd, resp)
-	wire.PutRequest(fwd)
+	putCopy(fwd)
 	if err != nil {
 		resp.Reset()
 		resp.ID = req.ID
@@ -363,7 +375,7 @@ func (s *Server) handleTableOp(req *wire.Request, resp *wire.Response) {
 		*fwd = *req
 		peerResp := wire.GetResponse()
 		err = pool.Do(fwd, peerResp)
-		wire.PutRequest(fwd)
+		putCopy(fwd)
 		wire.PutResponse(peerResp)
 		if err != nil {
 			s.dropDataletPeer(n.DataletAddr)
@@ -380,7 +392,7 @@ func (s *Server) ddlLocal(req *wire.Request) error {
 	*fwd = *req
 	resp := wire.GetResponse()
 	err := s.local.Do(fwd, resp)
-	wire.PutRequest(fwd)
+	putCopy(fwd)
 	if err == nil {
 		err = resp.ErrValue()
 	}

@@ -217,7 +217,8 @@ type Server struct {
 	wg      sync.WaitGroup
 }
 
-// LockArgs requests a lease.
+// LockArgs requests a lease. LockArgs, LockReply and UnlockArgs travel as
+// rpc.Wire messages (wire.go); the json tags serve callers that send JSON.
 type LockArgs struct {
 	Key   string `json:"key"`
 	Owner string `json:"owner"`
@@ -756,7 +757,7 @@ func (c *Client) Lock(key string, mode Mode, ttl, wait time.Duration) (uint64, e
 // of the sampled request that needed the lease.
 func (c *Client) LockTraced(tid uint64, key string, mode Mode, ttl, wait time.Duration) (uint64, error) {
 	var reply LockReply
-	err := c.call(tid, "Lock", LockArgs{
+	err := c.call(tid, "Lock", &LockArgs{
 		Key:    key,
 		Owner:  c.owner,
 		Mode:   mode,
@@ -771,7 +772,7 @@ func (c *Client) LockTraced(tid uint64, key string, mode Mode, ttl, wait time.Du
 
 // Unlock releases key in the given mode.
 func (c *Client) Unlock(key string, mode Mode) error {
-	return c.call(0, "Unlock", UnlockArgs{Key: key, Owner: c.owner, Mode: mode}, nil, rpc.DefaultCallTimeout)
+	return c.call(0, "Unlock", &UnlockArgs{Key: key, Owner: c.owner, Mode: mode}, nil, rpc.DefaultCallTimeout)
 }
 
 // Close tears down the connection (held leases expire via TTL).

@@ -1,15 +1,45 @@
-// Package rpc is a minimal JSON-RPC layer over the transport abstraction,
-// used on the control path (coordinator, distributed lock manager, shared
-// log). The hot data path uses internal/wire instead; control traffic is
-// low-rate, so readability and evolvability win over compactness here.
+// Package rpc is the id-matched request/response layer over the transport
+// abstraction that carries everything which is not a data-plane wire frame:
+// coordinator, telemetry and RSM control traffic, and — on every AA+SC and
+// AA+EC operation — the lock manager and the shared log. Those two sit on
+// the per-request path, so the envelope is binary and the per-operation
+// messages encode themselves (Wire); everything cold keeps encoding/json
+// payloads and needs no code of its own.
 //
-// Framing: 4-byte little-endian length followed by a JSON object.
-// Requests: {"id":n,"m":"Method","a":<args>}; responses:
-// {"id":n,"r":<result>} or {"id":n,"e":"message"}. Multiple calls may be in
-// flight concurrently on one connection; responses match by id.
+// Frame layout (all integers little-endian, fixed width):
+//
+//	request:  len u32 | kind u8 | id u64 | T u64 | D u64 | mlen u8 | method | payload
+//	response: len u32 | kind u8 | id u64 | payload
+//
+// len counts the bytes after itself and is at most maxFrame. id matches a
+// response to its call, so many calls share one connection and complete in
+// any order (a contended Lock or a long-poll Read never blocks the calls
+// behind it). T is the trace id of a sampled request (0 = untraced), D the
+// caller's remaining deadline budget in nanoseconds (0 = unbounded).
+//
+// kind says how the payload is encoded: kindNone (no payload, the frame ends
+// at the header), kindJSON (encoding/json), kindWire (the message's own
+// AppendWire form) or, in responses only, kindError (the error text,
+// verbatim — callers match on it). The SENDER picks the kind from the value
+// it was handed: a value implementing Wire goes out as kindWire, anything
+// else as JSON. The receiver follows the frame: a kindWire payload needs a
+// Wire target, a JSON payload decodes into any target (Wire types keep
+// their json tags), so a Wire args / JSON reply mix and the reverse both
+// work. There is one frame format and no negotiation — all binaries of a
+// deployment come from one build.
+//
+// Why hot messages are Wire: with JSON envelopes a Lock or Append cost two
+// nested Marshal/Unmarshal pairs per side, and encoding/json was a third of
+// process CPU in the AA modes. Wire messages append into the frame buffer
+// and parse out of it with no reflection and no intermediate copy.
+//
+// Invariant: every frame goes down in ONE Write. Transports that treat a
+// Write as a message quantum (the faultnet fault plane drops, delays and
+// duplicates whole Writes) must see frames, never torn halves.
 package rpc
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -25,6 +55,10 @@ import (
 
 const maxFrame = 16 << 20
 
+// maxPooledBuf is the largest frame buffer kept for reuse; one oversized
+// frame (a map push, an RSM snapshot) must not pin its buffer forever.
+const maxPooledBuf = 64 << 10
+
 // DefaultCallTimeout bounds Client.Call when Client.CallTimeout is unset.
 // A response that never comes (server wedged, frame lost to a half-open
 // connection) must fail the call, not hang it forever. The longest
@@ -35,66 +69,184 @@ const DefaultCallTimeout = 10 * time.Second
 // ErrCallTimeout is returned when a call's response did not arrive in time.
 var ErrCallTimeout = errors.New("rpc: call timed out")
 
-type reqMsg struct {
-	ID     uint64          `json:"id"`
-	Method string          `json:"m"`
-	Args   json.RawMessage `json:"a,omitempty"`
-	// T is the trace ID of a sampled request, 0 when untraced. Old peers
-	// ignore the unknown field; its absence unmarshals as 0 — compatible
-	// in both directions.
-	T uint64 `json:"t,omitempty"`
-	// D is the caller's remaining deadline budget in nanoseconds, 0 when
-	// unbounded. A server that dispatches the call only after the budget
-	// is spent answers "rpc: deadline expired" instead of burning a
-	// handler on work the caller has already timed out — which matters
-	// exactly when the control plane is overloaded and dispatch delays
-	// grow. Same old/new compatibility story as T.
-	D uint64 `json:"d,omitempty"`
-}
+var errFrameTooLarge = errors.New("rpc: frame too large")
 
-// ErrDeadlineExpired is the server-side reply for a call whose budget was
+// errDeadlineExpired is the server-side reply for a call whose budget was
 // spent before its handler ran.
 const errDeadlineExpired = "rpc: deadline expired"
 
-type respMsg struct {
-	ID     uint64          `json:"id"`
-	Result json.RawMessage `json:"r,omitempty"`
-	Err    string          `json:"e,omitempty"`
+// Payload kinds; see the package comment.
+const (
+	kindNone byte = iota
+	kindJSON
+	kindWire
+	kindError
+)
+
+const (
+	lenSize     = 4
+	idOffset    = lenSize + 1       // where a request's id sits in its frame buffer
+	reqHdrSize  = 1 + 8 + 8 + 8 + 1 // kind, id, T, D, mlen
+	respHdrSize = 1 + 8             // kind, id
+	maxMethod   = 255               // mlen is one byte
+)
+
+type request struct {
+	kind    byte
+	id      uint64
+	tid     uint64 // T
+	budget  uint64 // D
+	method  []byte
+	payload []byte
 }
 
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > maxFrame {
-		return errors.New("rpc: frame too large")
-	}
-	// Header and payload go down in ONE Write: transports that treat each
-	// Write as a message quantum (the faultnet fault plane drops/duplicates
-	// whole Writes) must see frames, never torn header/payload halves.
-	buf := make([]byte, 4+len(payload))
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(payload)))
-	copy(buf[4:], payload)
-	_, err := w.Write(buf)
-	return err
+type response struct {
+	kind    byte
+	id      uint64
+	payload []byte
 }
 
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// appendPayload encodes v after the frame header already in buf and
+// returns the payload kind it chose.
+func appendPayload(buf []byte, v any) ([]byte, byte, error) {
+	switch m := v.(type) {
+	case nil:
+		return buf, kindNone, nil
+	case Wire:
+		return m.AppendWire(buf), kindWire, nil
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return buf, kindNone, err
+	}
+	return append(buf, raw...), kindJSON, nil
+}
+
+// decodePayload is the receiving half of appendPayload. A nil target
+// discards the payload.
+func decodePayload(kind byte, payload []byte, v any) error {
+	if v == nil || kind == kindNone {
+		return nil
+	}
+	if kind == kindJSON {
+		return json.Unmarshal(payload, v)
+	}
+	w, ok := v.(Wire)
+	if !ok {
+		return fmt.Errorf("rpc: wire payload for non-Wire %T", v)
+	}
+	return w.ParseWire(payload)
+}
+
+// appendRequest starts a request frame in buf: length placeholder, header
+// with a zero id and kindNone, method. The payload is appended behind it;
+// finishFrame then stamps kind and length.
+func appendRequest(buf []byte, tid, budget uint64, method string) ([]byte, error) {
+	if len(method) > maxMethod {
+		return buf, errors.New("rpc: method name too long")
+	}
+	buf = append(buf, 0, 0, 0, 0, kindNone)
+	buf = binary.LittleEndian.AppendUint64(buf, 0)
+	buf = binary.LittleEndian.AppendUint64(buf, tid)
+	buf = binary.LittleEndian.AppendUint64(buf, budget)
+	buf = append(buf, byte(len(method)))
+	return append(buf, method...), nil
+}
+
+func appendResponse(buf []byte, id uint64) []byte {
+	buf = append(buf, 0, 0, 0, 0, kindNone)
+	return binary.LittleEndian.AppendUint64(buf, id)
+}
+
+// finishFrame stamps the payload kind and the length prefix of the frame
+// that occupies all of buf.
+func finishFrame(buf []byte, kind byte) error {
+	if len(buf)-lenSize > maxFrame {
+		return errFrameTooLarge
+	}
+	binary.LittleEndian.PutUint32(buf, uint32(len(buf)-lenSize))
+	buf[lenSize] = kind
+	return nil
+}
+
+// readFrame reads one frame body (the bytes after the length prefix) into
+// buf, growing it when needed.
+func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
+	hdr, err := br.Peek(lenSize)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return buf, err
+	}
+	n := int(binary.LittleEndian.Uint32(hdr))
+	_, _ = br.Discard(lenSize)
 	if n > maxFrame {
-		return nil, errors.New("rpc: frame too large")
+		return buf, errFrameTooLarge
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	if cap(buf) < n {
+		buf = make([]byte, n)
 	}
-	return buf, nil
+	buf = buf[:n]
+	_, err = io.ReadFull(br, buf)
+	return buf, err
+}
+
+// checkKind rejects unknown payload kinds and a kindNone frame that carries
+// bytes anyway (trailing garbage).
+func checkKind(kind, max byte, payload []byte) error {
+	if kind > max {
+		return fmt.Errorf("rpc: bad payload kind %d", kind)
+	}
+	if kind == kindNone && len(payload) != 0 {
+		return errors.New("rpc: trailing bytes after header")
+	}
+	return nil
+}
+
+// parseRequest decodes a request frame body. The result aliases frame.
+func parseRequest(frame []byte) (request, error) {
+	if len(frame) < reqHdrSize {
+		return request{}, errors.New("rpc: short request frame")
+	}
+	r := request{
+		kind:   frame[0],
+		id:     binary.LittleEndian.Uint64(frame[1:]),
+		tid:    binary.LittleEndian.Uint64(frame[9:]),
+		budget: binary.LittleEndian.Uint64(frame[17:]),
+	}
+	mlen := int(frame[reqHdrSize-1])
+	if len(frame) < reqHdrSize+mlen {
+		return request{}, errors.New("rpc: short request frame")
+	}
+	r.method = frame[reqHdrSize : reqHdrSize+mlen]
+	r.payload = frame[reqHdrSize+mlen:]
+	return r, checkKind(r.kind, kindWire, r.payload)
+}
+
+// parseResponse decodes a response frame body. The result aliases frame.
+func parseResponse(frame []byte) (response, error) {
+	if len(frame) < respHdrSize {
+		return response{}, errors.New("rpc: short response frame")
+	}
+	r := response{
+		kind:    frame[0],
+		id:      binary.LittleEndian.Uint64(frame[1:]),
+		payload: frame[respHdrSize:],
+	}
+	return r, checkKind(r.kind, kindError, r.payload)
 }
 
 // Handler processes one call. args is the raw JSON argument; the returned
 // value is marshaled as the result.
 type Handler func(args json.RawMessage) (any, error)
+
+// method is one registered handler plus what is derived from its name once
+// instead of per call.
+type method struct {
+	span string // trace stage, "rpc.<name>"
+	fn   func(kind byte, payload []byte) (any, error)
+}
 
 // Server dispatches calls to registered handlers.
 type Server struct {
@@ -103,7 +255,7 @@ type Server struct {
 	Name string
 
 	mu       sync.RWMutex
-	handlers map[string]Handler
+	handlers map[string]*method
 	listener transport.Listener
 	conns    sync.WaitGroup
 	active   map[transport.Conn]struct{}
@@ -120,32 +272,51 @@ func (s *Server) traceName() string {
 // NewServer returns a server with no handlers bound.
 func NewServer() *Server {
 	return &Server{
-		handlers: map[string]Handler{},
+		handlers: map[string]*method{},
 		active:   map[transport.Conn]struct{}{},
 	}
 }
 
-// Handle registers fn under method; it panics on duplicates (init-time bug).
-func (s *Server) Handle(method string, fn Handler) {
+func (s *Server) handle(name string, fn func(kind byte, payload []byte) (any, error)) {
+	if len(name) > maxMethod {
+		panic("rpc: method name too long: " + name)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.handlers[method]; dup {
-		panic("rpc: duplicate method " + method)
+	if _, dup := s.handlers[name]; dup {
+		panic("rpc: duplicate method " + name)
 	}
-	s.handlers[method] = fn
+	s.handlers[name] = &method{span: "rpc." + name, fn: fn}
 }
 
-// HandleFunc registers a typed handler: fn's argument is unmarshaled from
-// the request JSON.
-func HandleFunc[A any, R any](s *Server, method string, fn func(A) (R, error)) {
-	s.Handle(method, func(raw json.RawMessage) (any, error) {
-		var args A
-		if len(raw) > 0 {
-			if err := json.Unmarshal(raw, &args); err != nil {
-				return nil, fmt.Errorf("rpc: bad args for %s: %w", method, err)
-			}
+// Handle registers fn under method; it panics on duplicates (init-time
+// bug). A raw handler sees JSON only; its args alias the request frame and
+// are valid until it returns.
+func (s *Server) Handle(method string, fn Handler) {
+	s.handle(method, func(kind byte, payload []byte) (any, error) {
+		if kind == kindWire {
+			return nil, fmt.Errorf("rpc: %s takes JSON args", method)
 		}
-		return fn(args)
+		return fn(json.RawMessage(payload))
+	})
+}
+
+// HandleFunc registers a typed handler: fn's argument is decoded from the
+// request payload (ParseWire when the caller sent a Wire message, JSON
+// otherwise) and its result encoded the same way. A struct{} result is
+// sent as no payload at all.
+func HandleFunc[A any, R any](s *Server, method string, fn func(A) (R, error)) {
+	_, noReply := any(*new(R)).(struct{})
+	s.handle(method, func(kind byte, payload []byte) (any, error) {
+		var args A
+		if err := decodePayload(kind, payload, &args); err != nil {
+			return nil, fmt.Errorf("rpc: bad args for %s: %w", method, err)
+		}
+		r, err := fn(args)
+		if err != nil || noReply {
+			return nil, err
+		}
+		return &r, nil
 	})
 }
 
@@ -193,65 +364,129 @@ func (s *Server) acceptLoop(l transport.Listener) {
 	}
 }
 
-func (s *Server) serveConn(conn transport.Conn) {
-	var writeMu sync.Mutex
-	for {
-		frame, err := readFrame(conn)
-		if err != nil {
-			return
-		}
-		var req reqMsg
-		if err := json.Unmarshal(frame, &req); err != nil {
-			return
-		}
-		recv := time.Now()
-		s.mu.RLock()
-		h, ok := s.handlers[req.Method]
-		s.mu.RUnlock()
-		// Dispatch concurrently so slow handlers (watch long-polls)
-		// don't block the connection. Each dispatched handler holds a
-		// WaitGroup slot so Close waits for it instead of racing its
-		// teardown. (serveConn itself holds a slot, so this Add can
-		// never race conns.Wait observing zero.)
-		s.conns.Add(1)
-		go func() {
-			defer s.conns.Done()
-			var start time.Time
-			if req.T != 0 {
-				start = time.Now()
-				defer func() {
-					trace.Record(req.T, s.traceName(), "rpc."+req.Method, start, time.Since(start), "")
-				}()
-			}
-			var resp respMsg
-			resp.ID = req.ID
-			if !ok {
-				resp.Err = "rpc: unknown method " + req.Method
-			} else if req.D != 0 && time.Since(recv) > time.Duration(req.D) {
-				// The caller's budget ran out between receive and
-				// dispatch (handler goroutines starved under load); the
-				// caller has already timed out, so the work is doomed.
-				rpcDeadlineExpired.Inc()
-				resp.Err = errDeadlineExpired
-			} else if result, err := h(req.Args); err != nil {
-				resp.Err = err.Error()
-			} else if result != nil {
-				raw, err := json.Marshal(result)
-				if err != nil {
-					resp.Err = "rpc: marshal result: " + err.Error()
-				} else {
-					resp.Result = raw
-				}
-			}
-			payload, err := json.Marshal(resp)
-			if err != nil {
-				return
-			}
-			writeMu.Lock()
-			defer writeMu.Unlock()
-			_ = writeFrame(conn, payload)
-		}()
+// serverConn is the write half of one accepted connection, shared by the
+// handler goroutines answering on it.
+type serverConn struct {
+	s       *Server
+	conn    transport.Conn
+	writeMu sync.Mutex
+}
+
+// serverCall is one dispatched request. It is pooled with its two frame
+// buffers: in holds the request (args may alias it until the handler
+// returns), out the response.
+type serverCall struct {
+	sc   *serverConn
+	run  func() // c.serve, bound once so `go c.run()` allocates no closure
+	m    *method
+	req  request
+	recv time.Time
+	in   []byte
+	out  []byte
+}
+
+var serverCallPool sync.Pool // of *serverCall
+
+func newServerCall() *serverCall {
+	if c, ok := serverCallPool.Get().(*serverCall); ok {
+		return c
 	}
+	c := &serverCall{}
+	c.run = c.serve
+	return c
+}
+
+func (c *serverCall) release() {
+	if cap(c.in) > maxPooledBuf {
+		c.in = nil
+	}
+	if cap(c.out) > maxPooledBuf {
+		c.out = nil
+	}
+	c.sc, c.m, c.req = nil, nil, request{}
+	serverCallPool.Put(c)
+}
+
+func (s *Server) serveConn(conn transport.Conn) {
+	sc := &serverConn{s: s, conn: conn}
+	br := bufio.NewReader(conn)
+	for {
+		c := newServerCall()
+		var err error
+		if c.in, err = readFrame(br, c.in[:0]); err == nil {
+			c.req, err = parseRequest(c.in)
+		}
+		if err != nil {
+			c.release()
+			return
+		}
+		c.recv = time.Now()
+		c.sc = sc
+		s.mu.RLock()
+		c.m = s.handlers[string(c.req.method)]
+		s.mu.RUnlock()
+		// Dispatch concurrently so slow handlers (watch long-polls, lock
+		// waits) don't block the connection. Each dispatched handler holds
+		// a WaitGroup slot so Close waits for it instead of racing its
+		// teardown. (serveConn itself holds a slot, so this Add can never
+		// race conns.Wait observing zero.)
+		s.conns.Add(1)
+		go c.run()
+	}
+}
+
+// appendResult builds the response frame for a handler's outcome in buf.
+func appendResult(buf []byte, id uint64, result any, err error) []byte {
+	hdr := appendResponse(buf, id)
+	if err == nil {
+		out, kind, merr := appendPayload(hdr, result)
+		if merr != nil {
+			err = errors.New("rpc: marshal result: " + merr.Error())
+		} else if err = finishFrame(out, kind); err == nil {
+			return out
+		}
+	}
+	out := append(hdr, err.Error()...)
+	_ = finishFrame(out, kindError)
+	return out
+}
+
+// serve runs the handler and always answers: a result that cannot be
+// encoded becomes an error frame, never silence the caller would sit out
+// its whole timeout on.
+func (c *serverCall) serve() {
+	s, req := c.sc.s, c.req
+	defer s.conns.Done()
+	var start time.Time
+	if req.tid != 0 {
+		start = time.Now()
+	}
+	var result any
+	var err error
+	switch {
+	case c.m == nil:
+		err = errors.New("rpc: unknown method " + string(req.method))
+	case req.budget != 0 && time.Since(c.recv) > time.Duration(req.budget):
+		// The caller's budget ran out between receive and dispatch
+		// (handler goroutines starved under load); the caller has already
+		// timed out, so the work is doomed.
+		rpcDeadlineExpired.Inc()
+		err = errors.New(errDeadlineExpired)
+	default:
+		result, err = c.m.fn(req.kind, req.payload)
+	}
+	c.out = appendResult(c.out[:0], req.id, result, err)
+	c.sc.writeMu.Lock()
+	_, _ = c.sc.conn.Write(c.out)
+	c.sc.writeMu.Unlock()
+	if req.tid != 0 {
+		span := "rpc." + string(req.method)
+		if c.m != nil {
+			span = c.m.span
+		}
+		trace.Record(req.tid, s.traceName(), span, start, time.Since(start), "")
+	}
+	c.release()
 }
 
 // Close stops the listener and all connections.
@@ -284,9 +519,35 @@ type Client struct {
 	CallTimeout time.Duration
 
 	mu      sync.Mutex
-	pending map[uint64]chan respMsg
+	pending map[uint64]*clientCall
 	nextID  uint64
 	err     error
+}
+
+// clientCall is one in-flight call, pooled with its frame buffer,
+// completion channel and timer. The read loop decodes the response straight
+// into reply and then sends the outcome on done; whoever removes the call
+// from Client.pending owns completing it, so done carries exactly one value
+// per registered call or, when the caller itself removed it, none.
+type clientCall struct {
+	reply any
+	done  chan error
+	timer *time.Timer
+	buf   []byte
+}
+
+var clientCallPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &clientCall{done: make(chan error, 1), timer: t}
+}}
+
+func (cs *clientCall) release() {
+	if cap(cs.buf) > maxPooledBuf {
+		cs.buf = nil
+	}
+	cs.reply = nil
+	clientCallPool.Put(cs)
 }
 
 // DialClient connects to an rpc.Server with the default call timeout.
@@ -298,32 +559,47 @@ func DialClient(network transport.Network, addr string) (*Client, error) {
 	c := &Client{
 		conn:        conn,
 		CallTimeout: DefaultCallTimeout,
-		pending:     map[uint64]chan respMsg{},
+		pending:     map[uint64]*clientCall{},
 	}
 	go c.readLoop()
 	return c, nil
 }
 
 func (c *Client) readLoop() {
+	br := bufio.NewReader(c.conn)
+	var buf []byte
 	for {
-		frame, err := readFrame(c.conn)
+		var resp response
+		var err error
+		if buf, err = readFrame(br, buf[:0]); err == nil {
+			resp, err = parseResponse(buf)
+		}
 		if err != nil {
 			c.failAll(err)
 			return
 		}
-		var resp respMsg
-		if err := json.Unmarshal(frame, &resp); err != nil {
-			c.failAll(err)
-			return
+		if cs := c.take(resp.id); cs != nil {
+			if resp.kind == kindError {
+				err = errors.New(string(resp.payload))
+			} else {
+				err = decodePayload(resp.kind, resp.payload, cs.reply)
+			}
+			cs.done <- err
 		}
-		c.mu.Lock()
-		ch, ok := c.pending[resp.ID]
-		delete(c.pending, resp.ID)
-		c.mu.Unlock()
-		if ok {
-			ch <- resp
+		if cap(buf) > maxPooledBuf {
+			buf = nil
 		}
 	}
+}
+
+// take removes and returns the pending call id, nil when it is gone (timed
+// out and forgotten, or failed).
+func (c *Client) take(id uint64) *clientCall {
+	c.mu.Lock()
+	cs := c.pending[id]
+	delete(c.pending, id)
+	c.mu.Unlock()
+	return cs
 }
 
 func (c *Client) failAll(err error) {
@@ -332,25 +608,49 @@ func (c *Client) failAll(err error) {
 	if c.err == nil {
 		c.err = err
 	}
-	for id, ch := range c.pending {
+	for id, cs := range c.pending {
 		delete(c.pending, id)
-		ch <- respMsg{Err: "rpc: connection failed: " + err.Error()}
+		cs.done <- errors.New("rpc: connection failed: " + err.Error())
 	}
 }
 
-// Call metrics: control-path RPCs are low-rate, so the per-call labeled
-// registry lookup (one small allocation) is acceptable here, unlike on the
-// wire data path.
+// Call metrics. The per-method counters are resolved through the labeled
+// registry once per method and cached: Lock/Append calls are per-operation
+// in the AA modes, and the registry lookup renders a key string every time.
 var (
 	rpcCallSeconds = metrics.Default.Histogram("bespokv_rpc_call_seconds")
 	rpcTimeouts    = metrics.Default.Counter("bespokv_rpc_call_timeouts_total")
 
-	// Calls whose propagated budget was spent before dispatch (see reqMsg.D).
+	// Calls whose propagated budget was spent before dispatch (see D).
 	rpcDeadlineExpired = metrics.Default.Counter("bespokv_deadline_expired_total", "layer", "rpc")
+
+	methodStatsMu sync.RWMutex
+	methodStats   = map[string]*callStats{}
 )
 
-// Call invokes method with args, unmarshaling the result into reply
-// (which may be nil to discard it). It waits at most c.CallTimeout.
+type callStats struct{ calls, errors *metrics.Counter }
+
+func statsFor(method string) *callStats {
+	methodStatsMu.RLock()
+	st := methodStats[method]
+	methodStatsMu.RUnlock()
+	if st != nil {
+		return st
+	}
+	methodStatsMu.Lock()
+	defer methodStatsMu.Unlock()
+	if st = methodStats[method]; st == nil {
+		st = &callStats{
+			calls:  metrics.Default.Counter("bespokv_rpc_calls_total", "method", method),
+			errors: metrics.Default.Counter("bespokv_rpc_call_errors_total", "method", method),
+		}
+		methodStats[method] = st
+	}
+	return st
+}
+
+// Call invokes method with args, decoding the result into reply (which may
+// be nil to discard it). It waits at most c.CallTimeout.
 func (c *Client) Call(method string, args any, reply any) error {
 	return c.call(0, method, args, reply, c.CallTimeout)
 }
@@ -374,26 +674,50 @@ func (c *Client) CallTimeoutTraced(tid uint64, method string, args, reply any, t
 	return c.call(tid, method, args, reply, timeout)
 }
 
-func (c *Client) call(tid uint64, method string, args, reply any, timeout time.Duration) (err error) {
+func (c *Client) call(tid uint64, method string, args, reply any, timeout time.Duration) error {
 	start := time.Now()
-	defer func() {
-		rpcCallSeconds.Observe(time.Since(start))
-		metrics.Default.Counter("bespokv_rpc_calls_total", "method", method).Inc()
-		if err != nil {
-			metrics.Default.Counter("bespokv_rpc_call_errors_total", "method", method).Inc()
-			if errors.Is(err, ErrCallTimeout) {
-				rpcTimeouts.Inc()
-			}
+	cs := clientCallPool.Get().(*clientCall)
+	err := c.roundTrip(cs, start, tid, method, args, reply, timeout)
+	cs.release()
+	rpcCallSeconds.Observe(time.Since(start))
+	st := statsFor(method)
+	st.calls.Inc()
+	if err != nil {
+		st.errors.Inc()
+		if errors.Is(err, ErrCallTimeout) {
+			rpcTimeouts.Inc()
 		}
-	}()
-	var rawArgs json.RawMessage
-	if args != nil {
-		b, err := json.Marshal(args)
-		if err != nil {
-			return err
-		}
-		rawArgs = b
 	}
+	return err
+}
+
+// roundTrip sends one request and waits for its outcome. On return nothing
+// references cs any more: either its done value was received or the call
+// left c.pending by this goroutine's own hand.
+func (c *Client) roundTrip(cs *clientCall, start time.Time, tid uint64, method string, args, reply any, timeout time.Duration) error {
+	// The call timeout doubles as the propagated deadline budget: a server
+	// too backlogged to dispatch before it lapses answers cheaply instead
+	// of running a handler nobody is waiting for.
+	var budget uint64
+	if timeout > 0 {
+		budget = uint64(timeout)
+	}
+	// Encode before registering, so a value that cannot be marshaled
+	// leaves no pending slot behind.
+	buf, err := appendRequest(cs.buf[:0], tid, budget, method)
+	if err != nil {
+		return err
+	}
+	var kind byte
+	if buf, kind, err = appendPayload(buf, args); err != nil {
+		return err
+	}
+	cs.buf = buf
+	if err := finishFrame(buf, kind); err != nil {
+		return err
+	}
+
+	cs.reply = reply
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
@@ -402,55 +726,44 @@ func (c *Client) call(tid uint64, method string, args, reply any, timeout time.D
 	}
 	c.nextID++
 	id := c.nextID
-	ch := make(chan respMsg, 1)
-	c.pending[id] = ch
+	c.pending[id] = cs
 	c.mu.Unlock()
+	binary.LittleEndian.PutUint64(buf[idOffset:], id)
 
-	// The call timeout doubles as the propagated deadline budget: a server
-	// too backlogged to dispatch before it lapses answers cheaply instead
-	// of running a handler nobody is waiting for.
-	var budget uint64
-	if timeout > 0 {
-		budget = uint64(timeout)
-	}
-	payload, err := json.Marshal(reqMsg{ID: id, Method: method, Args: rawArgs, T: tid, D: budget})
-	if err != nil {
-		return err
-	}
 	c.writeMu.Lock()
-	err = writeFrame(c.conn, payload)
+	_, err = c.conn.Write(buf)
 	c.writeMu.Unlock()
 	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
+		if c.take(id) == nil {
+			<-cs.done // failAll took it first; its value is on the way
+		}
 		return err
 	}
-	var resp respMsg
-	if timeout > 0 {
-		timer := time.NewTimer(timeout)
-		defer timer.Stop()
+	if timeout <= 0 {
+		return <-cs.done
+	}
+	cs.timer.Reset(timeout)
+	defer cs.timer.Stop()
+	for {
 		select {
-		case resp = <-ch:
-		case <-timer.C:
-			// Forget the call so a late response is discarded; the
-			// pending channel is buffered, so even a response racing
-			// this delete cannot block the read loop.
-			c.mu.Lock()
-			delete(c.pending, id)
-			c.mu.Unlock()
+		case err := <-cs.done:
+			return err
+		case <-cs.timer.C:
+			if time.Since(start) < timeout {
+				// A tick left in the pooled timer's channel by an
+				// earlier call that completed just as it fired.
+				continue
+			}
+			// Forget the call so a late response is discarded. If the
+			// read loop has already taken it, the response is being
+			// decoded into reply right now: wait the moment it takes
+			// rather than return while reply is still written to.
+			if c.take(id) == nil {
+				return <-cs.done
+			}
 			return fmt.Errorf("%w: %s after %v", ErrCallTimeout, method, timeout)
 		}
-	} else {
-		resp = <-ch
 	}
-	if resp.Err != "" {
-		return errors.New(resp.Err)
-	}
-	if reply != nil && len(resp.Result) > 0 {
-		return json.Unmarshal(resp.Result, reply)
-	}
-	return nil
 }
 
 // Close tears down the connection; in-flight calls fail.

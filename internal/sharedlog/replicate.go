@@ -115,7 +115,9 @@ func (m logSM) Snapshot() []byte {
 	for name, st := range m.s.streams {
 		ss := streamSnapshot{Next: st.next, Trimmed: st.trimmed}
 		for _, seg := range st.segs {
-			ss.Entries = append(ss.Entries, seg.entries...)
+			for i := 0; i < seg.count(); i++ {
+				ss.Entries = append(ss.Entries, seg.entry(i))
+			}
 		}
 		snap[name] = ss
 	}
@@ -149,13 +151,9 @@ func (m logSM) Restore(data []byte) {
 		st := m.s.streamLocked(name)
 		st.next, st.trimmed, st.segs = ss.Trimmed, ss.Trimmed, nil
 		for _, e := range ss.Entries {
-			// Rebuild segments with the snapshot's offsets; entries are
-			// in order but may start above the trim floor.
-			if len(st.segs) == 0 || len(st.segs[len(st.segs)-1].entries) >= m.s.cfg.SegmentEntries {
-				st.segs = append(st.segs, &segment{base: e.Offset})
-			}
-			seg := st.segs[len(st.segs)-1]
-			seg.entries = append(seg.entries, e)
+			// Rebuild the arenas at the snapshot's offsets; entries are in
+			// order but may start above the trim floor.
+			m.s.storeLocked(st, e.Offset, e.Data)
 		}
 		st.next = ss.Next
 	}

@@ -56,9 +56,32 @@ type Config struct {
 	Logf        func(format string, args ...any)
 }
 
+// maxSegmentBytes starts a new segment early when entries are large, so an
+// arena position always fits the uint32 ends table (an entry is at most one
+// rpc frame, 16 MiB).
+const maxSegmentBytes = 1 << 30
+
+// segment is an arena: entries lie back to back in data, entry i (offset
+// base+i) ending at ends[i]. One allocation per segment growth instead of
+// one []byte plus one Entry header per record — nothing trims the log yet,
+// so what a record costs at rest is what the AA+EC heap grows by per write.
 type segment struct {
-	base    uint64
-	entries []Entry
+	base uint64
+	data []byte
+	ends []uint32
+}
+
+func (g *segment) count() int { return len(g.ends) }
+
+// entry returns record i. The slice aliases the arena (capacity clipped);
+// arena bytes are never rewritten, so it stays valid after the lock drops.
+func (g *segment) entry(i int) Entry {
+	start := uint32(0)
+	if i > 0 {
+		start = g.ends[i-1]
+	}
+	end := g.ends[i]
+	return Entry{Offset: g.base + uint64(i), Data: g.data[start:end:end]}
 }
 
 // logState is one independent stream's segments and sequencer. Streams
@@ -85,7 +108,9 @@ type Server struct {
 	stopped bool
 }
 
-// AppendArgs appends a batch atomically (contiguous offsets).
+// AppendArgs appends a batch atomically (contiguous offsets). AppendArgs,
+// AppendReply, ReadArgs and ReadReply travel as rpc.Wire messages (wire.go);
+// the json tags serve callers that send JSON.
 type AppendArgs struct {
 	// Stream selects an independent log ("" is the default stream).
 	Stream  string   `json:"stream,omitempty"`
@@ -228,16 +253,13 @@ func (s *Server) handleAppend(args AppendArgs) (AppendReply, error) {
 
 // applyAppendLocked assigns offsets from the stream's sequencer counter and
 // stores the batch; it is both the standalone append path and the
-// replicated apply body, so the two modes cannot drift. Caller holds mu.
+// replicated apply body, so the two modes cannot drift. Entries are copied
+// into the arena (they alias an rpc frame buffer). Caller holds mu.
 func (s *Server) applyAppendLocked(stream string, entries [][]byte) AppendReply {
 	st := s.streamLocked(stream)
 	first := st.next
 	for _, data := range entries {
-		if len(st.segs) == 0 || len(st.segs[len(st.segs)-1].entries) >= s.cfg.SegmentEntries {
-			st.segs = append(st.segs, &segment{base: st.next})
-		}
-		seg := st.segs[len(st.segs)-1]
-		seg.entries = append(seg.entries, Entry{Offset: st.next, Data: data})
+		s.storeLocked(st, st.next, data)
 		st.next++
 	}
 	close(st.tailCh)
@@ -246,6 +268,28 @@ func (s *Server) applyAppendLocked(stream string, entries [][]byte) AppendReply 
 	logEntriesTotal.Add(int64(len(entries)))
 	logTail.Set(int64(st.next))
 	return AppendReply{First: first, Next: st.next}
+}
+
+// storeLocked copies one record into the stream's last segment, starting a
+// new one when that is full (or absent, or not contiguous with offset — a
+// restore may resume above a trimmed gap). Caller holds mu.
+func (s *Server) storeLocked(st *logState, offset uint64, data []byte) {
+	var seg *segment
+	if n := len(st.segs); n > 0 {
+		seg = st.segs[n-1]
+	}
+	if seg == nil || seg.count() >= s.cfg.SegmentEntries || seg.base+uint64(seg.count()) != offset ||
+		(seg.count() > 0 && len(seg.data)+len(data) > maxSegmentBytes) {
+		next := &segment{base: offset, ends: make([]uint32, 0, min(s.cfg.SegmentEntries, 4096))}
+		if seg != nil {
+			// Size the new arena like the one just filled.
+			next.data = make([]byte, 0, len(seg.data))
+		}
+		seg = next
+		st.segs = append(st.segs, seg)
+	}
+	seg.data = append(seg.data, data...)
+	seg.ends = append(seg.ends, uint32(len(seg.data)))
 }
 
 func (s *Server) handleRead(args ReadArgs) (ReadReply, error) {
@@ -268,22 +312,23 @@ func (s *Server) handleRead(args ReadArgs) (ReadReply, error) {
 			return ReadReply{}, fmt.Errorf("sharedlog: offset %d trimmed (oldest available %d)", args.From, from)
 		}
 		if args.From < st.next {
-			reply := ReadReply{Next: args.From}
+			n := st.next - args.From
+			if n > uint64(max) {
+				n = uint64(max)
+			}
+			reply := ReadReply{Entries: make([]Entry, 0, n)}
 			for _, seg := range st.segs {
-				if seg.base+uint64(len(seg.entries)) <= args.From {
+				if seg.base+uint64(seg.count()) <= args.From {
 					continue
 				}
-				start := 0
+				i := 0
 				if args.From > seg.base {
-					start = int(args.From - seg.base)
+					i = int(args.From - seg.base)
 				}
-				for _, e := range seg.entries[start:] {
-					if len(reply.Entries) >= max {
-						break
-					}
-					reply.Entries = append(reply.Entries, e)
+				for ; i < seg.count() && len(reply.Entries) < int(n); i++ {
+					reply.Entries = append(reply.Entries, seg.entry(i))
 				}
-				if len(reply.Entries) >= max {
+				if len(reply.Entries) >= int(n) {
 					break
 				}
 			}
@@ -328,7 +373,7 @@ func (s *Server) applyTrimLocked(stream string, before uint64) error {
 	}
 	kept := st.segs[:0]
 	for _, seg := range st.segs {
-		if seg.base+uint64(len(seg.entries)) <= before {
+		if seg.base+uint64(seg.count()) <= before {
 			continue // whole segment below the trim point
 		}
 		kept = append(kept, seg)
@@ -529,7 +574,7 @@ func (c *clientCore) call(method string, args, reply any, timeout time.Duration)
 // Append writes the batch, returning the first assigned offset.
 func (c *Client) Append(entries ...[]byte) (uint64, error) {
 	var reply AppendReply
-	if err := c.core.call("Append", AppendArgs{Stream: c.stream, Entries: entries}, &reply, rpc.DefaultCallTimeout); err != nil {
+	if err := c.core.call("Append", &AppendArgs{Stream: c.stream, Entries: entries}, &reply, rpc.DefaultCallTimeout); err != nil {
 		return 0, err
 	}
 	return reply.First, nil
@@ -538,7 +583,7 @@ func (c *Client) Append(entries ...[]byte) (uint64, error) {
 // Read fetches entries from offset from, long-polling up to wait.
 func (c *Client) Read(from uint64, max int, wait time.Duration) ([]Entry, uint64, error) {
 	var reply ReadReply
-	args := ReadArgs{Stream: c.stream, From: from, Max: max, WaitMs: int(wait / time.Millisecond)}
+	args := &ReadArgs{Stream: c.stream, From: from, Max: max, WaitMs: int(wait / time.Millisecond)}
 	if err := c.core.call("Read", args, &reply, wait+rpc.DefaultCallTimeout); err != nil {
 		return nil, 0, err
 	}

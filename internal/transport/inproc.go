@@ -18,8 +18,15 @@ type Inproc struct{}
 func (Inproc) Name() string { return "inproc" }
 
 // ringSize is each direction's buffer capacity. 256 KiB comfortably holds
-// many pipelined requests, emulating a DPDK ring of 2k descriptors.
-const ringSize = 256 << 10
+// many pipelined requests, emulating a DPDK ring of 2k descriptors. A ring
+// starts at ringMin and doubles up to ringSize only when a writer finds it
+// full: most connections (control RPCs, closed-loop callers) never have
+// more than a frame or two in flight, and at 512 KiB a pair they were a
+// tenth of an idle cluster's heap.
+const (
+	ringSize = 256 << 10
+	ringMin  = 4 << 10
+)
 
 var (
 	inprocMu        sync.Mutex
@@ -121,14 +128,14 @@ type ring struct {
 	mu       sync.Mutex
 	notEmpty sync.Cond
 	notFull  sync.Cond
-	buf      [ringSize]byte
-	r, w     int // read and write cursors
-	n        int // bytes buffered
+	buf      []byte // power-of-two length, ringMin..ringSize
+	r, w     int    // read and write cursors
+	n        int    // bytes buffered
 	closed   bool
 }
 
 func newRing() *ring {
-	r := &ring{}
+	r := &ring{buf: make([]byte, ringMin)}
 	r.notEmpty.L = &r.mu
 	r.notFull.L = &r.mu
 	return r
@@ -145,7 +152,7 @@ func (q *ring) read(p []byte) (int, error) {
 	}
 	total := 0
 	for total < len(p) && q.n > 0 {
-		chunk := ringSize - q.r
+		chunk := len(q.buf) - q.r
 		if chunk > q.n {
 			chunk = q.n
 		}
@@ -153,7 +160,7 @@ func (q *ring) read(p []byte) (int, error) {
 			chunk = len(p) - total
 		}
 		copy(p[total:], q.buf[q.r:q.r+chunk])
-		q.r = (q.r + chunk) % ringSize
+		q.r = (q.r + chunk) & (len(q.buf) - 1)
 		q.n -= chunk
 		total += chunk
 	}
@@ -166,29 +173,46 @@ func (q *ring) write(p []byte) (int, error) {
 	defer q.mu.Unlock()
 	total := 0
 	for total < len(p) {
-		for q.n == ringSize {
+		for q.n == len(q.buf) {
 			if q.closed {
 				return total, ErrClosed
+			}
+			if len(q.buf) < ringSize {
+				q.grow(len(p) - total)
+				break
 			}
 			q.notFull.Wait()
 		}
 		if q.closed {
 			return total, ErrClosed
 		}
-		chunk := ringSize - q.w
-		if chunk > ringSize-q.n {
-			chunk = ringSize - q.n
+		chunk := len(q.buf) - q.w
+		if chunk > len(q.buf)-q.n {
+			chunk = len(q.buf) - q.n
 		}
 		if chunk > len(p)-total {
 			chunk = len(p) - total
 		}
 		copy(q.buf[q.w:q.w+chunk], p[total:total+chunk])
-		q.w = (q.w + chunk) % ringSize
+		q.w = (q.w + chunk) & (len(q.buf) - 1)
 		q.n += chunk
 		total += chunk
 		q.notEmpty.Broadcast()
 	}
 	return total, nil
+}
+
+// grow doubles a full ring until need more bytes fit (or it reaches
+// ringSize), unwrapping the buffered bytes to the front. Caller holds mu.
+func (q *ring) grow(need int) {
+	size := 2 * len(q.buf)
+	for size < q.n+need && size < ringSize {
+		size *= 2
+	}
+	buf := make([]byte, size)
+	head := copy(buf, q.buf[q.r:])
+	copy(buf[head:], q.buf[:q.w])
+	q.buf, q.r, q.w = buf, 0, q.n
 }
 
 func (q *ring) close() {

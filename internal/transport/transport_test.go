@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -367,5 +369,114 @@ func TestInprocDialCloseRace(t *testing.T) {
 		}
 		l.Close()
 		wg.Wait()
+	}
+}
+
+// TestRingGrowsOnDemand: a ring starts small, grows (unwrapping wrapped
+// content) only when a write finds it full, and stops at ringSize, past
+// which the writer blocks for the reader as it always did.
+func TestRingGrowsOnDemand(t *testing.T) {
+	r := newRing()
+	pattern := func(n, seed int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i*7 + seed)
+		}
+		return b
+	}
+	var want bytes.Buffer
+	write := func(b []byte) {
+		want.Write(b)
+		if _, err := r.write(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(pattern(3<<10, 1))
+	head := make([]byte, 2<<10)
+	if n, _ := r.read(head); n != len(head) || !bytes.Equal(head, want.Next(n)) {
+		t.Fatalf("first read: %d bytes", n)
+	}
+	write(pattern(3<<10, 2)) // wraps and fills the initial buffer
+	if len(r.buf) != ringMin || r.n != ringMin {
+		t.Fatalf("ring grew early: len %d, buffered %d", len(r.buf), r.n)
+	}
+	write(pattern(10<<10, 3)) // does not fit: grows while wrapped
+	if len(r.buf) != 16<<10 {
+		t.Fatalf("ring is %d bytes after a 10 KiB overflow, want 16 KiB", len(r.buf))
+	}
+	got := make([]byte, want.Len())
+	if n, _ := r.read(got); n != len(got) || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("stream corrupted across growth (%d of %d bytes)", n, len(got))
+	}
+
+	// Past ringSize the writer waits for the reader.
+	big := pattern(ringSize+4096, 4)
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.write(big)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("write of more than ringSize returned without a reader: %v", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	got = make([]byte, len(big))
+	for off := 0; off < len(got); {
+		n, err := r.read(got[off:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		off += n
+	}
+	if err := <-done; err != nil || !bytes.Equal(got, big) || len(r.buf) != ringSize {
+		t.Fatalf("blocked write: err %v, ring %d bytes", err, len(r.buf))
+	}
+}
+
+// TestRingStreamAcrossGrowth pushes a known byte sequence through rings
+// with a concurrent reader, in chunk sizes that force growth at every step
+// and in every wrap position, and checks the stream byte for byte.
+func TestRingStreamAcrossGrowth(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r := newRing()
+		total := 1<<20 + rng.Intn(1<<16)
+		src := make([]byte, total)
+		rng.Read(src)
+		got := make([]byte, 0, total)
+		done := make(chan struct{})
+		buf := make([]byte, 1+rng.Intn(9000))
+		go func() {
+			defer close(done)
+			for {
+				n, err := r.read(buf[:1+rand.Intn(len(buf))])
+				got = append(got, buf[:n]...)
+				if err != nil {
+					return
+				}
+				if rand.Intn(8) == 0 {
+					runtime.Gosched()
+				}
+			}
+		}()
+		for off := 0; off < total; {
+			n := 1 + rng.Intn(3*ringMin)
+			if rng.Intn(20) == 0 {
+				n = 1 + rng.Intn(ringSize/2)
+			}
+			if n > total-off {
+				n = total - off
+			}
+			if _, err := r.write(src[off : off+n]); err != nil {
+				t.Fatal(err)
+			}
+			off += n
+		}
+		r.close()
+		<-done
+		if !bytes.Equal(got, src) {
+			t.Fatalf("seed %d: stream corrupted (%d of %d bytes)", seed, len(got), total)
+		}
 	}
 }

@@ -78,3 +78,16 @@ go test -race -run 'Fuzz' ./internal/wire/
 go test -race -run 'TestClassifyFailure|TestOverloaded|TestRetryBudget|TestBreaker|TestOpBudget|TestSustainedOverload' ./internal/client/
 go test -race -run 'Shed|Deadline|Overload' ./internal/controlet/ ./internal/datalet/
 go test -race -run 'TestOverload' ./internal/cluster/
+
+# rpc envelope: frame and message-codec fuzz seeds race-detected, the
+# allocation gate of a Lock-shaped round trip (not under -race, where
+# sync.Pool sheds on purpose) and the layer's -benchmem numbers.
+go test -race -run 'Fuzz|TestFrame|TestPayloadKinds|TestMarshalError|TestUnmarshalable' \
+	./internal/rpc/ ./internal/dlm/ ./internal/sharedlog/
+go test -run TestCallWireAllocs ./internal/rpc/
+go test -run NONE -bench 'CallWire|CallJSON|LockUnlock|Append1$|ReadBatch' -benchmem -cpu 1,2 \
+	./internal/rpc/ ./internal/dlm/ ./internal/sharedlog/
+
+# Repository benchmark smoke test (nested module, outside ./...): all six
+# workloads at -quick sizes plus the traced layer ladder, ~5 s.
+go -C benchmark test ./...
