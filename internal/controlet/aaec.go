@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"bespokv/internal/sharedlog"
-	"bespokv/internal/trace"
 	"bespokv/internal/wire"
 )
 
@@ -49,29 +48,28 @@ type appendResult struct {
 	err    error
 }
 
-func newLogApplier(s *Server) *logApplier {
-	return &logApplier{
-		s:       s,
-		appends: make(chan appendReq, 256),
-		stopCh:  make(chan struct{}),
+// startLog dials the shared log and starts the applier and the append
+// batcher.
+func (s *Server) startLog() error {
+	if s.cfg.SharedLogAddr == "" {
+		return errors.New("controlet: AA+EC requires SharedLogAddr")
 	}
-}
-
-func (a *logApplier) start() error {
-	c, err := sharedlog.DialClient(a.s.cfg.Network, a.s.cfg.SharedLogAddr)
+	a := &logApplier{s: s, appends: make(chan appendReq, 256), stopCh: make(chan struct{})}
+	c, err := sharedlog.DialClient(s.cfg.Network, s.cfg.SharedLogAddr)
 	if err != nil {
 		return err
 	}
 	a.client = c
 	// The applier gets its own connection so long-polls never block
 	// appends.
-	reader, err := sharedlog.DialClient(a.s.cfg.Network, a.s.cfg.SharedLogAddr)
+	reader, err := sharedlog.DialClient(s.cfg.Network, s.cfg.SharedLogAddr)
 	if err != nil {
 		c.Close()
 		return err
 	}
 	a.reader = reader
-	a.s.wg.Add(2)
+	s.aaec = a
+	s.wg.Add(2)
 	go a.applyLoop(reader)
 	go a.batchLoop()
 	return nil
@@ -225,15 +223,18 @@ func (a *logApplier) applyEntry(e sharedlog.Entry) {
 	if rec.shard != "" && rec.shard != a.s.shardID() {
 		return // another shard's stream
 	}
+	// Log records carry no trace ID (the sampled writer's own apply is
+	// traced synchronously at append time) and no deadline: the write is
+	// already acknowledged and must reach every replica however late.
 	op := wire.OpPut
 	if rec.del {
 		op = wire.OpDel
 	}
-	// Log records carry no trace ID: the sampled writer's own apply is
-	// traced synchronously at append time; replica applies are untraced.
-	if err := a.s.applyLocal(op, rec.table, rec.key, rec.value, version, 0, 0); err != nil {
+	w := decodeWrite(&wire.Request{Op: op, Table: rec.table, Key: rec.key, Value: rec.value, Version: version})
+	if err := a.s.applyLocal(w, false); err != nil {
 		a.s.cfg.Logf("controlet %s: apply log entry %d: %v", a.s.cfg.NodeID, e.Offset, err)
 	}
+	w.release()
 }
 
 // applyFloor raises the stream's version-floor adjustment so that every
@@ -297,52 +298,34 @@ func (a *logApplier) drain() {
 	}
 }
 
-// loggedWrite implements the AA+EC client write path: sequence through the
-// shared log, apply locally with the offset-derived version, acknowledge.
-func (s *Server) loggedWrite(req *wire.Request, resp *wire.Response) {
+// orderLog is the AA+EC orderer: sequence the write through the shared
+// log, then apply it locally under the offset-derived version. The log is
+// also what carries the write to the other replicas, so the mode has no
+// replicate stage.
+func (s *Server) orderLog(w *writeSet) error {
 	adj := s.aaec.adj.Load()
 	rec := logRecord{
 		origin: s.cfg.NodeID,
 		shard:  s.shardID(),
 		adj:    adj,
-		del:    req.Op == wire.OpDel,
-		table:  req.Table,
-		key:    req.Key,
-		value:  req.Value,
+		del:    w.del,
+		table:  w.table,
+		key:    w.pairs[0].Key,
+		value:  w.pairs[0].Value,
 	}
 	start := time.Now()
 	offset, err := s.aaec.append(rec.shard, encodeLogRecord(rec))
-	dur := time.Since(start)
-	ctlLogAppendLat.Observe(dur)
-	if req.TraceID != 0 {
-		errStr := ""
-		if err != nil {
-			errStr = err.Error()
-		}
-		trace.Record(req.TraceID, s.cfg.NodeID, "log.append", start, dur, errStr)
-	}
+	s.observeWait(ctlLogAppendLat, w.tid, "log.append", start, err)
 	if err != nil {
-		resp.Status = wire.StatusUnavailable
-		resp.Err = "sharedlog: " + err.Error()
-		return
+		return downstream{"sharedlog", err}
 	}
-	version := aaecVersionBase + adj + offset + 1
-	s.observeVersion(version)
-	op := wire.OpPut
-	if rec.del {
-		op = wire.OpDel
-	}
-	if err := s.applyLocal(op, req.Table, req.Key, req.Value, version, req.TraceID, req.DeadlineAt); err != nil {
-		// The record is already sequenced — every replica's applier will
-		// land it regardless — so a failure here (including a spent
-		// deadline) only means the client is not told "acked": the
-		// outcome is indeterminate, like any unacknowledged write.
-		failWrite(resp, err)
-		return
-	}
-	s.mirrorWrite(rec.del, req.Table, req.Key, req.Value, version)
-	resp.Status = wire.StatusOK
-	resp.Version = version
+	w.pairs[0].Version = aaecVersionBase + adj + offset + 1
+	s.observeVersion(w.pairs[0].Version)
+	// The record is already sequenced — every replica's applier will land
+	// it regardless — so a failure from here on (including a spent
+	// deadline) only means the client is not told "acked": the outcome is
+	// indeterminate, like any unacknowledged write.
+	return s.applyLocal(w, false)
 }
 
 // logRecord is the payload sequenced through the shared log. The shard tag

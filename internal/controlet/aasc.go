@@ -6,7 +6,6 @@ import (
 
 	"bespokv/internal/dlm"
 	"bespokv/internal/topology"
-	"bespokv/internal/trace"
 	"bespokv/internal/wire"
 )
 
@@ -16,161 +15,113 @@ type lockClient struct {
 	ttl time.Duration
 }
 
-func newLockClient(cfg Config) (*lockClient, error) {
-	c, err := dlm.DialClient(cfg.Network, cfg.DLMAddr, cfg.NodeID)
-	if err != nil {
-		return nil, err
+func (s *Server) startLocks() error {
+	if s.cfg.DLMAddr == "" {
+		return errors.New("controlet: AA+SC requires DLMAddr")
 	}
-	return &lockClient{c: c, ttl: cfg.LockTTL}, nil
+	c, err := dlm.DialClient(s.cfg.Network, s.cfg.DLMAddr, s.cfg.NodeID)
+	if err != nil {
+		return err
+	}
+	s.locks = &lockClient{c: c, ttl: s.cfg.LockTTL}
+	return nil
 }
 
 func (l *lockClient) close() { _ = l.c.Close() }
 
 // acquire wraps the DLM lock call with the lock-wait histogram and, for
 // sampled requests, a "dlm.wait" span.
-func (s *Server) acquire(tid uint64, key string, mode dlm.Mode) (uint64, error) {
+func (s *Server) acquire(tid uint64, key string, mode dlm.Mode) error {
 	start := time.Now()
-	token, err := s.locks.c.LockTraced(tid, key, mode, s.locks.ttl, s.locks.ttl)
-	dur := time.Since(start)
-	ctlLockWait.Observe(dur)
-	if tid != 0 {
-		errStr := ""
-		if err != nil {
-			errStr = err.Error()
-		}
-		trace.Record(tid, s.cfg.NodeID, "dlm.wait", start, dur, errStr)
-	}
-	return token, err
-}
-
-// lockedWrite implements the AA+SC put path (§C-B): acquire the per-key
-// write lease, apply to every replica's datalet, release, acknowledge. The
-// monotonically increasing fencing token doubles as the LWW version, so a
-// slow writer whose lease expired can never clobber a newer value.
-func (s *Server) lockedWrite(m *topology.Map, shard topology.Shard, req *wire.Request, resp *wire.Response) {
-	lockKey := req.Table + "\x00" + string(req.Key)
-	if _, err := s.acquire(req.TraceID, lockKey, dlm.Write); err != nil {
-		resp.Status = wire.StatusUnavailable
-		resp.Err = "dlm: " + err.Error()
-		return
-	}
-	defer func() {
-		if err := s.locks.c.Unlock(lockKey, dlm.Write); err != nil {
-			s.cfg.Logf("controlet %s: unlock %q: %v (lease will expire)", s.cfg.NodeID, lockKey, err)
-		}
-	}()
-	localOp := wire.OpPut
-	replOp := wire.OpReplPut
-	if req.Op == wire.OpDel {
-		localOp = wire.OpDel
-		replOp = wire.OpReplDel
-	}
-	// Lamport versions are safe here: the synchronous write-all under the
-	// exclusive lease delivers this version to every peer before the
-	// lease is released, so the next writer of this key (whoever it is)
-	// has observed it and will assign a strictly larger version.
-	version, err := s.writeLocalAssigned(localOp, req.Table, req.Key, req.Value, req.TraceID, req.DeadlineAt)
+	_, err := s.locks.c.LockTraced(tid, key, mode, s.locks.ttl, s.locks.ttl)
+	s.observeWait(ctlLockWait, tid, "dlm.wait", start, err)
 	if err != nil {
-		failWrite(resp, err)
-		return
+		return downstream{"dlm", err}
 	}
-	if m != nil {
-		if err := s.replicateAll(shard, replOp, req, version); err != nil {
-			// Under write-all a dead peer fails the write; the
-			// coordinator will remove it and the client retries. A peer
-			// shed keeps its overload classification so the client backs
-			// off rather than retrying immediately.
-			if errors.Is(err, errShed) {
-				resp.Status = wire.StatusOverloaded
-			} else {
-				resp.Status = wire.StatusUnavailable
-			}
-			resp.Err = "replicate: " + err.Error()
-			return
-		}
-	}
-	s.mirrorWrite(localOp == wire.OpDel, req.Table, req.Key, req.Value, version)
-	resp.Status = wire.StatusOK
-	resp.Version = version
+	return nil
 }
 
-// replicateAll applies the write at every peer replica concurrently — the
-// fan-out rides the pipelined peer connections so the write-all costs one
-// round-trip to the slowest peer, not the sum. It always waits for every
-// peer (in-flight requests alias req's buffers); the first error wins.
-func (s *Server) replicateAll(shard topology.Shard, op wire.Op, req *wire.Request, version uint64) error {
-	type flight struct {
-		addr  string
-		fwd   *wire.Request
-		presp *wire.Response
-		errc  <-chan error
+// lockWrite takes the exclusive lease AA+SC orders a key's write under
+// (§C-B) and returns the lock key for unlockWrite. The lease spans the
+// local apply as well as the write-all: a slow writer whose lease expired
+// loses the LWW race at every replica rather than clobbering a newer value.
+func (s *Server) lockWrite(w *writeSet) (string, error) {
+	key := w.table + "\x00" + string(w.pairs[0].Key)
+	return key, s.acquire(w.tid, key, dlm.Write)
+}
+
+func (s *Server) unlockWrite(key string) {
+	if err := s.locks.c.Unlock(key, dlm.Write); err != nil {
+		s.cfg.Logf("controlet %s: unlock %q: %v (lease will expire)", s.cfg.NodeID, key, err)
 	}
-	var flights []flight
-	var firstErr error
-	now := time.Now()
+}
+
+// replicateAll is the AA+SC replicate stage: apply the write at every peer
+// replica concurrently — the fan-out rides the pipelined peer connections
+// so the write-all costs one round-trip to the slowest peer, not the sum.
+// It always waits for every peer (in-flight frames alias the client
+// request's buffers); the first error wins. A dead peer fails the write;
+// nothing is half-committed from the client's point of view, because the
+// lease holder still owns the key — the op is simply not acked.
+func (s *Server) replicateAll(_ *topology.Map, shard topology.Shard, w *writeSet) error {
+	calls := make([]peerCall, 0, len(shard.Replicas)-1)
 	for _, n := range shard.Replicas {
 		if n.ID == s.cfg.NodeID {
 			continue
 		}
-		pool, err := s.peerPool(n.ControletAddr)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
 		fwd := wire.GetRequest()
-		fwd.Op = op
-		fwd.Table = req.Table
-		fwd.Key = req.Key
-		fwd.Value = req.Value
-		fwd.Version = version
-		fwd.TraceID = req.TraceID
-		// Peers get the remaining deadline budget; a budget spent before
-		// the fan-out even launches fails the write-all up front (the
-		// lease holder still owns the key, so nothing is half-committed
-		// from the client's point of view — the op is simply not acked).
-		fwd.DeadlineAt = req.DeadlineAt
-		if !fwd.RestampDeadline(now) {
-			wire.PutRequest(fwd)
-			ctlDeadlineExpired.Inc()
-			if firstErr == nil {
-				firstErr = errDeadlineSpent
-			}
-			break
-		}
-		presp := wire.GetResponse()
+		w.encode(fwd, frameRepl, wire.StatusOK)
 		ctlReplicateAll.Inc()
-		flights = append(flights, flight{n.ControletAddr, fwd, presp, pool.DoAsync(fwd, presp)})
+		calls = append(calls, s.send(n.ControletAddr, fwd))
 	}
-	for _, f := range flights {
-		err := <-f.errc
-		if err != nil {
-			s.dropPeer(f.addr)
-		} else {
-			err = peerErrValue(f.presp)
-		}
-		if err != nil && firstErr == nil {
+	var firstErr error
+	for i := range calls {
+		if err := calls[i].wait(s); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		wire.PutRequest(f.fwd)
-		wire.PutResponse(f.presp)
 	}
 	return firstErr
 }
 
-// lockedGet implements the AA+SC read path: a shared lease on the key,
-// then a local read — any active node serves linearizable reads because
-// writes hold the exclusive lease across all replicas.
-func (s *Server) lockedGet(req *wire.Request, resp *wire.Response) {
-	lockKey := req.Table + "\x00" + string(req.Key)
-	if _, err := s.acquire(req.TraceID, lockKey, dlm.Read); err != nil {
-		resp.Status = wire.StatusUnavailable
-		resp.Err = "dlm: " + err.Error()
+// lockedRead is the AA+SC strong read: a shared lease on the key, then a
+// local read — any active node serves linearizable reads because writes
+// hold the exclusive lease across all replicas. A batch is read key by key
+// (there is no batched lock primitive) and merged back into one frame.
+func (s *Server) lockedRead(req *wire.Request, resp *wire.Response) {
+	if req.Op == wire.OpGet {
+		s.lockedGet(req, resp)
 		return
 	}
-	defer func() {
-		_ = s.locks.c.Unlock(lockKey, dlm.Read)
-	}()
+	kreq := wire.GetRequest()
+	kresp := wire.GetResponse()
+	defer wire.PutRequest(kreq)
+	defer wire.PutResponse(kresp)
+	resp.Status = wire.StatusOK
+	for i := range req.Pairs {
+		kreq.Reset()
+		kreq.Op = wire.OpGet
+		kreq.Table = req.Table
+		kreq.Key = req.Pairs[i].Key
+		kreq.Level = req.Level
+		kreq.TraceID = req.TraceID
+		kreq.DeadlineAt = req.DeadlineAt
+		kresp.Reset()
+		s.lockedGet(kreq, kresp)
+		kv := wire.KV{}
+		if kresp.Status == wire.StatusOK {
+			kv = wire.KV{Value: append([]byte(nil), kresp.Value...), Version: kresp.Version}
+		}
+		resp.Pairs = append(resp.Pairs, kv)
+		resp.Statuses = append(resp.Statuses, kresp.Status)
+	}
+}
+
+func (s *Server) lockedGet(req *wire.Request, resp *wire.Response) {
+	key := req.Table + "\x00" + string(req.Key)
+	if err := s.acquire(req.TraceID, key, dlm.Read); err != nil {
+		refuse(resp, err.Error())
+		return
+	}
 	s.localCall(req, resp)
+	_ = s.locks.c.Unlock(key, dlm.Read)
 }

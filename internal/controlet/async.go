@@ -9,54 +9,46 @@ import (
 	"bespokv/internal/wire"
 )
 
-// asyncWrite implements the MS+EC put path (§C-A): the master assigns a
-// version, commits locally, acknowledges the client, and propagates to the
-// slaves asynchronously on dedicated per-slave connections.
-func (s *Server) asyncWrite(m *topology.Map, shard topology.Shard, pos int, req *wire.Request, resp *wire.Response) {
-	if m != nil && pos != 0 {
-		if s.cfg.P2PRouting && req.Limit < maxP2PHops {
-			s.relayTo(shard.Head().ControletAddr, req, resp)
-			return
+// replicateAsync is the MS+EC replicate stage (§C-A): the master has
+// committed locally; queue the write for every slave on its dedicated
+// connection and ack without waiting for them.
+func (s *Server) replicateAsync(_ *topology.Map, shard topology.Shard, w *writeSet) error {
+	op := frameOps[frameRepl].put
+	if w.del {
+		op = frameOps[frameRepl].del
+	}
+	for i := range w.pairs {
+		if w.status[i] != wire.StatusOK {
+			continue
 		}
-		resp.Status = wire.StatusRedirect
-		resp.Err = shard.Head().ControletAddr
-		return
-	}
-	localOp := wire.OpPut
-	replOp := wire.OpReplPut
-	if req.Op == wire.OpDel {
-		localOp = wire.OpDel
-		replOp = wire.OpReplDel
-	}
-	version, err := s.writeLocalAssigned(localOp, req.Table, req.Key, req.Value, req.TraceID, req.DeadlineAt)
-	if err != nil {
-		failWrite(resp, err)
-		return
-	}
-	if s.prop != nil && m != nil {
-		if !s.prop.enqueue(shard, propRecord{
-			op:      replOp,
-			table:   req.Table,
-			key:     append([]byte(nil), req.Key...),
-			value:   append([]byte(nil), req.Value...),
-			version: version,
-			traceID: req.TraceID,
+		if s.prop.enqueue(shard, propRecord{
+			op:      op,
+			table:   w.table,
+			key:     append([]byte(nil), w.pairs[i].Key...),
+			value:   append([]byte(nil), w.pairs[i].Value...),
+			version: w.pairs[i].Version,
+			traceID: w.tid,
 		}) {
-			// Bounded backpressure: the slave backlog is full and stayed
-			// full past the enqueue grace. The write applied locally but
-			// is NOT acknowledged — the client sees a retryable shed, and
-			// a later retry re-applies idempotently under LWW. The
-			// alternative (blocking here until the queue drains) is how
-			// one slow slave turns into an unbounded master-side pileup.
-			ctlShedTotal.Inc()
-			resp.Status = wire.StatusOverloaded
-			resp.Err = "controlet: replication backlog"
-			return
+			continue
 		}
+		// Bounded backpressure: the slave backlog is full and stayed full
+		// past the enqueue grace. The write applied locally but is NOT
+		// acknowledged — the client sees a retryable shed, and a later
+		// retry re-applies idempotently under LWW. The alternative
+		// (blocking here until the queue drains) is how one slow slave
+		// turns into an unbounded master-side pileup.
+		ctlShedTotal.Inc()
+		if !w.batch {
+			return errBacklog
+		}
+		w.status[i] = wire.StatusOverloaded
 	}
-	s.mirrorWrite(localOp == wire.OpDel, req.Table, req.Key, req.Value, version)
-	resp.Status = wire.StatusOK
-	resp.Version = version
+	return nil
+}
+
+func (s *Server) startPropagator() error {
+	s.prop = newPropagator(s)
+	return nil
 }
 
 // propRecord is one pending asynchronous replication write.

@@ -1,178 +1,76 @@
 package controlet
 
 import (
-	"errors"
-	"time"
-
 	"bespokv/internal/topology"
 	"bespokv/internal/wire"
 )
 
-// chainWrite implements the MS+SC put path with chain replication (§IV-A):
-// the head assigns the version, applies locally, forwards down the chain;
-// each node applies then forwards; the tail's ack travels back up and the
-// head answers the client (CRAQ-style single client connection).
-func (s *Server) chainWrite(m *topology.Map, shard topology.Shard, pos int, req *wire.Request, resp *wire.Response) {
-	if m != nil && pos != 0 {
-		// Only the head accepts client writes; relay under P2P routing,
-		// otherwise send the client there.
-		if s.cfg.P2PRouting && req.Limit < maxP2PHops {
-			s.relayTo(shard.Head().ControletAddr, req, resp)
-			return
-		}
-		resp.Status = wire.StatusRedirect
-		resp.Err = shard.Head().ControletAddr
-		return
-	}
-	op := wire.OpChainPut
-	localOp := wire.OpPut
-	if req.Op == wire.OpDel {
-		op = wire.OpChainDel
-		localOp = wire.OpDel
-	}
-	version, err := s.writeLocalAssigned(localOp, req.Table, req.Key, req.Value, req.TraceID, req.DeadlineAt)
-	if err != nil {
-		failWrite(resp, err)
-		return
-	}
-	if err := s.startForwardChain(shard, 0, op, req, version).wait(s); err != nil {
-		// A broken chain fails the write; the coordinator repairs the
-		// chain and the client retries against the new topology. A
-		// downstream shed keeps its overload classification so the
-		// client backs off instead of hammering the repaired chain.
-		if errors.Is(err, errShed) {
-			resp.Status = wire.StatusOverloaded
-		} else {
-			resp.Status = wire.StatusUnavailable
-		}
-		resp.Err = "chain: " + err.Error()
-		return
-	}
-	s.mirrorWrite(localOp == wire.OpDel, req.Table, req.Key, req.Value, version)
-	resp.Status = wire.StatusOK
-	resp.Version = version
+// MS+SC replicates by chain (§IV-A): the head orders the write and applies
+// it, every node forwards it to its successor and applies it, the tail's
+// ack travels back up, and the head answers the client (CRAQ-style single
+// client connection). Strong reads are the tail's.
+
+// replicateChain is the head's replicate stage: forward what the local
+// apply accepted and wait for the tail's ack.
+func (s *Server) replicateChain(m *topology.Map, shard topology.Shard, w *writeSet) error {
+	c := s.forwardChain(m, shard, 0, w)
+	return c.wait(s)
 }
 
-// chainAck is an in-flight downstream forward. Its request/response pair
-// comes from the wire message pools and is recycled by wait.
-type chainAck struct {
-	addr  string
-	fwd   *wire.Request
-	presp *wire.Response
-	errc  <-chan error
-	err   error // setup failure; set instead of errc
-}
-
-// startForwardChain launches the write toward the successor of position pos
-// on a pipelined peer connection and returns immediately; the caller
-// overlaps its local apply with the downstream network hop and then waits.
-// A nil ack (this node is the tail) waits as an immediate success.
-func (s *Server) startForwardChain(shard topology.Shard, pos int, op wire.Op, req *wire.Request, version uint64) *chainAck {
+// forwardChain launches w's applied pairs toward the successor of position
+// pos and returns at once, so a mid-chain node overlaps its local apply
+// with the downstream hop. The tail, and a set with nothing left to
+// forward, get the zero call.
+func (s *Server) forwardChain(m *topology.Map, shard topology.Shard, pos int, w *writeSet) peerCall {
 	if pos+1 >= len(shard.Replicas) {
-		return nil // we are the tail
-	}
-	next := shard.Replicas[pos+1]
-	ack := &chainAck{addr: next.ControletAddr}
-	pool, err := s.peerPool(next.ControletAddr)
-	if err != nil {
-		ack.err = err
-		return ack
+		return peerCall{}
 	}
 	fwd := wire.GetRequest()
-	fwd.Op = op
-	fwd.Table = req.Table
-	fwd.Key = req.Key
-	fwd.Value = req.Value
-	fwd.Version = version
-	fwd.Epoch = epochOf(s.Map())
-	fwd.TraceID = req.TraceID
-	// The downstream hop inherits whatever remains of the client's
-	// deadline budget; a budget already spent fails the forward before it
-	// leaves this node (the client has given up on the write anyway).
-	fwd.DeadlineAt = req.DeadlineAt
-	if !fwd.RestampDeadline(time.Now()) {
+	if w.encode(fwd, frameChain, wire.StatusOK) == 0 {
 		wire.PutRequest(fwd)
-		ctlDeadlineExpired.Inc()
-		ack.err = errDeadlineSpent
-		return ack
+		return peerCall{}
 	}
-	ack.fwd = fwd
-	ctlChainForwards.Inc()
-	ack.presp = wire.GetResponse()
-	ack.errc = pool.DoAsync(fwd, ack.presp)
-	return ack
+	// Every hop stamps its own map's epoch — not the head's — so what the
+	// successor compares against its map is always its direct sender's.
+	fwd.Epoch = m.Epoch
+	c := s.send(shard.Replicas[pos+1].ControletAddr, fwd)
+	if c.errc != nil {
+		ctlChainForwards.Inc()
+	}
+	return c
 }
 
-// wait blocks until the downstream ack (meaning every node through the tail
-// has applied the write) and recycles the pooled messages.
-func (a *chainAck) wait(s *Server) error {
-	if a == nil {
-		return nil
-	}
-	if a.err != nil {
-		return a.err
-	}
-	err := <-a.errc
-	if err != nil {
-		s.dropPeer(a.addr)
-	} else {
-		err = peerErrValue(a.presp)
-	}
-	wire.PutRequest(a.fwd)
-	wire.PutResponse(a.presp)
-	return err
-}
-
-// forwardChain is the synchronous start+wait pair, kept for callers with no
-// work to overlap.
-func (s *Server) forwardChain(shard topology.Shard, pos int, op wire.Op, req *wire.Request, version uint64) error {
-	return s.startForwardChain(shard, pos, op, req, version).wait(s)
-}
-
-// handleChain is the mid/tail side of chain replication: launch the forward
-// to the successor, apply locally while it travels, ack upstream only after
-// both the local apply and the downstream ack. Overlapping the two halves
-// pipelines the chain — the per-hop latency is max(apply, hop) instead of
-// their sum — and is safe because the upstream ack (what the head's client
-// observes, and what tail reads serve) still implies every node applied.
+// handleChain is the mid/tail side, one body for OpChainPut, OpChainDel
+// and OpChainMPut: launch the forward to the successor, apply locally
+// while it travels, ack upstream only after both. Overlapping the two
+// halves pipelines the chain — the per-hop latency is max(apply, hop)
+// instead of their sum — and is safe because the upstream ack (what the
+// head's client observes, and what tail reads serve) still implies every
+// node applied.
 func (s *Server) handleChain(req *wire.Request, resp *wire.Response) {
-	s.observeVersion(req.Version)
+	w := decodeWrite(req)
+	defer w.release()
+	for i := range w.pairs {
+		s.observeVersion(w.pairs[i].Version)
+	}
 	m := s.Map()
 	shard, pos := s.myShard(m)
 	if m != nil && pos < 0 {
-		resp.Status = wire.StatusUnavailable
-		resp.Err = "controlet: node not in current map"
+		refuse(resp, "controlet: node not in current map")
 		return
 	}
-	localOp := wire.OpPut
-	if req.Op == wire.OpChainDel {
-		localOp = wire.OpDel
+	ack := s.forwardChain(m, shard, pos, w)
+	err := s.applyLocal(w, false)
+	// Always collect the forward, even when the write already failed here.
+	if ferr := ack.wait(s); err == nil && ferr != nil {
+		err = downstream{"chain", ferr}
 	}
-	var ack *chainAck
-	if m != nil {
-		ack = s.startForwardChain(shard, pos, req.Op, req, req.Version)
-	}
-	if err := s.applyLocal(localOp, req.Table, req.Key, req.Value, req.Version, req.TraceID, req.DeadlineAt); err != nil {
-		_ = ack.wait(s) // drain; the write still fails upstream
+	if err != nil {
 		failWrite(resp, err)
 		return
 	}
-	if err := ack.wait(s); err != nil {
-		if errors.Is(err, errShed) {
-			resp.Status = wire.StatusOverloaded
-		} else {
-			resp.Status = wire.StatusUnavailable
-		}
-		resp.Err = "chain: " + err.Error()
-		return
-	}
 	resp.Status = wire.StatusOK
-	resp.Version = req.Version
-}
-
-func epochOf(m *topology.Map) uint64 {
-	if m == nil {
-		return 0
+	if !w.batch {
+		resp.Version = req.Version
 	}
-	return m.Epoch
 }

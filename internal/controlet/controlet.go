@@ -124,6 +124,7 @@ const connBufSize = 64 << 10
 // Server is a running controlet.
 type Server struct {
 	cfg Config
+	pol policy // what cfg.Mode decides about the data path (modes.go)
 
 	dataListener transport.Listener
 	ctl          *rpc.Server
@@ -214,7 +215,8 @@ func Serve(cfg Config) (*Server, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
-	if !cfg.Mode.Valid() {
+	pol, ok := policies[cfg.Mode]
+	if !ok {
 		return nil, fmt.Errorf("controlet: invalid mode %s", cfg.Mode)
 	}
 	local, err := datalet.DialPool(cfg.DataletNetwork, cfg.DataletAddr, cfg.DataletCodec, cfg.PeerPoolSize)
@@ -224,6 +226,7 @@ func Serve(cfg Config) (*Server, error) {
 	local.SetCallTimeout(cfg.PeerCallTimeout)
 	s := &Server{
 		cfg:    cfg,
+		pol:    pol,
 		local:  local,
 		peers:  map[string]*datalet.Pool{},
 		dPeers: map[string]*datalet.Pool{},
@@ -240,24 +243,8 @@ func Serve(cfg Config) (*Server, error) {
 	// land its first heartbeat.
 	s.lastBeat.Store(time.Now().UnixNano())
 
-	if cfg.Mode == (topology.Mode{Topology: topology.MS, Consistency: topology.Eventual}) {
-		s.prop = newPropagator(s)
-	}
-	if cfg.Mode.Topology == topology.AA && cfg.Mode.Consistency == topology.Eventual {
-		if cfg.SharedLogAddr == "" {
-			return nil, errors.New("controlet: AA+EC requires SharedLogAddr")
-		}
-		s.aaec = newLogApplier(s)
-		if err := s.aaec.start(); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.Mode.Topology == topology.AA && cfg.Mode.Consistency == topology.Strong {
-		if cfg.DLMAddr == "" {
-			return nil, errors.New("controlet: AA+SC requires DLMAddr")
-		}
-		s.locks, err = newLockClient(cfg)
-		if err != nil {
+	if pol.start != nil {
+		if err := pol.start(s); err != nil {
 			return nil, err
 		}
 	}
@@ -401,6 +388,26 @@ func (s *Server) SetMap(m *topology.Map) {
 		// client reads against the map that just took effect.
 		s.pushEpochLease(clone.Epoch)
 	}
+}
+
+// pushEpochLease grants (or refreshes) the local datalet's epoch lease so
+// it can fence direct client reads. The TTL is tied to FenceTimeout: a
+// partitioned pair's datalet stops serving direct reads in the same window
+// its controlet self-fences. Coordinator-less static setups get a
+// non-expiring lease — their epoch never moves.
+func (s *Server) pushEpochLease(epoch uint64) {
+	var ttl uint64
+	if s.cfg.FenceTimeout > 0 && s.cfg.CoordinatorAddr != "" {
+		ttl = uint64(s.cfg.FenceTimeout)
+	}
+	req := wire.GetRequest()
+	resp := wire.GetResponse()
+	defer wire.PutRequest(req)
+	defer wire.PutResponse(resp)
+	req.Op = wire.OpEpochSet
+	req.Epoch = epoch
+	req.Version = ttl
+	_ = s.local.Do(req, resp) // best effort; refreshed every heartbeat
 }
 
 // Map returns the controlet's current cluster map (may be nil).
@@ -838,7 +845,7 @@ func (s *Server) roleName(m *topology.Map, pos int) string {
 	switch {
 	case pos < 0:
 		return "detached"
-	case s.cfg.Mode.Topology == topology.AA:
+	case !s.pol.headOnly:
 		return "active"
 	case pos == 0:
 		return "head"

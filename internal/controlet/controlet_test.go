@@ -120,7 +120,7 @@ func TestStandaloneControletServesWithoutMap(t *testing.T) {
 	}
 }
 
-func TestWriteLocalAssignedBumpsPastNewerVersions(t *testing.T) {
+func TestOrderLamportBumpsPastNewerVersions(t *testing.T) {
 	s, d := startControlet(t, topology.Mode{Topology: topology.MS, Consistency: topology.Eventual})
 	// Plant a value with a version far above the controlet's clock, as a
 	// prior AA+EC era would leave behind.
@@ -128,10 +128,12 @@ func TestWriteLocalAssignedBumpsPastNewerVersions(t *testing.T) {
 	if _, err := d.Engine("").Put([]byte("k"), []byte("old-era"), planted); err != nil {
 		t.Fatal(err)
 	}
-	ver, err := s.writeLocalAssigned(wire.OpPut, "", []byte("k"), []byte("new-era"), 0, 0)
-	if err != nil {
+	w := decodeWrite(&wire.Request{Op: wire.OpPut, Key: []byte("k"), Value: []byte("new-era")})
+	defer w.release()
+	if err := s.orderLamport(w); err != nil {
 		t.Fatal(err)
 	}
+	ver := w.pairs[0].Version
 	if ver <= planted {
 		t.Fatalf("assigned version %d did not pass planted %d", ver, planted)
 	}

@@ -1,0 +1,97 @@
+package controlet
+
+import (
+	"fmt"
+	"testing"
+
+	"bespokv/internal/datalet"
+	"bespokv/internal/dlm"
+	"bespokv/internal/sharedlog"
+	"bespokv/internal/store"
+	"bespokv/internal/store/ht"
+	"bespokv/internal/topology"
+	"bespokv/internal/transport"
+	"bespokv/internal/wire"
+)
+
+var fourModes = []topology.Mode{
+	{Topology: topology.MS, Consistency: topology.Strong},
+	{Topology: topology.MS, Consistency: topology.Eventual},
+	{Topology: topology.AA, Consistency: topology.Strong},
+	{Topology: topology.AA, Consistency: topology.Eventual},
+}
+
+// testShard is one coordinator-less shard of real controlet+datalet pairs
+// over the in-process transport, with the DLM or shared log its mode needs.
+type testShard struct {
+	ctls     []*Server
+	datalets []*datalet.Server
+	m        *topology.Map
+}
+
+func startDatalet(tb testing.TB, name string) *datalet.Server {
+	tb.Helper()
+	net, _ := transport.Lookup("inproc")
+	d, err := datalet.Serve(datalet.Config{
+		Name:      name,
+		Network:   net,
+		Codec:     wire.BinaryCodec{},
+		NewEngine: func(string) (store.Engine, error) { return ht.New(), nil },
+		Logf:      tb.Logf,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { d.Close() })
+	return d
+}
+
+// startShard boots n replicas in mode and installs a static map (epoch 5)
+// listing them, followed by any extra nodes — fake peers a test serves
+// itself.
+func startShard(tb testing.TB, mode topology.Mode, n int, extra ...topology.Node) *testShard {
+	tb.Helper()
+	net, _ := transport.Lookup("inproc")
+	cfg := Config{ShardID: "shard-0", Network: net, Codec: wire.BinaryCodec{}, Mode: mode, Logf: tb.Logf}
+	if mode.Topology == topology.AA && mode.Consistency == topology.Strong {
+		l, err := dlm.Serve(dlm.Config{Network: net})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { l.Close() })
+		cfg.DLMAddr = l.Addr()
+	}
+	if mode.Topology == topology.AA && mode.Consistency == topology.Eventual {
+		l, err := sharedlog.Serve(sharedlog.Config{Network: net})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { l.Close() })
+		cfg.SharedLogAddr = l.Addr()
+	}
+	sh := &testShard{m: &topology.Map{
+		Epoch:       5,
+		Mode:        mode,
+		Partitioner: topology.HashPartitioner,
+		Shards:      []topology.Shard{{ID: cfg.ShardID}},
+	}}
+	for i := 0; i < n; i++ {
+		d := startDatalet(tb, fmt.Sprintf("d%d", i))
+		c := cfg
+		c.NodeID = fmt.Sprintf("n%d", i)
+		c.DataletAddr = d.Addr()
+		s, err := Serve(c)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { s.Close() })
+		sh.ctls = append(sh.ctls, s)
+		sh.datalets = append(sh.datalets, d)
+		sh.m.Shards[0].Replicas = append(sh.m.Shards[0].Replicas, s.Node())
+	}
+	sh.m.Shards[0].Replicas = append(sh.m.Shards[0].Replicas, extra...)
+	for _, s := range sh.ctls {
+		s.SetMap(sh.m)
+	}
+	return sh
+}

@@ -17,11 +17,6 @@ type migrationState struct {
 	mover *migrate.Mover
 }
 
-// migration returns the active migration, or nil.
-func (s *Server) migration() *migrationState {
-	return s.mig.Load()
-}
-
 // migrationFor returns the active migration if it matches id.
 func (s *Server) migrationFor(id string) (*migrationState, error) {
 	ms := s.mig.Load()
@@ -32,15 +27,6 @@ func (s *Server) migrationFor(id string) (*migrationState, error) {
 		return nil, fmt.Errorf("controlet: active migration is %s, not %s", ms.spec.ID, id)
 	}
 	return ms, nil
-}
-
-// mirrorWrite dual-applies one acknowledged write to its post-cutover
-// owner. Called at every mode's ack point, under the inflight read lock;
-// when no migration is active it costs one atomic load.
-func (s *Server) mirrorWrite(del bool, table string, key, value []byte, version uint64) {
-	if ms := s.mig.Load(); ms != nil {
-		ms.mover.Mirror(del, table, key, value, version)
-	}
 }
 
 // MigrateRef names an active migration in the per-step RPCs.

@@ -6,6 +6,7 @@ import (
 	"bespokv/internal/datalet"
 	"bespokv/internal/metrics"
 	"bespokv/internal/telemetry"
+	"bespokv/internal/trace"
 	"bespokv/internal/wire"
 )
 
@@ -73,6 +74,20 @@ func recordCtlOp(op wire.Op, d time.Duration) {
 	op = clampCtlOp(op)
 	ctlOpCount[op].Inc()
 	ctlOpLat[op].Observe(d)
+}
+
+// observeWait records how long a write waited on a control service (DLM
+// lease, shared-log append) into h and, for sampled requests, as a span.
+func (s *Server) observeWait(h *metrics.Histogram, tid uint64, span string, start time.Time, err error) {
+	dur := time.Since(start)
+	h.Observe(dur)
+	if tid != 0 {
+		errStr := ""
+		if err != nil {
+			errStr = err.Error()
+		}
+		trace.Record(tid, s.cfg.NodeID, span, start, dur, errStr)
+	}
 }
 
 // recordTelemetry accounts one dispatched frame into the workload recorder:

@@ -58,15 +58,42 @@ func (s *Server) dispatchAdmit(req *wire.Request, resp *wire.Response) {
 	s.dispatch(req, resp)
 }
 
-// failWrite maps a write-path error onto the response: shed/deadline
-// failures become the retryable StatusOverloaded (the op was never
-// acked), everything else keeps the legacy StatusErr.
-func failWrite(resp *wire.Response, err error) {
-	if errors.Is(err, errShed) {
-		resp.Status = wire.StatusOverloaded
-	} else {
-		resp.Status = wire.StatusErr
+// downstream marks a failure of something this node depends on to finish
+// a write — a peer replica, the DLM, the shared log. The client sees the
+// retryable StatusUnavailable: the coordinator repairs the replica set (or
+// the service fails over) and the retry lands on the new topology.
+type downstream struct {
+	what string
+	err  error
+}
+
+func (d downstream) Error() string { return d.what + ": " + d.err.Error() }
+func (d downstream) Unwrap() error { return d.err }
+
+// errBacklog is the MS+EC shed: a slave's propagation queue stayed full
+// past the enqueue grace.
+var errBacklog = fmt.Errorf("%w: replication backlog", errShed)
+
+// statusOf is the write path's one error→status mapping. Shed and
+// spent-deadline failures are the retryable StatusOverloaded wherever on
+// the path they happened — a downstream shed keeps its class through
+// every hop back to the client, which backs off instead of hammering the
+// repaired chain; other downstream failures are StatusUnavailable; the
+// rest (the local engine refused) keep StatusErr. None of them was acked.
+func statusOf(err error) wire.Status {
+	var d downstream
+	switch {
+	case errors.Is(err, errShed):
+		return wire.StatusOverloaded
+	case errors.As(err, &d):
+		return wire.StatusUnavailable
+	default:
+		return wire.StatusErr
 	}
+}
+
+func failWrite(resp *wire.Response, err error) {
+	resp.Status = statusOf(err)
 	resp.Err = err.Error()
 }
 

@@ -1,6 +1,8 @@
 package controlet
 
 import (
+	"time"
+
 	"bespokv/internal/topology"
 	"bespokv/internal/wire"
 )
@@ -41,30 +43,27 @@ func (s *Server) routeForeign(req *wire.Request, resp *wire.Response) bool {
 	if owner.ID == mine.ID || mine.ID == "" {
 		return false
 	}
-	if !s.cfg.P2PRouting || req.Limit >= maxP2PHops {
+	s.toOwner(s.p2pTarget(m, owner, req).ControletAddr, req, resp)
+	return true
+}
+
+// toOwner gets a request this node may not serve to the node that may —
+// another shard's replica, this shard's head for a write, the strong-read
+// owner for a read: under P2P routing by relaying it, otherwise (and once
+// the hop budget is spent) by redirecting the client. Deliberate
+// difference: a batch is always redirected, never relayed — its sender
+// bucketed it by shard and role under a map that has just proved stale, so
+// the client should re-bucket rather than have one frame chase its keys.
+func (s *Server) toOwner(addr string, req *wire.Request, resp *wire.Response) {
+	batch := req.Op == wire.OpMGet || req.Op == wire.OpMPut
+	if !s.cfg.P2PRouting || batch || req.Limit >= maxP2PHops {
 		resp.Status = wire.StatusRedirect
-		resp.Err = s.p2pTarget(m, owner, req).ControletAddr
-		return true
-	}
-	target := s.p2pTarget(m, owner, req)
-	pool, err := s.peerPool(target.ControletAddr)
-	if err != nil {
-		resp.Status = wire.StatusUnavailable
-		resp.Err = "p2p: " + err.Error()
-		return true
+		resp.Err = addr
+		return
 	}
 	fwd := *req
 	fwd.Limit++
-	if err := pool.Do(&fwd, resp); err != nil {
-		s.dropPeer(target.ControletAddr)
-		resp.Reset()
-		resp.ID = req.ID
-		resp.Status = wire.StatusUnavailable
-		resp.Err = "p2p: " + err.Error()
-		return true
-	}
-	resp.ID = req.ID
-	return true
+	s.relay(addr, &fwd, resp)
 }
 
 // p2pTarget picks the node in the owning shard that should see req.
@@ -82,27 +81,26 @@ func (s *Server) p2pTarget(m *topology.Map, owner topology.Shard, req *wire.Requ
 	return owner.Head()
 }
 
-// relayTo forwards req verbatim to a peer controlet and copies back its
-// answer — the in-shard hop P2P mode uses when this node is in the owning
-// shard but not the role (head/tail) the request needs.
-func (s *Server) relayTo(addr string, req *wire.Request, resp *wire.Response) {
+// relay sends fwd — a client request on its way to the peer controlet that
+// must serve it: a P2P hop, a transition handoff — and copies the peer's
+// answer back. The peer is handed what remains of the deadline budget.
+func (s *Server) relay(addr string, fwd *wire.Request, resp *wire.Response) {
+	if !fwd.RestampDeadline(time.Now()) {
+		ctlDeadlineExpired.Inc()
+		resp.Status = wire.StatusOverloaded
+		resp.Err = "controlet: deadline expired"
+		return
+	}
 	pool, err := s.peerPool(addr)
+	if err == nil {
+		if err = pool.Do(fwd, resp); err != nil {
+			s.dropPeer(addr)
+			resp.Reset()
+		}
+	}
 	if err != nil {
-		resp.Status = wire.StatusUnavailable
-		resp.Err = "p2p: " + err.Error()
-		return
+		refuse(resp, "controlet: relay to "+addr+": "+err.Error())
 	}
-	fwd := *req
-	fwd.Limit++
-	if err := pool.Do(&fwd, resp); err != nil {
-		s.dropPeer(addr)
-		resp.Reset()
-		resp.ID = req.ID
-		resp.Status = wire.StatusUnavailable
-		resp.Err = "p2p: " + err.Error()
-		return
-	}
-	resp.ID = req.ID
 }
 
 // mapAndRing returns the current map with its cached consistent-hash ring.

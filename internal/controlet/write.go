@@ -1,0 +1,425 @@
+package controlet
+
+import (
+	"errors"
+	"sync"
+	"time"
+
+	"bespokv/internal/datalet"
+	"bespokv/internal/topology"
+	"bespokv/internal/wire"
+)
+
+// The write path. Every client write — a Put, a Del, an N-pair MPut frame,
+// a transition handoff — becomes one writeSet and walks the same stages:
+//
+//	admit → route → order + apply-local → replicate → mirror → ack
+//
+// Only order and replicate differ between modes, and they are two funcs
+// of the mode's policy (modes.go). Guards, the head redirect, deadline
+// restamping, the migration mirror and the error→status mapping are
+// written once, here, at the stage they belong to; a single-key op is a
+// write set of one pair, and the replica side of replication (handleChain,
+// handleRepl) decodes its frames into the same type.
+
+// writeSet is the pairs of one write frame, in one shape whatever the
+// frame's arity.
+type writeSet struct {
+	// batch is set when the frame was a multi-op: forwarded frames use the
+	// multi wire ops and the answer carries per-pair statuses.
+	batch bool
+	del   bool
+	table string
+	tid   uint64 // trace ID
+	dlAt  int64  // armed deadline instant, 0 = none
+	// pairs alias the serving connection's request. Version is carried by
+	// the frame (internal hops) or filled in by the orderer.
+	pairs []wire.KV
+	// status is each pair's outcome so far, index-aligned with pairs;
+	// later stages skip pairs an earlier one failed.
+	status []wire.Status
+	one    [1]wire.KV // backs pairs of a single-key frame
+}
+
+// statusRetry marks, inside applyLocal only, a pair that lost a version
+// race and goes into the next attempt's frame.
+const statusRetry = wire.Status(0xff)
+
+var writePool = sync.Pool{New: func() any { return new(writeSet) }}
+
+// decodeWrite is the one place a wire frame becomes a write set; the
+// caller releases it.
+func decodeWrite(req *wire.Request) *writeSet {
+	w := writePool.Get().(*writeSet)
+	w.table, w.tid, w.dlAt = req.Table, req.TraceID, req.DeadlineAt
+	switch req.Op {
+	case wire.OpMPut, wire.OpChainMPut:
+		w.batch, w.pairs = true, req.Pairs
+	default:
+		w.del = req.Op == wire.OpDel || req.Op == wire.OpChainDel || req.Op == wire.OpReplDel
+		w.one[0] = wire.KV{Key: req.Key, Value: req.Value, Version: req.Version}
+		w.pairs = w.one[:]
+	}
+	if n := len(w.pairs); n <= cap(w.status) {
+		w.status = w.status[:n]
+		clear(w.status)
+	} else {
+		w.status = make([]wire.Status, n)
+	}
+	return w
+}
+
+func (w *writeSet) release() {
+	*w = writeSet{status: w.status[:0]}
+	writePool.Put(w)
+}
+
+// frameOps is the wire op of each kind of forwarded frame, by arity.
+var frameOps = [...]struct{ put, del, multi wire.Op }{
+	frameLocal: {wire.OpPut, wire.OpDel, wire.OpMPut},
+	frameChain: {wire.OpChainPut, wire.OpChainDel, wire.OpChainMPut},
+	// No multi form: what replicates by repl record (the MS+EC propagator,
+	// the AA+SC write-all) goes out one key at a time.
+	frameRepl: {put: wire.OpReplPut, del: wire.OpReplDel},
+}
+
+const (
+	frameLocal = iota // to the local datalet
+	frameChain        // down the replication chain
+	frameRepl         // to a peer replica, version already decided
+)
+
+// encode is the one place a write set becomes a wire frame: the pairs
+// whose status is want go into fwd (a fresh pooled request) as kind's
+// single-key op when the set is a single-key write and as its multi op
+// when it arrived as a batch. It returns how many pairs were framed.
+func (w *writeSet) encode(fwd *wire.Request, kind int, want wire.Status) int {
+	ops := frameOps[kind]
+	fwd.Table, fwd.TraceID, fwd.DeadlineAt = w.table, w.tid, w.dlAt
+	if !w.batch {
+		if w.status[0] != want {
+			return 0
+		}
+		if fwd.Op = ops.put; w.del {
+			fwd.Op = ops.del
+		}
+		fwd.Key, fwd.Value, fwd.Version = w.pairs[0].Key, w.pairs[0].Value, w.pairs[0].Version
+		return 1
+	}
+	fwd.Op = ops.multi
+	for i := range w.pairs {
+		if w.status[i] == want {
+			fwd.Pairs = append(fwd.Pairs, w.pairs[i])
+		}
+	}
+	return len(fwd.Pairs)
+}
+
+// ack answers the client: one status and version for a single-key write,
+// index-aligned statuses and winner versions for a batch.
+func (w *writeSet) ack(resp *wire.Response) {
+	resp.Status = wire.StatusOK
+	if !w.batch {
+		resp.Version = w.pairs[0].Version
+		return
+	}
+	for i := range w.pairs {
+		kv := wire.KV{}
+		if w.status[i] == wire.StatusOK {
+			kv.Version = w.pairs[i].Version
+		}
+		resp.Pairs = append(resp.Pairs, kv)
+	}
+	resp.Statuses = append(resp.Statuses[:0], w.status...)
+}
+
+// handleWrite is the client-facing write path: Put, Del, MPut, and the
+// writes an old-mode controlet hands off during a transition.
+func (s *Server) handleWrite(req *wire.Request, resp *wire.Response) {
+	s.inflight.RLock()
+	defer s.inflight.RUnlock()
+	w := decodeWrite(req)
+	defer w.release()
+	m := s.Map()
+	shard, pos := s.myShard(m)
+
+	// --- admit ---
+	// A coordinator-attached controlet without a map yet must not ack
+	// anything: it cannot know its replica set, and a "standalone" apply
+	// would be an ack no other replica ever sees (a freshly booted
+	// new-mode controlet can receive transition handoffs before its first
+	// map push lands). Standalone mode remains for coordinator-less setups.
+	if m == nil && s.cfg.CoordinatorAddr != "" {
+		refuse(resp, "controlet: no cluster map yet")
+		return
+	}
+	// Mid-transition, old-mode controlets forward client writes to their
+	// new-mode replacement (§V): zero downtime, and the new controlet
+	// replicates under the new mode.
+	if s.draining.Load() || (m != nil && m.Transition != nil && pos >= 0) {
+		peer, ok := s.transitionPeer(m)
+		switch {
+		case w.batch:
+			// Deliberate difference: a single write is handed off, a batch
+			// is bounced — the client retries after the transition's epoch
+			// bump and re-buckets its keys under the new map.
+			refuse(resp, "controlet: transition in progress")
+			return
+		case ok && peer.ID != s.cfg.NodeID:
+			fwd := *req
+			fwd.Op = wire.OpHandoff
+			fwd.Limit = uint32(req.Op) // the original op rides in Limit
+			s.relay(peer.ControletAddr, &fwd, resp)
+			return
+		case s.draining.Load():
+			// Draining but the transition map hasn't landed yet, so the
+			// forward target is unknown. Acking through the old path would
+			// race the drain (the ack's propagation would never be waited
+			// for); make the client retry instead.
+			refuse(resp, "controlet: transition in progress")
+			return
+		}
+	}
+	if m != nil && pos < 0 {
+		// We were failed out of the map (or never in it).
+		refuse(resp, "controlet: node not in current map")
+		return
+	}
+	// Migration cutover barrier: once the mover's barrier is up, writes to
+	// keys that are moving away must not be acknowledged here — the delta
+	// queue is draining and the epoch bump is imminent. The client backs
+	// off, refreshes its map and lands on the new owner.
+	if mig := s.mig.Load(); mig != nil {
+		for i := range w.pairs {
+			if mig.mover.Blocks(w.pairs[i].Key) {
+				refuse(resp, "controlet: shard migration cutover in progress")
+				return
+			}
+		}
+	}
+	// Self-fencing: a node out of coordinator contact cannot know whether
+	// it is still in the chain — the coordinator may be promoting its
+	// replacement right now, and an ack issued here would exist only on
+	// the deposed chain. AA policies are unfenced: AA+SC writes must win a
+	// DLM lease (unreachable under the same partition) and AA+EC acks are
+	// sequenced through the shared log.
+	if s.pol.fenced && s.fenced() {
+		ctlFencedRejects.Inc()
+		refuse(resp, "controlet: fenced (no coordinator contact)")
+		return
+	}
+
+	// --- route ---
+	if s.pol.headOnly && m != nil && pos != 0 {
+		s.toOwner(shard.Head().ControletAddr, req, resp)
+		return
+	}
+
+	// --- order + apply-local → replicate → mirror ---
+	if w.batch && s.pol.perKey {
+		// The AA orderers work a key at a time (one DLM lease, one log
+		// record each): narrow the set to each pair in turn and walk it
+		// through as a single-key write. A pair's failure is its own.
+		pairs, status := w.pairs, w.status
+		w.batch = false
+		for i := range pairs {
+			w.pairs, w.status = pairs[i:i+1], status[i:i+1]
+			if err := s.commit(m, shard, w); err != nil {
+				status[i] = statusOf(err)
+			}
+		}
+		w.batch, w.pairs, w.status = true, pairs, status
+	} else if err := s.commit(m, shard, w); err != nil {
+		failWrite(resp, err)
+		return
+	}
+
+	// --- ack ---
+	w.ack(resp)
+}
+
+// commit takes an admitted write set from unordered to acknowledgeable:
+// the policy's orderer versions it and applies it locally, the policy's
+// replicate func does whatever the mode owes the other replicas before an
+// ack, and what survived both is mirrored to an active migration.
+func (s *Server) commit(m *topology.Map, shard topology.Shard, w *writeSet) error {
+	if s.pol.lease {
+		key, err := s.lockWrite(w)
+		if err != nil {
+			return err
+		}
+		defer s.unlockWrite(key)
+	}
+	if err := s.pol.order(s, w); err != nil {
+		return err
+	}
+	if m != nil && s.pol.replicate != nil {
+		if err := s.pol.replicate(s, m, shard, w); err != nil {
+			// A replica that cannot take the write fails it; the
+			// coordinator repairs the replica set and the client retries
+			// against the new topology (LWW re-apply is idempotent). A
+			// downstream shed keeps its overload class so the client
+			// backs off instead of hammering the repaired set.
+			return downstream{"replicate", err}
+		}
+	}
+	// Dual-apply what is about to be acknowledged to its post-cutover
+	// owner. The migration is loaded here, not at admit: a mover armed
+	// while this write was in flight starts its snapshot after arming, and
+	// only the mirror covers a key the scan has already passed. This runs
+	// under the inflight read lock, so a cutover (which takes the write
+	// side) cannot drain the mover's queue before it.
+	if mig := s.mig.Load(); mig != nil {
+		for i := range w.pairs {
+			if w.status[i] == wire.StatusOK {
+				mig.mover.Mirror(w.del, w.table, w.pairs[i].Key, w.pairs[i].Value, w.pairs[i].Version)
+			}
+		}
+	}
+	return nil
+}
+
+// orderLamport is the orderer of every mode whose versions come from this
+// node's Lamport clock: MS (only the head orders), and AA+SC (the lease
+// holder orders; the synchronous write-all under the exclusive lease
+// delivers the version to every peer before the lease is released, so the
+// key's next writer has observed it and assigns a strictly larger one).
+func (s *Server) orderLamport(w *writeSet) error { return s.applyLocal(w, true) }
+
+// applyLocal applies w's pairs to the local datalet in one frame.
+//
+// With assign it is also the Lamport orderer: each pair gets a fresh
+// version, and a pair for which the datalet reports a newer governing
+// version — possible right after a transition out of AA+EC, whose
+// log-derived versions live above the Lamport range — jumps the clock
+// past it and goes into a retry frame, so no acknowledged write is ever
+// silently shadowed by pre-transition history. A pair the engine rejects
+// gets StatusErr and is neither replicated nor acked.
+//
+// Without assign the pairs carry their versions (chain hops, repl records,
+// log-ordered writes): losing the LWW race there is the correct outcome,
+// and a rejected pair fails the frame — a replica cannot ack what it did
+// not store.
+//
+// The datalet is handed the shrinking remainder of w's deadline; a spent
+// budget fails the write before it touches the engine. The error return
+// is a failure of the whole frame.
+func (s *Server) applyLocal(w *writeSet, assign bool) error {
+	lreq := wire.GetRequest()
+	lresp := wire.GetResponse()
+	defer wire.PutRequest(lreq)
+	defer wire.PutResponse(lresp)
+	want := wire.StatusOK
+	for attempt := 0; attempt < 8; attempt++ {
+		if assign {
+			for i := range w.pairs {
+				if w.status[i] == want {
+					w.pairs[i].Version = s.nextVersion()
+				}
+			}
+		}
+		w.encode(lreq, frameLocal, want)
+		if !lreq.RestampDeadline(time.Now()) {
+			ctlDeadlineExpired.Inc()
+			return errDeadlineSpent
+		}
+		if err := s.local.Do(lreq, lresp); err != nil {
+			return err
+		}
+		if err := peerErrValue(lresp); err != nil {
+			return err
+		}
+		if lresp.Status == wire.StatusNotFound && !w.del {
+			// Only a Del may find nothing; for a write it means the table
+			// does not exist, and nothing was stored.
+			return errors.New("local datalet: " + lresp.Err)
+		}
+		racing, j := 0, 0
+		for i := range w.pairs {
+			if w.status[i] != want {
+				continue
+			}
+			st, winner := lresp.Status, lresp.Version
+			if w.batch {
+				st, winner = wire.StatusErr, 0
+				if j < len(lresp.Statuses) && j < len(lresp.Pairs) {
+					st, winner = lresp.Statuses[j], lresp.Pairs[j].Version
+				}
+				j++
+			}
+			switch {
+			case st != wire.StatusOK && st != wire.StatusNotFound: // a Del's NotFound is a success
+				if !assign {
+					return errors.New("controlet: replica rejected a replicated pair")
+				}
+				w.status[i] = wire.StatusErr
+			case assign && winner > w.pairs[i].Version:
+				s.observeVersion(winner)
+				w.status[i] = statusRetry
+				racing++
+			default:
+				w.status[i] = wire.StatusOK
+			}
+		}
+		if racing == 0 {
+			return nil
+		}
+		want = statusRetry
+		lreq.Reset()
+		lresp.Reset()
+	}
+	return errors.New("controlet: local write kept losing version races")
+}
+
+// peerCall is one frame in flight toward a peer controlet on a pipelined
+// connection: send launches it, the caller overlaps its own work with the
+// network hop, wait collects the answer. The zero value waits as an
+// immediate success (a chain tail has nobody to forward to).
+type peerCall struct {
+	addr  string
+	fwd   *wire.Request
+	presp *wire.Response
+	errc  <-chan error
+	err   error // set instead of errc when the frame never left
+}
+
+// send launches fwd, a pooled request it takes over, toward a peer. The
+// hop inherits whatever remains of the client's deadline budget; a budget
+// already spent fails the send before it leaves this node (the client has
+// given up on the write anyway).
+func (s *Server) send(addr string, fwd *wire.Request) peerCall {
+	c := peerCall{addr: addr}
+	if !fwd.RestampDeadline(time.Now()) {
+		ctlDeadlineExpired.Inc()
+		c.err = errDeadlineSpent
+	}
+	var pool *datalet.Pool
+	if c.err == nil {
+		pool, c.err = s.peerPool(addr)
+	}
+	if c.err != nil {
+		wire.PutRequest(fwd)
+		return c
+	}
+	c.fwd, c.presp = fwd, wire.GetResponse()
+	c.errc = pool.DoAsync(fwd, c.presp)
+	return c
+}
+
+// wait blocks until the peer's answer — for a chain forward, proof that
+// every node through the tail applied the write — and recycles the pooled
+// messages. A peer's Overloaded comes back as errShed.
+func (c *peerCall) wait(s *Server) error {
+	if c.errc == nil {
+		return c.err
+	}
+	err := <-c.errc
+	if err != nil {
+		s.dropPeer(c.addr)
+	} else {
+		err = peerErrValue(c.presp)
+	}
+	wire.PutRequest(c.fwd)
+	wire.PutResponse(c.presp)
+	return err
+}

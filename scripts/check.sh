@@ -1,93 +1,161 @@
 #!/bin/sh
-# Full pre-merge check: vet, build, test, then race-test the concurrent
-# packages (pipelined datalet client, rpc, transports, controlet, client
-# router). Mirrors `make check` for environments without make.
-set -eux
+# The gate list, in one place: `scripts/check.sh [target...]` runs the named
+# gates (no argument: all of them, i.e. `check`), and every Makefile gate
+# target is a one-line call into this file — so a renamed test can drop out
+# of at most one -run regex, and it is the one everybody runs.
+#
+# Suites that inject faults from a seed log it on failure; replay with
+# BESPOKV_NEMESIS_SEED=<seed>.
+set -eu
 
 cd "$(dirname "$0")/.."
+GO=${GO:-go}
 
-go vet ./...
-go build ./...
-go test ./...
-go test -race \
-	./internal/datalet/... \
-	./internal/rpc/... \
-	./internal/transport/... \
-	./internal/controlet/... \
-	./internal/client/...
+ALL="vet build test race obs telemetry migrate nemesis crash wirespeed rsm overload rpcwire writepath bench-smoke"
 
-# Observability stack: race the registry/tracer/HTTP endpoints, enforce the
-# zero-alloc hot-path contract, and surface per-op allocation numbers.
-go test -race ./internal/metrics/... ./internal/trace/... ./internal/obs/...
-go test -run TestHotPathZeroAlloc ./internal/metrics/
-go test -run NONE -bench 'CounterAdd|HistogramObserve' -benchmem ./internal/metrics/
+run() {
+	case "$1" in
+	check)
+		for t in $ALL; do run "$t"; done
+		;;
+	vet) $GO vet ./... ;;
+	build) $GO build ./... ;;
+	test) $GO test ./... ;;
 
-# Cluster telemetry plane: windowing/sketch/SLO/aggregator units, the
-# metrics label-cardinality guard, the cluster e2e (hot-shard detection
-# plus the SLO alert lifecycle under a faultnet delay rule), and the
-# zero-alloc recording contract with its per-op numbers.
-go test -race ./internal/telemetry/...
-go test -race -run 'TestLabelCardinality' ./internal/metrics/
-go test -race -run 'TestTelemetryEndToEnd' ./internal/cluster/
-go test -run TestRecordZeroAllocTelemetry ./internal/telemetry/
-go test -run NONE -bench 'TelemetryRecord|SketchTouch' -benchmem ./internal/telemetry/
+	# Packages whose concurrency is stress-tested under the race detector:
+	# the pipelined datalet client, the rpc layer, transports, controlet
+	# replication paths, and the client router.
+	race)
+		$GO test -race ./internal/datalet/... ./internal/rpc/... ./internal/transport/... \
+			./internal/controlet/... ./internal/client/...
+		;;
 
-# Online shard migration: planner/mover units plus the cluster
-# join/drain/AA+EC-floor scenarios under client load, race-detected.
-go test -race ./internal/migrate/...
-go test -race -run 'TestJoinNodeUnderLoad|TestDrainNodeUnderLoad|TestJoinNodeAAEC' ./internal/cluster/
+	# Observability stack: race the metrics registry, trace recorder and
+	# HTTP endpoints (end-to-end cluster test included), enforce the
+	# hot-path contract — Counter.Add and Histogram.Observe stay
+	# allocation-free (TestHotPathZeroAlloc) — and keep the per-op numbers
+	# visible in review output.
+	obs)
+		$GO test -race ./internal/metrics/... ./internal/trace/... ./internal/obs/...
+		$GO test -run TestHotPathZeroAlloc ./internal/metrics/
+		$GO test -run NONE -bench 'CounterAdd|HistogramObserve' -benchmem ./internal/metrics/
+		;;
 
-# Wire-speed read path: multi-op wire frames (fuzz seeds), the client
-# batch scheduler and lease cache, then the cluster direct-read, batching,
-# hedging and linearizability-under-direct-reads suites, race-detected.
-go test -race -run 'Multi|Fuzz' ./internal/wire/
-go test -race -run 'TestDirectRead|TestHotKeyShadow|TestMultiGet|TestMultiPut|TestHedged|TestMSSCLinearizableWithDirectReads' ./internal/cluster/
+	# Cluster telemetry plane: windowing/sketch/SLO/aggregator units, the
+	# metrics label-cardinality guard, the cluster e2e (skewed workload →
+	# hot shard + hot keys in /clusterz; faultnet delay → SLO
+	# pending→firing→resolved without flapping), and the zero-alloc
+	# Record/Touch contract with its per-op numbers.
+	telemetry)
+		$GO test -race ./internal/telemetry/...
+		$GO test -race -run 'TestLabelCardinality' ./internal/metrics/
+		$GO test -race -run 'TestTelemetryEndToEnd' ./internal/cluster/
+		$GO test -run TestRecordZeroAllocTelemetry ./internal/telemetry/
+		$GO test -run NONE -bench 'TelemetryRecord|SketchTouch' -benchmem ./internal/telemetry/
+		;;
 
-# Nemesis fault injection: faultnet fabric/schedule units, the
-# linearizability and convergence checkers, then every deployment mode
-# under seeded fault schedules. Failing runs log their seed — replay with
-# BESPOKV_NEMESIS_SEED=<seed>.
-go test -race ./internal/faultnet/... ./internal/histcheck/...
-go test -race -run 'TestNemesis' ./internal/cluster/
+	# Online shard migration: planner/mover units plus the cluster
+	# join/drain/AA+EC-floor scenarios under client load.
+	migrate)
+		$GO test -race ./internal/migrate/...
+		$GO test -race -run 'TestJoinNodeUnderLoad|TestDrainNodeUnderLoad|TestJoinNodeAAEC' ./internal/cluster/
+		;;
 
-# Crash-restart durability: WAL and faultfs units, durable engine recovery
-# suites, then the cluster crash/restart and incremental-rejoin scenarios.
-# Same seed-replay convention as the nemesis suites.
-go test -race ./internal/store/wal/... ./internal/store/faultfs/...
-go test -race -run 'Durable|Crash|Torn|WAL|Recover|Snapshot|Persist|CleanClose' \
-	./internal/store/ht/ ./internal/store/lsm/ ./internal/store/applog/
-go test -race -run 'TestCrashRestart|TestRejoin' ./internal/cluster/
+	# Fault plane: the faultnet fabric and schedule units, the
+	# linearizability/convergence checker units, then every deployment
+	# mode under seeded fault schedules.
+	nemesis)
+		$GO test -race ./internal/faultnet/... ./internal/histcheck/...
+		$GO test -race -run 'TestNemesis' ./internal/cluster/
+		;;
 
-# Replicated control plane: the Raft-style RSM core (fuzz seeds included),
-# the replicated coordinator/DLM/sequencer suites, the cluster
-# control-plane nemesis scenarios (leader kill + partition under MS+SC
-# load), and the allocation-free apply-path contract.
-go test -race ./internal/rsm/...
-go test -race -run 'Replicated|Sequencer|Follower|TestLockTableClock|TestTakeDeltaCap|TestClientBackoff|TestSplitAddrs|TestCloseAborts' \
-	./internal/coordinator/ ./internal/dlm/ ./internal/sharedlog/
-go test -race -run 'TestControlPlane' ./internal/cluster/
-go test -run TestApplyZeroAlloc ./internal/rsm/
+	# Crash-restart durability: WAL and faultfs units, the durable
+	# ht/lsm/applog engine recovery suites, then the cluster crash-restart
+	# and incremental-rejoin scenarios.
+	crash)
+		$GO test -race ./internal/store/wal/... ./internal/store/faultfs/...
+		$GO test -race -run 'Durable|Crash|Torn|WAL|Recover|Snapshot|Persist|CleanClose' \
+			./internal/store/ht/ ./internal/store/lsm/ ./internal/store/applog/
+		$GO test -race -run 'TestCrashRestart|TestRejoin' ./internal/cluster/
+		;;
 
-# Overload control: admission-gate/retry-budget/breaker units, the
-# deadline wire-field fuzz seeds, client failure classification and retry
-# discipline, controlet/datalet shed paths, then the cluster surge
-# acceptance (goodput >= 80% of plateau at 4x load, bounded tail, no
-# spurious failover, linearizable history). Same seed-replay convention.
-go test -race ./internal/overload/...
-go test -race -run 'Fuzz' ./internal/wire/
-go test -race -run 'TestClassifyFailure|TestOverloaded|TestRetryBudget|TestBreaker|TestOpBudget|TestSustainedOverload' ./internal/client/
-go test -race -run 'Shed|Deadline|Overload' ./internal/controlet/ ./internal/datalet/
-go test -race -run 'TestOverload' ./internal/cluster/
+	# Direct-read data path: the multi-op wire frames (fuzz seeds
+	# included), the client batch scheduler and lease cache units, and the
+	# cluster suites covering direct reads under epoch churn,
+	# shard-coalesced MultiGet/MultiPut in every mode, hedged reads under
+	# injected delay, and MS+SC linearizability with direct readers.
+	wirespeed)
+		$GO test -race -run 'Multi|Fuzz' ./internal/wire/
+		$GO test -race ./internal/client/
+		$GO test -race -run 'TestDirectRead|TestHotKeyShadow|TestMultiGet|TestMultiPut|TestHedged|TestMSSCLinearizableWithDirectReads' ./internal/cluster/
+		;;
 
-# rpc envelope: frame and message-codec fuzz seeds race-detected, the
-# allocation gate of a Lock-shaped round trip (not under -race, where
-# sync.Pool sheds on purpose) and the layer's -benchmem numbers.
-go test -race -run 'Fuzz|TestFrame|TestPayloadKinds|TestMarshalError|TestUnmarshalable' \
-	./internal/rpc/ ./internal/dlm/ ./internal/sharedlog/
-go test -run TestCallWireAllocs ./internal/rpc/
-go test -run NONE -bench 'CallWire|CallJSON|LockUnlock|Append1$|ReadBatch' -benchmem -cpu 1,2 \
-	./internal/rpc/ ./internal/dlm/ ./internal/sharedlog/
+	# Replicated control plane: the Raft-style core (election, replication,
+	# persistence, snapshots — fuzz seeds included), the replicated
+	# coordinator/DLM/sequencer services, the cluster control-plane nemesis
+	# suites (leader kill and partition under MS+SC load, checked for zero
+	# acked-write loss and linearizability), and the allocation-free apply
+	# path (TestApplyZeroAlloc).
+	rsm)
+		$GO test -race ./internal/rsm/...
+		$GO test -race -run 'Replicated|Sequencer|TestFollowerRejectsMutations|TestLockTableClock|TestTakeDeltaCap|TestClientBackoff|TestSplitAddrs|TestCloseAborts' \
+			./internal/coordinator/ ./internal/dlm/ ./internal/sharedlog/
+		$GO test -race -run 'TestControlPlane' ./internal/cluster/
+		$GO test -run TestApplyZeroAlloc ./internal/rsm/
+		;;
 
-# Repository benchmark smoke test (nested module, outside ./...): all six
-# workloads at -quick sizes plus the traced layer ladder, ~5 s.
-go -C benchmark test ./...
+	# Overload control: the admission-gate/retry-budget/breaker units and
+	# the deadline wire-field fuzz seeds, the client failure-classification
+	# and retry-discipline suites, the controlet/datalet shed paths, and
+	# the cluster overload nemesis acceptance — a 4x surge against slowed
+	# engines must hold goodput at >= 80% of the pre-overload plateau with
+	# a bounded success tail, zero spurious failovers, and a linearizable
+	# history (Overloaded answers recorded as non-acked).
+	overload)
+		$GO test -race ./internal/overload/...
+		$GO test -race -run 'Fuzz' ./internal/wire/
+		$GO test -race -run 'TestClassifyFailure|TestOverloaded|TestRetryBudget|TestBreaker|TestOpBudget|TestSustainedOverload' ./internal/client/
+		$GO test -race -run 'Shed|Deadline|Overload' ./internal/controlet/ ./internal/datalet/
+		$GO test -race -run 'TestOverload' ./internal/cluster/
+		;;
+
+	# The rpc envelope that carries every AA-mode lock and log append: the
+	# frame and message-codec fuzz seeds under the race detector, then the
+	# allocation gate of a Lock-shaped round trip (not under -race, where
+	# sync.Pool sheds on purpose) with the layer's -benchmem numbers.
+	rpcwire)
+		$GO test -race -run 'Fuzz|TestFrame|TestPayloadKinds|TestMarshalError|TestUnmarshalable' \
+			./internal/rpc/ ./internal/dlm/ ./internal/sharedlog/
+		$GO test -run TestCallWireAllocs ./internal/rpc/
+		$GO test -run NONE -bench 'CallWire|CallJSON|LockUnlock|Append1$|ReadBatch' -benchmem -cpu 1,2 \
+			./internal/rpc/ ./internal/dlm/ ./internal/sharedlog/
+		;;
+
+	# The controlet's one write pipeline: a Put and an MPut must mean the
+	# same thing in every mode (replica state, migration mirror, failure
+	# classes), every chain hop stamps its own epoch, no pooled request
+	# aliases a connection's Pairs — then one pass of the dispatch layer
+	# benchmark so it keeps compiling and its alloc columns stay in view.
+	writepath)
+		$GO test -race -run 'TestWritePath|TestChainForward|TestWriteToUnknownTable|TestPutCopy' ./internal/controlet/
+		$GO test -run NONE -bench Dispatch -benchtime 1x -benchmem ./internal/controlet/
+		;;
+
+	# The repository benchmark (benchmark/, a nested module outside ./...)
+	# at -quick sizes, ~5 s: all six workloads end to end with the output
+	# check, and the traced layer ladder — whose dlm.Client.Lock and
+	# sharedlog.Client.Append rungs are what an rpc change breaks first.
+	bench-smoke) $GO -C benchmark test ./... ;;
+
+	*)
+		echo "check.sh: unknown gate '$1' (have: check $ALL)" >&2
+		exit 2
+		;;
+	esac
+}
+
+[ $# -gt 0 ] || set -- check
+set -x
+for target; do
+	run "$target"
+done
