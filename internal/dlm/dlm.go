@@ -21,6 +21,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bespokv/internal/rpc"
@@ -63,9 +64,15 @@ type Config struct {
 type leaseState struct {
 	Writer    string           `json:"w,omitempty"`  // exclusive owner, "" if none
 	WriterExp int64            `json:"we,omitempty"` // writer lease expiry (clock nanos)
-	Readers   map[string]int64 `json:"r,omitempty"`  // shared holders → expiry
+	Readers   map[string]int64 `json:"r,omitempty"`  // shared holders → expiry; nil until the first one
 	Token     uint64           `json:"t,omitempty"`  // fencing token of newest grant
+
+	// key is the string this record is filed under in lockTable.Locks, kept
+	// so that dropping the record does not have to build it again.
+	key string
 }
+
+func (st *leaseState) idle() bool { return st.Writer == "" && len(st.Readers) == 0 }
 
 // lockTable is the deterministic core of the lock manager: a pure lease
 // table on a monotonic nanosecond clock. It never reads wall time and has
@@ -76,7 +83,16 @@ type lockTable struct {
 	// Clock is the lease clock in nanoseconds. It only moves forward, by
 	// the deltas carried in commands; it is never compared to wall time.
 	Clock int64 `json:"clock"`
+
+	// free holds dropped records (each with its emptied Readers map) for
+	// the next grant: a key is locked and released once per operation, and
+	// what that costs the heap should be the table's copy of the key only.
+	free []*leaseState
 }
+
+// maxFreeLeases bounds lockTable.free; records in use at once are about as
+// many as there are operations in flight.
+const maxFreeLeases = 256
 
 func newLockTable() lockTable {
 	return lockTable{Locks: map[string]*leaseState{}}
@@ -87,6 +103,30 @@ func newLockTable() lockTable {
 func (t *lockTable) advance(delta int64) {
 	if delta > 0 {
 		t.Clock += delta
+	}
+}
+
+// lease returns key's record, filing a fresh (or recycled) one if needed.
+func (t *lockTable) lease(key []byte) *leaseState {
+	st := t.Locks[string(key)]
+	if st == nil {
+		if n := len(t.free); n > 0 {
+			st, t.free = t.free[n-1], t.free[:n-1]
+		} else {
+			st = &leaseState{}
+		}
+		st.key = string(key)
+		t.Locks[st.key] = st
+	}
+	return st
+}
+
+// drop removes an idle record from the table and keeps it for reuse.
+func (t *lockTable) drop(st *leaseState) {
+	delete(t.Locks, st.key)
+	*st = leaseState{Readers: st.Readers}
+	if len(t.free) < maxFreeLeases {
+		t.free = append(t.free, st)
 	}
 }
 
@@ -108,12 +148,8 @@ func (t *lockTable) expire(st *leaseState) bool {
 
 // tryGrant grants key to owner if compatible, returning the fencing token
 // (0 = not granted). ttl is in clock nanoseconds.
-func (t *lockTable) tryGrant(key, owner string, mode Mode, ttl int64) uint64 {
-	st := t.Locks[key]
-	if st == nil {
-		st = &leaseState{Readers: map[string]int64{}}
-		t.Locks[key] = st
-	}
+func (t *lockTable) tryGrant(key []byte, owner string, mode Mode, ttl int64) uint64 {
+	st := t.lease(key)
 	t.expire(st)
 	switch mode {
 	case Read:
@@ -121,6 +157,9 @@ func (t *lockTable) tryGrant(key, owner string, mode Mode, ttl int64) uint64 {
 		// writer of the same owner.
 		if st.Writer != "" && st.Writer != owner {
 			return 0
+		}
+		if st.Readers == nil {
+			st.Readers = map[string]int64{}
 		}
 		st.Readers[owner] = t.Clock + ttl
 	case Write:
@@ -142,8 +181,8 @@ func (t *lockTable) tryGrant(key, owner string, mode Mode, ttl int64) uint64 {
 }
 
 // release drops owner's lease on key; reports whether waiters should wake.
-func (t *lockTable) release(key, owner string, mode Mode) bool {
-	st := t.Locks[key]
+func (t *lockTable) release(key []byte, owner string, mode Mode) bool {
+	st := t.Locks[string(key)]
 	if st == nil {
 		return false // already expired and reclaimed
 	}
@@ -155,8 +194,8 @@ func (t *lockTable) release(key, owner string, mode Mode) bool {
 	case Read:
 		delete(st.Readers, owner)
 	}
-	if st.Writer == "" && len(st.Readers) == 0 {
-		delete(t.Locks, key)
+	if st.idle() {
+		t.drop(st)
 	}
 	return true
 }
@@ -169,8 +208,8 @@ func (t *lockTable) sweep() []string {
 		if t.expire(st) {
 			freed = append(freed, key)
 		}
-		if st.Writer == "" && len(st.Readers) == 0 {
-			delete(t.Locks, key)
+		if st.idle() {
+			t.drop(st)
 		}
 	}
 	return freed
@@ -208,38 +247,45 @@ type Server struct {
 	mu       sync.Mutex
 	tbl      lockTable
 	lastMono int64 // monotonic reading at the last stamped delta
+	// owners interns owner names, so a lease record's Writer/Readers key
+	// costs no allocation per grant: owners are the cluster's controlets.
+	owners map[string]string
 	// waiters are leader-local: channels cannot replicate, so blocked
 	// Lock calls queue on the member that accepted them and re-propose
 	// when a committed release/expiry frees their key.
 	waiters map[string][]chan struct{}
 	stopCh  chan struct{}
 	stopped bool
-	wg      sync.WaitGroup
+	wg      sync.WaitGroup // the sweeper and every parked call's goroutine
 }
 
+// maxOwners bounds Server.owners; past it the table starts over (names in
+// use stay alive through the lease records that hold them).
+const maxOwners = 1024
+
 // LockArgs requests a lease. LockArgs, LockReply and UnlockArgs travel as
-// rpc.Wire messages (wire.go); the json tags serve callers that send JSON.
+// rpc.Wire messages (wire.go); the server takes them in no other form.
 type LockArgs struct {
-	Key   string `json:"key"`
-	Owner string `json:"owner"`
-	Mode  Mode   `json:"mode"`
+	Key   string
+	Owner string
+	Mode  Mode
 	// TTLMs bounds the lease; 0 uses the server default.
-	TTLMs int `json:"ttl_ms,omitempty"`
+	TTLMs int
 	// WaitMs bounds how long to queue for a contended lock; 0 means
 	// fail immediately.
-	WaitMs int `json:"wait_ms,omitempty"`
+	WaitMs int
 }
 
 // LockReply carries the fencing token of the granted lease.
 type LockReply struct {
-	Token uint64 `json:"token"`
+	Token uint64
 }
 
 // UnlockArgs releases a lease.
 type UnlockArgs struct {
-	Key   string `json:"key"`
-	Owner string `json:"owner"`
-	Mode  Mode   `json:"mode"`
+	Key   string
+	Owner string
+	Mode  Mode
 }
 
 // ErrLockHeld is the error message returned when a lock cannot be granted
@@ -265,12 +311,16 @@ func Serve(cfg Config) (*Server, error) {
 		rpc:     rpc.NewServer(),
 		base:    time.Now(),
 		tbl:     newLockTable(),
+		owners:  map[string]string{},
 		waiters: map[string][]chan struct{}{},
 		stopCh:  make(chan struct{}),
 	}
 	s.rpc.Name = "dlm"
-	rpc.HandleFunc(s.rpc, "Lock", s.handleLock)
-	rpc.HandleFunc(s.rpc, "Unlock", s.handleUnlock)
+	// Ordered: an Unlock reaches the lease table (or the replicated log)
+	// before any Lock the same connection sent after it, which is what lets
+	// the client release without waiting for an answer.
+	s.rpc.HandleOrdered("Lock", s.serveLock)
+	s.rpc.HandleOrdered("Unlock", s.serveUnlock)
 	addr, err := s.rpc.Serve(cfg.Network, cfg.Addr)
 	if err != nil {
 		return nil, err
@@ -320,6 +370,8 @@ func (s *Server) Close() error {
 	if s.node != nil {
 		s.node.Close()
 	}
+	// The rpc server first: once its readers are gone nothing parks a new
+	// call, so the wait below covers every goroutine there will ever be.
 	err := s.rpc.Close()
 	s.wg.Wait()
 	return err
@@ -337,6 +389,10 @@ func (s *Server) mono() int64 { return int64(time.Since(s.base)) }
 func (s *Server) takeDelta() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.deltaLocked()
+}
+
+func (s *Server) deltaLocked() int64 {
 	now := s.mono()
 	d := now - s.lastMono
 	s.lastMono = now
@@ -347,15 +403,6 @@ func (s *Server) takeDelta() int64 {
 		d = cap
 	}
 	return d
-}
-
-// leaderCheck gates grants: in replicated mode only the leader's lease
-// clock is live, everyone else redirects. Callers must not hold s.mu.
-func (s *Server) leaderCheck() error {
-	if s.node == nil || s.node.IsLeader() {
-		return nil
-	}
-	return s.node.NotLeaderErr()
 }
 
 // onLeaderChange resets the delta baseline when this member takes over:
@@ -371,45 +418,74 @@ func (s *Server) onLeaderChange(term uint64, isLeader bool) {
 	}
 }
 
+// submit puts cmd in the replicated log without waiting for it to commit
+// (only the leader can; elsewhere it fails with the rsm.NotLeaderError
+// redirect clients follow). Called on a connection's reader goroutine, it
+// makes log order that connection's arrival order.
+func (s *Server) submit(cmd dlmCmd) (rsm.Proposal, error) {
+	b, err := json.Marshal(cmd)
+	if err != nil {
+		return rsm.Proposal{}, err
+	}
+	return s.node.Submit(b)
+}
+
+// committed waits for a submitted command to apply and returns the fencing
+// token of a lock command (0 = not granted).
+func committed(p rsm.Proposal) (uint64, error) {
+	res, err := p.Wait(proposeTimeout)
+	tok, _ := res.(uint64)
+	return tok, err
+}
+
 // applyCmd runs cmd through the lease table — directly in standalone mode,
 // through the replicated log otherwise — returning the fencing token for
 // lock commands (0 = not granted).
 func (s *Server) applyCmd(cmd dlmCmd) (uint64, error) {
 	if s.node == nil {
 		s.mu.Lock()
-		tok := s.applyLocked(cmd)
+		tok := s.applyLocked(cmd.Op, []byte(cmd.Key), []byte(cmd.Owner), cmd.Mode, cmd.TTL, cmd.Delta)
 		s.mu.Unlock()
 		return tok, nil
 	}
-	b, err := json.Marshal(cmd)
+	p, err := s.submit(cmd)
 	if err != nil {
 		return 0, err
 	}
-	res, err := s.node.Propose(b, proposeTimeout)
-	if err != nil {
-		return 0, err
-	}
-	tok, _ := res.(uint64)
-	return tok, nil
+	return committed(p)
 }
 
 // applyLocked is the deterministic apply body shared by the standalone
-// path and dlmSM.Apply, so the two modes cannot drift. Caller holds s.mu.
-func (s *Server) applyLocked(cmd dlmCmd) uint64 {
-	s.tbl.advance(cmd.Delta)
-	switch cmd.Op {
+// path and dlmSM.Apply, so the two modes cannot drift. key and owner are
+// only read (they may alias an rpc frame). Caller holds s.mu.
+func (s *Server) applyLocked(op string, key, owner []byte, mode Mode, ttl, delta int64) uint64 {
+	s.tbl.advance(delta)
+	switch op {
 	case opLock:
-		return s.tbl.tryGrant(cmd.Key, cmd.Owner, cmd.Mode, cmd.TTL)
+		return s.tbl.tryGrant(key, s.internLocked(owner), mode, ttl)
 	case opUnlock:
-		if s.tbl.release(cmd.Key, cmd.Owner, cmd.Mode) {
-			s.wakeLocked(cmd.Key)
+		if s.tbl.release(key, s.internLocked(owner), mode) {
+			s.wakeLocked(key)
 		}
 	case opSweep:
 		for _, key := range s.tbl.sweep() {
-			s.wakeLocked(key)
+			s.wakeLocked([]byte(key))
 		}
 	}
 	return 0
+}
+
+// internLocked returns the one string kept for this owner name.
+func (s *Server) internLocked(owner []byte) string {
+	if o, ok := s.owners[string(owner)]; ok {
+		return o
+	}
+	if len(s.owners) >= maxOwners {
+		clear(s.owners)
+	}
+	o := string(owner)
+	s.owners[o] = o
+	return o
 }
 
 // dlmSM adapts the lease table to the rsm.StateMachine interface. Apply
@@ -424,7 +500,7 @@ func (m dlmSM) Apply(index uint64, cmd []byte) any {
 		return uint64(0)
 	}
 	m.s.mu.Lock()
-	tok := m.s.applyLocked(op)
+	tok := m.s.applyLocked(op.Op, []byte(op.Key), []byte(op.Owner), op.Mode, op.TTL, op.Delta)
 	m.s.mu.Unlock()
 	return tok
 }
@@ -450,17 +526,25 @@ func (m dlmSM) Restore(data []byte) {
 		if tbl.Locks == nil {
 			tbl.Locks = map[string]*leaseState{}
 		}
+		for key, st := range tbl.Locks {
+			st.key = key
+		}
 	}
 	m.s.mu.Lock()
 	m.s.tbl = tbl
 	m.s.mu.Unlock()
 }
 
-func (s *Server) wakeLocked(key string) {
-	for _, ch := range s.waiters[key] {
+// wakeLocked wakes the calls parked on key; each retries its grant.
+func (s *Server) wakeLocked(key []byte) {
+	ws, ok := s.waiters[string(key)]
+	if !ok {
+		return
+	}
+	for _, ch := range ws {
 		close(ch)
 	}
-	delete(s.waiters, key)
+	delete(s.waiters, string(key))
 }
 
 // sweeper periodically advances the lease clock and reclaims expired
@@ -487,72 +571,185 @@ func (s *Server) sweeper() {
 	}
 }
 
-func (s *Server) handleLock(args LockArgs) (LockReply, error) {
-	if args.Key == "" || args.Owner == "" {
-		return LockReply{}, errors.New("dlm: key and owner required")
+// lockCall is a Lock (or, with the first three fields only, an Unlock)
+// request as the server works on it. key and owner alias the request
+// frame, which stays valid until the call is answered. A Lock that cannot
+// be granted at once leaves the connection's reader with this struct and
+// waits on a goroutine of its own.
+type lockCall struct {
+	key, owner []byte
+	mode       Mode
+	ttl        int64         // lease length, clock nanoseconds
+	wait       time.Duration // how long the caller is willing to queue
+	c          *rpc.Call
+	deadline   time.Time     // end of the wait budget, set at the first miss
+	ch         chan struct{} // closed when the key frees up; see parkLocked
+}
+
+// decode parses and validates the arguments of c in place.
+func (s *Server) decode(c *rpc.Call, lock bool) (lockCall, error) {
+	payload, err := c.WireArgs()
+	if err != nil {
+		return lockCall{}, err
 	}
-	if args.Mode != Read && args.Mode != Write {
-		return LockReply{}, fmt.Errorf("dlm: bad mode %q", args.Mode)
+	q, err := parseCall(payload, lock)
+	if err != nil {
+		return lockCall{}, fmt.Errorf("dlm: bad args: %w", err)
 	}
-	ttl := time.Duration(args.TTLMs) * time.Millisecond
-	if ttl <= 0 {
-		ttl = s.cfg.DefaultTTL
+	if lock && (len(q.key) == 0 || len(q.owner) == 0) {
+		return lockCall{}, errors.New("dlm: key and owner required")
 	}
-	var deadline time.Time
-	if args.WaitMs > 0 {
-		deadline = time.Now().Add(time.Duration(args.WaitMs) * time.Millisecond)
+	if q.mode != Read && q.mode != Write {
+		return lockCall{}, fmt.Errorf("dlm: bad mode %q", q.mode)
 	}
-	for {
-		if err := s.leaderCheck(); err != nil {
-			return LockReply{}, err
+	call := lockCall{key: q.key, owner: q.owner, mode: q.mode, c: c}
+	if lock {
+		ttl := time.Duration(q.ttlMs) * time.Millisecond
+		if ttl <= 0 {
+			ttl = s.cfg.DefaultTTL
 		}
-		tok, err := s.applyCmd(dlmCmd{
-			Op:    opLock,
-			Key:   args.Key,
-			Owner: args.Owner,
-			Mode:  args.Mode,
-			TTL:   int64(ttl),
-			Delta: s.takeDelta(),
-		})
-		if err != nil {
-			return LockReply{}, err
+		call.ttl = int64(ttl)
+		call.wait = time.Duration(q.waitMs) * time.Millisecond
+	}
+	return call, nil
+}
+
+// cmd is the call as a replicated command.
+func (l *lockCall) cmd(op string, delta int64) dlmCmd {
+	return dlmCmd{Op: op, Key: string(l.key), Owner: string(l.owner), Mode: l.mode, TTL: l.ttl, Delta: delta}
+}
+
+func (l *lockCall) reply(tok uint64, err error) {
+	if err != nil {
+		l.c.Reply(nil, err)
+		return
+	}
+	l.c.Reply(&LockReply{Token: tok}, nil)
+}
+
+// serveLock runs on the connection's reader. Standalone, an uncontended
+// grant is one critical section — one clock read, the table's own copy of
+// the key the only allocation — and the answer is written before the next
+// frame is read. A miss with a wait budget, and every replicated Lock
+// (whose command is in the log, in arrival order, before this returns),
+// finishes on its own goroutine.
+func (s *Server) serveLock(c *rpc.Call) {
+	l, err := s.decode(c, true)
+	if err != nil {
+		c.Reply(nil, err)
+		return
+	}
+	var tok uint64
+	var first rsm.Proposal
+	if s.node == nil {
+		tok, err = s.tryLock(&l)
+	} else {
+		first, err = s.submit(l.cmd(opLock, s.takeDelta()))
+	}
+	if tok != 0 || err != nil {
+		l.reply(tok, err)
+		return
+	}
+	parked := new(lockCall)
+	*parked = l
+	s.wg.Add(1)
+	go s.waitLock(parked, first)
+}
+
+// tryLock is one grant attempt. A miss parks the call for a wake on its
+// key (see parkLocked) or, out of wait budget, fails it with ErrLockHeld.
+func (s *Server) tryLock(l *lockCall) (uint64, error) {
+	if s.node != nil {
+		tok, err := s.applyCmd(l.cmd(opLock, s.takeDelta()))
+		if tok != 0 || err != nil {
+			return tok, err
 		}
-		if tok != 0 {
-			return LockReply{Token: tok}, nil
-		}
-		if deadline.IsZero() || !time.Now().Before(deadline) {
-			return LockReply{}, errors.New(ErrLockHeld)
-		}
-		ch := make(chan struct{})
 		s.mu.Lock()
-		s.waiters[args.Key] = append(s.waiters[args.Key], ch)
-		s.mu.Unlock()
-		// Chunk the wait at a sweep interval: wakes cover releases, but
-		// expiry timing and leadership moves are only observed by
-		// re-proposing.
-		wait := time.Until(deadline)
-		if wait > s.cfg.SweepInterval {
-			wait = s.cfg.SweepInterval
+		defer s.mu.Unlock()
+		return 0, s.parkLocked(l)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if tok := s.applyLocked(opLock, l.key, l.owner, l.mode, l.ttl, s.deltaLocked()); tok != 0 {
+		return tok, nil
+	}
+	return 0, s.parkLocked(l)
+}
+
+// parkLocked queues l for a wake on its key. Standalone this is the same
+// critical section as the failed attempt, so no release can slip between
+// the two; replicated, a release that commits in between is caught by the
+// chunked wait. Caller holds s.mu.
+func (s *Server) parkLocked(l *lockCall) error {
+	now := time.Now()
+	if l.deadline.IsZero() {
+		l.deadline = now.Add(l.wait)
+	}
+	if !now.Before(l.deadline) {
+		return errors.New(ErrLockHeld)
+	}
+	l.ch = make(chan struct{})
+	s.waiters[string(l.key)] = append(s.waiters[string(l.key)], l.ch)
+	return nil
+}
+
+// waitLock sees a Lock that left the reader through to its answer: it
+// collects the first replicated attempt, then sleeps until the key frees
+// up (or a sweep interval passes: wakes cover releases, but expiry timing
+// and leadership moves are only observed by trying again) and retries,
+// until granted, out of budget, or shut down.
+func (s *Server) waitLock(l *lockCall, first rsm.Proposal) {
+	defer s.wg.Done()
+	var tok uint64
+	var err error
+	if s.node != nil {
+		if tok, err = committed(first); tok == 0 && err == nil {
+			s.mu.Lock()
+			err = s.parkLocked(l)
+			s.mu.Unlock()
 		}
+	}
+	if tok == 0 && err == nil {
+		tok, err = s.sleepAndRetry(l)
+	}
+	l.reply(tok, err)
+}
+
+func (s *Server) sleepAndRetry(l *lockCall) (uint64, error) {
+	chunk := func() time.Duration { return min(time.Until(l.deadline), s.cfg.SweepInterval) }
+	timer := time.NewTimer(chunk())
+	defer timer.Stop()
+	for {
 		select {
-		case <-ch:
-		case <-time.After(wait):
-			s.dropWaiter(args.Key, ch)
+		case <-l.ch:
+			if !timer.Stop() {
+				select { // a tick that raced the wake
+				case <-timer.C:
+				default:
+				}
+			}
+		case <-timer.C:
+			s.dropWaiter(l)
 		case <-s.stopCh:
-			s.dropWaiter(args.Key, ch)
-			return LockReply{}, errors.New("dlm: shutting down")
+			s.dropWaiter(l)
+			return 0, errors.New("dlm: shutting down")
 		}
+		if tok, err := s.tryLock(l); tok != 0 || err != nil {
+			return tok, err
+		}
+		timer.Reset(chunk())
 	}
 }
 
 // dropWaiter removes a timed-out waiter so abandoned channels do not pile
 // up on a long-held key.
-func (s *Server) dropWaiter(key string, ch chan struct{}) {
+func (s *Server) dropWaiter(l *lockCall) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	key := string(l.key)
 	ws := s.waiters[key]
 	for i, w := range ws {
-		if w == ch {
+		if w == l.ch {
 			s.waiters[key] = append(ws[:i:i], ws[i+1:]...)
 			break
 		}
@@ -562,21 +759,37 @@ func (s *Server) dropWaiter(key string, ch chan struct{}) {
 	}
 }
 
-func (s *Server) handleUnlock(args UnlockArgs) (struct{}, error) {
-	if args.Mode != Read && args.Mode != Write {
-		return struct{}{}, fmt.Errorf("dlm: bad mode %q", args.Mode)
+// serveUnlock runs on the connection's reader, so the release is in the
+// lease table — or, replicated, in the log — before the next frame of this
+// connection is looked at. A one-way Unlock (the client's normal release)
+// has no answer to carry a failure: what a deposed leader or a bad frame
+// drops is logged here, and the lease runs out by its TTL.
+func (s *Server) serveUnlock(c *rpc.Call) {
+	l, err := s.decode(c, false)
+	var p rsm.Proposal
+	switch {
+	case err != nil:
+	case s.node == nil:
+		s.mu.Lock()
+		s.applyLocked(opUnlock, l.key, l.owner, l.mode, 0, s.deltaLocked())
+		s.mu.Unlock()
+	default:
+		p, err = s.submit(l.cmd(opUnlock, s.takeDelta()))
 	}
-	if err := s.leaderCheck(); err != nil {
-		return struct{}{}, err
+	if err != nil && c.OneWay() {
+		s.cfg.Logf("dlm: one-way unlock dropped: %v (the lease expires by its TTL)", err)
 	}
-	_, err := s.applyCmd(dlmCmd{
-		Op:    opUnlock,
-		Key:   args.Key,
-		Owner: args.Owner,
-		Mode:  args.Mode,
-		Delta: s.takeDelta(),
-	})
-	return struct{}{}, err
+	if err != nil || s.node == nil || c.OneWay() {
+		c.Reply(nil, err)
+		return
+	}
+	// An awaited release (the client's fallback) hears about the commit.
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		_, err := committed(p)
+		c.Reply(nil, err)
+	}()
 }
 
 // Client is a typed connection to the lock service. It accepts a
@@ -593,6 +806,11 @@ type Client struct {
 	redirect string // one-shot leader hint outside addrs
 	conn     *rpc.Client
 	closed   bool
+
+	// granting is the connection the lease table last answered on: the
+	// one this client's grants arrive on, hence the only one on which a
+	// one-way release is ordered against them. drop clears it.
+	granting atomic.Pointer[rpc.Client]
 }
 
 // ErrClientClosed fails calls on a closed client, so Close aborts an
@@ -669,6 +887,7 @@ func (c *Client) connect() (*rpc.Client, error) {
 }
 
 func (c *Client) drop(conn *rpc.Client) {
+	c.granting.CompareAndSwap(conn, nil)
 	c.mu.Lock()
 	if c.conn == conn {
 		c.conn = nil
@@ -726,6 +945,9 @@ func (c *Client) call(tid uint64, method string, args, reply any, timeout time.D
 		err = conn.CallTimeoutTraced(tid, method, args, reply, timeout)
 		switch {
 		case err == nil:
+			if c.granting.Load() != conn {
+				c.granting.Store(conn)
+			}
 			return nil
 		case rsm.IsNotLeader(err):
 			c.drop(conn)
@@ -770,13 +992,27 @@ func (c *Client) LockTraced(tid uint64, key string, mode Mode, ttl, wait time.Du
 	return reply.Token, nil
 }
 
-// Unlock releases key in the given mode.
+// Unlock releases key in the given mode. On the connection this client's
+// grants arrive on, the release is a one-way frame and Unlock returns once
+// it is written: the server takes it up before any Lock this client sends
+// afterwards, but another client may still find the key held for the few
+// microseconds the frame is in flight — it queues, as for any held key, if
+// its Lock carries a wait. The frame is never sent twice (a second copy
+// could release a newer grant of the same owner); one that a deposed leader
+// drops is lost, and the lease runs out by its TTL. When that connection
+// is gone — write error, server restart, rotation pending — the release is
+// an awaited call that finds the leader, the only kind that can work then.
 func (c *Client) Unlock(key string, mode Mode) error {
-	return c.call(0, "Unlock", &UnlockArgs{Key: key, Owner: c.owner, Mode: mode}, nil, rpc.DefaultCallTimeout)
+	args := &UnlockArgs{Key: key, Owner: c.owner, Mode: mode}
+	if conn := c.granting.Load(); conn != nil && conn.Send("Unlock", args) == nil {
+		return nil
+	}
+	return c.call(0, "Unlock", args, nil, rpc.DefaultCallTimeout)
 }
 
 // Close tears down the connection (held leases expire via TTL).
 func (c *Client) Close() error {
+	c.granting.Store(nil)
 	c.mu.Lock()
 	c.closed = true
 	conn := c.conn

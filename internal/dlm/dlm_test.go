@@ -44,7 +44,9 @@ func TestExclusiveLock(t *testing.T) {
 	if err := a.Unlock("k", Write); err != nil {
 		t.Fatal(err)
 	}
-	tok2, err := b.Lock("k", Write, time.Second, 0)
+	// Unlock returns when the release is written, not when it has landed:
+	// another connection waits for it like for any held key.
+	tok2, err := b.Lock("k", Write, time.Second, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,8 @@ func TestSharedReaders(t *testing.T) {
 	}
 	a.Unlock("k", Read)
 	b.Unlock("k", Read)
-	if _, err := w.Lock("k", Write, time.Second, 0); err != nil {
+	// The releases are in flight on two other connections: wait for them.
+	if _, err := w.Lock("k", Write, time.Second, time.Second); err != nil {
 		t.Fatalf("writer after readers released: %v", err)
 	}
 	// Readers blocked by writer.

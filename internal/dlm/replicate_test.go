@@ -185,7 +185,7 @@ func TestReplicatedFollowerRedirect(t *testing.T) {
 		if id == lead {
 			continue
 		}
-		if err := g.srvs[id].leaderCheck(); err == nil {
+		if _, err := g.srvs[id].applyCmd(dlmCmd{Op: opSweep}); err == nil {
 			t.Fatalf("follower %s would grant leases", id)
 		} else if !rsm.IsNotLeader(err) {
 			t.Fatalf("follower %s returns %v, want NotLeader", id, err)
@@ -248,7 +248,7 @@ func TestReplicatedRestartRecovers(t *testing.T) {
 // expire leases, and expiry compares clock readings only.
 func TestLockTableClock(t *testing.T) {
 	tbl := newLockTable()
-	if tok := tbl.tryGrant("k", "a", Write, 100); tok == 0 {
+	if tok := tbl.tryGrant([]byte("k"), "a", Write, 100); tok == 0 {
 		t.Fatal("grant refused on empty table")
 	}
 	tbl.advance(-50) // regression attempt: ignored
@@ -256,11 +256,11 @@ func TestLockTableClock(t *testing.T) {
 		t.Fatalf("clock regressed to %d", tbl.Clock)
 	}
 	tbl.advance(100) // exactly at expiry: lease still valid (now == exp)
-	if tok := tbl.tryGrant("k", "b", Write, 100); tok != 0 {
+	if tok := tbl.tryGrant([]byte("k"), "b", Write, 100); tok != 0 {
 		t.Fatal("conflicting grant at exact expiry instant")
 	}
 	tbl.advance(1) // past expiry
-	if tok := tbl.tryGrant("k", "b", Write, 100); tok == 0 {
+	if tok := tbl.tryGrant([]byte("k"), "b", Write, 100); tok == 0 {
 		t.Fatal("grant refused after lease expiry")
 	}
 	if tbl.NextToken != 2 {

@@ -23,6 +23,24 @@ func parseMode(b []byte) Mode {
 	return Mode(b)
 }
 
+// wireCall is a LockArgs or UnlockArgs payload decoded in place: key and
+// owner alias the payload. It is how the server reads both messages, and
+// what their ParseWire methods are built on, so there is one decoder.
+type wireCall struct {
+	key, owner    []byte
+	mode          Mode
+	ttlMs, waitMs int
+}
+
+func parseCall(src []byte, lock bool) (wireCall, error) {
+	r := rpc.NewWireReader(src)
+	q := wireCall{key: r.Bytes(), owner: r.Bytes(), mode: parseMode(r.Bytes())}
+	if lock {
+		q.ttlMs, q.waitMs = int(r.Varint()), int(r.Varint())
+	}
+	return q, r.Done()
+}
+
 // AppendWire implements rpc.Wire.
 func (a *LockArgs) AppendWire(dst []byte) []byte {
 	dst = rpc.AppendWireBytes(dst, a.Key)
@@ -34,15 +52,9 @@ func (a *LockArgs) AppendWire(dst []byte) []byte {
 
 // ParseWire implements rpc.Wire.
 func (a *LockArgs) ParseWire(src []byte) error {
-	r := rpc.NewWireReader(src)
-	*a = LockArgs{
-		Key:    string(r.Bytes()),
-		Owner:  string(r.Bytes()),
-		Mode:   parseMode(r.Bytes()),
-		TTLMs:  int(r.Varint()),
-		WaitMs: int(r.Varint()),
-	}
-	return r.Done()
+	q, err := parseCall(src, true)
+	*a = LockArgs{Key: string(q.key), Owner: string(q.owner), Mode: q.mode, TTLMs: q.ttlMs, WaitMs: q.waitMs}
+	return err
 }
 
 // AppendWire implements rpc.Wire.
@@ -66,11 +78,7 @@ func (a *UnlockArgs) AppendWire(dst []byte) []byte {
 
 // ParseWire implements rpc.Wire.
 func (a *UnlockArgs) ParseWire(src []byte) error {
-	r := rpc.NewWireReader(src)
-	*a = UnlockArgs{
-		Key:   string(r.Bytes()),
-		Owner: string(r.Bytes()),
-		Mode:  parseMode(r.Bytes()),
-	}
-	return r.Done()
+	q, err := parseCall(src, false)
+	*a = UnlockArgs{Key: string(q.key), Owner: string(q.owner), Mode: q.mode}
+	return err
 }

@@ -95,9 +95,49 @@ func benchDLM(b *testing.B) *Client {
 	return c
 }
 
-// BenchmarkLockUnlock is what one AA+SC write pays the lock manager: an
-// uncontended exclusive Lock and its Unlock, two rpc round trips. Run with
-// -cpu 1,2; parallel callers share one connection and lock distinct keys.
+// lockUnlock is what one AA+SC operation pays the lock manager: an
+// uncontended exclusive Lock, one rpc round trip served on the connection's
+// reader, and its Unlock, a one-way frame the caller does not wait for —
+// the release is pipelined behind the next Lock.
+func lockUnlock(c *Client, key string, mode Mode) error {
+	if _, err := c.Lock(key, mode, time.Second, time.Second); err != nil {
+		return err
+	}
+	return c.Unlock(key, mode)
+}
+
+// TestLockUnlockAllocs gates the allocations of that pair through a real
+// standalone server, client and server together. 5 measured: the
+// client's LockArgs, LockReply and UnlockArgs escaping into `any`, the
+// server's boxed LockReply, and the lease table's own copy of the key. The
+// server parses in place, interns the owner and recycles lease records, so
+// neither a longer key nor a shared lease costs more.
+func TestLockUnlockAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds items under -race")
+	}
+	_, dial := newDLM(t, Config{})
+	c := dial("s0-r1")
+	key := "usertable\x00" + strings.Repeat("k", 64) // past any small-string buffer
+	for _, mode := range []Mode{Write, Read} {
+		pair := func() {
+			if err := lockUnlock(c, key, mode); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 100; i++ {
+			pair() // fill the pools
+		}
+		const limit = 5
+		if got := testing.AllocsPerRun(2000, pair); got > limit {
+			t.Fatalf("%s lock + unlock: %.1f allocs, limit %d", mode, got, limit)
+		}
+	}
+}
+
+// BenchmarkLockUnlock is the pipelined-release round of lockUnlock. Run
+// with -cpu 1,2; parallel callers share one connection and lock distinct
+// keys.
 func BenchmarkLockUnlock(b *testing.B) {
 	c := benchDLM(b)
 	var next atomic.Int64
@@ -106,10 +146,7 @@ func BenchmarkLockUnlock(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		key := fmt.Sprintf("user%012d", next.Add(1))
 		for pb.Next() {
-			if _, err := c.Lock(key, Write, time.Second, time.Second); err != nil {
-				b.Fatal(err)
-			}
-			if err := c.Unlock(key, Write); err != nil {
+			if err := lockUnlock(c, key, Write); err != nil {
 				b.Fatal(err)
 			}
 		}

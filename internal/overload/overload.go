@@ -100,6 +100,9 @@ func (s Stats) Sheds() uint64 { return s.ShedCoDel + s.ShedWait }
 type Gate struct {
 	slots   chan struct{}
 	maxWait time.Duration
+	// release is what Admit hands out. It is bound once here: the method
+	// value `g.free` evaluated per call would allocate per admitted op.
+	release func()
 
 	queued    atomic.Int64
 	admitted  atomic.Uint64
@@ -131,12 +134,14 @@ func NewGate(cfg Config) *Gate {
 	if cfg.MaxWait <= 0 {
 		cfg.MaxWait = 4 * cfg.Target
 	}
-	return &Gate{
+	g := &Gate{
 		slots:    make(chan struct{}, cfg.MaxInflight),
 		maxWait:  cfg.MaxWait,
 		target:   cfg.Target,
 		interval: cfg.Interval,
 	}
+	g.release = g.free
+	return g
 }
 
 var noRelease = func() {}
@@ -182,7 +187,7 @@ func (g *Gate) Admit() (release func(), ok bool) {
 	}
 }
 
-func (g *Gate) release() { <-g.slots }
+func (g *Gate) free() { <-g.slots }
 
 // observe runs the CoDel control law on one measured sojourn and reports
 // whether the request should be shed. Sojourns below target reset the

@@ -14,7 +14,9 @@
 // len counts the bytes after itself and is at most maxFrame. id matches a
 // response to its call, so many calls share one connection and complete in
 // any order (a contended Lock or a long-poll Read never blocks the calls
-// behind it). T is the trace id of a sampled request (0 = untraced), D the
+// behind it). A request with id 0 is one-way (Client.Send): the server runs
+// its handler and sends nothing back, whatever the outcome — calls number
+// from 1. T is the trace id of a sampled request (0 = untraced), D the
 // caller's remaining deadline budget in nanoseconds (0 = unbounded).
 //
 // kind says how the payload is encoded: kindNone (no payload, the frame ends
@@ -36,6 +38,17 @@
 // Invariant: every frame goes down in ONE Write. Transports that treat a
 // Write as a message quantum (the faultnet fault plane drops, delays and
 // duplicates whole Writes) must see frames, never torn halves.
+//
+// Dispatch. How a method is dispatched is fixed where it is registered.
+// HandleFunc/Handle methods are concurrent: each call runs on its own
+// goroutine, so calls on one connection start in no particular order and a
+// handler may block. HandleOrdered methods are ordered: the handler is
+// called on the connection's reader goroutine, so the ordered calls of one
+// connection START in the order their frames arrived — a one-way Unlock
+// sent before a Lock reaches the lease table before it. An ordered handler
+// must not block; one that has to wait keeps its *Call and answers from a
+// goroutine of its own, which is why completion is still id-matched and in
+// any order.
 package rpc
 
 import (
@@ -242,10 +255,12 @@ func parseResponse(frame []byte) (response, error) {
 type Handler func(args json.RawMessage) (any, error)
 
 // method is one registered handler plus what is derived from its name once
-// instead of per call.
+// instead of per call. Exactly one of fn (concurrent dispatch) and ordered
+// is set.
 type method struct {
-	span string // trace stage, "rpc.<name>"
-	fn   func(kind byte, payload []byte) (any, error)
+	span    string // trace stage, "rpc.<name>"
+	fn      func(c *Call) (any, error)
+	ordered func(c *Call)
 }
 
 // Server dispatches calls to registered handlers.
@@ -277,7 +292,7 @@ func NewServer() *Server {
 	}
 }
 
-func (s *Server) handle(name string, fn func(kind byte, payload []byte) (any, error)) {
+func (s *Server) handle(name string, m *method) {
 	if len(name) > maxMethod {
 		panic("rpc: method name too long: " + name)
 	}
@@ -286,38 +301,49 @@ func (s *Server) handle(name string, fn func(kind byte, payload []byte) (any, er
 	if _, dup := s.handlers[name]; dup {
 		panic("rpc: duplicate method " + name)
 	}
-	s.handlers[name] = &method{span: "rpc." + name, fn: fn}
+	m.span = "rpc." + name
+	s.handlers[name] = m
 }
 
 // Handle registers fn under method; it panics on duplicates (init-time
 // bug). A raw handler sees JSON only; its args alias the request frame and
 // are valid until it returns.
-func (s *Server) Handle(method string, fn Handler) {
-	s.handle(method, func(kind byte, payload []byte) (any, error) {
-		if kind == kindWire {
-			return nil, fmt.Errorf("rpc: %s takes JSON args", method)
+func (s *Server) Handle(name string, fn Handler) {
+	s.handle(name, &method{fn: func(c *Call) (any, error) {
+		if c.req.kind == kindWire {
+			return nil, fmt.Errorf("rpc: %s takes JSON args", name)
 		}
-		return fn(json.RawMessage(payload))
-	})
+		return fn(json.RawMessage(c.req.payload))
+	}})
+}
+
+// HandleOrdered registers fn as an ordered handler (see the package
+// comment): it is called on the connection's reader goroutine, in frame
+// arrival order, with no goroutine of its own — so it must not block. fn
+// answers with c.Reply exactly once, before it returns or later from
+// another goroutine; the frames behind a call that answers later are
+// dispatched meanwhile.
+func (s *Server) HandleOrdered(name string, fn func(c *Call)) {
+	s.handle(name, &method{ordered: fn})
 }
 
 // HandleFunc registers a typed handler: fn's argument is decoded from the
 // request payload (ParseWire when the caller sent a Wire message, JSON
 // otherwise) and its result encoded the same way. A struct{} result is
 // sent as no payload at all.
-func HandleFunc[A any, R any](s *Server, method string, fn func(A) (R, error)) {
+func HandleFunc[A any, R any](s *Server, name string, fn func(A) (R, error)) {
 	_, noReply := any(*new(R)).(struct{})
-	s.handle(method, func(kind byte, payload []byte) (any, error) {
+	s.handle(name, &method{fn: func(c *Call) (any, error) {
 		var args A
-		if err := decodePayload(kind, payload, &args); err != nil {
-			return nil, fmt.Errorf("rpc: bad args for %s: %w", method, err)
+		if err := c.Args(&args); err != nil {
+			return nil, err
 		}
 		r, err := fn(args)
 		if err != nil || noReply {
 			return nil, err
 		}
 		return &r, nil
-	})
+	}})
 }
 
 // Serve starts listening on network/addr and returns immediately.
@@ -364,39 +390,42 @@ func (s *Server) acceptLoop(l transport.Listener) {
 	}
 }
 
-// serverConn is the write half of one accepted connection, shared by the
-// handler goroutines answering on it.
+// serverConn is the write half of one accepted connection, shared by
+// whoever answers on it: the reader (ordered handlers that reply at once),
+// concurrent handler goroutines, and goroutines an ordered handler parked
+// its call on.
 type serverConn struct {
 	s       *Server
 	conn    transport.Conn
 	writeMu sync.Mutex
 }
 
-// serverCall is one dispatched request. It is pooled with its two frame
-// buffers: in holds the request (args may alias it until the handler
-// returns), out the response.
-type serverCall struct {
+// Call is one request at the server, the handle an ordered handler reads
+// its arguments from and answers through. It is pooled with its two frame
+// buffers: in holds the request — arguments may alias it until Reply — and
+// out the response. Reply recycles the Call; nothing may touch it after.
+type Call struct {
 	sc   *serverConn
 	run  func() // c.serve, bound once so `go c.run()` allocates no closure
 	m    *method
 	req  request
-	recv time.Time
+	recv time.Time // set for concurrent and for traced calls only
 	in   []byte
 	out  []byte
 }
 
-var serverCallPool sync.Pool // of *serverCall
+var callPool sync.Pool // of *Call
 
-func newServerCall() *serverCall {
-	if c, ok := serverCallPool.Get().(*serverCall); ok {
+func newCall() *Call {
+	if c, ok := callPool.Get().(*Call); ok {
 		return c
 	}
-	c := &serverCall{}
+	c := &Call{}
 	c.run = c.serve
 	return c
 }
 
-func (c *serverCall) release() {
+func (c *Call) release() {
 	if cap(c.in) > maxPooledBuf {
 		c.in = nil
 	}
@@ -404,14 +433,14 @@ func (c *serverCall) release() {
 		c.out = nil
 	}
 	c.sc, c.m, c.req = nil, nil, request{}
-	serverCallPool.Put(c)
+	callPool.Put(c)
 }
 
 func (s *Server) serveConn(conn transport.Conn) {
 	sc := &serverConn{s: s, conn: conn}
 	br := bufio.NewReader(conn)
 	for {
-		c := newServerCall()
+		c := newCall()
 		var err error
 		if c.in, err = readFrame(br, c.in[:0]); err == nil {
 			c.req, err = parseRequest(c.in)
@@ -420,16 +449,25 @@ func (s *Server) serveConn(conn transport.Conn) {
 			c.release()
 			return
 		}
-		c.recv = time.Now()
 		c.sc = sc
 		s.mu.RLock()
 		c.m = s.handlers[string(c.req.method)]
 		s.mu.RUnlock()
-		// Dispatch concurrently so slow handlers (watch long-polls, lock
-		// waits) don't block the connection. Each dispatched handler holds
+		if c.m != nil && c.m.ordered != nil {
+			// Ordered: the handler starts here, in arrival order. It does
+			// not block, and it owns c from now on.
+			if c.req.tid != 0 {
+				c.recv = time.Now()
+			}
+			c.m.ordered(c)
+			continue
+		}
+		// Dispatch concurrently so slow handlers (watch long-polls, raft
+		// appends) don't block the connection. Each dispatched handler holds
 		// a WaitGroup slot so Close waits for it instead of racing its
 		// teardown. (serveConn itself holds a slot, so this Add can never
 		// race conns.Wait observing zero.)
+		c.recv = time.Now()
 		s.conns.Add(1)
 		go c.run()
 	}
@@ -451,16 +489,10 @@ func appendResult(buf []byte, id uint64, result any, err error) []byte {
 	return out
 }
 
-// serve runs the handler and always answers: a result that cannot be
-// encoded becomes an error frame, never silence the caller would sit out
-// its whole timeout on.
-func (c *serverCall) serve() {
+// serve runs a concurrent handler on its own goroutine.
+func (c *Call) serve() {
 	s, req := c.sc.s, c.req
 	defer s.conns.Done()
-	var start time.Time
-	if req.tid != 0 {
-		start = time.Now()
-	}
 	var result any
 	var err error
 	switch {
@@ -473,18 +505,52 @@ func (c *serverCall) serve() {
 		rpcDeadlineExpired.Inc()
 		err = errors.New(errDeadlineExpired)
 	default:
-		result, err = c.m.fn(req.kind, req.payload)
+		result, err = c.m.fn(c)
 	}
-	c.out = appendResult(c.out[:0], req.id, result, err)
-	c.sc.writeMu.Lock()
-	_, _ = c.sc.conn.Write(c.out)
-	c.sc.writeMu.Unlock()
-	if req.tid != 0 {
-		span := "rpc." + string(req.method)
+	c.Reply(result, err)
+}
+
+// Args decodes the call's arguments into v: ParseWire when the caller sent
+// a Wire message, JSON otherwise. What v aliases of the request frame stays
+// valid until Reply.
+func (c *Call) Args(v any) error {
+	if err := decodePayload(c.req.kind, c.req.payload, v); err != nil {
+		return fmt.Errorf("rpc: bad args for %s: %w", c.req.method, err)
+	}
+	return nil
+}
+
+// WireArgs returns the arguments as the caller's Wire encoding, for a
+// handler that parses them in place (Args makes its target escape to the
+// heap). It fails for a caller that sent JSON. The bytes are valid until
+// Reply.
+func (c *Call) WireArgs() ([]byte, error) {
+	if c.req.kind != kindWire {
+		return nil, fmt.Errorf("rpc: %s takes Wire args", c.req.method)
+	}
+	return c.req.payload, nil
+}
+
+// OneWay reports whether the caller used Send: nobody is waiting for the
+// outcome, and Reply will only recycle the Call.
+func (c *Call) OneWay() bool { return c.req.id == 0 }
+
+// Reply answers the call, exactly once, from any goroutine. It always
+// answers a caller that waits: a result that cannot be encoded becomes an
+// error frame, never silence the caller would sit out its whole timeout on.
+func (c *Call) Reply(result any, err error) {
+	if !c.OneWay() {
+		c.out = appendResult(c.out[:0], c.req.id, result, err)
+		c.sc.writeMu.Lock()
+		_, _ = c.sc.conn.Write(c.out)
+		c.sc.writeMu.Unlock()
+	}
+	if c.req.tid != 0 {
+		span := "rpc." + string(c.req.method)
 		if c.m != nil {
 			span = c.m.span
 		}
-		trace.Record(req.tid, s.traceName(), span, start, time.Since(start), "")
+		trace.Record(c.req.tid, c.sc.s.traceName(), span, c.recv, time.Since(c.recv), "")
 	}
 	c.release()
 }
@@ -691,6 +757,51 @@ func (c *Client) call(tid uint64, method string, args, reply any, timeout time.D
 	return err
 }
 
+// Send writes a one-way request: the server runs method's handler and
+// never answers, so there is no pending slot, timer or channel, and Send
+// returns as soon as the frame is written. A nil error means only that —
+// whether the handler ran, and how it fared, is not reported (an unknown
+// method is dropped in silence). What the caller does get is order: a
+// frame sent before another on this connection arrives before it, and
+// ordered handlers (Server.HandleOrdered) start in arrival order.
+func (c *Client) Send(method string, args any) error {
+	cs := clientCallPool.Get().(*clientCall)
+	defer cs.release()
+	buf, err := cs.encode(0, 0, method, args)
+	if err != nil {
+		return err
+	}
+	c.mu.Lock()
+	err = c.err
+	c.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	c.writeMu.Lock()
+	_, err = c.conn.Write(buf) // the id stays 0: one-way
+	c.writeMu.Unlock()
+	st := statsFor(method)
+	st.calls.Inc()
+	if err != nil {
+		st.errors.Inc()
+	}
+	return err
+}
+
+// encode builds the request frame, id still zero, in cs's buffer.
+func (cs *clientCall) encode(tid, budget uint64, method string, args any) ([]byte, error) {
+	buf, err := appendRequest(cs.buf[:0], tid, budget, method)
+	if err != nil {
+		return nil, err
+	}
+	var kind byte
+	if buf, kind, err = appendPayload(buf, args); err != nil {
+		return nil, err
+	}
+	cs.buf = buf
+	return buf, finishFrame(buf, kind)
+}
+
 // roundTrip sends one request and waits for its outcome. On return nothing
 // references cs any more: either its done value was received or the call
 // left c.pending by this goroutine's own hand.
@@ -704,16 +815,8 @@ func (c *Client) roundTrip(cs *clientCall, start time.Time, tid uint64, method s
 	}
 	// Encode before registering, so a value that cannot be marshaled
 	// leaves no pending slot behind.
-	buf, err := appendRequest(cs.buf[:0], tid, budget, method)
+	buf, err := cs.encode(tid, budget, method, args)
 	if err != nil {
-		return err
-	}
-	var kind byte
-	if buf, kind, err = appendPayload(buf, args); err != nil {
-		return err
-	}
-	cs.buf = buf
-	if err := finishFrame(buf, kind); err != nil {
 		return err
 	}
 

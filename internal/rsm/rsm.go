@@ -546,39 +546,66 @@ func (n *Node) notLeaderErrLocked() error {
 // NotLeaderError redirect. ErrProposeTimeout and ErrLostLeadership leave
 // the outcome unknown — the command may still commit.
 func (n *Node) Propose(cmd []byte, timeout time.Duration) (any, error) {
+	p, err := n.Submit(cmd)
+	if err != nil {
+		return nil, err
+	}
+	return p.Wait(timeout)
+}
+
+// Proposal is a command Submit has put in the leader's log, on its way to
+// being committed.
+type Proposal struct {
+	n   *Node
+	idx uint64
+	ch  chan waitResult
+}
+
+// Submit is the half of Propose that does not wait: it appends cmd to the
+// log and starts replication. Commands submitted one after the other from
+// one goroutine are applied in that order, which is what a caller that
+// must preserve an arrival order needs to do in line; Wait, the slow half,
+// can then happen anywhere. A Proposal nobody waits for costs nothing more.
+func (n *Node) Submit(cmd []byte) (Proposal, error) {
 	n.mu.Lock()
 	if n.stopped {
 		n.mu.Unlock()
-		return nil, ErrStopped
+		return Proposal{}, ErrStopped
 	}
 	if n.state != leader {
 		err := n.notLeaderErrLocked()
 		n.mu.Unlock()
-		return nil, err
+		return Proposal{}, err
 	}
 	idx := n.st.lastIndex() + 1
 	term := n.st.term
 	if err := n.st.append([]Entry{{Term: term, Index: idx, Data: cmd}}); err != nil {
 		n.mu.Unlock()
-		return nil, err
+		return Proposal{}, err
 	}
 	ch := make(chan waitResult, 1)
 	n.waiters[idx] = waiter{term: term, ch: ch}
 	n.maybeCommitLocked() // single-member groups need no round trip
 	n.mu.Unlock()
 	n.broadcast()
+	return Proposal{n: n, idx: idx, ch: ch}, nil
+}
 
+// Wait blocks until the proposal is applied locally and returns the
+// StateMachine's result, with Propose's error contract.
+func (p Proposal) Wait(timeout time.Duration) (any, error) {
+	n := p.n
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
-	case r := <-ch:
+	case r := <-p.ch:
 		if r.lost {
 			return nil, ErrLostLeadership
 		}
 		return r.res, nil
 	case <-timer.C:
 		n.mu.Lock()
-		delete(n.waiters, idx)
+		delete(n.waiters, p.idx)
 		n.mu.Unlock()
 		return nil, ErrProposeTimeout
 	case <-n.stopCh:

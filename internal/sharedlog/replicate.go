@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"time"
+
+	"bespokv/internal/rsm"
 )
 
 // proposeTimeout bounds one replicated append/trim; the shared log's data
@@ -48,12 +50,19 @@ func (s *Server) leaderCheck() error {
 	return s.node.NotLeaderErr()
 }
 
-func (s *Server) proposeAppend(args AppendArgs) (AppendReply, error) {
+// submitAppend puts the batch in the replicated log without waiting for it
+// to commit; args.Entries may alias an rpc frame, the command copies them.
+func (s *Server) submitAppend(args AppendArgs) (rsm.Proposal, error) {
 	b, err := json.Marshal(logCmd{Op: opAppend, Stream: args.Stream, Entries: args.Entries})
 	if err != nil {
-		return AppendReply{}, err
+		return rsm.Proposal{}, err
 	}
-	res, err := s.node.Propose(b, proposeTimeout)
+	return s.node.Submit(b)
+}
+
+// appendCommitted waits for a submitted batch to apply.
+func appendCommitted(p rsm.Proposal) (AppendReply, error) {
+	res, err := p.Wait(proposeTimeout)
 	if err != nil {
 		return AppendReply{}, err
 	}

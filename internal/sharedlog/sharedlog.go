@@ -106,6 +106,7 @@ type Server struct {
 	streams map[string]*logState
 	stopCh  chan struct{}
 	stopped bool
+	wg      sync.WaitGroup // replicated appends waiting for their commit
 }
 
 // AppendArgs appends a batch atomically (contiguous offsets). AppendArgs,
@@ -172,7 +173,10 @@ func Serve(cfg Config) (*Server, error) {
 		stopCh:  make(chan struct{}),
 	}
 	s.rpc.Name = "sharedlog"
-	rpc.HandleFunc(s.rpc, "Append", s.handleAppend)
+	// Ordered: an append needs no goroutine — standalone it is answered
+	// before the next frame is read — and one connection's appends are
+	// sequenced in the order it sent them.
+	s.rpc.HandleOrdered("Append", s.serveAppend)
 	rpc.HandleFunc(s.rpc, "Read", s.handleRead)
 	rpc.HandleFunc(s.rpc, "Trim", s.handleTrim)
 	rpc.HandleFunc(s.rpc, "Tail", s.handleTail)
@@ -208,7 +212,9 @@ func (s *Server) Close() error {
 	if s.node != nil {
 		s.node.Close()
 	}
-	return s.rpc.Close()
+	err := s.rpc.Close()
+	s.wg.Wait()
+	return err
 }
 
 // IsLeader reports whether this member currently accepts appends (always
@@ -236,19 +242,41 @@ func (s *Server) streamLocked(name string) *logState {
 	return st
 }
 
-func (s *Server) handleAppend(args AppendArgs) (AppendReply, error) {
-	if len(args.Entries) == 0 {
-		return AppendReply{}, errors.New("sharedlog: empty append")
+// serveAppend runs on the connection's reader. Standalone the batch is
+// sequenced, stored and answered right there; replicated it is in the
+// group's log before this returns, and the wait for its commit happens on
+// a goroutine of its own.
+func (s *Server) serveAppend(c *rpc.Call) {
+	var args AppendArgs
+	err := c.Args(&args)
+	if err == nil && len(args.Entries) == 0 {
+		err = errors.New("sharedlog: empty append")
 	}
-	if err := s.leaderCheck(); err != nil {
-		return AppendReply{}, err
+	if err == nil {
+		err = s.leaderCheck()
+	}
+	if err != nil {
+		c.Reply(nil, err)
+		return
 	}
 	if s.node == nil {
 		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.applyAppendLocked(args.Stream, args.Entries), nil
+		reply := s.applyAppendLocked(args.Stream, args.Entries)
+		s.mu.Unlock()
+		c.Reply(&reply, nil)
+		return
 	}
-	return s.proposeAppend(args)
+	p, err := s.submitAppend(args)
+	if err != nil {
+		c.Reply(nil, err)
+		return
+	}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		reply, err := appendCommitted(p)
+		c.Reply(&reply, err)
+	}()
 }
 
 // applyAppendLocked assigns offsets from the stream's sequencer counter and

@@ -104,8 +104,9 @@ run() {
 		$GO test -run TestApplyZeroAlloc ./internal/rsm/
 		;;
 
-	# Overload control: the admission-gate/retry-budget/breaker units and
-	# the deadline wire-field fuzz seeds, the client failure-classification
+	# Overload control: the admission-gate/retry-budget/breaker units (an
+	# admitted op that did not wait allocates nothing) and the deadline
+	# wire-field fuzz seeds, the client failure-classification
 	# and retry-discipline suites, the controlet/datalet shed paths, and
 	# the cluster overload nemesis acceptance — a 4x surge against slowed
 	# engines must hold goodput at >= 80% of the pre-overload plateau with
@@ -113,21 +114,27 @@ run() {
 	# history (Overloaded answers recorded as non-acked).
 	overload)
 		$GO test -race ./internal/overload/...
+		$GO test -run TestGateAdmitZeroAllocs ./internal/overload/
 		$GO test -race -run 'Fuzz' ./internal/wire/
 		$GO test -race -run 'TestClassifyFailure|TestOverloaded|TestRetryBudget|TestBreaker|TestOpBudget|TestSustainedOverload' ./internal/client/
 		$GO test -race -run 'Shed|Deadline|Overload' ./internal/controlet/ ./internal/datalet/
 		$GO test -race -run 'TestOverload' ./internal/cluster/
 		;;
 
-	# The rpc envelope that carries every AA-mode lock and log append: the
-	# frame and message-codec fuzz seeds under the race detector, then the
-	# allocation gate of a Lock-shaped round trip (not under -race, where
-	# sync.Pool sheds on purpose) with the layer's -benchmem numbers.
+	# The rpc layer that carries every AA-mode lock and log append: the
+	# frame and message-codec fuzz seeds (one-way frames included) and the
+	# ordering guarantee — ordered handlers start in arrival order, a parked
+	# call blocks nobody, a one-way Unlock never overtakes the next Lock,
+	# standalone and replicated — under the race detector; then the two
+	# allocation gates, a Lock-shaped ordered round trip and a Lock + Unlock
+	# pair through a real lock server (not under -race, where sync.Pool
+	# sheds on purpose), with the layer's -benchmem numbers.
 	rpcwire)
-		$GO test -race -run 'Fuzz|TestFrame|TestPayloadKinds|TestMarshalError|TestUnmarshalable' \
+		$GO test -race -run 'Fuzz|TestFrame|TestPayloadKinds|TestMarshalError|TestUnmarshalable|Ordered|TestSendIsNeverAnswered|TestOneWay|TestWireArgs|TestUnlockFallsBack' \
 			./internal/rpc/ ./internal/dlm/ ./internal/sharedlog/
-		$GO test -run TestCallWireAllocs ./internal/rpc/
-		$GO test -run NONE -bench 'CallWire|CallJSON|LockUnlock|Append1$|ReadBatch' -benchmem -cpu 1,2 \
+		$GO test -race -run 'TestAASCLinearizableUnlockInFlight' ./internal/cluster/
+		$GO test -run 'TestCallWireAllocs|TestLockUnlockAllocs' ./internal/rpc/ ./internal/dlm/
+		$GO test -run NONE -bench 'CallWire|CallOrdered|CallJSON|LockUnlock|Append1$|ReadBatch' -benchmem -cpu 1,2 \
 			./internal/rpc/ ./internal/dlm/ ./internal/sharedlog/
 		;;
 
