@@ -99,6 +99,10 @@ type Options struct {
 	// timeout (default 150ms); re-election after a leader kill lands
 	// within a few multiples of this.
 	ControlElectionTimeout time.Duration
+	// LogSegmentEntries is the shared log's segment size (0: its default,
+	// 4096). A stream retains sharedlog.RetainSegments segments, so tests
+	// shrink this to cross the retention window with a few hundred writes.
+	LogSegmentEntries int
 	// P2PRouting enables the §IV-E P2P-style topology: any controlet
 	// accepts any key and routes it to the owning shard.
 	P2PRouting bool
@@ -393,7 +397,9 @@ func Start(opts Options) (*Cluster, error) {
 		if err != nil {
 			return fail(err)
 		}
-		c.Log, err = sharedlog.Serve(sharedlog.Config{Network: c.hostNet(net, "log"), Addr: listenAddr(opts.NetworkName)})
+		c.Log, err = sharedlog.Serve(sharedlog.Config{
+			Network: c.hostNet(net, "log"), Addr: listenAddr(opts.NetworkName), SegmentEntries: opts.LogSegmentEntries,
+		})
 		if err != nil {
 			return fail(err)
 		}

@@ -90,10 +90,11 @@ func (c *Cluster) startReplicatedControl(net transport.Network) error {
 	logIDs, logPeers := controlPeers("log", n, seq)
 	for _, id := range logIDs {
 		srv, err := sharedlog.Serve(sharedlog.Config{
-			Network:     c.hostNet(net, id),
-			Addr:        logPeers[id],
-			Replication: c.groupConfig(id, logPeers),
-			Logf:        c.Opts.Logf,
+			Network:        c.hostNet(net, id),
+			Addr:           logPeers[id],
+			SegmentEntries: c.Opts.LogSegmentEntries,
+			Replication:    c.groupConfig(id, logPeers),
+			Logf:           c.Opts.Logf,
 		})
 		if err != nil {
 			return err

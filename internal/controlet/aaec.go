@@ -4,15 +4,22 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
+	"bespokv/internal/rpc"
 	"bespokv/internal/sharedlog"
+	"bespokv/internal/topology"
 	"bespokv/internal/wire"
 )
 
 // errStopped is returned for appends racing a controlet shutdown.
 var errStopped = errors.New("controlet: shutting down")
+
+// errPeerBehind is follow's refusal of a peer whose applier has no usable
+// position itself — it is catching up; that passes.
+var errPeerBehind = errors.New("log cursor")
 
 // aaecVersionBase lifts log-derived versions above every Lamport version
 // the other modes can issue (wall-clock seconds << 32 stays below 1<<63
@@ -20,41 +27,71 @@ var errStopped = errors.New("controlet: shutting down")
 // writes to stale pre-transition versions.
 const aaecVersionBase = uint64(1) << 63
 
+const (
+	// maxAppendFrame caps the records the combiner sends as one Append.
+	maxAppendFrame = 128
+	// maxApplyFrame caps the pairs of one OpMPut the applier sends to the
+	// local datalet: large enough to amortise the round trip (a Read
+	// returns up to 4096 entries), small enough that the frame fits the
+	// connection buffers and a retry re-sends little.
+	maxApplyFrame = 256
+	// applyRetryMin/Max bound the backoff of a frame the local datalet
+	// did not take.
+	applyRetryMin = 10 * time.Millisecond
+	applyRetryMax = time.Second
+)
+
 // logApplier implements AA+EC (§C-C): every write is appended to the
 // shared log first; the writer applies it locally and acks, and every
 // replica's applier consumes the log in order. Because all replicas apply
 // the same totally ordered sequence with offset-derived versions,
 // concurrent multi-master writes to the same key converge on every node —
 // the conflict case Dynomite gets wrong (§C-C).
+//
+// Everything between the controlet and the log is a frame: concurrent
+// appends combine into one Append (append), and a Read result is applied
+// as OpMPut frames (applyEntries).
 type logApplier struct {
-	s       *Server
-	client  *sharedlog.Client
-	reader  *sharedlog.Client
-	applied atomic.Uint64 // next offset to apply
-	adj     atomic.Uint64 // version-floor adjustment (see floor records)
-	appends chan appendReq
-	stopCh  chan struct{}
+	s      *Server
+	client *sharedlog.Client // appends
+	reader *sharedlog.Client // the applier's long-polls, on their own connection
+
+	// The cursor. applied is the next offset to apply and adj the
+	// version-floor adjustment in force at that offset; only the applier
+	// goroutine writes them, together, under curMu, so a peer that
+	// bootstraps from this replica (handleLogCursor) reads a pair. The
+	// write path and the offset waiters load each on its own.
+	curMu      sync.Mutex
+	stream     string
+	applied    atomic.Uint64
+	adj        atomic.Uint64
+	positioned bool
+
+	// follows hands the applier a peer to take its position from; see
+	// follow.
+	follows chan followReq
+	// pairs backs the applier's frames from one Read result to the next.
+	pairs []wire.KV
+
+	// The append combiner (see append). queue holds the waiting appenders
+	// in arrival order, under qmu; its head leads. view and datas are the
+	// leader's.
+	qmu        sync.Mutex
+	queue      []*appender
+	stopped    bool
+	view       *sharedlog.Client
+	viewStream string
+	datas      [][]byte
+
+	stopCh chan struct{}
 }
 
-// appendReq is one write waiting for the group-commit batcher.
-type appendReq struct {
-	stream string
-	data   []byte
-	resp   chan appendResult
-}
-
-type appendResult struct {
-	offset uint64
-	err    error
-}
-
-// startLog dials the shared log and starts the applier and the append
-// batcher.
+// startLog dials the shared log and starts the applier.
 func (s *Server) startLog() error {
 	if s.cfg.SharedLogAddr == "" {
 		return errors.New("controlet: AA+EC requires SharedLogAddr")
 	}
-	a := &logApplier{s: s, appends: make(chan appendReq, 256), stopCh: make(chan struct{})}
+	a := &logApplier{s: s, follows: make(chan followReq), stopCh: make(chan struct{})}
 	c, err := sharedlog.DialClient(s.cfg.Network, s.cfg.SharedLogAddr)
 	if err != nil {
 		return err
@@ -69,80 +106,19 @@ func (s *Server) startLog() error {
 	}
 	a.reader = reader
 	s.aaec = a
-	s.wg.Add(2)
-	go a.applyLoop(reader)
-	go a.batchLoop()
+	s.wg.Add(1)
+	go a.applyLoop()
 	return nil
-}
-
-// batchLoop group-commits concurrent appends (CORFU-style): writes that
-// arrive within the batching window share one Append RPC, and the log's
-// contiguous offset assignment hands each its own offset.
-func (a *logApplier) batchLoop() {
-	defer a.s.wg.Done()
-	const maxBatch = 128
-	for {
-		var first appendReq
-		select {
-		case <-a.stopCh:
-			return
-		case first = <-a.appends:
-		}
-		batch := []appendReq{first}
-	gather:
-		for len(batch) < maxBatch {
-			select {
-			case r := <-a.appends:
-				if r.stream != first.stream {
-					// Stream changed mid-batch (promotion); flush what
-					// we have and let the odd one lead the next batch.
-					go func(r appendReq) {
-						select {
-						case a.appends <- r:
-						case <-a.stopCh:
-							r.resp <- appendResult{err: errStopped}
-						}
-					}(r)
-					break gather
-				}
-				batch = append(batch, r)
-			default:
-				break gather
-			}
-		}
-		datas := make([][]byte, len(batch))
-		for i, r := range batch {
-			datas[i] = r.data
-		}
-		firstOff, err := a.client.Stream(first.stream).Append(datas...)
-		for i, r := range batch {
-			if err != nil {
-				r.resp <- appendResult{err: err}
-				continue
-			}
-			r.resp <- appendResult{offset: firstOff + uint64(i)}
-		}
-	}
-}
-
-// append sequences one record through the batcher on the shard's stream.
-func (a *logApplier) append(stream string, data []byte) (uint64, error) {
-	req := appendReq{stream: stream, data: data, resp: make(chan appendResult, 1)}
-	select {
-	case a.appends <- req:
-	case <-a.stopCh:
-		return 0, errStopped
-	}
-	select {
-	case res := <-req.resp:
-		return res.offset, res.err
-	case <-a.stopCh:
-		return 0, errStopped
-	}
 }
 
 func (a *logApplier) stop() {
 	close(a.stopCh)
+	a.qmu.Lock()
+	a.stopped = true
+	a.qmu.Unlock()
+	// Closing the clients fails the Append in flight, whose leader then
+	// passes the lead on; every later leader sees stopped and fails its
+	// frame without sending it.
 	if a.client != nil {
 		_ = a.client.Close()
 	}
@@ -151,135 +127,566 @@ func (a *logApplier) stop() {
 	}
 }
 
-func (a *logApplier) applyLoop(reader *sharedlog.Client) {
+// --- append ---------------------------------------------------------------
+
+// appender is one record waiting in the combiner's queue.
+type appender struct {
+	// wake parks an appender that is not the head: one token, when its
+	// frame has been answered (done) or when it has become the head.
+	wake   chan struct{}
+	stream string
+	data   []byte
+	offset uint64
+	err    error
+	done   bool
+}
+
+var appenderPool = sync.Pool{New: func() any { return &appender{wake: make(chan struct{}, 1)} }}
+
+// append sequences one record on stream. Concurrent appends group-commit
+// (CORFU-style) without a goroutine of their own, the way LevelDB combines
+// writers: the appender at the head of the queue leads — it sends, on its
+// own goroutine, every record queued behind it for the same stream as one
+// Append, whose contiguous offsets it deals out — and when the frame
+// returns the lead passes to the new head, which by then has the next
+// frame waiting behind it. A lone appender is always the head, so it pays
+// no handoff at all. Records leave in arrival order: a frame ends where
+// the stream changes (a promotion mid-queue), and the odd one leads the
+// next.
+func (a *logApplier) append(stream string, data []byte) (uint64, error) {
+	w := appenderPool.Get().(*appender)
+	w.stream, w.data = stream, data
+	a.qmu.Lock()
+	if a.stopped {
+		a.qmu.Unlock()
+		w.data = nil
+		appenderPool.Put(w)
+		return 0, errStopped
+	}
+	a.queue = append(a.queue, w)
+	head := a.queue[0] == w
+	a.qmu.Unlock()
+	if !head {
+		<-w.wake
+	}
+	if !w.done {
+		a.lead(w)
+	}
+	offset, err := w.offset, w.err
+	w.data, w.err, w.done = nil, nil, false
+	appenderPool.Put(w)
+	return offset, err
+}
+
+// lead sends the frame at the head of the queue — head's own record first —
+// answers its appenders and wakes the next head. A frame's records stay
+// queued while it is in flight, which is what tells a newcomer that it is
+// not the head.
+func (a *logApplier) lead(head *appender) {
+	a.qmu.Lock()
+	stopped := a.stopped
+	n := 1
+	for n < len(a.queue) && n < maxAppendFrame && a.queue[n].stream == head.stream {
+		n++
+	}
+	datas := a.datas[:0]
+	for _, w := range a.queue[:n] {
+		datas = append(datas, w.data)
+	}
+	if a.view == nil || a.viewStream != head.stream {
+		a.view, a.viewStream = a.client.Stream(head.stream), head.stream
+	}
+	view := a.view
+	a.qmu.Unlock()
+
+	first, err := uint64(0), errStopped
+	if !stopped {
+		first, err = view.Append(datas...)
+	}
+	clear(datas)
+
+	var frame [maxAppendFrame]*appender
+	a.qmu.Lock()
+	a.datas = datas // the next leader's, once it is woken below
+	followers := frame[:copy(frame[:], a.queue[1:n])]
+	rest := copy(a.queue, a.queue[n:])
+	clear(a.queue[rest:])
+	a.queue = a.queue[:rest]
+	var next *appender
+	if rest > 0 {
+		next = a.queue[0]
+	}
+	a.qmu.Unlock()
+	// The next frame first: it is what everybody still queued waits for.
+	if next != nil {
+		next.wake <- struct{}{}
+	}
+	head.offset, head.err = first, err
+	for i, w := range followers {
+		w.offset, w.err, w.done = first+uint64(i)+1, err, true
+		w.wake <- struct{}{}
+	}
+}
+
+// --- apply ----------------------------------------------------------------
+
+// followReq asks the applier to take its position from a peer.
+type followReq struct {
+	ctlAddr string // the peer's control address; "" = resume at floor
+	floor   uint64 // a peer cursor below this offset is no use
+	done    chan error
+}
+
+// follow repositions the applier at the cursor of the live peer controlet
+// at ctlAddr — the bootstrap of a replica that cannot replay the stream: a
+// standby just mapped into a shard (whose history is in its peers'
+// datalets, and mostly no longer in the bounded log) and a replica that
+// fell below the log's floor. The applier itself asks the peer, at the
+// moment it is ready to read on, so the cursor is not already stale when
+// adopted; follow returns once it has. The caller then backfills from that
+// peer's datalet: the peer took its cursor before that export starts, so
+// the export holds every record below the cursor, the log delivers the
+// rest, and LWW versions make the overlap commute. The cursor carries the
+// peer's floor adjustment, which so far only a replay from offset 0 could
+// reconstruct: from the cursor on, this replica's adj follows the same
+// trajectory as the peer's.
+func (a *logApplier) follow(ctlAddr string, floor uint64) error {
+	req := followReq{ctlAddr: ctlAddr, floor: floor, done: make(chan error, 1)}
+	select {
+	case a.follows <- req:
+		return <-req.done
+	case <-a.stopCh:
+		return errStopped
+	}
+}
+
+// LogCursorReply is a replica's position in its shard's stream; without
+// Positioned the applier is itself waiting for one.
+type LogCursorReply struct {
+	Stream     string `json:"stream"`
+	Applied    uint64 `json:"applied"`
+	Adj        uint64 `json:"adj"`
+	Positioned bool   `json:"positioned"`
+}
+
+// handleLogCursor serves a bootstrapping peer this replica's cursor. The
+// applier skips this node's own records — their writers apply them — so a
+// record below the cursor may still be on its way into the datalet on a
+// write handler's goroutine; the quiesce barrier waits those out, and what
+// the peer exports from this node's datalet afterwards holds everything
+// below the cursor — and, whatever the cursor, every record this node
+// itself has had sequenced.
+func (s *Server) handleLogCursor(struct{}) (LogCursorReply, error) {
+	if s.aaec == nil {
+		return LogCursorReply{}, errors.New("controlet: not an AA+EC controlet")
+	}
+	a := s.aaec
+	a.curMu.Lock()
+	reply := LogCursorReply{Stream: a.stream, Applied: a.applied.Load(), Adj: a.adj.Load(), Positioned: a.positioned}
+	a.curMu.Unlock()
+	s.inflight.Lock()
+	s.inflight.Unlock() //nolint:staticcheck // barrier handover
+	return reply, nil
+}
+
+// peerCursor asks the controlet at ctlAddr for its cursor.
+func (a *logApplier) peerCursor(ctlAddr string) (LogCursorReply, error) {
+	var cur LogCursorReply
+	ctl, err := rpc.DialClient(a.s.cfg.Network, ctlAddr)
+	if err == nil {
+		err = ctl.Call("LogCursor", struct{}{}, &cur)
+		ctl.Close()
+	}
+	if err != nil {
+		return cur, fmt.Errorf("log cursor of %s: %w", ctlAddr, err)
+	}
+	return cur, nil
+}
+
+// publish moves the cursor. Only the applier goroutine calls it.
+func (a *logApplier) publish(stream string, next, adj uint64, positioned bool) {
+	a.curMu.Lock()
+	a.stream, a.positioned = stream, positioned
+	a.adj.Store(adj)
+	a.applied.Store(next)
+	a.curMu.Unlock()
+	ctlAAECApplied.Set(int64(next))
+}
+
+// applyLoop consumes the shard's stream. It owns the cursor: it reads from
+// next, applies what it read as frames, and advances only past what the
+// local datalet took.
+func (a *logApplier) applyLoop() {
 	defer a.s.wg.Done()
-	defer reader.Close()
-	next := uint64(0)
+	defer a.reader.Close()
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
+	// arm sets the loop's one timer, first discarding a tick nobody took.
+	arm := func(d time.Duration) {
+		if !timer.Stop() {
+			select {
+			case <-timer.C:
+			default:
+			}
+		}
+		timer.Reset(d)
+	}
+	// pause waits d out; false = the controlet stopped.
+	pause := func(d time.Duration) bool {
+		arm(d)
+		select {
+		case <-a.stopCh:
+			return false
+		case <-timer.C:
+			return true
+		}
+	}
 	stream := a.s.shardID()
+	var next uint64
+	positioned := true
+	// owed is the log floor this replica fell below, until a catch-up from
+	// a peer's datalet has covered the gap; catching is a catch-up in
+	// flight and catchingFor the floor it set out to clear.
+	var owed, catchingFor uint64
+	var catching chan error
+	caught := func(err error) {
+		catching = nil
+		if err == nil && owed == catchingFor {
+			owed = 0
+		}
+	}
+	// resync notices that the map has put this node into another shard (a
+	// standby's promotion). That stream's history lives in the new peers'
+	// datalets; replaying it from offset 0 is neither cheap nor, once the
+	// log has trimmed, possible. The applier waits for the coordinator's
+	// Recover, which positions it at a peer's cursor (follow) and
+	// backfills the rest.
+	resync := func() {
+		if cur := a.s.shardID(); cur != stream {
+			stream, positioned, owed = cur, false, 0
+			a.publish(stream, 0, 0, false)
+		}
+	}
+	serve := func(req followReq) {
+		resync() // the request may be the first the loop hears of a new map
+		at, err := a.reposition(req, stream)
+		if err == nil {
+			next, positioned = at, true
+		}
+		req.done <- err
+	}
+	a.publish(stream, 0, 0, true)
 	for {
 		select {
 		case <-a.stopCh:
 			return
+		case req := <-a.follows:
+			serve(req)
+			continue
+		case err := <-catching:
+			caught(err)
+			continue
 		default:
 		}
-		// A standby promoted into a shard starts following that shard's
-		// stream from the beginning (idempotent under LWW versions). The
-		// floor adjustment replays with it: floor records are part of the
-		// stream, so adj follows the same trajectory on every replay.
-		if cur := a.s.shardID(); cur != stream {
-			stream = cur
-			next = 0
-			a.adj.Store(0)
+		resync()
+		if owed != 0 && catching == nil {
+			catching, catchingFor = make(chan error, 1), owed
+			a.s.wg.Add(1)
+			go a.catchUp(owed, catching)
 		}
-		entries, n, err := reader.Stream(stream).Read(next, 4096, 500*time.Millisecond)
-		if err != nil {
+		if !positioned {
+			arm(500 * time.Millisecond) // then look at the map again
 			select {
 			case <-a.stopCh:
 				return
-			case <-time.After(50 * time.Millisecond):
-				continue
+			case req := <-a.follows:
+				serve(req)
+			case err := <-catching:
+				caught(err)
+			case <-timer.C:
 			}
+			continue
 		}
-		for _, e := range entries {
-			a.applyEntry(e)
+		entries, n, err := a.reader.Stream(stream).Read(next, 4096, 500*time.Millisecond)
+		var gone *sharedlog.TrimmedError
+		if errors.As(err, &gone) {
+			// Fell out of the log's retention window (a long partition, a
+			// stalled datalet): the records in between exist only in the
+			// peers' datalets now.
+			ctlAAECRebootstraps.Inc()
+			a.s.cfg.Logf("controlet %s: stream %q trimmed to %d, applier was at %d: catching up from a peer",
+				a.s.cfg.NodeID, stream, gone.Oldest, next)
+			positioned, owed = false, gone.Oldest
+			a.publish(stream, next, a.adj.Load(), false)
+			continue
+		}
+		if err != nil {
+			if !pause(50 * time.Millisecond) {
+				return
+			}
+			continue
+		}
+		if !a.applyEntries(stream, entries, pause) {
+			return
 		}
 		next = n
-		a.applied.Store(next)
-		ctlAAECApplied.Set(int64(next))
+		a.publish(stream, next, a.adj.Load(), true)
 		if len(entries) > 0 {
 			// Pace the long-poll so sustained appends coalesce into
 			// batched reads instead of one wake per entry (the paper's
 			// "scale the Shared Log setup" concern); costs ≤1ms of EC
 			// propagation lag.
-			select {
-			case <-a.stopCh:
+			if !pause(time.Millisecond) {
 				return
-			case <-time.After(time.Millisecond):
 			}
 		}
 	}
 }
 
-func (a *logApplier) applyEntry(e sharedlog.Entry) {
-	if len(e.Data) > 0 && e.Data[0] == recFloor {
-		a.applyFloor(e)
-		return
+// reposition serves one follow request on the applier goroutine: it
+// publishes the new cursor and returns the offset to read on from.
+func (a *logApplier) reposition(req followReq, stream string) (uint64, error) {
+	next, adj := req.floor, a.adj.Load()
+	if req.ctlAddr != "" {
+		cur, err := a.peerCursor(req.ctlAddr)
+		switch {
+		case err != nil:
+			return 0, err
+		case cur.Stream != stream:
+			return 0, fmt.Errorf("log cursor of %s: it follows stream %q, this node %q", req.ctlAddr, cur.Stream, stream)
+		case !cur.Positioned || cur.Applied < req.floor:
+			return 0, fmt.Errorf("%w: %s is at %d (positioned: %v), itself behind the log's floor %d",
+				errPeerBehind, req.ctlAddr, cur.Applied, cur.Positioned, req.floor)
+		}
+		next, adj = cur.Applied, cur.Adj
 	}
-	rec, err := decodeLogRecord(e.Data)
-	if err != nil {
-		a.s.cfg.Logf("controlet %s: corrupt log entry at %d: %v", a.s.cfg.NodeID, e.Offset, err)
-		return
+	a.publish(stream, next, adj, true)
+	return next, nil
+}
+
+// catchUp is the self-driven bootstrap of a replica that fell below the
+// log's floor: take a live peer's cursor, then backfill from that peer's
+// datalet — what the coordinator drives for a standby (recoverFrom). It
+// runs beside the applier, which reads on from the cursor meanwhile, and
+// reports on done; a failure is reported only after a pause, which spaces
+// the applier's next attempt.
+func (a *logApplier) catchUp(floor uint64, done chan<- error) {
+	s := a.s
+	defer s.wg.Done()
+	err := func() error {
+		var peers []topology.Node
+		shard, _ := s.myShard(s.Map())
+		for _, n := range shard.Replicas {
+			if n.ID != s.cfg.NodeID && !n.Recovering && n.ControlAddr != "" {
+				peers = append(peers, n)
+			}
+		}
+		backfill := func(n topology.Node) error {
+			_, err := s.backfill(RecoverArgs{SourceDatalet: n.DataletAddr, Codec: n.DataletCodec})
+			return err
+		}
+		var gap error
+		for _, n := range peers {
+			if err := a.follow(n.ControlAddr, floor); err != nil {
+				if errors.Is(err, errStopped) {
+					return err
+				}
+				s.cfg.Logf("controlet %s: %v", s.cfg.NodeID, err)
+				continue
+			}
+			if gap = backfill(n); gap == nil {
+				return nil
+			}
+			// Positioned, but the gap is still owed.
+		}
+		if gap != nil {
+			return gap
+		}
+		// No peer's applier is ahead of the floor: a single replica, every
+		// replica stalled at once, fresh controlets on a stream with a
+		// past. No one datalet then holds all of the gap, but together
+		// they do: every record is in its writer's datalet, applied there
+		// before its ack (the cursor call is the barrier for the ones in
+		// flight). Take them all, then resume at the floor. What cannot be
+		// recovered is a floor record inside the gap: nobody has applied
+		// it, and the adjustment stays where each replica had it.
+		s.cfg.Logf("controlet %s: no peer's applier is ahead of the log's floor %d: backfilling from all %d",
+			s.cfg.NodeID, floor, len(peers))
+		for _, n := range peers {
+			if _, err := a.peerCursor(n.ControlAddr); err != nil {
+				return err
+			}
+			if err := backfill(n); err != nil {
+				return err
+			}
+		}
+		return a.follow("", floor)
+	}()
+	if err != nil && !errors.Is(err, errStopped) {
+		s.cfg.Logf("controlet %s: catching up from a peer: %v", s.cfg.NodeID, err)
+		select {
+		case <-a.stopCh:
+		case <-time.After(applyRetryMax):
+		}
 	}
-	adj := a.adj.Load()
-	version := aaecVersionBase + adj + e.Offset + 1
-	a.s.observeVersion(version)
-	if rec.origin == a.s.cfg.NodeID && rec.adj == adj {
-		// Already applied synchronously at append time with this exact
-		// version. If the adjustments differ, the origin acked with a stale
-		// floor and we fall through to reapply at the deterministic version
-		// — idempotent under LWW (same value, version >= the stale one).
-		return
-	}
-	if rec.shard != "" && rec.shard != a.s.shardID() {
-		return // another shard's stream
+	done <- err
+}
+
+// applyEntries applies one Read result to the local datalet as frames:
+// consecutive puts to one table travel as one OpMPut carrying their
+// offset-derived versions; a delete (the datalet has no multi-delete), a
+// floor record (it changes the versions after it), a table change and
+// maxApplyFrame close the frame. This node's own records (already applied
+// by their writers) and other shards' are skipped. A frame the datalet did
+// not take is retried until it lands: the writes in it are acknowledged,
+// and moving on would lose them on this replica for good. False means the
+// controlet stopped first.
+func (a *logApplier) applyEntries(stream string, entries []sharedlog.Entry, pause func(time.Duration) bool) bool {
+	if len(entries) == 0 {
+		return true
 	}
 	// Log records carry no trace ID (the sampled writer's own apply is
 	// traced synchronously at append time) and no deadline: the write is
 	// already acknowledged and must reach every replica however late.
-	op := wire.OpPut
-	if rec.del {
-		op = wire.OpDel
+	w := writePool.Get().(*writeSet)
+	w.pairs = a.pairs[:0]
+	defer func() {
+		a.pairs = w.pairs[:0]
+		w.release()
+	}()
+	flush := func() bool {
+		if len(w.pairs) == 0 {
+			return true
+		}
+		w.batch = !w.del
+		for delay := applyRetryMin; ; delay = min(2*delay, applyRetryMax) {
+			w.resetStatus()
+			err := a.s.applyLocal(w, false)
+			if errors.Is(err, errNoTable) {
+				// The table was dropped after these writes were logged;
+				// they have nowhere to land, now or later.
+				a.s.cfg.Logf("controlet %s: dropping %d log records: %v", a.s.cfg.NodeID, len(w.pairs), err)
+				err = nil
+			}
+			if err == nil {
+				break
+			}
+			a.s.cfg.Logf("controlet %s: apply log frame (%d records up to version %d), retrying: %v",
+				a.s.cfg.NodeID, len(w.pairs), w.pairs[len(w.pairs)-1].Version, err)
+			if !pause(delay) {
+				return false
+			}
+		}
+		clear(w.pairs)
+		w.pairs, w.del = w.pairs[:0], false
+		return true
 	}
-	w := decodeWrite(&wire.Request{Op: op, Table: rec.table, Key: rec.key, Value: rec.value, Version: version})
-	if err := a.s.applyLocal(w, false); err != nil {
-		a.s.cfg.Logf("controlet %s: apply log entry %d: %v", a.s.cfg.NodeID, e.Offset, err)
+	adj := a.adj.Load()
+	for i := range entries {
+		e := &entries[i]
+		if len(e.Data) > 0 && e.Data[0] == recFloor {
+			if !flush() {
+				return false
+			}
+			if raised := a.floorAdj(stream, e, adj); raised != adj {
+				adj = raised
+				a.publish(stream, e.Offset+1, adj, true)
+			}
+			continue
+		}
+		rec, err := decodeLogRecord(e.Data)
+		if err != nil {
+			a.s.cfg.Logf("controlet %s: corrupt log entry at %d: %v", a.s.cfg.NodeID, e.Offset, err)
+			continue
+		}
+		if string(rec.origin) == a.s.cfg.NodeID && rec.adj == adj {
+			// Already applied synchronously at append time with this exact
+			// version. If the adjustments differ, the origin acked with a stale
+			// floor and we fall through to reapply at the deterministic version
+			// — idempotent under LWW (same value, version >= the stale one).
+			continue
+		}
+		if len(rec.shard) > 0 && string(rec.shard) != stream {
+			continue // another shard's stream
+		}
+		newTable := string(rec.table) != w.table
+		if rec.del || newTable || len(w.pairs) == maxApplyFrame {
+			if !flush() {
+				return false
+			}
+			if newTable {
+				w.table = string(rec.table) // interned once per frame
+			}
+		}
+		w.pairs = append(w.pairs, wire.KV{Key: rec.key, Value: rec.value, Version: aaecVersionBase + adj + e.Offset + 1})
+		if rec.del {
+			w.del = true
+			if !flush() {
+				return false
+			}
+		}
 	}
-	w.release()
+	// Versions grow with the offset, so the last one covers the batch.
+	a.s.observeVersion(aaecVersionBase + adj + entries[len(entries)-1].Offset + 1)
+	return flush()
 }
 
-// applyFloor raises the stream's version-floor adjustment so that every
-// subsequent offset-derived version lands strictly above the floor. A
-// migration that moves keys into this shard carries versions minted on the
-// SOURCE's stream, which can sit far above this stream's current offsets;
-// without the floor, post-cutover writes here would silently lose the LWW
-// race to migrated history. The record lives in the log itself, so every
-// replica (and every future replay from offset 0) computes the identical
-// adjustment at the identical point in the sequence.
-func (a *logApplier) applyFloor(e sharedlog.Entry) {
+// floorAdj returns the stream's version-floor adjustment after floor record
+// e, given the one before it: raised so that every subsequent offset-derived
+// version lands strictly above the floor. A migration that moves keys into
+// this shard carries versions minted on the SOURCE's stream, which can sit
+// far above this stream's current offsets; without the floor, post-cutover
+// writes here would silently lose the LWW race to migrated history. The
+// record lives in the log itself, so every replica computes the identical
+// adjustment at the identical point in the sequence, and a replica that
+// joins past it inherits the adjustment with its peer's cursor (follow).
+func (a *logApplier) floorAdj(stream string, e *sharedlog.Entry, adj uint64) uint64 {
 	shard, floor, err := decodeFloorRecord(e.Data)
 	if err != nil {
 		a.s.cfg.Logf("controlet %s: corrupt floor record at %d: %v", a.s.cfg.NodeID, e.Offset, err)
-		return
+		return adj
 	}
-	if shard != "" && shard != a.s.shardID() {
-		return
-	}
-	base := aaecVersionBase + e.Offset + 1
-	if floor <= base {
-		return
-	}
-	if cand := floor - base; cand > a.adj.Load() {
-		a.adj.Store(cand) // only the applyLoop goroutine writes adj
+	if len(shard) > 0 && string(shard) != stream {
+		return adj
 	}
 	a.s.observeVersion(floor)
+	if base := aaecVersionBase + e.Offset + 1; floor > base && floor-base > adj {
+		return floor - base
+	}
+	return adj
+}
+
+// waitApplied polls, on one timer, until the applier's cursor satisfies
+// reached.
+func (a *logApplier) waitApplied(every time.Duration, reached func(applied uint64) bool) error {
+	if reached(a.applied.Load()) {
+		return nil
+	}
+	timer := time.NewTimer(every)
+	defer timer.Stop()
+	for {
+		select {
+		case <-a.stopCh:
+			return errStopped
+		case <-timer.C:
+		}
+		if reached(a.applied.Load()) {
+			return nil
+		}
+		timer.Reset(every)
+	}
 }
 
 // appendFloor sequences a version-floor record through the shard's stream
 // and waits until the local applier has consumed it, so writes acked by
 // this node after appendFloor returns carry post-floor versions.
 func (a *logApplier) appendFloor(floor uint64) error {
-	off, err := a.append(a.s.shardID(), encodeFloorRecord(a.s.shardID(), floor))
+	shard := a.s.shardID()
+	off, err := a.append(shard, encodeFloorRecord(shard, floor))
 	if err != nil {
 		return err
 	}
-	for a.applied.Load() <= off {
-		select {
-		case <-a.stopCh:
-			return errStopped
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
-	return nil
+	return a.waitApplied(2*time.Millisecond, func(applied uint64) bool { return applied > off })
 }
 
 // drain blocks until the applier has consumed everything appended before
@@ -289,13 +696,7 @@ func (a *logApplier) drain() {
 	if err != nil {
 		return
 	}
-	for a.applied.Load() < target {
-		select {
-		case <-a.stopCh:
-			return
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
+	_ = a.waitApplied(5*time.Millisecond, func(applied uint64) bool { return applied >= target }) // stopping: nothing left to wait for
 }
 
 // orderLog is the AA+EC orderer: sequence the write through the shared
@@ -304,17 +705,9 @@ func (a *logApplier) drain() {
 // replicate stage.
 func (s *Server) orderLog(w *writeSet) error {
 	adj := s.aaec.adj.Load()
-	rec := logRecord{
-		origin: s.cfg.NodeID,
-		shard:  s.shardID(),
-		adj:    adj,
-		del:    w.del,
-		table:  w.table,
-		key:    w.pairs[0].Key,
-		value:  w.pairs[0].Value,
-	}
+	shard := s.shardID()
 	start := time.Now()
-	offset, err := s.aaec.append(rec.shard, encodeLogRecord(rec))
+	offset, err := s.aaec.append(shard, encodeLogRecord(s.cfg.NodeID, shard, adj, w.del, w.table, w.pairs[0].Key, w.pairs[0].Value))
 	s.observeWait(ctlLogAppendLat, w.tid, "log.append", start, err)
 	if err != nil {
 		return downstream{"sharedlog", err}
@@ -328,37 +721,37 @@ func (s *Server) orderLog(w *writeSet) error {
 	return s.applyLocal(w, false)
 }
 
-// logRecord is the payload sequenced through the shared log. The shard tag
-// makes one physical log carry every shard's stream, Tango-style: each
-// applier consumes the total order but applies only its own shard's
-// entries.
+// logRecord is a decoded put/del record of the shared log; its fields
+// alias the entry. The shard tag makes one physical log carry every
+// shard's stream, Tango-style: each applier consumes the total order but
+// applies only its own shard's entries.
 type logRecord struct {
-	origin string
-	shard  string
+	origin []byte
+	shard  []byte
 	adj    uint64 // floor adjustment the origin used for its synchronous apply
 	del    bool
-	table  string
+	table  []byte
 	key    []byte
 	value  []byte
 }
 
-// recFloor tags a version-floor record (see applyFloor); 0/1 tag ordinary
+// recFloor tags a version-floor record (see floorAdj); 0/1 tag ordinary
 // put/del records.
 const recFloor = 2
 
-func encodeLogRecord(r logRecord) []byte {
-	out := make([]byte, 0, 30+len(r.origin)+len(r.shard)+len(r.table)+len(r.key)+len(r.value))
-	if r.del {
+func encodeLogRecord(origin, shard string, adj uint64, del bool, table string, key, value []byte) []byte {
+	out := make([]byte, 0, 30+len(origin)+len(shard)+len(table)+len(key)+len(value))
+	if del {
 		out = append(out, 1)
 	} else {
 		out = append(out, 0)
 	}
-	out = appendBytes(out, []byte(r.origin))
-	out = appendBytes(out, []byte(r.shard))
-	out = binary.AppendUvarint(out, r.adj)
-	out = appendBytes(out, []byte(r.table))
-	out = appendBytes(out, r.key)
-	out = appendBytes(out, r.value)
+	out = appendString(out, origin)
+	out = appendString(out, shard)
+	out = binary.AppendUvarint(out, adj)
+	out = appendString(out, table)
+	out = appendBytes(out, key)
+	out = appendBytes(out, value)
 	return out
 }
 
@@ -369,26 +762,22 @@ func decodeLogRecord(b []byte) (logRecord, error) {
 	}
 	r.del = b[0] == 1
 	b = b[1:]
-	var f []byte
 	var err error
-	if f, b, err = takeBytes(b); err != nil {
+	if r.origin, b, err = takeBytes(b); err != nil {
 		return r, err
 	}
-	r.origin = string(f)
-	if f, b, err = takeBytes(b); err != nil {
+	if r.shard, b, err = takeBytes(b); err != nil {
 		return r, err
 	}
-	r.shard = string(f)
 	adj, w := binary.Uvarint(b)
 	if w <= 0 {
 		return r, fmt.Errorf("corrupt field")
 	}
 	r.adj = adj
 	b = b[w:]
-	if f, b, err = takeBytes(b); err != nil {
+	if r.table, b, err = takeBytes(b); err != nil {
 		return r, err
 	}
-	r.table = string(f)
 	if r.key, b, err = takeBytes(b); err != nil {
 		return r, err
 	}
@@ -401,29 +790,34 @@ func decodeLogRecord(b []byte) (logRecord, error) {
 func encodeFloorRecord(shard string, floor uint64) []byte {
 	out := make([]byte, 0, 12+len(shard))
 	out = append(out, recFloor)
-	out = appendBytes(out, []byte(shard))
+	out = appendString(out, shard)
 	out = binary.AppendUvarint(out, floor)
 	return out
 }
 
-func decodeFloorRecord(b []byte) (shard string, floor uint64, err error) {
+func decodeFloorRecord(b []byte) (shard []byte, floor uint64, err error) {
 	if len(b) < 1 || b[0] != recFloor {
-		return "", 0, fmt.Errorf("not a floor record")
+		return nil, 0, fmt.Errorf("not a floor record")
 	}
-	f, rest, err := takeBytes(b[1:])
+	shard, rest, err := takeBytes(b[1:])
 	if err != nil {
-		return "", 0, err
+		return nil, 0, err
 	}
 	floor, w := binary.Uvarint(rest)
 	if w <= 0 {
-		return "", 0, fmt.Errorf("corrupt floor")
+		return nil, 0, fmt.Errorf("corrupt floor")
 	}
-	return string(f), floor, nil
+	return shard, floor, nil
 }
 
 func appendBytes(dst, b []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(b)))
 	return append(dst, b...)
+}
+
+func appendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
 }
 
 func takeBytes(b []byte) (field, rest []byte, err error) {

@@ -253,6 +253,7 @@ func Serve(cfg Config) (*Server, error) {
 	s.ctl = rpc.NewServer()
 	rpc.HandleFunc(s.ctl, "UpdateMap", s.handleUpdateMap)
 	rpc.HandleFunc(s.ctl, "Recover", s.handleRecover)
+	rpc.HandleFunc(s.ctl, "LogCursor", s.handleLogCursor)
 	rpc.HandleFunc(s.ctl, "Drain", s.handleDrain)
 	rpc.HandleFunc(s.ctl, "Quiesce", s.handleQuiesce)
 	rpc.HandleFunc(s.ctl, "Reconcile", s.handleReconcile)
@@ -590,7 +591,7 @@ func (s *Server) serveConn(conn transport.Conn) {
 			return
 		}
 		resp.Reset()
-		req.ArmDeadline(time.Now())
+		req.ArmDeadline(time.Now)
 		timed := req.TraceID != 0 || metrics.SampleLatency()
 		var start time.Time
 		if timed {
@@ -764,6 +765,9 @@ func (s *Server) handleUpdateMap(m *topology.Map) (struct{}, error) {
 type RecoverArgs struct {
 	// SourceDatalet is the data address of the surviving datalet.
 	SourceDatalet string `json:"source"`
+	// SourceControl is the control address of that datalet's controlet;
+	// an AA+EC controlet takes its log cursor from there.
+	SourceControl string `json:"source_ctl,omitempty"`
 	// Codec optionally overrides the protocol spoken by the source
 	// datalet (defaults to this controlet's datalet codec).
 	Codec string `json:"codec,omitempty"`

@@ -14,33 +14,16 @@ import (
 )
 
 func TestLogRecordRoundtrip(t *testing.T) {
-	in := logRecord{
-		origin: "s0-r1",
-		shard:  "shard-0",
-		del:    true,
-		table:  "jobs",
-		key:    []byte("key-1"),
-		value:  []byte("value-1"),
-	}
-	out, err := decodeLogRecord(encodeLogRecord(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.origin != in.origin || out.shard != in.shard || out.del != in.del || out.table != in.table ||
-		!bytes.Equal(out.key, in.key) || !bytes.Equal(out.value, in.value) {
-		t.Fatalf("roundtrip mismatch: %+v vs %+v", in, out)
-	}
-}
-
-func TestLogRecordRoundtripQuick(t *testing.T) {
-	f := func(origin, shard, table string, key, value []byte, del bool) bool {
-		in := logRecord{origin: origin, shard: shard, del: del, table: table, key: key, value: value}
-		out, err := decodeLogRecord(encodeLogRecord(in))
+	f := func(origin, shard, table string, adj uint64, key, value []byte, del bool) bool {
+		out, err := decodeLogRecord(encodeLogRecord(origin, shard, adj, del, table, key, value))
 		if err != nil {
 			return false
 		}
-		return out.origin == in.origin && out.shard == in.shard && out.del == in.del && out.table == in.table &&
-			bytes.Equal(out.key, in.key) && bytes.Equal(out.value, in.value)
+		return string(out.origin) == origin && string(out.shard) == shard && out.adj == adj && out.del == del &&
+			string(out.table) == table && bytes.Equal(out.key, key) && bytes.Equal(out.value, value)
+	}
+	if !f("s0-r1", "shard-0", "jobs", 7, []byte("key-1"), []byte("value-1"), true) {
+		t.Fatal("roundtrip mismatch")
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -54,7 +37,7 @@ func TestLogRecordDecodeRejectsGarbage(t *testing.T) {
 		}
 	}
 	// A truncated valid record must error, not panic.
-	full := encodeLogRecord(logRecord{origin: "o", shard: "s", table: "t", key: []byte("k"), value: []byte("v")})
+	full := encodeLogRecord("o", "s", 0, false, "t", []byte("k"), []byte("v"))
 	for cut := 1; cut < len(full); cut++ {
 		if _, err := decodeLogRecord(full[:cut]); err == nil {
 			t.Fatalf("truncated record at %d decoded", cut)

@@ -27,17 +27,31 @@ type testShard struct {
 	ctls     []*Server
 	datalets []*datalet.Server
 	m        *topology.Map
+	logAddr  string // the AA+EC shared log
 }
 
-func startDatalet(tb testing.TB, name string) *datalet.Server {
+// shardOpts are the knobs a test turns on the harness (zero: none).
+type shardOpts struct {
+	// engine wraps replica i's table engines (fault injection).
+	engine func(replica int, e store.Engine) store.Engine
+	// logSegment is the shared log's SegmentEntries.
+	logSegment int
+}
+
+func startDatalet(tb testing.TB, name string, wrap func(store.Engine) store.Engine) *datalet.Server {
 	tb.Helper()
 	net, _ := transport.Lookup("inproc")
 	d, err := datalet.Serve(datalet.Config{
-		Name:      name,
-		Network:   net,
-		Codec:     wire.BinaryCodec{},
-		NewEngine: func(string) (store.Engine, error) { return ht.New(), nil },
-		Logf:      tb.Logf,
+		Name:    name,
+		Network: net,
+		Codec:   wire.BinaryCodec{},
+		NewEngine: func(string) (store.Engine, error) {
+			if wrap != nil {
+				return wrap(ht.New()), nil
+			}
+			return ht.New(), nil
+		},
+		Logf: tb.Logf,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -51,6 +65,11 @@ func startDatalet(tb testing.TB, name string) *datalet.Server {
 // itself.
 func startShard(tb testing.TB, mode topology.Mode, n int, extra ...topology.Node) *testShard {
 	tb.Helper()
+	return startShardOpts(tb, mode, n, shardOpts{}, extra...)
+}
+
+func startShardOpts(tb testing.TB, mode topology.Mode, n int, opts shardOpts, extra ...topology.Node) *testShard {
+	tb.Helper()
 	net, _ := transport.Lookup("inproc")
 	cfg := Config{ShardID: "shard-0", Network: net, Codec: wire.BinaryCodec{}, Mode: mode, Logf: tb.Logf}
 	if mode.Topology == topology.AA && mode.Consistency == topology.Strong {
@@ -62,21 +81,26 @@ func startShard(tb testing.TB, mode topology.Mode, n int, extra ...topology.Node
 		cfg.DLMAddr = l.Addr()
 	}
 	if mode.Topology == topology.AA && mode.Consistency == topology.Eventual {
-		l, err := sharedlog.Serve(sharedlog.Config{Network: net})
+		l, err := sharedlog.Serve(sharedlog.Config{Network: net, SegmentEntries: opts.logSegment})
 		if err != nil {
 			tb.Fatal(err)
 		}
 		tb.Cleanup(func() { l.Close() })
 		cfg.SharedLogAddr = l.Addr()
 	}
-	sh := &testShard{m: &topology.Map{
+	sh := &testShard{logAddr: cfg.SharedLogAddr, m: &topology.Map{
 		Epoch:       5,
 		Mode:        mode,
 		Partitioner: topology.HashPartitioner,
 		Shards:      []topology.Shard{{ID: cfg.ShardID}},
 	}}
 	for i := 0; i < n; i++ {
-		d := startDatalet(tb, fmt.Sprintf("d%d", i))
+		var wrap func(store.Engine) store.Engine
+		if opts.engine != nil {
+			i := i
+			wrap = func(e store.Engine) store.Engine { return opts.engine(i, e) }
+		}
+		d := startDatalet(tb, fmt.Sprintf("d%d", i), wrap)
 		c := cfg
 		c.NodeID = fmt.Sprintf("n%d", i)
 		c.DataletAddr = d.Addr()

@@ -124,7 +124,7 @@ func putCopy(fwd *wire.Request) {
 func (s *Server) localCall(req *wire.Request, resp *wire.Response) {
 	fwd := wire.GetRequest()
 	*fwd = *req
-	if !fwd.RestampDeadline(time.Now()) {
+	if !fwd.RestampDeadline(time.Now) {
 		putCopy(fwd)
 		ctlDeadlineExpired.Inc()
 		resp.Status = wire.StatusOverloaded

@@ -29,6 +29,9 @@ var (
 	ctlReplicateAll  = metrics.Default.Counter("bespokv_controlet_replicate_all_total")
 	ctlLogAppendLat  = metrics.Default.Histogram("bespokv_controlet_log_append_seconds")
 	ctlAAECApplied   = metrics.Default.Gauge("bespokv_controlet_aaec_applied_offset")
+	// Times a log applier found itself below the shared log's retention
+	// floor and had to catch up from a peer's datalet.
+	ctlAAECRebootstraps = metrics.Default.Counter("bespokv_controlet_aaec_rebootstraps_total")
 
 	// AA+SC lease acquisition: the DLM wait is the paper's SC overhead.
 	ctlLockWait = metrics.Default.Histogram("bespokv_controlet_lock_wait_seconds")

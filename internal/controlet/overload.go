@@ -39,7 +39,7 @@ var errDeadlineSpent = fmt.Errorf("%w: deadline expired", errShed)
 // more often than its head.
 func (s *Server) dispatchAdmit(req *wire.Request, resp *wire.Response) {
 	lane := overload.LaneOf(req.Op)
-	if lane != overload.LaneControl && req.DeadlineExpired(time.Now()) {
+	if lane != overload.LaneControl && req.DeadlineExpired(time.Now) {
 		ctlDeadlineExpired.Inc()
 		resp.Status = wire.StatusOverloaded
 		resp.Err = "controlet: deadline expired"

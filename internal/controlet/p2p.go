@@ -85,7 +85,7 @@ func (s *Server) p2pTarget(m *topology.Map, owner topology.Shard, req *wire.Requ
 // must serve it: a P2P hop, a transition handoff — and copies the peer's
 // answer back. The peer is handed what remains of the deadline budget.
 func (s *Server) relay(addr string, fwd *wire.Request, resp *wire.Response) {
-	if !fwd.RestampDeadline(time.Now()) {
+	if !fwd.RestampDeadline(time.Now) {
 		ctlDeadlineExpired.Inc()
 		resp.Status = wire.StatusOverloaded
 		resp.Err = "controlet: deadline expired"

@@ -3,6 +3,7 @@ package controlet
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"bespokv/internal/datalet"
 	"bespokv/internal/wire"
@@ -33,7 +34,38 @@ type RecoverReply struct {
 // only records newer than the watermark, tombstones included — and only
 // if the source cannot serve a complete delta does recovery fall back to
 // the full OpExport stream.
+//
+// Under AA+EC the log applier first takes its position from the source's
+// controlet (logApplier.follow): the data below that cursor is what the
+// backfill brings, the log delivers the rest.
 func (s *Server) recoverFrom(args RecoverArgs) (RecoverReply, error) {
+	if s.aaec != nil {
+		if args.SourceControl == "" {
+			return RecoverReply{}, errors.New("recover: AA+EC needs the source's control address for its log cursor")
+		}
+		// The source may itself be catching up right now (a shard under
+		// load that just lost a replica); give it a few seconds.
+		for attempt := 1; ; attempt++ {
+			err := s.aaec.follow(args.SourceControl, 0)
+			if err == nil {
+				break
+			}
+			if attempt == 8 || !errors.Is(err, errPeerBehind) {
+				return RecoverReply{}, fmt.Errorf("recover: %w", err)
+			}
+			select {
+			case <-s.stopCh:
+				return RecoverReply{}, errStopped
+			case <-time.After(500 * time.Millisecond):
+			}
+		}
+	}
+	return s.backfill(args)
+}
+
+// backfill is recoverFrom's data leg: the source datalet's tables into the
+// local one.
+func (s *Server) backfill(args RecoverArgs) (RecoverReply, error) {
 	var reply RecoverReply
 	codec := s.cfg.DataletCodec
 	if args.Codec != "" {

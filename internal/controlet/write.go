@@ -2,6 +2,7 @@ package controlet
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -41,6 +42,10 @@ type writeSet struct {
 	one    [1]wire.KV // backs pairs of a single-key frame
 }
 
+// errNoTable is applyLocal's refusal of a write to a table the local
+// datalet does not have.
+var errNoTable = errors.New("local datalet")
+
 // statusRetry marks, inside applyLocal only, a pair that lost a version
 // race and goes into the next attempt's frame.
 const statusRetry = wire.Status(0xff)
@@ -60,13 +65,18 @@ func decodeWrite(req *wire.Request) *writeSet {
 		w.one[0] = wire.KV{Key: req.Key, Value: req.Value, Version: req.Version}
 		w.pairs = w.one[:]
 	}
+	w.resetStatus()
+	return w
+}
+
+// resetStatus gives every pair a fresh StatusOK.
+func (w *writeSet) resetStatus() {
 	if n := len(w.pairs); n <= cap(w.status) {
 		w.status = w.status[:n]
 		clear(w.status)
 	} else {
 		w.status = make([]wire.Status, n)
 	}
-	return w
 }
 
 func (w *writeSet) release() {
@@ -107,6 +117,11 @@ func (w *writeSet) encode(fwd *wire.Request, kind int, want wire.Status) int {
 		return 1
 	}
 	fwd.Op = ops.multi
+	if cap(fwd.Pairs) < len(w.pairs) {
+		// A pooled request rarely comes with an array (every struct-copy
+		// user drops it, see putCopy): size it once, not by doubling.
+		fwd.Pairs = make([]wire.KV, 0, len(w.pairs))
+	}
 	for i := range w.pairs {
 		if w.status[i] == want {
 			fwd.Pairs = append(fwd.Pairs, w.pairs[i])
@@ -319,7 +334,7 @@ func (s *Server) applyLocal(w *writeSet, assign bool) error {
 			}
 		}
 		w.encode(lreq, frameLocal, want)
-		if !lreq.RestampDeadline(time.Now()) {
+		if !lreq.RestampDeadline(time.Now) {
 			ctlDeadlineExpired.Inc()
 			return errDeadlineSpent
 		}
@@ -332,7 +347,7 @@ func (s *Server) applyLocal(w *writeSet, assign bool) error {
 		if lresp.Status == wire.StatusNotFound && !w.del {
 			// Only a Del may find nothing; for a write it means the table
 			// does not exist, and nothing was stored.
-			return errors.New("local datalet: " + lresp.Err)
+			return fmt.Errorf("%w: %s", errNoTable, lresp.Err)
 		}
 		racing, j := 0, 0
 		for i := range w.pairs {
@@ -389,7 +404,7 @@ type peerCall struct {
 // given up on the write anyway).
 func (s *Server) send(addr string, fwd *wire.Request) peerCall {
 	c := peerCall{addr: addr}
-	if !fwd.RestampDeadline(time.Now()) {
+	if !fwd.RestampDeadline(time.Now) {
 		ctlDeadlineExpired.Inc()
 		c.err = errDeadlineSpent
 	}

@@ -149,7 +149,7 @@ func TestWritePathSingleEqualsBatch(t *testing.T) {
 func testWriteState(t *testing.T, mode topology.Mode) {
 	const n = 16
 	sh := startShard(t, mode, 3)
-	dest := startDatalet(t, "dest")
+	dest := startDatalet(t, "dest", nil)
 	target := sh.m.Clone()
 	target.Shards = append(target.Shards, topology.Shard{
 		ID:       "shard-1",

@@ -220,10 +220,16 @@ func (s *Server) recoverOnto(standby, source topology.Node, shardID string) (Rej
 			return reply, err
 		}
 		defer ctl.Close()
+		// The joiner must know it is in the shard before it recovers: an
+		// AA+EC controlet follows the stream of the shard its map puts it
+		// in, and takes its place in that stream from the source's
+		// controlet. The broadcast push may not have landed yet.
+		_ = ctl.Call("UpdateMap", cur, nil)
 		args := struct {
 			SourceDatalet string `json:"source"`
+			SourceControl string `json:"source_ctl,omitempty"`
 			Codec         string `json:"codec,omitempty"`
-		}{SourceDatalet: source.DataletAddr, Codec: source.DataletCodec}
+		}{SourceDatalet: source.DataletAddr, SourceControl: source.ControlAddr, Codec: source.DataletCodec}
 		if err := ctl.Call("Recover", args, &reply); err != nil {
 			// Leave the shard functional: drop the half-joined node.
 			_ = s.mutateShard(shardID, func(shard *topology.Shard) error {

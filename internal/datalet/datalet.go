@@ -216,7 +216,7 @@ func (s *Server) serveConn(conn transport.Conn) {
 		}
 		resp.Reset()
 		resp.ID = req.ID
-		req.ArmDeadline(time.Now())
+		req.ArmDeadline(time.Now)
 		timed := req.TraceID != 0 || metrics.SampleLatency()
 		var start time.Time
 		if timed {
@@ -258,7 +258,7 @@ func (s *Server) serveConn(conn transport.Conn) {
 // instead of timeouts.
 func (s *Server) handleAdmit(req *wire.Request, resp *wire.Response) {
 	lane := overload.LaneOf(req.Op)
-	if lane != overload.LaneControl && req.DeadlineExpired(time.Now()) {
+	if lane != overload.LaneControl && req.DeadlineExpired(time.Now) {
 		srvDeadlineExpired.Inc()
 		resp.Status = wire.StatusOverloaded
 		resp.Err = "datalet: deadline expired"

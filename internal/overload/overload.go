@@ -95,8 +95,10 @@ func (s Stats) Sheds() uint64 { return s.ShedCoDel + s.ShedWait }
 
 // Gate is a per-listener admission controller: an inflight cap (the
 // queue) plus a CoDel-style controller on slot-wait sojourn time (the
-// shedder). While the gate is uncontended, Admit costs one channel send;
-// only requests that actually wait pay for timers and control law.
+// shedder). While the gate is uncontended and the controller idle, Admit
+// costs one channel send; only requests that actually wait — and the
+// zero-wait admits that follow them until the controller is back at rest —
+// pay for the clock, timers and the control law.
 type Gate struct {
 	slots   chan struct{}
 	maxWait time.Duration
@@ -109,7 +111,14 @@ type Gate struct {
 	shedCoDel atomic.Uint64
 	shedWait  atomic.Uint64
 
-	// CoDel controller state (mu-guarded; touched only by waiters).
+	// engaged mirrors "the controller is not at rest" (firstAbove set or
+	// dropping), written by observe under mu: while it is false a zero
+	// sojourn has nothing to reset, so the no-wait path skips observe —
+	// and with it the clock reading and mu.
+	engaged atomic.Bool
+
+	// CoDel controller state (mu-guarded; touched only by waiters and by
+	// no-wait admits while engaged).
 	mu         sync.Mutex
 	target     time.Duration
 	interval   time.Duration
@@ -158,7 +167,9 @@ func (g *Gate) Admit() (release func(), ok bool) {
 	case g.slots <- struct{}{}:
 		// No wait: sojourn 0 feeds the controller so a drained queue
 		// disengages shedding.
-		g.observe(time.Now(), 0)
+		if g.engaged.Load() {
+			g.observe(time.Now(), 0)
+		}
 		g.admitted.Add(1)
 		return g.release, true
 	default:
@@ -201,8 +212,10 @@ func (g *Gate) observe(now time.Time, sojourn time.Duration) bool {
 	if sojourn < g.target {
 		g.firstAbove = time.Time{}
 		g.dropping = false
+		g.engaged.Store(false)
 		return false
 	}
+	g.engaged.Store(true)
 	if g.firstAbove.IsZero() {
 		g.firstAbove = now.Add(g.interval)
 		return false

@@ -78,8 +78,14 @@ func TestGateUncontendedAdmits(t *testing.T) {
 // TestGateAdmitZeroAllocs: an admitted op that did not wait costs the heap
 // nothing, gate or no gate. Admit used to return the method value
 // g.release, 16 B per call, twice per routed GET (controlet + datalet).
+// With the controller at rest it does not take g.mu either (nor the clock
+// reading that went with it): the test holds the lock throughout, so an
+// Admit that reached for it would hang.
 func TestGateAdmitZeroAllocs(t *testing.T) {
 	for name, g := range map[string]*Gate{"fast path": NewGate(Config{MaxInflight: 4}), "nil gate": nil} {
+		if g != nil {
+			g.mu.Lock()
+		}
 		got := testing.AllocsPerRun(1000, func() {
 			release, ok := g.Admit()
 			if !ok {
@@ -87,10 +93,56 @@ func TestGateAdmitZeroAllocs(t *testing.T) {
 			}
 			release()
 		})
+		if g != nil {
+			g.mu.Unlock()
+		}
 		if got != 0 {
 			t.Errorf("%s: %.1f allocs per Admit+release, want 0", name, got)
 		}
 	}
+}
+
+// TestGateZeroWaitDisengages: the idle shortcut must not cost the "a
+// drained queue disengages shedding" behaviour — once a waiter has armed
+// the controller, the next admit that finds a free slot resets it (and
+// only then do admits go back to skipping the controller).
+func TestGateZeroWaitDisengages(t *testing.T) {
+	g := NewGate(Config{MaxInflight: 1, Target: 5 * time.Millisecond, Interval: 100 * time.Millisecond})
+	base := time.Unix(2000, 0)
+	g.observe(base, 10*time.Millisecond)
+	if !g.observe(base.Add(101*time.Millisecond), 10*time.Millisecond) || !g.Snapshot().Dropping {
+		t.Fatal("controller did not engage")
+	}
+	if !g.engaged.Load() {
+		t.Fatal("an engaged controller must route zero-wait admits through observe")
+	}
+	release, ok := g.Admit()
+	if !ok {
+		t.Fatal("zero-wait admit shed")
+	}
+	release()
+	if g.Snapshot().Dropping || g.engaged.Load() {
+		t.Fatal("a zero-wait admit must disengage shedding")
+	}
+	g.mu.Lock()
+	if !g.firstAbove.IsZero() {
+		t.Fatal("a zero-wait admit must clear the arming instant")
+	}
+	g.mu.Unlock()
+}
+
+func BenchmarkGateAdmit(b *testing.B) {
+	g := NewGate(Config{MaxInflight: 1024})
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			release, ok := g.Admit()
+			if !ok {
+				b.Fatal("uncontended admit shed")
+			}
+			release()
+		}
+	})
 }
 
 func TestGateMaxWaitShed(t *testing.T) {

@@ -1,6 +1,7 @@
 package sharedlog
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -23,9 +24,18 @@ type logGroup struct {
 	peers map[string]string
 	fss   map[string]*wal.MemFS
 	srvs  map[string]*Server
+	// seg and snapEvery shrink the segment size and the checkpoint period
+	// (zero: the defaults).
+	seg       int
+	snapEvery uint64
 }
 
 func newLogGroup(t *testing.T, n int) *logGroup {
+	t.Helper()
+	return newSmallLogGroup(t, n, 0, 0)
+}
+
+func newSmallLogGroup(t *testing.T, n, seg int, snapEvery uint64) *logGroup {
 	t.Helper()
 	net, err := transport.Lookup("inproc")
 	if err != nil {
@@ -38,6 +48,7 @@ func newLogGroup(t *testing.T, n int) *logGroup {
 		peers: map[string]string{},
 		fss:   map[string]*wal.MemFS{},
 		srvs:  map[string]*Server{},
+		seg:   seg, snapEvery: snapEvery,
 	}
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("seq-%d", i)
@@ -59,14 +70,16 @@ func newLogGroup(t *testing.T, n int) *logGroup {
 func (g *logGroup) start(id string) {
 	g.t.Helper()
 	s, err := Serve(Config{
-		Network: g.net,
-		Addr:    g.peers[id],
+		Network:        g.net,
+		Addr:           g.peers[id],
+		SegmentEntries: g.seg,
 		Replication: &rsm.GroupConfig{
 			ID:              id,
 			Peers:           g.peers,
 			Dir:             "seq",
 			FS:              g.fss[id],
 			ElectionTimeout: 60 * time.Millisecond,
+			SnapshotEvery:   g.snapEvery,
 		},
 		Logf: g.t.Logf,
 	})
@@ -263,5 +276,100 @@ func TestSequencerRestartRecovers(t *testing.T) {
 	}
 	if next != 3 || len(entries) != 3 {
 		t.Fatalf("restart lost entries: %d next=%d", len(entries), next)
+	}
+}
+
+// shape is what retention decides about one stream on one member.
+type shape struct {
+	next, trimmed uint64
+	bases         string
+}
+
+func (g *logGroup) shapeOf(id, stream string) shape {
+	s := g.srvs[id]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.streams[stream]
+	if st == nil {
+		return shape{}
+	}
+	sh := shape{next: st.next, trimmed: st.trimmed}
+	for _, seg := range st.segs {
+		sh.bases += fmt.Sprintf("%d+%d ", seg.base, seg.count())
+	}
+	return sh
+}
+
+// TestReplicatedRetention: trimming is part of the replicated append, so
+// every member of a group drops the same segments at the same offsets —
+// also a member that rebuilt its state from a checkpoint plus the log
+// suffix — and each of them tells a reader below the floor where the
+// stream starts.
+func TestReplicatedRetention(t *testing.T) {
+	const seg = 4
+	g := newSmallLogGroup(t, 3, seg, 8)
+	g.waitLeader()
+	c := g.client().Stream("shard-3")
+	total := 0
+	for i := 0; i < 40; i++ {
+		batch := make([][]byte, 1+i%3)
+		for j := range batch {
+			batch[j] = []byte{byte(total + j)}
+		}
+		if first := appendRetry(t, c, batch...); first != uint64(total) {
+			t.Fatalf("append %d: first=%d, want %d", i, first, total)
+		}
+		total += len(batch)
+	}
+	if total <= RetainSegments*seg {
+		t.Fatalf("test appends %d records, the window is %d", total, RetainSegments*seg)
+	}
+	agree := func(when string) shape {
+		t.Helper()
+		var want shape
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			same := true
+			want = g.shapeOf(g.ids[0], "shard-3")
+			for _, id := range g.ids[1:] {
+				same = same && g.shapeOf(id, "shard-3") == want
+			}
+			if same && want.next == uint64(total) {
+				break
+			}
+			if time.Now().After(deadline) {
+				for _, id := range g.ids {
+					t.Logf("%s: %+v", id, g.shapeOf(id, "shard-3"))
+				}
+				t.Fatalf("%s: members disagree on the retained log", when)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		if want.trimmed == 0 || want.trimmed%seg != 0 || want.next-want.trimmed > RetainSegments*seg {
+			t.Fatalf("%s: floor %d tail %d", when, want.trimmed, want.next)
+		}
+		return want
+	}
+	before := agree("live")
+	for _, id := range g.ids {
+		mc, err := DialClient(g.net, g.peers[id])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var te *TrimmedError
+		if _, _, err := mc.Stream("shard-3").Read(0, 10, 0); !errors.As(err, &te) || te.Oldest != before.trimmed {
+			t.Fatalf("%s: read below the floor: %v", id, err)
+		}
+		mc.Close()
+	}
+	for _, id := range g.ids {
+		g.stop(id)
+	}
+	for _, id := range g.ids {
+		g.start(id)
+	}
+	g.waitLeader()
+	if after := agree("restored"); after != before {
+		t.Fatalf("restore changed the retained log: %+v, was %+v", after, before)
 	}
 }

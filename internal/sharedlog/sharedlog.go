@@ -31,6 +31,7 @@ var (
 	logReads         = metrics.Default.Counter("bespokv_sharedlog_reads_total")
 	logEntriesServed = metrics.Default.Counter("bespokv_sharedlog_entries_served_total")
 	logTail          = metrics.Default.Gauge("bespokv_sharedlog_tail")
+	logOldest        = metrics.Default.Gauge("bespokv_sharedlog_oldest")
 )
 
 // Entry is one ordered log record.
@@ -46,7 +47,8 @@ type Config struct {
 	Network transport.Network
 	Addr    string
 	// SegmentEntries is the per-segment capacity before a new segment
-	// starts (default 4096); Trim drops whole segments.
+	// starts (default 4096). A stream keeps its last RetainSegments
+	// segments, so this also sizes the history a reader may fall behind by.
 	SegmentEntries int
 	// Replication, when set, replicates the sequencer counters and the
 	// entries they order on a replicated state machine: appends and trims
@@ -61,10 +63,20 @@ type Config struct {
 // rpc frame, 16 MiB).
 const maxSegmentBytes = 1 << 30
 
+// RetainSegments is how many of its most recent segments a stream keeps;
+// an append that starts one more drops the oldest. The log is a
+// replication channel, not the store of record — every record below a
+// replica's cursor is in that replica's datalet — so history only has to
+// cover how far a live reader may lag (RetainSegments × SegmentEntries
+// records, ≈ 32 k by default); a reader further behind catches up from a
+// peer's data (ReadReply.Oldest). It is a constant because trimming is part
+// of the replicated append: every member of a sequencer group must drop the
+// same segments at the same offsets.
+const RetainSegments = 8
+
 // segment is an arena: entries lie back to back in data, entry i (offset
 // base+i) ending at ends[i]. One allocation per segment growth instead of
-// one []byte plus one Entry header per record — nothing trims the log yet,
-// so what a record costs at rest is what the AA+EC heap grows by per write.
+// one []byte plus one Entry header per record.
 type segment struct {
 	base uint64
 	data []byte
@@ -133,10 +145,24 @@ type ReadArgs struct {
 	WaitMs int    `json:"wait_ms,omitempty"`
 }
 
-// ReadReply carries the entries and the next offset to read from.
+// ReadReply carries the entries and the next offset to read from. A read
+// from below the stream's retention floor gets no entries and Oldest, the
+// oldest offset still retained: the reader restarts there (or, a replica,
+// from a peer's state).
 type ReadReply struct {
 	Entries []Entry `json:"entries,omitempty"`
 	Next    uint64  `json:"next"`
+	Oldest  uint64  `json:"oldest,omitempty"`
+}
+
+// TrimmedError is what Client.Read returns for an offset the stream no
+// longer retains.
+type TrimmedError struct {
+	From, Oldest uint64
+}
+
+func (e *TrimmedError) Error() string {
+	return fmt.Sprintf("sharedlog: offset %d trimmed (oldest available %d)", e.From, e.Oldest)
 }
 
 // TrimArgs discards entries below Before.
@@ -290,11 +316,18 @@ func (s *Server) applyAppendLocked(stream string, entries [][]byte) AppendReply 
 		s.storeLocked(st, st.next, data)
 		st.next++
 	}
+	if drop := len(st.segs) - RetainSegments; drop > 0 {
+		kept := copy(st.segs, st.segs[drop:])
+		clear(st.segs[kept:])
+		st.segs = st.segs[:kept]
+		st.trimmed = st.segs[0].base
+	}
 	close(st.tailCh)
 	st.tailCh = make(chan struct{})
 	logAppends.Inc()
 	logEntriesTotal.Add(int64(len(entries)))
 	logTail.Set(int64(st.next))
+	logOldest.Set(int64(st.trimmed))
 	return AppendReply{First: first, Next: st.next}
 }
 
@@ -335,9 +368,9 @@ func (s *Server) handleRead(args ReadArgs) (ReadReply, error) {
 		s.mu.Lock()
 		st := s.streamLocked(args.Stream)
 		if args.From < st.trimmed {
-			from := st.trimmed
+			reply := ReadReply{Next: args.From, Oldest: st.trimmed}
 			s.mu.Unlock()
-			return ReadReply{}, fmt.Errorf("sharedlog: offset %d trimmed (oldest available %d)", args.From, from)
+			return reply, nil
 		}
 		if args.From < st.next {
 			n := st.next - args.From
@@ -608,12 +641,16 @@ func (c *Client) Append(entries ...[]byte) (uint64, error) {
 	return reply.First, nil
 }
 
-// Read fetches entries from offset from, long-polling up to wait.
+// Read fetches entries from offset from, long-polling up to wait. An offset
+// below the stream's retention floor fails with a *TrimmedError.
 func (c *Client) Read(from uint64, max int, wait time.Duration) ([]Entry, uint64, error) {
 	var reply ReadReply
 	args := &ReadArgs{Stream: c.stream, From: from, Max: max, WaitMs: int(wait / time.Millisecond)}
 	if err := c.core.call("Read", args, &reply, wait+rpc.DefaultCallTimeout); err != nil {
 		return nil, 0, err
+	}
+	if reply.Oldest > from {
+		return nil, 0, &TrimmedError{From: from, Oldest: reply.Oldest}
 	}
 	return reply.Entries, reply.Next, nil
 }

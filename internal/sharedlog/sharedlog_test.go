@@ -1,6 +1,7 @@
 package sharedlog
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -153,9 +154,10 @@ func TestTrim(t *testing.T) {
 	if err := c.Trim(8); err != nil {
 		t.Fatal(err)
 	}
-	// Offsets in dropped segments error.
-	if _, _, err := c.Read(0, 10, 0); err == nil {
-		t.Fatal("reading trimmed offsets must error")
+	// Offsets in dropped segments report where the stream now starts.
+	var te *TrimmedError
+	if _, _, err := c.Read(0, 10, 0); !errors.As(err, &te) || te.From != 0 || te.Oldest != 8 {
+		t.Fatalf("reading trimmed offsets: %v", err)
 	}
 	// Offsets at/after the trim floor still work.
 	entries, _, err := c.Read(8, 10, 0)
@@ -168,6 +170,66 @@ func TestTrim(t *testing.T) {
 	// Trimming past the tail errors.
 	if err := c.Trim(100); err == nil {
 		t.Fatal("trim beyond tail must error")
+	}
+}
+
+// TestRetentionWindow: a stream keeps its last RetainSegments segments.
+// Older ones are dropped by the append that starts a new segment, whatever
+// the batch sizes; a read below the floor reports the oldest offset left; a
+// second stream is not affected.
+func TestRetentionWindow(t *testing.T) {
+	const seg = 4
+	s, c := newLog(t, Config{SegmentEntries: seg})
+	other := c.Stream("quiet")
+	if _, err := other.Append([]byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	const window = RetainSegments * seg
+	total := 0
+	for _, batch := range []int{1, 3, window, 1, 2*window + 1, seg - 1} {
+		datas := make([][]byte, batch)
+		for i := range datas {
+			datas[i] = []byte{byte(total + i)}
+		}
+		if first, err := c.Append(datas...); err != nil || first != uint64(total) {
+			t.Fatalf("append at %d: first=%d err=%v", total, first, err)
+		}
+		total += batch
+		// Whole segments only: the floor is a segment base, and what is
+		// kept is the segment being filled plus at most RetainSegments-1
+		// full ones.
+		s.mu.Lock()
+		st := s.streams[""]
+		segs, trimmed, next := len(st.segs), st.trimmed, st.next
+		s.mu.Unlock()
+		if segs > RetainSegments || trimmed%seg != 0 || next-trimmed > window {
+			t.Fatalf("after %d appends: %d segments, floor %d, tail %d", total, segs, trimmed, next)
+		}
+		if want := uint64(max(0, (total+seg-1)/seg-RetainSegments) * seg); trimmed != want {
+			t.Fatalf("after %d appends: floor %d, want %d", total, trimmed, want)
+		}
+		if got := logTail.Value() - logOldest.Value(); got > window {
+			t.Fatalf("tail - oldest gauges = %d, window is %d", got, window)
+		}
+	}
+	s.mu.Lock()
+	floor := s.streams[""].trimmed
+	s.mu.Unlock()
+	var te *TrimmedError
+	if _, _, err := c.Read(floor-1, 10, time.Second); !errors.As(err, &te) || te.Oldest != floor {
+		t.Fatalf("read below the floor: %v", err)
+	}
+	entries, next, err := c.Read(floor, 1000, 0)
+	if err != nil || next != uint64(total) || len(entries) != total-int(floor) {
+		t.Fatalf("read from the floor: %d entries next=%d err=%v", len(entries), next, err)
+	}
+	for i, e := range entries {
+		if want := floor + uint64(i); e.Offset != want || e.Data[0] != byte(want) {
+			t.Fatalf("offset %d: got %+v", want, e)
+		}
+	}
+	if entries, _, err := other.Read(0, 10, 0); err != nil || len(entries) != 1 {
+		t.Fatalf("quiet stream: %d entries, err=%v", len(entries), err)
 	}
 }
 

@@ -76,7 +76,7 @@ func (p *ReadReply) AppendWire(dst []byte) []byte {
 		dst = binary.AppendUvarint(dst, e.Offset)
 		dst = rpc.AppendWireBytes(dst, e.Data)
 	}
-	return dst
+	return binary.AppendUvarint(dst, p.Oldest)
 }
 
 // ParseWire implements rpc.Wire. The reply outlives the frame buffer it was
@@ -90,5 +90,6 @@ func (p *ReadReply) ParseWire(src []byte) error {
 			p.Entries[i] = Entry{Offset: r.Uvarint(), Data: r.Bytes()}
 		}
 	}
+	p.Oldest = r.Uvarint()
 	return r.Done()
 }

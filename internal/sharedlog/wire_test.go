@@ -2,6 +2,7 @@ package sharedlog
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -59,10 +60,11 @@ func checkEncoding(t *testing.T, enc []byte, fresh rpc.Wire) {
 // (entries byte-exact, no base64, empty entries included), and arbitrary
 // bytes never panic a decoder or make it allocate past the payload.
 func FuzzWireMessages(f *testing.F) {
-	f.Add("shard-0", []byte{3, 'a', 'b', 'c', 0, 2, 'x', 'y'}, uint64(10), uint64(12), 4096, 500)
-	f.Add("", []byte{}, uint64(0), uint64(0), 0, 0)
-	f.Add("s", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1}, ^uint64(0), uint64(1), -1, -500)
-	f.Fuzz(func(t *testing.T, stream string, raw []byte, first, next uint64, max, wait int) {
+	f.Add("shard-0", []byte{3, 'a', 'b', 'c', 0, 2, 'x', 'y'}, uint64(10), uint64(12), uint64(8), 4096, 500)
+	f.Add("", []byte{}, uint64(0), uint64(0), uint64(0), 0, 0)
+	f.Add("s", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1}, ^uint64(0), uint64(1), ^uint64(0), -1, -500)
+	f.Add("below-the-floor", []byte{}, uint64(3), uint64(3), uint64(32768), 4096, 0)
+	f.Fuzz(func(t *testing.T, stream string, raw []byte, first, next, oldest uint64, max, wait int) {
 		entries := chop(raw)
 
 		args := &AppendArgs{Stream: stream, Entries: entries}
@@ -89,13 +91,13 @@ func FuzzWireMessages(f *testing.F) {
 		}
 		checkEncoding(t, enc, gotRargs)
 
-		rreply := &ReadReply{Next: next}
+		rreply := &ReadReply{Next: next, Oldest: oldest}
 		for i, e := range entries {
 			rreply.Entries = append(rreply.Entries, Entry{Offset: first + uint64(i), Data: e})
 		}
 		enc = rreply.AppendWire(nil)
-		gotRreply := &ReadReply{Entries: []Entry{{Offset: 9}}}
-		if err := gotRreply.ParseWire(enc); err != nil || gotRreply.Next != next || len(gotRreply.Entries) != len(entries) {
+		gotRreply := &ReadReply{Entries: []Entry{{Offset: 9}}, Oldest: 7}
+		if err := gotRreply.ParseWire(enc); err != nil || gotRreply.Next != next || gotRreply.Oldest != oldest || len(gotRreply.Entries) != len(entries) {
 			t.Fatalf("ReadReply round trip: %v %+v", err, gotRreply)
 		}
 		for i, e := range gotRreply.Entries {
@@ -139,9 +141,10 @@ func TestHostileCountRejected(t *testing.T) {
 // TestArenaSegments drives the segment arenas directly: records of every
 // size (empty included) come back byte-exact across segment boundaries,
 // slices handed out earlier survive later appends, and a snapshot restores
-// into the same log even above a trimmed prefix.
+// into the same log even above a trimmed prefix. 16-entry segments keep all
+// 100 records inside the retention window.
 func TestArenaSegments(t *testing.T) {
-	s, c := newLog(t, Config{SegmentEntries: 8})
+	s, c := newLog(t, Config{SegmentEntries: 16})
 	record := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, i%5*7) }
 	for i := 0; i < 50; i += 2 {
 		if first, err := c.Append(record(i), record(i+1)); err != nil || first != uint64(i) {
@@ -179,15 +182,16 @@ func TestArenaSegments(t *testing.T) {
 	check(0)
 	check(37)
 
-	if err := c.Trim(20); err != nil { // drops segments [0,8) and [8,16)
+	if err := c.Trim(40); err != nil { // drops segments [0,16) and [16,32)
 		t.Fatal(err)
 	}
 	snap := logSM{s}.Snapshot()
 	c.Append([]byte("after the snapshot"))
 	logSM{s}.Restore(snap)
-	check(16)
-	if _, _, err := c.Read(15, 10, 0); err == nil {
-		t.Fatal("read below the restored trim floor must fail")
+	check(32)
+	var te *TrimmedError
+	if _, _, err := c.Read(31, 10, 0); !errors.As(err, &te) || te.Oldest != 32 {
+		t.Fatalf("read below the restored trim floor: %v", err)
 	}
 	if first, err := c.Append([]byte("x")); err != nil || first != 100 {
 		t.Fatalf("append after restore: first=%d err=%v", first, err)
@@ -245,7 +249,7 @@ func BenchmarkAppend64(b *testing.B) { benchAppend(b, 64) }
 // over a 64 Ki-entry log.
 func BenchmarkReadBatch(b *testing.B) {
 	_, c := benchLog(b)
-	const total, batch = 64 << 10, 256
+	const total, batch = 16 << 10, 256 // inside the retention window
 	entries := make([][]byte, batch)
 	for i := range entries {
 		entries[i] = logRecord

@@ -198,24 +198,32 @@ func FuzzDeadlineHeader(f *testing.F) {
 // the next hop (or refuses when the budget is spent).
 func TestDeadlineArmRestamp(t *testing.T) {
 	now := time.Unix(1000, 0)
+	at := func(d time.Duration) func() time.Time {
+		return func() time.Time { return now.Add(d) }
+	}
+	// A request without a deadline must not cost a clock reading.
+	unread := func() time.Time {
+		t.Fatal("clock read for a request that carries no deadline")
+		return time.Time{}
+	}
 	req := Request{Deadline: uint64(80 * time.Millisecond)}
-	req.ArmDeadline(now)
+	req.ArmDeadline(at(0))
 	if req.DeadlineAt != now.UnixNano()+int64(80*time.Millisecond) {
 		t.Fatalf("armed DeadlineAt %d", req.DeadlineAt)
 	}
-	if req.DeadlineExpired(now.Add(79 * time.Millisecond)) {
+	if req.DeadlineExpired(at(79 * time.Millisecond)) {
 		t.Fatal("expired before the budget was spent")
 	}
-	if !req.DeadlineExpired(now.Add(80 * time.Millisecond)) {
+	if !req.DeadlineExpired(at(80 * time.Millisecond)) {
 		t.Fatal("not expired after the budget was spent")
 	}
-	if !req.RestampDeadline(now.Add(30 * time.Millisecond)) {
+	if !req.RestampDeadline(at(30 * time.Millisecond)) {
 		t.Fatal("restamp refused with budget remaining")
 	}
 	if req.Deadline != uint64(50*time.Millisecond) {
 		t.Fatalf("restamped Deadline %v, want 50ms", time.Duration(req.Deadline))
 	}
-	if req.RestampDeadline(now.Add(81 * time.Millisecond)) {
+	if req.RestampDeadline(at(81 * time.Millisecond)) {
 		t.Fatal("restamp allowed with budget spent")
 	}
 
@@ -229,17 +237,17 @@ func TestDeadlineArmRestamp(t *testing.T) {
 	// Zero deadline clears any stale armed instant and never expires.
 	var none Request
 	none.DeadlineAt = 7
-	none.ArmDeadline(now)
-	if none.DeadlineAt != 0 || none.DeadlineExpired(now.Add(time.Hour)) {
+	none.ArmDeadline(unread)
+	if none.DeadlineAt != 0 || none.DeadlineExpired(unread) {
 		t.Fatal("zero deadline must clear and never expire")
 	}
-	if !none.RestampDeadline(now.Add(time.Hour)) {
+	if !none.RestampDeadline(unread) {
 		t.Fatal("zero deadline must restamp freely")
 	}
 
 	// Absurd budgets (fuzz input) must clamp, not overflow.
 	huge := Request{Deadline: ^uint64(0)}
-	huge.ArmDeadline(time.Now())
+	huge.ArmDeadline(time.Now)
 	if huge.DeadlineAt <= 0 {
 		t.Fatalf("overflowed DeadlineAt %d", huge.DeadlineAt)
 	}

@@ -274,15 +274,20 @@ type Request struct {
 	DeadlineAt int64
 }
 
+// The three deadline methods take the clock, not a reading of it: almost
+// every request carries no deadline, and for those none of them calls now
+// (on some VM classes a clock reading costs more than the rest of the
+// check). Servers pass time.Now.
+
 // ArmDeadline converts the wire-relative Deadline into an absolute local
 // instant, from which this hop's checks and re-stamps derive. A zero
 // Deadline clears any stale DeadlineAt.
-func (r *Request) ArmDeadline(now time.Time) {
+func (r *Request) ArmDeadline(now func() time.Time) {
 	if r.Deadline == 0 {
 		r.DeadlineAt = 0
 		return
 	}
-	n := now.UnixNano()
+	n := now().UnixNano()
 	if r.Deadline > math.MaxInt64-uint64(n) {
 		r.DeadlineAt = math.MaxInt64
 		return
@@ -292,19 +297,19 @@ func (r *Request) ArmDeadline(now time.Time) {
 
 // DeadlineExpired reports whether the request's armed budget is already
 // spent; executing it would be doomed work.
-func (r *Request) DeadlineExpired(now time.Time) bool {
-	return r.DeadlineAt != 0 && now.UnixNano() >= r.DeadlineAt
+func (r *Request) DeadlineExpired(now func() time.Time) bool {
+	return r.DeadlineAt != 0 && now().UnixNano() >= r.DeadlineAt
 }
 
 // RestampDeadline refreshes the wire-relative Deadline from the armed
 // DeadlineAt so the next hop receives the budget minus the time spent
 // here. It reports false when the budget is already spent (the caller
 // should drop the forward instead of sending it).
-func (r *Request) RestampDeadline(now time.Time) bool {
+func (r *Request) RestampDeadline(now func() time.Time) bool {
 	if r.DeadlineAt == 0 {
 		return true
 	}
-	rem := r.DeadlineAt - now.UnixNano()
+	rem := r.DeadlineAt - now().UnixNano()
 	if rem <= 0 {
 		return false
 	}

@@ -11,7 +11,7 @@ set -eu
 cd "$(dirname "$0")/.."
 GO=${GO:-go}
 
-ALL="vet build test race obs telemetry migrate nemesis crash wirespeed rsm overload rpcwire writepath bench-smoke"
+ALL="vet build test race obs telemetry migrate nemesis crash wirespeed rsm overload rpcwire writepath aaec bench-smoke"
 
 run() {
 	case "$1" in
@@ -105,8 +105,9 @@ run() {
 		;;
 
 	# Overload control: the admission-gate/retry-budget/breaker units (an
-	# admitted op that did not wait allocates nothing) and the deadline
-	# wire-field fuzz seeds, the client failure-classification
+	# admitted op that did not wait allocates nothing and, with the
+	# controller at rest, takes neither the gate's lock nor a clock
+	# reading) and the deadline wire-field fuzz seeds, the client failure-classification
 	# and retry-discipline suites, the controlet/datalet shed paths, and
 	# the cluster overload nemesis acceptance — a 4x surge against slowed
 	# engines must hold goodput at >= 80% of the pre-overload plateau with
@@ -115,6 +116,7 @@ run() {
 	overload)
 		$GO test -race ./internal/overload/...
 		$GO test -run TestGateAdmitZeroAllocs ./internal/overload/
+		$GO test -run NONE -bench GateAdmit -benchmem -cpu 1,2 ./internal/overload/
 		$GO test -race -run 'Fuzz' ./internal/wire/
 		$GO test -race -run 'TestClassifyFailure|TestOverloaded|TestRetryBudget|TestBreaker|TestOpBudget|TestSustainedOverload' ./internal/client/
 		$GO test -race -run 'Shed|Deadline|Overload' ./internal/controlet/ ./internal/datalet/
@@ -146,6 +148,26 @@ run() {
 	writepath)
 		$GO test -race -run 'TestWritePath|TestChainForward|TestWriteToUnknownTable|TestPutCopy' ./internal/controlet/
 		$GO test -run NONE -bench Dispatch -benchtime 1x -benchmem ./internal/controlet/
+		;;
+
+	# The AA+EC log path, where everything is a frame: the append combiner
+	# (contiguous offsets under 32 appenders, a failed Append fails exactly
+	# its frame, a stream change neither merges nor reorders, stop releases
+	# every waiter), framed apply against the entry-by-entry oracle, the
+	# retried frame, catch-up when every replica is behind; the bounded log
+	# (retention window, ReadReply.Oldest, identical trimming on a replicated
+	# group and after restore, wire fuzz seeds); the cluster suites that
+	# cross the window — a partitioned replica, a standby promotion and a
+	# trimmed floor record — with the AA+EC suites that must not notice; all
+	# under the race detector. Then the lone-append allocation ceiling (not
+	# under -race, where sync.Pool sheds) and one pass of the two layer
+	# benchmarks.
+	aaec)
+		$GO test -race -run 'TestFramedApply|TestFailedFrame|TestAllReplicasBehind|TestCombiner|TestLogRecord' ./internal/controlet/
+		$GO test -race -run 'TestRetentionWindow|TestReplicatedRetention|TestArenaSegments|TestTrim|Fuzz' ./internal/sharedlog/
+		$GO test -race -run 'TestAAECPartitionedReplicaRebootstraps|TestFailoverStandbyRecoveryAAEC|TestJoinNodeAAEC|TestNemesisChaosAAEC|TestAAECConcurrentWritersConverge|TestAAECShardsStayIsolated|TestTransitionAAECToMSEC' ./internal/cluster/
+		$GO test -run TestLoneAppendAllocs ./internal/controlet/
+		$GO test -run NONE -bench 'LogApply|LogAppend' -benchtime 20000x -benchmem -cpu 1,2 ./internal/controlet/
 		;;
 
 	# The repository benchmark (benchmark/, a nested module outside ./...)
