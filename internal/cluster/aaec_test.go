@@ -78,16 +78,43 @@ func putRange(t *testing.T, cli *client.Client, rec *histcheck.Recorder, prefix 
 	}
 }
 
+// delKey deletes k, recorded, with putRange's retry.
+func delKey(t *testing.T, cli *client.Client, rec *histcheck.Recorder, k string) {
+	t.Helper()
+	for attempt := 1; ; attempt++ {
+		ref := rec.BeginDelete(0, k)
+		_, err := cli.Del("", []byte(k))
+		rec.EndWrite(ref, err)
+		if err == nil {
+			return
+		}
+		if attempt == 5 {
+			t.Fatalf("del %s: %v", k, err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
 // TestAAECPartitionedReplicaRebootstraps cuts one replica off until the log
 // has trimmed far past its cursor. After the heal it finds itself below
 // the floor, takes a peer's cursor, backfills from that peer's datalet and
 // follows the log again: every replica converges on exactly the written
-// values, with no anti-entropy round helping.
+// values, with no anti-entropy round helping. The gap holds deletions too,
+// which only the log ever carried: the hash table lists them in a delta
+// export from the version the replica was cut off at, the B-tree cannot, and
+// there the replica sweeps out what its peer no longer has.
 func TestAAECPartitionedReplicaRebootstraps(t *testing.T) {
+	for _, engine := range []string{"ht", "btree"} {
+		t.Run(engine, func(t *testing.T) { partitionedReplicaRebootstraps(t, engine) })
+	}
+}
+
+func partitionedReplicaRebootstraps(t *testing.T, engine string) {
 	seed := nemesisSeed(t)
 	logSeed(t, seed)
 	c, f := startFaultCluster(t, seed, Options{
 		Mode:              aaecMode,
+		Engine:            engine,
 		Shards:            1,
 		Replicas:          3,
 		DisableFailover:   true, // the cut-off replica stays in the map
@@ -104,7 +131,13 @@ func TestAAECPartitionedReplicaRebootstraps(t *testing.T) {
 	lagger := c.Shards[0][2]
 	before := aaecRebootstrap.Value()
 	f.Isolate(lagger.Node.ID)
-	putRange(t, cli, rec, "cut", 0, 400)
+	// Deletions inside the gap: the log that carried them will be gone, and
+	// a peer's datalet no longer lists the keys.
+	putRange(t, cli, rec, "cut", 0, 20)
+	for _, k := range []string{"pre-00000", "pre-00049", "cut-00007"} {
+		delKey(t, cli, rec, k)
+	}
+	putRange(t, cli, rec, "cut", 20, 400)
 	stuck := appliedOffset(lagger)
 	oldest, tail := streamBounds(t, c, "shard-0")
 	if oldest <= stuck {
@@ -122,14 +155,14 @@ func TestAAECPartitionedReplicaRebootstraps(t *testing.T) {
 		}
 		return ""
 	})
-	if got := lagger.Datalet.Engine("").Len(); got != 550 {
-		t.Fatalf("re-bootstrapped replica holds %d keys, want 550", got)
+	if got := lagger.Datalet.Engine("").Len(); got != 547 {
+		t.Fatalf("re-bootstrapped replica holds %d keys, want 547", got)
 	}
 	// It follows the log again: a write through a peer reaches it.
 	putRange(t, cli, nil, "after", 0, 20)
 	eventually(t, 10*time.Second, func() string {
-		if got := lagger.Datalet.Engine("").Len(); got != 570 {
-			return fmt.Sprintf("re-bootstrapped replica holds %d keys, want 570", got)
+		if got := lagger.Datalet.Engine("").Len(); got != 567 {
+			return fmt.Sprintf("re-bootstrapped replica holds %d keys, want 567", got)
 		}
 		return ""
 	})

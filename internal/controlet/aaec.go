@@ -234,7 +234,14 @@ func (a *logApplier) lead(head *appender) {
 type followReq struct {
 	ctlAddr string // the peer's control address; "" = resume at floor
 	floor   uint64 // a peer cursor below this offset is no use
-	done    chan error
+	done    chan followed
+}
+
+// followed answers a followReq: covered is the version of the last record
+// below the adopted cursor — the peer has applied every record up to it.
+type followed struct {
+	covered uint64
+	err     error
 }
 
 // follow repositions the applier at the cursor of the live peer controlet
@@ -250,13 +257,14 @@ type followReq struct {
 // peer's floor adjustment, which so far only a replay from offset 0 could
 // reconstruct: from the cursor on, this replica's adj follows the same
 // trajectory as the peer's.
-func (a *logApplier) follow(ctlAddr string, floor uint64) error {
-	req := followReq{ctlAddr: ctlAddr, floor: floor, done: make(chan error, 1)}
+func (a *logApplier) follow(ctlAddr string, floor uint64) (covered uint64, err error) {
+	req := followReq{ctlAddr: ctlAddr, floor: floor, done: make(chan followed, 1)}
 	select {
 	case a.follows <- req:
-		return <-req.done
+		f := <-req.done
+		return f.covered, f.err
 	case <-a.stopCh:
-		return errStopped
+		return 0, errStopped
 	}
 }
 
@@ -303,6 +311,12 @@ func (a *logApplier) peerCursor(ctlAddr string) (LogCursorReply, error) {
 	return cur, nil
 }
 
+// cursorVersion is the version of the last record below a cursor: a
+// replica at (next, adj) has applied every record of its stream up to that
+// version, and every record from next on carries a higher one (the
+// adjustment only ever rises).
+func cursorVersion(next, adj uint64) uint64 { return aaecVersionBase + adj + next }
+
 // publish moves the cursor. Only the applier goroutine calls it.
 func (a *logApplier) publish(stream string, next, adj uint64, positioned bool) {
 	a.curMu.Lock()
@@ -345,9 +359,10 @@ func (a *logApplier) applyLoop() {
 	var next uint64
 	positioned := true
 	// owed is the log floor this replica fell below, until a catch-up from
-	// a peer's datalet has covered the gap; catching is a catch-up in
-	// flight and catchingFor the floor it set out to clear.
-	var owed, catchingFor uint64
+	// a peer's datalet has covered the gap, and missed the version of the
+	// last record it applied before the gap opened; catching is a catch-up
+	// in flight and catchingFor the floor it set out to clear.
+	var owed, missed, catchingFor uint64
 	var catching chan error
 	caught := func(err error) {
 		catching = nil
@@ -373,7 +388,7 @@ func (a *logApplier) applyLoop() {
 		if err == nil {
 			next, positioned = at, true
 		}
-		req.done <- err
+		req.done <- followed{cursorVersion(at, a.adj.Load()), err}
 	}
 	a.publish(stream, 0, 0, true)
 	for {
@@ -392,7 +407,7 @@ func (a *logApplier) applyLoop() {
 		if owed != 0 && catching == nil {
 			catching, catchingFor = make(chan error, 1), owed
 			a.s.wg.Add(1)
-			go a.catchUp(owed, catching)
+			go a.catchUp(logGap{since: missed}, owed, catching)
 		}
 		if !positioned {
 			arm(500 * time.Millisecond) // then look at the map again
@@ -416,6 +431,11 @@ func (a *logApplier) applyLoop() {
 			ctlAAECRebootstraps.Inc()
 			a.s.cfg.Logf("controlet %s: stream %q trimmed to %d, applier was at %d: catching up from a peer",
 				a.s.cfg.NodeID, stream, gone.Oldest, next)
+			if owed == 0 {
+				// A gap that opens while an older one is still owed only
+				// widens it.
+				missed = cursorVersion(next, a.adj.Load())
+			}
 			positioned, owed = false, gone.Oldest
 			a.publish(stream, next, a.adj.Load(), false)
 			continue
@@ -466,11 +486,14 @@ func (a *logApplier) reposition(req followReq, stream string) (uint64, error) {
 
 // catchUp is the self-driven bootstrap of a replica that fell below the
 // log's floor: take a live peer's cursor, then backfill from that peer's
-// datalet — what the coordinator drives for a standby (recoverFrom). It
-// runs beside the applier, which reads on from the cursor meanwhile, and
-// reports on done; a failure is reported only after a pause, which spaces
-// the applier's next attempt.
-func (a *logApplier) catchUp(floor uint64, done chan<- error) {
+// datalet — what the coordinator drives for a standby (recoverFrom), except
+// that this replica's datalet is not empty but stale: the records it missed
+// include deletions, which a peer's live pairs do not show. So the backfill
+// is the peer's delta from gap.since, the version this replica had applied
+// up to, tombstones included (backfill). It runs beside the applier, which
+// reads on from the cursor meanwhile, and reports on done; a failure is
+// reported only after a pause, which spaces the applier's next attempt.
+func (a *logApplier) catchUp(gap logGap, floor uint64, done chan<- error) {
 	s := a.s
 	defer s.wg.Done()
 	err := func() error {
@@ -481,33 +504,35 @@ func (a *logApplier) catchUp(floor uint64, done chan<- error) {
 				peers = append(peers, n)
 			}
 		}
-		backfill := func(n topology.Node) error {
-			_, err := s.backfill(RecoverArgs{SourceDatalet: n.DataletAddr, Codec: n.DataletCodec})
+		backfill := func(n topology.Node, gap logGap) error {
+			_, err := s.backfill(RecoverArgs{SourceDatalet: n.DataletAddr, Codec: n.DataletCodec}, &gap)
 			return err
 		}
-		var gap error
+		var unfilled error
 		for _, n := range peers {
-			if err := a.follow(n.ControlAddr, floor); err != nil {
+			covered, err := a.follow(n.ControlAddr, floor)
+			if err != nil {
 				if errors.Is(err, errStopped) {
 					return err
 				}
 				s.cfg.Logf("controlet %s: %v", s.cfg.NodeID, err)
 				continue
 			}
-			if gap = backfill(n); gap == nil {
+			if unfilled = backfill(n, logGap{since: gap.since, upto: covered}); unfilled == nil {
 				return nil
 			}
 			// Positioned, but the gap is still owed.
 		}
-		if gap != nil {
-			return gap
+		if unfilled != nil {
+			return unfilled
 		}
 		// No peer's applier is ahead of the floor: a single replica, every
 		// replica stalled at once, fresh controlets on a stream with a
 		// past. No one datalet then holds all of the gap, but together
 		// they do: every record is in its writer's datalet, applied there
 		// before its ack (the cursor call is the barrier for the ones in
-		// flight). Take them all, then resume at the floor. What cannot be
+		// flight), deletions as tombstones where the engine can list them.
+		// Take them all, then resume at the floor. What cannot be
 		// recovered is a floor record inside the gap: nobody has applied
 		// it, and the adjustment stays where each replica had it.
 		s.cfg.Logf("controlet %s: no peer's applier is ahead of the log's floor %d: backfilling from all %d",
@@ -516,11 +541,12 @@ func (a *logApplier) catchUp(floor uint64, done chan<- error) {
 			if _, err := a.peerCursor(n.ControlAddr); err != nil {
 				return err
 			}
-			if err := backfill(n); err != nil {
+			if err := backfill(n, gap); err != nil {
 				return err
 			}
 		}
-		return a.follow("", floor)
+		_, err := a.follow("", floor)
+		return err
 	}()
 	if err != nil && !errors.Is(err, errStopped) {
 		s.cfg.Logf("controlet %s: catching up from a peer: %v", s.cfg.NodeID, err)
@@ -539,8 +565,13 @@ func (a *logApplier) catchUp(floor uint64, done chan<- error) {
 // maxApplyFrame close the frame. This node's own records (already applied
 // by their writers) and other shards' are skipped. A frame the datalet did
 // not take is retried until it lands: the writes in it are acknowledged,
-// and moving on would lose them on this replica for good. False means the
-// controlet stopped first.
+// and moving on would lose them on this replica for good. Every refusal
+// counts as passing — a transport error, a shed or timed-out request, an
+// engine error (a full disk, a closing store) — except a dropped table,
+// whose records have nowhere to go. A pair an engine rejected for good
+// would therefore hold this replica's applier for good; no engine does
+// today, and bespokv_controlet_aaec_apply_retries_total shows it if one
+// ever does. False means the controlet stopped first.
 func (a *logApplier) applyEntries(stream string, entries []sharedlog.Entry, pause func(time.Duration) bool) bool {
 	if len(entries) == 0 {
 		return true
@@ -571,6 +602,7 @@ func (a *logApplier) applyEntries(stream string, entries []sharedlog.Entry, paus
 			if err == nil {
 				break
 			}
+			ctlAAECApplyRetries.Inc()
 			a.s.cfg.Logf("controlet %s: apply log frame (%d records up to version %d), retrying: %v",
 				a.s.cfg.NodeID, len(w.pairs), w.pairs[len(w.pairs)-1].Version, err)
 			if !pause(delay) {

@@ -213,13 +213,15 @@ func TestFramedApplyEqualsEntryApply(t *testing.T) {
 // starts with refuse (while set).
 type flakyEngine struct {
 	store.Engine
-	fails  atomic.Int32
-	onFail func()
-	refuse atomic.Pointer[string]
+	fails   atomic.Int32
+	onFail  func()
+	refuse  atomic.Pointer[string]
+	refused atomic.Int32
 }
 
 func (e *flakyEngine) Put(key, value []byte, version uint64) (uint64, error) {
 	if p := e.refuse.Load(); p != nil && strings.HasPrefix(string(key), *p) {
+		e.refused.Add(1)
 		return 0, errors.New("flaky engine: refused")
 	}
 	if e.fails.Add(-1) >= 0 {
@@ -229,6 +231,11 @@ func (e *flakyEngine) Put(key, value []byte, version uint64) (uint64, error) {
 		return 0, errors.New("flaky engine: injected failure")
 	}
 	return e.Engine.Put(key, value, version)
+}
+
+// SnapshotSince keeps the wrapped hash table's delta export visible.
+func (e *flakyEngine) SnapshotSince(since uint64, fn func(store.KV, bool) error) (bool, error) {
+	return e.Engine.(store.DeltaSnapshotter).SnapshotSince(since, fn)
 }
 
 // TestFailedFrameIsRetried: a frame the local datalet does not take is
@@ -265,6 +272,7 @@ func TestFailedFrameIsRetried(t *testing.T) {
 			passed.Add(1)
 		}
 	}
+	retries := ctlAAECApplyRetries.Value()
 	flaky.fails.Store(3)
 	offset.Store(put("retried", "2"))
 	put("after", "3")
@@ -275,6 +283,10 @@ func TestFailedFrameIsRetried(t *testing.T) {
 	})
 	if left := flaky.fails.Load(); left > 0 {
 		t.Fatalf("%d injected failures never hit", left)
+	}
+	// Three failed puts are two or three failed frames.
+	if got := ctlAAECApplyRetries.Value() - retries; got < 2 || got > 3 {
+		t.Fatalf("the retry counter moved by %d for 3 injected failures", got)
 	}
 	if passed.Load() != 0 {
 		t.Fatal("the cursor passed a record whose frame had not landed")
@@ -289,7 +301,8 @@ func TestFailedFrameIsRetried(t *testing.T) {
 // TestAllReplicasBehindCatchUp: when every replica's applier has fallen
 // below the log's floor at once, no peer offers a usable cursor — but each
 // record of the gap is still in its writer's datalet. The replicas backfill
-// from each other and resume at the floor; nothing acknowledged is lost.
+// from each other and resume at the floor; nothing acknowledged is lost,
+// a deletion included: it travels as a tombstone of its writer's datalet.
 func TestAllReplicasBehindCatchUp(t *testing.T) {
 	engines := make([]*flakyEngine, 2)
 	sh := startShardOpts(t, aaec, 2, shardOpts{logSegment: 4, engine: func(i int, e store.Engine) store.Engine {
@@ -299,6 +312,12 @@ func TestAllReplicasBehindCatchUp(t *testing.T) {
 	// Each replica's datalet refuses the other's keys: both appliers stall
 	// on their first foreign frame while both keep acknowledging writes.
 	theirs := []string{"b-", "a-"}
+	var resp wire.Response
+	sh.ctls[1].dispatch(&wire.Request{Op: wire.OpPut, Key: []byte("gone"), Value: []byte("v")}, &resp)
+	eventually(t, "the doomed key to cross over", func() bool {
+		_, _, ok, _ := sh.datalets[0].Engine("").Get([]byte("gone"))
+		return ok
+	})
 	for i, e := range engines {
 		e.refuse.Store(&theirs[i])
 	}
@@ -312,6 +331,15 @@ func TestAllReplicasBehindCatchUp(t *testing.T) {
 				t.Fatalf("put: %+v", resp)
 			}
 		}
+		if i == 0 {
+			// Replica 0 is stuck on what it has read; the deletion it has
+			// not read will be trimmed before it reads again.
+			eventually(t, "replica 0's applier to stall", func() bool { return engines[0].refused.Load() > 0 })
+			sh.ctls[1].dispatch(&wire.Request{Op: wire.OpDel, Key: []byte("gone")}, &resp)
+			if resp.Status != wire.StatusOK {
+				t.Fatalf("del: %+v", resp)
+			}
+		}
 	}
 	for _, e := range engines {
 		e.refuse.Store(nil)
@@ -322,6 +350,10 @@ func TestAllReplicasBehindCatchUp(t *testing.T) {
 	if got := ctlAAECRebootstraps.Value() - before; got < 2 {
 		t.Fatalf("%d appliers noticed they were below the floor, want both", got)
 	}
+	eventually(t, "the deletion to reach replica 0", func() bool {
+		_, _, ok, _ := sh.datalets[0].Engine("").Get([]byte("gone"))
+		return !ok
+	})
 	for i := 0; i < each; i++ {
 		for _, prefix := range []string{"a-", "b-"} {
 			k := []byte(fmt.Sprintf("%s%03d", prefix, i))
@@ -333,7 +365,6 @@ func TestAllReplicasBehindCatchUp(t *testing.T) {
 		}
 	}
 	// Both follow the log again.
-	var resp wire.Response
 	sh.ctls[0].dispatch(&wire.Request{Op: wire.OpPut, Key: []byte("after"), Value: []byte("v")}, &resp)
 	eventually(t, "a new write to cross over", func() bool {
 		_, _, ok, _ := sh.datalets[1].Engine("").Get([]byte("after"))

@@ -32,6 +32,10 @@ var (
 	// Times a log applier found itself below the shared log's retention
 	// floor and had to catch up from a peer's datalet.
 	ctlAAECRebootstraps = metrics.Default.Counter("bespokv_controlet_aaec_rebootstraps_total")
+	// Log frames the local datalet did not take and the applier sent again.
+	// The applier does not move past such a frame, so a count that keeps
+	// rising while aaec_applied_offset stands still is a stalled replica.
+	ctlAAECApplyRetries = metrics.Default.Counter("bespokv_controlet_aaec_apply_retries_total")
 
 	// AA+SC lease acquisition: the DLM wait is the paper's SC overhead.
 	ctlLockWait = metrics.Default.Histogram("bespokv_controlet_lock_wait_seconds")

@@ -46,7 +46,7 @@ func (s *Server) recoverFrom(args RecoverArgs) (RecoverReply, error) {
 		// The source may itself be catching up right now (a shard under
 		// load that just lost a replica); give it a few seconds.
 		for attempt := 1; ; attempt++ {
-			err := s.aaec.follow(args.SourceControl, 0)
+			_, err := s.aaec.follow(args.SourceControl, 0)
 			if err == nil {
 				break
 			}
@@ -60,12 +60,24 @@ func (s *Server) recoverFrom(args RecoverArgs) (RecoverReply, error) {
 			}
 		}
 	}
-	return s.backfill(args)
+	return s.backfill(args, nil)
+}
+
+// logGap describes what a live AA+EC replica that fell below its log's
+// floor is missing, in versions: every record it did not apply carries a
+// version above since, and the backfill source has applied every record
+// with a version up to upto (0: not known).
+type logGap struct {
+	since, upto uint64
 }
 
 // backfill is recoverFrom's data leg: the source datalet's tables into the
-// local one.
-func (s *Server) backfill(args RecoverArgs) (RecoverReply, error) {
+// local one. With a gap the local datalet is neither empty nor restarted
+// but stale, and what it missed includes deletions: the delta is then taken
+// from gap.since, tombstones and all, and where the source's engine cannot
+// serve one, the full export is followed by a sweep of the local keys the
+// source no longer has (prune).
+func (s *Server) backfill(args RecoverArgs, gap *logGap) (RecoverReply, error) {
 	var reply RecoverReply
 	codec := s.cfg.DataletCodec
 	if args.Codec != "" {
@@ -142,7 +154,11 @@ func (s *Server) backfill(args RecoverArgs) (RecoverReply, error) {
 		}
 
 		usedDelta := false
-		if since := watermarks[table]; since > 0 {
+		since := watermarks[table]
+		if gap != nil {
+			since = gap.since
+		}
+		if since > 0 {
 			err := src.ExportSince(table, since, apply)
 			switch {
 			case err == nil:
@@ -158,15 +174,62 @@ func (s *Server) backfill(args RecoverArgs) (RecoverReply, error) {
 		}
 		if !usedDelta {
 			reply.Delta = false
+			var exported map[string]struct{}
+			if gap != nil && gap.upto > 0 {
+				exported = map[string]struct{}{}
+			}
 			err := src.Export(table, func(kv wire.KV) error {
+				if exported != nil {
+					exported[string(kv.Key)] = struct{}{}
+				}
 				return apply(kv, false)
 			})
 			if err != nil {
 				return reply, fmt.Errorf("recover: export table %q: %w", table, err)
+			}
+			if exported != nil {
+				if err := s.prune(local, table, exported, gap.upto); err != nil {
+					return reply, fmt.Errorf("recover: prune table %q: %w", table, err)
+				}
 			}
 		}
 		s.cfg.Logf("controlet %s: recovered %d records of table %q from %s (delta=%v)",
 			s.cfg.NodeID, reply.Pairs, table, args.SourceDatalet, usedDelta)
 	}
 	return reply, nil
+}
+
+// prune deletes from the local table every key that a full export of the
+// source did not list and whose version is at most upto. The source has
+// applied every record up to that version, so such a key was deleted there,
+// by a record this replica will never see; the export, which lists live
+// pairs only, cannot say so. A key above upto is one the log still delivers
+// news of. The tombstone takes version upto: below everything the log will
+// deliver, at or above the deletion it stands in for. The caller holds the
+// source's whole key set in memory meanwhile: the price of an engine that
+// cannot list its tombstones.
+func (s *Server) prune(local *datalet.Client, table string, exported map[string]struct{}, upto uint64) error {
+	var stale [][]byte
+	err := local.Export(table, func(kv wire.KV) error {
+		if _, ok := exported[string(kv.Key)]; !ok && kv.Version <= upto {
+			stale = append(stale, append([]byte(nil), kv.Key...))
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	for _, key := range stale {
+		var resp wire.Response
+		if err := local.Do(&wire.Request{Op: wire.OpDel, Table: table, Key: key, Version: upto}, &resp); err != nil {
+			return err
+		}
+		if resp.Status == wire.StatusErr {
+			return resp.ErrValue()
+		}
+	}
+	if len(stale) > 0 {
+		s.cfg.Logf("controlet %s: table %q: deleted %d keys the backfill source no longer has", s.cfg.NodeID, table, len(stale))
+	}
+	return nil
 }

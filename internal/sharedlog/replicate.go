@@ -8,29 +8,17 @@ import (
 	"bespokv/internal/rsm"
 )
 
-// proposeTimeout bounds one replicated append/trim; the shared log's data
+// proposeTimeout bounds one replicated append; the shared log's data
 // path is the AA+EC write path, so this is generous — anything slower
 // means the sequencer group has no quorum.
 const proposeTimeout = 5 * time.Second
 
-const (
-	opAppend = "append"
-	opTrim   = "trim"
-)
-
-// logCmd is one replicated log entry: an appended batch (the sequencer
-// counter advances exactly by its length, in commit order, identically on
-// every member) or a trim.
+// logCmd is one replicated log entry: an appended batch. The sequencer
+// counter advances exactly by its length, and the retention window drops
+// the segments it pushes out, in commit order, identically on every member.
 type logCmd struct {
-	Op      string   `json:"op"`
 	Stream  string   `json:"stream,omitempty"`
 	Entries [][]byte `json:"entries,omitempty"`
-	Before  uint64   `json:"before,omitempty"`
-}
-
-// trimResult carries a trim's deterministic outcome back to the proposer.
-type trimResult struct {
-	Err string `json:"err,omitempty"`
 }
 
 // streamSnapshot is one stream's checkpoint image: retained entries plus
@@ -41,7 +29,7 @@ type streamSnapshot struct {
 	Entries []Entry `json:"entries,omitempty"`
 }
 
-// leaderCheck gates appends and trims: in replicated mode only the leader
+// leaderCheck gates appends: in replicated mode only the leader
 // sequences, everyone else redirects. Callers must not hold s.mu.
 func (s *Server) leaderCheck() error {
 	if s.node == nil || s.node.IsLeader() {
@@ -53,7 +41,7 @@ func (s *Server) leaderCheck() error {
 // submitAppend puts the batch in the replicated log without waiting for it
 // to commit; args.Entries may alias an rpc frame, the command copies them.
 func (s *Server) submitAppend(args AppendArgs) (rsm.Proposal, error) {
-	b, err := json.Marshal(logCmd{Op: opAppend, Stream: args.Stream, Entries: args.Entries})
+	b, err := json.Marshal(logCmd{Stream: args.Stream, Entries: args.Entries})
 	if err != nil {
 		return rsm.Proposal{}, err
 	}
@@ -73,21 +61,6 @@ func appendCommitted(p rsm.Proposal) (AppendReply, error) {
 	return reply, nil
 }
 
-func (s *Server) proposeTrim(args TrimArgs) error {
-	b, err := json.Marshal(logCmd{Op: opTrim, Stream: args.Stream, Before: args.Before})
-	if err != nil {
-		return err
-	}
-	res, err := s.node.Propose(b, proposeTimeout)
-	if err != nil {
-		return err
-	}
-	if r, ok := res.(trimResult); ok && r.Err != "" {
-		return errors.New(r.Err)
-	}
-	return nil
-}
-
 // logSM adapts the stream table to the rsm.StateMachine interface. Apply
 // runs on every member with the RSM internals locked, so it only touches
 // s.mu-guarded state and never calls back into the RSM node. Each member
@@ -99,22 +72,11 @@ func (m logSM) Apply(index uint64, cmd []byte) any {
 	var op logCmd
 	if err := json.Unmarshal(cmd, &op); err != nil {
 		m.s.cfg.Logf("sharedlog: rsm entry %d undecodable: %v", index, err)
-		return trimResult{Err: "sharedlog: undecodable command"}
+		return nil
 	}
 	m.s.mu.Lock()
 	defer m.s.mu.Unlock()
-	switch op.Op {
-	case opAppend:
-		return m.s.applyAppendLocked(op.Stream, op.Entries)
-	case opTrim:
-		if err := m.s.applyTrimLocked(op.Stream, op.Before); err != nil {
-			return trimResult{Err: err.Error()}
-		}
-		return trimResult{}
-	default:
-		m.s.cfg.Logf("sharedlog: rsm entry %d has unknown op %q", index, op.Op)
-		return trimResult{Err: "sharedlog: unknown command"}
-	}
+	return m.s.applyAppendLocked(op.Stream, op.Entries)
 }
 
 func (m logSM) Snapshot() []byte {

@@ -51,8 +51,8 @@ type Config struct {
 	// segments, so this also sizes the history a reader may fall behind by.
 	SegmentEntries int
 	// Replication, when set, replicates the sequencer counters and the
-	// entries they order on a replicated state machine: appends and trims
-	// commit through the leader (followers redirect with NotLeader),
+	// entries they order on a replicated state machine: appends commit
+	// through the leader (followers redirect with NotLeader),
 	// reads and long-polls serve anywhere from locally applied state.
 	Replication *rsm.GroupConfig
 	Logf        func(format string, args ...any)
@@ -165,12 +165,6 @@ func (e *TrimmedError) Error() string {
 	return fmt.Sprintf("sharedlog: offset %d trimmed (oldest available %d)", e.From, e.Oldest)
 }
 
-// TrimArgs discards entries below Before.
-type TrimArgs struct {
-	Stream string `json:"stream,omitempty"`
-	Before uint64 `json:"before"`
-}
-
 // TailArgs names the stream to inspect.
 type TailArgs struct {
 	Stream string `json:"stream,omitempty"`
@@ -204,7 +198,6 @@ func Serve(cfg Config) (*Server, error) {
 	// sequenced in the order it sent them.
 	s.rpc.HandleOrdered("Append", s.serveAppend)
 	rpc.HandleFunc(s.rpc, "Read", s.handleRead)
-	rpc.HandleFunc(s.rpc, "Trim", s.handleTrim)
 	rpc.HandleFunc(s.rpc, "Tail", s.handleTail)
 	addr, err := s.rpc.Serve(cfg.Network, cfg.Addr)
 	if err != nil {
@@ -414,44 +407,6 @@ func (s *Server) handleRead(args ReadArgs) (ReadReply, error) {
 	}
 }
 
-func (s *Server) handleTrim(args TrimArgs) (struct{}, error) {
-	if err := s.leaderCheck(); err != nil {
-		return struct{}{}, err
-	}
-	if s.node == nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return struct{}{}, s.applyTrimLocked(args.Stream, args.Before)
-	}
-	return struct{}{}, s.proposeTrim(args)
-}
-
-// applyTrimLocked is the deterministic trim body. Caller holds mu.
-func (s *Server) applyTrimLocked(stream string, before uint64) error {
-	st := s.streamLocked(stream)
-	if before > st.next {
-		return fmt.Errorf("sharedlog: trim %d beyond tail %d", before, st.next)
-	}
-	kept := st.segs[:0]
-	for _, seg := range st.segs {
-		if seg.base+uint64(seg.count()) <= before {
-			continue // whole segment below the trim point
-		}
-		kept = append(kept, seg)
-	}
-	st.segs = append([]*segment(nil), kept...)
-	// Trim drops whole segments only, so the true floor is the first
-	// retained segment's base (or before itself when nothing remains).
-	floor := before
-	if len(st.segs) > 0 && st.segs[0].base < floor {
-		floor = st.segs[0].base
-	}
-	if floor > st.trimmed {
-		st.trimmed = floor
-	}
-	return nil
-}
-
 func (s *Server) handleTail(args TailArgs) (TailReply, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -653,11 +608,6 @@ func (c *Client) Read(from uint64, max int, wait time.Duration) ([]Entry, uint64
 		return nil, 0, &TrimmedError{From: from, Oldest: reply.Oldest}
 	}
 	return reply.Entries, reply.Next, nil
-}
-
-// Trim discards entries below before.
-func (c *Client) Trim(before uint64) error {
-	return c.core.call("Trim", TrimArgs{Stream: c.stream, Before: before}, nil, rpc.DefaultCallTimeout)
 }
 
 // Tail returns the next offset the sequencer will assign.

@@ -146,33 +146,6 @@ func TestLongPollTimesOutEmpty(t *testing.T) {
 	}
 }
 
-func TestTrim(t *testing.T) {
-	_, c := newLog(t, Config{SegmentEntries: 4})
-	for i := 0; i < 12; i++ {
-		c.Append([]byte{byte(i)})
-	}
-	if err := c.Trim(8); err != nil {
-		t.Fatal(err)
-	}
-	// Offsets in dropped segments report where the stream now starts.
-	var te *TrimmedError
-	if _, _, err := c.Read(0, 10, 0); !errors.As(err, &te) || te.From != 0 || te.Oldest != 8 {
-		t.Fatalf("reading trimmed offsets: %v", err)
-	}
-	// Offsets at/after the trim floor still work.
-	entries, _, err := c.Read(8, 10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 4 || entries[0].Offset != 8 {
-		t.Fatalf("entries=%d first=%d", len(entries), entries[0].Offset)
-	}
-	// Trimming past the tail errors.
-	if err := c.Trim(100); err == nil {
-		t.Fatal("trim beyond tail must error")
-	}
-}
-
 // TestRetentionWindow: a stream keeps its last RetainSegments segments.
 // Older ones are dropped by the append that starts a new segment, whatever
 // the batch sizes; a read below the floor reports the oldest offset left; a
@@ -216,7 +189,7 @@ func TestRetentionWindow(t *testing.T) {
 	floor := s.streams[""].trimmed
 	s.mu.Unlock()
 	var te *TrimmedError
-	if _, _, err := c.Read(floor-1, 10, time.Second); !errors.As(err, &te) || te.Oldest != floor {
+	if _, _, err := c.Read(floor-1, 10, time.Second); !errors.As(err, &te) || te.From != floor-1 || te.Oldest != floor {
 		t.Fatalf("read below the floor: %v", err)
 	}
 	entries, next, err := c.Read(floor, 1000, 0)

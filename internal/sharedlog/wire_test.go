@@ -141,8 +141,9 @@ func TestHostileCountRejected(t *testing.T) {
 // TestArenaSegments drives the segment arenas directly: records of every
 // size (empty included) come back byte-exact across segment boundaries,
 // slices handed out earlier survive later appends, and a snapshot restores
-// into the same log even above a trimmed prefix. 16-entry segments keep all
-// 100 records inside the retention window.
+// into the same log even above a trimmed prefix. 16-entry segments keep the
+// first 100 records inside the retention window; 60 more push two segments
+// out of it.
 func TestArenaSegments(t *testing.T) {
 	s, c := newLog(t, Config{SegmentEntries: 16})
 	record := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, i%5*7) }
@@ -167,10 +168,10 @@ func TestArenaSegments(t *testing.T) {
 			t.Fatalf("entry %d leaks arena capacity (len %d cap %d)", 3+i, len(e.Data), cap(e.Data))
 		}
 	}
-	check := func(from uint64) {
+	check := func(from, tail uint64) {
 		t.Helper()
 		entries, next, err := c.Read(from, 1000, 0)
-		if err != nil || next != 100 || len(entries) != int(100-from) {
+		if err != nil || next != tail || len(entries) != int(tail-from) {
 			t.Fatalf("read from %d: %d entries next=%d err=%v", from, len(entries), next, err)
 		}
 		for i, e := range entries {
@@ -179,21 +180,21 @@ func TestArenaSegments(t *testing.T) {
 			}
 		}
 	}
-	check(0)
-	check(37)
+	check(0, 100)
+	check(37, 100)
 
-	if err := c.Trim(40); err != nil { // drops segments [0,16) and [16,32)
-		t.Fatal(err)
+	for i := 100; i < 160; i++ { // ten segments: [0,16) and [16,32) go
+		c.Append(record(i))
 	}
 	snap := logSM{s}.Snapshot()
 	c.Append([]byte("after the snapshot"))
 	logSM{s}.Restore(snap)
-	check(32)
+	check(32, 160)
 	var te *TrimmedError
 	if _, _, err := c.Read(31, 10, 0); !errors.As(err, &te) || te.Oldest != 32 {
 		t.Fatalf("read below the restored trim floor: %v", err)
 	}
-	if first, err := c.Append([]byte("x")); err != nil || first != 100 {
+	if first, err := c.Append([]byte("x")); err != nil || first != 160 {
 		t.Fatalf("append after restore: first=%d err=%v", first, err)
 	}
 }

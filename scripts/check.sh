@@ -157,14 +157,15 @@ run() {
 	# retried frame, catch-up when every replica is behind; the bounded log
 	# (retention window, ReadReply.Oldest, identical trimming on a replicated
 	# group and after restore, wire fuzz seeds); the cluster suites that
-	# cross the window — a partitioned replica, a standby promotion and a
-	# trimmed floor record — with the AA+EC suites that must not notice; all
+	# cross the window — a partitioned replica whose gap holds deletions (on
+	# an engine with a delta export and on one without), a standby promotion
+	# and a trimmed floor record — with the AA+EC suites that must not notice; all
 	# under the race detector. Then the lone-append allocation ceiling (not
 	# under -race, where sync.Pool sheds) and one pass of the two layer
 	# benchmarks.
 	aaec)
 		$GO test -race -run 'TestFramedApply|TestFailedFrame|TestAllReplicasBehind|TestCombiner|TestLogRecord' ./internal/controlet/
-		$GO test -race -run 'TestRetentionWindow|TestReplicatedRetention|TestArenaSegments|TestTrim|Fuzz' ./internal/sharedlog/
+		$GO test -race -run 'TestRetentionWindow|TestReplicatedRetention|TestArenaSegments|Fuzz' ./internal/sharedlog/
 		$GO test -race -run 'TestAAECPartitionedReplicaRebootstraps|TestFailoverStandbyRecoveryAAEC|TestJoinNodeAAEC|TestNemesisChaosAAEC|TestAAECConcurrentWritersConverge|TestAAECShardsStayIsolated|TestTransitionAAECToMSEC' ./internal/cluster/
 		$GO test -run TestLoneAppendAllocs ./internal/controlet/
 		$GO test -run NONE -bench 'LogApply|LogAppend' -benchtime 20000x -benchmem -cpu 1,2 ./internal/controlet/
