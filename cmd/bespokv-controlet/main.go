@@ -20,6 +20,9 @@
 //	  "dlm":         "127.0.0.1:7001",
 //	  "sharedlog":   "127.0.0.1:7002"
 //	}
+//
+// "datalet" is the local datalet's TCP address or, for a datalet started
+// with -local-addr on the same machine, "unix:<path>" of its socket file.
 package main
 
 import (

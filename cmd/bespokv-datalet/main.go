@@ -4,6 +4,13 @@
 //	bespokv-datalet -addr 127.0.0.1:7101 -engine ht
 //	bespokv-datalet -addr 127.0.0.1:7102 -engine lsm -dir /var/lib/bespokv/d2
 //	bespokv-datalet -addr 127.0.0.1:7103 -engine applog -dir ./log -codec text
+//
+// With -local-addr the datalet also listens on a unix-domain socket: the
+// link for the controlet on the same machine ("datalet": "unix:<path>" in
+// its config), which then skips the loopback TCP stack. Everybody else —
+// peer controlets, recovery, backup, direct-read clients — keeps using -addr.
+//
+//	bespokv-datalet -addr 10.0.0.5:7101 -local-addr /run/bespokv/d0.sock
 package main
 
 import (
@@ -29,6 +36,7 @@ import (
 func main() {
 	var (
 		addr    = flag.String("addr", "127.0.0.1:7101", "listen address")
+		local   = flag.String("local-addr", "", "unix socket path to listen on as well, for the collocated controlet")
 		network = flag.String("network", "tcp", "transport (tcp or inproc)")
 		engine  = flag.String("engine", "ht", "storage engine: ht, btree, applog, lsm")
 		dir     = flag.String("dir", "", "data directory for persistent engines")
@@ -53,6 +61,7 @@ func main() {
 		Name:      *name,
 		Network:   net,
 		Addr:      *addr,
+		LocalAddr: *local,
 		Codec:     c,
 		NewEngine: newEngine,
 	})
@@ -61,6 +70,9 @@ func main() {
 	}
 	fmt.Printf("bespokv-datalet %q listening on %s (%s), engine=%s codec=%s\n",
 		*name, s.Addr(), *network, *engine, *codec)
+	if *local != "" {
+		fmt.Printf("local link on unix:%s\n", *local)
+	}
 	o, err := obs.Start(*obsAddr, s.Status)
 	if err != nil {
 		log.Fatal(err)

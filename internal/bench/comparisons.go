@@ -222,11 +222,12 @@ func (p *Params) runRawTargets(figure, series string, net transport.Network, cod
 // (compaction + the coordinator hop); AA+SC flattest (lock contention);
 // MS+EC ≈ AA+EC at 95% GET but behind it at 50% GET.
 //
-// This experiment deploys over tcp with collocated datalets — the paper's
-// physical layout, where the controlet→datalet hop stays on one machine
-// and is nearly free while every cross-node hop (including the baselines'
-// server-side coordinator forwarding) pays the network. Running it purely
-// in-process would price all hops equally and invert the comparison.
+// This experiment deploys over tcp, where the harness puts each
+// controlet→datalet hop on a unix-domain socket — the paper's physical
+// layout, where that hop stays on one machine and is cheap while every
+// cross-node hop (including the baselines' server-side coordinator
+// forwarding) pays the network. Running it purely in-process would price
+// all hops equally and invert the comparison.
 func Fig12NativeComparison(p Params) error {
 	p.defaults()
 	clientSweep := []int{1, 2, 4, 8}
@@ -238,13 +239,12 @@ func Fig12NativeComparison(p Params) error {
 		// paper's six server machines.
 		for _, mode := range []topology.Mode{msSC, msEC, aaSC, aaEC} {
 			c, err := cluster.Start(cluster.Options{
-				NetworkName:        "tcp",
-				CollocatedDatalets: true,
-				Shards:             2,
-				Replicas:           3,
-				Mode:               mode,
-				Engine:             "ht",
-				DisableFailover:    true,
+				NetworkName:     "tcp",
+				Shards:          2,
+				Replicas:        3,
+				Mode:            mode,
+				Engine:          "ht",
+				DisableFailover: true,
 			})
 			if err != nil {
 				return err

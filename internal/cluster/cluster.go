@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -125,15 +126,12 @@ type Options struct {
 	// for the control services; "client" and "admin" for clients and the
 	// harness itself) so nemesis schedules can drop, delay, reorder or
 	// partition traffic between specific components. The fabric must wrap
-	// the same transport NetworkName names; any component on a different
-	// transport (e.g. collocated inproc datalets under tcp) bypasses it.
+	// the same transport NetworkName names. Under a fabric the hop between
+	// a controlet and its own datalet stays on the fabric too (over tcp it
+	// otherwise moves to a socket file, see Cluster.sockDir): after a live
+	// transition that hop joins two fabric hosts, and schedules must still
+	// be able to slow or cut it.
 	Fabric *faultnet.Fabric
-	// CollocatedDatalets keeps datalets on the in-process transport even
-	// when the cluster runs over tcp — the paper's physical layout, where
-	// each controlet–datalet pair shares one machine and the local hop is
-	// nearly free while cross-node hops pay the network. No effect when
-	// NetworkName is already "inproc".
-	CollocatedDatalets bool
 	// Logf receives diagnostics from every component; nil discards them
 	// (the harness is used in benchmarks where log noise skews numbers).
 	Logf func(format string, args ...any)
@@ -195,6 +193,12 @@ type Cluster struct {
 	Standbys []*Pair
 	oldPairs []*Pair // pre-transition controlets kept until Close
 	nameSeq  atomic.Uint64
+
+	// sockDir holds one unix-domain socket per pair, named by node ID, when
+	// the cluster runs over tcp with no fault fabric: the paper's layout has
+	// each controlet beside its datalet on one machine, so that hop is IPC
+	// and only cross-node hops cross the TCP stack. Empty otherwise.
+	sockDir string
 
 	fsMu   sync.Mutex
 	nodeFS map[string]*faultfs.FS // nodeID -> durable filesystem
@@ -375,6 +379,12 @@ func Start(opts Options) (*Cluster, error) {
 		c.Close()
 		return nil, err
 	}
+	if opts.NetworkName == "tcp" && opts.Fabric == nil {
+		// Short on purpose: a socket path has to fit sockaddr_un's 108 bytes.
+		if c.sockDir, err = os.MkdirTemp("", "bkv"); err != nil {
+			return fail(err)
+		}
+	}
 
 	// Control services.
 	if opts.ReplicatedControl > 0 {
@@ -524,13 +534,12 @@ func listenAddr(networkName string) string {
 	return ""
 }
 
-// dataletNetwork resolves the transport datalets listen on.
-func (c *Cluster) dataletNetwork() (transport.Network, string, error) {
-	if c.Opts.CollocatedDatalets && c.Opts.NetworkName != "inproc" {
-		n, err := transport.Lookup("inproc")
-		return n, "", err
+// localLink is the controlet-side name of a datalet's local listener.
+func localLink(d *datalet.Server) string {
+	if d == nil || d.LocalAddr() == "" {
+		return ""
 	}
-	return c.Net, listenAddr(c.Opts.NetworkName), nil
+	return transport.UnixAddr(d.LocalAddr())
 }
 
 // startPair boots one datalet and its controlet.
@@ -562,14 +571,15 @@ func (c *Cluster) startPair(nodeID, shardID, engine string, dataletCodec wire.Co
 			return slowEngine{Engine: e, delay: lat}, nil
 		}
 	}
-	dataletNet, dataletListen, err := c.dataletNetwork()
-	if err != nil {
-		return nil, err
+	var sock string
+	if c.sockDir != "" {
+		sock = filepath.Join(c.sockDir, nodeID)
 	}
 	d, err := datalet.Serve(datalet.Config{
 		Name:              nodeID + "-datalet",
-		Network:           c.hostNet(dataletNet, nodeID),
-		Addr:              dataletListen,
+		Network:           c.hostNet(c.Net, nodeID),
+		Addr:              listenAddr(c.Opts.NetworkName),
+		LocalAddr:         sock,
 		Codec:             dataletCodec,
 		NewEngine:         newEngine,
 		TelemetryInterval: c.Opts.TelemetryInterval,
@@ -584,11 +594,11 @@ func (c *Cluster) startPair(nodeID, shardID, engine string, dataletCodec wire.Co
 		NodeID:            nodeID,
 		ShardID:           shardID,
 		Network:           c.hostNet(c.Net, nodeID),
-		DataletNetwork:    c.hostNet(dataletNet, nodeID),
 		DataAddr:          listenAddr(c.Opts.NetworkName),
 		CtlAddr:           listenAddr(c.Opts.NetworkName),
 		Codec:             c.Codec,
 		DataletAddr:       d.Addr(),
+		LocalDatalet:      localLink(d),
 		DataletCodec:      dataletCodec,
 		Mode:              mode,
 		CoordinatorAddr:   c.coordAddr(),
@@ -759,19 +769,16 @@ func (c *Cluster) Transition(to topology.Mode) error {
 			if err != nil {
 				return err
 			}
-			dataletNet, _, err := c.dataletNetwork()
-			if err != nil {
-				return err
-			}
+			d := c.dataletOf(old.DataletAddr)
 			ctl, err := controlet.Serve(controlet.Config{
 				NodeID:            nodeID,
 				ShardID:           shard.ID,
 				Network:           c.hostNet(c.Net, nodeID),
-				DataletNetwork:    c.hostNet(dataletNet, nodeID),
 				DataAddr:          listenAddr(c.Opts.NetworkName),
 				CtlAddr:           listenAddr(c.Opts.NetworkName),
 				Codec:             c.Codec,
 				DataletAddr:       old.DataletAddr,
+				LocalDatalet:      localLink(d),
 				DataletCodec:      dataletCodec,
 				Mode:              to,
 				CoordinatorAddr:   c.coordAddr(),
@@ -791,7 +798,7 @@ func (c *Cluster) Transition(to topology.Mode) error {
 			node := ctl.Node()
 			node.DataletCodec = old.DataletCodec
 			newShards[si].Replicas = append(newShards[si].Replicas, node)
-			pairs = append(pairs, &Pair{Node: node, Controlet: ctl, Datalet: c.dataletOf(old.DataletAddr)})
+			pairs = append(pairs, &Pair{Node: node, Controlet: ctl, Datalet: d})
 		}
 		newPairs = append(newPairs, pairs)
 	}
@@ -1019,5 +1026,8 @@ func (c *Cluster) Close() {
 	}
 	if c.Coord != nil {
 		_ = c.Coord.Close()
+	}
+	if c.sockDir != "" {
+		_ = os.RemoveAll(c.sockDir)
 	}
 }

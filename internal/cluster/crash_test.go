@@ -15,6 +15,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -436,5 +437,83 @@ func TestCrashRestartLinearizable(t *testing.T) {
 		case histcheck.Unknown:
 			t.Logf("seed %d: key %q verdict unknown (%d ops, budget exhausted)", seed, kr.Key, kr.Ops)
 		}
+	}
+}
+
+// TestCrashRestartOverTCPReusesSocketPath is the crash-restart flow in the
+// tcp layout, where each controlet reaches its datalet over a socket file
+// named after the node. kill -9 leaves that file behind (the in-process Crash
+// closes the listener, which unlinks it, so the test plants the leftover
+// itself); the restarted datalet must take the same path over, the restarted
+// controlet's local pool must dial it there, and what the node serves as the
+// new read tail proves the link works.
+func TestCrashRestartOverTCPReusesSocketPath(t *testing.T) {
+	seed := nemesisSeed(t)
+	logSeed(t, seed)
+	c := startCluster(t, Options{
+		NetworkName:      "tcp",
+		Mode:             topology.Mode{Topology: topology.MS, Consistency: topology.Strong},
+		Shards:           1,
+		Replicas:         3,
+		Durable:          true,
+		Seed:             seed,
+		HeartbeatTimeout: 400 * time.Millisecond,
+	})
+	cli, err := c.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	const keys = 50
+	put := func(prefix string) {
+		for i := 0; i < keys; i++ {
+			k := []byte(fmt.Sprintf("%s-%03d", prefix, i))
+			if err := cli.Put("", k, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	put("before")
+
+	victim := 2 // chain tail
+	old := c.Shards[0][victim]
+	sock := old.Datalet.LocalAddr()
+	if sock == "" {
+		t.Fatal("tcp cluster without a local socket link")
+	}
+	if err := c.Crash(0, victim); err != nil {
+		t.Fatal(err)
+	}
+	stale, err := net.ListenUnix("unix", &net.UnixAddr{Name: sock, Net: "unix"})
+	if err != nil {
+		t.Fatalf("socket path not free after the crash: %v", err)
+	}
+	stale.SetUnlinkOnClose(false)
+	stale.Close()
+	waitEvicted(t, c, old.Node.ID)
+	put("during")
+
+	restartEventually(t, c, 0, victim)
+	fresh := c.Shards[0][victim]
+	if got := fresh.Datalet.LocalAddr(); got != sock {
+		t.Fatalf("restarted datalet listens on %q, want the old path %q", got, sock)
+	}
+	if got, want := localLinkOf(fresh), "unix:"+sock; got != want {
+		t.Fatalf("restarted controlet's local link = %v, want %v", got, want)
+	}
+	for _, prefix := range []string{"before", "during"} {
+		for i := 0; i < keys; i += 7 {
+			k := []byte(fmt.Sprintf("%s-%03d", prefix, i))
+			eventually(t, 5*time.Second, func() string {
+				v, ok, err := cli.Get("", k)
+				if err != nil || !ok || string(v) != string(k) {
+					return fmt.Sprintf("Get(%s) = (%q,%v,%v)", k, v, ok, err)
+				}
+				return ""
+			})
+		}
+	}
+	if e := fresh.Datalet.Engine(""); e.Len() != 2*keys {
+		t.Fatalf("restarted datalet holds %d keys, want %d", e.Len(), 2*keys)
 	}
 }

@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
+	"bespokv/internal/client"
 	"bespokv/internal/topology"
 )
 
@@ -43,19 +45,27 @@ func TestClusterOverTCP(t *testing.T) {
 	}
 }
 
-// TestClusterCollocatedDatalets verifies the paper-faithful layout: over
-// tcp with CollocatedDatalets, controlets listen on sockets while each
-// datalet stays on the in-process transport (same-machine pair).
+// localLinkOf reads, from a pair's controlet status, where it dials its
+// own datalet.
+func localLinkOf(p *Pair) any {
+	return p.Controlet.Status().(map[string]any)["pools"].(map[string]any)["local_link"]
+}
+
+// TestClusterCollocatedDatalets verifies the paper-faithful layout a tcp
+// cluster gets by default: controlets and the datalet addresses the map
+// advertises are TCP sockets, each controlet reaches its own datalet over a
+// unix-domain socket file, and everybody else — peer controlets (table DDL,
+// anti-entropy), direct-read clients — still reaches a datalet over TCP.
+// Nothing of the socket directory survives Close.
 func TestClusterCollocatedDatalets(t *testing.T) {
 	c := startCluster(t, Options{
-		NetworkName:        "tcp",
-		CollocatedDatalets: true,
-		Shards:             1,
-		Replicas:           3,
-		Mode:               topology.Mode{Topology: topology.MS, Consistency: topology.Eventual},
-		DisableFailover:    true,
+		NetworkName:     "tcp",
+		Shards:          1,
+		Replicas:        3,
+		Mode:            topology.Mode{Topology: topology.MS, Consistency: topology.Eventual},
+		DisableFailover: true,
 	})
-	cli, err := c.Client()
+	cli, err := c.ClientConfig(client.Config{DirectReads: true, DisableWatch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +75,44 @@ func TestClusterCollocatedDatalets(t *testing.T) {
 	}
 	waitConverged(t, c, 0, 1)
 	for _, p := range c.Shards[0] {
-		if !strings.Contains(p.Node.ControletAddr, ":") {
-			t.Fatalf("controlet not on tcp: %+v", p.Node)
+		if !strings.Contains(p.Node.ControletAddr, ":") || !strings.Contains(p.Node.DataletAddr, ":") {
+			t.Fatalf("advertised addresses not on tcp: %+v", p.Node)
 		}
-		if strings.Contains(p.Node.DataletAddr, ":") {
-			t.Fatalf("datalet not collocated (inproc): %+v", p.Node)
+		sock := p.Datalet.LocalAddr()
+		if fi, err := os.Stat(sock); err != nil || fi.Mode()&os.ModeSocket == 0 {
+			t.Fatalf("datalet %s: no socket file at %q: %v", p.Node.ID, sock, err)
 		}
+		if got, want := localLinkOf(p), "unix:"+sock; got != want {
+			t.Fatalf("controlet %s local link = %v, want %v", p.Node.ID, got, want)
+		}
+	}
+
+	// A direct read dials the map-advertised datalet address.
+	direct0 := counterValue("bespokv_client_direct_reads_total")
+	if v, ok, err := cli.Get("", []byte("k")); err != nil || !ok || string(v) != "v" {
+		t.Fatalf("direct read: %q %v %v", v, ok, err)
+	}
+	if d := counterValue("bespokv_client_direct_reads_total") - direct0; d != 1 {
+		t.Fatalf("expected 1 direct read over tcp, counter moved by %d", d)
+	}
+	// Table DDL goes from the head's controlet to every peer datalet.
+	if err := cli.CreateTable("t2"); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range c.Shards[0] {
+		if p.Datalet.Engine("t2") == nil {
+			t.Fatalf("datalet %s never got the table", p.Node.ID)
+		}
+	}
+	// Anti-entropy exports the local datalet over the socket file and
+	// pushes to the peers' datalets over tcp.
+	if pairs, _, err := c.Reconcile(0, 0); err != nil || pairs != 1 {
+		t.Fatalf("reconcile: %d pairs, %v", pairs, err)
+	}
+
+	dir := c.sockDir
+	c.Close()
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("socket directory %q survived Close: %v", dir, err)
 	}
 }

@@ -61,7 +61,7 @@ func (s *Server) handleReconcile(struct{}) (ReconcileReply, error) {
 		if n.ID == s.cfg.NodeID {
 			continue
 		}
-		p, err := datalet.Dial(s.cfg.DataletNetwork, n.DataletAddr, s.dataletCodecFor(n))
+		p, err := datalet.Dial(s.cfg.Network, n.DataletAddr, s.dataletCodecFor(n))
 		if err != nil {
 			return ReconcileReply{}, fmt.Errorf("controlet: reconcile dial %s: %w", n.ID, err)
 		}
@@ -80,7 +80,7 @@ func (s *Server) handleReconcile(struct{}) (ReconcileReply, error) {
 				}
 			}
 		}
-		src, err := datalet.Dial(s.cfg.DataletNetwork, s.cfg.DataletAddr, s.cfg.DataletCodec)
+		src, err := datalet.Dial(s.localNet, s.localAddr, s.cfg.DataletCodec)
 		if err != nil {
 			return reply, err
 		}

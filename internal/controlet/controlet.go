@@ -22,7 +22,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"sync"
 	"sync/atomic"
@@ -30,13 +29,11 @@ import (
 
 	"bespokv/internal/coordinator"
 	"bespokv/internal/datalet"
-	"bespokv/internal/metrics"
 	"bespokv/internal/migrate"
 	"bespokv/internal/overload"
 	"bespokv/internal/rpc"
 	"bespokv/internal/telemetry"
 	"bespokv/internal/topology"
-	"bespokv/internal/trace"
 	"bespokv/internal/transport"
 	"bespokv/internal/wire"
 )
@@ -46,13 +43,9 @@ type Config struct {
 	// NodeID and ShardID locate this controlet in the cluster map.
 	NodeID  string
 	ShardID string
-	// Network carries this controlet's client/peer/control traffic.
+	// Network carries this controlet's client, peer-controlet,
+	// peer-datalet and control traffic.
 	Network transport.Network
-	// DataletNetwork carries traffic to datalets (local and peer); nil
-	// uses Network. Deployments that collocate each controlet with its
-	// datalet set this to the in-process transport, modeling the paper's
-	// one-pair-per-machine layout where the local hop is nearly free.
-	DataletNetwork transport.Network
 	// DataAddr and CtlAddr are the listen addresses for the data path
 	// and the control RPC endpoint.
 	DataAddr string
@@ -62,9 +55,19 @@ type Config struct {
 	Codec wire.Codec
 	// DataletAddr and DataletCodec reach the local datalet; the codec
 	// may differ from the client-facing one (e.g. a text-protocol
-	// tRedis-style datalet behind a binary front).
+	// tRedis-style datalet behind a binary front). DataletAddr is an
+	// address on Network — the one the cluster map advertises to peers,
+	// recovery and direct-read clients — or "unix:<path>" for a datalet
+	// reached over a socket file only.
 	DataletAddr  string
 	DataletCodec wire.Codec
+	// LocalDatalet, when set, is where this controlet itself reaches the
+	// datalet on its own machine, in place of DataletAddr: "unix:<path>"
+	// for the socket file a collocated datalet listens on beside its
+	// advertised address (datalet.Config.LocalAddr), the paper's
+	// one-pair-per-machine layout where the local hop is IPC and only
+	// cross-node hops pay the network.
+	LocalDatalet string
 	// Mode is the initial topology+consistency pair this controlet
 	// implements.
 	Mode topology.Mode
@@ -117,20 +120,22 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// connBufSize sizes per-connection read/write buffers; matched to the
-// datalet client so one flush there fits in one read here.
-const connBufSize = 64 << 10
-
 // Server is a running controlet.
 type Server struct {
 	cfg Config
 	pol policy // what cfg.Mode decides about the data path (modes.go)
 
 	dataListener transport.Listener
+	conn         wire.ConnHandler
 	ctl          *rpc.Server
 	ctlAddr      string
 
-	local *datalet.Pool // to the local datalet
+	// The local link: network and address of the datalet this controlet
+	// fronts, and the pool dialled on them. Peer datalets are reached on
+	// cfg.Network at their map-advertised addresses instead.
+	localNet  transport.Network
+	localAddr string
+	local     *datalet.Pool
 
 	clock atomic.Uint64 // Lamport clock for LWW versions
 
@@ -194,9 +199,6 @@ func Serve(cfg Config) (*Server, error) {
 	if cfg.DataletCodec == nil {
 		cfg.DataletCodec = cfg.Codec
 	}
-	if cfg.DataletNetwork == nil {
-		cfg.DataletNetwork = cfg.Network
-	}
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = 250 * time.Millisecond
 	}
@@ -219,21 +221,32 @@ func Serve(cfg Config) (*Server, error) {
 	if !ok {
 		return nil, fmt.Errorf("controlet: invalid mode %s", cfg.Mode)
 	}
-	local, err := datalet.DialPool(cfg.DataletNetwork, cfg.DataletAddr, cfg.DataletCodec, cfg.PeerPoolSize)
+	link := cfg.LocalDatalet
+	if link == "" {
+		link = cfg.DataletAddr
+	}
+	localNet, localAddr := transport.Resolve(cfg.Network, link)
+	local, err := datalet.DialPool(localNet, localAddr, cfg.DataletCodec, cfg.PeerPoolSize)
 	if err != nil {
 		return nil, fmt.Errorf("controlet: dial local datalet: %w", err)
 	}
 	local.SetCallTimeout(cfg.PeerCallTimeout)
 	s := &Server{
-		cfg:    cfg,
-		pol:    pol,
-		local:  local,
-		peers:  map[string]*datalet.Pool{},
-		dPeers: map[string]*datalet.Pool{},
-		conns:  map[transport.Conn]struct{}{},
-		stopCh: make(chan struct{}),
-		tele:   telemetry.NewRecorder(telemetry.Options{Interval: cfg.TelemetryInterval}),
-		gate:   overload.NewGate(overload.Config{MaxInflight: cfg.MaxInflight, Target: cfg.ShedTarget}),
+		cfg:       cfg,
+		pol:       pol,
+		localNet:  localNet,
+		localAddr: localAddr,
+		local:     local,
+		peers:     map[string]*datalet.Pool{},
+		dPeers:    map[string]*datalet.Pool{},
+		conns:     map[transport.Conn]struct{}{},
+		stopCh:    make(chan struct{}),
+		tele:      telemetry.NewRecorder(telemetry.Options{Interval: cfg.TelemetryInterval}),
+		gate:      overload.NewGate(overload.Config{MaxInflight: cfg.MaxInflight, Target: cfg.ShedTarget}),
+	}
+	s.conn = wire.ConnHandler{
+		Codec: cfg.Codec, Node: cfg.NodeID, Layer: "controlet",
+		Handle: s.handleConn, Record: s.recordOp, Epoch: s.epoch,
 	}
 	// Seed the clock so fresh controlets never reissue old versions
 	// after recovery (coarse wall-clock epoch in the high bits, Lamport
@@ -520,15 +533,15 @@ func (s *Server) dataletCodecFor(n topology.Node) wire.Codec {
 	return s.cfg.DataletCodec
 }
 
-// dataletPool returns (dialing lazily) a pool to a peer datalet, over the
-// datalet network and in the datalet's own protocol.
+// dataletPool returns (dialing lazily) a pool to a peer datalet, at its
+// map-advertised address and in the datalet's own protocol.
 func (s *Server) dataletPool(n topology.Node) (*datalet.Pool, error) {
 	s.dPeersMu.Lock()
 	defer s.dPeersMu.Unlock()
 	if p, ok := s.dPeers[n.DataletAddr]; ok {
 		return p, nil
 	}
-	p, err := datalet.DialPool(s.cfg.DataletNetwork, n.DataletAddr, s.dataletCodecFor(n), s.cfg.PeerPoolSize)
+	p, err := datalet.DialPool(s.cfg.Network, n.DataletAddr, s.dataletCodecFor(n), s.cfg.PeerPoolSize)
 	if err != nil {
 		return nil, err
 	}
@@ -549,16 +562,16 @@ func (s *Server) dropDataletPeer(addr string) {
 
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
-	for {
-		conn, err := s.dataListener.Accept()
-		if err != nil {
-			return
-		}
+	transport.AcceptLoop(s.dataListener, func(err error) bool {
+		ctlAcceptErrs.Inc()
+		s.cfg.Logf("controlet %s: accept: %v", s.cfg.NodeID, err)
+		return !s.stopped.Load()
+	}, func(conn transport.Conn) bool {
 		s.connsMu.Lock()
 		if s.stopped.Load() {
 			s.connsMu.Unlock()
 			conn.Close()
-			return
+			return false
 		}
 		s.conns[conn] = struct{}{}
 		s.connsMu.Unlock()
@@ -571,63 +584,34 @@ func (s *Server) acceptLoop() {
 				s.connsMu.Unlock()
 				conn.Close()
 			}()
-			s.serveConn(conn)
-		}()
-	}
-}
-
-func (s *Server) serveConn(conn transport.Conn) {
-	br := bufio.NewReaderSize(conn, connBufSize)
-	bw := bufio.NewWriterSize(conn, connBufSize)
-	bcd, _ := s.cfg.Codec.(wire.BufferedCodec)
-	var req wire.Request
-	var resp wire.Response
-	for {
-		req.Reset()
-		if err := s.cfg.Codec.ReadRequest(br, &req); err != nil {
-			if err != io.EOF && !errors.Is(err, io.ErrUnexpectedEOF) && !s.stopped.Load() {
+			if err := wire.ServeConn(conn, &s.conn); err != nil && !s.stopped.Load() {
 				s.cfg.Logf("controlet %s: read: %v", s.cfg.NodeID, err)
 			}
-			return
-		}
-		resp.Reset()
-		req.ArmDeadline(time.Now)
-		timed := req.TraceID != 0 || metrics.SampleLatency()
-		var start time.Time
-		if timed {
-			start = time.Now()
-		}
-		s.dispatchAdmit(&req, &resp)
-		dur := time.Duration(-1)
-		if timed {
-			dur = time.Since(start)
-			recordCtlOp(req.Op, dur)
-			if req.TraceID != 0 {
-				trace.Record(req.TraceID, s.cfg.NodeID, "controlet."+req.Op.String(), start, dur, resp.Err)
-			}
-		} else {
-			countCtlOp(req.Op)
-		}
-		s.recordTelemetry(&req, &resp, dur)
-		// dispatch may have decoded nested peer/datalet responses into
-		// resp, overwriting its ID; stamp it after the fact so the reply
-		// always echoes the request it answers.
-		resp.ID = req.ID
-		// Tell lagging clients the current epoch so they refresh.
-		if m := s.Map(); m != nil && req.Epoch != 0 && req.Epoch < m.Epoch {
-			resp.Epoch = m.Epoch
-		}
-		// Coalesce response flushes while more pipelined requests wait.
-		if bcd != nil && br.Buffered() > 0 {
-			if err := bcd.EncodeResponse(bw, &resp); err != nil {
-				return
-			}
-			continue
-		}
-		if err := s.cfg.Codec.WriteResponse(bw, &resp); err != nil {
-			return
-		}
+		}()
+		return true
+	})
+}
+
+// handleConn, recordOp and epoch are the connection loop's hooks.
+func (s *Server) handleConn(req *wire.Request, resp *wire.Response, _ *bufio.Writer) (streamed bool, err error) {
+	s.dispatchAdmit(req, resp)
+	return false, nil
+}
+
+func (s *Server) recordOp(req *wire.Request, resp *wire.Response, dur time.Duration) {
+	if dur >= 0 {
+		recordCtlOp(req.Op, dur)
+	} else {
+		countCtlOp(req.Op)
 	}
+	s.recordTelemetry(req, resp, dur)
+}
+
+func (s *Server) epoch() uint64 {
+	if m := s.Map(); m != nil {
+		return m.Epoch
+	}
+	return 0
 }
 
 // fenced reports whether this controlet has lost coordinator contact for a

@@ -44,6 +44,9 @@ var (
 	ctlHeartbeats    = metrics.Default.Counter("bespokv_controlet_heartbeats_total")
 	ctlHeartbeatErrs = metrics.Default.Counter("bespokv_controlet_heartbeat_errors_total")
 
+	// Accept errors other than the listener closing; the loop retries them.
+	ctlAcceptErrs = metrics.Default.Counter("bespokv_controlet_accept_errors_total")
+
 	// Requests rejected because the node self-fenced (lost coordinator
 	// contact past FenceTimeout).
 	ctlFencedRejects = metrics.Default.Counter("bespokv_controlet_fenced_rejects_total")
@@ -178,6 +181,7 @@ func (s *Server) Status() any {
 	dCount := len(s.dPeers)
 	s.dPeersMu.Unlock()
 	st["pools"] = map[string]any{
+		"local_link":         s.localNet.Name() + ":" + s.localAddr,
 		"local_conns":        localConns,
 		"local_load":         localLoad,
 		"peers":              peerCount,

@@ -87,7 +87,7 @@ func (s *Server) backfill(args RecoverArgs, gap *logGap) (RecoverReply, error) {
 		}
 		codec = c
 	}
-	src, err := datalet.Dial(s.cfg.DataletNetwork, args.SourceDatalet, codec)
+	src, err := datalet.Dial(s.cfg.Network, args.SourceDatalet, codec)
 	if err != nil {
 		return reply, fmt.Errorf("recover: dial source: %w", err)
 	}

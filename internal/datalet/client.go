@@ -21,14 +21,9 @@ import (
 	"bespokv/internal/wire"
 )
 
-const (
-	// connBufSize sizes the per-connection read/write buffers. Large
-	// enough to hold a deep burst of small KV requests per flush.
-	connBufSize = 64 << 10
-	// maxInflight bounds requests awaiting responses per connection;
-	// senders beyond it block (backpressure) rather than queue unbounded.
-	maxInflight = 1024
-)
+// maxInflight bounds requests awaiting responses per connection; senders
+// beyond it block (backpressure) rather than queue unbounded.
+const maxInflight = 1024
 
 // ErrClientClosed is returned after the connection has failed or closed.
 var ErrClientClosed = errors.New("datalet: client closed")
@@ -123,8 +118,8 @@ func Dial(network transport.Network, addr string, codec wire.Codec) (*Client, er
 	c := &Client{
 		conn:  conn,
 		codec: codec,
-		br:    bufio.NewReaderSize(conn, connBufSize),
-		bw:    bufio.NewWriterSize(conn, connBufSize),
+		br:    bufio.NewReaderSize(conn, wire.ConnBufSize),
+		bw:    bufio.NewWriterSize(conn, wire.ConnBufSize),
 		dead:  make(chan struct{}),
 	}
 	c.bcd, _ = codec.(wire.BufferedCodec)

@@ -10,18 +10,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
-	"bespokv/internal/metrics"
 	"bespokv/internal/overload"
 	"bespokv/internal/store"
 	"bespokv/internal/telemetry"
-	"bespokv/internal/trace"
 	"bespokv/internal/transport"
 	"bespokv/internal/wire"
 )
@@ -36,6 +33,12 @@ type Config struct {
 	// Network and Addr select where to listen.
 	Network transport.Network
 	Addr    string
+	// LocalAddr, when set, is the path of a unix-domain socket the datalet
+	// listens on as well: the link for the controlet on the same machine,
+	// which would otherwise cross the loopback TCP stack to get here. Peer
+	// controlets, recovery, backup and direct-read clients keep using Addr,
+	// the address the cluster map advertises.
+	LocalAddr string
 	// Codec selects the protocol parser (binary or text).
 	Codec wire.Codec
 	// NewEngine creates the storage engine backing one table. It is
@@ -62,8 +65,9 @@ type Config struct {
 
 // Server is a running datalet.
 type Server struct {
-	cfg      Config
-	listener transport.Listener
+	cfg       Config
+	listeners []transport.Listener // Addr's, then LocalAddr's if any
+	conn      wire.ConnHandler
 
 	mu     sync.RWMutex
 	tables map[string]store.Engine
@@ -101,29 +105,57 @@ func Serve(cfg Config) (*Server, error) {
 	if cfg.MaxInflight == 0 {
 		cfg.MaxInflight = 1024
 	}
+	s := &Server{
+		cfg:    cfg,
+		active: map[transport.Conn]struct{}{},
+		tele:   telemetry.NewRecorder(telemetry.Options{Interval: cfg.TelemetryInterval}),
+		gate:   overload.NewGate(overload.Config{MaxInflight: cfg.MaxInflight, Target: cfg.ShedTarget}),
+	}
+	s.conn = wire.ConnHandler{
+		Codec: cfg.Codec, Node: cfg.Name, Layer: "datalet",
+		Handle: s.handleConn, Record: s.recordOp,
+	}
 	l, err := cfg.Network.Listen(cfg.Addr)
 	if err != nil {
 		return nil, err
 	}
+	s.listeners = append(s.listeners, l)
+	if cfg.LocalAddr != "" {
+		l, err := transport.Unix{}.Listen(cfg.LocalAddr)
+		if err != nil {
+			s.closeListeners()
+			return nil, fmt.Errorf("datalet: local listener: %w", err)
+		}
+		s.listeners = append(s.listeners, l)
+	}
 	def, err := cfg.NewEngine("")
 	if err != nil {
-		l.Close()
+		s.closeListeners()
 		return nil, err
 	}
-	s := &Server{
-		cfg:      cfg,
-		listener: l,
-		tables:   map[string]store.Engine{"": def},
-		active:   map[transport.Conn]struct{}{},
-		tele:     telemetry.NewRecorder(telemetry.Options{Interval: cfg.TelemetryInterval}),
-		gate:     overload.NewGate(overload.Config{MaxInflight: cfg.MaxInflight, Target: cfg.ShedTarget}),
+	s.tables = map[string]store.Engine{"": def}
+	// Both listeners feed one connection set, one gate and one Close.
+	for _, l := range s.listeners {
+		go s.acceptLoop(l)
 	}
-	go s.acceptLoop()
 	return s, nil
 }
 
 // Addr returns the bound address.
-func (s *Server) Addr() string { return s.listener.Addr() }
+func (s *Server) Addr() string { return s.listeners[0].Addr() }
+
+// LocalAddr returns the socket path of the local listener, "" without one.
+func (s *Server) LocalAddr() string { return s.cfg.LocalAddr }
+
+func (s *Server) closeListeners() error {
+	var first error
+	for _, l := range s.listeners {
+		if err := l.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
 
 // Engine returns the engine backing table (nil if absent); tests and the
 // in-process harness use it for white-box checks.
@@ -133,7 +165,8 @@ func (s *Server) Engine(table string) store.Engine {
 	return s.tables[table]
 }
 
-// Close stops the listener and closes every engine.
+// Close stops the listeners (unlinking the local socket file), drains every
+// connection and closes every engine.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -145,7 +178,7 @@ func (s *Server) Close() error {
 		_ = c.Close()
 	}
 	s.mu.Unlock()
-	err := s.listener.Close()
+	err := s.closeListeners()
 	s.conns.Wait()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -155,21 +188,25 @@ func (s *Server) Close() error {
 	return err
 }
 
-func (s *Server) acceptLoop() {
-	for {
-		conn, err := s.listener.Accept()
-		if err != nil {
-			return
-		}
+func (s *Server) acceptLoop(l transport.Listener) {
+	transport.AcceptLoop(l, func(err error) bool {
+		srvAcceptErrs.Inc()
+		s.cfg.Logf("datalet %s: accept on %s: %v", s.cfg.Name, l.Addr(), err)
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		return !s.closed
+	}, func(conn transport.Conn) bool {
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
 			conn.Close()
-			return
+			return false
 		}
 		s.active[conn] = struct{}{}
-		s.mu.Unlock()
+		// Under mu, so that Close, which sets closed under mu, cannot
+		// already be in conns.Wait.
 		s.conns.Add(1)
+		s.mu.Unlock()
 		go func() {
 			defer s.conns.Done()
 			defer func() {
@@ -178,73 +215,36 @@ func (s *Server) acceptLoop() {
 				s.mu.Unlock()
 				conn.Close()
 			}()
-			s.serveConn(conn)
-		}()
-	}
-}
-
-// serveConn processes one connection's requests sequentially, which
-// preserves FIFO response ordering (required by the text protocol and
-// relied on by all clients). Responses are flush-coalesced: while more
-// pipelined requests sit in the read buffer, responses are only encoded,
-// and one flush covers the whole burst once the buffer drains.
-func (s *Server) serveConn(conn transport.Conn) {
-	br := bufio.NewReaderSize(conn, connBufSize)
-	bw := bufio.NewWriterSize(conn, connBufSize)
-	bcd, _ := s.cfg.Codec.(wire.BufferedCodec)
-	var req wire.Request
-	var resp wire.Response
-	for {
-		req.Reset()
-		if err := s.cfg.Codec.ReadRequest(br, &req); err != nil {
-			if err != io.EOF && !errors.Is(err, io.ErrUnexpectedEOF) {
+			if err := wire.ServeConn(conn, &s.conn); err != nil {
 				s.cfg.Logf("datalet %s: read: %v", s.cfg.Name, err)
 			}
-			return
-		}
-		if req.Op == wire.OpExport {
-			if err := s.streamExport(bw, &req); err != nil {
-				return
-			}
-			continue
-		}
-		if req.Op == wire.OpExportDelta {
-			if err := s.streamExportDelta(bw, &req); err != nil {
-				return
-			}
-			continue
-		}
-		resp.Reset()
-		resp.ID = req.ID
-		req.ArmDeadline(time.Now)
-		timed := req.TraceID != 0 || metrics.SampleLatency()
-		var start time.Time
-		if timed {
-			start = time.Now()
-		}
-		s.handleAdmit(&req, &resp)
-		dur := time.Duration(-1)
-		if timed {
-			dur = time.Since(start)
-			recordServerOp(req.Op, dur)
-			if req.TraceID != 0 {
-				trace.Record(req.TraceID, s.cfg.Name, "datalet."+req.Op.String(), start, dur, resp.Err)
-			}
-		} else {
-			countServerOp(req.Op)
-		}
-		if req.Op == wire.OpDirectGet {
-			s.recordDirectGet(&req, &resp, dur)
-		}
-		if bcd != nil && br.Buffered() > 0 {
-			if err := bcd.EncodeResponse(bw, &resp); err != nil {
-				return
-			}
-			continue
-		}
-		if err := s.cfg.Codec.WriteResponse(bw, &resp); err != nil {
-			return
-		}
+		}()
+		return true
+	})
+}
+
+// handleConn is the connection loop's handler: the two export streams write
+// their own frames, everything else is answered into resp.
+func (s *Server) handleConn(req *wire.Request, resp *wire.Response, bw *bufio.Writer) (streamed bool, err error) {
+	switch req.Op {
+	case wire.OpExport:
+		return true, s.streamExport(bw, req)
+	case wire.OpExportDelta:
+		return true, s.streamExportDelta(bw, req)
+	}
+	s.handleAdmit(req, resp)
+	return false, nil
+}
+
+// recordOp accounts one answered request; dur < 0 means it was not timed.
+func (s *Server) recordOp(req *wire.Request, resp *wire.Response, dur time.Duration) {
+	if dur >= 0 {
+		recordServerOp(req.Op, dur)
+	} else {
+		countServerOp(req.Op)
+	}
+	if req.Op == wire.OpDirectGet {
+		s.recordDirectGet(req, resp, dur)
 	}
 }
 

@@ -25,6 +25,9 @@ var (
 	// dropped because their propagated deadline was already spent.
 	srvShedTotal       = metrics.Default.Counter("bespokv_overload_shed_total", "layer", "datalet")
 	srvDeadlineExpired = metrics.Default.Counter("bespokv_deadline_expired_total", "layer", "datalet")
+
+	// Accept errors other than the listener closing; the loop retries them.
+	srvAcceptErrs = metrics.Default.Counter("bespokv_datalet_accept_errors_total")
 )
 
 // Live-connection registry backing the pipeline gauges. Conn count,

@@ -58,6 +58,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"sync"
 	"time"
 
@@ -360,16 +361,18 @@ func (s *Server) Serve(network transport.Network, addr string) (string, error) {
 }
 
 func (s *Server) acceptLoop(l transport.Listener) {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
+	transport.AcceptLoop(l, func(err error) bool {
+		rpcAcceptErrs.Inc()
+		log.Printf("rpc: accept on %s: %v", l.Addr(), err)
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return !s.closed
+	}, func(conn transport.Conn) bool {
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
 			conn.Close()
-			return
+			return false
 		}
 		s.active[conn] = struct{}{}
 		// Register with the WaitGroup while still holding mu: once Close
@@ -387,7 +390,8 @@ func (s *Server) acceptLoop(l transport.Listener) {
 			}()
 			s.serveConn(conn)
 		}()
-	}
+		return true
+	})
 }
 
 // serverConn is the write half of one accepted connection, shared by
@@ -686,6 +690,8 @@ func (c *Client) failAll(err error) {
 var (
 	rpcCallSeconds = metrics.Default.Histogram("bespokv_rpc_call_seconds")
 	rpcTimeouts    = metrics.Default.Counter("bespokv_rpc_call_timeouts_total")
+	// Accept errors other than the listener closing; the loop retries them.
+	rpcAcceptErrs = metrics.Default.Counter("bespokv_rpc_accept_errors_total")
 
 	// Calls whose propagated budget was spent before dispatch (see D).
 	rpcDeadlineExpired = metrics.Default.Counter("bespokv_deadline_expired_total", "layer", "rpc")

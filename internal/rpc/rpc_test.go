@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"bespokv/internal/faultnet"
 	"bespokv/internal/trace"
 	"bespokv/internal/transport"
 )
@@ -290,5 +291,32 @@ func TestCallTracedRecordsServerSpan(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	if rec.Total() != mid {
 		t.Fatal("untraced call recorded a span")
+	}
+}
+
+// One transient Accept error used to end the accept loop for good, leaving
+// a control service that looks alive and accepts nobody.
+func TestAcceptLoopOutlivesTransientErrors(t *testing.T) {
+	const fails = 3
+	before := rpcAcceptErrs.Value()
+	s := NewServer()
+	HandleFunc(s, "Add", func(a addArgs) (int, error) { return a.A + a.B, nil })
+	addr, err := s.Serve(faultnet.FailAccepts(transport.Inproc{}, fails), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := DialClient(transport.Inproc{}, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.CallTimeout = 5 * time.Second
+	var sum int
+	if err := c.Call("Add", addArgs{2, 3}, &sum); err != nil || sum != 5 {
+		t.Fatalf("server deaf after %d accept errors: %v (sum %d)", fails, err, sum)
+	}
+	if got := rpcAcceptErrs.Value() - before; got != fails {
+		t.Fatalf("accept errors counted: %d, want %d", got, fails)
 	}
 }

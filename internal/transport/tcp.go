@@ -29,7 +29,7 @@ func (TCP) Listen(addr string) (Listener, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &tcpListener{l: l}, nil
+	return &netListener{l: l}, nil
 }
 
 // Dial connects to a TCP address, bounded by DialTimeout and with
@@ -43,14 +43,15 @@ func (TCP) Dial(addr string) (Conn, error) {
 	if tc, ok := c.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true)
 	}
-	return tcpConn{c}, nil
+	return netConn{c}, nil
 }
 
-type tcpListener struct {
+// netListener adapts a kernel socket listener, TCP or unix-domain.
+type netListener struct {
 	l net.Listener
 }
 
-func (t *tcpListener) Accept() (Conn, error) {
+func (t *netListener) Accept() (Conn, error) {
 	c, err := t.l.Accept()
 	if err != nil {
 		if errors.Is(err, net.ErrClosed) {
@@ -63,18 +64,18 @@ func (t *tcpListener) Accept() (Conn, error) {
 		_ = tc.SetKeepAlive(true)
 		_ = tc.SetKeepAlivePeriod(KeepAlivePeriod)
 	}
-	return tcpConn{c}, nil
+	return netConn{c}, nil
 }
 
-func (t *tcpListener) Close() error { return t.l.Close() }
-func (t *tcpListener) Addr() string { return t.l.Addr().String() }
+func (t *netListener) Close() error { return t.l.Close() }
+func (t *netListener) Addr() string { return t.l.Addr().String() }
 
-type tcpConn struct {
+type netConn struct {
 	net.Conn
 }
 
-func (c tcpConn) LocalAddr() string  { return c.Conn.LocalAddr().String() }
-func (c tcpConn) RemoteAddr() string { return c.Conn.RemoteAddr().String() }
+func (c netConn) LocalAddr() string  { return c.Conn.LocalAddr().String() }
+func (c netConn) RemoteAddr() string { return c.Conn.RemoteAddr().String() }
 
 func init() {
 	Register(TCP{})

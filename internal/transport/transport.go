@@ -1,9 +1,10 @@
 // Package transport abstracts the byte-stream fabric underneath the wire
-// protocol so the same servers and clients run over kernel TCP sockets or
-// over in-process shared-memory rings. The in-process network is this
-// reproduction's stand-in for the paper's DPDK kernel-bypass path (§E):
-// both remove the syscall and copy costs of the socket path while keeping
-// the stream semantics identical.
+// protocol so the same servers and clients run over kernel TCP sockets,
+// over unix-domain sockets (the hop between a controlet and the datalet on
+// its own machine) or over in-process shared-memory rings. The in-process
+// network is this reproduction's stand-in for the paper's DPDK
+// kernel-bypass path (§E): both remove the syscall and copy costs of the
+// socket path while keeping the stream semantics identical.
 package transport
 
 import (
@@ -34,9 +35,10 @@ type Listener interface {
 
 // Network creates listeners and dials connections.
 type Network interface {
-	// Name identifies the network ("tcp" or "inproc").
+	// Name identifies the network ("tcp", "unix" or "inproc").
 	Name() string
-	// Listen binds addr. For tcp, "host:0" picks a free port (see Addr).
+	// Listen binds addr. For tcp, "host:0" picks a free port (see Addr);
+	// for unix, addr is the socket file's path.
 	Listen(addr string) (Listener, error)
 	// Dial connects to a listener's address.
 	Dial(addr string) (Conn, error)

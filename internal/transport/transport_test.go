@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -15,7 +16,7 @@ import (
 func networksUnderTest(t *testing.T) []Network {
 	t.Helper()
 	var nets []Network
-	for _, name := range []string{"tcp", "inproc"} {
+	for _, name := range []string{"tcp", "unix", "inproc"} {
 		n, err := Lookup(name)
 		if err != nil {
 			t.Fatal(err)
@@ -25,9 +26,12 @@ func networksUnderTest(t *testing.T) []Network {
 	return nets
 }
 
-func listenAddr(n Network) string {
-	if n.Name() == "tcp" {
+func listenAddr(tb testing.TB, n Network) string {
+	switch n.Name() {
+	case "tcp":
 		return "127.0.0.1:0"
+	case "unix":
+		return filepath.Join(tb.TempDir(), "s")
 	}
 	return ""
 }
@@ -36,7 +40,7 @@ func TestEchoRoundtrip(t *testing.T) {
 	for _, n := range networksUnderTest(t) {
 		n := n
 		t.Run(n.Name(), func(t *testing.T) {
-			l, err := n.Listen(listenAddr(n))
+			l, err := n.Listen(listenAddr(t, n))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +77,7 @@ func TestLargeTransferIntegrity(t *testing.T) {
 	for _, n := range networksUnderTest(t) {
 		n := n
 		t.Run(n.Name(), func(t *testing.T) {
-			l, err := n.Listen(listenAddr(n))
+			l, err := n.Listen(listenAddr(t, n))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,8 +116,11 @@ func TestLargeTransferIntegrity(t *testing.T) {
 func TestDialUnboundAddressFails(t *testing.T) {
 	for _, n := range networksUnderTest(t) {
 		addr := "127.0.0.1:1" // reserved port, nothing listens
-		if n.Name() == "inproc" {
+		switch n.Name() {
+		case "inproc":
 			addr = "no-such-endpoint"
+		case "unix":
+			addr = filepath.Join(t.TempDir(), "nobody")
 		}
 		if _, err := n.Dial(addr); err == nil {
 			t.Fatalf("%s: dialing unbound address must fail", n.Name())
@@ -123,7 +130,7 @@ func TestDialUnboundAddressFails(t *testing.T) {
 
 func TestAcceptAfterCloseReturnsErrClosed(t *testing.T) {
 	for _, n := range networksUnderTest(t) {
-		l, err := n.Listen(listenAddr(n))
+		l, err := n.Listen(listenAddr(t, n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +150,7 @@ func TestReadAfterPeerCloseSeesEOF(t *testing.T) {
 	for _, n := range networksUnderTest(t) {
 		n := n
 		t.Run(n.Name(), func(t *testing.T) {
-			l, err := n.Listen(listenAddr(n))
+			l, err := n.Listen(listenAddr(t, n))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,7 +183,7 @@ func TestConcurrentConnections(t *testing.T) {
 	for _, n := range networksUnderTest(t) {
 		n := n
 		t.Run(n.Name(), func(t *testing.T) {
-			l, err := n.Listen(listenAddr(n))
+			l, err := n.Listen(listenAddr(t, n))
 			if err != nil {
 				t.Fatal(err)
 			}

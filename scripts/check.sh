@@ -11,7 +11,7 @@ set -eu
 cd "$(dirname "$0")/.."
 GO=${GO:-go}
 
-ALL="vet build test race obs telemetry migrate nemesis crash wirespeed rsm overload rpcwire writepath aaec bench-smoke"
+ALL="vet build test race obs telemetry migrate nemesis crash wirespeed rsm overload rpcwire writepath aaec transport bench-smoke"
 
 run() {
 	case "$1" in
@@ -169,6 +169,24 @@ run() {
 		$GO test -race -run 'TestAAECPartitionedReplicaRebootstraps|TestFailoverStandbyRecoveryAAEC|TestJoinNodeAAEC|TestNemesisChaosAAEC|TestAAECConcurrentWritersConverge|TestAAECShardsStayIsolated|TestTransitionAAECToMSEC' ./internal/cluster/
 		$GO test -run TestLoneAppendAllocs ./internal/controlet/
 		$GO test -run NONE -bench 'LogApply|LogAppend' -benchtime 20000x -benchmem -cpu 1,2 ./internal/controlet/
+		;;
+
+	# The byte-stream layer and the connection loops on top of it: the
+	# conformance set over tcp, unix and inproc (stale socket file replaced,
+	# unlinked on Close, over-long path refused); accept loops that outlive
+	# EMFILE in all three servers; a datalet serving its TCP address and its
+	# socket file at once; the tcp cluster layout with the local hop on a
+	# socket file, through a crash and restart on the same path — under the
+	# race detector. Then the allocation gates (not under -race, where
+	# sync.Pool sheds): a routed GET's server side over inproc, tcp and
+	# tcp+unix, and one 73-byte round trip per network, with its numbers.
+	transport)
+		$GO test -race ./internal/transport/...
+		$GO test -race -run 'TestAcceptLoopOutlives|TestLocalListener|TestDataletAddrUnixForm' \
+			./internal/datalet/ ./internal/controlet/ ./internal/rpc/
+		$GO test -race -run 'TestClusterOverTCP|TestClusterCollocatedDatalets|TestCrashRestartOverTCP' ./internal/cluster/
+		$GO test -run TestRoutedGetZeroAllocs ./internal/controlet/
+		$GO test -run NONE -bench RoundTrip -benchmem -cpu 1,2 ./internal/transport/
 		;;
 
 	# The repository benchmark (benchmark/, a nested module outside ./...)
