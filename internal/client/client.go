@@ -117,12 +117,12 @@ type Config struct {
 type Client struct {
 	cfg Config
 
-	// coordMu guards the coordinator connection pointer, which refreshMap
-	// replaces when the old connection has died (a client that never
-	// re-dialed could not route around a failover that outlived its
-	// original coordinator conn).
-	coordMu sync.Mutex
-	coord   *coordinator.Client
+	// coord serves foreground map refreshes and watch the map long-polls,
+	// which then never hold up a refresh nor share its call timeout. Both
+	// live as long as the client (nil with a static map; watch also with
+	// DisableWatch): each re-dials and follows the leader by itself.
+	coord *coordinator.Client
+	watch *coordinator.Client
 
 	mu   sync.RWMutex
 	m    *topology.Map
@@ -130,9 +130,6 @@ type Client struct {
 
 	poolsMu sync.Mutex
 	pools   map[string]*datalet.Pool
-
-	watchMu   sync.Mutex
-	watchConn *coordinator.Client
 
 	hot *hotTracker // nil unless HotKeyThreshold > 0
 
@@ -244,6 +241,10 @@ func New(cfg Config) (*Client, error) {
 		}
 	}
 	if !cfg.DisableWatch {
+		if c.watch, err = coordinator.DialCoordinator(cfg.Network, cfg.CoordinatorAddr); err != nil {
+			coordClient.Close()
+			return nil, fmt.Errorf("client: dial map watch: %w", err)
+		}
 		c.wg.Add(1)
 		go c.watchLoop()
 	}
@@ -264,28 +265,13 @@ func (c *Client) Close() error {
 		unregisterHedge(c.hedge)
 	}
 	unregisterOverload(c)
-	c.coordMu.Lock()
-	coord := c.coord
-	c.coordMu.Unlock()
-	if coord != nil {
-		_ = coord.Close() // aborts an in-flight refresh call
-	}
-	c.watchMu.Lock()
-	if c.watchConn != nil {
-		_ = c.watchConn.Close() // abort any in-flight long-poll
-	}
-	c.watchMu.Unlock()
-	c.wg.Wait()
-	// A refresh racing Close may have re-dialed; wait for it under the
-	// refreshing lock and close the replacement too.
-	c.refreshing.Lock()
-	c.coordMu.Lock()
 	if c.coord != nil {
-		_ = c.coord.Close()
-		c.coord = nil
+		_ = c.coord.Close() // aborts an in-flight refresh call
 	}
-	c.coordMu.Unlock()
-	c.refreshing.Unlock()
+	if c.watch != nil {
+		_ = c.watch.Close() // aborts the in-flight long-poll
+	}
+	c.wg.Wait()
 	c.poolsMu.Lock()
 	for _, p := range c.pools {
 		_ = p.Close()
@@ -349,43 +335,9 @@ func (c *Client) leaseLive() bool {
 }
 
 // watchLoop keeps the map fresh with long-polls; transitions and failovers
-// reach the client within one poll round trip. The watch connection is
-// dedicated (long-polls never block foreground calls) and re-dialed when it
-// dies — a client must be able to outlive any single coordinator conn.
+// reach the client within one poll round trip.
 func (c *Client) watchLoop() {
 	defer c.wg.Done()
-	for {
-		select {
-		case <-c.stopCh:
-			return
-		default:
-		}
-		watch, err := coordinator.DialCoordinator(c.cfg.Network, c.cfg.CoordinatorAddr)
-		if err != nil {
-			select {
-			case <-c.stopCh:
-				return
-			case <-time.After(200 * time.Millisecond):
-			}
-			continue
-		}
-		c.watchMu.Lock()
-		c.watchConn = watch // registered so Close aborts an in-flight poll
-		c.watchMu.Unlock()
-		c.watchOnce(watch)
-		c.watchMu.Lock()
-		if c.watchConn == watch {
-			c.watchConn = nil
-		}
-		c.watchMu.Unlock()
-		_ = watch.Close()
-	}
-}
-
-// watchOnce long-polls on one connection until it looks dead (two
-// consecutive failures) or the client stops.
-func (c *Client) watchOnce(watch *coordinator.Client) {
-	fails := 0
 	for {
 		select {
 		case <-c.stopCh:
@@ -411,17 +363,16 @@ func (c *Client) watchOnce(watch *coordinator.Client) {
 				poll = ttl / 2
 			}
 			var ttl time.Duration
-			m, ttl, err = watch.LeaseMap(since, poll)
+			m, ttl, err = c.watch.LeaseMap(since, poll)
 			if err == nil {
 				c.extendLease(ttl)
 			}
 		} else {
-			m, err = watch.WatchMap(since, 2*time.Second)
+			m, err = c.watch.WatchMap(since, 2*time.Second)
 		}
 		if err != nil {
-			if fails++; fails >= 2 {
-				return // hand back for a re-dial
-			}
+			// The watch client has already tried every member; pause so an
+			// unreachable control plane is not polled in a tight loop.
 			select {
 			case <-c.stopCh:
 				return
@@ -429,53 +380,20 @@ func (c *Client) watchOnce(watch *coordinator.Client) {
 			}
 			continue
 		}
-		fails = 0
 		if m != nil {
 			c.installMap(m)
 		}
 	}
 }
 
-// refreshMap synchronously re-fetches the map (used on routing failures),
-// re-dialing the coordinator if the cached connection has died.
+// refreshMap synchronously re-fetches the map (used on routing failures).
 func (c *Client) refreshMap() {
-	if c.cfg.CoordinatorAddr == "" {
+	if c.coord == nil {
 		return
 	}
 	c.refreshing.Lock()
 	defer c.refreshing.Unlock()
-	c.coordMu.Lock()
-	coord := c.coord
-	c.coordMu.Unlock()
-	if coord != nil {
-		if m, err := coord.GetMap(); err == nil {
-			c.installMap(m)
-			return
-		}
-		// Broken conn or unreachable coordinator: drop it and re-dial.
-		c.coordMu.Lock()
-		if c.coord == coord {
-			c.coord = nil
-		}
-		c.coordMu.Unlock()
-		_ = coord.Close()
-	}
-	select {
-	case <-c.stopCh:
-		return // closing; don't re-dial (Close sweeps any straggler)
-	default:
-	}
-	fresh, err := coordinator.DialCoordinator(c.cfg.Network, c.cfg.CoordinatorAddr)
-	if err != nil {
-		return
-	}
-	if c.cfg.OpTimeout > 0 {
-		fresh.SetCallTimeout(c.cfg.OpTimeout)
-	}
-	c.coordMu.Lock()
-	c.coord = fresh
-	c.coordMu.Unlock()
-	if m, err := fresh.GetMap(); err == nil {
+	if m, err := c.coord.GetMap(); err == nil {
 		c.installMap(m)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"bespokv/internal/coordinator"
 	"bespokv/internal/topology"
 	"bespokv/internal/transport"
 	"bespokv/internal/wire"
@@ -319,4 +320,70 @@ func BenchmarkRandIntParallel(b *testing.B) {
 			_ = c.randInt(3)
 		}
 	})
+}
+
+// TestSurvivesCoordinatorRestart: a coordinator that comes back on the same
+// address — with its state gone, so the map has to be installed again — is
+// found again by the two coordinator clients a Client has for its lifetime:
+// the refresh client on the next refreshMap, the watch client on its next
+// long-poll. Neither is ever replaced.
+func TestSurvivesCoordinatorRestart(t *testing.T) {
+	net, _ := transport.Lookup("inproc")
+	codec, _ := wire.LookupCodec("binary")
+	const addr = "client-test-coordinator-restart"
+	var srv *coordinator.Server
+	serve := func() {
+		var err error
+		srv, err = coordinator.Serve(coordinator.Config{Network: net, Addr: addr, DisableFailover: true, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	install := func(m *topology.Map) uint64 {
+		t.Helper()
+		admin, err := coordinator.DialCoordinator(net, addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer admin.Close()
+		epoch, err := admin.SetMap(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return epoch
+	}
+	serve()
+	defer func() { srv.Close() }()
+	m := staticMapTo(fakeServer(t, func(*wire.Request, *wire.Response) {}))
+	m.Epoch = install(m)
+
+	newClient := func(disableWatch bool) *Client {
+		c, err := New(Config{Network: net, Codec: codec, CoordinatorAddr: addr, DisableWatch: disableWatch, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	refresher, watcher := newClient(true), newClient(false)
+	coord, watch := refresher.coord, watcher.watch
+
+	srv.Close()
+	serve()
+	m.Epoch = install(m)
+
+	refresher.refreshMap()
+	if got := refresher.Map().Epoch; got != m.Epoch {
+		t.Fatalf("refresh after the restart: epoch %d, want %d", got, m.Epoch)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for watcher.Map().Epoch != m.Epoch {
+		if time.Now().After(deadline) {
+			t.Fatalf("watch after the restart: epoch %d, want %d", watcher.Map().Epoch, m.Epoch)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if refresher.coord != coord || watcher.watch != watch {
+		t.Fatal("a coordinator client was replaced")
+	}
 }

@@ -445,7 +445,7 @@ func Start(opts Options) (*Cluster, error) {
 
 	// Install the map and give every controlet its first copy directly
 	// (faster and more deterministic than waiting for the first push).
-	admin, err := coordinator.DialCoordinator(c.hostNet(net, "admin"), c.coordAddr())
+	admin, err := coordinator.DialCoordinator(c.hostNet(net, "admin"), c.controlAddr(c.coordIDs, c.Coord))
 	if err != nil {
 		return fail(err)
 	}
@@ -601,9 +601,9 @@ func (c *Cluster) startPair(nodeID, shardID, engine string, dataletCodec wire.Co
 		LocalDatalet:      localLink(d),
 		DataletCodec:      dataletCodec,
 		Mode:              mode,
-		CoordinatorAddr:   c.coordAddr(),
-		DLMAddr:           c.dlmAddr(),
-		SharedLogAddr:     c.logAddr(),
+		CoordinatorAddr:   c.controlAddr(c.coordIDs, c.Coord),
+		DLMAddr:           c.controlAddr(c.dlmIDs, c.DLM),
+		SharedLogAddr:     c.controlAddr(c.logIDs, c.Log),
 		HeartbeatInterval: c.Opts.HeartbeatInterval,
 		TelemetryInterval: c.Opts.TelemetryInterval,
 		FenceTimeout:      c.fenceTimeout(),
@@ -640,7 +640,7 @@ func (c *Cluster) ClientTuned(retries int, backoff time.Duration) (*client.Clien
 func (c *Cluster) ClientConfig(cfg client.Config) (*client.Client, error) {
 	cfg.Network = c.hostNet(c.Net, "client")
 	cfg.Codec = c.Codec
-	cfg.CoordinatorAddr = c.coordAddr()
+	cfg.CoordinatorAddr = c.controlAddr(c.coordIDs, c.Coord)
 	if cfg.Logf == nil {
 		cfg.Logf = c.Opts.Logf
 	}
@@ -649,7 +649,7 @@ func (c *Cluster) ClientConfig(cfg client.Config) (*client.Client, error) {
 
 // Admin opens a coordinator client for map inspection and transitions.
 func (c *Cluster) Admin() (*coordinator.Client, error) {
-	return coordinator.DialCoordinator(c.hostNet(c.Net, "admin"), c.coordAddr())
+	return coordinator.DialCoordinator(c.hostNet(c.Net, "admin"), c.controlAddr(c.coordIDs, c.Coord))
 }
 
 // Pair returns the pair at (shard, replica) as originally deployed.
@@ -781,9 +781,9 @@ func (c *Cluster) Transition(to topology.Mode) error {
 				LocalDatalet:      localLink(d),
 				DataletCodec:      dataletCodec,
 				Mode:              to,
-				CoordinatorAddr:   c.coordAddr(),
-				DLMAddr:           c.dlmAddr(),
-				SharedLogAddr:     c.logAddr(),
+				CoordinatorAddr:   c.controlAddr(c.coordIDs, c.Coord),
+				DLMAddr:           c.controlAddr(c.dlmIDs, c.DLM),
+				SharedLogAddr:     c.controlAddr(c.logIDs, c.Log),
 				HeartbeatInterval: c.Opts.HeartbeatInterval,
 				TelemetryInterval: c.Opts.TelemetryInterval,
 				FenceTimeout:      c.fenceTimeout(),

@@ -108,76 +108,38 @@ func (c *Cluster) startReplicatedControl(net transport.Network) error {
 	// Wait for every group to elect before the data plane starts talking
 	// to it; Start's own SetMap retries would mask slow elections, but
 	// failing fast here makes misconfigurations obvious.
-	for _, wait := range []func(time.Duration) error{c.waitCoordLeader, c.waitDLMLeader, c.waitLogLeader} {
-		if err := wait(5 * time.Second); err != nil {
-			return err
-		}
+	if _, err := waitLeader("coordinator", c.Coords, 5*time.Second); err != nil {
+		return err
 	}
-	return nil
+	if _, err := waitLeader("dlm", c.DLMs, 5*time.Second); err != nil {
+		return err
+	}
+	_, err := waitLeader("sequencer", c.Logs, 5*time.Second)
+	return err
 }
 
-func (c *Cluster) waitCoordLeader(timeout time.Duration) error {
+// waitLeader blocks until one of a control group's members leads, returning
+// its index.
+func waitLeader[S interface{ IsLeader() bool }](service string, members []S, timeout time.Duration) (int, error) {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		if _, s := c.CoordLeader(); s != nil {
-			return nil
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return fmt.Errorf("cluster: no coordinator leader within %v", timeout)
-}
-
-func (c *Cluster) waitDLMLeader(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		for _, s := range c.DLMs {
+		for i, s := range members {
 			if s.IsLeader() {
-				return nil
+				return i, nil
 			}
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	return fmt.Errorf("cluster: no dlm leader within %v", timeout)
+	return 0, fmt.Errorf("cluster: no %s leader within %v", service, timeout)
 }
 
-func (c *Cluster) waitLogLeader(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		for _, s := range c.Logs {
-			if s.IsLeader() {
-				return nil
-			}
-		}
-		time.Sleep(5 * time.Millisecond)
+// controlAddr returns what clients should dial for one control service: the
+// group's full member list (comma-joined; rsm.Dial splits it) in replicated
+// mode, the single standalone server otherwise.
+func (c *Cluster) controlAddr(ids []string, standalone interface{ Addr() string }) string {
+	if len(ids) == 0 {
+		return standalone.Addr()
 	}
-	return fmt.Errorf("cluster: no sequencer leader within %v", timeout)
-}
-
-// coordAddr returns what clients should dial for the coordinator: the full
-// member list (comma-joined, rotation-aware clients split it) in
-// replicated mode, the single server otherwise.
-func (c *Cluster) coordAddr() string {
-	if len(c.coordIDs) > 0 {
-		return c.joinAddrs(c.coordIDs)
-	}
-	return c.Coord.Addr()
-}
-
-func (c *Cluster) dlmAddr() string {
-	if len(c.dlmIDs) > 0 {
-		return c.joinAddrs(c.dlmIDs)
-	}
-	return c.DLM.Addr()
-}
-
-func (c *Cluster) logAddr() string {
-	if len(c.logIDs) > 0 {
-		return c.joinAddrs(c.logIDs)
-	}
-	return c.Log.Addr()
-}
-
-func (c *Cluster) joinAddrs(ids []string) string {
 	addrs := make([]string, 0, len(ids))
 	for _, id := range ids {
 		addrs = append(addrs, c.ctlAddrs[id])
@@ -199,14 +161,11 @@ func (c *Cluster) CoordLeader() (string, *coordinator.Server) {
 // WaitCoordLeader blocks until some coordinator member leads, returning
 // its fabric host name.
 func (c *Cluster) WaitCoordLeader(timeout time.Duration) (string, error) {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if id, s := c.CoordLeader(); s != nil {
-			return id, nil
-		}
-		time.Sleep(5 * time.Millisecond)
+	i, err := waitLeader("coordinator", c.Coords, timeout)
+	if err != nil {
+		return "", err
 	}
-	return "", fmt.Errorf("cluster: no coordinator leader within %v", timeout)
+	return c.coordIDs[i], nil
 }
 
 // KillCoordLeader closes the coordinator member currently leading —

@@ -297,15 +297,16 @@ func Serve(cfg Config) (*Server, error) {
 
 	if cfg.CoordinatorAddr != "" {
 		// Fetch the initial map synchronously (best effort) so a
-		// just-booted controlet can serve before its first heartbeat.
-		if cc, err := coordinator.DialCoordinator(cfg.Network, cfg.CoordinatorAddr); err == nil {
+		// just-booted controlet can serve before its first heartbeat; the
+		// heartbeat loop keeps the client.
+		cc, err := coordinator.DialCoordinator(cfg.Network, cfg.CoordinatorAddr)
+		if err == nil {
 			if m, err := cc.GetMap(); err == nil {
 				s.SetMap(m)
 			}
-			cc.Close()
 		}
 		s.wg.Add(1)
-		go s.heartbeatLoop()
+		go s.heartbeatLoop(cc)
 	}
 	return s, nil
 }
@@ -628,11 +629,12 @@ func (s *Server) fenced() bool {
 }
 
 // heartbeatLoop reports liveness (including the local datalet's) to the
-// coordinator and pulls fresher maps when the epoch moves. The connection
-// is re-dialed whenever it goes bad — a controlet that survives a partition
-// must be able to resume heartbeating (and unfence) after the heal, which a
-// dial-once loop cannot do.
-func (s *Server) heartbeatLoop() {
+// coordinator and pulls fresher maps when the epoch moves, on one client for
+// its lifetime: cc re-dials and follows the leader by itself, so a controlet
+// that survives a partition resumes heartbeating (and unfences) after the
+// heal. cc is nil when the coordinator was unreachable at boot; the loop then
+// dials on its ticks until a member answers.
+func (s *Server) heartbeatLoop(cc *coordinator.Client) {
 	defer s.wg.Done()
 	// A heartbeat that outlives its interval is useless; cap how long the
 	// loop can hang on a partitioned coordinator so fencing is detected on
@@ -641,13 +643,14 @@ func (s *Server) heartbeatLoop() {
 	if s.cfg.FenceTimeout > 0 && callTimeout > s.cfg.FenceTimeout/2 {
 		callTimeout = s.cfg.FenceTimeout / 2
 	}
-	var coordClient *coordinator.Client
+	if cc != nil {
+		cc.SetCallTimeout(callTimeout)
+	}
 	defer func() {
-		if coordClient != nil {
-			coordClient.Close()
+		if cc != nil {
+			cc.Close()
 		}
 	}()
-	fails := 0
 	ticker := time.NewTicker(s.cfg.HeartbeatInterval)
 	defer ticker.Stop()
 	for {
@@ -656,34 +659,25 @@ func (s *Server) heartbeatLoop() {
 			return
 		case <-ticker.C:
 		}
-		if coordClient == nil {
-			cc, err := coordinator.DialCoordinator(s.cfg.Network, s.cfg.CoordinatorAddr)
-			if err != nil {
+		if cc == nil {
+			var err error
+			if cc, err = coordinator.DialCoordinator(s.cfg.Network, s.cfg.CoordinatorAddr); err != nil {
 				ctlHeartbeatErrs.Inc()
 				continue
 			}
 			cc.SetCallTimeout(callTimeout)
-			coordClient = cc
-			fails = 0
 		}
 		dataletOK := s.local.Get().Ping() == nil
 		ctlHeartbeats.Inc()
-		epoch, err := coordClient.Heartbeat(s.cfg.NodeID, dataletOK)
+		epoch, err := cc.Heartbeat(s.cfg.NodeID, dataletOK)
 		if err != nil {
 			ctlHeartbeatErrs.Inc()
-			if fails++; fails >= 2 {
-				// The conn is likely dead (partition, coordinator
-				// restart); drop it and re-dial next tick.
-				coordClient.Close()
-				coordClient = nil
-			}
 			continue
 		}
-		fails = 0
 		s.lastBeat.Store(time.Now().UnixNano())
 		cur := s.Map()
 		if cur == nil || epoch > cur.Epoch {
-			if m, err := coordClient.GetMap(); err == nil {
+			if m, err := cc.GetMap(); err == nil {
 				s.SetMap(m)
 			}
 		} else {
@@ -693,7 +687,7 @@ func (s *Server) heartbeatLoop() {
 		}
 		// Telemetry rides the already-open heartbeat connection; a failed
 		// report costs nothing but this tick's freshness at the aggregator.
-		if err := coordClient.TelemetryReport(s.telemetrySnapshots()); err != nil {
+		if err := cc.TelemetryReport(s.telemetrySnapshots()); err != nil {
 			ctlTelemetryErrs.Inc()
 		} else {
 			ctlTelemetryReports.Inc()

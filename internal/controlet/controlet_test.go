@@ -2,9 +2,13 @@ package controlet
 
 import (
 	"bytes"
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"bespokv/internal/coordinator"
 	"bespokv/internal/datalet"
 	"bespokv/internal/store"
 	"bespokv/internal/store/ht"
@@ -170,5 +174,84 @@ func TestRoleNames(t *testing.T) {
 	}
 	if role := s.roleName(s.Map(), pos); role != "mid" {
 		t.Fatalf("role=%s", role)
+	}
+}
+
+// coordDials counts the connections established to one address.
+type coordDials struct {
+	transport.Network
+	addr  string
+	dials atomic.Int64
+}
+
+func (n *coordDials) Dial(addr string) (transport.Conn, error) {
+	conn, err := n.Network.Dial(addr)
+	if err == nil && addr == n.addr {
+		n.dials.Add(1)
+	}
+	return conn, err
+}
+
+// TestHeartbeatSurvivesCoordinatorRestart: the heartbeat loop has one
+// coordinator client for its lifetime — the one the controlet booted with,
+// or the one it dialed on a tick because no coordinator was there at boot —
+// and that client finds a coordinator that came back on the same address:
+// one connection to begin with, one more after the restart, heartbeats
+// flowing again.
+func TestHeartbeatSurvivesCoordinatorRestart(t *testing.T) {
+	for name, upAtBoot := range map[string]bool{"coordinator up at boot": true, "coordinator down at boot": false} {
+		t.Run(name, func(t *testing.T) {
+			inproc, _ := transport.Lookup("inproc")
+			addr := fmt.Sprintf("controlet-test-coordinator-restart-%v", upAtBoot)
+			serve := func() *coordinator.Server {
+				srv, err := coordinator.Serve(coordinator.Config{Network: inproc, Addr: addr, DisableFailover: true, Logf: t.Logf})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return srv
+			}
+			var srv *coordinator.Server
+			defer func() {
+				if srv != nil {
+					srv.Close()
+				}
+			}()
+			if upAtBoot {
+				srv = serve()
+			}
+			net := &coordDials{Network: inproc, addr: addr}
+			s, err := Serve(Config{
+				NodeID: "n0", ShardID: "shard-0", Network: net, Codec: wire.BinaryCodec{},
+				Mode:              topology.Mode{Topology: topology.MS, Consistency: topology.Strong},
+				DataletAddr:       startDatalet(t, "d0", nil).Addr(),
+				CoordinatorAddr:   addr,
+				HeartbeatInterval: 5 * time.Millisecond,
+				Logf:              t.Logf,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if !upAtBoot {
+				srv = serve()
+			}
+			waitBeatAfter := func(mark time.Time, what string) {
+				t.Helper()
+				deadline := time.Now().Add(5 * time.Second)
+				for s.lastBeat.Load() <= mark.UnixNano() {
+					if time.Now().After(deadline) {
+						t.Fatalf("no heartbeat acknowledged %s", what)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+			waitBeatAfter(time.Now(), "before the restart")
+			srv.Close()
+			srv = serve()
+			waitBeatAfter(time.Now(), "after the restart")
+			if d := net.dials.Load(); d != 2 {
+				t.Fatalf("%d connections to the coordinator, want 2 (first contact, restart)", d)
+			}
+		})
 	}
 }

@@ -1,258 +1,44 @@
 package coordinator
 
 import (
-	"errors"
-	"io"
-	"math/rand/v2"
-	"strings"
-	"sync"
 	"time"
 
-	"bespokv/internal/rpc"
 	"bespokv/internal/rsm"
 	"bespokv/internal/telemetry"
 	"bespokv/internal/topology"
 	"bespokv/internal/transport"
 )
 
-// Client is a typed connection to the coordinator control plane. It may
-// be configured with several addresses (a replicated control-plane group):
-// calls rotate to the next member on dial or connection failure, follow
-// the rsm.NotLeaderError redirect hint when a follower rejects a mutation,
-// and back off with capped jitter between attempts. Application errors
-// (including rpc.ErrCallTimeout, where the call may have executed) are
-// returned to the caller untouched.
+// Client is the typed method set of the coordinator control plane over an
+// rsm.Client, which finds and follows the group's leader (or the one
+// standalone server). Errors the coordinator answers with — and
+// rpc.ErrCallTimeout, where the call may have executed — come back
+// untouched.
 type Client struct {
-	network transport.Network
-
-	mu          sync.Mutex
-	addrs       []string
-	cur         int    // index of the member the connection targets
-	redirect    string // leader hint to try next, overriding addrs[cur]
-	conn        *rpc.Client
-	callTimeout time.Duration
-	closed      bool
-}
-
-// ErrClientClosed fails calls on a closed client. Without it, Close racing
-// an in-flight call is useless as an abort: the call sees its connection
-// die, treats that as a member failure, and re-dials — turning every
-// teardown of a long-poll into a full fresh poll window.
-var ErrClientClosed = errors.New("coordinator: client closed")
-
-// Backoff between failed control-plane attempts: exponential from
-// clientBackoffBase, capped at clientBackoffMax, jittered to [d/2, d] so a
-// cluster of clients re-dialing a failed coordinator doesn't stampede.
-const (
-	clientBackoffBase = 10 * time.Millisecond
-	clientBackoffMax  = 500 * time.Millisecond
-)
-
-// clientBackoff returns the delay before retry attempt n (0-based).
-func clientBackoff(n int) time.Duration {
-	d := clientBackoffBase
-	for i := 0; i < n && d < clientBackoffMax; i++ {
-		d *= 2
-	}
-	if d > clientBackoffMax {
-		d = clientBackoffMax
-	}
-	half := d / 2
-	return half + rand.N(half+1)
-}
-
-// SplitAddrs splits a comma-separated address list, so every single-string
-// config surface (flags, Config fields) can carry a replicated control
-// plane without changing shape.
-func SplitAddrs(addr string) []string {
-	var out []string
-	for _, a := range strings.Split(addr, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
+	rc *rsm.Client
 }
 
 // DialCoordinator connects to a coordinator. addr may be one address or a
 // comma-separated list of replicated control-plane members.
 func DialCoordinator(network transport.Network, addr string) (*Client, error) {
-	return DialCoordinators(network, SplitAddrs(addr))
-}
-
-// DialCoordinators connects to the first reachable member of a
-// control-plane group; later calls keep rotating as members fail.
-func DialCoordinators(network transport.Network, addrs []string) (*Client, error) {
-	if len(addrs) == 0 {
-		return nil, errors.New("coordinator: no addresses to dial")
+	rc, err := rsm.Dial(network, addr)
+	if err != nil {
+		return nil, err
 	}
-	c := &Client{
-		network:     network,
-		addrs:       append([]string(nil), addrs...),
-		callTimeout: rpc.DefaultCallTimeout,
-	}
-	var err error
-	for range addrs {
-		if _, err = c.connect(); err == nil {
-			return c, nil
-		}
-		c.rotate("")
-	}
-	return nil, err
+	return &Client{rc: rc}, nil
 }
 
 // SetCallTimeout caps how long each RPC may wait for its response. Control
 // loops that must notice a partitioned coordinator quickly (heartbeats, map
 // refreshes) set this well below the default; note WatchMap long-polls, so
 // its timeout must stay under the call timeout.
-func (c *Client) SetCallTimeout(d time.Duration) {
-	c.mu.Lock()
-	c.callTimeout = d
-	if c.conn != nil {
-		c.conn.CallTimeout = d
-	}
-	c.mu.Unlock()
-}
+func (c *Client) SetCallTimeout(d time.Duration) { c.rc.SetCallTimeout(d) }
 
 // Addr reports the member the client currently targets (tests, logs).
-func (c *Client) Addr() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.redirect != "" {
-		return c.redirect
-	}
-	return c.addrs[c.cur]
-}
+func (c *Client) Addr() string { return c.rc.Addr() }
 
-// connect returns the live connection, dialing the current target if
-// needed. The dial happens outside the lock; a racing winner is reused.
-func (c *Client) connect() (*rpc.Client, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClientClosed
-	}
-	if c.conn != nil {
-		conn := c.conn
-		c.mu.Unlock()
-		return conn, nil
-	}
-	addr := c.addrs[c.cur]
-	if c.redirect != "" {
-		addr = c.redirect
-	}
-	timeout := c.callTimeout
-	c.mu.Unlock()
-	nc, err := rpc.DialClient(c.network, addr)
-	if err != nil {
-		return nil, err
-	}
-	nc.CallTimeout = timeout
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		nc.Close()
-		return nil, ErrClientClosed
-	}
-	if c.conn != nil {
-		cur := c.conn
-		c.mu.Unlock()
-		nc.Close()
-		return cur, nil
-	}
-	c.conn = nc
-	c.mu.Unlock()
-	return nc, nil
-}
-
-// drop forgets conn (if still current) so the next call re-dials.
-func (c *Client) drop(conn *rpc.Client) {
-	c.mu.Lock()
-	if c.conn == conn {
-		c.conn = nil
-	}
-	c.mu.Unlock()
-	conn.Close()
-}
-
-// rotate moves to the next member, or straight to the redirect hint when a
-// follower named the leader.
-func (c *Client) rotate(hint string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.redirect = ""
-	if hint != "" {
-		for i, a := range c.addrs {
-			if a == hint {
-				c.cur = i
-				return
-			}
-		}
-		// A leader outside the configured list (e.g. a member added after
-		// this client was built): trust the hint for the next dial.
-		c.redirect = hint
-		return
-	}
-	c.cur = (c.cur + 1) % len(c.addrs)
-}
-
-// isConnErr reports errors that mean this member is unreachable (vs.
-// application errors, which every member would answer identically).
-func isConnErr(err error) bool {
-	if errors.Is(err, io.EOF) || errors.Is(err, transport.ErrClosed) {
-		return true
-	}
-	return strings.Contains(err.Error(), "rpc: connection failed")
-}
-
-// call runs one RPC with rotation: on an unreachable member or a
-// NotLeader redirect it moves on (with capped jittered backoff) until the
-// attempt budget is spent. Timeouts and application errors return
-// immediately — the call may have executed, so retrying is the caller's
-// decision.
 func (c *Client) call(method string, args, reply any) error {
-	attempts := 3 * len(c.addrs)
-	if attempts < 4 {
-		attempts = 4
-	}
-	var lastErr error
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			time.Sleep(clientBackoff(i - 1))
-		}
-		conn, err := c.connect()
-		if err != nil {
-			if errors.Is(err, ErrClientClosed) {
-				return err
-			}
-			lastErr = err
-			c.rotate("")
-			continue
-		}
-		if err = conn.Call(method, args, reply); err == nil {
-			return nil
-		}
-		lastErr = err
-		switch {
-		case rsm.IsNotLeader(err):
-			c.drop(conn)
-			c.rotate(rsm.LeaderHint(err))
-		case isConnErr(err):
-			c.drop(conn)
-			c.rotate("")
-		case errors.Is(err, rpc.ErrCallTimeout):
-			// The member is silent (blackholed, or wedged): the call may
-			// have executed, so surface the ambiguity to the caller — but
-			// move off this member first, or a stale redirect hint pointing
-			// into a partition would pin every subsequent call there.
-			c.drop(conn)
-			c.rotate("")
-			return err
-		default:
-			return err
-		}
-	}
-	return lastErr
+	return c.rc.Call(0, method, args, reply, 0)
 }
 
 // GetMap fetches the current cluster map.
@@ -398,15 +184,6 @@ func (c *Client) MigrationStatus() (MigrationStatusReply, error) {
 	return reply, err
 }
 
-// Close tears down the connection.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	c.closed = true
-	conn := c.conn
-	c.conn = nil
-	c.mu.Unlock()
-	if conn != nil {
-		return conn.Close()
-	}
-	return nil
-}
+// Close tears down the connection; a call in flight fails with
+// rsm.ErrClientClosed.
+func (c *Client) Close() error { return c.rc.Close() }

@@ -2,6 +2,7 @@ package coordinator
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -101,17 +102,17 @@ func (g *coordGroup) waitLeader() string {
 	return ""
 }
 
-func (g *coordGroup) addrs() []string {
+func (g *coordGroup) addrs() string {
 	var out []string
 	for _, id := range g.ids {
 		out = append(out, g.peers[id])
 	}
-	return out
+	return strings.Join(out, ",")
 }
 
 func (g *coordGroup) client() *Client {
 	g.t.Helper()
-	c, err := DialCoordinators(g.net, g.addrs())
+	c, err := DialCoordinator(g.net, g.addrs())
 	if err != nil {
 		g.t.Fatal(err)
 	}
@@ -300,73 +301,5 @@ func TestFollowerRejectsMutations(t *testing.T) {
 			t.Fatalf("follower %s refuses reads: %v", id, err)
 		}
 		fc.Close()
-	}
-}
-
-// TestClientBackoff pins the rotation backoff: exponential growth from the
-// base, jittered into [d/2, d], hard-capped at clientBackoffMax.
-func TestClientBackoff(t *testing.T) {
-	for n := 0; n < 12; n++ {
-		want := clientBackoffBase
-		for i := 0; i < n && want < clientBackoffMax; i++ {
-			want *= 2
-		}
-		if want > clientBackoffMax {
-			want = clientBackoffMax
-		}
-		for trial := 0; trial < 32; trial++ {
-			d := clientBackoff(n)
-			if d < want/2 || d > want {
-				t.Fatalf("clientBackoff(%d) = %v outside [%v, %v]", n, d, want/2, want)
-			}
-		}
-	}
-	if clientBackoff(40) > clientBackoffMax {
-		t.Fatal("backoff exceeds cap at high attempt counts")
-	}
-}
-
-// TestSplitAddrs pins the comma-list parsing every config surface uses.
-func TestSplitAddrs(t *testing.T) {
-	got := SplitAddrs(" a:1, b:2,,c:3 ")
-	if len(got) != 3 || got[0] != "a:1" || got[1] != "b:2" || got[2] != "c:3" {
-		t.Fatalf("SplitAddrs = %q", got)
-	}
-	if got := SplitAddrs(""); got != nil {
-		t.Fatalf("SplitAddrs(empty) = %q", got)
-	}
-}
-
-// TestCloseAbortsWatch pins the Close semantics the data-plane client's
-// watch teardown depends on: closing a Client mid-long-poll must fail the
-// in-flight call promptly with ErrClientClosed instead of the rotation
-// loop re-dialing and sitting out a fresh poll window.
-func TestCloseAbortsWatch(t *testing.T) {
-	g := newCoordGroup(t, 1)
-	g.waitLeader()
-	c := g.client()
-	if _, err := c.SetMap(sampleMap(1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		// No epoch-2 map is ever installed, so absent the abort this
-		// poll holds for its full window.
-		_, err := c.WatchMap(1, 8*time.Second)
-		done <- err
-	}()
-	time.Sleep(50 * time.Millisecond) // let the poll reach the server
-	start := time.Now()
-	c.Close()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("watch survived client close")
-		}
-		if d := time.Since(start); d > time.Second {
-			t.Fatalf("close took %v to abort the watch", d)
-		}
-	case <-time.After(3 * time.Second):
-		t.Fatal("watch still blocked after close")
 	}
 }

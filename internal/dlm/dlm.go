@@ -18,10 +18,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bespokv/internal/rpc"
@@ -792,180 +789,22 @@ func (s *Server) serveUnlock(c *rpc.Call) {
 	}()
 }
 
-// Client is a typed connection to the lock service. It accepts a
-// comma-separated address list and rotates on dial failure, connection
-// errors, and NotLeader redirects, so callers survive lease-table
+// Client is the lock service's typed method set over an rsm.Client, which
+// finds and follows the lease table's leader, so callers survive its
 // failovers transparently.
 type Client struct {
-	network transport.Network
-	owner   string
-
-	mu       sync.Mutex
-	addrs    []string
-	cur      int
-	redirect string // one-shot leader hint outside addrs
-	conn     *rpc.Client
-	closed   bool
-
-	// granting is the connection the lease table last answered on: the
-	// one this client's grants arrive on, hence the only one on which a
-	// one-way release is ordered against them. drop clears it.
-	granting atomic.Pointer[rpc.Client]
+	rc    *rsm.Client
+	owner string
 }
-
-// ErrClientClosed fails calls on a closed client, so Close aborts an
-// in-flight lock wait instead of the call re-dialing and waiting again.
-var ErrClientClosed = errors.New("dlm: client closed")
 
 // DialClient connects with the given owner identity. addr may be a single
 // address or a comma-separated list of lease-table members.
 func DialClient(network transport.Network, addr, owner string) (*Client, error) {
-	addrs := splitAddrs(addr)
-	if len(addrs) == 0 {
-		return nil, errors.New("dlm: no addresses")
-	}
-	c := &Client{network: network, owner: owner, addrs: addrs}
-	for range addrs {
-		if _, err := c.connect(); err == nil {
-			return c, nil
-		}
-		c.mu.Lock()
-		c.cur = (c.cur + 1) % len(c.addrs)
-		c.mu.Unlock()
-	}
-	return nil, fmt.Errorf("dlm: no reachable server in %v", addrs)
-}
-
-func splitAddrs(addr string) []string {
-	var out []string
-	for _, a := range strings.Split(addr, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// connect returns the live connection, dialing the current target if
-// needed. The dial happens outside the lock; a racing winner is reused.
-func (c *Client) connect() (*rpc.Client, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClientClosed
-	}
-	if c.conn != nil {
-		conn := c.conn
-		c.mu.Unlock()
-		return conn, nil
-	}
-	target := c.addrs[c.cur]
-	if c.redirect != "" {
-		target = c.redirect
-		c.redirect = ""
-	}
-	c.mu.Unlock()
-	conn, err := rpc.DialClient(c.network, target)
+	rc, err := rsm.Dial(network, addr)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		conn.Close()
-		return nil, ErrClientClosed
-	}
-	if c.conn != nil {
-		existing := c.conn
-		c.mu.Unlock()
-		conn.Close()
-		return existing, nil
-	}
-	c.conn = conn
-	c.mu.Unlock()
-	return conn, nil
-}
-
-func (c *Client) drop(conn *rpc.Client) {
-	c.granting.CompareAndSwap(conn, nil)
-	c.mu.Lock()
-	if c.conn == conn {
-		c.conn = nil
-	}
-	c.mu.Unlock()
-	conn.Close()
-}
-
-// rotate advances to the next configured address, or jumps straight to a
-// NotLeader hint when the redirect names a known (or dialable) member.
-func (c *Client) rotate(hint string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if hint != "" {
-		for i, a := range c.addrs {
-			if a == hint {
-				c.cur = i
-				return
-			}
-		}
-		c.redirect = hint
-		return
-	}
-	c.cur = (c.cur + 1) % len(c.addrs)
-}
-
-func isConnErr(err error) bool {
-	return errors.Is(err, io.EOF) ||
-		errors.Is(err, transport.ErrClosed) ||
-		strings.Contains(err.Error(), "rpc: connection failed")
-}
-
-// call runs one RPC with rotation: NotLeader redirects re-target, dead
-// connections rotate, and application errors (including ErrLockHeld and
-// call timeouts) return immediately — the call may have executed.
-func (c *Client) call(tid uint64, method string, args, reply any, timeout time.Duration) error {
-	attempts := 3 * len(c.addrs)
-	if attempts < 4 {
-		attempts = 4
-	}
-	var err error
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			time.Sleep(time.Duration(i) * 10 * time.Millisecond)
-		}
-		var conn *rpc.Client
-		conn, err = c.connect()
-		if err != nil {
-			if errors.Is(err, ErrClientClosed) {
-				return err
-			}
-			c.rotate("")
-			continue
-		}
-		err = conn.CallTimeoutTraced(tid, method, args, reply, timeout)
-		switch {
-		case err == nil:
-			if c.granting.Load() != conn {
-				c.granting.Store(conn)
-			}
-			return nil
-		case rsm.IsNotLeader(err):
-			c.drop(conn)
-			c.rotate(rsm.LeaderHint(err))
-		case isConnErr(err):
-			c.drop(conn)
-			c.rotate("")
-		case errors.Is(err, rpc.ErrCallTimeout):
-			// Silent member (blackholed or wedged): return the ambiguity,
-			// but rotate first so the next call tries someone else.
-			c.drop(conn)
-			c.rotate("")
-			return err
-		default:
-			return err
-		}
-	}
-	return err
+	return &Client{rc: rc, owner: owner}, nil
 }
 
 // Lock acquires key in the given mode, waiting up to wait; it returns the
@@ -979,7 +818,7 @@ func (c *Client) Lock(key string, mode Mode, ttl, wait time.Duration) (uint64, e
 // of the sampled request that needed the lease.
 func (c *Client) LockTraced(tid uint64, key string, mode Mode, ttl, wait time.Duration) (uint64, error) {
 	var reply LockReply
-	err := c.call(tid, "Lock", &LockArgs{
+	err := c.rc.Call(tid, "Lock", &LockArgs{
 		Key:    key,
 		Owner:  c.owner,
 		Mode:   mode,
@@ -1004,22 +843,12 @@ func (c *Client) LockTraced(tid uint64, key string, mode Mode, ttl, wait time.Du
 // an awaited call that finds the leader, the only kind that can work then.
 func (c *Client) Unlock(key string, mode Mode) error {
 	args := &UnlockArgs{Key: key, Owner: c.owner, Mode: mode}
-	if conn := c.granting.Load(); conn != nil && conn.Send("Unlock", args) == nil {
+	if c.rc.Send("Unlock", args) == nil {
 		return nil
 	}
-	return c.call(0, "Unlock", args, nil, rpc.DefaultCallTimeout)
+	return c.rc.Call(0, "Unlock", args, nil, rpc.DefaultCallTimeout)
 }
 
-// Close tears down the connection (held leases expire via TTL).
-func (c *Client) Close() error {
-	c.granting.Store(nil)
-	c.mu.Lock()
-	c.closed = true
-	conn := c.conn
-	c.conn = nil
-	c.mu.Unlock()
-	if conn != nil {
-		return conn.Close()
-	}
-	return nil
-}
+// Close tears down the connection (held leases expire via TTL); a lock wait
+// in flight fails with rsm.ErrClientClosed.
+func (c *Client) Close() error { return c.rc.Close() }

@@ -195,14 +195,8 @@ func TestUnlockFallsBackWithoutGrantingConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a2.Close()
-	if a2.granting.Load() != nil {
-		t.Fatal("fresh client already has a granting connection")
-	}
 	if err := a2.Unlock("k", Write); err != nil {
 		t.Fatalf("awaited unlock via follower: %v", err)
-	}
-	if a2.granting.Load() == nil {
-		t.Fatal("an answered release must mark the connection as granting")
 	}
 	// The awaited release has committed: no wait needed.
 	if _, err := lockRetry(t, g.client("b"), "k", Write, time.Second, 0); err != nil {

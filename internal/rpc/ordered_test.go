@@ -277,7 +277,7 @@ func TestOneWayFrameLayout(t *testing.T) {
 	if err := c.Send("Unlock", msg); err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = c.CallTimeoutEx("Lock", msg, nil, 10*time.Millisecond) }()
+	go func() { _ = c.CallTimeoutTraced(0, "Lock", msg, nil, 10*time.Millisecond) }()
 	br := bufio.NewReader(conn)
 	for i, want := range []struct {
 		method string

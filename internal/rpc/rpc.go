@@ -83,6 +83,16 @@ const DefaultCallTimeout = 10 * time.Second
 // ErrCallTimeout is returned when a call's response did not arrive in time.
 var ErrCallTimeout = errors.New("rpc: call timed out")
 
+// ErrConnFailed wraps every transport-level failure of a Client: the error
+// that ended its reader (for the calls pending then and for every call
+// after), and a failed write. A caller that holds several addresses tests
+// for it with errors.Is to tell "this connection is gone, dial again" from
+// an error the server answered with, which another connection would only
+// repeat. A call timeout is not one: the connection may be fine.
+var ErrConnFailed = errors.New("rpc: connection failed")
+
+func connFailed(err error) error { return fmt.Errorf("%w: %w", ErrConnFailed, err) }
+
 var errFrameTooLarge = errors.New("rpc: frame too large")
 
 // errDeadlineExpired is the server-side reply for a call whose budget was
@@ -676,11 +686,11 @@ func (c *Client) failAll(err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err == nil {
-		c.err = err
+		c.err = connFailed(err)
 	}
 	for id, cs := range c.pending {
 		delete(c.pending, id)
-		cs.done <- errors.New("rpc: connection failed: " + err.Error())
+		cs.done <- c.err
 	}
 }
 
@@ -724,29 +734,15 @@ func statsFor(method string) *callStats {
 // Call invokes method with args, decoding the result into reply (which may
 // be nil to discard it). It waits at most c.CallTimeout.
 func (c *Client) Call(method string, args any, reply any) error {
-	return c.call(0, method, args, reply, c.CallTimeout)
+	return c.CallTimeoutTraced(0, method, args, reply, c.CallTimeout)
 }
 
-// CallTraced is Call carrying the trace ID of a sampled request; the
-// server records an "rpc.<method>" span for it.
-func (c *Client) CallTraced(tid uint64, method string, args, reply any) error {
-	return c.call(tid, method, args, reply, c.CallTimeout)
-}
-
-// CallTimeoutEx is Call with an explicit response deadline, for the few
-// long-poll-style methods (e.g. DLM lock waits) whose honest response time
-// a caller knows can exceed the connection's default. timeout <= 0 waits
-// forever.
-func (c *Client) CallTimeoutEx(method string, args, reply any, timeout time.Duration) error {
-	return c.call(0, method, args, reply, timeout)
-}
-
-// CallTimeoutTraced is CallTimeoutEx carrying a trace ID.
+// CallTimeoutTraced is Call with an explicit response deadline — for the
+// long-poll-style methods (a DLM lock wait, a log read) whose honest
+// response time exceeds the connection's default; timeout <= 0 waits
+// forever — carrying the trace ID of a sampled request (0: none), for which
+// the server records an "rpc.<method>" span.
 func (c *Client) CallTimeoutTraced(tid uint64, method string, args, reply any, timeout time.Duration) error {
-	return c.call(tid, method, args, reply, timeout)
-}
-
-func (c *Client) call(tid uint64, method string, args, reply any, timeout time.Duration) error {
 	start := time.Now()
 	cs := clientCallPool.Get().(*clientCall)
 	err := c.roundTrip(cs, start, tid, method, args, reply, timeout)
@@ -790,8 +786,9 @@ func (c *Client) Send(method string, args any) error {
 	st.calls.Inc()
 	if err != nil {
 		st.errors.Inc()
+		return connFailed(err)
 	}
-	return err
+	return nil
 }
 
 // encode builds the request frame, id still zero, in cs's buffer.
@@ -846,7 +843,7 @@ func (c *Client) roundTrip(cs *clientCall, start time.Time, tid uint64, method s
 		if c.take(id) == nil {
 			<-cs.done // failAll took it first; its value is on the way
 		}
-		return err
+		return connFailed(err)
 	}
 	if timeout <= 0 {
 		return <-cs.done

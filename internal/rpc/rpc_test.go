@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -217,13 +218,13 @@ func TestCallTimeout(t *testing.T) {
 	}
 }
 
-func TestCallTimeoutEx(t *testing.T) {
+func TestCallTimeoutExplicit(t *testing.T) {
 	_, c := newPair(t)
 	c.CallTimeout = 50 * time.Millisecond
 	var out int
 	// An explicit longer deadline overrides the connection default.
-	if err := c.CallTimeoutEx("Slow", 200, &out, 5*time.Second); err != nil || out != 200 {
-		t.Fatalf("CallTimeoutEx: %v out=%d", err, out)
+	if err := c.CallTimeoutTraced(0, "Slow", 200, &out, 5*time.Second); err != nil || out != 200 {
+		t.Fatalf("CallTimeoutTraced: %v out=%d", err, out)
 	}
 }
 
@@ -254,7 +255,7 @@ func TestCallTracedRecordsServerSpan(t *testing.T) {
 	rec := trace.Default
 	before := rec.Total()
 	var sum int
-	if err := c.CallTraced(0xabc123, "Add", addArgs{A: 2, B: 3}, &sum); err != nil {
+	if err := c.CallTimeoutTraced(0xabc123, "Add", addArgs{A: 2, B: 3}, &sum, c.CallTimeout); err != nil {
 		t.Fatal(err)
 	}
 	if sum != 5 {
@@ -318,5 +319,29 @@ func TestAcceptLoopOutlivesTransientErrors(t *testing.T) {
 	}
 	if got := rpcAcceptErrs.Value() - before; got != fails {
 		t.Fatalf("accept errors counted: %d, want %d", got, fails)
+	}
+}
+
+// TestConnFailedSentinel: every way a client learns that its connection is
+// gone carries ErrConnFailed in front of the cause — the call pending when
+// the reader died, every call after it, a one-way Send — and an error the
+// server answered with does not.
+func TestConnFailedSentinel(t *testing.T) {
+	_, c := newPair(t)
+	if err := c.Call("Fail", struct{}{}, nil); err == nil || errors.Is(err, ErrConnFailed) {
+		t.Fatalf("an answer classified as a connection failure: %v", err)
+	}
+	pending := make(chan error, 1)
+	go func() { pending <- c.Call("Slow", 200, nil) }()
+	time.Sleep(20 * time.Millisecond) // let the call reach the server
+	c.Close()
+	for what, err := range map[string]error{
+		"pending call": <-pending,
+		"later call":   c.Call("Add", addArgs{1, 2}, nil),
+		"later send":   c.Send("Add", addArgs{1, 2}),
+	} {
+		if !errors.Is(err, ErrConnFailed) || !strings.HasPrefix(err.Error(), "rpc: connection failed: ") {
+			t.Errorf("%s: %v, want ErrConnFailed before the cause", what, err)
+		}
 	}
 }

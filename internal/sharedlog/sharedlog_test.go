@@ -253,46 +253,3 @@ func TestConcurrentAppendersGetDistinctOffsets(t *testing.T) {
 		t.Fatalf("lost appends: %d", n)
 	}
 }
-
-func TestSubscribeDeliversInOrder(t *testing.T) {
-	s, c := newLog(t, Config{})
-	net, _ := transport.Lookup("inproc")
-	stop := make(chan struct{})
-	defer close(stop)
-	var mu sync.Mutex
-	var got []uint64
-	err := Subscribe(net, s.Addr(), 0, stop, func(e Entry) {
-		mu.Lock()
-		got = append(got, e.Offset)
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		if _, err := c.Append([]byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.After(5 * time.Second)
-	for {
-		mu.Lock()
-		n := len(got)
-		mu.Unlock()
-		if n == 50 {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("subscriber saw %d/50 entries", n)
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for i, off := range got {
-		if off != uint64(i) {
-			t.Fatalf("out of order at %d: %d", i, off)
-		}
-	}
-}

@@ -91,17 +91,23 @@ run() {
 		;;
 
 	# Replicated control plane: the Raft-style core (election, replication,
-	# persistence, snapshots — fuzz seeds included), the replicated
-	# coordinator/DLM/sequencer services, the cluster control-plane nemesis
-	# suites (leader kill and partition under MS+SC load, checked for zero
-	# acked-write loss and linearizability), and the allocation-free apply
-	# path (TestApplyZeroAlloc).
+	# persistence, snapshots — fuzz seeds included) and the one
+	# leader-following client every control service is reached through
+	# (rsm.Client: rotation, redirects, timeouts, Close, one-way Send, the
+	# idle-reset wedge), the replicated coordinator/DLM/sequencer services,
+	# the cluster control-plane nemesis suites (leader kill and partition
+	# under MS+SC load, checked for zero acked-write loss and
+	# linearizability), the allocation-free apply path (TestApplyZeroAlloc),
+	# and — since every AA Lock/Unlock/Append crosses that client — the
+	# Lock + Unlock allocation ceiling with the two hot-path benchmarks.
 	rsm)
 		$GO test -race ./internal/rsm/...
-		$GO test -race -run 'Replicated|Sequencer|TestFollowerRejectsMutations|TestLockTableClock|TestTakeDeltaCap|TestClientBackoff|TestSplitAddrs|TestCloseAborts' \
+		$GO test -race -run 'Replicated|Sequencer|TestFollowerRejectsMutations|TestLockTableClock|TestTakeDeltaCap' \
 			./internal/coordinator/ ./internal/dlm/ ./internal/sharedlog/
 		$GO test -race -run 'TestControlPlane' ./internal/cluster/
 		$GO test -run TestApplyZeroAlloc ./internal/rsm/
+		$GO test -run 'TestLockUnlockAllocs' ./internal/dlm/
+		$GO test -run NONE -bench 'LockUnlock|Append1$' -benchmem ./internal/dlm/ ./internal/sharedlog/
 		;;
 
 	# Overload control: the admission-gate/retry-budget/breaker units (an
