@@ -109,8 +109,7 @@ type node struct {
 
 	clock atomic.Uint64
 
-	peersMu sync.Mutex
-	peers   map[string]*datalet.Pool
+	peers *datalet.Links // the other nodes
 
 	mu      sync.Mutex
 	conns   map[transport.Conn]struct{}
@@ -177,7 +176,7 @@ func Start(opts Options) (*Cluster, error) {
 			cluster:  c,
 			engine:   engine,
 			listener: l,
-			peers:    map[string]*datalet.Pool{},
+			peers:    datalet.NewLinks(opts.Network, opts.PoolSize, 0),
 			conns:    map[transport.Conn]struct{}{},
 			replQ:    make(chan replRecord, 4096),
 			stopCh:   make(chan struct{}),
@@ -243,11 +242,7 @@ func (n *node) close() {
 	n.mu.Unlock()
 	_ = n.listener.Close()
 	n.wg.Wait()
-	n.peersMu.Lock()
-	for _, p := range n.peers {
-		_ = p.Close()
-	}
-	n.peersMu.Unlock()
+	_ = n.peers.Close()
 	_ = n.engine.Close()
 }
 
@@ -447,15 +442,8 @@ func (n *node) applyLocal(req *wire.Request, resp *wire.Response, version uint64
 }
 
 func (n *node) forward(owner int, req *wire.Request, resp *wire.Response) {
-	pool, err := n.peerPool(n.addrs[owner])
-	if err != nil {
-		resp.Status = wire.StatusUnavailable
-		resp.Err = err.Error()
-		return
-	}
 	fwd := *req
-	if err := pool.Do(&fwd, resp); err != nil {
-		n.dropPeer(n.addrs[owner])
+	if err := n.peer(owner).Do(&fwd, resp); err != nil {
 		resp.Reset()
 		resp.ID = req.ID
 		resp.Status = wire.StatusUnavailable
@@ -495,18 +483,12 @@ func (n *node) replicationPump() {
 
 func (n *node) replicateBatch(batch []replRecord) {
 	type flight struct {
-		addr string
 		req  *wire.Request
 		resp *wire.Response
 		errc <-chan error
 	}
 	flights := make([]flight, 0, len(batch))
 	for _, rec := range batch {
-		addr := n.addrs[rec.owner]
-		pool, err := n.peerPool(addr)
-		if err != nil {
-			continue // copy dropped; anti-entropy territory
-		}
 		req := wire.GetRequest()
 		req.Op = wire.OpReplPut
 		if rec.op == wire.OpDel {
@@ -517,36 +499,15 @@ func (n *node) replicateBatch(batch []replRecord) {
 		req.Value = rec.value
 		req.Version = rec.version
 		resp := wire.GetResponse()
-		flights = append(flights, flight{addr, req, resp, pool.DoAsync(req, resp)})
+		flights = append(flights, flight{req, resp, n.peer(rec.owner).DoAsync(req, resp)})
 	}
 	for _, f := range flights {
-		if err := <-f.errc; err != nil {
-			n.dropPeer(f.addr)
-		}
+		<-f.errc // a copy that failed is dropped; anti-entropy territory
 		wire.PutRequest(f.req)
 		wire.PutResponse(f.resp)
 	}
 }
 
-func (n *node) peerPool(addr string) (*datalet.Pool, error) {
-	n.peersMu.Lock()
-	defer n.peersMu.Unlock()
-	if p, ok := n.peers[addr]; ok {
-		return p, nil
-	}
-	p, err := datalet.DialPool(n.cluster.opts.Network, addr, n.cluster.opts.Codec, n.cluster.opts.PoolSize)
-	if err != nil {
-		return nil, err
-	}
-	n.peers[addr] = p
-	return p, nil
-}
-
-func (n *node) dropPeer(addr string) {
-	n.peersMu.Lock()
-	if p, ok := n.peers[addr]; ok {
-		delete(n.peers, addr)
-		_ = p.Close()
-	}
-	n.peersMu.Unlock()
+func (n *node) peer(owner int) *datalet.Link {
+	return n.peers.To(n.addrs[owner], n.cluster.opts.Codec)
 }

@@ -40,8 +40,7 @@ type Server struct {
 	listener transport.Listener
 	local    *datalet.Pool
 
-	peersMu sync.Mutex
-	peers   map[string]*datalet.Pool
+	peers *datalet.Links // peer proxies
 
 	queue   chan wire.Request
 	stopCh  chan struct{}
@@ -70,7 +69,7 @@ func Serve(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:    cfg,
 		local:  local,
-		peers:  map[string]*datalet.Pool{},
+		peers:  datalet.NewLinks(cfg.Network, cfg.PoolSize, 0),
 		queue:  make(chan wire.Request, 4096),
 		stopCh: make(chan struct{}),
 		conns:  map[transport.Conn]struct{}{},
@@ -112,11 +111,7 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 	_ = s.listener.Close()
 	s.wg.Wait()
-	s.peersMu.Lock()
-	for _, p := range s.peers {
-		_ = p.Close()
-	}
-	s.peersMu.Unlock()
+	_ = s.peers.Close()
 	return s.local.Close()
 }
 
@@ -249,12 +244,8 @@ func (s *Server) sendToPeer(addr string, rec wire.Request) {
 	}
 	var resp wire.Response
 	for attempt := 0; attempt < 3; attempt++ {
-		pool, err := s.peerPool(addr)
-		if err == nil {
-			if err = pool.Do(&fwd, &resp); err == nil {
-				return
-			}
-			s.dropPeer(addr)
+		if s.peers.To(addr, s.cfg.Codec).Do(&fwd, &resp) == nil {
+			return
 		}
 		select {
 		case <-s.stopCh:
@@ -262,27 +253,4 @@ func (s *Server) sendToPeer(addr string, rec wire.Request) {
 		case <-time.After(time.Duration(attempt+1) * 10 * time.Millisecond):
 		}
 	}
-}
-
-func (s *Server) peerPool(addr string) (*datalet.Pool, error) {
-	s.peersMu.Lock()
-	defer s.peersMu.Unlock()
-	if p, ok := s.peers[addr]; ok {
-		return p, nil
-	}
-	p, err := datalet.DialPool(s.cfg.Network, addr, s.cfg.Codec, s.cfg.PoolSize)
-	if err != nil {
-		return nil, err
-	}
-	s.peers[addr] = p
-	return p, nil
-}
-
-func (s *Server) dropPeer(addr string) {
-	s.peersMu.Lock()
-	if p, ok := s.peers[addr]; ok {
-		delete(s.peers, addr)
-		_ = p.Close()
-	}
-	s.peersMu.Unlock()
 }

@@ -14,7 +14,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -128,8 +127,9 @@ type Client struct {
 	m    *topology.Map
 	ring *topology.Ring
 
-	poolsMu sync.Mutex
-	pools   map[string]*datalet.Pool
+	// links reach controlets at their data addresses, on cfg.Network in
+	// cfg.Codec. They re-dial by themselves; nothing here drops one.
+	links *datalet.Links
 
 	hot *hotTracker // nil unless HotKeyThreshold > 0
 
@@ -140,13 +140,11 @@ type Client struct {
 	leaseUntil atomic.Int64
 	leaseTTL   atomic.Int64 // last granted TTL (ns); paces watch long-polls
 
-	// dpools are direct connections to datalets, keyed by addr+codec;
-	// dpoolDown records per-address dial-failure cooldowns so a
-	// collocated (in-process) datalet the client's network cannot reach
-	// is not re-dialed on every read.
-	dpoolsMu  sync.RWMutex
-	dpools    map[string]*datalet.Pool
-	dpoolDown map[string]time.Time
+	// dlinks reach datalets directly, on cfg.DataletNetwork in each
+	// datalet's own protocol. A datalet this client's network cannot reach
+	// at all (a collocated in-process one) costs one dial per backoff
+	// window, not one per read.
+	dlinks *datalet.Links
 
 	hedge *hedgeState // nil unless HedgeAfter > 0
 
@@ -197,11 +195,10 @@ func New(cfg Config) (*Client, error) {
 		cfg.Logf = log.Printf
 	}
 	c := &Client{
-		cfg:       cfg,
-		pools:     map[string]*datalet.Pool{},
-		dpools:    map[string]*datalet.Pool{},
-		dpoolDown: map[string]time.Time{},
-		stopCh:    make(chan struct{}),
+		cfg:    cfg,
+		links:  datalet.NewLinks(cfg.Network, cfg.PoolSize, cfg.OpTimeout),
+		dlinks: datalet.NewLinks(cfg.DataletNetwork, cfg.PoolSize, cfg.OpTimeout),
+		stopCh: make(chan struct{}),
 	}
 	if cfg.HotKeyThreshold > 0 {
 		c.hot = newHotTracker(cfg.HotKeyThreshold)
@@ -272,16 +269,8 @@ func (c *Client) Close() error {
 		_ = c.watch.Close() // aborts the in-flight long-poll
 	}
 	c.wg.Wait()
-	c.poolsMu.Lock()
-	for _, p := range c.pools {
-		_ = p.Close()
-	}
-	c.poolsMu.Unlock()
-	c.dpoolsMu.Lock()
-	for _, p := range c.dpools {
-		_ = p.Close()
-	}
-	c.dpoolsMu.Unlock()
+	_ = c.links.Close()
+	_ = c.dlinks.Close()
 	return nil
 }
 
@@ -398,32 +387,6 @@ func (c *Client) refreshMap() {
 	}
 }
 
-func (c *Client) pool(addr string) (*datalet.Pool, error) {
-	c.poolsMu.Lock()
-	defer c.poolsMu.Unlock()
-	if p, ok := c.pools[addr]; ok {
-		return p, nil
-	}
-	p, err := datalet.DialPool(c.cfg.Network, addr, c.cfg.Codec, c.cfg.PoolSize)
-	if err != nil {
-		return nil, err
-	}
-	if c.cfg.OpTimeout > 0 {
-		p.SetCallTimeout(c.cfg.OpTimeout)
-	}
-	c.pools[addr] = p
-	return p, nil
-}
-
-func (c *Client) dropPool(addr string) {
-	c.poolsMu.Lock()
-	if p, ok := c.pools[addr]; ok {
-		delete(c.pools, addr)
-		_ = p.Close()
-	}
-	c.poolsMu.Unlock()
-}
-
 // randInt draws from math/rand/v2's per-P sharded global source, so
 // replica picks on the read hot path never serialize behind a mutex the
 // way a shared *rand.Rand would (see BenchmarkRandIntParallel).
@@ -473,19 +436,6 @@ func (c *Client) readTarget(m *topology.Map, shard topology.Shard, level wire.Le
 	}
 }
 
-// do runs one request against addr with retry/redirect handling.
-func (c *Client) do(addr string, req *wire.Request, resp *wire.Response) error {
-	pool, err := c.pool(addr)
-	if err != nil {
-		return err
-	}
-	if err := pool.Do(req, resp); err != nil {
-		c.dropPool(addr)
-		return err
-	}
-	return nil
-}
-
 // maxRetryBackoff caps the doubling retry backoff.
 const maxRetryBackoff = 100 * time.Millisecond
 
@@ -493,13 +443,6 @@ const maxRetryBackoff = 100 * time.Millisecond
 // blackholed (partitioned) peer, as opposed to a dead one.
 func isTimeout(err error) bool {
 	return errors.Is(err, datalet.ErrCallTimeout) || errors.Is(err, rpc.ErrCallTimeout)
-}
-
-// isRefused reports whether err is a connection refusal — the signature of
-// a dead or not-yet-started listener (both the tcp and inproc transports
-// phrase it this way).
-func isRefused(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "connection refused")
 }
 
 // errOut is returned when the retry budget is exhausted.
@@ -624,7 +567,7 @@ retry:
 					lastErr = fmt.Errorf("gave up after %d call timeouts (target partitioned?): %w", timeouts, err)
 					break retry
 				}
-			} else if isRefused(err) {
+			} else if errors.Is(err, transport.ErrRefused) {
 				clientRefused.Inc()
 			}
 		default:

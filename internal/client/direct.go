@@ -27,64 +27,11 @@ import (
 // AA+SC strong reads stay on the controlet path (they must win a DLM
 // lease), as does everything during a transition.
 
-// dpoolCooldown is how long a datalet address that failed to dial is left
-// alone before direct reads try it again (a collocated in-process datalet
-// is permanently unreachable from a remote client; re-dialing it on every
-// read would tax the path this feature exists to speed up).
-const dpoolCooldown = 2 * time.Second
-
-// dataletPool returns a direct connection pool to n's datalet, or nil when
-// the datalet is unreachable/cooling down (the caller falls back).
-func (c *Client) dataletPool(n topology.Node) *datalet.Pool {
-	if n.DataletAddr == "" {
-		return nil
-	}
-	// Fast path: the pool exists (every read after the first). Kept off
-	// the exclusive lock so concurrent bucket fan-outs don't serialize
-	// here.
-	c.dpoolsMu.RLock()
-	p, ok := c.dpools[n.DataletAddr]
-	c.dpoolsMu.RUnlock()
-	if ok {
-		return p
-	}
-	c.dpoolsMu.Lock()
-	defer c.dpoolsMu.Unlock()
-	if p, ok := c.dpools[n.DataletAddr]; ok {
-		return p
-	}
-	if until, ok := c.dpoolDown[n.DataletAddr]; ok && time.Now().Before(until) {
-		return nil
-	}
-	codec := c.cfg.Codec
-	if n.DataletCodec != "" {
-		if dc, err := wire.LookupCodec(n.DataletCodec); err == nil {
-			codec = dc
-		}
-	}
-	dialed, err := datalet.DialPool(c.cfg.DataletNetwork, n.DataletAddr, codec, c.cfg.PoolSize)
-	if err != nil {
-		c.dpoolDown[n.DataletAddr] = time.Now().Add(dpoolCooldown)
-		return nil
-	}
-	p = dialed
-	delete(c.dpoolDown, n.DataletAddr)
-	if c.cfg.OpTimeout > 0 {
-		p.SetCallTimeout(c.cfg.OpTimeout)
-	}
-	c.dpools[n.DataletAddr] = p
-	return p
-}
-
-// dropDataletPool discards a direct pool after a transport failure.
-func (c *Client) dropDataletPool(addr string) {
-	c.dpoolsMu.Lock()
-	if p, ok := c.dpools[addr]; ok {
-		delete(c.dpools, addr)
-		_ = p.Close()
-	}
-	c.dpoolDown[addr] = time.Now().Add(dpoolCooldown)
-	c.dpoolsMu.Unlock()
+// dataletLink returns the direct link to n's datalet, in the datalet's own
+// protocol. A link that is down fails the read's frame, and the caller
+// falls back through the controlet.
+func (c *Client) dataletLink(n topology.Node) *datalet.Link {
+	return c.dlinks.To(n.DataletAddr, wire.CodecOr(n.DataletCodec, c.cfg.Codec))
 }
 
 // directCandidates returns the datalet owners that may serve a direct read
@@ -137,16 +84,12 @@ func (c *Client) directGet(table string, key []byte, level wire.Level) (val []by
 	if len(cands) == 0 {
 		return nil, false, false
 	}
-	primary := c.dataletPool(cands[c.randInt(len(cands))])
-	if primary == nil {
-		clientDirectFallbacks.Inc()
-		return nil, false, false
-	}
+	primary := c.dataletLink(cands[c.randInt(len(cands))])
 	// Hedge only reads with a genuine replica choice — and not while the
 	// cluster is pushing back (see Client.degraded).
-	var alt *datalet.Pool
+	var alt *datalet.Link
 	if c.hedge != nil && len(cands) > 1 && eventualEffective(m, level) && !c.degraded() {
-		alt = c.dataletPool(cands[c.randInt(len(cands))])
+		alt = c.dataletLink(cands[c.randInt(len(cands))])
 		if alt == primary {
 			alt = nil
 		}
@@ -212,11 +155,7 @@ func (c *Client) submitDirectMGet(table string, level wire.Level, si int, b *buc
 	if len(cands) == 0 {
 		return pendingMGet{}, false
 	}
-	pool := c.dataletPool(cands[c.randInt(len(cands))])
-	if pool == nil {
-		clientDirectFallbacks.Inc()
-		return pendingMGet{}, false
-	}
+	link := c.dataletLink(cands[c.randInt(len(cands))])
 	req := wire.GetRequest()
 	resp := wire.GetResponse()
 	req.Op = wire.OpDirectGet
@@ -231,7 +170,7 @@ func (c *Client) submitDirectMGet(table string, level wire.Level, si int, b *buc
 	}
 	return pendingMGet{
 		si: si, b: b, req: req, resp: resp,
-		errc:  pool.Get().DoAsync(req, resp),
+		errc:  link.DoAsync(req, resp),
 		start: time.Now(),
 	}, true
 }

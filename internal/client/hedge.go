@@ -119,8 +119,8 @@ func (h *hedgeState) allow() bool {
 // identical request against alt. It returns the winning response and a
 // release func that recycles it; a non-nil error means no leg produced a
 // response. alt may be nil (single-leg call with pooled buffers).
-func (c *Client) hedgedRace(primary, alt *datalet.Pool, build func(*wire.Request)) (*wire.Response, func(), error) {
-	launch := func(p *datalet.Pool) (*wire.Request, *wire.Response, <-chan error) {
+func (c *Client) hedgedRace(primary, alt *datalet.Link, build func(*wire.Request)) (*wire.Response, func(), error) {
+	launch := func(p *datalet.Link) (*wire.Request, *wire.Response, <-chan error) {
 		req := wire.GetRequest()
 		build(req)
 		resp := wire.GetResponse()
@@ -211,14 +211,8 @@ func (c *Client) hedgedControletGet(req *wire.Request, level wire.Level) (val []
 	}
 	pi := c.randInt(len(readable))
 	ai := (pi + 1 + c.randInt(len(readable)-1)) % len(readable)
-	primary, err := c.pool(readable[pi].ControletAddr)
-	if err != nil {
-		return nil, false, false
-	}
-	alt, err := c.pool(readable[ai].ControletAddr)
-	if err != nil {
-		alt = nil // race degrades to a single leg
-	}
+	primary := c.links.To(readable[pi].ControletAddr, c.cfg.Codec)
+	alt := c.links.To(readable[ai].ControletAddr, c.cfg.Codec)
 	start := time.Now()
 	resp, release, err := c.hedgedRace(primary, alt, func(r *wire.Request) {
 		r.Op = wire.OpGet

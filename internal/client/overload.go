@@ -75,16 +75,20 @@ const (
 	overloadMin    = 8
 )
 
-// doGuarded is do behind the endpoint's circuit breaker. Only transport
-// failures feed the breaker — any decoded response, even an error status,
-// proves the endpoint is alive and closes it.
+// doGuarded runs one request against addr's link behind the endpoint's
+// circuit breaker. Only transport failures feed the breaker — any decoded
+// response, even an error status, proves the endpoint is alive and closes
+// it. The two overlap on purpose: a link that is down covers an endpoint
+// with no connection (and its ErrLinkDown counts here as the transport
+// failure it is); the breaker covers one that accepts connections and never
+// answers.
 func (c *Client) doGuarded(addr string, req *wire.Request, resp *wire.Response) error {
 	br := c.breakers.For(addr)
 	if !br.Allow(time.Now()) {
 		clientBreakerDenied.Inc()
 		return fmt.Errorf("%w: %s", errBreakerOpen, addr)
 	}
-	err := c.do(addr, req, resp)
+	err := c.links.To(addr, c.cfg.Codec).Do(req, resp)
 	if err != nil {
 		br.Failure(time.Now())
 	} else {

@@ -61,7 +61,7 @@ func (s *Server) handleReconcile(struct{}) (ReconcileReply, error) {
 		if n.ID == s.cfg.NodeID {
 			continue
 		}
-		p, err := datalet.Dial(s.cfg.Network, n.DataletAddr, s.dataletCodecFor(n))
+		p, err := datalet.Dial(s.cfg.Network, n.DataletAddr, wire.CodecOr(n.DataletCodec, s.cfg.DataletCodec))
 		if err != nil {
 			return ReconcileReply{}, fmt.Errorf("controlet: reconcile dial %s: %w", n.ID, err)
 		}

@@ -205,35 +205,32 @@ func (p *propagator) deliverBatch(addr string, batch []propRecord) {
 		errc <-chan error
 	}
 	outstanding := batch
+	link := p.s.peer(addr)
 	for attempt := 0; attempt < 3; attempt++ {
-		pool, err := p.s.peerPool(addr)
-		if err == nil {
-			flights := make([]flight, 0, len(outstanding))
-			for _, rec := range outstanding {
-				req := wire.GetRequest()
-				req.Op = rec.op
-				req.Table = rec.table
-				req.Key = rec.key
-				req.Value = rec.value
-				req.Version = rec.version
-				req.TraceID = rec.traceID
-				resp := wire.GetResponse()
-				flights = append(flights, flight{rec, req, resp, pool.DoAsync(req, resp)})
-			}
-			var failed []propRecord
-			for _, f := range flights {
-				if err := <-f.errc; err != nil {
-					failed = append(failed, f.rec)
-				}
-				wire.PutRequest(f.req)
-				wire.PutResponse(f.resp)
-			}
-			if len(failed) == 0 {
-				return
-			}
-			p.s.dropPeer(addr)
-			outstanding = failed
+		flights := make([]flight, 0, len(outstanding))
+		for _, rec := range outstanding {
+			req := wire.GetRequest()
+			req.Op = rec.op
+			req.Table = rec.table
+			req.Key = rec.key
+			req.Value = rec.value
+			req.Version = rec.version
+			req.TraceID = rec.traceID
+			resp := wire.GetResponse()
+			flights = append(flights, flight{rec, req, resp, link.DoAsync(req, resp)})
 		}
+		var failed []propRecord
+		for _, f := range flights {
+			if err := <-f.errc; err != nil {
+				failed = append(failed, f.rec)
+			}
+			wire.PutRequest(f.req)
+			wire.PutResponse(f.resp)
+		}
+		if len(failed) == 0 {
+			return
+		}
+		outstanding = failed
 		select {
 		case <-p.s.stopCh:
 			return

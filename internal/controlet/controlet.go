@@ -131,8 +131,9 @@ type Server struct {
 	ctlAddr      string
 
 	// The local link: network and address of the datalet this controlet
-	// fronts, and the pool dialled on them. Peer datalets are reached on
-	// cfg.Network at their map-advertised addresses instead.
+	// fronts, and the pool dialled on them — once (see Serve). Peer
+	// datalets are reached on cfg.Network at their map-advertised addresses
+	// instead.
 	localNet  transport.Network
 	localAddr string
 	local     *datalet.Pool
@@ -143,11 +144,12 @@ type Server struct {
 	curMap  *topology.Map
 	curRing *topology.Ring
 
-	peersMu sync.Mutex
-	peers   map[string]*datalet.Pool // peer controlet data addr → pool
-
-	dPeersMu sync.Mutex
-	dPeers   map[string]*datalet.Pool // peer DATALET addr → pool
+	// Self-healing links to peers on cfg.Network: peer controlets at their
+	// data addresses in cfg.Codec, and peer datalets at their map-advertised
+	// addresses in each datalet's own protocol. Two sets only so /statusz
+	// can tell them apart.
+	peers  *datalet.Links
+	dPeers *datalet.Links
 
 	// MS+EC asynchronous propagation (see async.go).
 	prop *propagator
@@ -226,6 +228,14 @@ func Serve(cfg Config) (*Server, error) {
 		link = cfg.DataletAddr
 	}
 	localNet, localAddr := transport.Resolve(cfg.Network, link)
+	// The local link is a Pool, dialled once, and not a datalet.Link on
+	// purpose. A datalet restarted inside HeartbeatTimeout comes back with
+	// whatever its engine kept — nothing, on a non-durable ht — and a link
+	// that re-dialled it would put that back in service with no failover:
+	// the coordinator only notices a datalet whose controlet reports it
+	// down for that long. Until a controlet knows what its datalet has
+	// applied and can ask for the rest (ROADMAP item 8), staying down until
+	// the standby join replaces the node is the safe answer.
 	local, err := datalet.DialPool(localNet, localAddr, cfg.DataletCodec, cfg.PeerPoolSize)
 	if err != nil {
 		return nil, fmt.Errorf("controlet: dial local datalet: %w", err)
@@ -237,8 +247,8 @@ func Serve(cfg Config) (*Server, error) {
 		localNet:  localNet,
 		localAddr: localAddr,
 		local:     local,
-		peers:     map[string]*datalet.Pool{},
-		dPeers:    map[string]*datalet.Pool{},
+		peers:     datalet.NewLinks(cfg.Network, cfg.PeerPoolSize, cfg.PeerCallTimeout),
+		dPeers:    datalet.NewLinks(cfg.Network, cfg.PeerPoolSize, cfg.PeerCallTimeout),
 		conns:     map[transport.Conn]struct{}{},
 		stopCh:    make(chan struct{}),
 		tele:      telemetry.NewRecorder(telemetry.Options{Interval: cfg.TelemetryInterval}),
@@ -357,16 +367,8 @@ func (s *Server) Close() error {
 		ms.mover.Stop()
 	}
 	s.wg.Wait()
-	s.peersMu.Lock()
-	for _, p := range s.peers {
-		_ = p.Close()
-	}
-	s.peersMu.Unlock()
-	s.dPeersMu.Lock()
-	for _, p := range s.dPeers {
-		_ = p.Close()
-	}
-	s.dPeersMu.Unlock()
+	_ = s.peers.Close()
+	_ = s.dPeers.Close()
 	if s.local != nil {
 		_ = s.local.Close()
 	}
@@ -498,67 +500,13 @@ func (s *Server) transitionPeer(m *topology.Map) (topology.Node, bool) {
 	return topology.Node{}, false
 }
 
-// peerPool returns (dialing lazily) a pool to a peer data-path address.
-func (s *Server) peerPool(addr string) (*datalet.Pool, error) {
-	s.peersMu.Lock()
-	defer s.peersMu.Unlock()
-	if p, ok := s.peers[addr]; ok {
-		return p, nil
-	}
-	p, err := datalet.DialPool(s.cfg.Network, addr, s.cfg.Codec, s.cfg.PeerPoolSize)
-	if err != nil {
-		return nil, err
-	}
-	p.SetCallTimeout(s.cfg.PeerCallTimeout)
-	s.peers[addr] = p
-	return p, nil
-}
+// peer returns the link to a peer controlet's data-path address.
+func (s *Server) peer(addr string) *datalet.Link { return s.peers.To(addr, s.cfg.Codec) }
 
-// dropPeer discards a failed pool so the next use re-dials.
-func (s *Server) dropPeer(addr string) {
-	s.peersMu.Lock()
-	if p, ok := s.peers[addr]; ok {
-		delete(s.peers, addr)
-		_ = p.Close()
-	}
-	s.peersMu.Unlock()
-}
-
-// dataletCodecFor resolves the wire codec a peer datalet speaks.
-func (s *Server) dataletCodecFor(n topology.Node) wire.Codec {
-	if n.DataletCodec != "" {
-		if c, err := wire.LookupCodec(n.DataletCodec); err == nil {
-			return c
-		}
-	}
-	return s.cfg.DataletCodec
-}
-
-// dataletPool returns (dialing lazily) a pool to a peer datalet, at its
-// map-advertised address and in the datalet's own protocol.
-func (s *Server) dataletPool(n topology.Node) (*datalet.Pool, error) {
-	s.dPeersMu.Lock()
-	defer s.dPeersMu.Unlock()
-	if p, ok := s.dPeers[n.DataletAddr]; ok {
-		return p, nil
-	}
-	p, err := datalet.DialPool(s.cfg.Network, n.DataletAddr, s.dataletCodecFor(n), s.cfg.PeerPoolSize)
-	if err != nil {
-		return nil, err
-	}
-	p.SetCallTimeout(s.cfg.PeerCallTimeout)
-	s.dPeers[n.DataletAddr] = p
-	return p, nil
-}
-
-// dropDataletPeer discards a failed datalet pool.
-func (s *Server) dropDataletPeer(addr string) {
-	s.dPeersMu.Lock()
-	if p, ok := s.dPeers[addr]; ok {
-		delete(s.dPeers, addr)
-		_ = p.Close()
-	}
-	s.dPeersMu.Unlock()
+// peerDatalet returns the link to a peer datalet, at its map-advertised
+// address and in the datalet's own protocol.
+func (s *Server) peerDatalet(n topology.Node) *datalet.Link {
+	return s.dPeers.To(n.DataletAddr, wire.CodecOr(n.DataletCodec, s.cfg.DataletCodec))
 }
 
 func (s *Server) acceptLoop() {

@@ -79,7 +79,7 @@ func (s *Server) handleMigrateOut(spec migrate.Spec) (struct{}, error) {
 		Spec:  spec,
 		Local: s.local,
 		Dest: func(n topology.Node) (migrate.Backend, error) {
-			return s.dataletPool(n)
+			return s.peerDatalet(n), nil
 		},
 		Logf: s.cfg.Logf,
 	})

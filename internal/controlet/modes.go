@@ -203,19 +203,13 @@ func (s *Server) handleTableOp(req *wire.Request, resp *wire.Response) {
 			}
 			continue
 		}
-		pool, err := s.dataletPool(n)
-		if err != nil {
-			refuse(resp, err.Error())
-			return
-		}
 		fwd := wire.GetRequest()
 		*fwd = *req
 		peerResp := wire.GetResponse()
-		err = pool.Do(fwd, peerResp)
+		err := s.peerDatalet(n).Do(fwd, peerResp)
 		putCopy(fwd)
 		wire.PutResponse(peerResp)
 		if err != nil {
-			s.dropDataletPeer(n.DataletAddr)
 			refuse(resp, err.Error())
 			return
 		}

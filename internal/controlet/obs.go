@@ -3,7 +3,6 @@ package controlet
 import (
 	"time"
 
-	"bespokv/internal/datalet"
 	"bespokv/internal/metrics"
 	"bespokv/internal/telemetry"
 	"bespokv/internal/trace"
@@ -140,16 +139,6 @@ func (s *Server) recordTelemetry(req *wire.Request, resp *wire.Response, d time.
 	}
 }
 
-// poolStats sums Stats over a pool map under its lock.
-func poolStats(pools map[string]*datalet.Pool) (conns, load int) {
-	for _, p := range pools {
-		c, l := p.Stats()
-		conns += c
-		load += l
-	}
-	return
-}
-
 // Status reports this controlet's role, map epoch, replication lag and
 // connection-pool stats for /statusz.
 func (s *Server) Status() any {
@@ -172,24 +161,19 @@ func (s *Server) Status() any {
 		st["role"] = s.roleName(m, pos)
 	}
 	localConns, localLoad := s.local.Stats()
-	s.peersMu.Lock()
-	peerConns, peerLoad := poolStats(s.peers)
-	peerCount := len(s.peers)
-	s.peersMu.Unlock()
-	s.dPeersMu.Lock()
-	dConns, dLoad := poolStats(s.dPeers)
-	dCount := len(s.dPeers)
-	s.dPeersMu.Unlock()
+	peers, dPeers := s.peers.Stats(), s.dPeers.Stats()
 	st["pools"] = map[string]any{
 		"local_link":         s.localNet.Name() + ":" + s.localAddr,
 		"local_conns":        localConns,
 		"local_load":         localLoad,
-		"peers":              peerCount,
-		"peer_conns":         peerConns,
-		"peer_load":          peerLoad,
-		"peer_datalets":      dCount,
-		"peer_datalet_conns": dConns,
-		"peer_datalet_load":  dLoad,
+		"peers":              peers.Links,
+		"peer_conns":         peers.Conns,
+		"peer_load":          peers.Load,
+		"peers_down":         peers.Down,
+		"peer_datalets":      dPeers.Links,
+		"peer_datalet_conns": dPeers.Conns,
+		"peer_datalet_load":  dPeers.Load,
+		"peer_datalets_down": dPeers.Down,
 	}
 	// The /overloadz section: admission-gate state plus the process-wide
 	// shed/deadline counters for this layer.

@@ -91,14 +91,8 @@ func (s *Server) relay(addr string, fwd *wire.Request, resp *wire.Response) {
 		resp.Err = "controlet: deadline expired"
 		return
 	}
-	pool, err := s.peerPool(addr)
-	if err == nil {
-		if err = pool.Do(fwd, resp); err != nil {
-			s.dropPeer(addr)
-			resp.Reset()
-		}
-	}
-	if err != nil {
+	if err := s.peer(addr).Do(fwd, resp); err != nil {
+		resp.Reset()
 		refuse(resp, "controlet: relay to "+addr+": "+err.Error())
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"bespokv/internal/datalet"
 	"bespokv/internal/topology"
 	"bespokv/internal/wire"
 )
@@ -391,7 +390,6 @@ func (s *Server) applyLocal(w *writeSet, assign bool) error {
 // network hop, wait collects the answer. The zero value waits as an
 // immediate success (a chain tail has nobody to forward to).
 type peerCall struct {
-	addr  string
 	fwd   *wire.Request
 	presp *wire.Response
 	errc  <-chan error
@@ -403,21 +401,13 @@ type peerCall struct {
 // already spent fails the send before it leaves this node (the client has
 // given up on the write anyway).
 func (s *Server) send(addr string, fwd *wire.Request) peerCall {
-	c := peerCall{addr: addr}
 	if !fwd.RestampDeadline(time.Now) {
 		ctlDeadlineExpired.Inc()
-		c.err = errDeadlineSpent
-	}
-	var pool *datalet.Pool
-	if c.err == nil {
-		pool, c.err = s.peerPool(addr)
-	}
-	if c.err != nil {
 		wire.PutRequest(fwd)
-		return c
+		return peerCall{err: errDeadlineSpent}
 	}
-	c.fwd, c.presp = fwd, wire.GetResponse()
-	c.errc = pool.DoAsync(fwd, c.presp)
+	c := peerCall{fwd: fwd, presp: wire.GetResponse()}
+	c.errc = s.peer(addr).DoAsync(fwd, c.presp)
 	return c
 }
 
@@ -429,9 +419,7 @@ func (c *peerCall) wait(s *Server) error {
 		return c.err
 	}
 	err := <-c.errc
-	if err != nil {
-		s.dropPeer(c.addr)
-	} else {
+	if err == nil {
 		err = peerErrValue(c.presp)
 	}
 	wire.PutRequest(c.fwd)

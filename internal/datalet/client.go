@@ -25,6 +25,10 @@ import (
 // beyond it block (backpressure) rather than queue unbounded.
 const maxInflight = 1024
 
+// failedLoad is what a failed connection's load is raised by; no live
+// connection comes near half of it.
+const failedLoad = 1 << 62
+
 // ErrClientClosed is returned after the connection has failed or closed.
 var ErrClientClosed = errors.New("datalet: client closed")
 
@@ -94,7 +98,12 @@ type Client struct {
 	sendSpace sync.Cond // sendQ below maxInflight, or failure (callers wait)
 	respSpace sync.Cond // respQ below maxInflight, or failure (writer waits)
 
-	load atomic.Int64 // queued + in-flight calls (pool load balancing)
+	// load counts queued + in-flight calls, the number Pool balances on. A
+	// failed connection's load has failedLoad added to it (by the first
+	// fail()), so it counts as busier than any live one: the one word a pick
+	// reads anyway says both things, and a pick costs what it did before
+	// connections could be skipped.
+	load atomic.Int64
 	wg   sync.WaitGroup
 
 	// Pipeline watchdog (SetCallTimeout). FIFO pipelining cannot time out
@@ -545,6 +554,7 @@ func (c *Client) fail(err error) {
 	first := c.err == nil
 	if first {
 		c.err = err
+		c.load.Add(failedLoad)
 		close(c.dead)
 		_ = c.conn.Close()
 	}
@@ -575,7 +585,7 @@ func (c *Client) Err() error {
 
 // Load reports the number of requests queued or in flight, the signal
 // Pool.Get balances on.
-func (c *Client) Load() int { return int(c.load.Load()) }
+func (c *Client) Load() int { return int(c.load.Load() &^ failedLoad) }
 
 // Export streams the table's pairs, calling fn for each. The stream shares
 // the pipelined connection: responses for requests submitted after the
@@ -679,9 +689,12 @@ func (c *Client) Close() error {
 }
 
 // Pool is a fixed-size set of pipelined clients to one address. Get hands
-// out the least-loaded connection, so a long stream (Export) or a burst on
-// one connection steers new work to the others while idle pools still
-// funnel everything onto one pipe, where coalescing is best.
+// out the least-loaded connection that has not failed, so a long stream
+// (Export) or a burst on one connection steers new work to the others while
+// idle pools still funnel everything onto one pipe, where coalescing is
+// best. A Pool never dials again: it is one generation of a Link, which
+// does, and by itself the type of a connection set that must stay down once
+// it failed (the controlet's local link).
 type Pool struct {
 	clients []*Client
 }
@@ -710,18 +723,31 @@ func (p *Pool) SetCallTimeout(d time.Duration) {
 	}
 }
 
-// Get returns the pooled client with the fewest requests in flight.
-func (p *Pool) Get() *Client {
-	best := p.clients[0]
-	if len(p.clients) > 1 {
-		bestLoad := best.Load()
-		for _, c := range p.clients[1:] {
-			if l := c.Load(); l < bestLoad {
-				best, bestLoad = c, l
-			}
+// live returns the member with the fewest requests in flight among those
+// whose connection has not failed (nil when none is left), and whether that
+// is all of them. Without the check a failed member, which has no load of
+// its own, would win every pick.
+func (p *Pool) live() (best *Client, whole bool) {
+	whole = true
+	var bestLoad int64
+	for _, c := range p.clients {
+		l := c.load.Load()
+		if l >= failedLoad/2 {
+			whole = false
+		} else if best == nil || l < bestLoad {
+			best, bestLoad = c, l
 		}
 	}
-	return best
+	return best, whole
+}
+
+// Get returns the live pooled client with the fewest requests in flight;
+// with none left, a failed one, whose calls return its sticky error.
+func (p *Pool) Get() *Client {
+	if c, _ := p.live(); c != nil {
+		return c
+	}
+	return p.clients[0]
 }
 
 // Do dispatches one request on the least-loaded pooled connection.
@@ -743,12 +769,14 @@ func (p *Pool) Close() error {
 	return nil
 }
 
-// Stats reports the pool's connection count and summed outstanding load,
-// surfaced by /statusz.
+// Stats reports the pool's live connections and their summed outstanding
+// load, surfaced by /statusz.
 func (p *Pool) Stats() (conns, load int) {
 	for _, c := range p.clients {
-		conns++
-		load += c.Load()
+		if l := c.load.Load(); l < failedLoad/2 {
+			conns++
+			load += int(l)
+		}
 	}
 	return
 }

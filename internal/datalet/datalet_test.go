@@ -1,6 +1,7 @@
 package datalet
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -330,6 +331,28 @@ func TestPoolLeastLoaded(t *testing.T) {
 		if got := pool.Get(); got == busy {
 			t.Fatalf("Get returned the loaded client over %d idle ones", len(pool.clients)-1)
 		}
+	}
+	// A failed member has no load; it must not win the pick while a live
+	// one exists, however loaded — and is what Get returns when none does.
+	for _, c := range pool.clients {
+		if c != busy {
+			c.fail(errors.New("reset by test"))
+		}
+	}
+	if conns, _ := pool.Stats(); conns != 1 {
+		t.Fatalf("Stats counts %d live connections, want 1", conns)
+	}
+	for i := 0; i < 8; i++ {
+		if got := pool.Get(); got != busy {
+			t.Fatal("Get returned a failed client over a live one")
+		}
+	}
+	if err := pool.Do(&wire.Request{Op: wire.OpNop}, &resp); err != nil {
+		t.Fatalf("pool with one live member: %v", err)
+	}
+	busy.fail(errors.New("reset by test"))
+	if err := pool.Do(&wire.Request{Op: wire.OpNop}, &resp); err == nil {
+		t.Fatal("pool with no live member answered")
 	}
 }
 

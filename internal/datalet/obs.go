@@ -21,6 +21,11 @@ var (
 	cliBatchedReq = metrics.Default.Counter("bespokv_datalet_client_batched_requests_total")
 	cliInline     = metrics.Default.Counter("bespokv_datalet_client_inline_total")
 
+	// Links (see link.go): generations dialled in place of a dead one, and
+	// dials that failed. Touched on the re-dial path only.
+	linkRedials      = metrics.Default.Counter("bespokv_datalet_link_redials_total")
+	linkDialFailures = metrics.Default.Counter("bespokv_datalet_link_dial_failures_total")
+
 	// Overload control: data ops shed by admission control and ops
 	// dropped because their propagated deadline was already spent.
 	srvShedTotal       = metrics.Default.Counter("bespokv_overload_shed_total", "layer", "datalet")
@@ -63,9 +68,9 @@ func init() {
 	metrics.Default.GaugeFunc("bespokv_datalet_client_inflight", func() float64 {
 		cliMu.Lock()
 		defer cliMu.Unlock()
-		var n int64
+		var n int
 		for c := range cliSet {
-			n += c.load.Load()
+			n += c.Load()
 		}
 		return float64(n)
 	})

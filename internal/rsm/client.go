@@ -3,7 +3,6 @@ package rsm
 import (
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,7 +19,7 @@ import (
 // is fixed:
 //
 //   - a call gets max(4, 3·members) attempts, with a capped, jittered,
-//     exponential pause between them;
+//     exponential pause between them (transport.Backoff);
 //   - a member that answers NotLeader is left for the leader it names (the
 //     next in the list when it names none), and the client stays with the
 //     member that served it last until that one fails — a hint outside the
@@ -60,25 +59,6 @@ var ErrClientClosed = errors.New("rsm: client closed")
 
 // errNoLeaderConn is Send's refusal; callers fall back to Call.
 var errNoLeaderConn = errors.New("rsm: no connection the leader has answered on")
-
-// The pause before retry n grows from backoffBase by doubling, is capped at
-// backoffMax and jittered into [d/2, d], so the clients of a failed member
-// do not dial its successor in step.
-const (
-	backoffBase = 10 * time.Millisecond
-	backoffMax  = 500 * time.Millisecond
-)
-
-func backoff(n int) time.Duration {
-	d := backoffBase
-	for i := 0; i < n && d < backoffMax; i++ {
-		d *= 2
-	}
-	if d > backoffMax {
-		d = backoffMax
-	}
-	return d/2 + rand.N(d/2+1)
-}
 
 func splitAddrs(list string) []string {
 	var out []string
@@ -214,7 +194,7 @@ func (c *Client) Call(tid uint64, method string, args, reply any, timeout time.D
 	var err error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
-			time.Sleep(backoff(i - 1))
+			time.Sleep(transport.Backoff(i - 1))
 		}
 		var conn *rpc.Client
 		if conn, err = c.connect(); err != nil {

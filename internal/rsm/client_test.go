@@ -375,20 +375,6 @@ func TestClientSend(t *testing.T) {
 	}
 }
 
-func TestClientBackoffBounds(t *testing.T) {
-	for n := 0; n < 12; n++ {
-		want := min(backoffBase<<n, backoffMax)
-		for trial := 0; trial < 32; trial++ {
-			if d := backoff(n); d < want/2 || d > want {
-				t.Fatalf("backoff(%d) = %v outside [%v, %v]", n, d, want/2, want)
-			}
-		}
-	}
-	if backoff(40) > backoffMax {
-		t.Fatal("backoff exceeds its cap at high attempt counts")
-	}
-}
-
 func TestClientAddressList(t *testing.T) {
 	for list, want := range map[string][]string{
 		" a:1, b:2,,c:3 ": {"a:1", "b:2", "c:3"},

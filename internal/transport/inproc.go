@@ -56,7 +56,7 @@ func (Inproc) Dial(addr string) (Conn, error) {
 	l, ok := inprocListeners[addr]
 	inprocMu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("transport: inproc address %q not bound (connection refused)", addr)
+		return nil, fmt.Errorf("transport: inproc address %q not bound: %w", addr, ErrRefused)
 	}
 	a2b := newRing()
 	b2a := newRing()
@@ -68,7 +68,7 @@ func (Inproc) Dial(addr string) (Conn, error) {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		return nil, fmt.Errorf("transport: inproc address %q not bound (connection refused)", addr)
+		return nil, fmt.Errorf("transport: inproc address %q not bound: %w", addr, ErrRefused)
 	}
 	select {
 	case l.backlog <- server:

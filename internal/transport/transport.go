@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"syscall"
 )
 
 // Conn is a reliable, ordered, full-duplex byte stream.
@@ -46,6 +47,12 @@ type Network interface {
 
 // ErrClosed is returned by operations on closed listeners and connections.
 var ErrClosed = fmt.Errorf("transport: use of closed connection")
+
+// ErrRefused marks a Dial that found nobody listening at the address: a
+// peer that is dead or not started yet, as opposed to one that cannot be
+// reached. It is the kernel's own errno, so a tcp or unix dial error
+// satisfies errors.Is without being wrapped; inproc wraps it.
+var ErrRefused error = syscall.ECONNREFUSED
 
 var (
 	regMu    sync.RWMutex

@@ -487,3 +487,17 @@ func TestRingStreamAcrossGrowth(t *testing.T) {
 		}
 	}
 }
+
+func TestBackoffBounds(t *testing.T) {
+	for n := 0; n < 12; n++ {
+		want := min(BackoffBase<<n, BackoffMax)
+		for trial := 0; trial < 32; trial++ {
+			if d := Backoff(n); d < want/2 || d > want {
+				t.Fatalf("Backoff(%d) = %v outside [%v, %v]", n, d, want/2, want)
+			}
+		}
+	}
+	if Backoff(40) > BackoffMax {
+		t.Fatal("Backoff exceeds its cap at high attempt counts")
+	}
+}

@@ -57,6 +57,20 @@ func LookupCodec(name string) (Codec, error) {
 	return c, nil
 }
 
+// CodecOr returns the codec registered under name, and def when name is
+// empty, names def itself (no registry lock on that path: a client asks this
+// on every direct read) or is not registered — "the protocol the cluster
+// map lists for this datalet, else mine".
+func CodecOr(name string, def Codec) Codec {
+	if name == "" || name == def.Name() {
+		return def
+	}
+	if c, err := LookupCodec(name); err == nil {
+		return c
+	}
+	return def
+}
+
 // Codecs returns the sorted names of all registered codecs.
 func Codecs() []string {
 	codecMu.RLock()

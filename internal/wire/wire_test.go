@@ -310,6 +310,12 @@ func TestLookupCodec(t *testing.T) {
 	if _, err := LookupCodec("nope"); err == nil {
 		t.Fatal("unknown codec must error")
 	}
+	def := Codec(BinaryCodec{})
+	for name, want := range map[string]string{"": "binary", "binary": "binary", "text": "text", "nope": "binary"} {
+		if got := CodecOr(name, def).Name(); got != want {
+			t.Fatalf("CodecOr(%q, binary) = %s, want %s", name, got, want)
+		}
+	}
 }
 
 func TestOpAndStatusStrings(t *testing.T) {

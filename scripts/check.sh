@@ -83,11 +83,30 @@ run() {
 	# included), the client batch scheduler and lease cache units, and the
 	# cluster suites covering direct reads under epoch churn,
 	# shard-coalesced MultiGet/MultiPut in every mode, hedged reads under
-	# injected delay, and MS+SC linearizability with direct readers.
+	# injected delay, and MS+SC linearizability with direct readers. Every
+	# one of those reads crosses a datalet.Link, the one place in the data
+	# plane that decides a connection set died and dials another: direct
+	# reads must come back after their datalet restarts on the same address;
+	# no caller-side pool cache, drop or cooldown may reappear, and DialPool
+	# keeps to the connection sets that are dial-once on purpose (the
+	# controlet's local link, the raw benchmark clients, the fixed backends
+	# of the twemproxy and dynomite baselines); the lookup every op pays is
+	# printed beside the mutex + map it replaced.
 	wirespeed)
 		$GO test -race -run 'Multi|Fuzz' ./internal/wire/
 		$GO test -race ./internal/client/
+		$GO test -race -count=5 -run 'TestDirectReadsResumeAfterDataletRestart' ./internal/client/
 		$GO test -race -run 'TestDirectRead|TestHotKeyShadow|TestMultiGet|TestMultiPut|TestHedged|TestMSSCLinearizableWithDirectReads' ./internal/cluster/
+		if grep -rnE 'dropPeer|dropPool|dropDataletPeer|dropDataletPool|dpoolDown|dpoolCooldown|map\[string\]\*datalet\.Pool' internal/; then
+			echo "check.sh: a caller-side pool cache is back; use datalet.Links" >&2
+			exit 1
+		fi
+		if grep -rn 'datalet\.DialPool' cmd/ examples/ internal/ |
+			grep -vE '^internal/(controlet/controlet\.go|bench/|baseline/twemproxy/|baseline/dynomite/)'; then
+			echo "check.sh: datalet.DialPool has a new caller; a peer is reached through datalet.Links" >&2
+			exit 1
+		fi
+		$GO test -run NONE -bench LinksGet -benchmem -cpu 1,2 ./internal/datalet/
 		;;
 
 	# Replicated control plane: the Raft-style core (election, replication,
