@@ -18,13 +18,14 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
+	"log"
 	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"bespokv/internal/datalet"
+	"bespokv/internal/metrics"
 	"bespokv/internal/store"
 	"bespokv/internal/store/ht"
 	"bespokv/internal/store/lsm"
@@ -100,21 +101,24 @@ type Cluster struct {
 	nodes []*node
 }
 
+// Accept errors other than the listener closing; the loop retries them.
+var acceptErrs = metrics.Default.Counter("bespokv_baseline_accept_errors_total", "system", "dynamo")
+
 // node is one storage server: engine + wire listener + ring routing.
 type node struct {
 	idx      int
 	cluster  *Cluster
 	engine   store.Engine
-	listener transport.Listener
+	listener transport.Listener // srv's, once the ring is built
+	srv      *transport.Server
+	conn     wire.ConnHandler
 
 	clock atomic.Uint64
 
 	peers *datalet.Links // the other nodes
 
-	mu      sync.Mutex
-	conns   map[transport.Conn]struct{}
-	stopped bool
-	wg      sync.WaitGroup
+	stop  sync.Once
+	pumps sync.WaitGroup // the replication pumps
 
 	ring  *topology.Ring
 	addrs []string
@@ -155,11 +159,19 @@ func Start(opts Options) (*Cluster, error) {
 		opts.PoolSize = 2
 	}
 	c := &Cluster{opts: opts}
+	// No node serves until the ring is built; until then what the nodes hold
+	// is Start's to release.
+	abort := func(err error) (*Cluster, error) {
+		for _, n := range c.nodes {
+			_ = n.listener.Close()
+			_ = n.engine.Close()
+		}
+		return nil, err
+	}
 	for i := 0; i < opts.Nodes; i++ {
 		engine, err := opts.Profile.NewEngine()
 		if err != nil {
-			c.Close()
-			return nil, err
+			return abort(err)
 		}
 		addr := ""
 		if _, ok := opts.Network.(transport.TCP); ok {
@@ -168,19 +180,19 @@ func Start(opts Options) (*Cluster, error) {
 		l, err := opts.Network.Listen(addr)
 		if err != nil {
 			engine.Close()
-			c.Close()
-			return nil, err
+			return abort(err)
 		}
 		n := &node{
 			idx:      i,
 			cluster:  c,
 			engine:   engine,
 			listener: l,
+			srv:      transport.NewServer(),
 			peers:    datalet.NewLinks(opts.Network, opts.PoolSize, 0),
-			conns:    map[transport.Conn]struct{}{},
 			replQ:    make(chan replRecord, 4096),
 			stopCh:   make(chan struct{}),
 		}
+		n.conn = wire.ConnHandler{Codec: opts.Codec, Node: fmt.Sprintf("dynamo-%d", i), Layer: "dynamo", Handle: n.handle}
 		n.clock.Store(uint64(time.Now().Unix()) << 32)
 		c.nodes = append(c.nodes, n)
 	}
@@ -198,8 +210,11 @@ func Start(opts Options) (*Cluster, error) {
 		// baseline that silently drops its RF-1 copies under load would
 		// be paying less than the real system does.
 		const pumps = 4
-		n.wg.Add(1 + pumps)
-		go n.acceptLoop()
+		n.srv.Serve(n.listener, func(err error) {
+			acceptErrs.Inc()
+			log.Printf("dynamo: accept on %s: %v", n.listener.Addr(), err)
+		}, func(conn transport.Conn) { _ = wire.ServeConn(conn, &n.conn) })
+		n.pumps.Add(pumps)
 		for i := 0; i < pumps; i++ {
 			go n.replicationPump()
 		}
@@ -229,82 +244,13 @@ func (c *Cluster) Close() {
 }
 
 func (n *node) close() {
-	n.mu.Lock()
-	if n.stopped {
-		n.mu.Unlock()
-		return
-	}
-	n.stopped = true
-	close(n.stopCh)
-	for c := range n.conns {
-		_ = c.Close()
-	}
-	n.mu.Unlock()
-	_ = n.listener.Close()
-	n.wg.Wait()
-	_ = n.peers.Close()
-	_ = n.engine.Close()
-}
-
-func (n *node) acceptLoop() {
-	defer n.wg.Done()
-	for {
-		conn, err := n.listener.Accept()
-		if err != nil {
-			return
-		}
-		n.mu.Lock()
-		if n.stopped {
-			n.mu.Unlock()
-			conn.Close()
-			return
-		}
-		n.conns[conn] = struct{}{}
-		n.mu.Unlock()
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			defer func() {
-				n.mu.Lock()
-				delete(n.conns, conn)
-				n.mu.Unlock()
-				conn.Close()
-			}()
-			n.serveConn(conn)
-		}()
-	}
-}
-
-func (n *node) serveConn(conn transport.Conn) {
-	codec := n.cluster.opts.Codec
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	bcd, _ := codec.(wire.BufferedCodec)
-	var req wire.Request
-	var resp wire.Response
-	for {
-		req.Reset()
-		if err := codec.ReadRequest(br, &req); err != nil {
-			if err != io.EOF {
-				return
-			}
-			return
-		}
-		resp.Reset()
-		resp.ID = req.ID
-		n.handle(&req, &resp)
-		resp.ID = req.ID
-		// Coalesce response flushes while more pipelined requests wait.
-		if bcd != nil && br.Buffered() > 0 {
-			if err := bcd.EncodeResponse(bw, &resp); err != nil {
-				return
-			}
-			continue
-		}
-		if err := codec.WriteResponse(bw, &resp); err != nil {
-			return
-		}
-	}
+	n.stop.Do(func() {
+		close(n.stopCh)
+		_ = n.srv.Close()
+		n.pumps.Wait()
+		_ = n.peers.Close()
+		_ = n.engine.Close()
+	})
 }
 
 // owners returns the RF ring successors for a key.
@@ -318,7 +264,12 @@ func (n *node) owners(key []byte) []int {
 	return out
 }
 
-func (n *node) handle(req *wire.Request, resp *wire.Response) {
+func (n *node) handle(req *wire.Request, resp *wire.Response, _ *bufio.Writer) (streamed bool, err error) {
+	n.route(req, resp)
+	return false, nil
+}
+
+func (n *node) route(req *wire.Request, resp *wire.Response) {
 	switch req.Op {
 	case wire.OpNop:
 		resp.Status = wire.StatusOK
@@ -445,7 +396,6 @@ func (n *node) forward(owner int, req *wire.Request, resp *wire.Response) {
 	fwd := *req
 	if err := n.peer(owner).Do(&fwd, resp); err != nil {
 		resp.Reset()
-		resp.ID = req.ID
 		resp.Status = wire.StatusUnavailable
 		resp.Err = err.Error()
 	}
@@ -459,7 +409,7 @@ const replPipelineDepth = 32
 // into windows and keeping every copy in the window in flight at once on
 // the pipelined peer connections.
 func (n *node) replicationPump() {
-	defer n.wg.Done()
+	defer n.pumps.Done()
 	batch := make([]replRecord, 0, replPipelineDepth)
 	for {
 		select {

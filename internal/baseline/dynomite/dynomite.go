@@ -13,11 +13,12 @@ package dynomite
 import (
 	"bufio"
 	"errors"
-	"io"
+	"log"
 	"sync"
 	"time"
 
 	"bespokv/internal/datalet"
+	"bespokv/internal/metrics"
 	"bespokv/internal/transport"
 	"bespokv/internal/wire"
 )
@@ -34,20 +35,23 @@ type Config struct {
 	PoolSize int
 }
 
+// Accept errors other than the listener closing; the loop retries them.
+var acceptErrs = metrics.Default.Counter("bespokv_baseline_accept_errors_total", "system", "dynomite")
+
 // Server is one running proxy node.
 type Server struct {
-	cfg      Config
-	listener transport.Listener
-	local    *datalet.Pool
+	cfg   Config
+	addr  string
+	srv   *transport.Server
+	conn  wire.ConnHandler
+	local *datalet.Pool
 
 	peers *datalet.Links // peer proxies
 
-	queue   chan wire.Request
-	stopCh  chan struct{}
-	mu      sync.Mutex
-	conns   map[transport.Conn]struct{}
-	stopped bool
-	wg      sync.WaitGroup
+	queue  chan wire.Request
+	stop   sync.Once
+	stopCh chan struct{}
+	pump   sync.WaitGroup // the replication pump
 
 	peerAddrsMu sync.RWMutex
 	peerAddrs   []string
@@ -72,22 +76,26 @@ func Serve(cfg Config) (*Server, error) {
 		peers:  datalet.NewLinks(cfg.Network, cfg.PoolSize, 0),
 		queue:  make(chan wire.Request, 4096),
 		stopCh: make(chan struct{}),
-		conns:  map[transport.Conn]struct{}{},
+		srv:    transport.NewServer(),
 	}
+	s.conn = wire.ConnHandler{Codec: cfg.Codec, Node: "dynomite", Layer: "dynomite", Handle: s.handle}
 	l, err := cfg.Network.Listen(cfg.Addr)
 	if err != nil {
 		local.Close()
 		return nil, err
 	}
-	s.listener = l
-	s.wg.Add(2)
-	go s.acceptLoop()
+	s.addr = l.Addr()
+	s.srv.Serve(l, func(err error) {
+		acceptErrs.Inc()
+		log.Printf("dynomite: accept on %s: %v", l.Addr(), err)
+	}, func(conn transport.Conn) { _ = wire.ServeConn(conn, &s.conn) })
+	s.pump.Add(1)
 	go s.replicationPump()
 	return s, nil
 }
 
 // Addr returns this node's address.
-func (s *Server) Addr() string { return s.listener.Addr() }
+func (s *Server) Addr() string { return s.addr }
 
 // SetPeers installs the peer proxy addresses (excluding self).
 func (s *Server) SetPeers(addrs []string) {
@@ -98,76 +106,17 @@ func (s *Server) SetPeers(addrs []string) {
 
 // Close stops the node.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
-		return nil
-	}
-	s.stopped = true
-	close(s.stopCh)
-	for c := range s.conns {
-		_ = c.Close()
-	}
-	s.mu.Unlock()
-	_ = s.listener.Close()
-	s.wg.Wait()
-	_ = s.peers.Close()
-	return s.local.Close()
+	s.stop.Do(func() {
+		close(s.stopCh)
+		_ = s.srv.Close()
+		s.pump.Wait()
+		_ = s.peers.Close()
+		_ = s.local.Close()
+	})
+	return nil
 }
 
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.listener.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.stopped {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-				conn.Close()
-			}()
-			s.serveConn(conn)
-		}()
-	}
-}
-
-func (s *Server) serveConn(conn transport.Conn) {
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	var req wire.Request
-	var resp wire.Response
-	for {
-		req.Reset()
-		if err := s.cfg.Codec.ReadRequest(br, &req); err != nil {
-			if err != io.EOF {
-				return
-			}
-			return
-		}
-		resp.Reset()
-		resp.ID = req.ID
-		s.handle(&req, &resp)
-		resp.ID = req.ID
-		if err := s.cfg.Codec.WriteResponse(bw, &resp); err != nil {
-			return
-		}
-	}
-}
-
-func (s *Server) handle(req *wire.Request, resp *wire.Response) {
+func (s *Server) handle(req *wire.Request, resp *wire.Response, _ *bufio.Writer) (streamed bool, err error) {
 	switch req.Op {
 	case wire.OpPut, wire.OpDel:
 		// Apply locally (local version assignment), ack, replicate async.
@@ -175,10 +124,9 @@ func (s *Server) handle(req *wire.Request, resp *wire.Response) {
 		fwd.Version = 0
 		if err := s.local.Do(&fwd, resp); err != nil {
 			resp.Reset()
-			resp.ID = req.ID
 			resp.Status = wire.StatusUnavailable
 			resp.Err = "dynomite: backend: " + err.Error()
-			return
+			return false, nil
 		}
 		rec := *req
 		rec.Key = append([]byte(nil), req.Key...)
@@ -201,7 +149,6 @@ func (s *Server) handle(req *wire.Request, resp *wire.Response) {
 		fwd.Version = 0
 		if err := s.local.Do(&fwd, resp); err != nil {
 			resp.Reset()
-			resp.ID = req.ID
 			resp.Status = wire.StatusUnavailable
 			resp.Err = err.Error()
 		}
@@ -210,16 +157,16 @@ func (s *Server) handle(req *wire.Request, resp *wire.Response) {
 		fwd := *req
 		if err := s.local.Do(&fwd, resp); err != nil {
 			resp.Reset()
-			resp.ID = req.ID
 			resp.Status = wire.StatusUnavailable
 			resp.Err = "dynomite: backend: " + err.Error()
 		}
 	}
+	return false, nil
 }
 
 // replicationPump forwards queued writes to every peer proxy.
 func (s *Server) replicationPump() {
-	defer s.wg.Done()
+	defer s.pump.Done()
 	for {
 		select {
 		case <-s.stopCh:

@@ -10,10 +10,10 @@ package twemproxy
 import (
 	"bufio"
 	"errors"
-	"io"
-	"sync"
+	"log"
 
 	"bespokv/internal/datalet"
+	"bespokv/internal/metrics"
 	"bespokv/internal/topology"
 	"bespokv/internal/transport"
 	"bespokv/internal/wire"
@@ -33,17 +33,17 @@ type Config struct {
 	PoolSize int
 }
 
+// Accept errors other than the listener closing; the loop retries them.
+var acceptErrs = metrics.Default.Counter("bespokv_baseline_accept_errors_total", "system", "twemproxy")
+
 // Server is a running proxy.
 type Server struct {
-	cfg      Config
-	ring     *topology.Ring
-	listener transport.Listener
-	pools    []*datalet.Pool
-
-	mu      sync.Mutex
-	conns   map[transport.Conn]struct{}
-	stopped bool
-	wg      sync.WaitGroup
+	cfg   Config
+	ring  *topology.Ring
+	addr  string
+	srv   *transport.Server
+	conn  wire.ConnHandler
+	pools []*datalet.Pool
 }
 
 // Serve starts a proxy.
@@ -55,10 +55,11 @@ func Serve(cfg Config) (*Server, error) {
 		cfg.PoolSize = 2
 	}
 	s := &Server{
-		cfg:   cfg,
-		ring:  topology.BuildRingFromIDs(cfg.Backends, 160),
-		conns: map[transport.Conn]struct{}{},
+		cfg:  cfg,
+		ring: topology.BuildRingFromIDs(cfg.Backends, 160),
+		srv:  transport.NewServer(),
 	}
+	s.conn = wire.ConnHandler{Codec: cfg.Codec, Node: "twemproxy", Layer: "twemproxy", Handle: s.relay}
 	for _, addr := range cfg.Backends {
 		p, err := datalet.DialPool(cfg.Network, addr, cfg.Codec, cfg.PoolSize)
 		if err != nil {
@@ -72,95 +73,34 @@ func Serve(cfg Config) (*Server, error) {
 		s.Close()
 		return nil, err
 	}
-	s.listener = l
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s.addr = l.Addr()
+	s.srv.Serve(l, func(err error) {
+		acceptErrs.Inc()
+		log.Printf("twemproxy: accept on %s: %v", l.Addr(), err)
+	}, func(conn transport.Conn) { _ = wire.ServeConn(conn, &s.conn) })
 	return s, nil
 }
 
 // Addr returns the proxy's address.
-func (s *Server) Addr() string { return s.listener.Addr() }
+func (s *Server) Addr() string { return s.addr }
 
 // Close stops the proxy.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
-		return nil
-	}
-	s.stopped = true
-	for c := range s.conns {
-		_ = c.Close()
-	}
-	s.mu.Unlock()
-	if s.listener != nil {
-		_ = s.listener.Close()
-	}
-	s.wg.Wait()
+	_ = s.srv.Close()
 	for _, p := range s.pools {
-		if p != nil {
-			_ = p.Close()
-		}
+		_ = p.Close()
 	}
 	return nil
 }
 
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.listener.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.stopped {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-				conn.Close()
-			}()
-			s.serveConn(conn)
-		}()
-	}
-}
-
-func (s *Server) serveConn(conn transport.Conn) {
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	var req wire.Request
-	var resp wire.Response
-	for {
-		req.Reset()
-		if err := s.cfg.Codec.ReadRequest(br, &req); err != nil {
-			if err != io.EOF {
-				return
-			}
-			return
-		}
+// relay answers one request from the backend its key hashes to.
+func (s *Server) relay(req *wire.Request, resp *wire.Response, _ *bufio.Writer) (streamed bool, err error) {
+	fwd := *req
+	fwd.Epoch = 0
+	if err := s.pools[s.ring.Lookup(req.Key)].Do(&fwd, resp); err != nil {
 		resp.Reset()
-		resp.ID = req.ID
-		backend := s.ring.Lookup(req.Key)
-		fwd := req
-		fwd.Epoch = 0
-		if err := s.pools[backend].Do(&fwd, &resp); err != nil {
-			resp.Reset()
-			resp.ID = req.ID
-			resp.Status = wire.StatusUnavailable
-			resp.Err = "twemproxy: backend: " + err.Error()
-		}
-		resp.ID = req.ID
-		if err := s.cfg.Codec.WriteResponse(bw, &resp); err != nil {
-			return
-		}
+		resp.Status = wire.StatusUnavailable
+		resp.Err = "twemproxy: backend: " + err.Error()
 	}
+	return false, nil
 }

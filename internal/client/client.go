@@ -481,11 +481,11 @@ func (c *Client) execute(req *wire.Request, resp *wire.Response, route func() (s
 			clientErrors.Inc()
 		}
 		if !timed {
-			countClientOp(req.Op)
+			clientOps.Record(req.Op, -1)
 			return
 		}
 		dur := time.Since(start)
-		recordClientOp(req.Op, dur)
+		clientOps.Record(req.Op, dur)
 		if req.TraceID != 0 {
 			errStr := ""
 			if err != nil {

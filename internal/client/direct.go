@@ -121,7 +121,7 @@ func (c *Client) directGet(table string, key []byte, level wire.Level) (val []by
 		return nil, false, false
 	}
 	clientDirectReads.Inc()
-	recordClientOp(wire.OpDirectGet, time.Since(start))
+	clientOps.Record(wire.OpDirectGet, time.Since(start))
 	switch resp.Statuses[0] {
 	case wire.StatusOK:
 		return append([]byte(nil), resp.Pairs[0].Value...), true, true
@@ -196,7 +196,7 @@ func (c *Client) awaitDirectMGet(pd pendingMGet, out []MultiResult) bool {
 		return false
 	}
 	clientDirectReads.Inc()
-	recordClientOp(wire.OpDirectGet, time.Since(pd.start))
+	clientOps.Record(wire.OpDirectGet, time.Since(pd.start))
 	for i, idx := range pd.b.idxs {
 		switch resp.Statuses[i] {
 		case wire.StatusOK:

@@ -232,10 +232,10 @@ func (c *Client) hedgedControletGet(req *wire.Request, level wire.Level) (val []
 	c.hedge.observe(time.Since(start))
 	switch resp.Status {
 	case wire.StatusOK:
-		recordClientOp(wire.OpGet, time.Since(start))
+		clientOps.Record(wire.OpGet, time.Since(start))
 		return append([]byte(nil), resp.Value...), true, true
 	case wire.StatusNotFound:
-		recordClientOp(wire.OpGet, time.Since(start))
+		clientOps.Record(wire.OpGet, time.Since(start))
 		return nil, false, true
 	case wire.StatusWrongEpoch:
 		go c.refreshMap()

@@ -8,11 +8,9 @@ import (
 	"bespokv/internal/wire"
 )
 
-// Client-side op metrics, pre-resolved per op so execute's hot path never
-// takes a registry lookup (see the contract in internal/metrics).
 var (
-	clientOpCount [wire.OpMax + 1]*metrics.Counter
-	clientOpLat   [wire.OpMax + 1]*metrics.Histogram
+	// bespokv_client_ops_total{op} and _op_seconds{op}.
+	clientOps = wire.NewOpMetrics("client")
 
 	clientRetries   = metrics.Default.Counter("bespokv_client_retries_total")
 	clientRedirects = metrics.Default.Counter("bespokv_client_redirects_total")
@@ -38,13 +36,6 @@ var (
 	clientBudgetExpired   = metrics.Default.Counter("bespokv_client_op_budget_expired_total")
 	clientHedgeSuppressed = metrics.Default.Counter("bespokv_client_hedge_suppressed_total")
 )
-
-func init() {
-	for op := wire.OpNop; op <= wire.OpMax; op++ {
-		clientOpCount[op] = metrics.Default.Counter("bespokv_client_ops_total", "op", op.String())
-		clientOpLat[op] = metrics.Default.Histogram("bespokv_client_op_seconds", "op", op.String())
-	}
-}
 
 // Live hedge-state registry backing the hedging gauges: the p99 estimate
 // and token budget live in each client's hedgeState, so the gauges walk
@@ -157,20 +148,4 @@ func init() {
 		}
 		return t
 	})
-}
-
-func clampClientOp(op wire.Op) wire.Op {
-	if op > wire.OpMax {
-		return wire.OpNop
-	}
-	return op
-}
-
-// countClientOp is the unsampled path: op accounting without the clock.
-func countClientOp(op wire.Op) { clientOpCount[clampClientOp(op)].Inc() }
-
-func recordClientOp(op wire.Op, d time.Duration) {
-	op = clampClientOp(op)
-	clientOpCount[op].Inc()
-	clientOpLat[op].Observe(d)
 }

@@ -37,7 +37,7 @@ func (s *Server) replicateAsync(_ *topology.Map, shard topology.Shard, w *writeS
 		// retry re-applies idempotently under LWW. The alternative
 		// (blocking here until the queue drains) is how one slow slave
 		// turns into an unbounded master-side pileup.
-		ctlShedTotal.Inc()
+		s.admit.Shed.Inc()
 		if !w.batch {
 			return errBacklog
 		}

@@ -125,10 +125,11 @@ type Server struct {
 	cfg Config
 	pol policy // what cfg.Mode decides about the data path (modes.go)
 
-	dataListener transport.Listener
-	conn         wire.ConnHandler
-	ctl          *rpc.Server
-	ctlAddr      string
+	dataAddr string            // cfg.DataAddr's bound form
+	srv      *transport.Server // the data-path listener and its connections
+	conn     wire.ConnHandler
+	ctl      *rpc.Server
+	ctlAddr  string
 
 	// The local link: network and address of the datalet this controlet
 	// fronts, and the pool dialled on them — once (see Serve). Peer
@@ -182,12 +183,13 @@ type Server struct {
 	// never double-count).
 	tele *telemetry.Recorder
 
-	// gate admits client data ops (nil = admission control disabled);
-	// control and internal replication lanes bypass it. See dispatchAdmit.
-	gate *overload.Gate
+	// admit is the hop prologue in front of dispatch. Its gate admits
+	// client data ops (nil = admission control disabled); control and
+	// internal replication lanes bypass it.
+	admit *overload.Admission
 
-	connsMu sync.Mutex
-	conns   map[transport.Conn]struct{}
+	// wg counts the goroutines that are not serving a connection: the
+	// heartbeat loop, the propagation loops, the log applier.
 	wg      sync.WaitGroup
 	stopCh  chan struct{}
 	stopped atomic.Bool
@@ -249,14 +251,15 @@ func Serve(cfg Config) (*Server, error) {
 		local:     local,
 		peers:     datalet.NewLinks(cfg.Network, cfg.PeerPoolSize, cfg.PeerCallTimeout),
 		dPeers:    datalet.NewLinks(cfg.Network, cfg.PeerPoolSize, cfg.PeerCallTimeout),
-		conns:     map[transport.Conn]struct{}{},
+		srv:       transport.NewServer(),
 		stopCh:    make(chan struct{}),
 		tele:      telemetry.NewRecorder(telemetry.Options{Interval: cfg.TelemetryInterval}),
-		gate:      overload.NewGate(overload.Config{MaxInflight: cfg.MaxInflight, Target: cfg.ShedTarget}),
+		admit: overload.NewAdmission("controlet",
+			overload.NewGate(overload.Config{MaxInflight: cfg.MaxInflight, Target: cfg.ShedTarget})),
 	}
 	s.conn = wire.ConnHandler{
 		Codec: cfg.Codec, Node: cfg.NodeID, Layer: "controlet",
-		Handle: s.handleConn, Record: s.recordOp, Epoch: s.epoch,
+		Handle: s.handleConn, Ops: ctlOps, Record: s.tele.RecordOp, Epoch: s.epoch,
 	}
 	// Seed the clock so fresh controlets never reissue old versions
 	// after recovery (coarse wall-clock epoch in the high bits, Lamport
@@ -301,9 +304,11 @@ func Serve(cfg Config) (*Server, error) {
 		s.Close()
 		return nil, err
 	}
-	s.dataListener = l
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s.dataAddr = l.Addr()
+	s.srv.Serve(l, func(err error) {
+		ctlAcceptErrs.Inc()
+		cfg.Logf("controlet %s: accept: %v", cfg.NodeID, err)
+	}, s.serveConn)
 
 	if cfg.CoordinatorAddr != "" {
 		// Fetch the initial map synchronously (best effort) so a
@@ -322,7 +327,7 @@ func Serve(cfg Config) (*Server, error) {
 }
 
 // DataAddr returns the bound data-path address.
-func (s *Server) DataAddr() string { return s.dataListener.Addr() }
+func (s *Server) DataAddr() string { return s.dataAddr }
 
 // CtlAddr returns the bound control-RPC address.
 func (s *Server) CtlAddr() string { return s.ctlAddr }
@@ -343,14 +348,9 @@ func (s *Server) Close() error {
 		return nil
 	}
 	close(s.stopCh)
-	if s.dataListener != nil {
-		_ = s.dataListener.Close()
-	}
-	s.connsMu.Lock()
-	for c := range s.conns {
-		_ = c.Close()
-	}
-	s.connsMu.Unlock()
+	// What a request handler can be parked on — the propagation queues, the
+	// log combiner, a lock wait — is stopped before srv.Close waits for the
+	// handlers.
 	if s.ctl != nil {
 		_ = s.ctl.Close()
 	}
@@ -366,6 +366,7 @@ func (s *Server) Close() error {
 	if ms := s.mig.Load(); ms != nil {
 		ms.mover.Stop()
 	}
+	_ = s.srv.Close()
 	s.wg.Wait()
 	_ = s.peers.Close()
 	_ = s.dPeers.Close()
@@ -509,51 +510,16 @@ func (s *Server) peerDatalet(n topology.Node) *datalet.Link {
 	return s.dPeers.To(n.DataletAddr, wire.CodecOr(n.DataletCodec, s.cfg.DataletCodec))
 }
 
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	transport.AcceptLoop(s.dataListener, func(err error) bool {
-		ctlAcceptErrs.Inc()
-		s.cfg.Logf("controlet %s: accept: %v", s.cfg.NodeID, err)
-		return !s.stopped.Load()
-	}, func(conn transport.Conn) bool {
-		s.connsMu.Lock()
-		if s.stopped.Load() {
-			s.connsMu.Unlock()
-			conn.Close()
-			return false
-		}
-		s.conns[conn] = struct{}{}
-		s.connsMu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				s.connsMu.Lock()
-				delete(s.conns, conn)
-				s.connsMu.Unlock()
-				conn.Close()
-			}()
-			if err := wire.ServeConn(conn, &s.conn); err != nil && !s.stopped.Load() {
-				s.cfg.Logf("controlet %s: read: %v", s.cfg.NodeID, err)
-			}
-		}()
-		return true
-	})
+func (s *Server) serveConn(conn transport.Conn) {
+	if err := wire.ServeConn(conn, &s.conn); err != nil && !s.stopped.Load() {
+		s.cfg.Logf("controlet %s: read: %v", s.cfg.NodeID, err)
+	}
 }
 
-// handleConn, recordOp and epoch are the connection loop's hooks.
+// handleConn and epoch are the connection loop's hooks.
 func (s *Server) handleConn(req *wire.Request, resp *wire.Response, _ *bufio.Writer) (streamed bool, err error) {
 	s.dispatchAdmit(req, resp)
 	return false, nil
-}
-
-func (s *Server) recordOp(req *wire.Request, resp *wire.Response, dur time.Duration) {
-	if dur >= 0 {
-		recordCtlOp(req.Op, dur)
-	} else {
-		countCtlOp(req.Op)
-	}
-	s.recordTelemetry(req, resp, dur)
 }
 
 func (s *Server) epoch() uint64 {

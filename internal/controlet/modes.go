@@ -126,7 +126,7 @@ func (s *Server) localCall(req *wire.Request, resp *wire.Response) {
 	*fwd = *req
 	if !fwd.RestampDeadline(time.Now) {
 		putCopy(fwd)
-		ctlDeadlineExpired.Inc()
+		s.admit.Expired.Inc()
 		resp.Status = wire.StatusOverloaded
 		resp.Err = "controlet: deadline expired"
 		return

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"bespokv/internal/metrics"
-	"bespokv/internal/telemetry"
 	"bespokv/internal/trace"
 	"bespokv/internal/wire"
 )
@@ -15,8 +14,9 @@ import (
 // bookkeeping cost. Control-path metrics (heartbeats, failover,
 // propagation give-ups) may use labeled lookups freely.
 var (
-	ctlOpCount [wire.OpMax + 1]*metrics.Counter
-	ctlOpLat   [wire.OpMax + 1]*metrics.Histogram
+	// bespokv_controlet_ops_total{op} and _op_seconds{op}; wire.ServeConn
+	// stamps them.
+	ctlOps = wire.NewOpMetrics("controlet")
 
 	// Replication fan-out, by mechanism: chain forwards launched (MS+SC),
 	// async records enqueued/dropped (MS+EC), write-all peer applies
@@ -50,40 +50,10 @@ var (
 	// contact past FenceTimeout).
 	ctlFencedRejects = metrics.Default.Counter("bespokv_controlet_fenced_rejects_total")
 
-	// Overload control: requests shed by admission control (including
-	// replication-backlog backpressure) and requests dropped because
-	// their propagated deadline budget was already spent at this hop.
-	// Both answer the retryable StatusOverloaded; neither is acked.
-	ctlShedTotal       = metrics.Default.Counter("bespokv_overload_shed_total", "layer", "controlet")
-	ctlDeadlineExpired = metrics.Default.Counter("bespokv_deadline_expired_total", "layer", "controlet")
-
 	// Telemetry reports shipped to (or lost on the way to) the aggregator.
 	ctlTelemetryReports = metrics.Default.Counter("bespokv_controlet_telemetry_reports_total")
 	ctlTelemetryErrs    = metrics.Default.Counter("bespokv_controlet_telemetry_errors_total")
 )
-
-func init() {
-	for op := wire.OpNop; op <= wire.OpMax; op++ {
-		ctlOpCount[op] = metrics.Default.Counter("bespokv_controlet_ops_total", "op", op.String())
-		ctlOpLat[op] = metrics.Default.Histogram("bespokv_controlet_op_seconds", "op", op.String())
-	}
-}
-
-func clampCtlOp(op wire.Op) wire.Op {
-	if op > wire.OpMax {
-		return wire.OpNop
-	}
-	return op
-}
-
-// countCtlOp is the unsampled path: op accounting without the clock.
-func countCtlOp(op wire.Op) { ctlOpCount[clampCtlOp(op)].Inc() }
-
-func recordCtlOp(op wire.Op, d time.Duration) {
-	op = clampCtlOp(op)
-	ctlOpCount[op].Inc()
-	ctlOpLat[op].Observe(d)
-}
 
 // observeWait records how long a write waited on a control service (DLM
 // lease, shared-log append) into h and, for sampled requests, as a span.
@@ -96,46 +66,6 @@ func (s *Server) observeWait(h *metrics.Histogram, tid uint64, span string, star
 			errStr = err.Error()
 		}
 		trace.Record(tid, s.cfg.NodeID, span, start, dur, errStr)
-	}
-}
-
-// recordTelemetry accounts one dispatched frame into the workload recorder:
-// class counters always (internal replication ops collapse to ClassOther),
-// per-key sizes and sketch touches for client-entry classes only, latency
-// when the op was timed (d >= 0). All of it is atomics plus a sampled
-// sketch touch — safe on the hot path.
-func (s *Server) recordTelemetry(req *wire.Request, resp *wire.Response, d time.Duration) {
-	class := telemetry.ClassOf(req.Op)
-	// Overloaded sheds spend the availability budget too: the SLO burn
-	// engine must see an overloaded shard as burning, not healthy.
-	isErr := resp.Status == wire.StatusErr || resp.Status == wire.StatusUnavailable ||
-		resp.Status == wire.StatusOverloaded
-	switch class {
-	case telemetry.ClassGet:
-		s.tele.Record(class, len(req.Key), len(resp.Value), d, isErr)
-		s.tele.Touch(req.Key)
-	case telemetry.ClassPut:
-		s.tele.Record(class, len(req.Key), len(req.Value), d, isErr)
-		s.tele.Touch(req.Key)
-	case telemetry.ClassDel:
-		s.tele.Record(class, len(req.Key), -1, d, isErr)
-		s.tele.Touch(req.Key)
-	case telemetry.ClassScan:
-		s.tele.Record(class, len(req.Key), -1, d, isErr)
-	case telemetry.ClassMGet:
-		s.tele.Record(class, -1, -1, d, isErr)
-		for i := range req.Pairs {
-			s.tele.RecordKV(len(req.Pairs[i].Key), -1)
-			s.tele.Touch(req.Pairs[i].Key)
-		}
-	case telemetry.ClassMPut:
-		s.tele.Record(class, -1, -1, d, isErr)
-		for i := range req.Pairs {
-			s.tele.RecordKV(len(req.Pairs[i].Key), len(req.Pairs[i].Value))
-			s.tele.Touch(req.Pairs[i].Key)
-		}
-	default:
-		s.tele.Record(class, -1, -1, d, isErr)
 	}
 }
 
@@ -175,13 +105,7 @@ func (s *Server) Status() any {
 		"peer_datalet_load":  dPeers.Load,
 		"peer_datalets_down": dPeers.Down,
 	}
-	// The /overloadz section: admission-gate state plus the process-wide
-	// shed/deadline counters for this layer.
-	st["overloadz"] = map[string]any{
-		"gate":             s.gate.Snapshot(),
-		"shed_total":       ctlShedTotal.Value(),
-		"deadline_expired": ctlDeadlineExpired.Value(),
-	}
+	st["overloadz"] = s.admit.Status()
 	if s.prop != nil {
 		st["prop_pending"] = s.prop.pendingN.Load()
 	}

@@ -3,9 +3,7 @@ package controlet
 import (
 	"errors"
 	"fmt"
-	"time"
 
-	"bespokv/internal/overload"
 	"bespokv/internal/wire"
 )
 
@@ -21,41 +19,13 @@ var errShed = errors.New("overloaded")
 // the client has already given up on.
 var errDeadlineSpent = fmt.Errorf("%w: deadline expired", errShed)
 
-// dispatchAdmit runs the per-request overload checks in front of dispatch:
-//
-//   - control-lane ops (heartbeat plumbing, epoch leases, stats,
-//     telemetry) pass straight through — the control plane is never
-//     queued behind data traffic, so a data-path spike cannot delay the
-//     liveness signals the coordinator's failure detector watches;
-//   - every other lane drops work whose propagated deadline has already
-//     expired (the client gave up; executing it helps no one);
-//   - data-lane ops additionally pass admission control, and are shed
-//     with the retryable StatusOverloaded when the gate says the node is
-//     queueing beyond its delay target.
-//
-// Internal replication ops (chain forwards, async repl, handoffs) bypass
-// the gate: they are the continuation of work already admitted at the
-// entry edge, and re-gating them would shed the middle of a chain write
-// more often than its head.
+// dispatchAdmit is dispatch behind the hop prologue
+// (overload.Admission.Admit).
 func (s *Server) dispatchAdmit(req *wire.Request, resp *wire.Response) {
-	lane := overload.LaneOf(req.Op)
-	if lane != overload.LaneControl && req.DeadlineExpired(time.Now) {
-		ctlDeadlineExpired.Inc()
-		resp.Status = wire.StatusOverloaded
-		resp.Err = "controlet: deadline expired"
-		return
-	}
-	if lane == overload.LaneData {
-		release, ok := s.gate.Admit()
-		if !ok {
-			ctlShedTotal.Inc()
-			resp.Status = wire.StatusOverloaded
-			resp.Err = "controlet: overloaded"
-			return
-		}
+	if release, ok := s.admit.Admit(req, resp); ok {
 		defer release()
+		s.dispatch(req, resp)
 	}
-	s.dispatch(req, resp)
 }
 
 // downstream marks a failure of something this node depends on to finish

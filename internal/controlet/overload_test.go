@@ -142,7 +142,7 @@ func TestControletDropsExpiredDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	before := ctlDeadlineExpired.Value()
+	before := s.admit.Expired.Value()
 	var resp wire.Response
 	req := wire.Request{Op: wire.OpPut, Key: []byte("k"), Value: []byte("v"), Deadline: 1}
 	if err := cli.Do(&req, &resp); err != nil {
@@ -151,7 +151,7 @@ func TestControletDropsExpiredDeadline(t *testing.T) {
 	if resp.Status != wire.StatusOverloaded {
 		t.Fatalf("expired-deadline put: status %v, want Overloaded", resp.Status)
 	}
-	if ctlDeadlineExpired.Value() <= before {
+	if s.admit.Expired.Value() <= before {
 		t.Fatal("deadline_expired counter did not move")
 	}
 	resp.Reset()

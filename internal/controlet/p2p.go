@@ -86,7 +86,7 @@ func (s *Server) p2pTarget(m *topology.Map, owner topology.Shard, req *wire.Requ
 // answer back. The peer is handed what remains of the deadline budget.
 func (s *Server) relay(addr string, fwd *wire.Request, resp *wire.Response) {
 	if !fwd.RestampDeadline(time.Now) {
-		ctlDeadlineExpired.Inc()
+		s.admit.Expired.Inc()
 		resp.Status = wire.StatusOverloaded
 		resp.Err = "controlet: deadline expired"
 		return

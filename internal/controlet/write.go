@@ -334,7 +334,7 @@ func (s *Server) applyLocal(w *writeSet, assign bool) error {
 		}
 		w.encode(lreq, frameLocal, want)
 		if !lreq.RestampDeadline(time.Now) {
-			ctlDeadlineExpired.Inc()
+			s.admit.Expired.Inc()
 			return errDeadlineSpent
 		}
 		if err := s.local.Do(lreq, lresp); err != nil {
@@ -402,7 +402,7 @@ type peerCall struct {
 // given up on the write anyway).
 func (s *Server) send(addr string, fwd *wire.Request) peerCall {
 	if !fwd.RestampDeadline(time.Now) {
-		ctlDeadlineExpired.Inc()
+		s.admit.Expired.Inc()
 		wire.PutRequest(fwd)
 		return peerCall{err: errDeadlineSpent}
 	}

@@ -35,14 +35,15 @@ func (s *Server) Status() any {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := map[string]any{
-		"role":       "coordinator",
-		"epoch":      uint64(0),
-		"shards":     0,
-		"nodes":      0,
-		"standbys":   len(s.standbys),
-		"suspended":  len(s.suspended),
-		"transition": false,
-		"uptime_sec": int64(metrics.ProcessUptime().Seconds()),
+		"role":        "coordinator",
+		"epoch":       uint64(0),
+		"shards":      0,
+		"nodes":       0,
+		"standbys":    len(s.standbys),
+		"suspended":   len(s.suspended),
+		"transition":  false,
+		"connections": s.rpc.Conns(),
+		"uptime_sec":  int64(metrics.ProcessUptime().Seconds()),
 	}
 	if s.cur != nil {
 		st["epoch"] = s.cur.Epoch

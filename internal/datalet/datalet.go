@@ -65,14 +65,14 @@ type Config struct {
 
 // Server is a running datalet.
 type Server struct {
-	cfg       Config
-	listeners []transport.Listener // Addr's, then LocalAddr's if any
-	conn      wire.ConnHandler
+	cfg  Config
+	addr string            // Addr's bound form
+	srv  *transport.Server // Addr's listener and LocalAddr's, one connection set
+	conn wire.ConnHandler
 
-	mu     sync.RWMutex
-	tables map[string]store.Engine
-	active map[transport.Conn]struct{}
-	closed bool
+	mu           sync.RWMutex
+	tables       map[string]store.Engine
+	closeEngines sync.Once
 
 	// Epoch lease for direct client reads, granted and refreshed by the
 	// fronting controlet via OpEpochSet (see handleEpochSet). The datalet
@@ -87,11 +87,12 @@ type Server struct {
 	// controlet) and answers OpTelemetry with its snapshot.
 	tele *telemetry.Recorder
 
-	// gate admits data ops (nil = admission control disabled); control
-	// ops and recovery streams bypass it.
-	gate *overload.Gate
-
-	conns sync.WaitGroup
+	// admit is the hop prologue in front of handle. Its gate admits data
+	// ops (nil = admission control disabled); control ops and recovery
+	// streams bypass it. The engine is the real queue here: when it
+	// saturates, slot waits grow, and the CoDel shedder converts the standing
+	// queue into fast StatusOverloaded answers instead of timeouts.
+	admit *overload.Admission
 }
 
 // Serve starts a datalet and returns once it is listening.
@@ -106,56 +107,58 @@ func Serve(cfg Config) (*Server, error) {
 		cfg.MaxInflight = 1024
 	}
 	s := &Server{
-		cfg:    cfg,
-		active: map[transport.Conn]struct{}{},
-		tele:   telemetry.NewRecorder(telemetry.Options{Interval: cfg.TelemetryInterval}),
-		gate:   overload.NewGate(overload.Config{MaxInflight: cfg.MaxInflight, Target: cfg.ShedTarget}),
+		cfg:  cfg,
+		srv:  transport.NewServer(),
+		tele: telemetry.NewRecorder(telemetry.Options{Interval: cfg.TelemetryInterval}),
+		admit: overload.NewAdmission("datalet",
+			overload.NewGate(overload.Config{MaxInflight: cfg.MaxInflight, Target: cfg.ShedTarget})),
 	}
 	s.conn = wire.ConnHandler{
 		Codec: cfg.Codec, Node: cfg.Name, Layer: "datalet",
-		Handle: s.handleConn, Record: s.recordOp,
+		Handle: s.handleConn, Ops: srvOps, Record: s.recordDirectGet,
+	}
+	// Both addresses are bound before the engine is opened — an address in
+	// use is what stops a second datalet from opening a live one's files —
+	// and served only once there is an engine to answer from.
+	listeners := make([]transport.Listener, 0, 2)
+	fail := func(err error) (*Server, error) {
+		for _, l := range listeners {
+			_ = l.Close()
+		}
+		return nil, err
 	}
 	l, err := cfg.Network.Listen(cfg.Addr)
 	if err != nil {
 		return nil, err
 	}
-	s.listeners = append(s.listeners, l)
+	listeners = append(listeners, l)
+	s.addr = l.Addr()
 	if cfg.LocalAddr != "" {
 		l, err := transport.Unix{}.Listen(cfg.LocalAddr)
 		if err != nil {
-			s.closeListeners()
-			return nil, fmt.Errorf("datalet: local listener: %w", err)
+			return fail(fmt.Errorf("datalet: local listener: %w", err))
 		}
-		s.listeners = append(s.listeners, l)
+		listeners = append(listeners, l)
 	}
 	def, err := cfg.NewEngine("")
 	if err != nil {
-		s.closeListeners()
-		return nil, err
+		return fail(err)
 	}
 	s.tables = map[string]store.Engine{"": def}
-	// Both listeners feed one connection set, one gate and one Close.
-	for _, l := range s.listeners {
-		go s.acceptLoop(l)
+	for _, l := range listeners {
+		s.srv.Serve(l, func(err error) {
+			srvAcceptErrs.Inc()
+			cfg.Logf("datalet %s: accept on %s: %v", cfg.Name, l.Addr(), err)
+		}, s.serveConn)
 	}
 	return s, nil
 }
 
 // Addr returns the bound address.
-func (s *Server) Addr() string { return s.listeners[0].Addr() }
+func (s *Server) Addr() string { return s.addr }
 
 // LocalAddr returns the socket path of the local listener, "" without one.
 func (s *Server) LocalAddr() string { return s.cfg.LocalAddr }
-
-func (s *Server) closeListeners() error {
-	var first error
-	for _, l := range s.listeners {
-		if err := l.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
 
 // Engine returns the engine backing table (nil if absent); tests and the
 // in-process harness use it for white-box checks.
@@ -168,59 +171,21 @@ func (s *Server) Engine(table string) store.Engine {
 // Close stops the listeners (unlinking the local socket file), drains every
 // connection and closes every engine.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	for c := range s.active {
-		_ = c.Close()
-	}
-	s.mu.Unlock()
-	err := s.closeListeners()
-	s.conns.Wait()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range s.tables {
-		_ = e.Close()
-	}
+	err := s.srv.Close()
+	s.closeEngines.Do(func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for _, e := range s.tables {
+			_ = e.Close()
+		}
+	})
 	return err
 }
 
-func (s *Server) acceptLoop(l transport.Listener) {
-	transport.AcceptLoop(l, func(err error) bool {
-		srvAcceptErrs.Inc()
-		s.cfg.Logf("datalet %s: accept on %s: %v", s.cfg.Name, l.Addr(), err)
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		return !s.closed
-	}, func(conn transport.Conn) bool {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return false
-		}
-		s.active[conn] = struct{}{}
-		// Under mu, so that Close, which sets closed under mu, cannot
-		// already be in conns.Wait.
-		s.conns.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer s.conns.Done()
-			defer func() {
-				s.mu.Lock()
-				delete(s.active, conn)
-				s.mu.Unlock()
-				conn.Close()
-			}()
-			if err := wire.ServeConn(conn, &s.conn); err != nil {
-				s.cfg.Logf("datalet %s: read: %v", s.cfg.Name, err)
-			}
-		}()
-		return true
-	})
+func (s *Server) serveConn(conn transport.Conn) {
+	if err := wire.ServeConn(conn, &s.conn); err != nil {
+		s.cfg.Logf("datalet %s: read: %v", s.cfg.Name, err)
+	}
 }
 
 // handleConn is the connection loop's handler: the two export streams write
@@ -236,45 +201,21 @@ func (s *Server) handleConn(req *wire.Request, resp *wire.Response, bw *bufio.Wr
 	return false, nil
 }
 
-// recordOp accounts one answered request; dur < 0 means it was not timed.
-func (s *Server) recordOp(req *wire.Request, resp *wire.Response, dur time.Duration) {
-	if dur >= 0 {
-		recordServerOp(req.Op, dur)
-	} else {
-		countServerOp(req.Op)
-	}
+// recordDirectGet feeds the workload recorder the one op class that bypasses
+// the controlet; everything else is counted there, so that shard merges
+// never count an op twice.
+func (s *Server) recordDirectGet(req *wire.Request, resp *wire.Response, dur time.Duration) {
 	if req.Op == wire.OpDirectGet {
-		s.recordDirectGet(req, resp, dur)
+		s.tele.RecordOp(req, resp, dur)
 	}
 }
 
-// handleAdmit runs the overload checks in front of handle: control-lane
-// ops (epoch leases, telemetry, stats, pings) always pass — they are what
-// keeps the fronting controlet's liveness reporting truthful under load;
-// everything else drops work whose propagated deadline already expired,
-// and data-lane ops additionally pass the admission gate. The engine is
-// the real queue here: when it saturates, slot waits grow, and the CoDel
-// shedder converts the standing queue into fast StatusOverloaded answers
-// instead of timeouts.
+// handleAdmit is handle behind the hop prologue (overload.Admission.Admit).
 func (s *Server) handleAdmit(req *wire.Request, resp *wire.Response) {
-	lane := overload.LaneOf(req.Op)
-	if lane != overload.LaneControl && req.DeadlineExpired(time.Now) {
-		srvDeadlineExpired.Inc()
-		resp.Status = wire.StatusOverloaded
-		resp.Err = "datalet: deadline expired"
-		return
-	}
-	if lane == overload.LaneData {
-		release, ok := s.gate.Admit()
-		if !ok {
-			srvShedTotal.Inc()
-			resp.Status = wire.StatusOverloaded
-			resp.Err = "datalet: overloaded"
-			return
-		}
+	if release, ok := s.admit.Admit(req, resp); ok {
 		defer release()
+		s.handle(req, resp)
 	}
-	s.handle(req, resp)
 }
 
 func (s *Server) engineFor(table string) (store.Engine, bool) {
@@ -479,26 +420,6 @@ func (s *Server) handle(req *wire.Request, resp *wire.Response) {
 		resp.Status = wire.StatusErr
 		resp.Err = fmt.Sprintf("datalet: unsupported op %s", req.Op)
 	}
-}
-
-// recordDirectGet accounts one direct-path read frame: one op of class
-// direct-get (with latency when the op was timed), per-key sizes and
-// hot-key sketch touches. WrongEpoch is a routing miss that self-heals via
-// the controlet fallback, not an error; Unavailable and Err spend the
-// availability budget.
-func (s *Server) recordDirectGet(req *wire.Request, resp *wire.Response, dur time.Duration) {
-	isErr := resp.Status == wire.StatusErr || resp.Status == wire.StatusUnavailable ||
-		resp.Status == wire.StatusOverloaded
-	if len(req.Pairs) > 0 {
-		s.tele.Record(telemetry.ClassDirectGet, -1, -1, dur, isErr)
-		for i := range req.Pairs {
-			s.tele.RecordKV(len(req.Pairs[i].Key), -1)
-			s.tele.Touch(req.Pairs[i].Key)
-		}
-		return
-	}
-	s.tele.Record(telemetry.ClassDirectGet, len(req.Key), len(resp.Value), dur, isErr)
-	s.tele.Touch(req.Key)
 }
 
 // handleEpochSet installs (or refreshes) the controlet-granted epoch lease.

@@ -2,18 +2,15 @@ package datalet
 
 import (
 	"sync"
-	"time"
 
 	"bespokv/internal/metrics"
 	"bespokv/internal/wire"
 )
 
-// Per-op counters and latency histograms, resolved once at init so the
-// data path never touches the registry's keyed lookup: recording an op is
-// two atomic adds plus a histogram observe, all allocation-free.
 var (
-	srvOpCount [wire.OpMax + 1]*metrics.Counter
-	srvOpLat   [wire.OpMax + 1]*metrics.Histogram
+	// bespokv_datalet_ops_total{op} and _op_seconds{op}; wire.ServeConn
+	// stamps them.
+	srvOps = wire.NewOpMetrics("datalet")
 
 	// Pipelined-client metrics (see client.go): how requests reach the
 	// wire. Average coalesced batch size = batched_requests / batches.
@@ -25,11 +22,6 @@ var (
 	// dials that failed. Touched on the re-dial path only.
 	linkRedials      = metrics.Default.Counter("bespokv_datalet_link_redials_total")
 	linkDialFailures = metrics.Default.Counter("bespokv_datalet_link_dial_failures_total")
-
-	// Overload control: data ops shed by admission control and ops
-	// dropped because their propagated deadline was already spent.
-	srvShedTotal       = metrics.Default.Counter("bespokv_overload_shed_total", "layer", "datalet")
-	srvDeadlineExpired = metrics.Default.Counter("bespokv_deadline_expired_total", "layer", "datalet")
 
 	// Accept errors other than the listener closing; the loop retries them.
 	srvAcceptErrs = metrics.Default.Counter("bespokv_datalet_accept_errors_total")
@@ -87,29 +79,6 @@ func init() {
 	})
 }
 
-func init() {
-	for op := wire.OpNop; op <= wire.OpMax; op++ {
-		srvOpCount[op] = metrics.Default.Counter("bespokv_datalet_ops_total", "op", op.String())
-		srvOpLat[op] = metrics.Default.Histogram("bespokv_datalet_op_seconds", "op", op.String())
-	}
-}
-
-func clampOp(op wire.Op) wire.Op {
-	if op > wire.OpMax {
-		return wire.OpNop
-	}
-	return op
-}
-
-// countServerOp is the unsampled path: op accounting without the clock.
-func countServerOp(op wire.Op) { srvOpCount[clampOp(op)].Inc() }
-
-func recordServerOp(op wire.Op, d time.Duration) {
-	op = clampOp(op)
-	srvOpCount[op].Inc()
-	srvOpLat[op].Observe(d)
-}
-
 // Status reports the datalet's identity and per-table sizes for /statusz.
 func (s *Server) Status() any {
 	s.mu.RLock()
@@ -128,12 +97,8 @@ func (s *Server) Status() any {
 		"engine":      engineName,
 		"codec":       s.cfg.Codec.Name(),
 		"tables":      tables,
-		"connections": len(s.active),
+		"connections": s.srv.Conns(),
 		"uptime_sec":  int64(metrics.ProcessUptime().Seconds()),
-		"overloadz": map[string]any{
-			"gate":             s.gate.Snapshot(),
-			"shed_total":       srvShedTotal.Value(),
-			"deadline_expired": srvDeadlineExpired.Value(),
-		},
+		"overloadz":   s.admit.Status(),
 	}
 }

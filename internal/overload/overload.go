@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bespokv/internal/metrics"
 	"bespokv/internal/wire"
 )
 
@@ -253,6 +254,78 @@ func (g *Gate) Snapshot() Stats {
 		ShedCoDel:   g.shedCoDel.Load(),
 		ShedWait:    g.shedWait.Load(),
 		Dropping:    dropping,
+	}
+}
+
+// Admission is the prologue of a hop — what a controlet and a datalet both
+// do with a request before they serve it. There is one per server: its gate,
+// and its layer's two counters resolved once from the layer name.
+type Admission struct {
+	// Gate admits data-lane ops; nil admits everything.
+	Gate *Gate
+	// Shed and Expired are bespokv_overload_shed_total{layer} and
+	// bespokv_deadline_expired_total{layer}. A layer that sheds or finds a
+	// budget spent further down its path counts it here too.
+	Shed, Expired *metrics.Counter
+
+	errShed, errExpired string
+}
+
+// NewAdmission resolves layer's counters around gate.
+func NewAdmission(layer string, gate *Gate) *Admission {
+	return &Admission{
+		Gate:       gate,
+		Shed:       metrics.Default.Counter("bespokv_overload_shed_total", "layer", layer),
+		Expired:    metrics.Default.Counter("bespokv_deadline_expired_total", "layer", layer),
+		errShed:    layer + ": overloaded",
+		errExpired: layer + ": deadline expired",
+	}
+}
+
+// Admit runs the overload checks in front of a handler:
+//
+//   - control-lane ops (liveness probes, epoch leases, stats, telemetry)
+//     pass straight through — the control plane is never queued behind data
+//     traffic, so a data-path spike cannot delay the signals the
+//     coordinator's failure detector watches;
+//   - every other lane drops work whose propagated deadline has already
+//     expired (the client gave up; executing it helps no one);
+//   - data-lane ops additionally pass the gate, and are shed when it says the
+//     node is queueing beyond its delay target. Internal-lane ops (chain
+//     forwards, async repl, handoffs) bypass it: they continue work already
+//     admitted at the entry edge, and re-gating them would shed the middle of
+//     a chain write more often than its head.
+//
+// ok=false means the request was refused and resp already carries the
+// retryable StatusOverloaded; otherwise the caller serves it and then calls
+// release. A control-lane op reads no clock and touches no atomic here.
+func (a *Admission) Admit(req *wire.Request, resp *wire.Response) (release func(), ok bool) {
+	lane := LaneOf(req.Op)
+	if lane != LaneControl && req.DeadlineExpired(time.Now) {
+		a.Expired.Inc()
+		resp.Status = wire.StatusOverloaded
+		resp.Err = a.errExpired
+		return nil, false
+	}
+	if lane != LaneData {
+		return noRelease, true
+	}
+	release, ok = a.Gate.Admit()
+	if !ok {
+		a.Shed.Inc()
+		resp.Status = wire.StatusOverloaded
+		resp.Err = a.errShed
+	}
+	return release, ok
+}
+
+// Status is the /statusz "overloadz" section: the gate's state plus the
+// layer's process-wide shed and deadline counters.
+func (a *Admission) Status() map[string]any {
+	return map[string]any{
+		"gate":             a.Gate.Snapshot(),
+		"shed_total":       a.Shed.Value(),
+		"deadline_expired": a.Expired.Value(),
 	}
 }
 

@@ -165,6 +165,65 @@ func TestGateMaxWaitShed(t *testing.T) {
 	}
 }
 
+// The hop prologue, lane by lane: control ops pass whatever their deadline
+// and the gate say; internal ops honor the deadline and bypass the gate; data
+// ops answer to both. A refusal fills resp and moves the layer's counter.
+func TestAdmission(t *testing.T) {
+	a := NewAdmission("admtest", NewGate(Config{MaxInflight: 1, Target: time.Millisecond, MaxWait: time.Millisecond}))
+	hold, ok := a.Gate.Admit() // the one slot: every gated op from here on sheds
+	if !ok {
+		t.Fatal("first admit")
+	}
+	defer hold()
+	spent := func(op wire.Op) *wire.Request { return &wire.Request{Op: op, DeadlineAt: 1} }
+	for _, tc := range []struct {
+		name string
+		req  *wire.Request
+		err  string // "" = admitted
+	}{
+		{"control, spent", spent(wire.OpEpochSet), ""},
+		{"internal, gate full", &wire.Request{Op: wire.OpChainPut}, ""},
+		{"internal, spent", spent(wire.OpChainPut), "admtest: deadline expired"},
+		{"data, spent", spent(wire.OpGet), "admtest: deadline expired"},
+		{"data, gate full", &wire.Request{Op: wire.OpGet}, "admtest: overloaded"},
+	} {
+		shed, expired := a.Shed.Value(), a.Expired.Value()
+		var resp wire.Response
+		release, ok := a.Admit(tc.req, &resp)
+		if ok != (tc.err == "") {
+			t.Fatalf("%s: admitted = %v", tc.name, ok)
+		}
+		if ok {
+			release()
+			if resp.Status != wire.StatusOK || resp.Err != "" {
+				t.Errorf("%s: admitted but resp touched: %+v", tc.name, resp)
+			}
+			continue
+		}
+		if resp.Status != wire.StatusOverloaded || resp.Err != tc.err {
+			t.Errorf("%s: refused with %v %q, want Overloaded %q", tc.name, resp.Status, resp.Err, tc.err)
+		}
+		wantShed, wantExpired := int64(0), int64(1)
+		if tc.err == "admtest: overloaded" {
+			wantShed, wantExpired = 1, 0
+		}
+		if a.Shed.Value()-shed != wantShed || a.Expired.Value()-expired != wantExpired {
+			t.Errorf("%s: counters moved by shed %d expired %d", tc.name, a.Shed.Value()-shed, a.Expired.Value()-expired)
+		}
+	}
+	st := a.Status()
+	if st["shed_total"] != a.Shed.Value() || st["deadline_expired"] != a.Expired.Value() || st["gate"].(Stats).ShedWait != 1 {
+		t.Errorf("status %+v", st)
+	}
+	// A nil gate admits every lane.
+	open := NewAdmission("admtest", nil)
+	if release, ok := open.Admit(&wire.Request{Op: wire.OpPut}, &wire.Response{}); !ok {
+		t.Error("nil gate shed a data op")
+	} else {
+		release()
+	}
+}
+
 func TestGateQueuedAdmitAfterRelease(t *testing.T) {
 	g := NewGate(Config{MaxInflight: 1, Target: 50 * time.Millisecond, MaxWait: time.Second})
 	rel, ok := g.Admit()

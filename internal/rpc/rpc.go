@@ -282,10 +282,12 @@ type Server struct {
 
 	mu       sync.RWMutex
 	handlers map[string]*method
-	listener transport.Listener
-	conns    sync.WaitGroup
-	active   map[transport.Conn]struct{}
-	closed   bool
+
+	srv *transport.Server // listeners, connections and their reader goroutines
+	// calls counts the goroutines of concurrent handlers. A reader adds to it
+	// and Close waits for it only after srv.Close has waited for every
+	// reader, so an Add never races the Wait.
+	calls sync.WaitGroup
 }
 
 func (s *Server) traceName() string {
@@ -297,10 +299,7 @@ func (s *Server) traceName() string {
 
 // NewServer returns a server with no handlers bound.
 func NewServer() *Server {
-	return &Server{
-		handlers: map[string]*method{},
-		active:   map[transport.Conn]struct{}{},
-	}
+	return &Server{handlers: map[string]*method{}, srv: transport.NewServer()}
 }
 
 func (s *Server) handle(name string, m *method) {
@@ -363,46 +362,15 @@ func (s *Server) Serve(network transport.Network, addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.mu.Lock()
-	s.listener = l
-	s.mu.Unlock()
-	go s.acceptLoop(l)
+	s.srv.Serve(l, func(err error) {
+		rpcAcceptErrs.Inc()
+		log.Printf("rpc: accept on %s: %v", l.Addr(), err)
+	}, s.serveConn)
 	return l.Addr(), nil
 }
 
-func (s *Server) acceptLoop(l transport.Listener) {
-	transport.AcceptLoop(l, func(err error) bool {
-		rpcAcceptErrs.Inc()
-		log.Printf("rpc: accept on %s: %v", l.Addr(), err)
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return !s.closed
-	}, func(conn transport.Conn) bool {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return false
-		}
-		s.active[conn] = struct{}{}
-		// Register with the WaitGroup while still holding mu: once Close
-		// sets closed (under mu) it may already be in conns.Wait, and an
-		// Add racing that Wait is a WaitGroup misuse.
-		s.conns.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer s.conns.Done()
-			defer func() {
-				s.mu.Lock()
-				delete(s.active, conn)
-				s.mu.Unlock()
-				conn.Close()
-			}()
-			s.serveConn(conn)
-		}()
-		return true
-	})
-}
+// Conns returns the number of live connections, for /statusz.
+func (s *Server) Conns() int { return s.srv.Conns() }
 
 // serverConn is the write half of one accepted connection, shared by
 // whoever answers on it: the reader (ordered handlers that reply at once),
@@ -479,10 +447,9 @@ func (s *Server) serveConn(conn transport.Conn) {
 		// Dispatch concurrently so slow handlers (watch long-polls, raft
 		// appends) don't block the connection. Each dispatched handler holds
 		// a WaitGroup slot so Close waits for it instead of racing its
-		// teardown. (serveConn itself holds a slot, so this Add can never
-		// race conns.Wait observing zero.)
+		// teardown.
 		c.recv = time.Now()
-		s.conns.Add(1)
+		s.calls.Add(1)
 		go c.run()
 	}
 }
@@ -506,7 +473,7 @@ func appendResult(buf []byte, id uint64, result any, err error) []byte {
 // serve runs a concurrent handler on its own goroutine.
 func (c *Call) serve() {
 	s, req := c.sc.s, c.req
-	defer s.conns.Done()
+	defer s.calls.Done()
 	var result any
 	var err error
 	switch {
@@ -569,23 +536,11 @@ func (c *Call) Reply(result any, err error) {
 	c.release()
 }
 
-// Close stops the listener and all connections.
+// Close stops the listeners and all connections, and waits for the readers
+// and then for the handlers they started.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	l := s.listener
-	for c := range s.active {
-		_ = c.Close()
-	}
-	s.mu.Unlock()
-	if l != nil {
-		_ = l.Close()
-	}
-	s.conns.Wait()
+	_ = s.srv.Close()
+	s.calls.Wait()
 	return nil
 }
 

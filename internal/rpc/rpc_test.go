@@ -100,9 +100,9 @@ func TestConcurrentCallsInterleave(t *testing.T) {
 }
 
 func TestManyConcurrentClients(t *testing.T) {
-	s, _ := newPair(t)
+	_, first := newPair(t)
 	net, _ := transport.Lookup("inproc")
-	addr := s.listener.Addr()
+	addr := first.conn.RemoteAddr()
 	var wg sync.WaitGroup
 	errCh := make(chan error, 8)
 	for w := 0; w < 8; w++ {

@@ -456,6 +456,48 @@ func (r *Recorder) Record(class Class, keyLen, valLen int, d time.Duration, isEr
 	}
 }
 
+// RecordOp accounts one answered frame, the epilogue of a hop: the class
+// counter always (internal replication ops collapse to ClassOther), latency
+// when the op was timed (d >= 0), and for client-entry classes the key and
+// value sizes plus a hot-key sketch touch per key — a multi-op frame is one
+// op of its class and one size sample and touch per pair, whether a controlet
+// answered it (ClassMGet, ClassMPut) or a datalet did directly
+// (ClassDirectGet). All of it is atomics plus a sampled sketch touch.
+//
+// Err, Unavailable and Overloaded answers spend the availability budget — the
+// SLO burn engine must see an overloaded shard as burning, not healthy.
+// WrongEpoch does not: it is a routing miss that heals through the controlet
+// fallback.
+func (r *Recorder) RecordOp(req *wire.Request, resp *wire.Response, d time.Duration) {
+	class := ClassOf(req.Op)
+	isErr := resp.Status == wire.StatusErr || resp.Status == wire.StatusUnavailable ||
+		resp.Status == wire.StatusOverloaded
+	keyLen, valLen := -1, -1
+	switch class {
+	case ClassGet:
+		keyLen, valLen = len(req.Key), len(resp.Value)
+	case ClassPut:
+		keyLen, valLen = len(req.Key), len(req.Value)
+	case ClassDel, ClassScan:
+		keyLen = len(req.Key)
+	}
+	r.Record(class, keyLen, valLen, d, isErr)
+	switch class {
+	case ClassGet, ClassPut, ClassDel:
+		r.Touch(req.Key)
+	case ClassMGet, ClassDirectGet, ClassMPut:
+		for i := range req.Pairs {
+			kv := &req.Pairs[i]
+			valLen := -1 // a read frame's pairs carry keys only
+			if class == ClassMPut {
+				valLen = len(kv.Value)
+			}
+			r.RecordKV(len(kv.Key), valLen)
+			r.Touch(kv.Key)
+		}
+	}
+}
+
 // RecordKV accounts one key/value pair's sizes without counting an op —
 // multi-op frames call Record once for the frame and RecordKV per pair.
 func (r *Recorder) RecordKV(keyLen, valLen int) {

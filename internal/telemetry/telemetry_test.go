@@ -220,3 +220,61 @@ func BenchmarkSketchTouch(b *testing.B) {
 		}
 	})
 }
+
+// RecordOp is the one epilogue behind a controlet's dispatch and a datalet's
+// direct reads: per class, which sizes it samples and which keys it touches.
+func TestRecordOp(t *testing.T) {
+	pairs := []wire.KV{{Key: []byte("a"), Value: []byte("1234")}, {Key: []byte("bb"), Value: []byte("1234")}}
+	for _, tc := range []struct {
+		name     string
+		req      wire.Request
+		resp     wire.Response
+		class    Class
+		keys     int // key-size samples, also the number of sketch touches
+		vals     int // value-size samples
+		touched  string
+		wantsErr bool
+	}{
+		{name: "get", req: wire.Request{Op: wire.OpGet, Key: []byte("k")}, resp: wire.Response{Value: []byte("v")},
+			class: ClassGet, keys: 1, vals: 1, touched: "k"},
+		{name: "put", req: wire.Request{Op: wire.OpPut, Key: []byte("k"), Value: []byte("v")},
+			class: ClassPut, keys: 1, vals: 1, touched: "k"},
+		{name: "del shed", req: wire.Request{Op: wire.OpDel, Key: []byte("k")}, resp: wire.Response{Status: wire.StatusOverloaded},
+			class: ClassDel, keys: 1, touched: "k", wantsErr: true},
+		{name: "scan", req: wire.Request{Op: wire.OpScan, Key: []byte("k")}, class: ClassScan, keys: 1},
+		{name: "mget", req: wire.Request{Op: wire.OpMGet, Pairs: pairs}, class: ClassMGet, keys: 2, touched: "bb"},
+		{name: "mput", req: wire.Request{Op: wire.OpMPut, Pairs: pairs}, class: ClassMPut, keys: 2, vals: 2, touched: "bb"},
+		{name: "direct get", req: wire.Request{Op: wire.OpDirectGet, Pairs: pairs}, class: ClassDirectGet, keys: 2, touched: "a"},
+		{name: "direct get wrong epoch", req: wire.Request{Op: wire.OpDirectGet, Pairs: pairs[:1]},
+			resp: wire.Response{Status: wire.StatusWrongEpoch}, class: ClassDirectGet, keys: 1, touched: "a"},
+		{name: "chain put", req: wire.Request{Op: wire.OpChainPut, Key: []byte("k"), Value: []byte("v")}, class: ClassOther},
+	} {
+		r := NewRecorder(Options{Interval: time.Hour, SketchSample: 1})
+		r.RecordOp(&tc.req, &tc.resp, time.Millisecond)
+		snap := r.Snapshot(time.Now(), Info{})
+		if snap.TotalOps[tc.class] != 1 {
+			t.Errorf("%s: ops %v, want one of class %s", tc.name, snap.TotalOps, tc.class)
+		}
+		if got := snap.TotalErrs[tc.class] == 1; got != tc.wantsErr {
+			t.Errorf("%s: counted as error = %v, want %v", tc.name, got, tc.wantsErr)
+		}
+		var keys, vals, touches int
+		for i := range snap.KeySizes {
+			keys += int(snap.KeySizes[i])
+			vals += int(snap.ValSizes[i])
+		}
+		found := tc.touched == ""
+		for _, hk := range snap.HotKeys {
+			touches += int(hk.Count)
+			found = found || hk.Key == tc.touched
+		}
+		wantTouches := tc.keys
+		if tc.class == ClassScan {
+			wantTouches = 0 // a range start is not a key access
+		}
+		if keys != tc.keys || vals != tc.vals || touches != wantTouches || !found {
+			t.Errorf("%s: %d key sizes, %d value sizes, %d touches (%v), want %d, %d, %d incl. %q",
+				tc.name, keys, vals, touches, snap.HotKeys, tc.keys, tc.vals, wantTouches, tc.touched)
+		}
+	}
+}

@@ -7,6 +7,8 @@ import (
 	"io"
 	"testing"
 	"time"
+
+	"bespokv/internal/metrics"
 )
 
 // scriptedConn feeds ServeConn a prepared byte stream and keeps what it
@@ -52,8 +54,11 @@ func decodeResponses(t *testing.T, writes [][]byte) []Response {
 
 func TestServeConn(t *testing.T) {
 	var recorded []Op
+	gets := metrics.Default.Counter("bespokv_servetest_ops_total", "op", "GET")
+	exports := metrics.Default.Counter("bespokv_servetest_ops_total", "op", "EXPORT")
+	gets0 := gets.Value()
 	h := &ConnHandler{
-		Codec: BinaryCodec{}, Node: "n", Layer: "test",
+		Codec: BinaryCodec{}, Node: "n", Layer: "test", Ops: NewOpMetrics("servetest"),
 		Handle: func(req *Request, resp *Response, w *bufio.Writer) (bool, error) {
 			if req.Op == OpExport { // answers with two frames of its own
 				for _, v := range []uint64{1, 2} {
@@ -103,13 +108,16 @@ func TestServeConn(t *testing.T) {
 	if want := []Op{OpGet, OpGet, OpGet, OpGet}; len(recorded) != len(want) {
 		t.Errorf("recorded %v: a streamed request is the handler's to account", recorded)
 	}
+	if gets.Value()-gets0 != 4 || exports.Value() != 0 {
+		t.Errorf("op metrics stamped GET %d EXPORT %d, want 4 and 0", gets.Value()-gets0, exports.Value())
+	}
 }
 
 func TestServeConnEndings(t *testing.T) {
+	// No Ops and no Record: what the baselines serve with.
 	h := &ConnHandler{
 		Codec:  BinaryCodec{},
 		Handle: func(*Request, *Response, *bufio.Writer) (bool, error) { return false, nil },
-		Record: func(*Request, *Response, time.Duration) {},
 	}
 	frame := encodeRequests(t, &Request{ID: 1, Op: OpNop})
 	if err := ServeConn(&scriptedConn{in: bytes.NewReader(frame[:len(frame)-2])}, h); err != nil {

@@ -196,22 +196,51 @@ run() {
 		$GO test -run NONE -bench 'LogApply|LogAppend' -benchtime 20000x -benchmem -cpu 1,2 ./internal/controlet/
 		;;
 
-	# The byte-stream layer and the connection loops on top of it: the
+	# The byte-stream layer and the one way to serve a hop on top of it: the
 	# conformance set over tcp, unix and inproc (stale socket file replaced,
-	# unlinked on Close, over-long path refused); accept loops that outlive
-	# EMFILE in all three servers; a datalet serving its TCP address and its
-	# socket file at once; the tcp cluster layout with the local hop on a
-	# socket file, through a crash and restart on the same path — under the
-	# race detector. Then the allocation gates (not under -race, where
-	# sync.Pool sheds): a routed GET's server side over inproc, tcp and
-	# tcp+unix, and one 73-byte round trip per network, with its numbers.
+	# unlinked on Close, over-long path refused); transport.Server, the
+	# accept/track/drain owner under all six servers (Close racing an accept
+	# storm, two listeners and one Close, Close twice, a serve func blocked in
+	# Read, accept errors retried with the capped backoff); each server's
+	# wiring of it — the accept loop outlives EMFILE and counts it — in the
+	# datalet, the controlet, rpc.Server and, one table, the three baselines,
+	# whose proxies also answer a pipelined burst in fewer writes than it has
+	# requests; a datalet serving its TCP address and its socket file at once;
+	# the tcp cluster layout with the local hop on a socket file, through a
+	# crash and restart on the same path — under the race detector. Then the
+	# greps that keep it one way: nobody outside transport calls Accept or
+	# keeps a connection set, no baseline wraps a connection in bufio buffers
+	# of its own (wire.ServeConn does), and neither hop grows a second
+	# admission prologue beside overload.Admission.Admit. Then the allocation
+	# gates (not under -race, where sync.Pool sheds): a routed GET's server
+	# side over inproc, tcp and tcp+unix, one 73-byte round trip per network
+	# with its numbers, and what the prologue costs an admitted op.
 	transport)
 		$GO test -race ./internal/transport/...
-		$GO test -race -run 'TestAcceptLoopOutlives|TestLocalListener|TestDataletAddrUnixForm' \
-			./internal/datalet/ ./internal/controlet/ ./internal/rpc/
+		$GO test -race -run 'TestAcceptLoopOutlives|TestLocalListener|TestDataletAddrUnixForm|TestPipelinedBurst' \
+			./internal/datalet/ ./internal/controlet/ ./internal/rpc/ ./internal/baseline/
 		$GO test -race -run 'TestClusterOverTCP|TestClusterCollocatedDatalets|TestCrashRestartOverTCP' ./internal/cluster/
+		if grep -rn --include='*.go' '\.Accept()' cmd/ examples/ internal/ |
+			grep -v '_test\.go:' | grep -vE '^internal/(transport|faultnet)/'; then
+			echo "check.sh: an accept loop outside internal/transport; serve the listener with transport.Server" >&2
+			exit 1
+		fi
+		if grep -rnF --include='*.go' 'map[transport.Conn]struct{}' cmd/ examples/ internal/; then
+			echo "check.sh: a connection set outside internal/transport; transport.Server tracks them" >&2
+			exit 1
+		fi
+		if grep -rnE --include='*.go' 'bufio\.New(Reader|Writer)(Size)?\(conn' internal/baseline/ | grep -v '_test\.go:'; then
+			echo "check.sh: a baseline has a frame loop of its own; serve with wire.ServeConn" >&2
+			exit 1
+		fi
+		if grep -rnE --include='*.go' 'overload\.LaneOf\(|\.DeadlineExpired\(' internal/controlet/ internal/datalet/ |
+			grep -v '_test\.go:'; then
+			echo "check.sh: a second hop prologue; admit through overload.Admission.Admit" >&2
+			exit 1
+		fi
 		$GO test -run TestRoutedGetZeroAllocs ./internal/controlet/
 		$GO test -run NONE -bench RoundTrip -benchmem -cpu 1,2 ./internal/transport/
+		$GO test -run NONE -bench 'Dispatch/ms\+strong/get|GateAdmit' -benchmem ./internal/controlet/ ./internal/overload/
 		;;
 
 	# The repository benchmark (benchmark/, a nested module outside ./...)
