@@ -240,13 +240,13 @@ func TestWriteTargetSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if got := c.writeTarget(msMap, msMap.Shards[0]); got.ID != "head" {
+	if got := c.writeTarget(msMap, msMap.Shards[0], []byte("k")); got.ID != "head" {
 		t.Fatalf("MS write target = %s", got.ID)
 	}
 	aaMap := routingMap(topology.Mode{Topology: topology.AA, Consistency: topology.Eventual})
 	seen := map[string]bool{}
 	for i := 0; i < 200; i++ {
-		seen[c.writeTarget(aaMap, aaMap.Shards[0]).ID] = true
+		seen[c.writeTarget(aaMap, aaMap.Shards[0], []byte("k")).ID] = true
 	}
 	if len(seen) != 3 {
 		t.Fatalf("AA writes hit %d replicas, want all 3", len(seen))
@@ -264,22 +264,71 @@ func TestReadTargetSelection(t *testing.T) {
 	defer c.Close()
 	// MS+SC default (strong) reads go to the tail.
 	for i := 0; i < 10; i++ {
-		if got := c.readTarget(msSC, msSC.Shards[0], wire.LevelDefault); got.ID != "tail" {
+		if got := c.readTarget(msSC, msSC.Shards[0], []byte("k"), wire.LevelDefault); got.ID != "tail" {
 			t.Fatalf("strong read target = %s", got.ID)
 		}
 	}
 	// Eventual reads spread over replicas.
 	seen := map[string]bool{}
 	for i := 0; i < 200; i++ {
-		seen[c.readTarget(msSC, msSC.Shards[0], wire.LevelEventual).ID] = true
+		seen[c.readTarget(msSC, msSC.Shards[0], []byte("k"), wire.LevelEventual).ID] = true
 	}
 	if len(seen) != 3 {
 		t.Fatalf("eventual reads hit %d replicas", len(seen))
 	}
 	// MS+EC strong reads go to the master.
 	msEC := routingMap(topology.Mode{Topology: topology.MS, Consistency: topology.Eventual})
-	if got := c.readTarget(msEC, msEC.Shards[0], wire.LevelStrong); got.ID != "head" {
+	if got := c.readTarget(msEC, msEC.Shards[0], []byte("k"), wire.LevelStrong); got.ID != "head" {
 		t.Fatalf("MS+EC strong read target = %s", got.ID)
+	}
+}
+
+// Under AA+SC a key's writes and strong reads go to its slot's owner, the
+// replica that keeps the slot's DLM lease; its eventual reads go anywhere.
+func TestSlotOwnerRouting(t *testing.T) {
+	aasc := routingMap(topology.Mode{Topology: topology.AA, Consistency: topology.Strong})
+	c := newStaticClient(t, aasc)
+	shard := aasc.Shards[0]
+	owners := map[string]bool{}
+	for i := 0; i < 64; i++ {
+		key := []byte(fmt.Sprintf("key-%d", i))
+		owner := shard.SlotOwner(topology.SlotOf(key)).ID
+		owners[owner] = true
+		if got := c.writeTarget(aasc, shard, key).ID; got != owner {
+			t.Fatalf("%s: write target %s, owner %s", key, got, owner)
+		}
+		if got := c.readTarget(aasc, shard, key, wire.LevelDefault).ID; got != owner {
+			t.Fatalf("%s: strong read target %s, owner %s", key, got, owner)
+		}
+	}
+	if len(owners) != len(shard.Replicas) {
+		t.Fatalf("64 keys reached %d owners, want every replica", len(owners))
+	}
+	seen := map[string]bool{}
+	for i := 0; i < 200; i++ {
+		seen[c.readTarget(aasc, shard, []byte("key-0"), wire.LevelEventual).ID] = true
+	}
+	if len(seen) != 3 {
+		t.Fatalf("eventual reads of one key hit %d replicas, want all 3", len(seen))
+	}
+}
+
+// Picking a routed MS+SC GET's target — map snapshot, ring lookup, route row,
+// tail — allocates nothing.
+func TestReadTargetZeroAllocs(t *testing.T) {
+	msSC := routingMap(topology.Mode{Topology: topology.MS, Consistency: topology.Strong})
+	c := newStaticClient(t, msSC)
+	key := []byte("user000000000042")
+	var addr string
+	allocs := testing.AllocsPerRun(1000, func() {
+		shard, m, err := c.shardFor(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr = c.readTarget(m, shard, key, wire.LevelDefault).ControletAddr
+	})
+	if addr != "a-tail" || allocs != 0 {
+		t.Fatalf("GET target %s with %.0f allocs, want a-tail with 0", addr, allocs)
 	}
 }
 

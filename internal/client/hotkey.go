@@ -150,7 +150,7 @@ func (c *Client) hotGet(table string, key []byte) ([]byte, bool) {
 		if err != nil {
 			return "", 0, err
 		}
-		return c.readTarget(m, shard, wire.LevelEventual).ControletAddr, m.Epoch, nil
+		return c.readTarget(m, shard, sk, wire.LevelEventual).ControletAddr, m.Epoch, nil
 	})
 	if err != nil || resp.Status != wire.StatusOK {
 		return nil, false

@@ -11,8 +11,8 @@
 //   - MS+SC: chain replication (CRAQ-style head ack after tail ack);
 //     strong reads at the tail.
 //   - MS+EC: master commits locally, acks, propagates asynchronously.
-//   - AA+SC: per-key DLM leases, write-all under the lock; fencing tokens
-//     double as LWW versions.
+//   - AA+SC: write-all under the key's slot lease from the DLM, which the
+//     slot's owner keeps across operations.
 //   - AA+EC: every write is sequenced through the shared log; replicas
 //     apply in log order, so concurrent multi-master writes converge.
 package controlet
@@ -89,12 +89,6 @@ type Config struct {
 	// window where an isolated tail keeps answering strong reads that no
 	// longer reflect the surviving chain.
 	FenceTimeout time.Duration
-	// PeerCallTimeout bounds every datalet/peer pipeline call (default 2s;
-	// 0 keeps the default — the watchdog is what turns a blackholed peer
-	// into an error instead of a hung chain holding the inflight lock).
-	PeerCallTimeout time.Duration
-	// PeerPoolSize is connections per peer controlet/datalet (default 2).
-	PeerPoolSize int
 	// LockTTL bounds AA+SC leases (default 2s).
 	LockTTL time.Duration
 	// P2PRouting enables the §IV-E P2P-style topology: this controlet
@@ -119,6 +113,16 @@ type Config struct {
 	// Logf receives diagnostics; nil uses log.Printf.
 	Logf func(format string, args ...any)
 }
+
+const (
+	// peerCallTimeout bounds every datalet/peer pipeline call: the watchdog
+	// is what turns a blackholed peer into an error instead of a hung chain
+	// holding the inflight lock.
+	peerCallTimeout = 2 * time.Second
+	// peerPoolSize is connections per peer controlet/datalet (and to the
+	// local datalet).
+	peerPoolSize = 2
+)
 
 // Server is a running controlet.
 type Server struct {
@@ -158,7 +162,7 @@ type Server struct {
 	// AA+EC shared-log plumbing (see aaec.go).
 	aaec *logApplier
 
-	// AA+SC lock client (see aasc.go).
+	// AA+SC lock client and slot leases (see aasc.go).
 	locks *lockClient
 
 	// draining is set while a transition drain is in flight; new writes
@@ -206,12 +210,6 @@ func Serve(cfg Config) (*Server, error) {
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = 250 * time.Millisecond
 	}
-	if cfg.PeerPoolSize <= 0 {
-		cfg.PeerPoolSize = 2
-	}
-	if cfg.PeerCallTimeout <= 0 {
-		cfg.PeerCallTimeout = 2 * time.Second
-	}
 	if cfg.LockTTL <= 0 {
 		cfg.LockTTL = 2 * time.Second
 	}
@@ -238,19 +236,19 @@ func Serve(cfg Config) (*Server, error) {
 	// down for that long. Until a controlet knows what its datalet has
 	// applied and can ask for the rest (ROADMAP item 8), staying down until
 	// the standby join replaces the node is the safe answer.
-	local, err := datalet.DialPool(localNet, localAddr, cfg.DataletCodec, cfg.PeerPoolSize)
+	local, err := datalet.DialPool(localNet, localAddr, cfg.DataletCodec, peerPoolSize)
 	if err != nil {
 		return nil, fmt.Errorf("controlet: dial local datalet: %w", err)
 	}
-	local.SetCallTimeout(cfg.PeerCallTimeout)
+	local.SetCallTimeout(peerCallTimeout)
 	s := &Server{
 		cfg:       cfg,
 		pol:       pol,
 		localNet:  localNet,
 		localAddr: localAddr,
 		local:     local,
-		peers:     datalet.NewLinks(cfg.Network, cfg.PeerPoolSize, cfg.PeerCallTimeout),
-		dPeers:    datalet.NewLinks(cfg.Network, cfg.PeerPoolSize, cfg.PeerCallTimeout),
+		peers:     datalet.NewLinks(cfg.Network, peerPoolSize, peerCallTimeout),
+		dPeers:    datalet.NewLinks(cfg.Network, peerPoolSize, peerCallTimeout),
 		srv:       transport.NewServer(),
 		stopCh:    make(chan struct{}),
 		tele:      telemetry.NewRecorder(telemetry.Options{Interval: cfg.TelemetryInterval}),
@@ -402,6 +400,9 @@ func (s *Server) SetMap(m *topology.Map) {
 	}
 	s.mapMu.Unlock()
 	if installed {
+		if s.locks != nil {
+			s.locks.remap()
+		}
 		// Grant the local datalet its epoch lease so it can fence direct
 		// client reads against the map that just took effect.
 		s.pushEpochLease(clone.Epoch)

@@ -38,6 +38,16 @@ var (
 
 	// AA+SC lease acquisition: the DLM wait is the paper's SC overhead.
 	ctlLockWait = metrics.Default.Histogram("bespokv_controlet_lock_wait_seconds")
+	// AA+SC slot leases, bespokv_controlet_slot_lease_total{event}: Locks an
+	// operation waited for (acquire) and that tend sent to extend an owned
+	// lease (renew), Unlocks (release), single-key ops sent on to their
+	// slot's owner (relay) and ops served by a replica that does not own
+	// their slot (fallback). (acquire + renew) ÷ ops is the DLM calls per op.
+	ctlSlotAcquire  = metrics.Default.Counter("bespokv_controlet_slot_lease_total", "event", "acquire")
+	ctlSlotRenew    = metrics.Default.Counter("bespokv_controlet_slot_lease_total", "event", "renew")
+	ctlSlotRelease  = metrics.Default.Counter("bespokv_controlet_slot_lease_total", "event", "release")
+	ctlSlotRelay    = metrics.Default.Counter("bespokv_controlet_slot_lease_total", "event", "relay")
+	ctlSlotFallback = metrics.Default.Counter("bespokv_controlet_slot_lease_total", "event", "fallback")
 
 	// Coordinator liveness reporting.
 	ctlHeartbeats    = metrics.Default.Counter("bespokv_controlet_heartbeats_total")
@@ -114,6 +124,9 @@ func (s *Server) Status() any {
 	}
 	if s.aaec != nil {
 		st["aaec_applied_offset"] = s.aaec.applied.Load()
+	}
+	if s.locks != nil {
+		st["slot_leases_held"] = s.locks.held()
 	}
 	return st
 }

@@ -197,6 +197,27 @@ func (t *lockTable) release(key []byte, owner string, mode Mode) bool {
 	return true
 }
 
+// freeIn is how long, on the lease clock, until the leases that keep owner
+// from taking key in mode have all run out (0: nothing does).
+func (t *lockTable) freeIn(key []byte, owner string, mode Mode) int64 {
+	st := t.Locks[string(key)]
+	if st == nil {
+		return 0
+	}
+	var exp int64
+	if st.Writer != "" && st.Writer != owner {
+		exp = st.WriterExp
+	}
+	if mode == Write {
+		for o, e := range st.Readers {
+			if o != owner && e > exp {
+				exp = e
+			}
+		}
+	}
+	return max(exp-t.Clock, 0)
+}
+
 // sweep expires every key and reclaims empty entries, returning the keys
 // that freed capacity (their waiters should wake).
 func (t *lockTable) sweep() []string {
@@ -581,6 +602,7 @@ type lockCall struct {
 	c          *rpc.Call
 	deadline   time.Time     // end of the wait budget, set at the first miss
 	ch         chan struct{} // closed when the key frees up; see parkLocked
+	free       time.Time     // when the leases in the way run out, as of the last miss
 }
 
 // decode parses and validates the arguments of c in place.
@@ -685,6 +707,10 @@ func (s *Server) parkLocked(l *lockCall) error {
 	if !now.Before(l.deadline) {
 		return errors.New(ErrLockHeld)
 	}
+	// A lease clock nanosecond is never shorter than a real one, so the
+	// holder's lease is out by then; one more millisecond puts the retry
+	// past the strict expiry comparison.
+	l.free = now.Add(time.Duration(s.tbl.freeIn(l.key, string(l.owner), l.mode)) + time.Millisecond)
 	l.ch = make(chan struct{})
 	s.waiters[string(l.key)] = append(s.waiters[string(l.key)], l.ch)
 	return nil
@@ -692,9 +718,10 @@ func (s *Server) parkLocked(l *lockCall) error {
 
 // waitLock sees a Lock that left the reader through to its answer: it
 // collects the first replicated attempt, then sleeps until the key frees
-// up (or a sweep interval passes: wakes cover releases, but expiry timing
-// and leadership moves are only observed by trying again) and retries,
-// until granted, out of budget, or shut down.
+// up — released (a wake), or the leases in its way expired — or a sweep
+// interval passes (leadership moves are only observed by trying again),
+// and retries, until granted, out of budget, or shut down. A dead holder's
+// lease is so taken over within a millisecond of its expiry.
 func (s *Server) waitLock(l *lockCall, first rsm.Proposal) {
 	defer s.wg.Done()
 	var tok uint64
@@ -713,7 +740,9 @@ func (s *Server) waitLock(l *lockCall, first rsm.Proposal) {
 }
 
 func (s *Server) sleepAndRetry(l *lockCall) (uint64, error) {
-	chunk := func() time.Duration { return min(time.Until(l.deadline), s.cfg.SweepInterval) }
+	chunk := func() time.Duration {
+		return max(min(time.Until(l.deadline), time.Until(l.free), s.cfg.SweepInterval), 0)
+	}
 	timer := time.NewTimer(chunk())
 	defer timer.Stop()
 	for {
@@ -787,6 +816,21 @@ func (s *Server) serveUnlock(c *rpc.Call) {
 		_, err := committed(p)
 		c.Reply(nil, err)
 	}()
+}
+
+// Leases returns the exclusive holder of every key whose write lease has
+// not run out on this member's table — what an operator (or a test) asks to
+// see which controlets hold what.
+func (s *Server) Leases() map[string]string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := map[string]string{}
+	for key, st := range s.tbl.Locks {
+		if st.Writer != "" && s.tbl.Clock <= st.WriterExp {
+			out[key] = st.Writer
+		}
+	}
+	return out
 }
 
 // Client is the lock service's typed method set over an rsm.Client, which

@@ -119,6 +119,37 @@ func TestLeaseExpiry(t *testing.T) {
 	}
 }
 
+// A waiter takes a dead holder's lease when it runs out, not at the next
+// sweep: the sweep interval here is ten times the lease.
+func TestWaiterWakesAtExpiry(t *testing.T) {
+	s, dial := newDLM(t, Config{SweepInterval: 2 * time.Second})
+	a, b := dial("a"), dial("b")
+	if _, err := a.Lock("k", Write, 200*time.Millisecond, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Leases(); got["k"] != "a" || len(got) != 1 {
+		t.Fatalf("leases = %v, want k held by a", got)
+	}
+	start := time.Now()
+	if _, err := b.Lock("k", Write, time.Second, 3*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took < 150*time.Millisecond || took > time.Second {
+		t.Fatalf("b granted %v after a's 200ms lease was taken", took)
+	}
+	if got := s.Leases(); got["k"] != "b" {
+		t.Fatalf("leases = %v, want k held by b", got)
+	}
+	b.Unlock("k", Write)
+	deadline := time.Now().Add(time.Second)
+	for len(s.Leases()) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("leases after release = %v", s.Leases())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestReentrantOwner(t *testing.T) {
 	_, dial := newDLM(t, Config{})
 	a := dial("a")
