@@ -19,9 +19,13 @@ import (
 type fakePeer struct {
 	l      transport.Listener
 	status wire.Status
+	// hold, when set before the first frame, is received from before each
+	// answer: closing it lets the peer answer.
+	hold chan struct{}
 
-	mu     sync.Mutex
-	epochs map[wire.Op]uint64 // epoch of the last frame seen, by op
+	mu        sync.Mutex
+	epochs    map[wire.Op]uint64 // epoch of the last frame seen, by op
+	deadlines map[wire.Op]uint64 // deadline budget of the last frame seen, by op
 }
 
 func startFakePeer(t *testing.T, status wire.Status) *fakePeer {
@@ -31,7 +35,7 @@ func startFakePeer(t *testing.T, status wire.Status) *fakePeer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &fakePeer{l: l, status: status, epochs: map[wire.Op]uint64{}}
+	f := &fakePeer{l: l, status: status, epochs: map[wire.Op]uint64{}, deadlines: map[wire.Op]uint64{}}
 	// Registered before the controlets that dial it, so it runs after they
 	// closed their peer pools and every serving goroutine has seen EOF.
 	var wg sync.WaitGroup
@@ -61,7 +65,11 @@ func startFakePeer(t *testing.T, status wire.Status) *fakePeer {
 					}
 					f.mu.Lock()
 					f.epochs[req.Op] = req.Epoch
+					f.deadlines[req.Op] = req.Deadline
 					f.mu.Unlock()
+					if f.hold != nil {
+						<-f.hold
+					}
 					resp := wire.Response{ID: req.ID, Status: f.status, Err: "fake peer"}
 					if codec.WriteResponse(bw, &resp) != nil {
 						return

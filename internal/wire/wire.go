@@ -157,6 +157,14 @@ const (
 	LevelEventual
 )
 
+// Strong reports whether a read at level l is a strong one where a
+// default-level read is strong exactly when defaultStrong is set — the
+// mode's topology.Route.Strong. Clients and controlets both resolve a
+// read's level here.
+func (l Level) Strong(defaultStrong bool) bool {
+	return l == LevelStrong || (l == LevelDefault && defaultStrong)
+}
+
 // String returns the level mnemonic.
 func (l Level) String() string {
 	switch l {

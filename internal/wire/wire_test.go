@@ -342,3 +342,23 @@ func TestRequestReset(t *testing.T) {
 		t.Fatalf("reset left state: %+v", resp)
 	}
 }
+
+// A read's level resolves the same way for every caller: strong and
+// eventual are what they say, default follows the mode.
+func TestLevelStrong(t *testing.T) {
+	for _, c := range []struct {
+		l             Level
+		defaultStrong bool
+		want          bool
+	}{
+		{LevelStrong, false, true},
+		{LevelEventual, true, false},
+		{LevelDefault, true, true},
+		{LevelDefault, false, false},
+		{Level(7), true, false},
+	} {
+		if got := c.l.Strong(c.defaultStrong); got != c.want {
+			t.Errorf("%s under defaultStrong=%v: strong=%v, want %v", c.l, c.defaultStrong, got, c.want)
+		}
+	}
+}
