@@ -17,7 +17,6 @@ import (
 	"log"
 	"os"
 	"strconv"
-	"strings"
 
 	"bespokv/internal/client"
 	"bespokv/internal/coordinator"
@@ -254,11 +253,6 @@ func runAdmin(admin *coordinator.Client, args []string) {
 	case "rsm":
 		st, err := admin.RSMStatus()
 		if err != nil {
-			// A standalone coordinator has no RSM group and so no handler.
-			if strings.Contains(err.Error(), "unknown method") {
-				fmt.Println("control plane runs standalone (no replication group)")
-				return
-			}
 			log.Fatal(err)
 		}
 		fmt.Printf("member  %s (%s)\n", st.ID, st.State)

@@ -33,7 +33,7 @@ func appliedOffset(p *Pair) uint64 {
 // streamBounds returns the oldest retained offset and the tail of a stream.
 func streamBounds(t *testing.T, c *Cluster, stream string) (oldest, tail uint64) {
 	t.Helper()
-	lc, err := sharedlog.DialClient(c.hostNet(c.Net, "admin"), c.controlAddr(c.logIDs, c.Log))
+	lc, err := sharedlog.DialClient(c.hostNet(c.Net, "admin"), c.controlAddr(c.logIDs))
 	if err != nil {
 		t.Fatal(err)
 	}

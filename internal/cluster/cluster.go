@@ -87,14 +87,15 @@ type Options struct {
 	TelemetryInterval time.Duration
 	// DisableFailover turns the coordinator's failure detector off.
 	DisableFailover bool
-	// ReplicatedControl, when > 0, runs each control-plane service —
-	// coordinator, DLM, and shared-log sequencer — as an N-member RSM
-	// group instead of a single process (3 is the useful value). Members
-	// appear to the fault fabric as hosts "coord-0".."coord-N-1",
-	// "dlm-0".. and "log-0".., so nemesis schedules can kill or partition
-	// the current leader specifically. Clients and controlets get the
-	// full member list and rotate on NotLeader. Inproc transport only
-	// (RSM peers need fixed addresses known before any member starts).
+	// ReplicatedControl is the member count of each control-plane RSM
+	// group — coordinator, DLM, and shared-log sequencer. 0 and 1 both run
+	// a group of one, which is the single-process server; 3 is the useful
+	// replicated value. Members of a larger group appear to the fault
+	// fabric as hosts "coord-0".."coord-N-1", "dlm-0".. and "log-0".., so
+	// nemesis schedules can kill or partition the current leader
+	// specifically. Clients and controlets get the full member list and
+	// rotate on NotLeader. Above 1, inproc transport only (RSM peers need
+	// fixed addresses known before any member starts).
 	ReplicatedControl int
 	// ControlElectionTimeout tunes the control-plane RSM groups' election
 	// timeout (default 150ms); re-election after a leader kill lands
@@ -123,7 +124,8 @@ type Options struct {
 	// Fabric, when set, interposes the faultnet fault plane on every
 	// connection: components dial and listen through named host views of
 	// the fabric (pair node IDs for the data plane; "coord", "dlm", "log"
-	// for the control services; "client" and "admin" for clients and the
+	// for groups of one and ReplicatedControl's names otherwise for the
+	// control services; "client" and "admin" for clients and the
 	// harness itself) so nemesis schedules can drop, delay, reorder or
 	// partition traffic between specific components. The fabric must wrap
 	// the same transport NetworkName names. Under a fabric the hop between
@@ -175,13 +177,14 @@ type Cluster struct {
 	Opts  Options
 	Net   transport.Network
 	Codec wire.Codec
+	// Coord, DLM and Log are member 0 of their groups: the server itself in
+	// a group of one; with more members, prefer the leader helpers, since
+	// member 0 may be killed or a follower.
 	Coord *coordinator.Server
 	DLM   *dlm.Server
 	Log   *sharedlog.Server
-	// Replicated control plane (Options.ReplicatedControl > 0): all
-	// members of each group, aligned with their fabric host names. Coord,
-	// DLM and Log then point at member 0 for back-compat; prefer the
-	// leader helpers, member 0 may be killed or a follower.
+	// Every member of each control group, aligned with its fabric host
+	// name.
 	Coords   []*coordinator.Server
 	DLMs     []*dlm.Server
 	Logs     []*sharedlog.Server
@@ -244,7 +247,7 @@ func (o *Options) defaults() error {
 	if o.ControlElectionTimeout <= 0 {
 		o.ControlElectionTimeout = 150 * time.Millisecond
 	}
-	if o.ReplicatedControl > 0 && o.NetworkName != "inproc" {
+	if o.ReplicatedControl > 1 && o.NetworkName != "inproc" {
 		return fmt.Errorf("cluster: ReplicatedControl requires the inproc transport")
 	}
 	if o.Logf == nil {
@@ -386,33 +389,8 @@ func Start(opts Options) (*Cluster, error) {
 		}
 	}
 
-	// Control services.
-	if opts.ReplicatedControl > 0 {
-		if err := c.startReplicatedControl(net); err != nil {
-			return fail(err)
-		}
-	} else {
-		c.Coord, err = coordinator.Serve(coordinator.Config{
-			Network:          c.hostNet(net, "coord"),
-			Addr:             listenAddr(opts.NetworkName),
-			HeartbeatTimeout: opts.HeartbeatTimeout,
-			DisableFailover:  opts.DisableFailover,
-			SLOs:             opts.SLOs,
-			Logf:             opts.Logf,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		c.DLM, err = dlm.Serve(dlm.Config{Network: c.hostNet(net, "dlm"), Addr: listenAddr(opts.NetworkName)})
-		if err != nil {
-			return fail(err)
-		}
-		c.Log, err = sharedlog.Serve(sharedlog.Config{
-			Network: c.hostNet(net, "log"), Addr: listenAddr(opts.NetworkName), SegmentEntries: opts.LogSegmentEntries,
-		})
-		if err != nil {
-			return fail(err)
-		}
+	if err := c.startControl(net); err != nil {
+		return fail(err)
 	}
 
 	// Data plane.
@@ -445,7 +423,7 @@ func Start(opts Options) (*Cluster, error) {
 
 	// Install the map and give every controlet its first copy directly
 	// (faster and more deterministic than waiting for the first push).
-	admin, err := coordinator.DialCoordinator(c.hostNet(net, "admin"), c.controlAddr(c.coordIDs, c.Coord))
+	admin, err := coordinator.DialCoordinator(c.hostNet(net, "admin"), c.controlAddr(c.coordIDs))
 	if err != nil {
 		return fail(err)
 	}
@@ -601,9 +579,9 @@ func (c *Cluster) startPair(nodeID, shardID, engine string, dataletCodec wire.Co
 		LocalDatalet:      localLink(d),
 		DataletCodec:      dataletCodec,
 		Mode:              mode,
-		CoordinatorAddr:   c.controlAddr(c.coordIDs, c.Coord),
-		DLMAddr:           c.controlAddr(c.dlmIDs, c.DLM),
-		SharedLogAddr:     c.controlAddr(c.logIDs, c.Log),
+		CoordinatorAddr:   c.controlAddr(c.coordIDs),
+		DLMAddr:           c.controlAddr(c.dlmIDs),
+		SharedLogAddr:     c.controlAddr(c.logIDs),
 		HeartbeatInterval: c.Opts.HeartbeatInterval,
 		TelemetryInterval: c.Opts.TelemetryInterval,
 		FenceTimeout:      c.fenceTimeout(),
@@ -640,7 +618,7 @@ func (c *Cluster) ClientTuned(retries int, backoff time.Duration) (*client.Clien
 func (c *Cluster) ClientConfig(cfg client.Config) (*client.Client, error) {
 	cfg.Network = c.hostNet(c.Net, "client")
 	cfg.Codec = c.Codec
-	cfg.CoordinatorAddr = c.controlAddr(c.coordIDs, c.Coord)
+	cfg.CoordinatorAddr = c.controlAddr(c.coordIDs)
 	if cfg.Logf == nil {
 		cfg.Logf = c.Opts.Logf
 	}
@@ -649,7 +627,7 @@ func (c *Cluster) ClientConfig(cfg client.Config) (*client.Client, error) {
 
 // Admin opens a coordinator client for map inspection and transitions.
 func (c *Cluster) Admin() (*coordinator.Client, error) {
-	return coordinator.DialCoordinator(c.hostNet(c.Net, "admin"), c.controlAddr(c.coordIDs, c.Coord))
+	return coordinator.DialCoordinator(c.hostNet(c.Net, "admin"), c.controlAddr(c.coordIDs))
 }
 
 // Pair returns the pair at (shard, replica) as originally deployed.
@@ -781,9 +759,9 @@ func (c *Cluster) Transition(to topology.Mode) error {
 				LocalDatalet:      localLink(d),
 				DataletCodec:      dataletCodec,
 				Mode:              to,
-				CoordinatorAddr:   c.controlAddr(c.coordIDs, c.Coord),
-				DLMAddr:           c.controlAddr(c.dlmIDs, c.DLM),
-				SharedLogAddr:     c.controlAddr(c.logIDs, c.Log),
+				CoordinatorAddr:   c.controlAddr(c.coordIDs),
+				DLMAddr:           c.controlAddr(c.dlmIDs),
+				SharedLogAddr:     c.controlAddr(c.logIDs),
 				HeartbeatInterval: c.Opts.HeartbeatInterval,
 				TelemetryInterval: c.Opts.TelemetryInterval,
 				FenceTimeout:      c.fenceTimeout(),
@@ -1006,9 +984,6 @@ func (c *Cluster) Close() {
 			_ = p.Datalet.Close()
 		}
 	}
-	for _, p := range c.oldPairs {
-		_ = p // controlets already closed in Transition; datalets shared
-	}
 	for _, s := range c.Logs {
 		_ = s.Close()
 	}
@@ -1017,15 +992,6 @@ func (c *Cluster) Close() {
 	}
 	for _, s := range c.Coords {
 		_ = s.Close()
-	}
-	if c.Log != nil {
-		_ = c.Log.Close()
-	}
-	if c.DLM != nil {
-		_ = c.DLM.Close()
-	}
-	if c.Coord != nil {
-		_ = c.Coord.Close()
 	}
 	if c.sockDir != "" {
 		_ = os.RemoveAll(c.sockDir)

@@ -18,104 +18,88 @@ import (
 // clusters sharing one process-wide inproc namespace.
 var ctlAddrSeq atomic.Uint64
 
-// controlPeers builds the fixed ID→address table for one control group.
-func controlPeers(service string, n int, seq uint64) ([]string, map[string]string) {
-	ids := make([]string, 0, n)
-	peers := make(map[string]string, n)
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("%s-%d", service, i)
-		ids = append(ids, id)
-		peers[id] = fmt.Sprintf("ctl-%s-%d-%d", service, seq, i)
-	}
-	return ids, peers
+// controlMember is what startGroup needs of a control service's server.
+type controlMember interface {
+	Addr() string
+	IsLeader() bool
 }
 
-// groupConfig builds one member's RSM config; every member gets its own
-// MemFS so a member kill loses nothing another member needs.
-func (c *Cluster) groupConfig(id string, peers map[string]string) *rsm.GroupConfig {
-	return &rsm.GroupConfig{
-		ID:              id,
-		Peers:           peers,
-		Dir:             "ctl",
-		FS:              wal.NewMemFS(),
-		ElectionTimeout: c.Opts.ControlElectionTimeout,
+// startGroup boots one control service's group of n members and waits for
+// its leader. Members are named by fabric host (service-i; a group of one
+// is the bare service name), and each dials and listens through its own
+// host view, so nemesis schedules can kill or partition exactly the
+// current leader. A larger group's members get fixed inproc addresses and
+// a MemFS each, so a member kill loses nothing another member needs; a
+// group of one listens wherever the network puts it and is its own group,
+// keeping nothing.
+func startGroup[S controlMember](c *Cluster, net transport.Network, service string, n int,
+	serve func(net transport.Network, addr string, g *rsm.GroupConfig) (S, error)) ([]S, []string, error) {
+	ids := []string{service}
+	peers := map[string]string{service: listenAddr(c.Opts.NetworkName)}
+	if n > 1 {
+		ids, peers = nil, map[string]string{}
+		seq := ctlAddrSeq.Add(1)
+		for i := 0; i < n; i++ {
+			id := fmt.Sprintf("%s-%d", service, i)
+			ids = append(ids, id)
+			peers[id] = fmt.Sprintf("ctl-%s-%d-%d", service, seq, i)
+		}
 	}
+	var members []S
+	for _, id := range ids {
+		var g *rsm.GroupConfig
+		if n > 1 {
+			g = &rsm.GroupConfig{ID: id, Peers: peers, Dir: "ctl", FS: wal.NewMemFS(),
+				ElectionTimeout: c.Opts.ControlElectionTimeout}
+		}
+		srv, err := serve(c.hostNet(net, id), peers[id], g)
+		if err != nil {
+			return members, ids, err
+		}
+		members = append(members, srv)
+		c.ctlAddrs[id] = srv.Addr()
+	}
+	// Wait for the leader before the data plane starts talking to the
+	// group (a group of one leads as it starts); Start's own SetMap retries
+	// would mask a slow election, but failing fast here makes
+	// misconfigurations obvious.
+	_, err := waitLeader(service, members, 5*time.Second)
+	return members, ids, err
 }
 
-// startReplicatedControl boots the three control-plane RSM groups. Each
-// member dials and listens through its own fabric host view, so nemesis
-// schedules can kill or partition exactly the current leader.
-func (c *Cluster) startReplicatedControl(net transport.Network) error {
-	n := c.Opts.ReplicatedControl
-	seq := ctlAddrSeq.Add(1)
+// startControl boots the three control-plane RSM groups,
+// Options.ReplicatedControl members each (at least one).
+func (c *Cluster) startControl(net transport.Network) (err error) {
+	n := max(c.Opts.ReplicatedControl, 1)
 	c.ctlAddrs = map[string]string{}
-
-	coordIDs, coordPeers := controlPeers("coord", n, seq)
-	for _, id := range coordIDs {
-		srv, err := coordinator.Serve(coordinator.Config{
-			Network:          c.hostNet(net, id),
-			Addr:             coordPeers[id],
-			HeartbeatTimeout: c.Opts.HeartbeatTimeout,
-			DisableFailover:  c.Opts.DisableFailover,
-			SLOs:             c.Opts.SLOs,
-			Replication:      c.groupConfig(id, coordPeers),
-			Logf:             c.Opts.Logf,
+	c.Coords, c.coordIDs, err = startGroup(c, net, "coord", n,
+		func(net transport.Network, addr string, g *rsm.GroupConfig) (*coordinator.Server, error) {
+			return coordinator.Serve(coordinator.Config{Network: net, Addr: addr,
+				HeartbeatTimeout: c.Opts.HeartbeatTimeout, DisableFailover: c.Opts.DisableFailover,
+				SLOs: c.Opts.SLOs, Replication: g, Logf: c.Opts.Logf})
 		})
-		if err != nil {
-			return err
-		}
-		c.Coords = append(c.Coords, srv)
-		c.ctlAddrs[id] = coordPeers[id]
+	if err != nil {
+		return err
 	}
-	c.coordIDs = coordIDs
 	c.Coord = c.Coords[0]
-
-	dlmIDs, dlmPeers := controlPeers("dlm", n, seq)
-	for _, id := range dlmIDs {
-		srv, err := dlm.Serve(dlm.Config{
-			Network:     c.hostNet(net, id),
-			Addr:        dlmPeers[id],
-			Replication: c.groupConfig(id, dlmPeers),
-			Logf:        c.Opts.Logf,
+	c.DLMs, c.dlmIDs, err = startGroup(c, net, "dlm", n,
+		func(net transport.Network, addr string, g *rsm.GroupConfig) (*dlm.Server, error) {
+			return dlm.Serve(dlm.Config{Network: net, Addr: addr, Replication: g, Logf: c.Opts.Logf})
 		})
-		if err != nil {
-			return err
-		}
-		c.DLMs = append(c.DLMs, srv)
-		c.ctlAddrs[id] = dlmPeers[id]
+	if err != nil {
+		return err
 	}
-	c.dlmIDs = dlmIDs
 	c.DLM = c.DLMs[0]
-
-	logIDs, logPeers := controlPeers("log", n, seq)
-	for _, id := range logIDs {
-		srv, err := sharedlog.Serve(sharedlog.Config{
-			Network:        c.hostNet(net, id),
-			Addr:           logPeers[id],
-			SegmentEntries: c.Opts.LogSegmentEntries,
-			Replication:    c.groupConfig(id, logPeers),
-			Logf:           c.Opts.Logf,
+	c.Logs, c.logIDs, err = startGroup(c, net, "log", n,
+		func(net transport.Network, addr string, g *rsm.GroupConfig) (*sharedlog.Server, error) {
+			return sharedlog.Serve(sharedlog.Config{Network: net, Addr: addr,
+				SegmentEntries: c.Opts.LogSegmentEntries, Replication: g, Logf: c.Opts.Logf})
 		})
-		if err != nil {
-			return err
-		}
-		c.Logs = append(c.Logs, srv)
-		c.ctlAddrs[id] = logPeers[id]
+	if err != nil {
+		return err
 	}
-	c.logIDs = logIDs
 	c.Log = c.Logs[0]
-
-	// Wait for every group to elect before the data plane starts talking
-	// to it; Start's own SetMap retries would mask slow elections, but
-	// failing fast here makes misconfigurations obvious.
-	if _, err := waitLeader("coordinator", c.Coords, 5*time.Second); err != nil {
-		return err
-	}
-	if _, err := waitLeader("dlm", c.DLMs, 5*time.Second); err != nil {
-		return err
-	}
-	_, err := waitLeader("sequencer", c.Logs, 5*time.Second)
-	return err
+	return nil
 }
 
 // waitLeader blocks until one of a control group's members leads, returning
@@ -133,13 +117,9 @@ func waitLeader[S interface{ IsLeader() bool }](service string, members []S, tim
 	return 0, fmt.Errorf("cluster: no %s leader within %v", service, timeout)
 }
 
-// controlAddr returns what clients should dial for one control service: the
-// group's full member list (comma-joined; rsm.Dial splits it) in replicated
-// mode, the single standalone server otherwise.
-func (c *Cluster) controlAddr(ids []string, standalone interface{ Addr() string }) string {
-	if len(ids) == 0 {
-		return standalone.Addr()
-	}
+// controlAddr returns what clients should dial for one control service:
+// the group's full member list, comma-joined (rsm.Dial splits it).
+func (c *Cluster) controlAddr(ids []string) string {
 	addrs := make([]string, 0, len(ids))
 	for _, id := range ids {
 		addrs = append(addrs, c.ctlAddrs[id])
@@ -177,14 +157,4 @@ func (c *Cluster) KillCoordLeader() (string, error) {
 	}
 	_ = s.Close()
 	return id, nil
-}
-
-// ControlHosts returns the fabric host names of all control-plane members
-// (empty in standalone mode), for building nemesis schedules.
-func (c *Cluster) ControlHosts() []string {
-	var hs []string
-	hs = append(hs, c.coordIDs...)
-	hs = append(hs, c.dlmIDs...)
-	hs = append(hs, c.logIDs...)
-	return hs
 }

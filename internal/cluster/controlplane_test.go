@@ -271,10 +271,26 @@ func TestControlPlaneLeaderPartition(t *testing.T) {
 	verifyAckedReadable(t, c, rec, seed)
 }
 
+// waitAcked polls acked until it reaches n, failing — with the wait's name,
+// the last value seen and how long after from it gave up — once budget has
+// passed since from.
+func waitAcked(t *testing.T, seed int64, wait string, acked *atomic.Uint64, n uint64, from time.Time, budget time.Duration) {
+	t.Helper()
+	for acked.Load() < n {
+		if time.Since(from) > budget {
+			t.Fatalf("seed %d: wait %q expired: acked %d, want >= %d, %v after it began (budget %v)",
+				seed, wait, acked.Load(), n, time.Since(from), budget)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestControlPlaneDLMAndSequencerFailover drives the two other control
 // services through a leader kill each: an AA+SC workload (per-key DLM
 // leases) and an AA+EC workload (shared-log sequencing) both keep their
-// contracts when the respective service's leader dies mid-run.
+// contracts when the respective service's leader dies mid-run. The leader
+// dies once the workload has 50 writes acked, and a write must be acked
+// within a fixed budget of the new leader being seen.
 func TestControlPlaneDLMAndSequencerFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("control-plane nemesis test in -short mode")
@@ -292,6 +308,9 @@ func TestControlPlaneDLMAndSequencerFailover(t *testing.T) {
 		var seq, acked atomic.Uint64
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
+		// Stops the writers, also when a wait below fails.
+		halt := sync.OnceFunc(func() { close(stop); wg.Wait() })
+		defer halt()
 		for w := 0; w < 2; w++ {
 			cli := nemesisClient(t, c)
 			wg.Add(1)
@@ -314,7 +333,7 @@ func TestControlPlaneDLMAndSequencerFailover(t *testing.T) {
 			}(w, cli)
 		}
 
-		time.Sleep(300 * time.Millisecond)
+		waitAcked(t, seed, "50 writes acked before the DLM leader kill", &acked, 50, time.Now(), 10*time.Second)
 		for i, s := range c.DLMs {
 			if s.IsLeader() {
 				t.Logf("killing DLM leader %s", c.dlmIDs[i])
@@ -338,13 +357,9 @@ func TestControlPlaneDLMAndSequencerFailover(t *testing.T) {
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
-		ackedAtFailover := acked.Load()
-		time.Sleep(500 * time.Millisecond)
-		close(stop)
-		wg.Wait()
-		if acked.Load() == ackedAtFailover {
-			t.Fatalf("seed %d: no writes acked after the DLM leader kill", seed)
-		}
+		elected, ackedAtFailover := time.Now(), acked.Load()
+		waitAcked(t, seed, "a write acked after the DLM leader kill", &acked, ackedAtFailover+1, elected, 500*time.Millisecond)
+		halt()
 		verifyAckedReadable(t, c, rec, seed)
 	})
 
@@ -358,6 +373,9 @@ func TestControlPlaneDLMAndSequencerFailover(t *testing.T) {
 		var seq, acked atomic.Uint64
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
+		// Stops the writers, also when a wait below fails.
+		halt := sync.OnceFunc(func() { close(stop); wg.Wait() })
+		defer halt()
 		for w := 0; w < 2; w++ {
 			cli := nemesisClient(t, c)
 			wg.Add(1)
@@ -380,7 +398,7 @@ func TestControlPlaneDLMAndSequencerFailover(t *testing.T) {
 			}(w, cli)
 		}
 
-		time.Sleep(300 * time.Millisecond)
+		waitAcked(t, seed, "50 writes acked before the sequencer leader kill", &acked, 50, time.Now(), 10*time.Second)
 		for i, s := range c.Logs {
 			if s.IsLeader() {
 				t.Logf("killing sequencer leader %s", c.logIDs[i])
@@ -404,13 +422,9 @@ func TestControlPlaneDLMAndSequencerFailover(t *testing.T) {
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
-		ackedAtFailover := acked.Load()
-		time.Sleep(700 * time.Millisecond)
-		close(stop)
-		wg.Wait()
-		if acked.Load() == ackedAtFailover {
-			t.Fatalf("seed %d: no writes acked after the sequencer leader kill", seed)
-		}
+		elected, ackedAtFailover := time.Now(), acked.Load()
+		waitAcked(t, seed, "a write acked after the sequencer leader kill", &acked, ackedAtFailover+1, elected, 700*time.Millisecond)
+		halt()
 		// AA+EC contract: replicas converge to written values.
 		verifyConverged(t, c, rec, seed)
 	})

@@ -10,8 +10,8 @@ import (
 )
 
 // Client is the typed method set of the coordinator control plane over an
-// rsm.Client, which finds and follows the group's leader (or the one
-// standalone server). Errors the coordinator answers with — and
+// rsm.Client, which finds and follows the group's leader (the one member
+// of a group of one). Errors the coordinator answers with — and
 // rpc.ErrCallTimeout, where the call may have executed — come back
 // untouched.
 type Client struct {

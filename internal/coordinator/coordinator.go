@@ -8,7 +8,6 @@
 package coordinator
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -47,9 +46,9 @@ type Config struct {
 	// silence (default HeartbeatTimeout: telemetry staleness tracks the
 	// failure detector's view of liveness).
 	TelemetryStaleAfter time.Duration
-	// Replication, when set, runs this coordinator as one member of a
-	// replicated control-plane group (see ReplicationConfig); nil keeps
-	// the single-process standalone mode.
+	// Replication makes this coordinator one member of a replicated
+	// control-plane group (see ReplicationConfig); nil is a group of one at
+	// Addr that keeps nothing, the single-process coordinator.
 	Replication *ReplicationConfig
 	// Logf receives diagnostics; nil uses log.Printf.
 	Logf func(format string, args ...any)
@@ -61,11 +60,10 @@ type Server struct {
 	rpc  *rpc.Server
 	addr string
 
-	// rsm replicates cur and standbys across the group in replicated
-	// mode; nil in standalone mode. proposeMu serializes map mutators
-	// (build-new-map then install must be atomic against each other,
-	// and the install may block on a replicated round trip, so s.mu
-	// cannot cover it).
+	// rsm replicates cur and standbys across the group. proposeMu
+	// serializes map mutators (build-new-map then install must be atomic
+	// against each other, and the install may block on a replicated round
+	// trip, so s.mu cannot cover it).
 	rsm       *rsm.Node
 	proposeMu sync.Mutex
 
@@ -186,19 +184,21 @@ func Serve(cfg Config) (*Server, error) {
 	rpc.HandleFunc(s.rpc, "MigrationStatus", s.handleMigrationStatus)
 	rpc.HandleFunc(s.rpc, "TelemetryReport", s.handleTelemetryReport)
 	rpc.HandleFunc(s.rpc, "Telemetry", s.handleTelemetry)
-	addr, err := s.rpc.Serve(cfg.Network, cfg.Addr)
+	l, err := cfg.Network.Listen(cfg.Addr)
 	if err != nil {
 		return nil, err
 	}
-	s.addr = addr
-	if rc := cfg.Replication; rc != nil {
-		node, err := rsm.StartGroup(*rc, s.rpc, cfg.Network, coordSM{s}, s.onLeaderChange, cfg.Logf)
-		if err != nil {
-			s.rpc.Close()
-			return nil, err
-		}
-		s.rsm = node
+	s.addr = l.Addr()
+	// Held until s.rsm is set: onLeaderChange, which a group of one runs
+	// as it starts, takes it before anything that proposes.
+	s.proposeMu.Lock()
+	s.rsm, err = rsm.StartGroup(cfg.Replication, s.addr, s.rpc, cfg.Network, coordSM{s}, s.onLeaderChange, cfg.Logf)
+	s.proposeMu.Unlock()
+	if err != nil {
+		l.Close()
+		return nil, err
 	}
+	s.rpc.ServeListener(l) // calls find the node in place
 	if !cfg.DisableFailover {
 		s.wg.Add(1)
 		go s.failureDetector()
@@ -242,10 +242,8 @@ func (s *Server) Close() error {
 	s.stopped = true
 	close(s.stopCh)
 	s.mu.Unlock()
-	if s.rsm != nil {
-		if err := s.rsm.Close(); err != nil {
-			s.cfg.Logf("coordinator: rsm close: %v", err)
-		}
+	if err := s.rsm.Close(); err != nil {
+		s.cfg.Logf("coordinator: rsm close: %v", err)
 	}
 	err := s.rpc.Close()
 	s.wg.Wait()
@@ -385,18 +383,7 @@ func (s *Server) handleRegisterStandby(n topology.Node) (struct{}, error) {
 	if err := s.leaderCheck(); err != nil {
 		return struct{}{}, err
 	}
-	if s.rsm == nil {
-		s.mu.Lock()
-		s.standbys = append(s.standbys, n)
-		s.mu.Unlock()
-		return struct{}{}, nil
-	}
-	cmd, err := json.Marshal(coordCmd{Op: opStandby, Standby: &n})
-	if err != nil {
-		return struct{}{}, err
-	}
-	_, err = s.rsm.Propose(cmd, proposeTimeout)
-	return struct{}{}, err
+	return struct{}{}, s.addStandby(n)
 }
 
 // LeaderElectArgs asks for a new master for a shard (excluding a node).

@@ -25,9 +25,9 @@ func (s *Server) failureDetector() {
 }
 
 func (s *Server) sweep() {
-	// In replicated mode only the leader receives heartbeats; a follower
-	// sweeping its never-refreshed lastSeen view would fail everything.
-	if s.rsm != nil && !s.rsm.IsLeader() {
+	// Only the leader receives heartbeats; a follower sweeping its
+	// never-refreshed lastSeen view would fail everything.
+	if !s.rsm.IsLeader() {
 		return
 	}
 	s.mu.Lock()

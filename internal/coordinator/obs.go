@@ -31,7 +31,7 @@ func (s *Server) Status() any {
 	// Gather replication state before taking s.mu: the RSM node applies
 	// committed entries under its own lock and then takes s.mu, so the
 	// reverse order here would invert the lock hierarchy.
-	rsmStatus := s.RSMStatus()
+	rsmStatus := s.rsm.Status()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := map[string]any{
@@ -61,8 +61,6 @@ func (s *Server) Status() any {
 	} else if s.lastRun != nil {
 		st["last_migration"] = *s.lastRun
 	}
-	if rsmStatus != nil {
-		st["rsm"] = *rsmStatus
-	}
+	st["rsm"] = rsmStatus
 	return st
 }

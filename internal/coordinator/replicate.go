@@ -10,12 +10,13 @@ import (
 )
 
 // ReplicationConfig runs the coordinator's metadata — the cluster map and
-// the standby pool — on a replicated state machine instead of a single
-// process's memory. Every member serves the same RPC surface on its
-// Peers[ID] address: reads (GetMap/WatchMap/LeaseMap) answer anywhere from
-// the locally applied map, while mutations and heartbeats are accepted
-// only on the leader; elsewhere they fail with the rsm.NotLeaderError
-// redirect, which clients follow by re-dialing another address.
+// the standby pool — on a replicated state machine of several members
+// instead of a group of one. Every member serves the same RPC surface on
+// its Peers[ID] address: reads (GetMap/WatchMap/LeaseMap) answer anywhere
+// from the locally applied map, while mutations and heartbeats are
+// accepted only on the leader; elsewhere they fail with the
+// rsm.NotLeaderError redirect, which clients follow by re-dialing another
+// address.
 type ReplicationConfig = rsm.GroupConfig
 
 // proposeTimeout bounds one replicated mutation; control-plane ops are
@@ -114,26 +115,23 @@ func (c coordSM) Restore(data []byte) {
 	c.s.mu.Unlock()
 }
 
-// leaderCheck gates mutations and heartbeats: in replicated mode only the
-// leader accepts them, everyone else redirects. Callers must not hold
-// s.mu (the RSM node has its own lock ordering).
+// leaderCheck gates mutations and heartbeats: only the leader accepts
+// them, everyone else redirects. Callers must not hold s.mu (the RSM node
+// has its own lock ordering).
 func (s *Server) leaderCheck() error {
-	if s.rsm == nil || s.rsm.IsLeader() {
+	if s.rsm.IsLeader() {
 		return nil
 	}
 	return s.rsm.NotLeaderErr()
 }
 
-// installMap makes m the current map — directly in standalone mode,
-// through the replicated log otherwise — and, when takeStandby is set,
-// claims the head of the standby pool in the same atomic step (so a
-// concurrent failover on a different leader can never claim the same
-// standby). Callers hold s.proposeMu (serializing mutators, which is what
-// keeps the epoch computed against the old map valid) and not s.mu.
+// installMap makes m the current map through the replicated log and, when
+// takeStandby is set, claims the head of the standby pool in the same
+// atomic step (so a concurrent failover on a different leader can never
+// claim the same standby). Callers hold s.proposeMu (serializing mutators,
+// which is what keeps the epoch computed against the old map valid) and
+// not s.mu.
 func (s *Server) installMap(m *topology.Map, takeStandby bool) (*topology.Node, error) {
-	if s.rsm == nil {
-		return s.applyInstall(m, takeStandby)
-	}
 	cmd, err := json.Marshal(coordCmd{Op: opInstall, Map: m, TakeStandby: takeStandby})
 	if err != nil {
 		return nil, err
@@ -149,10 +147,9 @@ func (s *Server) installMap(m *topology.Map, takeStandby bool) (*topology.Node, 
 	return r.standby, nil
 }
 
-// applyInstall is the deterministic core of an install: adopt m iff it is
-// newer than the current map, optionally popping the standby pool. It is
-// both the standalone install path and coordSM.Apply's body, so the two
-// modes cannot drift.
+// applyInstall is the deterministic core of an install, coordSM.Apply's
+// body: adopt m iff it is newer than the current map, optionally popping
+// the standby pool.
 func (s *Server) applyInstall(m *topology.Map, takeStandby bool) (*topology.Node, error) {
 	if m == nil {
 		return nil, errors.New("coordinator: install of nil map")
@@ -173,35 +170,39 @@ func (s *Server) applyInstall(m *topology.Map, takeStandby bool) (*topology.Node
 	return sb, nil
 }
 
-// returnStandby puts an unused standby back into the pool, replicated in
-// RSM mode so a later failover — on any leader — still finds it.
-func (s *Server) returnStandby(n topology.Node) {
-	if s.rsm == nil {
-		s.mu.Lock()
-		s.standbys = append(s.standbys, n)
-		s.mu.Unlock()
-		return
-	}
+// addStandby appends a standby pair to the pool through the replicated
+// log.
+func (s *Server) addStandby(n topology.Node) error {
 	cmd, err := json.Marshal(coordCmd{Op: opStandby, Standby: &n})
-	if err == nil {
-		_, err = s.rsm.Propose(cmd, proposeTimeout)
-	}
 	if err != nil {
+		return err
+	}
+	_, err = s.rsm.Propose(cmd, proposeTimeout)
+	return err
+}
+
+// returnStandby puts an unused standby back into the pool, replicated so a
+// later failover — on any leader — still finds it.
+func (s *Server) returnStandby(n topology.Node) {
+	if err := s.addStandby(n); err != nil {
 		s.cfg.Logf("coordinator: return standby %s to pool: %v", n.ID, err)
 	}
 }
 
 // onLeaderChange runs (on its own goroutine) whenever this member gains
-// or loses control-plane leadership. A new leader first barriers so its
-// state machine reflects every committed install, then grants the whole
-// cluster a heartbeat grace period — its lastSeen view starts empty, and
-// without the grace every node would look dead at once — and finally
-// resumes any mode transition the old leader left in flight.
+// or loses control-plane leadership. A new leader's state machine already
+// reflects every committed install (rsm reports the gain once the term's
+// no-op has applied); it grants the whole cluster a heartbeat grace period
+// — its lastSeen view starts empty, and without the grace every node would
+// look dead at once — and then resumes any mode transition the old leader
+// left in flight.
 func (s *Server) onLeaderChange(term uint64, isLeader bool) {
 	if !isLeader {
-		s.cfg.Logf("coordinator: %s lost control-plane leadership at term %d", s.cfg.Replication.ID, term)
+		s.cfg.Logf("coordinator: %s lost control-plane leadership at term %d", s.addr, term)
 		return
 	}
+	s.proposeMu.Lock() // Serve holds it until s.rsm is set
+	s.proposeMu.Unlock()
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
@@ -210,9 +211,6 @@ func (s *Server) onLeaderChange(term uint64, isLeader bool) {
 	s.wg.Add(1)
 	s.mu.Unlock()
 	defer s.wg.Done()
-	if err := s.rsm.Barrier(proposeTimeout); err != nil {
-		s.cfg.Logf("coordinator: leadership barrier at term %d: %v", term, err)
-	}
 	s.mu.Lock()
 	now := time.Now()
 	s.suspended = map[string]bool{}
@@ -234,7 +232,7 @@ func (s *Server) onLeaderChange(term uint64, isLeader bool) {
 		}
 	}
 	s.mu.Unlock()
-	s.cfg.Logf("coordinator: %s leading control plane at term %d", s.cfg.Replication.ID, term)
+	s.cfg.Logf("coordinator: %s leading control plane at term %d", s.addr, term)
 	s.pushMap()
 	if resume {
 		s.resumeTransition()
@@ -261,18 +259,5 @@ func (s *Server) resumeTransition() {
 	s.drainTransition(m, drains)
 }
 
-// RSMStatus reports the replication group's state (nil in standalone
-// mode); the bespokv-cli rsm verb and tests read it.
-func (s *Server) RSMStatus() *rsm.Status {
-	if s.rsm == nil {
-		return nil
-	}
-	st := s.rsm.Status()
-	return &st
-}
-
-// IsLeader reports whether this coordinator currently accepts mutations
-// (always true in standalone mode).
-func (s *Server) IsLeader() bool {
-	return s.rsm == nil || s.rsm.IsLeader()
-}
+// IsLeader reports whether this coordinator currently accepts mutations.
+func (s *Server) IsLeader() bool { return s.rsm.IsLeader() }

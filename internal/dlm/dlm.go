@@ -5,20 +5,23 @@
 // cluster (the paper's "locks are released after a configurable period"),
 // and return monotonically increasing fencing tokens.
 //
-// Lease expiry is tracked on a monotonic clock that never reads wall time:
-// the table keeps a nanosecond counter that only moves forward, advanced by
-// bounded deltas measured with the runtime's monotonic clock. Wall-clock
-// jumps (NTP steps, VM suspends) therefore cannot expire a lease early. In
-// replicated mode the counter is itself replicated state — only the leader
-// stamps advances, so the clock pauses across a failover and a lease held
-// when the old leader died stretches rather than double-granting.
+// The lease table is a replicated state machine (internal/rsm): a group of
+// one by default, which is the single-process server, or a larger group
+// whose leader grants. Lease
+// expiry is tracked on a monotonic clock that never reads wall time: the
+// table keeps a nanosecond counter that only moves forward, advanced by
+// bounded deltas the leader measures with the runtime's monotonic clock and
+// stamps into its Lock and sweep commands. Wall-clock jumps (NTP steps, VM suspends)
+// therefore cannot expire a lease early, and since the counter is itself
+// replicated state, it pauses across a failover: a lease held when the old
+// leader died stretches rather than double-granting.
 package dlm
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bespokv/internal/rpc"
@@ -47,22 +50,22 @@ type Config struct {
 	// lease clock advanced (default DefaultTTL/4); expiry is also checked
 	// lazily on every request.
 	SweepInterval time.Duration
-	// Replication, when set, runs the lease table on a replicated state
-	// machine: every member serves Lock/Unlock on its Peers[ID] address,
-	// but only the leader grants; elsewhere calls fail with the
-	// rsm.NotLeaderError redirect that clients follow.
+	// Replication makes this server one member of a lease-table group:
+	// every member serves Lock/Unlock on its Peers[ID] address, but only the
+	// leader grants; elsewhere calls fail with the rsm.NotLeaderError
+	// redirect that clients follow. Nil is a group of one at Addr.
 	Replication *rsm.GroupConfig
 	Logf        func(format string, args ...any)
 }
 
 // leaseState is one key's lease record. Expiries are offsets on the
 // table's monotonic clock (nanoseconds since the table was created), never
-// wall-clock readings. The JSON form is the replicated snapshot encoding.
+// wall-clock readings.
 type leaseState struct {
-	Writer    string           `json:"w,omitempty"`  // exclusive owner, "" if none
-	WriterExp int64            `json:"we,omitempty"` // writer lease expiry (clock nanos)
-	Readers   map[string]int64 `json:"r,omitempty"`  // shared holders → expiry; nil until the first one
-	Token     uint64           `json:"t,omitempty"`  // fencing token of newest grant
+	Writer    string           // exclusive owner, "" if none
+	WriterExp int64            // writer lease expiry (clock nanos)
+	Readers   map[string]int64 // shared holders → expiry; nil until the first one
+	Token     uint64           // fencing token of newest grant
 
 	// key is the string this record is filed under in lockTable.Locks, kept
 	// so that dropping the record does not have to build it again.
@@ -74,12 +77,13 @@ func (st *leaseState) idle() bool { return st.Writer == "" && len(st.Readers) ==
 // lockTable is the deterministic core of the lock manager: a pure lease
 // table on a monotonic nanosecond clock. It never reads wall time and has
 // no randomness, so replicas applying the same command stream converge.
+// Its checkpoint form is appendWire's (wire.go).
 type lockTable struct {
-	Locks     map[string]*leaseState `json:"locks"`
-	NextToken uint64                 `json:"next_token"`
+	Locks     map[string]*leaseState
+	NextToken uint64
 	// Clock is the lease clock in nanoseconds. It only moves forward, by
 	// the deltas carried in commands; it is never compared to wall time.
-	Clock int64 `json:"clock"`
+	Clock int64
 
 	// free holds dropped records (each with its emptied Readers map) for
 	// the next grant: a key is locked and released once per operation, and
@@ -233,43 +237,35 @@ func (t *lockTable) sweep() []string {
 	return freed
 }
 
-// Replicated command stream. Every command carries a leader-stamped clock
-// delta so the lease clock advances exactly once per committed entry, in
-// log order, identically on every member.
+// Lease-table commands: the op, the leader's clock delta — so the lease
+// clock advances exactly once per committed entry, in log order,
+// identically on every member — the lease length, then the call's mode,
+// key and owner (appendCmd, wire.go). Apply reads one in place.
 const (
-	opLock   = "lock"
-	opUnlock = "unlock"
-	opSweep  = "sweep"
+	opLock byte = iota + 1
+	opUnlock
+	opSweep
 )
-
-type dlmCmd struct {
-	Op    string `json:"op"`
-	Key   string `json:"key,omitempty"`
-	Owner string `json:"owner,omitempty"`
-	Mode  Mode   `json:"mode,omitempty"`
-	TTL   int64  `json:"ttl,omitempty"`   // lease length, nanoseconds
-	Delta int64  `json:"delta,omitempty"` // leader-observed monotonic advance
-}
 
 // proposeTimeout bounds one replicated lock operation.
 const proposeTimeout = 5 * time.Second
 
 // Server is a running lock manager.
 type Server struct {
-	cfg  Config
-	rpc  *rpc.Server
-	addr string
-	node *rsm.Node // nil in standalone mode
-	base time.Time // monotonic anchor; all deltas are measured against it
+	cfg      Config
+	rpc      *rpc.Server
+	addr     string
+	node     *rsm.Node
+	base     time.Time    // monotonic anchor; all deltas are measured against it
+	lastMono atomic.Int64 // monotonic reading at the last stamped delta
 
-	mu       sync.Mutex
-	tbl      lockTable
-	lastMono int64 // monotonic reading at the last stamped delta
+	mu  sync.Mutex
+	tbl lockTable
 	// owners interns owner names, so a lease record's Writer/Readers key
 	// costs no allocation per grant: owners are the cluster's controlets.
 	owners map[string]string
 	// waiters are leader-local: channels cannot replicate, so blocked
-	// Lock calls queue on the member that accepted them and re-propose
+	// Lock calls queue on the member that accepted them and try again
 	// when a committed release/expiry frees their key.
 	waiters map[string][]chan struct{}
 	stopCh  chan struct{}
@@ -334,24 +330,21 @@ func Serve(cfg Config) (*Server, error) {
 		stopCh:  make(chan struct{}),
 	}
 	s.rpc.Name = "dlm"
-	// Ordered: an Unlock reaches the lease table (or the replicated log)
-	// before any Lock the same connection sent after it, which is what lets
-	// the client release without waiting for an answer.
+	// Ordered: an Unlock reaches the lease table's log before any Lock the
+	// same connection sent after it, which is what lets the client release
+	// without waiting for an answer.
 	s.rpc.HandleOrdered("Lock", s.serveLock)
 	s.rpc.HandleOrdered("Unlock", s.serveUnlock)
-	addr, err := s.rpc.Serve(cfg.Network, cfg.Addr)
+	l, err := cfg.Network.Listen(cfg.Addr)
 	if err != nil {
 		return nil, err
 	}
-	s.addr = addr
-	if rc := cfg.Replication; rc != nil {
-		node, err := rsm.StartGroup(*rc, s.rpc, cfg.Network, dlmSM{s}, s.onLeaderChange, cfg.Logf)
-		if err != nil {
-			s.rpc.Close()
-			return nil, err
-		}
-		s.node = node
+	s.addr = l.Addr()
+	if s.node, err = rsm.StartGroup(cfg.Replication, s.addr, s.rpc, cfg.Network, dlmSM{s}, s.onLeaderChange, cfg.Logf); err != nil {
+		l.Close()
+		return nil, err
 	}
+	s.rpc.ServeListener(l) // calls find the node in place
 	s.wg.Add(1)
 	go s.sweeper()
 	return s, nil
@@ -360,20 +353,8 @@ func Serve(cfg Config) (*Server, error) {
 // Addr returns the server's RPC address.
 func (s *Server) Addr() string { return s.addr }
 
-// IsLeader reports whether this member currently grants leases (always
-// true in standalone mode).
-func (s *Server) IsLeader() bool {
-	return s.node == nil || s.node.IsLeader()
-}
-
-// RSMStatus reports the replication group's state (nil in standalone mode).
-func (s *Server) RSMStatus() *rsm.Status {
-	if s.node == nil {
-		return nil
-	}
-	st := s.node.Status()
-	return &st
-}
+// IsLeader reports whether this member currently grants leases.
+func (s *Server) IsLeader() bool { return s.node.IsLeader() }
 
 // Close stops the server.
 func (s *Server) Close() error {
@@ -385,9 +366,7 @@ func (s *Server) Close() error {
 	s.stopped = true
 	close(s.stopCh)
 	s.mu.Unlock()
-	if s.node != nil {
-		s.node.Close()
-	}
+	s.node.Close()
 	// The rpc server first: once its readers are gone nothing parks a new
 	// call, so the wait below covers every goroutine there will ever be.
 	err := s.rpc.Close()
@@ -405,22 +384,9 @@ func (s *Server) mono() int64 { return int64(time.Since(s.base)) }
 // time and mass-expire leases — under-advancing only stretches leases,
 // which is the safe direction.
 func (s *Server) takeDelta() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.deltaLocked()
-}
-
-func (s *Server) deltaLocked() int64 {
 	now := s.mono()
-	d := now - s.lastMono
-	s.lastMono = now
-	if d < 0 {
-		d = 0
-	}
-	if cap := 2 * int64(s.cfg.SweepInterval); d > cap {
-		d = cap
-	}
-	return d
+	d := now - s.lastMono.Swap(now)
+	return min(max(d, 0), 2*int64(s.cfg.SweepInterval))
 }
 
 // onLeaderChange resets the delta baseline when this member takes over:
@@ -428,59 +394,40 @@ func (s *Server) deltaLocked() int64 {
 // without the reset (plus the takeDelta cap as a backstop) the first
 // stamped command would advance the lease clock by that entire gap.
 func (s *Server) onLeaderChange(term uint64, isLeader bool) {
-	s.mu.Lock()
-	s.lastMono = s.mono()
-	s.mu.Unlock()
+	s.lastMono.Store(s.mono())
 	if isLeader {
 		s.cfg.Logf("dlm: leading lease table at term %d", term)
 	}
 }
 
-// submit puts cmd in the replicated log without waiting for it to commit
-// (only the leader can; elsewhere it fails with the rsm.NotLeaderError
-// redirect clients follow). Called on a connection's reader goroutine, it
-// makes log order that connection's arrival order.
-func (s *Server) submit(cmd dlmCmd) (rsm.Proposal, error) {
-	b, err := json.Marshal(cmd)
-	if err != nil {
-		return rsm.Proposal{}, err
+// submit puts op for l in the lease table's log, a Lock or sweep stamped
+// with the lease clock's advance (a release needs none: the next stamp
+// covers its time). Only the leader can; elsewhere it fails with the
+// rsm.NotLeaderError redirect clients follow. Called on a connection's
+// reader, it makes log order that connection's arrival order. The command
+// is built in the call's reply buffer, which Submit copies if it keeps it.
+func (s *Server) submit(op byte, l *lockCall) (rsm.Proposal, error) {
+	var delta int64
+	if op != opUnlock {
+		delta = s.takeDelta()
 	}
-	return s.node.Submit(b)
+	var buf []byte
+	if l.c != nil {
+		buf = l.c.Scratch(cmdHeader + len(l.key) + len(l.owner))
+	}
+	return s.node.Submit(appendCmd(buf, op, delta, l))
 }
 
-// committed waits for a submitted command to apply and returns the fencing
-// token of a lock command (0 = not granted).
-func committed(p rsm.Proposal) (uint64, error) {
-	res, err := p.Wait(proposeTimeout)
-	tok, _ := res.(uint64)
-	return tok, err
-}
-
-// applyCmd runs cmd through the lease table — directly in standalone mode,
-// through the replicated log otherwise — returning the fencing token for
-// lock commands (0 = not granted).
-func (s *Server) applyCmd(cmd dlmCmd) (uint64, error) {
-	if s.node == nil {
-		s.mu.Lock()
-		tok := s.applyLocked(cmd.Op, []byte(cmd.Key), []byte(cmd.Owner), cmd.Mode, cmd.TTL, cmd.Delta)
-		s.mu.Unlock()
-		return tok, nil
-	}
-	p, err := s.submit(cmd)
-	if err != nil {
-		return 0, err
-	}
-	return committed(p)
-}
-
-// applyLocked is the deterministic apply body shared by the standalone
-// path and dlmSM.Apply, so the two modes cannot drift. key and owner are
-// only read (they may alias an rpc frame). Caller holds s.mu.
-func (s *Server) applyLocked(op string, key, owner []byte, mode Mode, ttl, delta int64) uint64 {
+// applyLocked runs one command through the lease table, on every member,
+// returning the grant of a Lock that won one (nil otherwise). key and owner
+// are only read. Caller holds s.mu.
+func (s *Server) applyLocked(op byte, delta, ttl int64, mode Mode, key, owner []byte) any {
 	s.tbl.advance(delta)
 	switch op {
 	case opLock:
-		return s.tbl.tryGrant(key, s.internLocked(owner), mode, ttl)
+		if tok := s.tbl.tryGrant(key, s.internLocked(owner), mode, ttl); tok != 0 {
+			return &LockReply{Token: tok}
+		}
 	case opUnlock:
 		if s.tbl.release(key, s.internLocked(owner), mode) {
 			s.wakeLocked(key)
@@ -490,7 +437,7 @@ func (s *Server) applyLocked(op string, key, owner []byte, mode Mode, ttl, delta
 			s.wakeLocked([]byte(key))
 		}
 	}
-	return 0
+	return nil
 }
 
 // internLocked returns the one string kept for this owner name.
@@ -512,48 +459,34 @@ func (s *Server) internLocked(owner []byte) string {
 type dlmSM struct{ s *Server }
 
 func (m dlmSM) Apply(index uint64, cmd []byte) any {
-	var op dlmCmd
-	if err := json.Unmarshal(cmd, &op); err != nil {
+	op, delta, ttl, mode, key, owner, err := parseCmd(cmd)
+	if err != nil {
 		m.s.cfg.Logf("dlm: rsm entry %d undecodable: %v", index, err)
-		return uint64(0)
+		return nil
 	}
 	m.s.mu.Lock()
-	tok := m.s.applyLocked(op.Op, []byte(op.Key), []byte(op.Owner), op.Mode, op.TTL, op.Delta)
-	m.s.mu.Unlock()
-	return tok
+	defer m.s.mu.Unlock()
+	return m.s.applyLocked(op, delta, ttl, mode, key, owner)
 }
 
 func (m dlmSM) Snapshot() []byte {
 	m.s.mu.Lock()
 	defer m.s.mu.Unlock()
-	b, err := json.Marshal(m.s.tbl)
-	if err != nil {
-		m.s.cfg.Logf("dlm: rsm snapshot: %v", err)
-		return nil
-	}
-	return b
+	return m.s.tbl.appendWire(nil)
 }
 
 func (m dlmSM) Restore(data []byte) {
-	tbl := newLockTable()
-	if len(data) > 0 {
-		if err := json.Unmarshal(data, &tbl); err != nil {
-			m.s.cfg.Logf("dlm: rsm restore: %v", err)
-			return
-		}
-		if tbl.Locks == nil {
-			tbl.Locks = map[string]*leaseState{}
-		}
-		for key, st := range tbl.Locks {
-			st.key = key
-		}
+	tbl, err := parseLockTable(data)
+	if err != nil {
+		m.s.cfg.Logf("dlm: rsm restore: %v", err)
+		return
 	}
 	m.s.mu.Lock()
 	m.s.tbl = tbl
 	m.s.mu.Unlock()
 }
 
-// wakeLocked wakes the calls parked on key; each retries its grant.
+// wakeLocked wakes the calls parked on key; each tries again.
 func (s *Server) wakeLocked(key []byte) {
 	ws, ok := s.waiters[string(key)]
 	if !ok {
@@ -566,9 +499,9 @@ func (s *Server) wakeLocked(key []byte) {
 }
 
 // sweeper periodically advances the lease clock and reclaims expired
-// leases. In replicated mode only the leader sweeps — its proposals are
-// what keep the replicated clock moving, which is exactly why leases
-// stretch rather than expire while the group has no leader.
+// leases. Only the leader sweeps — its proposals are what keep the
+// replicated clock moving, which is exactly why leases stretch rather than
+// expire while the group has no leader.
 func (s *Server) sweeper() {
 	defer s.wg.Done()
 	ticker := time.NewTicker(s.cfg.SweepInterval)
@@ -578,12 +511,9 @@ func (s *Server) sweeper() {
 		case <-s.stopCh:
 			return
 		case <-ticker.C:
-			if s.node != nil && !s.node.IsLeader() {
-				continue
-			}
-			if _, err := s.applyCmd(dlmCmd{Op: opSweep, Delta: s.takeDelta()}); err != nil {
-				// Lost leadership mid-propose; the new leader sweeps.
-				continue
+			if s.node.IsLeader() {
+				// A leadership lost mid-propose drops it; the new leader sweeps.
+				_, _ = s.submit(opSweep, &lockCall{})
 			}
 		}
 	}
@@ -633,72 +563,59 @@ func (s *Server) decode(c *rpc.Call, lock bool) (lockCall, error) {
 	return call, nil
 }
 
-// cmd is the call as a replicated command.
-func (l *lockCall) cmd(op string, delta int64) dlmCmd {
-	return dlmCmd{Op: op, Key: string(l.key), Owner: string(l.owner), Mode: l.mode, TTL: l.ttl, Delta: delta}
-}
-
-func (l *lockCall) reply(tok uint64, err error) {
+func (l *lockCall) reply(rep *LockReply, err error) {
 	if err != nil {
 		l.c.Reply(nil, err)
 		return
 	}
-	l.c.Reply(&LockReply{Token: tok}, nil)
+	l.c.Reply(rep, nil)
 }
 
-// serveLock runs on the connection's reader. Standalone, an uncontended
-// grant is one critical section — one clock read, the table's own copy of
-// the key the only allocation — and the answer is written before the next
-// frame is read. A miss with a wait budget, and every replicated Lock
-// (whose command is in the log, in arrival order, before this returns),
-// finishes on its own goroutine.
+// serveLock runs on the connection's reader, so the attempt is in the log
+// in arrival order before it returns. A group of one has decided the
+// attempt by then: a grant — one clock read, the table's own copy of the
+// key and the reply the only allocations — or a refusal is answered before
+// the next frame is read. A call that parks, and an attempt still
+// committing in a larger group, finish on a goroutine of their own.
 func (s *Server) serveLock(c *rpc.Call) {
 	l, err := s.decode(c, true)
 	if err != nil {
 		c.Reply(nil, err)
 		return
 	}
-	var tok uint64
-	var first rsm.Proposal
-	if s.node == nil {
-		tok, err = s.tryLock(&l)
-	} else {
-		first, err = s.submit(l.cmd(opLock, s.takeDelta()))
+	p, err := s.submit(opLock, &l)
+	var rep *LockReply
+	if err == nil && p.Applied() {
+		rep, err = s.settle(&l, p)
 	}
-	if tok != 0 || err != nil {
-		l.reply(tok, err)
+	if rep != nil || err != nil {
+		l.reply(rep, err)
 		return
 	}
 	parked := new(lockCall)
 	*parked = l
 	s.wg.Add(1)
-	go s.waitLock(parked, first)
+	go s.waitLock(parked, p)
 }
 
-// tryLock is one grant attempt. A miss parks the call for a wake on its
-// key (see parkLocked) or, out of wait budget, fails it with ErrLockHeld.
-func (s *Server) tryLock(l *lockCall) (uint64, error) {
-	if s.node != nil {
-		tok, err := s.applyCmd(l.cmd(opLock, s.takeDelta()))
-		if tok != 0 || err != nil {
-			return tok, err
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return 0, s.parkLocked(l)
+// settle collects an attempt's outcome: its grant, or on a miss the call
+// parked for a wake on its key (nil, nil), or ErrLockHeld once out of
+// wait budget.
+func (s *Server) settle(l *lockCall, p rsm.Proposal) (*LockReply, error) {
+	res, err := p.Wait(proposeTimeout)
+	if rep, ok := res.(*LockReply); ok || err != nil {
+		return rep, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if tok := s.applyLocked(opLock, l.key, l.owner, l.mode, l.ttl, s.deltaLocked()); tok != 0 {
-		return tok, nil
-	}
-	return 0, s.parkLocked(l)
+	return nil, s.parkLocked(l)
 }
 
-// parkLocked queues l for a wake on its key. Standalone this is the same
-// critical section as the failed attempt, so no release can slip between
-// the two; replicated, a release that commits in between is caught by the
-// chunked wait. Caller holds s.mu.
+// parkLocked queues l for a wake on its key, or, when nothing is in its way
+// any more, closes l.ch so that it tries again at once: a release applied
+// between the attempt's miss and this park has no wake to send, but it has
+// left the table. The miss and the park thus act as one step in every
+// group size, though they are two critical sections. Caller holds s.mu.
 func (s *Server) parkLocked(l *lockCall) error {
 	now := time.Now()
 	if l.deadline.IsZero() {
@@ -710,60 +627,53 @@ func (s *Server) parkLocked(l *lockCall) error {
 	// A lease clock nanosecond is never shorter than a real one, so the
 	// holder's lease is out by then; one more millisecond puts the retry
 	// past the strict expiry comparison.
-	l.free = now.Add(time.Duration(s.tbl.freeIn(l.key, string(l.owner), l.mode)) + time.Millisecond)
+	in := s.tbl.freeIn(l.key, string(l.owner), l.mode)
+	l.free = now.Add(time.Duration(in) + time.Millisecond)
 	l.ch = make(chan struct{})
+	if in == 0 {
+		close(l.ch)
+		return nil
+	}
 	s.waiters[string(l.key)] = append(s.waiters[string(l.key)], l.ch)
 	return nil
 }
 
 // waitLock sees a Lock that left the reader through to its answer: it
-// collects the first replicated attempt, then sleeps until the key frees
-// up — released (a wake), or the leases in its way expired — or a sweep
-// interval passes (leadership moves are only observed by trying again),
-// and retries, until granted, out of budget, or shut down. A dead holder's
-// lease is so taken over within a millisecond of its expiry.
-func (s *Server) waitLock(l *lockCall, first rsm.Proposal) {
+// settles the attempt still committing, if any, then sleeps until the key
+// frees up and tries again, until granted, out of budget, or shut down. A
+// dead holder's lease is so taken over within a millisecond of its expiry.
+func (s *Server) waitLock(l *lockCall, p rsm.Proposal) {
 	defer s.wg.Done()
-	var tok uint64
+	var rep *LockReply
 	var err error
-	if s.node != nil {
-		if tok, err = committed(first); tok == 0 && err == nil {
-			s.mu.Lock()
-			err = s.parkLocked(l)
-			s.mu.Unlock()
+	if !p.Applied() {
+		rep, err = s.settle(l, p)
+	}
+	for rep == nil && err == nil {
+		if err = s.sleep(l); err == nil {
+			if p, err = s.submit(opLock, l); err == nil {
+				rep, err = s.settle(l, p)
+			}
 		}
 	}
-	if tok == 0 && err == nil {
-		tok, err = s.sleepAndRetry(l)
-	}
-	l.reply(tok, err)
+	l.reply(rep, err)
 }
 
-func (s *Server) sleepAndRetry(l *lockCall) (uint64, error) {
-	chunk := func() time.Duration {
-		return max(min(time.Until(l.deadline), time.Until(l.free), s.cfg.SweepInterval), 0)
-	}
-	timer := time.NewTimer(chunk())
+// sleep waits for l's key to free up — released (a wake), or the leases in
+// its way run out — or for a sweep interval, since a leadership move is
+// only observed by trying again.
+func (s *Server) sleep(l *lockCall) error {
+	timer := time.NewTimer(max(min(time.Until(l.deadline), time.Until(l.free), s.cfg.SweepInterval), 0))
 	defer timer.Stop()
-	for {
-		select {
-		case <-l.ch:
-			if !timer.Stop() {
-				select { // a tick that raced the wake
-				case <-timer.C:
-				default:
-				}
-			}
-		case <-timer.C:
-			s.dropWaiter(l)
-		case <-s.stopCh:
-			s.dropWaiter(l)
-			return 0, errors.New("dlm: shutting down")
-		}
-		if tok, err := s.tryLock(l); tok != 0 || err != nil {
-			return tok, err
-		}
-		timer.Reset(chunk())
+	select {
+	case <-l.ch:
+		return nil
+	case <-timer.C:
+		s.dropWaiter(l)
+		return nil
+	case <-s.stopCh:
+		s.dropWaiter(l)
+		return errors.New("dlm: shutting down")
 	}
 }
 
@@ -786,26 +696,20 @@ func (s *Server) dropWaiter(l *lockCall) {
 }
 
 // serveUnlock runs on the connection's reader, so the release is in the
-// lease table — or, replicated, in the log — before the next frame of this
-// connection is looked at. A one-way Unlock (the client's normal release)
-// has no answer to carry a failure: what a deposed leader or a bad frame
-// drops is logged here, and the lease runs out by its TTL.
+// lease table's log before the next frame of this connection is looked at.
+// A one-way Unlock (the client's normal release) has no answer to carry a
+// failure: what a deposed leader or a bad frame drops is logged here, and
+// the lease runs out by its TTL.
 func (s *Server) serveUnlock(c *rpc.Call) {
 	l, err := s.decode(c, false)
 	var p rsm.Proposal
-	switch {
-	case err != nil:
-	case s.node == nil:
-		s.mu.Lock()
-		s.applyLocked(opUnlock, l.key, l.owner, l.mode, 0, s.deltaLocked())
-		s.mu.Unlock()
-	default:
-		p, err = s.submit(l.cmd(opUnlock, s.takeDelta()))
+	if err == nil {
+		p, err = s.submit(opUnlock, &l)
 	}
 	if err != nil && c.OneWay() {
 		s.cfg.Logf("dlm: one-way unlock dropped: %v (the lease expires by its TTL)", err)
 	}
-	if err != nil || s.node == nil || c.OneWay() {
+	if err != nil || c.OneWay() || p.Applied() {
 		c.Reply(nil, err)
 		return
 	}
@@ -813,7 +717,7 @@ func (s *Server) serveUnlock(c *rpc.Call) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		_, err := committed(p)
+		_, err := p.Wait(proposeTimeout)
 		c.Reply(nil, err)
 	}()
 }

@@ -203,3 +203,73 @@ func TestUnlockFallsBackWithoutGrantingConn(t *testing.T) {
 		t.Fatalf("release sent through a follower was lost: %v", err)
 	}
 }
+
+// TestParkedLockWakesOnRelease: a Lock that misses because its key is held
+// is granted as soon as the holder's release lands, wherever that release
+// falls — before the miss, between the miss and the park, or after the
+// park — in a group of one and in a 3-member group. Each round A holds the
+// key, B asks for it with a 2 s wait, A releases; B must be granted within
+// 50 ms of the release, where a release slept through would cost B a sweep
+// interval (2.5 s here).
+func TestParkedLockWakesOnRelease(t *testing.T) {
+	for _, size := range []int{1, 3} {
+		t.Run(fmt.Sprintf("group-of-%d", size), func(t *testing.T) {
+			const ttl = 10 * time.Second
+			var leader *Server
+			var a, b *Client
+			if size == 1 {
+				s, dial := newDLM(t, Config{DefaultTTL: ttl})
+				leader, a, b = s, dial("a"), dial("b")
+			} else {
+				g := newDLMGroup(t, size, ttl, 0)
+				leader, a, b = g.srvs[g.waitLeader()], g.client("a"), g.client("b")
+				for _, c := range []*Client{a, b} { // find the leader first
+					if _, err := lockRetry(t, c, "warm-"+c.owner, Write, ttl, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			parked := func(key string) bool {
+				leader.mu.Lock()
+				defer leader.mu.Unlock()
+				return len(leader.waiters[key]) > 0
+			}
+			for round := 0; round < 200; round++ {
+				key := fmt.Sprintf("k%d", round)
+				if _, err := a.Lock(key, Write, ttl, time.Second); err != nil {
+					t.Fatalf("round %d: a's lock: %v", round, err)
+				}
+				granted := make(chan error, 1)
+				go func() {
+					_, err := b.Lock(key, Write, ttl, 2*time.Second)
+					granted <- err
+				}()
+				if round%4 == 0 {
+					for !parked(key) {
+						time.Sleep(100 * time.Microsecond)
+					}
+				} else {
+					time.Sleep(time.Duration(round%4*round) * time.Microsecond)
+				}
+				if err := a.Unlock(key, Write); err != nil {
+					t.Fatalf("round %d: a's unlock: %v", round, err)
+				}
+				released := time.Now()
+				select {
+				case err := <-granted:
+					if err != nil {
+						t.Fatalf("round %d: b's lock: %v", round, err)
+					}
+					if d := time.Since(released); d > 50*time.Millisecond {
+						t.Fatalf("round %d: b granted %v after the release", round, d)
+					}
+				case <-time.After(50 * time.Millisecond):
+					t.Fatalf("round %d: b not granted within 50ms of the release", round)
+				}
+				if err := b.Unlock(key, Write); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}

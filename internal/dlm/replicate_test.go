@@ -185,7 +185,7 @@ func TestReplicatedFollowerRedirect(t *testing.T) {
 		if id == lead {
 			continue
 		}
-		if _, err := g.srvs[id].applyCmd(dlmCmd{Op: opSweep}); err == nil {
+		if _, err := g.srvs[id].submit(opSweep, &lockCall{}); err == nil {
 			t.Fatalf("follower %s would grant leases", id)
 		} else if !rsm.IsNotLeader(err) {
 			t.Fatalf("follower %s returns %v, want NotLeader", id, err)
@@ -274,7 +274,7 @@ func TestLockTableClock(t *testing.T) {
 // process was suspended) cannot mass-expire leases in one step.
 func TestTakeDeltaCap(t *testing.T) {
 	s := &Server{cfg: Config{SweepInterval: 10 * time.Millisecond}, base: time.Now()}
-	s.lastMono = -int64(time.Hour) // simulate an hour-stale baseline
+	s.lastMono.Store(-int64(time.Hour)) // simulate an hour-stale baseline
 	if d := s.takeDelta(); d > 2*int64(10*time.Millisecond) {
 		t.Fatalf("delta %d exceeds cap after stale baseline", d)
 	}

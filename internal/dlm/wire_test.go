@@ -1,6 +1,7 @@
 package dlm
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
@@ -49,6 +50,15 @@ func FuzzWireMessages(f *testing.F) {
 		roundTrip(t, &LockArgs{Key: key, Owner: owner, Mode: Mode(mode), TTLMs: ttl, WaitMs: wait}, &LockArgs{Key: "x", TTLMs: 1})
 		roundTrip(t, &UnlockArgs{Key: key, Owner: owner, Mode: Mode(mode)}, &UnlockArgs{Owner: "x"})
 		roundTrip(t, &LockReply{Token: token}, &LockReply{Token: 1})
+		_, _ = parseLockTable(raw) // a checkpoint from disk or a peer never panics
+		if op, delta, ttl, mode, key, owner, err := parseCmd(raw); err == nil {
+			l := lockCall{key: key, owner: owner, mode: mode, ttl: ttl}
+			op2, delta2, ttl2, mode2, key2, owner2, err := parseCmd(appendCmd(nil, op, delta, &l))
+			if err != nil || op2 != op || delta2 != delta || ttl2 != ttl || mode2 != mode ||
+				!bytes.Equal(key2, key) || !bytes.Equal(owner2, owner) {
+				t.Fatalf("command round trip of %x: %v", raw, err)
+			}
+		}
 		for _, m := range []rpc.Wire{&LockArgs{}, &LockReply{}, &UnlockArgs{}} {
 			if err := m.ParseWire(raw); err == nil {
 				// Whatever decodes cleanly re-encodes to a decodable form.
@@ -58,6 +68,39 @@ func FuzzWireMessages(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestLockTableCheckpoint: the lease table comes back from its checkpoint
+// whole — clock, token counter, writers, readers — and a checkpoint that
+// claims more records or readers than its bytes could hold is refused.
+func TestLockTableCheckpoint(t *testing.T) {
+	tbl := newLockTable()
+	tbl.advance(1000)
+	tbl.tryGrant([]byte("w"), "a", Write, 50)
+	tbl.tryGrant([]byte("r"), "a", Read, 70)
+	tbl.tryGrant([]byte("r"), "b", Read, 90)
+	got, err := parseLockTable(tbl.appendWire(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Clock != tbl.Clock || got.NextToken != tbl.NextToken || len(got.Locks) != 2 {
+		t.Fatalf("restored %+v from %+v", got, tbl)
+	}
+	for key, st := range tbl.Locks {
+		if r := got.Locks[key]; r == nil || r.key != key || r.Writer != st.Writer || r.WriterExp != st.WriterExp ||
+			r.Token != st.Token || !reflect.DeepEqual(r.Readers, st.Readers) {
+			t.Fatalf("record %q restored as %+v, was %+v", key, r, st)
+		}
+	}
+	for name, ck := range map[string][]byte{
+		"4G records": {0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		"4G readers": {0, 0, 1, 1, 'k', 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		"truncated":  tbl.appendWire(nil)[:9],
+	} {
+		if _, err := parseLockTable(ck); err == nil {
+			t.Errorf("checkpoint with %s accepted", name)
+		}
+	}
 }
 
 // TestErrorTextCrossesVerbatim: clients match on these strings, so the
@@ -107,11 +150,13 @@ func lockUnlock(c *Client, key string, mode Mode) error {
 }
 
 // TestLockUnlockAllocs gates the allocations of that pair through a real
-// standalone server, client and server together. 5 measured: the
+// lock server, a group of one, client and server together. 5 measured: the
 // client's LockArgs, LockReply and UnlockArgs escaping into `any`, the
-// server's boxed LockReply, and the lease table's own copy of the key. The
-// server parses in place, interns the owner and recycles lease records, so
-// neither a longer key nor a shared lease costs more.
+// server's boxed LockReply (its state machine's grant), and the lease
+// table's own copy of the key. The server parses in place, builds its log
+// command in the call's reply buffer (which the group of one reads in
+// place), interns the owner and recycles lease records, so neither a longer
+// key nor a shared lease costs more.
 func TestLockUnlockAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds items under -race")

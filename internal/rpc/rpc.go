@@ -362,11 +362,18 @@ func (s *Server) Serve(network transport.Network, addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	s.ServeListener(l)
+	return l.Addr(), nil
+}
+
+// ServeListener serves the connections l accepts, from now on; the ones
+// that arrived earlier wait in its backlog. A service that needs its bound
+// address before it can take a call listens, readies itself, then serves.
+func (s *Server) ServeListener(l transport.Listener) {
 	s.srv.Serve(l, func(err error) {
 		rpcAcceptErrs.Inc()
 		log.Printf("rpc: accept on %s: %v", l.Addr(), err)
 	}, s.serveConn)
-	return l.Addr(), nil
 }
 
 // Conns returns the number of live connections, for /statusz.
@@ -515,6 +522,15 @@ func (c *Call) WireArgs() ([]byte, error) {
 // OneWay reports whether the caller used Send: nobody is waiting for the
 // outcome, and Reply will only recycle the Call.
 func (c *Call) OneWay() bool { return c.req.id == 0 }
+
+// Scratch lends the buffer Reply will write the response into, empty and
+// with room for n bytes, to a handler that needs one only until it replies.
+func (c *Call) Scratch(n int) []byte {
+	if cap(c.out) < n {
+		c.out = make([]byte, 0, n)
+	}
+	return c.out[:0]
+}
 
 // Reply answers the call, exactly once, from any goroutine. It always
 // answers a caller that waits: a result that cannot be encoded becomes an

@@ -27,7 +27,7 @@ func applyNode(tb testing.TB, entries int) (*Node, *nopSM) {
 	}
 	sm := &nopSM{res: any(1)}
 	n := &Node{
-		cfg:       Config{ID: "alloc", SM: sm, SnapshotEvery: 1 << 62},
+		cfg:       Config{GroupConfig: GroupConfig{ID: "alloc", SnapshotEvery: 1 << 62}, SM: sm},
 		st:        st,
 		waiters:   map[uint64]waiter{},
 		gIsLeader: metrics.Default.Gauge("bespokv_rsm_is_leader", "id", "alloc-test"),

@@ -15,8 +15,8 @@ import (
 // Client is how a process finds and follows the leader of a control-plane
 // group (coordinator, lock service, shared log): one rpc connection at a
 // time to one member of a fixed address list, replaced as members fail or
-// name a different leader. A standalone server is a list of one. The policy
-// is fixed:
+// name a different leader. A group of one is a list of one. The policy is
+// fixed:
 //
 //   - a call gets max(4, 3·members) attempts, with a capped, jittered,
 //     exponential pause between them (transport.Backoff);

@@ -4,21 +4,29 @@
 // the same CRC-framed wal.FS storage the datalets use (so faultfs crash
 // and torn-write injection applies). The coordinator's shard map, the
 // DLM's lease table, and the shared-log sequencer each run as a
-// StateMachine on a 3-member (or any odd-sized) group; their RPC front
+// StateMachine on a group of one or of any odd size; their RPC front
 // ends forward through the leader and reject elsewhere with the
 // NotLeaderError redirect contract, which clients follow by re-dialing.
 //
-// The profile is a control plane, not a data plane: proposals are rare
-// (failovers, lease grants, offset blocks), so the implementation favors
-// one mutex and synchronous fsyncs over pipelined persistence, and spends
-// its complexity budget on the availability levers instead — check-quorum
+// The profile of a larger group is a control plane's: the implementation
+// favors one mutex and synchronous fsyncs over pipelined persistence, and
+// spends its complexity budget on the availability levers — check-quorum
 // stepdown (a partitioned leader stops answering within ~2 election
 // timeouts, so clients re-route), sticky-leader vote rejection (a healed
 // flapping member cannot depose a live leader), and a no-op barrier entry
 // on election (the new leader commits its predecessors' tail immediately).
+//
+// A group of one is the degenerate quorum, and it is how every service
+// runs that is not given peers: the same code with the round trips elided.
+// It leads from the start (nobody to wait for or vote with), commits and
+// applies an entry inside Submit (its own copy is the majority) and takes
+// no peer traffic. Without a Dir it also keeps nothing — neither the entry
+// nor a checkpoint, since no follower will ask for one and no restart will
+// read one — and reads the caller's command in place.
 package rsm
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand/v2"
 	"sort"
@@ -44,12 +52,10 @@ type StateMachine interface {
 	Restore(data []byte)
 }
 
-// Config configures one member of a replication group.
+// Config configures one member of a replication group: its GroupConfig
+// plus the pieces the service hosting it provides.
 type Config struct {
-	// ID is this member's name; Peers[ID] must exist and is the address
-	// the other members dial for this member's Mux.
-	ID    string
-	Peers map[string]string
+	GroupConfig
 
 	// Mux receives the RSM.* handlers; the owning service serves it (one
 	// address carries both Raft and service traffic).
@@ -57,27 +63,13 @@ type Config struct {
 	// Network dials peers; nil means the registered "tcp" transport.
 	Network transport.Network
 
-	// Dir/FS back the persistent log and checkpoint. FS nil means OSFS.
-	Dir string
-	FS  wal.FS
-
 	SM StateMachine
-
-	// ElectionTimeout is the base election timeout; a member campaigns
-	// after a uniformly random wait in [ET, 2ET) without leader contact.
-	// Default 150ms. Heartbeat is the leader's append cadence, default
-	// ET/5.
-	ElectionTimeout time.Duration
-	Heartbeat       time.Duration
-
-	// SnapshotEvery compacts the log after this many applied entries
-	// beyond the last checkpoint. Default 1024.
-	SnapshotEvery uint64
 
 	// OnLeader, when set, is notified (on its own goroutine) each time
 	// this member gains or loses leadership — services use it to resume
 	// interrupted work (e.g. a coordinator transition drain) on the new
-	// leader.
+	// leader. A gain is reported once the term's no-op has applied, so the
+	// state machine then reflects every entry committed before the term.
 	OnLeader func(term uint64, isLeader bool)
 
 	// Logf receives election/replication events; nil discards them.
@@ -109,8 +101,9 @@ const maxAppendEntries = 512
 
 // Node is one member of a replication group.
 type Node struct {
-	cfg Config
-	net transport.Network
+	cfg  Config
+	net  transport.Network
+	solo bool // a group of one: see the package comment
 
 	mu          sync.Mutex
 	st          *storage
@@ -118,6 +111,7 @@ type Node struct {
 	leaderID    string
 	commitIndex uint64
 	lastApplied uint64
+	noop        uint64 // index of the no-op this member appended on taking leadership
 
 	electionDeadline time.Time
 	lastContact      time.Time // last append/snapshot from a current leader
@@ -152,8 +146,8 @@ type waitResult struct {
 }
 
 // Start opens (or recovers) the member's durable state, registers the
-// RSM.* handlers on cfg.Mux, and begins ticking. The caller serves the
-// Mux.
+// RSM.* handlers on cfg.Mux, and begins ticking — or, a group of one,
+// leads. The caller serves the Mux.
 func Start(cfg Config) (*Node, error) {
 	if cfg.ID == "" || cfg.Peers[cfg.ID] == "" {
 		return nil, fmt.Errorf("rsm: Config.ID %q must appear in Peers", cfg.ID)
@@ -163,6 +157,9 @@ func Start(cfg Config) (*Node, error) {
 	}
 	if cfg.Mux == nil {
 		return nil, fmt.Errorf("rsm: Config.Mux required")
+	}
+	if cfg.Dir == "" && len(cfg.Peers) > 1 {
+		return nil, fmt.Errorf("rsm: a group of %d needs a Dir", len(cfg.Peers))
 	}
 	if cfg.ElectionTimeout <= 0 {
 		cfg.ElectionTimeout = 150 * time.Millisecond
@@ -188,6 +185,7 @@ func Start(cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:       cfg,
 		net:       net,
+		solo:      len(cfg.Peers) == 1,
 		st:        st,
 		next:      map[string]uint64{},
 		match:     map[string]uint64{},
@@ -211,16 +209,40 @@ func Start(cfg Config) (*Node, error) {
 	n.gApplied.Set(int64(n.lastApplied))
 	n.resetElectionTimerLocked()
 
-	rpc.HandleFunc(cfg.Mux, "RSM.Vote", n.handleVote)
-	rpc.HandleFunc(cfg.Mux, "RSM.Append", n.handleAppend)
-	rpc.HandleFunc(cfg.Mux, "RSM.Snap", n.handleSnap)
 	rpc.HandleFunc(cfg.Mux, "RSM.Status", func(struct{}) (Status, error) {
 		return n.Status(), nil
 	})
+	if n.solo {
+		n.mu.Lock()
+		err := n.leadAloneLocked()
+		n.mu.Unlock()
+		if err != nil {
+			n.Close()
+			return nil, err
+		}
+		return n, nil
+	}
+	rpc.HandleFunc(cfg.Mux, "RSM.Vote", n.handleVote)
+	rpc.HandleFunc(cfg.Mux, "RSM.Append", n.handleAppend)
+	rpc.HandleFunc(cfg.Mux, "RSM.Snap", n.handleSnap)
 
 	n.tickWG.Add(1)
 	go n.run()
 	return n, nil
+}
+
+// leadAloneLocked starts a group of one: everything in its log is committed
+// (it was the whole quorum for every entry), so it applies all of it and
+// takes the next term at once — no election timeout, no ticker, no peers.
+func (n *Node) leadAloneLocked() error {
+	n.commitIndex = n.st.lastIndex()
+	n.applyLocked()
+	if err := n.st.saveHardState(n.st.term+1, n.cfg.ID); err != nil {
+		return err
+	}
+	n.gTerm.Set(int64(n.st.term))
+	n.becomeLeaderLocked()
+	return nil
 }
 
 func (n *Node) logf(format string, args ...any) {
@@ -365,10 +387,6 @@ func (n *Node) stepDownLocked(term uint64, leaderID string) {
 // timer fires. The real election only starts once a majority says it would
 // vote for us. Called with n.mu held; unlocks internally.
 func (n *Node) campaignLocked() {
-	if n.quorum() == 1 {
-		n.electLocked() // single-member group: no one to pre-canvass
-		return
-	}
 	n.resetElectionTimerLocked()
 	n.preVoteSeq++
 	seq := n.preVoteSeq
@@ -437,11 +455,6 @@ func (n *Node) electLocked() {
 	llt, _ := n.st.termAt(lli)
 	n.logf("rsm %s: campaigning at term %d (last log %d/%d)", n.cfg.ID, term, lli, llt)
 	votes := 1 // self
-	if votes >= n.quorum() {
-		n.becomeLeaderLocked()
-		n.mu.Unlock()
-		return
-	}
 	n.mu.Unlock()
 
 	args := VoteArgs{Term: term, Candidate: n.cfg.ID, LastLogIndex: lli, LastLogTerm: llt}
@@ -497,15 +510,18 @@ func (n *Node) becomeLeaderLocked() {
 		n.match[id] = 0
 		n.lastAck[id] = now
 	}
-	if err := n.st.append([]Entry{{Term: n.st.term, Index: li + 1}}); err != nil {
-		n.logf("rsm %s: append no-op: %v", n.cfg.ID, err)
-	}
 	n.gIsLeader.Set(1)
 	n.logf("rsm %s: elected leader at term %d", n.cfg.ID, n.st.term)
-	n.maybeCommitLocked() // single-member groups commit immediately
-	if fn := n.cfg.OnLeader; fn != nil {
-		term := n.st.term
-		go fn(term, true)
+	n.noop = li + 1
+	noop := Entry{Term: n.st.term, Index: n.noop}
+	var err error
+	if n.solo {
+		_, err = n.commitAloneLocked(noop)
+	} else {
+		err = n.st.append([]Entry{noop})
+	}
+	if err != nil {
+		n.logf("rsm %s: append no-op: %v", n.cfg.ID, err)
 	}
 }
 
@@ -516,14 +532,6 @@ func (n *Node) IsLeader() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.state == leader
-}
-
-// Leader returns the current leader's ID and address as far as this
-// member knows (both empty mid-election).
-func (n *Node) Leader() (id, addr string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.leaderID, n.cfg.Peers[n.leaderID]
 }
 
 // NotLeaderErr builds the redirect error for this member's current view.
@@ -554,18 +562,26 @@ func (n *Node) Propose(cmd []byte, timeout time.Duration) (any, error) {
 }
 
 // Proposal is a command Submit has put in the leader's log, on its way to
-// being committed.
+// being committed — or, in a group of one, already applied.
 type Proposal struct {
 	n   *Node
 	idx uint64
-	ch  chan waitResult
+	ch  chan waitResult // nil once applied
+	res any             // the StateMachine's result, once applied
 }
+
+// Applied reports whether Submit committed and applied the command itself,
+// as a group of one does: Wait then returns at once, so a caller on a
+// connection's reader can answer there.
+func (p Proposal) Applied() bool { return p.ch == nil }
 
 // Submit is the half of Propose that does not wait: it appends cmd to the
 // log and starts replication. Commands submitted one after the other from
 // one goroutine are applied in that order, which is what a caller that
 // must preserve an arrival order needs to do in line; Wait, the slow half,
 // can then happen anywhere. A Proposal nobody waits for costs nothing more.
+// cmd may be a buffer the caller reuses once Submit returns: Submit copies
+// it when it keeps it.
 func (n *Node) Submit(cmd []byte) (Proposal, error) {
 	n.mu.Lock()
 	if n.stopped {
@@ -577,23 +593,55 @@ func (n *Node) Submit(cmd []byte) (Proposal, error) {
 		n.mu.Unlock()
 		return Proposal{}, err
 	}
-	idx := n.st.lastIndex() + 1
-	term := n.st.term
-	if err := n.st.append([]Entry{{Term: term, Index: idx, Data: cmd}}); err != nil {
+	e := Entry{Term: n.st.term, Index: n.st.lastIndex() + 1, Data: cmd}
+	if n.solo {
+		res, err := n.commitAloneLocked(e)
+		n.mu.Unlock()
+		return Proposal{res: res}, err
+	}
+	e.Data = bytes.Clone(cmd)
+	if err := n.st.append([]Entry{e}); err != nil {
 		n.mu.Unlock()
 		return Proposal{}, err
 	}
 	ch := make(chan waitResult, 1)
-	n.waiters[idx] = waiter{term: term, ch: ch}
-	n.maybeCommitLocked() // single-member groups need no round trip
+	n.waiters[e.Index] = waiter{term: e.Term, ch: ch}
 	n.mu.Unlock()
 	n.broadcast()
-	return Proposal{n: n, idx: idx, ch: ch}, nil
+	return Proposal{n: n, idx: e.Index, ch: ch}, nil
+}
+
+// commitAloneLocked is a group of one taking e: its own copy is the
+// majority, so e is committed as it is appended and applied here, and the
+// StateMachine's result comes back. With a Dir e is logged (and compacted
+// like any entry); without one it is passed over, kept nowhere, and its
+// Data is read in place.
+func (n *Node) commitAloneLocked(e Entry) (any, error) {
+	kept := n.st.log != nil
+	if kept {
+		e.Data = bytes.Clone(e.Data)
+		if err := n.st.append([]Entry{e}); err != nil {
+			return nil, err
+		}
+	} else {
+		n.st.pass(e)
+	}
+	n.commitIndex = e.Index
+	res := n.applyEntryLocked(e)
+	n.gCommit.Set(int64(n.commitIndex))
+	n.gApplied.Set(int64(n.lastApplied))
+	if kept {
+		n.maybeCompactLocked()
+	}
+	return res, nil
 }
 
 // Wait blocks until the proposal is applied locally and returns the
 // StateMachine's result, with Propose's error contract.
 func (p Proposal) Wait(timeout time.Duration) (any, error) {
+	if p.Applied() {
+		return p.res, nil
+	}
 	n := p.n
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
@@ -611,15 +659,6 @@ func (p Proposal) Wait(timeout time.Duration) (any, error) {
 	case <-n.stopCh:
 		return nil, ErrStopped
 	}
-}
-
-// Barrier proposes a no-op and waits for it to apply: on return, this
-// member has applied every command committed before the call. A fresh
-// leader uses it to know its state machine is current before answering
-// reads.
-func (n *Node) Barrier(timeout time.Duration) error {
-	_, err := n.Propose(nil, timeout)
-	return err
 }
 
 // MemberStatus is one member's view in Status.
@@ -703,8 +742,7 @@ func (n *Node) maybeCommitLocked() {
 			break
 		}
 		count := 1
-		for id, m := range n.match {
-			_ = id
+		for _, m := range n.match {
 			if m >= idx {
 				count++
 			}
@@ -725,11 +763,7 @@ func (n *Node) applyLocked() {
 	for n.lastApplied < n.commitIndex {
 		i := n.lastApplied + 1
 		e := n.st.entryAt(i)
-		var res any
-		if len(e.Data) > 0 {
-			res = n.cfg.SM.Apply(i, e.Data)
-		}
-		n.lastApplied = i
+		res := n.applyEntryLocked(e)
 		if w, ok := n.waiters[i]; ok {
 			delete(n.waiters, i)
 			if w.term == e.Term {
@@ -742,6 +776,23 @@ func (n *Node) applyLocked() {
 	n.gCommit.Set(int64(n.commitIndex))
 	n.gApplied.Set(int64(n.lastApplied))
 	n.maybeCompactLocked()
+}
+
+// applyEntryLocked feeds one committed entry to the state machine (a no-op
+// has nothing to feed) and, when it is the no-op this leader appended for
+// its term, tells OnLeader that the leader is current.
+func (n *Node) applyEntryLocked(e Entry) any {
+	var res any
+	if len(e.Data) > 0 {
+		res = n.cfg.SM.Apply(e.Index, e.Data)
+	}
+	n.lastApplied = e.Index
+	if e.Index == n.noop && e.Term == n.st.term && n.state == leader {
+		if fn := n.cfg.OnLeader; fn != nil {
+			go fn(e.Term, true)
+		}
+	}
+	return res
 }
 
 // maybeCompactLocked checkpoints and drops the log once enough entries
@@ -1148,39 +1199,39 @@ func (n *Node) callPeer(id, method string, args, reply any) error {
 // GroupConfig is the reusable member-and-storage half of Config: services
 // that host an RSM group (coordinator, DLM, shared-log sequencer) embed it
 // in their own Config as a `Replication *rsm.GroupConfig` field and call
-// StartGroup with their service-specific state machine.
+// StartGroup with their service-specific state machine. A nil one is a
+// group of one.
 type GroupConfig struct {
-	// ID names this member; Peers[ID] must be the address this service
-	// listens on (RSM and service traffic share the mux).
+	// ID is this member's name; Peers[ID] must exist and is the address
+	// the other members dial for this member's Mux.
 	ID    string
 	Peers map[string]string
-	// Dir/FS back the member's replicated log and checkpoints; FS nil
-	// means the OS filesystem.
+
+	// Dir/FS back the persistent log and checkpoint. FS nil means OSFS. A
+	// group of one may leave Dir empty and keep nothing.
 	Dir string
 	FS  wal.FS
-	// ElectionTimeout/Heartbeat/SnapshotEvery tune the group (zero means
-	// the package defaults).
+
+	// ElectionTimeout is the base election timeout; a member campaigns
+	// after a uniformly random wait in [ET, 2ET) without leader contact.
+	// Default 150ms. Heartbeat is the leader's append cadence, default
+	// ET/5.
 	ElectionTimeout time.Duration
 	Heartbeat       time.Duration
-	SnapshotEvery   uint64
+
+	// SnapshotEvery compacts the log after this many applied entries
+	// beyond the last checkpoint. Default 1024.
+	SnapshotEvery uint64
 }
 
 // StartGroup starts a member from a GroupConfig plus the service-side
-// pieces (mux, network, state machine, hooks).
-func StartGroup(g GroupConfig, mux *rpc.Server, network transport.Network, sm StateMachine,
+// pieces (mux, network, state machine, hooks). A nil g makes the service a
+// group of one named by addr, the address it listens on, that keeps
+// nothing: the standalone server.
+func StartGroup(g *GroupConfig, addr string, mux *rpc.Server, network transport.Network, sm StateMachine,
 	onLeader func(term uint64, isLeader bool), logf func(format string, args ...any)) (*Node, error) {
-	return Start(Config{
-		ID:              g.ID,
-		Peers:           g.Peers,
-		Mux:             mux,
-		Network:         network,
-		Dir:             g.Dir,
-		FS:              g.FS,
-		SM:              sm,
-		ElectionTimeout: g.ElectionTimeout,
-		Heartbeat:       g.Heartbeat,
-		SnapshotEvery:   g.SnapshotEvery,
-		OnLeader:        onLeader,
-		Logf:            logf,
-	})
+	if g == nil {
+		g = &GroupConfig{ID: addr, Peers: map[string]string{addr: addr}}
+	}
+	return Start(Config{GroupConfig: *g, Mux: mux, Network: network, SM: sm, OnLeader: onLeader, Logf: logf})
 }

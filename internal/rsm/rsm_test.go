@@ -122,16 +122,18 @@ func (g *tgroup) start(id string, fs *faultfs.FS) *tnode {
 	}
 	sm := &testSM{}
 	node, err := Start(Config{
-		ID:              id,
-		Peers:           g.peers,
-		Mux:             mux,
-		Network:         netw,
-		Dir:             "rsm",
-		FS:              fs,
-		SM:              sm,
-		ElectionTimeout: g.et,
-		Heartbeat:       g.et / 5,
-		SnapshotEvery:   g.snapN,
+		GroupConfig: GroupConfig{
+			ID:              id,
+			Peers:           g.peers,
+			Dir:             "rsm",
+			FS:              fs,
+			ElectionTimeout: g.et,
+			Heartbeat:       g.et / 5,
+			SnapshotEvery:   g.snapN,
+		},
+		Mux:     mux,
+		Network: netw,
+		SM:      sm,
 	})
 	if err != nil {
 		mux.Close()
@@ -251,11 +253,58 @@ func TestElectionAndPropose(t *testing.T) {
 	}
 }
 
+// TestSingleMemberGroup: a group of one with a Dir logs what it applies,
+// from a copy — the caller's buffer is its own again once Submit returns —
+// and a restart applies it all again before leading.
 func TestSingleMemberGroup(t *testing.T) {
 	g := newGroup(t, 1, nil)
 	ld := g.waitLeader(2 * time.Second)
 	g.propose(ld, "solo")
-	g.waitVals([]string{"solo"}, time.Second)
+	buf := []byte("kept")
+	if _, err := ld.node.Submit(buf); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "XXXX")
+	g.waitVals([]string{"solo", "kept"}, time.Second)
+	g.stop(ld.id)
+	again := g.start(ld.id, ld.fs)
+	if !again.node.IsLeader() {
+		t.Fatal("restarted group of one does not lead")
+	}
+	g.waitVals([]string{"solo", "kept"}, time.Second)
+	g.propose(again, "after")
+	g.waitVals([]string{"solo", "kept", "after"}, time.Second)
+}
+
+// TestGroupOfOneAppliesInSubmit: a group of one with no Dir leads as it
+// starts, Submit hands back its command applied, and nothing of it is kept.
+func TestGroupOfOneAppliesInSubmit(t *testing.T) {
+	mux := rpc.NewServer()
+	sm := &testSM{}
+	node, err := StartGroup(nil, "solo:1", mux, nil, sm, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	if !node.IsLeader() {
+		t.Fatal("a group of one must lead as it starts")
+	}
+	for i := 1; i <= 3; i++ {
+		p, err := node.Submit([]byte(fmt.Sprint(i)))
+		if err != nil || !p.Applied() {
+			t.Fatalf("submit %d: applied=%v err=%v", i, p.Applied(), err)
+		}
+		if res, err := p.Wait(0); err != nil || res != i {
+			t.Fatalf("submit %d: result %v, %v", i, res, err)
+		}
+	}
+	st := node.Status()
+	if st.CommitIndex != st.LastIndex || st.AppliedIndex != st.LastIndex || st.SnapshotIndex != st.LastIndex {
+		t.Fatalf("a volatile group of one keeps entries: %+v", st)
+	}
+	if len(node.st.entries) != 0 || node.st.snapData != nil || node.st.log != nil {
+		t.Fatalf("kept %d entries, %d checkpoint bytes", len(node.st.entries), len(node.st.snapData))
+	}
 }
 
 func TestNotLeaderRedirect(t *testing.T) {

@@ -17,8 +17,10 @@ const snapName = "rsm.snap"
 
 // storage is the node's durable state: a wal.Log of tagged records plus a
 // checkpoint file, both through the pluggable wal.FS so faultfs crash and
-// torn-write injection exercises the recovery paths. Not safe for
-// concurrent use; the Node serialises access under its own mutex.
+// torn-write injection exercises the recovery paths. A group of one with no
+// directory has no log at all (log nil): it persists nothing and keeps no
+// entry (see pass). Not safe for concurrent use; the Node serialises access
+// under its own mutex.
 type storage struct {
 	fs  wal.FS
 	dir string
@@ -35,7 +37,11 @@ type storage struct {
 // openStorage loads the checkpoint (if any), then folds the WAL on top of
 // it. A corrupt checkpoint is fatal — unlike engine snapshots, the WAL was
 // Reset when it was written, so there is no older state to fail open to.
+// An empty dir opens storage with no log.
 func openStorage(fs wal.FS, dir string) (*storage, error) {
+	if dir == "" {
+		return &storage{}, nil
+	}
 	if fs == nil {
 		fs = wal.OSFS{}
 	}
@@ -191,8 +197,10 @@ func (st *storage) truncateFrom(from uint64) error {
 // saveHardState persists (term, votedFor) before it takes effect anywhere:
 // a vote must survive a crash or the node could vote twice in one term.
 func (st *storage) saveHardState(term uint64, votedFor string) error {
-	if _, err := st.log.Append(EncodeHardState(term, votedFor)); err != nil {
-		return err
+	if st.log != nil {
+		if _, err := st.log.Append(EncodeHardState(term, votedFor)); err != nil {
+			return err
+		}
 	}
 	st.term, st.votedFor = term, votedFor
 	return nil
@@ -241,6 +249,13 @@ func (st *storage) compact(meta SnapMeta, data []byte) error {
 // install replaces all local state with a leader-shipped snapshot.
 func (st *storage) install(meta SnapMeta, data []byte) error {
 	return st.checkpoint(meta, data, nil)
+}
+
+// pass moves the log past e without keeping it: what a group of one with
+// no log does with an entry it applies, since no follower will ask for it
+// and no restart will read it.
+func (st *storage) pass(e Entry) {
+	st.snap = SnapMeta{Index: e.Index, Term: e.Term}
 }
 
 func (st *storage) close() error {

@@ -1,11 +1,13 @@
 package sharedlog
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"slices"
 	"time"
 
-	"bespokv/internal/rsm"
+	"bespokv/internal/rpc"
 )
 
 // proposeTimeout bounds one replicated append; the shared log's data
@@ -13,52 +15,34 @@ import (
 // means the sequencer group has no quorum.
 const proposeTimeout = 5 * time.Second
 
-// logCmd is one replicated log entry: an appended batch. The sequencer
-// counter advances exactly by its length, and the retention window drops
+// The sequencer's replicated command is an Append call's Wire payload: the
+// stream, then the batch (AppendArgs' encoding). The sequencer counter
+// advances exactly by the batch's length, and the retention window drops
 // the segments it pushes out, in commit order, identically on every member.
-type logCmd struct {
-	Stream  string   `json:"stream,omitempty"`
-	Entries [][]byte `json:"entries,omitempty"`
+
+// parseAppend reads an AppendArgs payload in place: its stream, and a
+// reader at its n entries.
+func parseAppend(cmd []byte) (stream []byte, r rpc.WireReader, n int) {
+	r = rpc.NewWireReader(cmd)
+	stream = r.Bytes()
+	n = r.Count(1)
+	return stream, r, n
 }
 
-// streamSnapshot is one stream's checkpoint image: retained entries plus
-// the sequencer counter and trim floor.
-type streamSnapshot struct {
-	Next    uint64  `json:"next"`
-	Trimmed uint64  `json:"trimmed"`
-	Entries []Entry `json:"entries,omitempty"`
-}
-
-// leaderCheck gates appends: in replicated mode only the leader
-// sequences, everyone else redirects. Callers must not hold s.mu.
-func (s *Server) leaderCheck() error {
-	if s.node == nil || s.node.IsLeader() {
-		return nil
+// checkAppend validates an AppendArgs payload before it is logged or
+// applied.
+func checkAppend(cmd []byte) error {
+	_, r, n := parseAppend(cmd)
+	for i := 0; i < n; i++ {
+		r.Bytes()
 	}
-	return s.node.NotLeaderErr()
-}
-
-// submitAppend puts the batch in the replicated log without waiting for it
-// to commit; args.Entries may alias an rpc frame, the command copies them.
-func (s *Server) submitAppend(args AppendArgs) (rsm.Proposal, error) {
-	b, err := json.Marshal(logCmd{Stream: args.Stream, Entries: args.Entries})
-	if err != nil {
-		return rsm.Proposal{}, err
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("sharedlog: bad append: %w", err)
 	}
-	return s.node.Submit(b)
-}
-
-// appendCommitted waits for a submitted batch to apply.
-func appendCommitted(p rsm.Proposal) (AppendReply, error) {
-	res, err := p.Wait(proposeTimeout)
-	if err != nil {
-		return AppendReply{}, err
+	if n == 0 {
+		return errors.New("sharedlog: empty append")
 	}
-	reply, ok := res.(AppendReply)
-	if !ok {
-		return AppendReply{}, errors.New("sharedlog: append not applied")
-	}
-	return reply, nil
+	return nil
 }
 
 // logSM adapts the stream table to the rsm.StateMachine interface. Apply
@@ -69,63 +53,112 @@ func appendCommitted(p rsm.Proposal) (AppendReply, error) {
 type logSM struct{ s *Server }
 
 func (m logSM) Apply(index uint64, cmd []byte) any {
-	var op logCmd
-	if err := json.Unmarshal(cmd, &op); err != nil {
+	if err := checkAppend(cmd); err != nil {
 		m.s.cfg.Logf("sharedlog: rsm entry %d undecodable: %v", index, err)
 		return nil
 	}
+	stream, r, n := parseAppend(cmd)
 	m.s.mu.Lock()
 	defer m.s.mu.Unlock()
-	return m.s.applyAppendLocked(op.Stream, op.Entries)
+	return m.s.applyAppendLocked(stream, r, n)
 }
 
+// Snapshot encodes every stream, in name order, as its name, sequencer
+// counter, trim floor and retained entries, the entries framed as in a
+// ReadReply: a count, then each entry's offset and length-prefixed data.
 func (m logSM) Snapshot() []byte {
 	m.s.mu.Lock()
 	defer m.s.mu.Unlock()
-	snap := map[string]streamSnapshot{}
+	size := binary.MaxVarintLen64
+	names := make([]string, 0, len(m.s.streams))
 	for name, st := range m.s.streams {
-		ss := streamSnapshot{Next: st.next, Trimmed: st.trimmed}
+		names = append(names, name)
+		size += len(name) + 4*binary.MaxVarintLen64
+		for _, seg := range st.segs {
+			size += len(seg.data) + seg.count()*2*binary.MaxVarintLen64
+		}
+	}
+	slices.Sort(names)
+	dst := binary.AppendUvarint(make([]byte, 0, size), uint64(len(names)))
+	for _, name := range names {
+		st := m.s.streams[name]
+		dst = rpc.AppendWireBytes(dst, name)
+		dst = binary.AppendUvarint(dst, st.next)
+		dst = binary.AppendUvarint(dst, st.trimmed)
+		count := 0
+		for _, seg := range st.segs {
+			count += seg.count()
+		}
+		dst = binary.AppendUvarint(dst, uint64(count))
 		for _, seg := range st.segs {
 			for i := 0; i < seg.count(); i++ {
-				ss.Entries = append(ss.Entries, seg.entry(i))
+				e := seg.entry(i)
+				dst = binary.AppendUvarint(dst, e.Offset)
+				dst = rpc.AppendWireBytes(dst, e.Data)
 			}
 		}
-		snap[name] = ss
 	}
-	b, err := json.Marshal(snap)
-	if err != nil {
-		m.s.cfg.Logf("sharedlog: rsm snapshot: %v", err)
-		return nil
+	return dst
+}
+
+// streamImage is one stream of a checkpoint; entries alias the checkpoint.
+type streamImage struct {
+	name          []byte
+	next, trimmed uint64
+	entries       []Entry
+}
+
+// parseSnapshot decodes a checkpoint. It comes from disk or a peer, so
+// every count is checked against the bytes left before anything is
+// allocated for it, and a stream's entries must lie in order inside
+// [trimmed, next).
+func parseSnapshot(data []byte) ([]streamImage, error) {
+	if len(data) == 0 {
+		return nil, nil
 	}
-	return b
+	r := rpc.NewWireReader(data)
+	imgs := make([]streamImage, r.Count(4)) // name, next, trimmed, count
+	for i := range imgs {
+		img := &imgs[i]
+		img.name, img.next, img.trimmed = r.Bytes(), r.Uvarint(), r.Uvarint()
+		if img.trimmed > img.next {
+			return nil, fmt.Errorf("sharedlog: checkpoint floor %d above its tail %d", img.trimmed, img.next)
+		}
+		img.entries = make([]Entry, r.Count(2))
+		low := img.trimmed
+		for j := range img.entries {
+			e := Entry{Offset: r.Uvarint(), Data: r.Bytes()}
+			if e.Offset < low || e.Offset >= img.next {
+				return nil, fmt.Errorf("sharedlog: checkpoint entry at %d outside [%d, %d)", e.Offset, low, img.next)
+			}
+			low = e.Offset + 1
+			img.entries[j] = e
+		}
+	}
+	return imgs, r.Done()
 }
 
 func (m logSM) Restore(data []byte) {
-	snap := map[string]streamSnapshot{}
-	if len(data) > 0 {
-		if err := json.Unmarshal(data, &snap); err != nil {
-			m.s.cfg.Logf("sharedlog: rsm restore: %v", err)
-			return
-		}
+	imgs, err := parseSnapshot(data)
+	if err != nil {
+		m.s.cfg.Logf("sharedlog: rsm restore: %v", err)
+		return
 	}
 	m.s.mu.Lock()
 	defer m.s.mu.Unlock()
-	for name, st := range m.s.streams {
+	for _, st := range m.s.streams {
 		// Wake stranded long-pollers; they re-read the restored state.
 		close(st.tailCh)
-		st.tailCh = make(chan struct{})
-		if _, ok := snap[name]; !ok {
-			delete(m.s.streams, name)
-		}
 	}
-	for name, ss := range snap {
-		st := m.s.streamLocked(name)
-		st.next, st.trimmed, st.segs = ss.Trimmed, ss.Trimmed, nil
-		for _, e := range ss.Entries {
+	clear(m.s.streams)
+	for _, img := range imgs {
+		st := m.s.streamLocked(img.name)
+		st.trimmed = img.trimmed
+		for _, e := range img.entries {
 			// Rebuild the arenas at the snapshot's offsets; entries are in
 			// order but may start above the trim floor.
 			m.s.storeLocked(st, e.Offset, e.Data)
 		}
-		st.next = ss.Next
+		st.next = img.next
 	}
 }

@@ -18,7 +18,7 @@ var logAddrSeq atomic.Uint64
 // logGroup is a replicated shared-log test harness: n members over
 // inproc, each with its own MemFS-backed replicated log.
 type logGroup struct {
-	t     *testing.T
+	t     testing.TB
 	net   transport.Network
 	ids   []string
 	peers map[string]string
@@ -30,12 +30,12 @@ type logGroup struct {
 	snapEvery uint64
 }
 
-func newLogGroup(t *testing.T, n int) *logGroup {
+func newLogGroup(t testing.TB, n int) *logGroup {
 	t.Helper()
 	return newSmallLogGroup(t, n, 0, 0)
 }
 
-func newSmallLogGroup(t *testing.T, n, seg int, snapEvery uint64) *logGroup {
+func newSmallLogGroup(t testing.TB, n, seg int, snapEvery uint64) *logGroup {
 	t.Helper()
 	net, err := transport.Lookup("inproc")
 	if err != nil {
@@ -69,6 +69,10 @@ func newSmallLogGroup(t *testing.T, n, seg int, snapEvery uint64) *logGroup {
 
 func (g *logGroup) start(id string) {
 	g.t.Helper()
+	logf := g.t.Logf
+	if _, bench := g.t.(*testing.B); bench {
+		logf = nil // elections and snapshot installs would bury the rows
+	}
 	s, err := Serve(Config{
 		Network:        g.net,
 		Addr:           g.peers[id],
@@ -81,7 +85,7 @@ func (g *logGroup) start(id string) {
 			ElectionTimeout: 60 * time.Millisecond,
 			SnapshotEvery:   g.snapEvery,
 		},
-		Logf: g.t.Logf,
+		Logf: logf,
 	})
 	if err != nil {
 		g.t.Fatalf("start %s: %v", id, err)
@@ -236,7 +240,7 @@ func TestSequencerFollowerRedirect(t *testing.T) {
 		if id == lead {
 			continue
 		}
-		if err := g.srvs[id].leaderCheck(); err == nil {
+		if _, err := g.srvs[id].node.Submit((&AppendArgs{Entries: [][]byte{{1}}}).AppendWire(nil)); err == nil {
 			t.Fatalf("follower %s would sequence appends", id)
 		} else if !rsm.IsNotLeader(err) {
 			t.Fatalf("follower %s returns %v, want NotLeader", id, err)
@@ -367,6 +371,11 @@ func TestReplicatedRetention(t *testing.T) {
 	}
 	for _, id := range g.ids {
 		g.start(id)
+		// The member came back from a checkpoint (logSM.Snapshot's binary
+		// form) plus the log above it, not from the log alone.
+		if st := g.srvs[id].node.Status(); st.SnapshotIndex == 0 {
+			t.Fatalf("%s restarted without a checkpoint: %+v", id, st)
+		}
 	}
 	g.waitLeader()
 	if after := agree("restored"); after != before {

@@ -48,10 +48,11 @@ type Config struct {
 	// starts (default 4096). A stream keeps its last RetainSegments
 	// segments, so this also sizes the history a reader may fall behind by.
 	SegmentEntries int
-	// Replication, when set, replicates the sequencer counters and the
-	// entries they order on a replicated state machine: appends commit
-	// through the leader (followers redirect with NotLeader),
-	// reads and long-polls serve anywhere from locally applied state.
+	// Replication makes this server one member of a sequencer group, which
+	// replicates the sequencer counters and the entries they order: appends
+	// commit through the leader (followers redirect with NotLeader), reads
+	// and long-polls serve anywhere from locally applied state. Nil is a
+	// group of one at Addr.
 	Replication *rsm.GroupConfig
 	Logf        func(format string, args ...any)
 }
@@ -110,7 +111,7 @@ type Server struct {
 	cfg  Config
 	rpc  *rpc.Server
 	addr string
-	node *rsm.Node // nil in standalone mode
+	node *rsm.Node
 
 	mu      sync.Mutex
 	streams map[string]*logState
@@ -121,7 +122,9 @@ type Server struct {
 
 // AppendArgs appends a batch atomically (contiguous offsets). AppendArgs,
 // AppendReply, ReadArgs and ReadReply travel as rpc.Wire messages (wire.go);
-// the json tags serve callers that send JSON.
+// the server takes an Append in no other form, since its Wire payload is the
+// sequencer's replicated command. The json tags serve Read and Tail callers
+// that send JSON.
 type AppendArgs struct {
 	// Stream selects an independent log ("" is the default stream).
 	Stream  string   `json:"stream,omitempty"`
@@ -191,25 +194,21 @@ func Serve(cfg Config) (*Server, error) {
 		stopCh:  make(chan struct{}),
 	}
 	s.rpc.Name = "sharedlog"
-	// Ordered: an append needs no goroutine — standalone it is answered
-	// before the next frame is read — and one connection's appends are
-	// sequenced in the order it sent them.
+	// Ordered: one connection's appends are sequenced in the order it sent
+	// them, and a group of one answers each before the next frame is read.
 	s.rpc.HandleOrdered("Append", s.serveAppend)
 	rpc.HandleFunc(s.rpc, "Read", s.handleRead)
 	rpc.HandleFunc(s.rpc, "Tail", s.handleTail)
-	addr, err := s.rpc.Serve(cfg.Network, cfg.Addr)
+	l, err := cfg.Network.Listen(cfg.Addr)
 	if err != nil {
 		return nil, err
 	}
-	s.addr = addr
-	if rc := cfg.Replication; rc != nil {
-		node, err := rsm.StartGroup(*rc, s.rpc, cfg.Network, logSM{s}, nil, cfg.Logf)
-		if err != nil {
-			s.rpc.Close()
-			return nil, err
-		}
-		s.node = node
+	s.addr = l.Addr()
+	if s.node, err = rsm.StartGroup(cfg.Replication, s.addr, s.rpc, cfg.Network, logSM{s}, nil, cfg.Logf); err != nil {
+		l.Close()
+		return nil, err
 	}
+	s.rpc.ServeListener(l) // calls find the node in place
 	return s, nil
 }
 
@@ -226,85 +225,75 @@ func (s *Server) Close() error {
 	s.stopped = true
 	close(s.stopCh)
 	s.mu.Unlock()
-	if s.node != nil {
-		s.node.Close()
-	}
+	s.node.Close()
 	err := s.rpc.Close()
 	s.wg.Wait()
 	return err
 }
 
-// IsLeader reports whether this member currently accepts appends (always
-// true in standalone mode).
-func (s *Server) IsLeader() bool {
-	return s.node == nil || s.node.IsLeader()
-}
+// IsLeader reports whether this member currently accepts appends.
+func (s *Server) IsLeader() bool { return s.node.IsLeader() }
 
-// RSMStatus reports the replication group's state (nil in standalone mode).
-func (s *Server) RSMStatus() *rsm.Status {
-	if s.node == nil {
-		return nil
-	}
-	st := s.node.Status()
-	return &st
-}
-
-// stream returns (creating if needed) the named stream. Caller holds mu.
-func (s *Server) streamLocked(name string) *logState {
-	st, ok := s.streams[name]
+// streamLocked returns (creating if needed) the named stream. Caller holds
+// mu.
+func (s *Server) streamLocked(name []byte) *logState {
+	st, ok := s.streams[string(name)]
 	if !ok {
 		st = &logState{tailCh: make(chan struct{})}
-		s.streams[name] = st
+		s.streams[string(name)] = st
 	}
 	return st
 }
 
-// serveAppend runs on the connection's reader. Standalone the batch is
-// sequenced, stored and answered right there; replicated it is in the
-// group's log before this returns, and the wait for its commit happens on
-// a goroutine of its own.
+// serveAppend runs on the connection's reader, which puts the batch in the
+// sequencer's log in arrival order: the command is the call's own Wire
+// payload, read in place. A group of one has sequenced and stored the
+// batch by then and answers here; a larger group waits for the commit on a
+// goroutine of its own.
 func (s *Server) serveAppend(c *rpc.Call) {
-	var args AppendArgs
-	err := c.Args(&args)
-	if err == nil && len(args.Entries) == 0 {
-		err = errors.New("sharedlog: empty append")
-	}
+	cmd, err := c.WireArgs()
 	if err == nil {
-		err = s.leaderCheck()
+		err = checkAppend(cmd)
 	}
-	if err != nil {
-		c.Reply(nil, err)
-		return
+	var p rsm.Proposal
+	if err == nil {
+		p, err = s.node.Submit(cmd)
 	}
-	if s.node == nil {
-		s.mu.Lock()
-		reply := s.applyAppendLocked(args.Stream, args.Entries)
-		s.mu.Unlock()
-		c.Reply(&reply, nil)
-		return
-	}
-	p, err := s.submitAppend(args)
-	if err != nil {
-		c.Reply(nil, err)
+	if err != nil || p.Applied() {
+		answerAppend(c, p, err)
 		return
 	}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		reply, err := appendCommitted(p)
-		c.Reply(&reply, err)
+		answerAppend(c, p, nil)
 	}()
 }
 
+// answerAppend replies to an Append with its submission's outcome.
+func answerAppend(c *rpc.Call, p rsm.Proposal, err error) {
+	var res any
+	if err == nil {
+		res, err = p.Wait(proposeTimeout)
+	}
+	if reply, ok := res.(*AppendReply); ok {
+		c.Reply(reply, nil)
+		return
+	}
+	if err == nil {
+		err = errors.New("sharedlog: append not applied")
+	}
+	c.Reply(nil, err)
+}
+
 // applyAppendLocked assigns offsets from the stream's sequencer counter and
-// stores the batch; it is both the standalone append path and the
-// replicated apply body, so the two modes cannot drift. Entries are copied
-// into the arena (they alias an rpc frame buffer). Caller holds mu.
-func (s *Server) applyAppendLocked(stream string, entries [][]byte) AppendReply {
+// stores the n entries r is at — on every member, in commit order. Entries
+// are copied into the arena (they alias the log entry). Caller holds mu.
+func (s *Server) applyAppendLocked(stream []byte, r rpc.WireReader, n int) *AppendReply {
 	st := s.streamLocked(stream)
 	first := st.next
-	for _, data := range entries {
-		s.storeLocked(st, st.next, data)
+	for ; n > 0; n-- {
+		s.storeLocked(st, st.next, r.Bytes())
 		st.next++
 	}
 	if drop := len(st.segs) - RetainSegments; drop > 0 {
@@ -316,10 +305,10 @@ func (s *Server) applyAppendLocked(stream string, entries [][]byte) AppendReply 
 	close(st.tailCh)
 	st.tailCh = make(chan struct{})
 	logAppends.Inc()
-	logEntriesTotal.Add(int64(len(entries)))
+	logEntriesTotal.Add(int64(st.next - first))
 	logTail.Set(int64(st.next))
 	logOldest.Set(int64(st.trimmed))
-	return AppendReply{First: first, Next: st.next}
+	return &AppendReply{First: first, Next: st.next}
 }
 
 // storeLocked copies one record into the stream's last segment, starting a
@@ -357,7 +346,7 @@ func (s *Server) handleRead(args ReadArgs) (ReadReply, error) {
 	}
 	for {
 		s.mu.Lock()
-		st := s.streamLocked(args.Stream)
+		st := s.streamLocked([]byte(args.Stream))
 		if args.From < st.trimmed {
 			reply := ReadReply{Next: args.From, Oldest: st.trimmed}
 			s.mu.Unlock()
@@ -408,7 +397,7 @@ func (s *Server) handleRead(args ReadArgs) (ReadReply, error) {
 func (s *Server) handleTail(args TailArgs) (TailReply, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return TailReply{Next: s.streamLocked(args.Stream).next}, nil
+	return TailReply{Next: s.streamLocked([]byte(args.Stream)).next}, nil
 }
 
 // Client is the shared log's typed method set over an rsm.Client, which

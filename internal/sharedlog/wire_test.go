@@ -64,8 +64,34 @@ func FuzzWireMessages(f *testing.F) {
 	f.Add("", []byte{}, uint64(0), uint64(0), uint64(0), 0, 0)
 	f.Add("s", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1}, ^uint64(0), uint64(1), ^uint64(0), -1, -500)
 	f.Add("below-the-floor", []byte{}, uint64(3), uint64(3), uint64(32768), 4096, 0)
+	// raw is a sequencer checkpoint: two streams, one trimmed.
+	f.Add("ck", checkpointOf(map[string][][]byte{"a": {{1}, {}, {2, 3}}, "b": chop(bytes.Repeat([]byte{3, 'x', 'y', 'z'}, 12))}), uint64(0), uint64(0), uint64(0), 0, 0)
 	f.Fuzz(func(t *testing.T, stream string, raw []byte, first, next, oldest uint64, max, wait int) {
 		entries := chop(raw)
+
+		// The sequencer checkpoint: what one stream holds comes back from
+		// Restore(Snapshot()), and arbitrary bytes never panic its decoder.
+		_, _ = parseSnapshot(raw)
+		if len(entries) > 0 {
+			ck := checkpointOf(map[string][][]byte{stream: entries})
+			restored := newLogServer(t)
+			logSM{restored}.Restore(ck)
+			floor := restored.streams[stream].trimmed // past the window, the oldest segments went
+			got, err := restored.handleRead(ReadArgs{Stream: stream, From: floor, Max: 1 << 20})
+			if err != nil || got.Next != uint64(len(entries)) {
+				t.Fatalf("restored stream: next %d of %d, %v", got.Next, len(entries), err)
+			}
+			var kept [][]byte
+			for _, e := range got.Entries {
+				kept = append(kept, e.Data)
+			}
+			if tail := entries[len(entries)-len(kept):]; !sameEntries(kept, tail) || len(kept) == 0 {
+				t.Fatalf("restored entries %q, want the tail of %q", kept, entries)
+			}
+			if again := (logSM{restored}).Snapshot(); !bytes.Equal(again, ck) {
+				t.Fatalf("checkpoint of a restored log differs")
+			}
+		}
 
 		args := &AppendArgs{Stream: stream, Entries: entries}
 		enc := args.AppendWire(nil)
@@ -127,7 +153,8 @@ func FuzzWireMessages(f *testing.F) {
 }
 
 // TestHostileCountRejected: an entry count larger than the payload could
-// hold is malformed, not an allocation of that many slots.
+// hold is malformed, not an allocation of that many slots — in a message
+// and in a checkpoint, which comes from disk or a peer.
 func TestHostileCountRejected(t *testing.T) {
 	huge := []byte{0 /* stream "" */, 0xff, 0xff, 0xff, 0xff, 0x0f /* 4G entries */}
 	if err := new(AppendArgs).ParseWire(huge); err == nil {
@@ -136,6 +163,37 @@ func TestHostileCountRejected(t *testing.T) {
 	if err := new(ReadReply).ParseWire(huge); err == nil {
 		t.Fatal("ReadReply accepted a 4G entry count in a 6-byte payload")
 	}
+	for name, ck := range map[string][]byte{
+		"4G streams":           {0xff, 0xff, 0xff, 0xff, 0x0f},
+		"4G entries":           {1, 0 /* "" */, 5, 0 /* next 5, floor 0 */, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		"floor above tail":     {1, 0, 2, 3, 0},
+		"entry below floor":    {1, 0, 5, 2, 1, 1 /* offset 1 */, 0},
+		"entry past tail":      {1, 0, 5, 0, 1, 5, 0},
+		"entries out of order": {1, 0, 5, 0, 2, 3, 0, 2, 0},
+	} {
+		if _, err := parseSnapshot(ck); err == nil {
+			t.Errorf("checkpoint with %s accepted", name)
+		}
+	}
+}
+
+// newLogServer is a sequencer with no listener, for driving its state
+// machine directly.
+func newLogServer(t *testing.T) *Server {
+	return &Server{cfg: Config{SegmentEntries: 4, Logf: t.Logf}, streams: map[string]*logState{}}
+}
+
+// checkpointOf builds the checkpoint of a log that was appended the given
+// batches, one entry per append, with 4-entry segments.
+func checkpointOf(streams map[string][][]byte) []byte {
+	s := &Server{cfg: Config{SegmentEntries: 4}, streams: map[string]*logState{}}
+	for name, entries := range streams {
+		for _, e := range entries {
+			cmd := (&AppendArgs{Stream: name, Entries: [][]byte{e}}).AppendWire(nil)
+			logSM{s}.Apply(1, cmd)
+		}
+	}
+	return logSM{s}.Snapshot()
 }
 
 // TestArenaSegments drives the segment arenas directly: records of every
@@ -222,8 +280,7 @@ func benchLog(b *testing.B) (*Server, *Client) {
 // value.
 var logRecord = bytes.Repeat([]byte("r"), 64)
 
-func benchAppend(b *testing.B, batch int) {
-	_, c := benchLog(b)
+func benchAppend(b *testing.B, c *Client, batch int) {
 	entries := make([][]byte, batch)
 	for i := range entries {
 		entries[i] = logRecord
@@ -243,8 +300,16 @@ func benchAppend(b *testing.B, batch int) {
 // BenchmarkAppend1 is what one AA+EC write pays the log; BenchmarkAppend64
 // is the batched propagation path. Run with -cpu 1,2; parallel callers
 // share one connection.
-func BenchmarkAppend1(b *testing.B)  { benchAppend(b, 1) }
-func BenchmarkAppend64(b *testing.B) { benchAppend(b, 64) }
+func BenchmarkAppend1(b *testing.B)  { _, c := benchLog(b); benchAppend(b, c, 1) }
+func BenchmarkAppend64(b *testing.B) { _, c := benchLog(b); benchAppend(b, c, 64) }
+
+// BenchmarkAppend1Replicated is BenchmarkAppend1 through a 3-member
+// sequencer group: an append commits once a follower has acked it.
+func BenchmarkAppend1Replicated(b *testing.B) {
+	g := newLogGroup(b, 3)
+	g.waitLeader()
+	benchAppend(b, g.client(), 1)
+}
 
 // BenchmarkReadBatch is a replica catching up: 256-entry reads cycling
 // over a 64 Ki-entry log.

@@ -109,24 +109,39 @@ run() {
 		$GO test -run NONE -bench LinksGet -benchmem -cpu 1,2 ./internal/datalet/
 		;;
 
-	# Replicated control plane: the Raft-style core (election, replication,
-	# persistence, snapshots — fuzz seeds included) and the one
-	# leader-following client every control service is reached through
-	# (rsm.Client: rotation, redirects, timeouts, Close, one-way Send, the
-	# idle-reset wedge), the replicated coordinator/DLM/sequencer services,
-	# the cluster control-plane nemesis suites (leader kill and partition
-	# under MS+SC load, checked for zero acked-write loss and
+	# The control plane, one RSM group per service: the Raft-style core
+	# (election, replication, persistence, snapshots — fuzz seeds included —
+	# and the group of one that leads at start, applies inside Submit and
+	# keeps nothing) and the one leader-following client every control
+	# service is reached through (rsm.Client: rotation, redirects, timeouts,
+	# Close, one-way Send, the idle-reset wedge), the replicated
+	# coordinator/DLM/sequencer services with their binary checkpoints, a
+	# parked Lock granted within 50 ms of the release in a group of one and
+	# of three, the cluster control-plane nemesis suites (leader kill and
+	# partition under MS+SC load, checked for zero acked-write loss and
 	# linearizability), the allocation-free apply path (TestApplyZeroAlloc),
 	# and — since every AA Lock/Unlock/Append crosses that client — the
-	# Lock + Unlock allocation ceiling with the two hot-path benchmarks.
+	# Lock + Unlock allocation ceiling. Then the greps that keep one path:
+	# no standalone branch in the three services, no encoding/json on the
+	# lease table's or the sequencer's commands and checkpoints. Last, the
+	# hot-path benchmarks through a group of one beside the 3-member append.
 	rsm)
 		$GO test -race ./internal/rsm/...
-		$GO test -race -run 'Replicated|Sequencer|TestFollowerRejectsMutations|TestLockTableClock|TestTakeDeltaCap' \
+		$GO test -race -run 'Replicated|Sequencer|TestFollowerRejectsMutations|TestLockTableClock|TestTakeDeltaCap|TestParkedLockWakesOnRelease|TestLockTableCheckpoint|TestHostileCountRejected' \
 			./internal/coordinator/ ./internal/dlm/ ./internal/sharedlog/
 		$GO test -race -run 'TestControlPlane' ./internal/cluster/
 		$GO test -run TestApplyZeroAlloc ./internal/rsm/
 		$GO test -run 'TestLockUnlockAllocs' ./internal/dlm/
-		$GO test -run NONE -bench 'LockUnlock|Append1$' -benchmem ./internal/dlm/ ./internal/sharedlog/
+		if grep -rnE --include='*.go' '(node|rsm) (==|!=) nil' internal/coordinator/ internal/dlm/ internal/sharedlog/ |
+			grep -v '_test\.go:'; then
+			echo "check.sh: a standalone branch is back; a service without peers is a group of one" >&2
+			exit 1
+		fi
+		if grep -rn --include='*.go' 'json\.Marshal' internal/dlm/ internal/sharedlog/ | grep -v '_test\.go:'; then
+			echo "check.sh: encoding/json in the lease table or the sequencer; their commands and checkpoints are binary" >&2
+			exit 1
+		fi
+		$GO test -run NONE -bench 'LockUnlock|Append1$|Append1Replicated' -benchmem ./internal/dlm/ ./internal/sharedlog/
 		;;
 
 	# Overload control: the admission-gate/retry-budget/breaker units (an
@@ -152,7 +167,7 @@ run() {
 	# frame and message-codec fuzz seeds (one-way frames included) and the
 	# ordering guarantee — ordered handlers start in arrival order, a parked
 	# call blocks nobody, a one-way Unlock never overtakes the next Lock,
-	# standalone and replicated — under the race detector; then the two
+	# in a group of one and of three — under the race detector; then the two
 	# allocation gates, a Lock-shaped ordered round trip and a Lock + Unlock
 	# pair through a real lock server (not under -race, where sync.Pool
 	# sheds on purpose), with the layer's -benchmem numbers.
