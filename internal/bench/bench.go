@@ -208,7 +208,7 @@ func RunLoad(kvs []KV, gens []*workload.Generator, d time.Duration) Result {
 	defer timer.Stop()
 	// Expose the live load histogram on /metrics so a scrape during a run
 	// sees the same data the final report prints.
-	metrics.Default.SetHistogram("bespokv_bench_op_seconds", &hist)
+	metrics.Default.HistogramFunc("bespokv_bench_op_seconds", func() *metrics.Histogram { return &hist })
 	start := time.Now()
 	for i := range gens {
 		wg.Add(1)

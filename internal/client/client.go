@@ -23,6 +23,7 @@ import (
 	"bespokv/internal/metrics"
 	"bespokv/internal/overload"
 	"bespokv/internal/rpc"
+	"bespokv/internal/telemetry"
 	"bespokv/internal/topology"
 	"bespokv/internal/trace"
 	"bespokv/internal/transport"
@@ -113,6 +114,8 @@ type Config struct {
 type Client struct {
 	cfg Config
 
+	rec *telemetry.Recorder // per-op counts and latencies, via Count
+
 	// coord serves foreground map refreshes and watch the map long-polls,
 	// which then never hold up a refresh nor share its call timeout. Both
 	// live as long as the client (nil with a static map; watch also with
@@ -189,6 +192,7 @@ func New(cfg Config) (*Client, error) {
 	}
 	c := &Client{
 		cfg:    cfg,
+		rec:    clientLayer.NewRecorder(telemetry.Options{}),
 		links:  datalet.NewLinks(cfg.Network, cfg.PoolSize, cfg.OpTimeout),
 		dlinks: datalet.NewLinks(cfg.Network, cfg.PoolSize, cfg.OpTimeout),
 		stopCh: make(chan struct{}),
@@ -264,6 +268,7 @@ func (c *Client) Close() error {
 	c.wg.Wait()
 	_ = c.links.Close()
 	_ = c.dlinks.Close()
+	c.rec.Close()
 	return nil
 }
 
@@ -449,11 +454,7 @@ func (c *Client) execute(req *wire.Request, resp *wire.Response, route func() (s
 	if req.TraceID == 0 {
 		req.TraceID = trace.Sample()
 	}
-	timed := req.TraceID != 0 || metrics.SampleLatency()
-	var start time.Time
-	if timed {
-		start = time.Now()
-	}
+	start := metrics.Start(req.TraceID != 0)
 	defer func() {
 		// Every completed op — success or not — credits the retry budget,
 		// so sustained retries converge to RetryBudgetPct% of op rate.
@@ -461,12 +462,8 @@ func (c *Client) execute(req *wire.Request, resp *wire.Response, route func() (s
 		if err != nil {
 			clientErrors.Inc()
 		}
-		if !timed {
-			clientOps.Record(req.Op, -1)
-			return
-		}
-		dur := time.Since(start)
-		clientOps.Record(req.Op, dur)
+		dur := metrics.Since(start)
+		c.rec.Count(req.Op, dur)
 		if req.TraceID != 0 {
 			errStr := ""
 			if err != nil {

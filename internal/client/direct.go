@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"bespokv/internal/datalet"
+	"bespokv/internal/metrics"
 	"bespokv/internal/topology"
 	"bespokv/internal/wire"
 )
@@ -86,7 +87,7 @@ func (c *Client) directGet(table string, key []byte, level wire.Level) (val []by
 			alt = c.dataletLink(n)
 		}
 	}
-	start := time.Now()
+	start := metrics.Start(c.hedge != nil)
 	resp, release, err := c.hedgedRace(primary, alt, func(r *wire.Request) {
 		r.Op = wire.OpDirectGet
 		r.Table = table
@@ -102,8 +103,9 @@ func (c *Client) directGet(table string, key []byte, level wire.Level) (val []by
 		return nil, false, false
 	}
 	defer release()
+	dur := metrics.Since(start)
 	if c.hedge != nil {
-		c.hedge.observe(time.Since(start))
+		c.hedge.observe(dur)
 	}
 	if resp.Status != wire.StatusOK || len(resp.Pairs) != 1 || len(resp.Statuses) != 1 {
 		if resp.Status == wire.StatusWrongEpoch {
@@ -113,7 +115,7 @@ func (c *Client) directGet(table string, key []byte, level wire.Level) (val []by
 		return nil, false, false
 	}
 	clientDirectReads.Inc()
-	clientOps.Record(wire.OpDirectGet, time.Since(start))
+	c.rec.Count(wire.OpDirectGet, dur)
 	switch resp.Statuses[0] {
 	case wire.StatusOK:
 		return append([]byte(nil), resp.Pairs[0].Value...), true, true
@@ -162,7 +164,7 @@ func (c *Client) submitDirectMGet(table string, level wire.Level, b *bucket) (pe
 	return pendingMGet{
 		b: b, req: req, resp: resp,
 		errc:  link.DoAsync(req, resp),
-		start: time.Now(),
+		start: metrics.Start(false),
 	}, true
 }
 
@@ -187,7 +189,7 @@ func (c *Client) awaitDirectMGet(pd pendingMGet, out []MultiResult) bool {
 		return false
 	}
 	clientDirectReads.Inc()
-	clientOps.Record(wire.OpDirectGet, time.Since(pd.start))
+	c.rec.Count(wire.OpDirectGet, metrics.Since(pd.start))
 	for i, idx := range pd.b.idxs {
 		switch resp.Statuses[i] {
 		case wire.StatusOK:

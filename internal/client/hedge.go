@@ -228,13 +228,14 @@ func (c *Client) hedgedControletGet(req *wire.Request, level wire.Level) (val []
 		return nil, false, false
 	}
 	defer release()
-	c.hedge.observe(time.Since(start))
+	dur := time.Since(start)
+	c.hedge.observe(dur)
 	switch resp.Status {
 	case wire.StatusOK:
-		clientOps.Record(wire.OpGet, time.Since(start))
+		c.rec.Count(wire.OpGet, dur)
 		return append([]byte(nil), resp.Value...), true, true
 	case wire.StatusNotFound:
-		clientOps.Record(wire.OpGet, time.Since(start))
+		c.rec.Count(wire.OpGet, dur)
 		return nil, false, true
 	case wire.StatusWrongEpoch:
 		go c.refreshMap()

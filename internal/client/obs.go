@@ -5,12 +5,13 @@ import (
 	"time"
 
 	"bespokv/internal/metrics"
-	"bespokv/internal/wire"
+	"bespokv/internal/telemetry"
 )
 
 var (
-	// bespokv_client_ops_total{op} and _op_seconds{op}.
-	clientOps = wire.NewOpMetrics("client")
+	// bespokv_client_ops_total{op} and _op_seconds{op}, summed over every
+	// client's per-op record at scrape time.
+	clientLayer = telemetry.NewLayer("client", telemetry.ClassOf)
 
 	clientRetries   = metrics.Default.Counter("bespokv_client_retries_total")
 	clientRedirects = metrics.Default.Counter("bespokv_client_redirects_total")

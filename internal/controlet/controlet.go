@@ -182,9 +182,9 @@ type Server struct {
 	// coordinator acknowledged; fenced() compares it against FenceTimeout.
 	lastBeat atomic.Int64
 
-	// tele accumulates this node's workload stats (client-entry ops only;
-	// internal replication traffic lands in ClassOther so shard merges
-	// never double-count).
+	// tele is the per-op record wire.ServeConn stamps for every answered
+	// frame: client-entry ops by class, internal replication traffic in
+	// ClassOther so shard merges never double-count.
 	tele *telemetry.Recorder
 
 	// admit is the hop prologue in front of dispatch. Its gate admits
@@ -251,13 +251,13 @@ func Serve(cfg Config) (*Server, error) {
 		dPeers:    datalet.NewLinks(cfg.Network, peerPoolSize, peerCallTimeout),
 		srv:       transport.NewServer(),
 		stopCh:    make(chan struct{}),
-		tele:      telemetry.NewRecorder(telemetry.Options{Interval: cfg.TelemetryInterval}),
+		tele:      ctlLayer.NewRecorder(telemetry.Options{Interval: cfg.TelemetryInterval}),
 		admit: overload.NewAdmission("controlet",
 			overload.NewGate(overload.Config{MaxInflight: cfg.MaxInflight, Target: cfg.ShedTarget})),
 	}
 	s.conn = wire.ConnHandler{
 		Codec: cfg.Codec, Node: cfg.NodeID, Layer: "controlet",
-		Handle: s.handleConn, Ops: ctlOps, Record: s.tele.RecordOp, Epoch: s.epoch,
+		Handle: s.handleConn, Record: s.tele.RecordOp, Epoch: s.epoch,
 	}
 	// Seed the clock so fresh controlets never reissue old versions
 	// after recovery (coarse wall-clock epoch in the high bits, Lamport
@@ -269,6 +269,7 @@ func Serve(cfg Config) (*Server, error) {
 
 	if pol.start != nil {
 		if err := pol.start(s); err != nil {
+			s.tele.Close()
 			return nil, err
 		}
 	}
@@ -366,6 +367,7 @@ func (s *Server) Close() error {
 	}
 	_ = s.srv.Close()
 	s.wg.Wait()
+	s.tele.Close()
 	_ = s.peers.Close()
 	_ = s.dPeers.Close()
 	if s.local != nil {

@@ -4,8 +4,8 @@ import (
 	"time"
 
 	"bespokv/internal/metrics"
+	"bespokv/internal/telemetry"
 	"bespokv/internal/trace"
-	"bespokv/internal/wire"
 )
 
 // Hot-path metrics are resolved once at init (see the registry contract in
@@ -14,9 +14,9 @@ import (
 // bookkeeping cost. Control-path metrics (heartbeats, failover,
 // propagation give-ups) may use labeled lookups freely.
 var (
-	// bespokv_controlet_ops_total{op} and _op_seconds{op}; wire.ServeConn
-	// stamps them.
-	ctlOps = wire.NewOpMetrics("controlet")
+	// bespokv_controlet_ops_total{op} and _op_seconds{op}, summed over
+	// every controlet's per-op record at scrape time.
+	ctlLayer = telemetry.NewLayer("controlet", telemetry.ClassOf)
 
 	// Replication fan-out, by mechanism: chain forwards launched (MS+SC),
 	// async records enqueued/dropped (MS+EC), write-all peer applies

@@ -83,8 +83,8 @@ type Server struct {
 	epochExp time.Time // zero = no expiry (static setups)
 	epochSet bool      // an OpEpochSet has landed at least once
 
-	// tele counts direct-path reads (the one op class that bypasses the
-	// controlet) and answers OpTelemetry with its snapshot.
+	// tele is the per-op record wire.ServeConn stamps for every answered
+	// frame; its snapshot answers OpTelemetry.
 	tele *telemetry.Recorder
 
 	// admit is the hop prologue in front of handle. Its gate admits data
@@ -109,13 +109,13 @@ func Serve(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:  cfg,
 		srv:  transport.NewServer(),
-		tele: telemetry.NewRecorder(telemetry.Options{Interval: cfg.TelemetryInterval}),
+		tele: dltLayer.NewRecorder(telemetry.Options{Interval: cfg.TelemetryInterval}),
 		admit: overload.NewAdmission("datalet",
 			overload.NewGate(overload.Config{MaxInflight: cfg.MaxInflight, Target: cfg.ShedTarget})),
 	}
 	s.conn = wire.ConnHandler{
 		Codec: cfg.Codec, Node: cfg.Name, Layer: "datalet",
-		Handle: s.handleConn, Ops: srvOps, Record: s.recordDirectGet,
+		Handle: s.handleConn, Record: s.tele.RecordOp,
 	}
 	// Both addresses are bound before the engine is opened — an address in
 	// use is what stops a second datalet from opening a live one's files —
@@ -125,11 +125,12 @@ func Serve(cfg Config) (*Server, error) {
 		for _, l := range listeners {
 			_ = l.Close()
 		}
+		s.tele.Close()
 		return nil, err
 	}
 	l, err := cfg.Network.Listen(cfg.Addr)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	listeners = append(listeners, l)
 	s.addr = l.Addr()
@@ -172,6 +173,7 @@ func (s *Server) Engine(table string) store.Engine {
 // connection and closes every engine.
 func (s *Server) Close() error {
 	err := s.srv.Close()
+	s.tele.Close()
 	s.closeEngines.Do(func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -199,15 +201,6 @@ func (s *Server) handleConn(req *wire.Request, resp *wire.Response, bw *bufio.Wr
 	}
 	s.handleAdmit(req, resp)
 	return false, nil
-}
-
-// recordDirectGet feeds the workload recorder the one op class that bypasses
-// the controlet; everything else is counted there, so that shard merges
-// never count an op twice.
-func (s *Server) recordDirectGet(req *wire.Request, resp *wire.Response, dur time.Duration) {
-	if req.Op == wire.OpDirectGet {
-		s.tele.RecordOp(req, resp, dur)
-	}
 }
 
 // handleAdmit is handle behind the hop prologue (overload.Admission.Admit).

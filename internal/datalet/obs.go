@@ -4,13 +4,20 @@ import (
 	"sync"
 
 	"bespokv/internal/metrics"
+	"bespokv/internal/telemetry"
 	"bespokv/internal/wire"
 )
 
 var (
-	// bespokv_datalet_ops_total{op} and _op_seconds{op}; wire.ServeConn
-	// stamps them.
-	srvOps = wire.NewOpMetrics("datalet")
+	// bespokv_datalet_ops_total{op} and _op_seconds{op}, summed over every
+	// datalet's per-op record at scrape time. A direct read is a client op;
+	// every other op is work done for another node, ClassOther.
+	dltLayer = telemetry.NewLayer("datalet", func(op wire.Op) telemetry.Class {
+		if op == wire.OpDirectGet {
+			return telemetry.ClassDirectGet
+		}
+		return telemetry.ClassOther
+	})
 
 	// Pipelined-client metrics (see client.go): how requests reach the
 	// wire. Average coalesced batch size = batched_requests / batches.

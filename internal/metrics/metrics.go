@@ -45,12 +45,20 @@ func bucketOf(d time.Duration) int {
 	return exp*subBuckets + sub
 }
 
-func bucketMid(b int) time.Duration {
-	exp := b / subBuckets
-	sub := b % subBuckets
-	base := int64(1) << exp
-	us := base + base*int64(sub)/subBuckets + base/(2*subBuckets)
-	return time.Duration(us) * time.Microsecond
+// HistBuckets is how many buckets a Histogram has; bucket b, read with
+// Bucket, holds the observations from BucketLower(b) to BucketLower(b+1).
+const HistBuckets = bucketCount
+
+// BucketLower returns the inclusive lower bound of bucket b.
+func BucketLower(b int) time.Duration {
+	base := int64(1) << (b / subBuckets)
+	return time.Duration(base+base*int64(b%subBuckets)/subBuckets) * time.Microsecond
+}
+
+// BucketMid returns the midpoint of bucket b, what quantiles report.
+func BucketMid(b int) time.Duration {
+	base := int64(1) << (b / subBuckets)
+	return BucketLower(b) + time.Duration(base/(2*subBuckets))*time.Microsecond
 }
 
 // Observe records one latency.
@@ -58,13 +66,32 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[bucketOf(d)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(int64(d))
+	h.raiseMax(int64(d))
+}
+
+func (h *Histogram) raiseMax(d int64) {
 	for {
 		cur := h.max.Load()
-		if int64(d) <= cur || h.max.CompareAndSwap(cur, int64(d)) {
-			break
+		if d <= cur || h.max.CompareAndSwap(cur, d) {
+			return
 		}
 	}
 }
+
+// Merge adds o's observations to h.
+func (h *Histogram) Merge(o *Histogram) {
+	for b := range o.buckets {
+		if n := o.buckets[b].Load(); n != 0 {
+			h.buckets[b].Add(n)
+		}
+	}
+	h.count.Add(o.count.Load())
+	h.sum.Add(o.sum.Load())
+	h.raiseMax(o.max.Load())
+}
+
+// Bucket returns bucket b's count.
+func (h *Histogram) Bucket(b int) int64 { return h.buckets[b].Load() }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
@@ -114,7 +141,7 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	for b := 0; b < bucketCount; b++ {
 		cum += h.buckets[b].Load()
 		if cum >= target {
-			return bucketMid(b)
+			return BucketMid(b)
 		}
 	}
 	return h.Max()

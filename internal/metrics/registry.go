@@ -49,6 +49,8 @@ const (
 	kindGauge
 	kindGaugeFunc
 	kindHistogram
+	kindCounterFunc
+	kindHistogramFunc
 )
 
 type entry struct {
@@ -62,7 +64,9 @@ type entry struct {
 	c       *Counter
 	g       *Gauge
 	fn      func() float64
+	cfn     func() int64
 	h       *Histogram
+	hfn     func() *Histogram
 }
 
 // Default is the process-wide registry that instrumentation across the
@@ -235,36 +239,35 @@ func (r *Registry) Histogram(name string, labels ...string) *Histogram {
 // restartable components (tests, the in-process cluster harness) always
 // expose their latest instance.
 func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...string) {
-	key := seriesKey(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	prev := r.entries[key]
-	if prev != nil && prev.kind != kindGaugeFunc {
-		panic(fmt.Sprintf("metrics: %s already registered with a different type", key))
-	}
-	e := &entry{name: name, series: key, kind: kindGaugeFunc, fn: fn}
-	if len(labels) > 0 && (prev == nil || !prev.counted) {
-		e.counted = true
-		r.labelSets[name]++
-	} else if prev != nil {
-		e.counted = prev.counted
-	}
-	r.entries[key] = e
+	r.set(&entry{kind: kindGaugeFunc, fn: fn}, name, labels)
 }
 
-// SetHistogram installs (or replaces) an externally constructed histogram
-// under name and labels. The bench harness uses this to export the very
-// histogram it prints figures from, so live metrics and bench output can
-// never disagree.
-func (r *Registry) SetHistogram(name string, h *Histogram, labels ...string) {
+// CounterFunc registers fn as a counter read at scrape time, for a count
+// kept elsewhere (summed over live instances, say); fn must never go
+// backwards. Re-registering replaces the function, as GaugeFunc does.
+func (r *Registry) CounterFunc(name string, fn func() int64, labels ...string) {
+	r.set(&entry{kind: kindCounterFunc, cfn: fn}, name, labels)
+}
+
+// HistogramFunc registers fn as a histogram read at scrape time, as
+// CounterFunc does for counts: one built from several, or one kept
+// elsewhere (the bench harness exports the very histogram it prints
+// figures from, so live metrics and bench output never disagree).
+func (r *Registry) HistogramFunc(name string, fn func() *Histogram, labels ...string) {
+	r.set(&entry{kind: kindHistogramFunc, hfn: fn}, name, labels)
+}
+
+// set installs e as the series name{labels}, replacing one of the same kind
+// and keeping its label-set slot.
+func (r *Registry) set(e *entry, name string, labels []string) {
 	key := seriesKey(name, labels)
+	e.name, e.series = name, key
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	prev := r.entries[key]
-	if prev != nil && prev.kind != kindHistogram {
+	if prev != nil && prev.kind != e.kind {
 		panic(fmt.Sprintf("metrics: %s already registered with a different type", key))
 	}
-	e := &entry{name: name, series: key, kind: kindHistogram, h: h}
 	if len(labels) > 0 && (prev == nil || !prev.counted) {
 		e.counted = true
 		r.labelSets[name]++
@@ -319,8 +322,12 @@ func (r *Registry) WriteProm(w io.Writer) error {
 			_, err = fmt.Fprintf(w, "%s %d\n", e.series, e.g.Value())
 		case kindGaugeFunc:
 			_, err = fmt.Fprintf(w, "%s %g\n", e.series, e.fn())
+		case kindCounterFunc:
+			_, err = fmt.Fprintf(w, "%s %d\n", e.series, e.cfn())
 		case kindHistogram:
-			err = writePromHistogram(w, e)
+			err = writePromHistogram(w, e.name, e.series, e.h)
+		case kindHistogramFunc:
+			err = writePromHistogram(w, e.name, e.series, e.hfn())
 		}
 		if err != nil {
 			return err
@@ -331,9 +338,9 @@ func (r *Registry) WriteProm(w io.Writer) error {
 
 func promType(k metricKind) string {
 	switch k {
-	case kindCounter:
+	case kindCounter, kindCounterFunc:
 		return "counter"
-	case kindHistogram:
+	case kindHistogram, kindHistogramFunc:
 		return "histogram"
 	default:
 		return "gauge"
@@ -342,24 +349,24 @@ func promType(k metricKind) string {
 
 // writePromHistogram emits name_bucket{...,le="..."} lines with cumulative
 // counts, then name_sum (seconds) and name_count.
-func writePromHistogram(w io.Writer, e *entry) error {
-	counts := e.h.expCounts()
+func writePromHistogram(w io.Writer, name, series string, h *Histogram) error {
+	counts := h.expCounts()
 	var cum int64
 	for exp, n := range counts {
 		cum += n
 		// Upper bound of exponent bucket exp is 2^(exp+1) µs.
 		le := float64(int64(1)<<(exp+1)) / 1e6
-		if _, err := fmt.Fprintf(w, "%s %d\n", bucketSeries(e.name, e.series, fmt.Sprintf("%g", le)), cum); err != nil {
+		if _, err := fmt.Fprintf(w, "%s %d\n", bucketSeries(name, series, fmt.Sprintf("%g", le)), cum); err != nil {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintf(w, "%s %d\n", bucketSeries(e.name, e.series, "+Inf"), cum); err != nil {
+	if _, err := fmt.Fprintf(w, "%s %d\n", bucketSeries(name, series, "+Inf"), cum); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%s %g\n", suffixSeries(e.name, e.series, "_sum"), e.h.Sum().Seconds()); err != nil {
+	if _, err := fmt.Fprintf(w, "%s %g\n", suffixSeries(name, series, "_sum"), h.Sum().Seconds()); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s %d\n", suffixSeries(e.name, e.series, "_count"), e.h.Count())
+	_, err := fmt.Fprintf(w, "%s %d\n", suffixSeries(name, series, "_count"), h.Count())
 	return err
 }
 

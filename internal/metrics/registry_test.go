@@ -52,15 +52,24 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 	r.Gauge("x")
 }
 
-func TestRegistrySetHistogramReplaces(t *testing.T) {
+// A func-backed series is read at scrape time, and registering it again
+// replaces the function, as a restarted component does.
+func TestRegistryFuncSeriesReplace(t *testing.T) {
 	r := NewRegistry()
-	h1 := &Histogram{}
+	h1, h2 := &Histogram{}, &Histogram{}
 	h1.Observe(time.Millisecond)
-	r.SetHistogram("bench_lat", h1)
-	h2 := &Histogram{}
-	r.SetHistogram("bench_lat", h2)
-	if got := r.Histogram("bench_lat"); got != h2 {
-		t.Fatal("SetHistogram must replace the registered histogram")
+	r.HistogramFunc("bench_lat", func() *Histogram { return h1 })
+	r.HistogramFunc("bench_lat", func() *Histogram { return h2 })
+	r.CounterFunc("bench_ops_total", func() int64 { return 1 })
+	r.CounterFunc("bench_ops_total", func() int64 { return 7 })
+	var b strings.Builder
+	if err := r.WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"# TYPE bench_lat histogram\n", "\nbench_lat_count 0\n", "# TYPE bench_ops_total counter\nbench_ops_total 7\n"} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition lacks %q:\n%s", want, b.String())
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package metrics
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"time"
+)
 
 // Latency sampling for the data path. On hosts with a slow clocksource a
 // time.Now/time.Since pair costs more than the rest of an op's bookkeeping
@@ -34,4 +37,22 @@ func SetLatencySampleEvery(n uint64) uint64 {
 		n = 1
 	}
 	return latEvery.Swap(n)
+}
+
+// Start reads the clock for an op whose latency is wanted — sampled, or
+// needed anyway (a trace, a hedger) — and returns the zero time for every
+// other op.
+func Start(needed bool) time.Time {
+	if needed || SampleLatency() {
+		return time.Now()
+	}
+	return time.Time{}
+}
+
+// Since returns the latency of an op Start timed, -1 for one it did not.
+func Since(start time.Time) time.Duration {
+	if start.IsZero() {
+		return -1
+	}
+	return time.Since(start)
 }

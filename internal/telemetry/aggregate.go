@@ -21,9 +21,10 @@ import (
 // Merge semantics: windows from a shard's replicas are binned by aligned
 // start time (floor(start/width)*width); a window whose boundaries straddle
 // a bin contributes wholly to the bin containing its start, smearing at
-// most one window width. Cross-replica client-op sums never double-count
-// because recorders classify internal replication traffic as ClassOther
-// and datalets record only direct-path reads.
+// most one window width. Cross-replica sums never double-count a client op:
+// shard rates count client-entry classes only, and a recorder classes
+// replication traffic — at a datalet, every op but a direct read — as
+// ClassOther, which shows in ClassRates alone.
 type Aggregator struct {
 	opts AggregatorOptions
 	slo  *SLOEngine
@@ -107,7 +108,10 @@ func (a *Aggregator) Report(snaps ...NodeSnapshot) {
 		aggReports.Inc()
 	}
 	aggNodes.Set(int64(len(a.nodes)))
-	views := a.mergeShardsLocked(now)
+	var views map[string]*shardMerge
+	if len(a.opts.Objectives) > 0 { // the merge is the SLO engine's input
+		views = a.mergeShardsLocked(now)
+	}
 	a.mu.Unlock()
 	for shard, v := range views {
 		a.slo.Evaluate(shard, v.windows, now)
@@ -200,8 +204,8 @@ type ShardView struct {
 	Shard string   `json:"shard"`
 	Mode  string   `json:"mode,omitempty"`
 	Nodes []string `json:"nodes"`
-	// OpsPerSec, ReadFrac and ErrPerSec average over the trailing
-	// RateWindows merged bins.
+	// OpsPerSec, ReadFrac and ErrPerSec average client-entry ops (every
+	// class but ClassOther) over the trailing RateWindows merged bins.
 	OpsPerSec float64 `json:"ops_per_sec"`
 	ReadFrac  float64 `json:"read_frac"`
 	ErrPerSec float64 `json:"err_per_sec"`
@@ -275,12 +279,15 @@ func (a *Aggregator) Cluster() ClusterSnapshot {
 			durMs += w.DurMs
 			for c := Class(0); c < ClassCount; c++ {
 				classOps[c] += w.Ops[c]
+				lat[c].Merge(w.Lat[c])
+				if c == ClassOther {
+					continue
+				}
 				total += w.Ops[c]
 				errs += w.Errs[c]
 				if c.Read() {
 					reads += w.Ops[c]
 				}
-				lat[c].Merge(w.Lat[c])
 			}
 		}
 		if durMs > 0 {

@@ -67,6 +67,30 @@ func TestAggregatorMergesReplicaWindows(t *testing.T) {
 	}
 }
 
+// Replication is ClassOther: it shows in ClassRates, never in a shard's
+// client-op rate, error rate or read mix.
+func TestAggregatorRatesCountClientOpsOnly(t *testing.T) {
+	clk := &testClock{t: time.UnixMilli(10_000)}
+	a := NewAggregator(AggregatorOptions{Now: clk.now})
+	// A 1×3 MS+SC shard at a 50 % GET mix over one 100 ms window: the head
+	// takes 50 PUTs (one failed), the tail 50 GETs, and each PUT reaches the
+	// middle and the tail again as a chain forward (three of which failed).
+	head := Window{Seq: 1, StartMs: 9_000, DurMs: 100}
+	head.Ops[ClassPut], head.Errs[ClassPut] = 50, 1
+	mid := Window{Seq: 1, StartMs: 9_000, DurMs: 100}
+	mid.Ops[ClassOther], mid.Errs[ClassOther] = 50, 3
+	tail := Window{Seq: 1, StartMs: 9_000, DurMs: 100}
+	tail.Ops[ClassGet], tail.Ops[ClassOther] = 50, 50
+	a.Report(nodeSnap("n1", "s0", 1, head), nodeSnap("n2", "s0", 2, mid), nodeSnap("n3", "s0", 3, tail))
+	sv := a.Cluster().Shards[0]
+	if sv.OpsPerSec != 1000 || sv.ReadFrac != 0.5 || sv.ErrPerSec != 10 {
+		t.Fatalf("ops/s %v, read frac %v, err/s %v; want 1000, 0.5, 10", sv.OpsPerSec, sv.ReadFrac, sv.ErrPerSec)
+	}
+	if got := sv.ClassRates[ClassOther]; got != 1000 {
+		t.Fatalf("replication rate %v, want 1000", got)
+	}
+}
+
 func TestAggregatorStaleNode(t *testing.T) {
 	clk := &testClock{t: time.UnixMilli(0)}
 	a := NewAggregator(AggregatorOptions{Now: clk.now, StaleAfter: 500 * time.Millisecond})

@@ -3,21 +3,23 @@ package telemetry
 import (
 	"testing"
 	"time"
+
+	"bespokv/internal/metrics"
 )
 
 // latWindow builds a sealed window with good ops at ~1ms and bad ops at
 // ~100ms for ClassGet.
 func latWindow(seq uint64, startMs int64, good, bad int64) Window {
-	var h hist
+	var h metrics.Histogram
 	for i := int64(0); i < good; i++ {
-		h.observe(time.Millisecond)
+		h.Observe(time.Millisecond)
 	}
 	for i := int64(0); i < bad; i++ {
-		h.observe(100 * time.Millisecond)
+		h.Observe(100 * time.Millisecond)
 	}
 	w := Window{Seq: seq, StartMs: startMs, DurMs: 100}
 	w.Ops[ClassGet] = good + bad
-	w.Lat[ClassGet] = deltaHist(h.capture(), histCapture{})
+	w.Lat[ClassGet] = deltaHist(&h, new(metrics.Histogram))
 	return w
 }
 
@@ -31,7 +33,7 @@ func errWindow(seq uint64, startMs int64, ops, errs int64) Window {
 func getObjective() Objective {
 	return Objective{
 		Name: "get-p99", Class: ClassGet, Quantile: 0.99,
-		Threshold: 10 * time.Millisecond,
+		Threshold:   10 * time.Millisecond,
 		FastWindows: 2, SlowWindows: 4, BurnThreshold: 2,
 		HoldWindows: 2, ClearWindows: 2,
 	}

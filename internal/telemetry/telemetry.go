@@ -7,10 +7,10 @@
 // /clusterz and rendered by `bespokv-cli top`. It is the signal source the
 // workload autopilot (ROADMAP item 5) will act on.
 //
-// Recording contract: Record and Touch are safe for concurrent use and
-// allocation-free in steady state (Touch allocates only when the sketch
+// Recording contract: RecordOp, Count and Touch are safe for concurrent use
+// and allocation-free in steady state (Touch allocates only when the sketch
 // admits a brand-new key, which is bounded by the sketch capacity and the
-// eviction rate). Roll, Snapshot and everything downstream are control-path.
+// eviction rate). Snapshot and everything downstream are control-path.
 package telemetry
 
 import (
@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bespokv/internal/metrics"
 	"bespokv/internal/wire"
 )
 
@@ -72,11 +73,6 @@ func (c Class) Read() bool {
 	return false
 }
 
-// Write reports whether the class is a client write.
-func (c Class) Write() bool {
-	return c == ClassPut || c == ClassDel || c == ClassMPut
-}
-
 // ClassOf maps a wire op to its accounting class. Internal ops (chain,
 // repl, handoff, epoch leases, exports) map to ClassOther.
 func ClassOf(op wire.Op) Class {
@@ -100,50 +96,6 @@ func ClassOf(op wire.Op) Class {
 	}
 }
 
-// Latency histogram layout: logarithmic µs buckets, 25 exponents
-// (1µs .. ~17s) × 4 sub-buckets, so quantile resolution is ~25% — tight
-// enough for burn-rate math against bucket-aligned thresholds while keeping
-// a window capture at 100 int64s.
-const (
-	latExps    = 25
-	latSubs    = 4
-	latBuckets = latExps * latSubs
-)
-
-func latBucketOf(d time.Duration) int {
-	us := d.Microseconds()
-	if us < 1 {
-		us = 1
-	}
-	exp := bits.Len64(uint64(us)) - 1
-	if exp >= latExps {
-		exp = latExps - 1
-	}
-	base := int64(1) << exp
-	sub := int((us - base) * latSubs / base)
-	if sub >= latSubs {
-		sub = latSubs - 1
-	}
-	return exp*latSubs + sub
-}
-
-// latBucketLower returns the inclusive lower bound of bucket b.
-func latBucketLower(b int) time.Duration {
-	exp := b / latSubs
-	sub := b % latSubs
-	base := int64(1) << exp
-	return time.Duration(base+base*int64(sub)/latSubs) * time.Microsecond
-}
-
-// latBucketMid returns the midpoint of bucket b, used for quantiles.
-func latBucketMid(b int) time.Duration {
-	exp := b / latSubs
-	sub := b % latSubs
-	base := int64(1) << exp
-	us := base + base*int64(sub)/latSubs + base/(2*latSubs)
-	return time.Duration(us) * time.Microsecond
-}
-
 // Size histogram layout: one bucket per power of two, 1B .. 16MB+.
 const sizeBuckets = 25
 
@@ -158,45 +110,6 @@ func sizeBucketOf(n int) int {
 	return b
 }
 
-// hist is the live (hot-path) latency histogram: lock-free atomic buckets.
-type hist struct {
-	buckets [latBuckets]atomic.Int64
-	count   atomic.Int64
-	sum     atomic.Int64 // nanoseconds
-	max     atomic.Int64
-}
-
-func (h *hist) observe(d time.Duration) {
-	h.buckets[latBucketOf(d)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(int64(d))
-	for {
-		cur := h.max.Load()
-		if int64(d) <= cur || h.max.CompareAndSwap(cur, int64(d)) {
-			break
-		}
-	}
-}
-
-// histCapture is a plain-int64 copy of a hist, used for window deltas.
-type histCapture struct {
-	buckets [latBuckets]int64
-	count   int64
-	sum     int64
-	max     int64
-}
-
-func (h *hist) capture() histCapture {
-	var c histCapture
-	for i := range h.buckets {
-		c.buckets[i] = h.buckets[i].Load()
-	}
-	c.count = h.count.Load()
-	c.sum = h.sum.Load()
-	c.max = h.max.Load()
-	return c
-}
-
 // HistSnapshot is the wire form of a histogram (cumulative or window
 // delta): sparse [bucket, count] pairs sorted by bucket index.
 type HistSnapshot struct {
@@ -206,22 +119,22 @@ type HistSnapshot struct {
 	Buckets [][2]int64 `json:"buckets,omitempty"`
 }
 
-// delta builds the sparse snapshot of cur - prev.
-func deltaHist(cur, prev histCapture) HistSnapshot {
+// deltaHist builds the sparse snapshot of cur - prev.
+func deltaHist(cur, prev *metrics.Histogram) HistSnapshot {
 	s := HistSnapshot{
-		Count: cur.count - prev.count,
-		SumNs: cur.sum - prev.sum,
-		MaxNs: cur.max, // max is cumulative; good enough for window display
+		Count: cur.Count() - prev.Count(),
+		SumNs: int64(cur.Sum() - prev.Sum()),
+		MaxNs: int64(cur.Max()), // max is cumulative; good enough for window display
 	}
-	for i := range cur.buckets {
-		if d := cur.buckets[i] - prev.buckets[i]; d != 0 {
+	for i := 0; i < metrics.HistBuckets; i++ {
+		if d := cur.Bucket(i) - prev.Bucket(i); d != 0 {
 			s.Buckets = append(s.Buckets, [2]int64{int64(i), d})
 		}
 	}
 	return s
 }
 
-// Merge adds o into h (bucket-wise).
+// Merge adds o into h bucket-wise: one pass over the two sorted lists.
 func (h *HistSnapshot) Merge(o HistSnapshot) {
 	h.Count += o.Count
 	h.SumNs += o.SumNs
@@ -231,19 +144,19 @@ func (h *HistSnapshot) Merge(o HistSnapshot) {
 	if len(o.Buckets) == 0 {
 		return
 	}
-	merged := make(map[int64]int64, len(h.Buckets)+len(o.Buckets))
-	for _, b := range h.Buckets {
-		merged[b[0]] += b[1]
-	}
-	for _, b := range o.Buckets {
-		merged[b[0]] += b[1]
-	}
-	h.Buckets = h.Buckets[:0]
-	for i := int64(0); i < latBuckets; i++ {
-		if n := merged[i]; n != 0 {
-			h.Buckets = append(h.Buckets, [2]int64{i, n})
+	a, b := h.Buckets, o.Buckets
+	out := make([][2]int64, 0, len(a)+len(b))
+	for len(a) > 0 || len(b) > 0 {
+		switch {
+		case len(b) == 0 || len(a) > 0 && a[0][0] < b[0][0]:
+			out, a = append(out, a[0]), a[1:]
+		case len(a) == 0 || b[0][0] < a[0][0]:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, [2]int64{a[0][0], a[0][1] + b[0][1]}), a[1:], b[1:]
 		}
 	}
+	h.Buckets = out
 }
 
 // Quantile returns the approximate q-quantile (q clamped to (0,1]).
@@ -266,27 +179,19 @@ func (h HistSnapshot) Quantile(q float64) time.Duration {
 	for _, b := range h.Buckets {
 		cum += b[1]
 		if cum >= target {
-			return latBucketMid(int(b[0]))
+			return metrics.BucketMid(int(b[0]))
 		}
 	}
 	return time.Duration(h.MaxNs)
 }
 
-// Mean returns the average of the captured observations.
-func (h HistSnapshot) Mean() time.Duration {
-	if h.Count == 0 {
-		return 0
-	}
-	return time.Duration(h.SumNs / h.Count)
-}
-
 // CountAbove returns how many observations fell in buckets whose lower
 // bound is at or above d — the burn-rate "bad event" count. Resolution is
-// one sub-bucket (~25%); choose SLO thresholds accordingly.
+// one sub-bucket (1/8 of a power of two); choose SLO thresholds accordingly.
 func (h HistSnapshot) CountAbove(d time.Duration) int64 {
 	var n int64
 	for _, b := range h.Buckets {
-		if latBucketLower(int(b[0])) >= d {
+		if metrics.BucketLower(int(b[0])) >= d {
 			n += b[1]
 		}
 	}
@@ -308,16 +213,6 @@ type Window struct {
 	// path (see metrics.SampleLatency), so Lat counts are a uniform subset
 	// of Ops; rates use Ops, distributions use Lat.
 	Lat [ClassCount]HistSnapshot `json:"lat"`
-}
-
-// Empty reports whether the window recorded no operations at all.
-func (w Window) Empty() bool {
-	for _, n := range w.Ops {
-		if n != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Info identifies the reporting process for a snapshot; the recorder itself
@@ -368,30 +263,29 @@ func newBootID() uint64 {
 type Options struct {
 	// Interval is the window width (default 1s).
 	Interval time.Duration
-	// SketchCap bounds the hot-key sketch (default 64 entries).
-	SketchCap int
 	// SketchSample touches the sketch for 1-in-N recorded keys, with
 	// weight N, to keep mutex pressure off the hot path (default 4;
 	// tests use 1 for exact counts).
 	SketchSample int
-	// BootID overrides the generated boot identity (tests).
-	BootID uint64
 	// Start anchors the first window (default time.Now at construction).
 	Start time.Time
 }
 
-// Recorder accumulates one process's workload stats. Record and Touch are
-// the hot path; Roll and Snapshot are control-path.
+// Recorder is the per-op record of one server or client, the one thing a
+// hop's epilogue stamps: per wire op a count, errors and a latency
+// histogram, plus sizes and hot keys of client-entry ops. Windows and
+// snapshots derive classes through the recorder's Layer.
 type Recorder struct {
+	layer    *Layer
 	interval time.Duration
 	bootID   uint64
 	sketch   *Sketch
 	sampleN  uint32
 	tick     atomic.Uint32
 
-	ops  [ClassCount]atomic.Int64
-	errs [ClassCount]atomic.Int64
-	lat  [ClassCount]hist
+	ops  [wire.OpMax + 1]atomic.Int64
+	errs [wire.OpMax + 1]atomic.Int64
+	lat  [wire.OpMax + 1]metrics.Histogram
 
 	keySizes [sizeBuckets]atomic.Int64
 	valSizes [sizeBuckets]atomic.Int64
@@ -399,69 +293,55 @@ type Recorder struct {
 	mu       sync.Mutex
 	seq      uint64
 	winStart time.Time
-	prev     [ClassCount]histCapture
+	prevLat  [ClassCount]*metrics.Histogram
 	prevOps  [ClassCount]int64
 	prevErrs [ClassCount]int64
 	windows  []Window
 }
 
-// NewRecorder returns a recorder sealing windows every opts.Interval.
-func NewRecorder(opts Options) *Recorder {
+func newRecorder(l *Layer, opts Options) *Recorder {
 	if opts.Interval <= 0 {
 		opts.Interval = time.Second
-	}
-	if opts.SketchCap <= 0 {
-		opts.SketchCap = 64
 	}
 	if opts.SketchSample <= 0 {
 		opts.SketchSample = 4
 	}
-	if opts.BootID == 0 {
-		opts.BootID = newBootID()
-	}
 	if opts.Start.IsZero() {
 		opts.Start = time.Now()
 	}
-	return &Recorder{
+	r := &Recorder{
+		layer:    l,
 		interval: opts.Interval,
-		bootID:   opts.BootID,
-		sketch:   NewSketch(opts.SketchCap),
+		bootID:   newBootID(),
+		sketch:   NewSketch(64),
 		sampleN:  uint32(opts.SketchSample),
 		winStart: opts.Start,
 	}
+	for c := range r.prevLat {
+		r.prevLat[c] = new(metrics.Histogram)
+	}
+	return r
 }
 
-// Interval returns the window width.
-func (r *Recorder) Interval() time.Duration { return r.interval }
-
-// Record accounts one operation: class counters always; key/value sizes
-// when the lengths are >= 0; latency when d >= 0 (callers pass -1 for
-// unsampled ops, mirroring the metrics latency-sampling contract).
-func (r *Recorder) Record(class Class, keyLen, valLen int, d time.Duration, isErr bool) {
-	if class >= ClassCount {
-		class = ClassOther
+// Count accounts one op by its code alone: its counter, and its latency
+// when it was timed (d >= 0; callers pass -1 for unsampled ops, see
+// metrics.SampleLatency). It is the whole record of a client op. An op code
+// off the table is counted as NOP.
+func (r *Recorder) Count(op wire.Op, d time.Duration) {
+	if op > wire.OpMax {
+		op = wire.OpNop
 	}
-	r.ops[class].Add(1)
-	if isErr {
-		r.errs[class].Add(1)
-	}
-	if keyLen >= 0 {
-		r.keySizes[sizeBucketOf(keyLen)].Add(1)
-	}
-	if valLen >= 0 {
-		r.valSizes[sizeBucketOf(valLen)].Add(1)
-	}
+	r.ops[op].Add(1)
 	if d >= 0 {
-		r.lat[class].observe(d)
+		r.lat[op].Observe(d)
 	}
 }
 
-// RecordOp accounts one answered frame, the epilogue of a hop: the class
-// counter always (internal replication ops collapse to ClassOther), latency
-// when the op was timed (d >= 0), and for client-entry classes the key and
-// value sizes plus a hot-key sketch touch per key — a multi-op frame is one
-// op of its class and one size sample and touch per pair, whether a controlet
-// answered it (ClassMGet, ClassMPut) or a datalet did directly
+// RecordOp accounts one answered frame, the epilogue of a hop: Count, an
+// error when the answer spent the availability budget, and for client-entry
+// classes the key and value sizes plus a hot-key sketch touch per key — a
+// multi-op frame is one op and one size sample and touch per pair, whether a
+// controlet answered it (ClassMGet, ClassMPut) or a datalet did directly
 // (ClassDirectGet). All of it is atomics plus a sampled sketch touch.
 //
 // Err, Unavailable and Overloaded answers spend the availability budget — the
@@ -469,22 +349,27 @@ func (r *Recorder) Record(class Class, keyLen, valLen int, d time.Duration, isEr
 // WrongEpoch does not: it is a routing miss that heals through the controlet
 // fallback.
 func (r *Recorder) RecordOp(req *wire.Request, resp *wire.Response, d time.Duration) {
-	class := ClassOf(req.Op)
-	isErr := resp.Status == wire.StatusErr || resp.Status == wire.StatusUnavailable ||
-		resp.Status == wire.StatusOverloaded
-	keyLen, valLen := -1, -1
-	switch class {
-	case ClassGet:
-		keyLen, valLen = len(req.Key), len(resp.Value)
-	case ClassPut:
-		keyLen, valLen = len(req.Key), len(req.Value)
-	case ClassDel, ClassScan:
-		keyLen = len(req.Key)
+	op := req.Op
+	if op > wire.OpMax {
+		op = wire.OpNop
 	}
-	r.Record(class, keyLen, valLen, d, isErr)
-	switch class {
-	case ClassGet, ClassPut, ClassDel:
+	r.Count(op, d)
+	if resp.Status == wire.StatusErr || resp.Status == wire.StatusUnavailable ||
+		resp.Status == wire.StatusOverloaded {
+		r.errs[op].Add(1)
+	}
+	switch class := r.layer.classOf[op]; class {
+	case ClassGet:
+		r.recordKV(len(req.Key), len(resp.Value))
 		r.Touch(req.Key)
+	case ClassPut:
+		r.recordKV(len(req.Key), len(req.Value))
+		r.Touch(req.Key)
+	case ClassDel:
+		r.recordKV(len(req.Key), -1)
+		r.Touch(req.Key)
+	case ClassScan:
+		r.recordKV(len(req.Key), -1) // a range start is not a key access
 	case ClassMGet, ClassDirectGet, ClassMPut:
 		for i := range req.Pairs {
 			kv := &req.Pairs[i]
@@ -492,18 +377,15 @@ func (r *Recorder) RecordOp(req *wire.Request, resp *wire.Response, d time.Durat
 			if class == ClassMPut {
 				valLen = len(kv.Value)
 			}
-			r.RecordKV(len(kv.Key), valLen)
+			r.recordKV(len(kv.Key), valLen)
 			r.Touch(kv.Key)
 		}
 	}
 }
 
-// RecordKV accounts one key/value pair's sizes without counting an op —
-// multi-op frames call Record once for the frame and RecordKV per pair.
-func (r *Recorder) RecordKV(keyLen, valLen int) {
-	if keyLen >= 0 {
-		r.keySizes[sizeBucketOf(keyLen)].Add(1)
-	}
+// recordKV accounts one key/value pair's sizes; a negative length is none.
+func (r *Recorder) recordKV(keyLen, valLen int) {
+	r.keySizes[sizeBucketOf(keyLen)].Add(1)
 	if valLen >= 0 {
 		r.valSizes[sizeBucketOf(valLen)].Add(1)
 	}
@@ -519,15 +401,9 @@ func (r *Recorder) Touch(key []byte) {
 	r.sketch.Touch(key, int64(n))
 }
 
-// Roll seals every window whose interval has fully elapsed by now. Deltas
-// are computed against the previous capture, so ops during an idle gap that
-// skipped ahead land in the first window sealed after the gap.
-func (r *Recorder) Roll(now time.Time) {
-	r.mu.Lock()
-	r.rollLocked(now)
-	r.mu.Unlock()
-}
-
+// rollLocked seals every window whose interval has fully elapsed by now.
+// Deltas are computed against the previous capture, so ops during an idle
+// gap that skipped ahead land in the first window sealed after the gap.
 func (r *Recorder) rollLocked(now time.Time) {
 	// Fast-forward across long idle gaps: seal at most maxWindows windows
 	// per roll, dropping the unobserved span (its deltas are zero anyway).
@@ -535,23 +411,29 @@ func (r *Recorder) rollLocked(now time.Time) {
 		skip := (behind - time.Duration(maxWindows)*r.interval) / r.interval
 		r.winStart = r.winStart.Add(skip * r.interval)
 	}
+	if now.Before(r.winStart.Add(r.interval)) {
+		return
+	}
+	var lat [ClassCount]*metrics.Histogram
+	for c := range lat {
+		lat[c] = new(metrics.Histogram)
+	}
+	for op := range r.lat {
+		lat[r.layer.classOf[op]].Merge(&r.lat[op])
+	}
+	ops, errs := r.totals()
 	for !now.Before(r.winStart.Add(r.interval)) {
 		w := Window{
 			Seq:     r.seq + 1,
 			StartMs: r.winStart.UnixMilli(),
 			DurMs:   r.interval.Milliseconds(),
 		}
-		for c := 0; c < int(ClassCount); c++ {
-			cur := r.lat[c].capture()
-			w.Lat[c] = deltaHist(cur, r.prev[c])
-			r.prev[c] = cur
-			ops := r.ops[c].Load()
-			errs := r.errs[c].Load()
-			w.Ops[c] = ops - r.prevOps[c]
-			w.Errs[c] = errs - r.prevErrs[c]
-			r.prevOps[c] = ops
-			r.prevErrs[c] = errs
+		for c := range lat {
+			w.Lat[c] = deltaHist(lat[c], r.prevLat[c])
+			w.Ops[c] = ops[c] - r.prevOps[c]
+			w.Errs[c] = errs[c] - r.prevErrs[c]
 		}
+		r.prevLat, r.prevOps, r.prevErrs = lat, ops, errs
 		r.seq++
 		r.windows = append(r.windows, w)
 		if len(r.windows) > maxWindows {
@@ -573,14 +455,21 @@ func (r *Recorder) Snapshot(now time.Time, info Info) NodeSnapshot {
 		Windows:    append([]Window(nil), r.windows...),
 	}
 	r.mu.Unlock()
-	for c := 0; c < int(ClassCount); c++ {
-		snap.TotalOps[c] = r.ops[c].Load()
-		snap.TotalErrs[c] = r.errs[c].Load()
-	}
+	snap.TotalOps, snap.TotalErrs = r.totals()
 	for i := 0; i < sizeBuckets; i++ {
 		snap.KeySizes[i] = r.keySizes[i].Load()
 		snap.ValSizes[i] = r.valSizes[i].Load()
 	}
 	snap.HotKeys = r.sketch.TopK(16)
 	return snap
+}
+
+// totals sums the per-op counters into the recorder's classes.
+func (r *Recorder) totals() (ops, errs [ClassCount]int64) {
+	for op := range r.ops {
+		c := r.layer.classOf[op]
+		ops[c] += r.ops[op].Load()
+		errs[c] += r.errs[op].Load()
+	}
+	return ops, errs
 }

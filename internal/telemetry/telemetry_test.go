@@ -2,11 +2,24 @@ package telemetry
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"bespokv/internal/metrics"
 	"bespokv/internal/wire"
 )
+
+// newTestRecorder returns a recorder that classes ops as a controlet's does.
+func newTestRecorder(opts Options) *Recorder { return newRecorder(controletClasses, opts) }
+
+var controletClasses = newLayer(ClassOf)
+
+// record accounts one answered frame for op with the given status.
+func record(r *Recorder, op wire.Op, status wire.Status, d time.Duration) {
+	r.RecordOp(&wire.Request{Op: op, Key: []byte("key-0001")}, &wire.Response{Status: status}, d)
+}
 
 func TestClassOf(t *testing.T) {
 	cases := map[wire.Op]Class{
@@ -26,47 +39,23 @@ func TestClassOf(t *testing.T) {
 			t.Errorf("ClassOf(%v) = %v, want %v", op, got, want)
 		}
 	}
-	if !ClassGet.Read() || ClassPut.Read() || !ClassPut.Write() || ClassGet.Write() {
-		t.Fatal("read/write classification wrong")
+	if !ClassGet.Read() || ClassPut.Read() {
+		t.Fatal("read classification wrong")
 	}
 	if !ClassDirectGet.Read() {
 		t.Fatal("direct-get must count as a read")
 	}
 }
 
-func TestLatBuckets(t *testing.T) {
-	for _, d := range []time.Duration{
-		0, time.Microsecond, 3 * time.Microsecond, time.Millisecond,
-		5 * time.Millisecond, time.Second, 20 * time.Second, time.Hour,
-	} {
-		b := latBucketOf(d)
-		if b < 0 || b >= latBuckets {
-			t.Fatalf("bucket %d out of range for %v", b, d)
-		}
-		lo := latBucketLower(b)
-		if d >= time.Microsecond && d < 17*time.Second {
-			if d < lo {
-				t.Errorf("%v below its bucket lower bound %v", d, lo)
-			}
-		}
-	}
-	// Monotone lower bounds.
-	for b := 1; b < latBuckets; b++ {
-		if latBucketLower(b) < latBucketLower(b-1) {
-			t.Fatalf("lower bounds not monotone at %d", b)
-		}
-	}
-}
-
 func TestHistSnapshotQuantileAndCountAbove(t *testing.T) {
-	var h hist
+	var h metrics.Histogram
 	for i := 0; i < 90; i++ {
-		h.observe(1 * time.Millisecond)
+		h.Observe(1 * time.Millisecond)
 	}
 	for i := 0; i < 10; i++ {
-		h.observe(100 * time.Millisecond)
+		h.Observe(100 * time.Millisecond)
 	}
-	s := deltaHist(h.capture(), histCapture{})
+	s := deltaHist(&h, new(metrics.Histogram))
 	if s.Count != 100 {
 		t.Fatalf("count = %d", s.Count)
 	}
@@ -89,15 +78,21 @@ func TestHistSnapshotQuantileAndCountAbove(t *testing.T) {
 	if m.Count != 200 || m.CountAbove(50*time.Millisecond) != 20 {
 		t.Errorf("merge: count=%d above=%d", m.Count, m.CountAbove(50*time.Millisecond))
 	}
+	// Interleaved lists merge in order, equal buckets summed.
+	x := HistSnapshot{Buckets: [][2]int64{{1, 1}, {5, 2}}}
+	x.Merge(HistSnapshot{Buckets: [][2]int64{{3, 1}, {5, 1}, {9, 4}}})
+	if got := fmt.Sprint(x.Buckets); got != "[[1 1] [3 1] [5 3] [9 4]]" {
+		t.Errorf("merged buckets %s", got)
+	}
 }
 
 func TestRecorderWindows(t *testing.T) {
 	start := time.UnixMilli(1_000_000)
-	r := NewRecorder(Options{Interval: time.Second, SketchSample: 1, Start: start})
+	r := newTestRecorder(Options{Interval: time.Second, SketchSample: 1, Start: start})
 
-	r.Record(ClassGet, 8, 100, 2*time.Millisecond, false)
-	r.Record(ClassGet, 8, 100, -1, false)
-	r.Record(ClassPut, 8, 256, 5*time.Millisecond, true)
+	record(r, wire.OpGet, wire.StatusOK, 2*time.Millisecond)
+	record(r, wire.OpGet, wire.StatusOK, -1)
+	record(r, wire.OpPut, wire.StatusErr, 5*time.Millisecond)
 
 	// Nothing sealed before the interval elapses.
 	snap := r.Snapshot(start.Add(500*time.Millisecond), Info{Node: "n1", Shard: "s0"})
@@ -129,12 +124,12 @@ func TestRecorderWindows(t *testing.T) {
 	if len(snap.Windows) != 2 {
 		t.Fatalf("want 2 windows, got %d", len(snap.Windows))
 	}
-	if !snap.Windows[1].Empty() || snap.Windows[1].Seq != 2 {
+	if snap.Windows[1].Ops != ([ClassCount]int64{}) || snap.Windows[1].Seq != 2 {
 		t.Fatalf("second window should be empty: %+v", snap.Windows[1])
 	}
 
 	// Ops in the third interval land in the third window only.
-	r.Record(ClassGet, 8, 0, time.Millisecond, false)
+	record(r, wire.OpGet, wire.StatusOK, time.Millisecond)
 	snap = r.Snapshot(start.Add(3100*time.Millisecond), Info{Node: "n1"})
 	if got := snap.Windows[2].Ops[ClassGet]; got != 1 {
 		t.Fatalf("third window get ops = %d", got)
@@ -143,8 +138,8 @@ func TestRecorderWindows(t *testing.T) {
 
 func TestRecorderIdleGapFastForward(t *testing.T) {
 	start := time.UnixMilli(0)
-	r := NewRecorder(Options{Interval: time.Second, Start: start})
-	r.Record(ClassGet, 4, 4, time.Millisecond, false)
+	r := newTestRecorder(Options{Interval: time.Second, Start: start})
+	record(r, wire.OpGet, wire.StatusOK, time.Millisecond)
 	// An hour of idleness must not seal 3600 windows.
 	snap := r.Snapshot(start.Add(time.Hour), Info{Node: "n1"})
 	if len(snap.Windows) > maxWindows {
@@ -165,8 +160,8 @@ func TestRecorderIdleGapFastForward(t *testing.T) {
 
 func TestRecorderSeqAndBootID(t *testing.T) {
 	start := time.UnixMilli(0)
-	r1 := NewRecorder(Options{Interval: time.Second, Start: start})
-	r2 := NewRecorder(Options{Interval: time.Second, Start: start})
+	r1 := newTestRecorder(Options{Interval: time.Second, Start: start})
+	r2 := newTestRecorder(Options{Interval: time.Second, Start: start})
 	if r1.Snapshot(start, Info{}).BootID == r2.Snapshot(start, Info{}).BootID {
 		t.Fatal("boot IDs must differ between recorder instances")
 	}
@@ -179,13 +174,15 @@ func TestRecorderSeqAndBootID(t *testing.T) {
 }
 
 func TestRecordZeroAllocTelemetry(t *testing.T) {
-	r := NewRecorder(Options{Interval: time.Hour, SketchSample: 1})
+	r := newTestRecorder(Options{Interval: time.Hour, SketchSample: 1})
 	key := []byte("warm-key")
 	r.Touch(key) // admit the key so steady-state touches hit the map
+	req := wire.Request{Op: wire.OpGet, Key: key}
+	resp := wire.Response{Value: make([]byte, 128)}
 	if n := testing.AllocsPerRun(1000, func() {
-		r.Record(ClassGet, 8, 128, 250*time.Microsecond, false)
+		r.RecordOp(&req, &resp, 250*time.Microsecond)
 	}); n != 0 {
-		t.Fatalf("Record allocates %.1f/op", n)
+		t.Fatalf("RecordOp allocates %.1f/op", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() {
 		r.Touch(key)
@@ -194,18 +191,26 @@ func TestRecordZeroAllocTelemetry(t *testing.T) {
 	}
 }
 
+// BenchmarkTelemetryRecord times the whole hop epilogue of a GET: RecordOp
+// with the sampling ServeConn applies, timed 1 in metrics.SampleLatency.
 func BenchmarkTelemetryRecord(b *testing.B) {
-	r := NewRecorder(Options{Interval: time.Hour})
+	r := newTestRecorder(Options{Interval: time.Hour})
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
+		req := wire.Request{Op: wire.OpGet, Key: []byte("key-0001")}
+		resp := wire.Response{Value: make([]byte, 128)}
 		for pb.Next() {
-			r.Record(ClassGet, 8, 128, 250*time.Microsecond, false)
+			d := time.Duration(-1)
+			if metrics.SampleLatency() {
+				d = 250 * time.Microsecond
+			}
+			r.RecordOp(&req, &resp, d)
 		}
 	})
 }
 
 func BenchmarkSketchTouch(b *testing.B) {
-	r := NewRecorder(Options{Interval: time.Hour, SketchSample: 4})
+	r := newTestRecorder(Options{Interval: time.Hour, SketchSample: 4})
 	keys := make([][]byte, 32)
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("key-%02d", i))
@@ -249,7 +254,7 @@ func TestRecordOp(t *testing.T) {
 			resp: wire.Response{Status: wire.StatusWrongEpoch}, class: ClassDirectGet, keys: 1, touched: "a"},
 		{name: "chain put", req: wire.Request{Op: wire.OpChainPut, Key: []byte("k"), Value: []byte("v")}, class: ClassOther},
 	} {
-		r := NewRecorder(Options{Interval: time.Hour, SketchSample: 1})
+		r := newTestRecorder(Options{Interval: time.Hour, SketchSample: 1})
 		r.RecordOp(&tc.req, &tc.resp, time.Millisecond)
 		snap := r.Snapshot(time.Now(), Info{})
 		if snap.TotalOps[tc.class] != 1 {
@@ -276,5 +281,78 @@ func TestRecordOp(t *testing.T) {
 			t.Errorf("%s: %d key sizes, %d value sizes, %d touches (%v), want %d, %d, %d incl. %q",
 				tc.name, keys, vals, touches, snap.HotKeys, tc.keys, tc.vals, wantTouches, tc.touched)
 		}
+	}
+}
+
+// A layer's class table decides a window's classes; its series sum the live
+// recorders and keep what closed ones counted.
+func TestLayerTableAndRetiredTotals(t *testing.T) {
+	l := NewLayer("layertest", func(op wire.Op) Class {
+		if op == wire.OpDirectGet {
+			return ClassDirectGet
+		}
+		return ClassOther
+	})
+	r1 := l.NewRecorder(Options{Interval: time.Hour, SketchSample: 1})
+	record(r1, wire.OpGet, wire.StatusOK, time.Millisecond)
+	r1.RecordOp(&wire.Request{Op: wire.OpDirectGet, Pairs: []wire.KV{{Key: []byte("d")}}}, &wire.Response{}, -1)
+	snap := r1.Snapshot(time.Now(), Info{})
+	if snap.TotalOps[ClassOther] != 1 || snap.TotalOps[ClassDirectGet] != 1 || snap.TotalOps[ClassGet] != 0 {
+		t.Fatalf("classes by the layer's table: %v", snap.TotalOps)
+	}
+	if len(snap.HotKeys) != 1 || snap.HotKeys[0].Key != "d" {
+		t.Fatalf("only the direct read is a client-entry key access: %v", snap.HotKeys)
+	}
+
+	r2 := l.NewRecorder(Options{Interval: time.Hour})
+	record(r2, wire.OpGet, wire.StatusOK, -1)
+	for _, close := range []func(){func() {}, r1.Close, r1.Close} {
+		close()
+		if n, h := l.count(wire.OpGet), l.latency(wire.OpGet); n != 2 || h.Count() != 1 {
+			t.Fatalf("layer GET count %d, latency count %d; want 2, 1", n, h.Count())
+		}
+	}
+	var prom strings.Builder
+	if err := metrics.Default.WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# TYPE bespokv_layertest_ops_total counter\n",
+		"\nbespokv_layertest_ops_total{op=\"GET\"} 2\n",
+		"\nbespokv_layertest_op_seconds_count{op=\"GET\"} 1\n",
+	} {
+		if !strings.Contains(prom.String(), want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+}
+
+// Recording, scrapes and a Close at once: the layer's totals come out exact.
+func TestLayerConcurrentScrapeAndClose(t *testing.T) {
+	l := newLayer(ClassOf)
+	rs := []*Recorder{l.NewRecorder(Options{}), l.NewRecorder(Options{})}
+	var wg sync.WaitGroup
+	for _, r := range rs {
+		wg.Add(1)
+		go func(r *Recorder) {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				record(r, wire.OpGet, wire.StatusOK, time.Microsecond)
+			}
+		}(r)
+	}
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for i := 0; i < 100; i++ {
+			l.count(wire.OpGet)
+			l.latency(wire.OpGet)
+		}
+	}()
+	wg.Wait()
+	rs[0].Close()
+	<-scraped
+	if n, h := l.count(wire.OpGet), l.latency(wire.OpGet); n != 2000 || h.Count() != 2000 {
+		t.Fatalf("layer GET count %d, latency count %d; want 2000 each", n, h.Count())
 	}
 }

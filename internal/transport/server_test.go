@@ -23,10 +23,15 @@ func noFail(t *testing.T) func(error) {
 }
 
 // readEnds reports whether the peer of c closed it: a Read that returns
-// instead of hanging.
+// instead of hanging. It writes a byte first. A TCP handshake can complete
+// at the dialler while the listener's close drops it at the server, which
+// sends nothing: the dialler holds an established socket no server ever
+// had, and only data sent on it draws the reset that ends the Read. A
+// connection the server took and left open swallows the byte and hangs.
 func readEnds(c transport.Conn) bool {
 	done := make(chan struct{})
 	go func() {
+		_, _ = c.Write([]byte{0})
 		_, _ = c.Read(make([]byte, 1))
 		close(done)
 	}()

@@ -14,41 +14,8 @@ import (
 // the pipelined client's so one flush there fits in one read here.
 const ConnBufSize = 64 << 10
 
-// OpMetrics is one layer's per-op counter and latency histogram, resolved
-// once so that the data path never takes the registry's keyed lookup:
-// recording an op is one atomic add, plus a histogram observe when it was
-// timed. The servers' layers are stamped by ServeConn, the client's by the
-// client.
-type OpMetrics struct {
-	count [OpMax + 1]*metrics.Counter
-	lat   [OpMax + 1]*metrics.Histogram
-}
-
-// NewOpMetrics resolves bespokv_<layer>_ops_total{op} and
-// bespokv_<layer>_op_seconds{op} for every op.
-func NewOpMetrics(layer string) *OpMetrics {
-	m := &OpMetrics{}
-	for op := OpNop; op <= OpMax; op++ {
-		m.count[op] = metrics.Default.Counter("bespokv_"+layer+"_ops_total", "op", op.String())
-		m.lat[op] = metrics.Default.Histogram("bespokv_"+layer+"_op_seconds", "op", op.String())
-	}
-	return m
-}
-
-// Record counts one op and, when it was timed (d >= 0), observes its
-// latency. An op code off the table is counted as NOP.
-func (m *OpMetrics) Record(op Op, d time.Duration) {
-	if op > OpMax {
-		op = OpNop
-	}
-	m.count[op].Inc()
-	if d >= 0 {
-		m.lat[op].Observe(d)
-	}
-}
-
 // ConnHandler is what a server plugs into ServeConn: its codec, the handler
-// that answers a request, and the per-op accounting. One value serves every
+// that answers a request, and its per-op record. One value serves every
 // connection of a server, so the funcs are bound once, not per connection.
 type ConnHandler struct {
 	Codec Codec
@@ -60,12 +27,10 @@ type ConnHandler struct {
 	// and reports streamed; ServeConn then sends and records nothing for
 	// the request. An error ends the connection.
 	Handle func(req *Request, resp *Response, w *bufio.Writer) (streamed bool, err error)
-	// Ops, when set, is the layer's per-op count and latency; ServeConn
-	// stamps it once for every request it answers.
-	Ops *OpMetrics
-	// Record, when set, is whatever else the server accounts per answered
-	// request (its workload telemetry). dur is negative when the request was
-	// not timed (latency is sampled, see metrics.SampleLatency).
+	// Record, when set, is the server's per-op record (its
+	// telemetry.Recorder's RecordOp), called once for every request
+	// ServeConn answers. dur is negative when the request was not timed
+	// (latency is sampled, see metrics.SampleLatency).
 	Record func(req *Request, resp *Response, dur time.Duration)
 	// Epoch, when set, reports the server's current cluster-map epoch: a
 	// request stamped with an older one is answered with the current one
@@ -96,11 +61,7 @@ func ServeConn(conn io.ReadWriter, h *ConnHandler) error {
 		}
 		resp.Reset()
 		req.ArmDeadline(time.Now)
-		timed := req.TraceID != 0 || metrics.SampleLatency()
-		var start time.Time
-		if timed {
-			start = time.Now()
-		}
+		start := metrics.Start(req.TraceID != 0)
 		streamed, err := h.Handle(&req, &resp, bw)
 		if err != nil {
 			return nil
@@ -108,15 +69,9 @@ func ServeConn(conn io.ReadWriter, h *ConnHandler) error {
 		if streamed {
 			continue
 		}
-		dur := time.Duration(-1)
-		if timed {
-			dur = time.Since(start)
-			if req.TraceID != 0 {
-				trace.Record(req.TraceID, h.Node, h.Layer+"."+req.Op.String(), start, dur, resp.Err)
-			}
-		}
-		if h.Ops != nil {
-			h.Ops.Record(req.Op, dur)
+		dur := metrics.Since(start)
+		if req.TraceID != 0 {
+			trace.Record(req.TraceID, h.Node, h.Layer+"."+req.Op.String(), start, dur, resp.Err)
 		}
 		if h.Record != nil {
 			h.Record(&req, &resp, dur)

@@ -31,13 +31,26 @@ run() {
 		;;
 
 	# Observability stack: race the metrics registry, trace recorder and
-	# HTTP endpoints (end-to-end cluster test included), enforce the
-	# hot-path contract — Counter.Add and Histogram.Observe stay
-	# allocation-free (TestHotPathZeroAlloc) — and keep the per-op numbers
-	# visible in review output.
+	# HTTP endpoints (end-to-end cluster test included, and the /metrics
+	# series golden: one op of each client kind through a 1x3 cluster, the
+	# same series set, a datalet PUT counted once per replica, no op counter
+	# backwards across a node restart), enforce the hot-path contract —
+	# Counter.Add and Histogram.Observe stay allocation-free
+	# (TestHotPathZeroAlloc) — and keep the per-op numbers visible in review
+	# output. Then the greps that keep one per-op record: no second per-op
+	# metrics type or datalet-private filter under internal/, and no
+	# histogram bucket array outside internal/metrics.
 	obs)
 		$GO test -race ./internal/metrics/... ./internal/trace/... ./internal/obs/...
 		$GO test -run TestHotPathZeroAlloc ./internal/metrics/
+		if grep -rnE --include='*.go' 'OpMetrics|recordDirectGet' internal/; then
+			echo "check.sh: a second per-op record; a hop stamps its telemetry.Recorder" >&2
+			exit 1
+		fi
+		if grep -rnE --include='*.go' '[Bb]uckets? +\[[^]]*\]atomic\.Int64' internal/ | grep -v '^internal/metrics/'; then
+			echo "check.sh: a latency histogram outside internal/metrics; use metrics.Histogram" >&2
+			exit 1
+		fi
 		$GO test -run NONE -bench 'CounterAdd|HistogramObserve' -benchmem ./internal/metrics/
 		;;
 
@@ -45,13 +58,16 @@ run() {
 	# metrics label-cardinality guard, the cluster e2e (skewed workload →
 	# hot shard + hot keys in /clusterz; faultnet delay → SLO
 	# pending→firing→resolved without flapping), and the zero-alloc
-	# Record/Touch contract with its per-op numbers.
+	# RecordOp/Touch contract with its per-op numbers: the whole hop
+	# epilogue (BenchmarkTelemetryRecord) printed beside the controlet's
+	# routed GET it rides on.
 	telemetry)
 		$GO test -race ./internal/telemetry/...
 		$GO test -race -run 'TestLabelCardinality' ./internal/metrics/
 		$GO test -race -run 'TestTelemetryEndToEnd' ./internal/cluster/
 		$GO test -run TestRecordZeroAllocTelemetry ./internal/telemetry/
 		$GO test -run NONE -bench 'TelemetryRecord|SketchTouch' -benchmem ./internal/telemetry/
+		$GO test -run NONE -bench 'Dispatch/ms\+strong/get' -benchmem ./internal/controlet/
 		;;
 
 	# Online shard migration: planner/mover units plus the cluster
