@@ -192,7 +192,6 @@ func New(cfg Config) (*Client, error) {
 	}
 	c := &Client{
 		cfg:    cfg,
-		rec:    clientLayer.NewRecorder(telemetry.Options{}),
 		links:  datalet.NewLinks(cfg.Network, cfg.PoolSize, cfg.OpTimeout),
 		dlinks: datalet.NewLinks(cfg.Network, cfg.PoolSize, cfg.OpTimeout),
 		stopCh: make(chan struct{}),
@@ -211,6 +210,7 @@ func New(cfg Config) (*Client, error) {
 		// A static map's epoch never moves; the lease is perpetual.
 		c.leaseUntil.Store(math.MaxInt64)
 		c.installMap(cfg.StaticMap)
+		c.rec = clientLayer.NewRecorder(telemetry.Options{})
 		return c, nil
 	}
 	coordClient, err := coordinator.DialCoordinator(cfg.Network, cfg.CoordinatorAddr)
@@ -242,6 +242,8 @@ func New(cfg Config) (*Client, error) {
 		c.wg.Add(1)
 		go c.watchLoop()
 	}
+	// The recorder joins its layer last, once New can no longer fail.
+	c.rec = clientLayer.NewRecorder(telemetry.Options{})
 	return c, nil
 }
 

@@ -196,6 +196,32 @@ func TestBucketBoundaries(t *testing.T) {
 	}
 }
 
+// TestBucketLower checks the exported bucket bounds against bucketOf: a
+// value is never below its bucket's lower bound, and the lower bounds and
+// midpoints never fall as the bucket index rises.
+func TestBucketLower(t *testing.T) {
+	for _, d := range []time.Duration{
+		0, time.Microsecond, 3 * time.Microsecond, 999 * time.Microsecond, time.Millisecond,
+		5 * time.Millisecond, 123456 * time.Microsecond, time.Second, 16 * time.Second,
+	} {
+		b := bucketOf(d)
+		if b < 0 || b >= HistBuckets {
+			t.Fatalf("bucket %d out of range for %v", b, d)
+		}
+		if lo := BucketLower(b); d >= time.Microsecond && d < lo {
+			t.Errorf("%v below its bucket's lower bound %v", d, lo)
+		}
+	}
+	for b := 1; b < HistBuckets; b++ {
+		if BucketLower(b) < BucketLower(b-1) || BucketMid(b) < BucketMid(b-1) {
+			t.Fatalf("bounds fall at bucket %d", b)
+		}
+		if BucketMid(b) < BucketLower(b) {
+			t.Errorf("bucket %d midpoint %v below its lower bound %v", b, BucketMid(b), BucketLower(b))
+		}
+	}
+}
+
 func bitsLenRef(v int64) int {
 	n := 0
 	for v > 0 {

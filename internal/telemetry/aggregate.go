@@ -108,10 +108,7 @@ func (a *Aggregator) Report(snaps ...NodeSnapshot) {
 		aggReports.Inc()
 	}
 	aggNodes.Set(int64(len(a.nodes)))
-	var views map[string]*shardMerge
-	if len(a.opts.Objectives) > 0 { // the merge is the SLO engine's input
-		views = a.mergeShardsLocked(now)
-	}
+	views := a.mergeShardsLocked(now)
 	a.mu.Unlock()
 	for shard, v := range views {
 		a.slo.Evaluate(shard, v.windows, now)
