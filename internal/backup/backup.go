@@ -91,7 +91,10 @@ func DumpMap(network transport.Network, m *topology.Map, w io.Writer) (Stats, er
 				tablesSeen[table] = true
 				stats.Tables++
 			}
-			err := cli.Export(table, func(kv wire.KV) error {
+			err := cli.Export(table, 0, func(kv wire.KV, tombstone bool) error {
+				if tombstone {
+					return nil // a backup holds live pairs only
+				}
 				n, err := writePair(bw, table, kv)
 				if err != nil {
 					return err

@@ -100,11 +100,10 @@ func delKey(t *testing.T, cli *client.Client, rec *histcheck.Recorder, k string)
 // the floor, takes a peer's cursor, backfills from that peer's datalet and
 // follows the log again: every replica converges on exactly the written
 // values, with no anti-entropy round helping. The gap holds deletions too,
-// which only the log ever carried: the hash table lists them in a delta
-// export from the version the replica was cut off at, the B-tree cannot, and
-// there the replica sweeps out what its peer no longer has.
+// which only the log ever carried: every engine lists them as tombstones in
+// the peer's export from the version the replica was cut off at.
 func TestAAECPartitionedReplicaRebootstraps(t *testing.T) {
-	for _, engine := range []string{"ht", "btree"} {
+	for _, engine := range []string{"ht", "btree", "lsm", "applog"} {
 		t.Run(engine, func(t *testing.T) { partitionedReplicaRebootstraps(t, engine) })
 	}
 }

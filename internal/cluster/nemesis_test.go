@@ -91,8 +91,10 @@ func engineDump(p *Pair) map[string]string {
 	if e == nil {
 		return m
 	}
-	_ = e.Snapshot(func(kv store.KV) error {
-		m[string(kv.Key)] = string(kv.Value)
+	_ = e.Snapshot(0, func(kv store.KV, tombstone bool) error {
+		if !tombstone {
+			m[string(kv.Key)] = string(kv.Value)
+		}
 		return nil
 	})
 	return m

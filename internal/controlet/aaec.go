@@ -234,14 +234,7 @@ func (a *logApplier) lead(head *appender) {
 type followReq struct {
 	ctlAddr string // the peer's control address; "" = resume at floor
 	floor   uint64 // a peer cursor below this offset is no use
-	done    chan followed
-}
-
-// followed answers a followReq: covered is the version of the last record
-// below the adopted cursor — the peer has applied every record up to it.
-type followed struct {
-	covered uint64
-	err     error
+	done    chan error
 }
 
 // follow repositions the applier at the cursor of the live peer controlet
@@ -257,19 +250,21 @@ type followed struct {
 // peer's floor adjustment, which so far only a replay from offset 0 could
 // reconstruct: from the cursor on, this replica's adj follows the same
 // trajectory as the peer's.
-func (a *logApplier) follow(ctlAddr string, floor uint64) (covered uint64, err error) {
-	req := followReq{ctlAddr: ctlAddr, floor: floor, done: make(chan followed, 1)}
+func (a *logApplier) follow(ctlAddr string, floor uint64) error {
+	req := followReq{ctlAddr: ctlAddr, floor: floor, done: make(chan error, 1)}
 	select {
 	case a.follows <- req:
-		f := <-req.done
-		return f.covered, f.err
+		return <-req.done
 	case <-a.stopCh:
-		return 0, errStopped
+		return errStopped
 	}
 }
 
-// LogCursorReply is a replica's position in its shard's stream; without
-// Positioned the applier is itself waiting for one.
+// LogCursorReply is a replica's position in its shard's stream. Without
+// Positioned a peer must not take it: the applier is itself waiting for a
+// position, or it has one but still owes the gap below it (its catch-up
+// backfill is in flight, so its datalet does not yet hold everything below
+// the cursor).
 type LogCursorReply struct {
 	Stream     string `json:"stream"`
 	Applied    uint64 `json:"applied"`
@@ -368,6 +363,9 @@ func (a *logApplier) applyLoop() {
 		catching = nil
 		if err == nil && owed == catchingFor {
 			owed = 0
+			if positioned {
+				a.publish(stream, next, a.adj.Load(), true) // peers may take it now
+			}
 		}
 	}
 	// resync notices that the map has put this node into another shard (a
@@ -384,11 +382,11 @@ func (a *logApplier) applyLoop() {
 	}
 	serve := func(req followReq) {
 		resync() // the request may be the first the loop hears of a new map
-		at, err := a.reposition(req, stream)
+		at, err := a.reposition(req, stream, owed == 0)
 		if err == nil {
 			next, positioned = at, true
 		}
-		req.done <- followed{cursorVersion(at, a.adj.Load()), err}
+		req.done <- err
 	}
 	a.publish(stream, 0, 0, true)
 	for {
@@ -407,7 +405,7 @@ func (a *logApplier) applyLoop() {
 		if owed != 0 && catching == nil {
 			catching, catchingFor = make(chan error, 1), owed
 			a.s.wg.Add(1)
-			go a.catchUp(logGap{since: missed}, owed, catching)
+			go a.catchUp(missed, owed, catching)
 		}
 		if !positioned {
 			arm(500 * time.Millisecond) // then look at the map again
@@ -450,7 +448,7 @@ func (a *logApplier) applyLoop() {
 			return
 		}
 		next = n
-		a.publish(stream, next, a.adj.Load(), true)
+		a.publish(stream, next, a.adj.Load(), owed == 0)
 		if len(entries) > 0 {
 			// Pace the long-poll so sustained appends coalesce into
 			// batched reads instead of one wake per entry (the paper's
@@ -464,8 +462,9 @@ func (a *logApplier) applyLoop() {
 }
 
 // reposition serves one follow request on the applier goroutine: it
-// publishes the new cursor and returns the offset to read on from.
-func (a *logApplier) reposition(req followReq, stream string) (uint64, error) {
+// publishes the new cursor, offered to peers only when this replica owes no
+// gap, and returns the offset to read on from.
+func (a *logApplier) reposition(req followReq, stream string, offer bool) (uint64, error) {
 	next, adj := req.floor, a.adj.Load()
 	if req.ctlAddr != "" {
 		cur, err := a.peerCursor(req.ctlAddr)
@@ -480,7 +479,7 @@ func (a *logApplier) reposition(req followReq, stream string) (uint64, error) {
 		}
 		next, adj = cur.Applied, cur.Adj
 	}
-	a.publish(stream, next, adj, true)
+	a.publish(stream, next, adj, offer)
 	return next, nil
 }
 
@@ -488,12 +487,12 @@ func (a *logApplier) reposition(req followReq, stream string) (uint64, error) {
 // log's floor: take a live peer's cursor, then backfill from that peer's
 // datalet — what the coordinator drives for a standby (recoverFrom), except
 // that this replica's datalet is not empty but stale: the records it missed
-// include deletions, which a peer's live pairs do not show. So the backfill
-// is the peer's delta from gap.since, the version this replica had applied
-// up to, tombstones included (backfill). It runs beside the applier, which
-// reads on from the cursor meanwhile, and reports on done; a failure is
-// reported only after a pause, which spaces the applier's next attempt.
-func (a *logApplier) catchUp(gap logGap, floor uint64, done chan<- error) {
+// include deletions. So the backfill is the peer's export from since, the
+// version this replica had applied up to, tombstones included. It runs
+// beside the applier, which reads on from the cursor meanwhile, and reports
+// on done; a failure is reported only after a pause, which spaces the
+// applier's next attempt.
+func (a *logApplier) catchUp(since, floor uint64, done chan<- error) {
 	s := a.s
 	defer s.wg.Done()
 	err := func() error {
@@ -504,21 +503,20 @@ func (a *logApplier) catchUp(gap logGap, floor uint64, done chan<- error) {
 				peers = append(peers, n)
 			}
 		}
-		backfill := func(n topology.Node, gap logGap) error {
-			_, err := s.backfill(RecoverArgs{SourceDatalet: n.DataletAddr, Codec: n.DataletCodec}, &gap)
+		backfill := func(n topology.Node) error {
+			_, err := s.backfill(RecoverArgs{SourceDatalet: n.DataletAddr, Codec: n.DataletCodec}, since)
 			return err
 		}
 		var unfilled error
 		for _, n := range peers {
-			covered, err := a.follow(n.ControlAddr, floor)
-			if err != nil {
+			if err := a.follow(n.ControlAddr, floor); err != nil {
 				if errors.Is(err, errStopped) {
 					return err
 				}
 				s.cfg.Logf("controlet %s: %v", s.cfg.NodeID, err)
 				continue
 			}
-			if unfilled = backfill(n, logGap{since: gap.since, upto: covered}); unfilled == nil {
+			if unfilled = backfill(n); unfilled == nil {
 				return nil
 			}
 			// Positioned, but the gap is still owed.
@@ -531,7 +529,7 @@ func (a *logApplier) catchUp(gap logGap, floor uint64, done chan<- error) {
 		// past. No one datalet then holds all of the gap, but together
 		// they do: every record is in its writer's datalet, applied there
 		// before its ack (the cursor call is the barrier for the ones in
-		// flight), deletions as tombstones where the engine can list them.
+		// flight), deletions as tombstones, which every engine keeps.
 		// Take them all, then resume at the floor. What cannot be
 		// recovered is a floor record inside the gap: nobody has applied
 		// it, and the adjustment stays where each replica had it.
@@ -541,12 +539,11 @@ func (a *logApplier) catchUp(gap logGap, floor uint64, done chan<- error) {
 			if _, err := a.peerCursor(n.ControlAddr); err != nil {
 				return err
 			}
-			if err := backfill(n, gap); err != nil {
+			if err := backfill(n); err != nil {
 				return err
 			}
 		}
-		_, err := a.follow("", floor)
-		return err
+		return a.follow("", floor)
 	}()
 	if err != nil && !errors.Is(err, errStopped) {
 		s.cfg.Logf("controlet %s: catching up from a peer: %v", s.cfg.NodeID, err)

@@ -16,6 +16,10 @@ import (
 	"bespokv/internal/rpc"
 	"bespokv/internal/sharedlog"
 	"bespokv/internal/store"
+	"bespokv/internal/store/applog"
+	"bespokv/internal/store/btree"
+	"bespokv/internal/store/ht"
+	"bespokv/internal/store/lsm"
 	"bespokv/internal/topology"
 	"bespokv/internal/transport"
 	"bespokv/internal/wire"
@@ -210,13 +214,24 @@ func TestFramedApplyEqualsEntryApply(t *testing.T) {
 }
 
 // flakyEngine fails its next `fails` Puts, and every Put of a key that
-// starts with refuse (while set).
+// starts with refuse (while set); while hold is set, every Snapshot (an
+// export) waits for it to close.
 type flakyEngine struct {
 	store.Engine
 	fails   atomic.Int32
 	onFail  func()
 	refuse  atomic.Pointer[string]
 	refused atomic.Int32
+	hold    atomic.Pointer[chan struct{}]
+	held    atomic.Int32
+}
+
+func (e *flakyEngine) Snapshot(since uint64, fn func(store.KV, bool) error) error {
+	if h := e.hold.Load(); h != nil {
+		e.held.Add(1)
+		<-*h
+	}
+	return e.Engine.Snapshot(since, fn)
 }
 
 func (e *flakyEngine) Put(key, value []byte, version uint64) (uint64, error) {
@@ -231,11 +246,6 @@ func (e *flakyEngine) Put(key, value []byte, version uint64) (uint64, error) {
 		return 0, errors.New("flaky engine: injected failure")
 	}
 	return e.Engine.Put(key, value, version)
-}
-
-// SnapshotSince keeps the wrapped hash table's delta export visible.
-func (e *flakyEngine) SnapshotSince(since uint64, fn func(store.KV, bool) error) (bool, error) {
-	return e.Engine.(store.DeltaSnapshotter).SnapshotSince(since, fn)
 }
 
 // TestFailedFrameIsRetried: a frame the local datalet does not take is
@@ -298,15 +308,47 @@ func TestFailedFrameIsRetried(t *testing.T) {
 	eventually(t, "the cursor to move on", func() bool { return n1.aaec.applied.Load() > offset.Load()+1 })
 }
 
+// engineKinds are the four datalet engines, each built small enough that
+// a test's writes split the B+-tree leaves and flush and compact the LSM
+// tables.
+var engineKinds = []struct {
+	name string
+	new  func(t *testing.T) store.Engine
+}{
+	{"ht", func(*testing.T) store.Engine { return ht.New() }},
+	{"btree", func(*testing.T) store.Engine { return btree.New() }},
+	{"lsm", func(t *testing.T) store.Engine {
+		e, err := lsm.New(lsm.Options{MemtableBytes: 1 << 12, FanoutLimit: 2, MaxLevels: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}},
+	{"applog", func(t *testing.T) store.Engine {
+		e, err := applog.New(applog.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}},
+}
+
 // TestAllReplicasBehindCatchUp: when every replica's applier has fallen
 // below the log's floor at once, no peer offers a usable cursor — but each
 // record of the gap is still in its writer's datalet. The replicas backfill
 // from each other and resume at the floor; nothing acknowledged is lost,
-// a deletion included: it travels as a tombstone of its writer's datalet.
+// a deletion included: it travels as a tombstone of its writer's datalet,
+// on every engine.
 func TestAllReplicasBehindCatchUp(t *testing.T) {
+	for _, kind := range engineKinds {
+		t.Run(kind.name, func(t *testing.T) { testAllReplicasBehindCatchUp(t, kind.new) })
+	}
+}
+
+func testAllReplicasBehindCatchUp(t *testing.T, newEngine func(*testing.T) store.Engine) {
 	engines := make([]*flakyEngine, 2)
-	sh := startShardOpts(t, aaec, 2, shardOpts{logSegment: 4, engine: func(i int, e store.Engine) store.Engine {
-		engines[i] = &flakyEngine{Engine: e}
+	sh := startShardOpts(t, aaec, 2, shardOpts{logSegment: 4, engine: func(i int, _ store.Engine) store.Engine {
+		engines[i] = &flakyEngine{Engine: newEngine(t)}
 		return engines[i]
 	}})
 	// Each replica's datalet refuses the other's keys: both appliers stall
@@ -370,6 +412,59 @@ func TestAllReplicasBehindCatchUp(t *testing.T) {
 		_, _, ok, _ := sh.datalets[1].Engine("").Get([]byte("after"))
 		return ok
 	})
+}
+
+// TestCatchingUpReplicaOffersNoCursor: a replica that took a peer's cursor
+// but is still backfilling the gap below it does not offer that cursor to a
+// third replica — its datalet does not hold the gap yet, so a replica that
+// followed it would skip those records for good — and offers it once the
+// backfill is in.
+func TestCatchingUpReplicaOffersNoCursor(t *testing.T) {
+	engines := make([]*flakyEngine, 3)
+	sh := startShardOpts(t, aaec, 3, shardOpts{logSegment: 4, engine: func(i int, e store.Engine) store.Engine {
+		engines[i] = &flakyEngine{Engine: e}
+		return engines[i]
+	}})
+	// Replicas 1 and 2 keep up with every write; replica 0 refuses them.
+	put := func(i int) {
+		t.Helper()
+		var resp wire.Response
+		sh.ctls[1].dispatch(&wire.Request{Op: wire.OpPut, Key: []byte(fmt.Sprintf("x-%03d", i)), Value: []byte("v")}, &resp)
+		if resp.Status != wire.StatusOK {
+			t.Fatalf("put: %+v", resp)
+		}
+		offset := resp.Version - aaecVersionBase - 1
+		eventually(t, "replicas 1 and 2 to apply a write", func() bool {
+			return sh.ctls[1].aaec.applied.Load() > offset && sh.ctls[2].aaec.applied.Load() > offset
+		})
+	}
+	prefix := "x-"
+	engines[0].refuse.Store(&prefix)
+	put(0)
+	eventually(t, "replica 0's applier to stall", func() bool { return engines[0].refused.Load() > 0 })
+	const n = 100 // the window is 32 records
+	for i := 1; i < n; i++ {
+		put(i)
+	}
+	hold := make(chan struct{})
+	release := sync.OnceFunc(func() { close(hold) })
+	t.Cleanup(release)
+	for _, e := range engines[1:] {
+		e.hold.Store(&hold)
+	}
+	engines[0].refuse.Store(nil)
+	eventually(t, "replica 0 to follow a peer and start its backfill", func() bool {
+		return engines[1].held.Load()+engines[2].held.Load() > 0
+	})
+	if cur, err := sh.ctls[0].handleLogCursor(struct{}{}); err != nil || cur.Positioned || cur.Applied < n {
+		t.Fatalf("replica 0's cursor while its backfill is in flight: %+v (%v), want one at >= %d not offered", cur, err, n)
+	}
+	release()
+	eventually(t, "replica 0 to offer its cursor", func() bool {
+		cur, err := sh.ctls[0].handleLogCursor(struct{}{})
+		return err == nil && cur.Positioned
+	})
+	eventually(t, "replica 0 to hold every key", func() bool { return sh.datalets[0].Engine("").Len() == n })
 }
 
 // fakeLog is a shared-log server whose Append the test controls: it parks

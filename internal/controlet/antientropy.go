@@ -84,7 +84,10 @@ func (s *Server) handleReconcile(struct{}) (ReconcileReply, error) {
 		if err != nil {
 			return reply, err
 		}
-		err = src.Export(table, func(kv wire.KV) error {
+		err = src.Export(table, 0, func(kv wire.KV, tombstone bool) error {
+			if tombstone {
+				return nil // repair pushes live pairs only
+			}
 			reply.Pairs++
 			req := wire.Request{
 				Op:      wire.OpPut,

@@ -178,8 +178,10 @@ type Server struct {
 	// snapshotting for standby backfill.
 	inflight sync.RWMutex
 
-	// lastBeat is the wall time (UnixNano) of the last heartbeat the
-	// coordinator acknowledged; fenced() compares it against FenceTimeout.
+	// lastBeat is the wall time (UnixNano) at which the controlet sent the
+	// last heartbeat the coordinator acknowledged with its datalet OK: no
+	// later than the coordinator's own stamp of it, which starts the
+	// failure detector's clock. fenced() compares it against FenceTimeout.
 	lastBeat atomic.Int64
 
 	// tele is the per-op record wire.ServeConn stamps for every answered
@@ -586,12 +588,20 @@ func (s *Server) heartbeatLoop(cc *coordinator.Client) {
 		}
 		dataletOK := s.local.Get().Ping() == nil
 		ctlHeartbeats.Inc()
+		sent := time.Now()
 		epoch, err := cc.Heartbeat(s.cfg.NodeID, dataletOK)
 		if err != nil {
 			ctlHeartbeatErrs.Inc()
 			continue
 		}
-		s.lastBeat.Store(time.Now().UnixNano())
+		// The fence clock runs from the send, not the reply: the
+		// coordinator stamped this heartbeat on arrival, so an isolated
+		// node fences no later than its replacement can be promoted. A
+		// heartbeat reporting a failed datalet refreshes nothing there, so
+		// it refreshes nothing here either.
+		if dataletOK {
+			s.lastBeat.Store(sent.UnixNano())
+		}
 		cur := s.Map()
 		if cur == nil || epoch > cur.Epoch {
 			if m, err := cc.GetMap(); err == nil {

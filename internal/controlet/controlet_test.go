@@ -10,6 +10,7 @@ import (
 
 	"bespokv/internal/coordinator"
 	"bespokv/internal/datalet"
+	"bespokv/internal/faultnet"
 	"bespokv/internal/store"
 	"bespokv/internal/store/ht"
 	"bespokv/internal/topology"
@@ -253,5 +254,73 @@ func TestHeartbeatSurvivesCoordinatorRestart(t *testing.T) {
 				t.Fatalf("%d connections to the coordinator, want 2 (first contact, restart)", d)
 			}
 		})
+	}
+}
+
+// TestFenceClockStartsAtSend: a controlet's self-fence clock runs from the
+// moment a heartbeat left, never later than the coordinator's stamp of its
+// arrival, however slowly the reply comes back; and a heartbeat reporting a
+// failed datalet, which the coordinator does not count, does not reset it.
+// Stamped at the reply, an isolated head would fence one reply-transit
+// after the coordinator may have promoted its replacement.
+func TestFenceClockStartsAtSend(t *testing.T) {
+	inproc, _ := transport.Lookup("inproc")
+	fab := faultnet.New(inproc, 1)
+	coord, err := coordinator.Serve(coordinator.Config{
+		Network: fab.Host("coord"), Addr: "controlet-test-fence-clock", DisableFailover: true, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	// Every reply crawls back to the controlet.
+	fab.SetLink("coord", "n0", faultnet.Rule{Delay: 100 * time.Millisecond})
+	d, err := datalet.Serve(datalet.Config{
+		Name: "d0", Network: fab.Host("n0"), Codec: wire.BinaryCodec{},
+		NewEngine: func(string) (store.Engine, error) { return ht.New(), nil },
+		Logf:      t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	s, err := Serve(Config{
+		NodeID: "n0", ShardID: "shard-0", Network: fab.Host("n0"), Codec: wire.BinaryCodec{},
+		Mode:              topology.Mode{Topology: topology.MS, Consistency: topology.Strong},
+		DataletAddr:       d.Addr(),
+		CoordinatorAddr:   coord.Addr(),
+		HeartbeatInterval: 300 * time.Millisecond,
+		Logf:              t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	beat := s.lastBeat.Load()
+	for i := 0; i < 3; i++ {
+		prev := beat
+		eventually(t, "an acknowledged heartbeat", func() bool {
+			beat = s.lastBeat.Load()
+			return beat != prev
+		})
+		seen, ok := coord.LastSeen("n0")
+		if !ok || beat > seen.UnixNano() {
+			t.Fatalf("heartbeat %d: the fence clock starts at %v, the coordinator's at %v (seen %v)",
+				i, time.Unix(0, beat).Format(time.StampMicro), seen.Format(time.StampMicro), ok)
+		}
+	}
+
+	// The datalet dies: heartbeats go on, reporting it, and neither clock
+	// moves.
+	d.Close()
+	seen, _ := coord.LastSeen("n0")
+	sent := ctlHeartbeats.Value()
+	eventually(t, "three more heartbeats", func() bool { return ctlHeartbeats.Value() >= sent+3 })
+	if got := s.lastBeat.Load(); got != beat {
+		t.Fatalf("a heartbeat reporting a failed datalet moved the fence clock by %v", time.Duration(got-beat))
+	}
+	if now, _ := coord.LastSeen("n0"); !now.Equal(seen) {
+		t.Fatalf("the coordinator refreshed a node whose datalet failed")
 	}
 }

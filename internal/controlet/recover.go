@@ -15,8 +15,8 @@ type RecoverReply struct {
 	// Pairs is the number of records (live pairs plus tombstones) pulled
 	// from the source.
 	Pairs int `json:"pairs"`
-	// Delta is true when every table was recovered incrementally from the
-	// local watermark rather than by a full export.
+	// Delta is true when every table was recovered incrementally from a
+	// non-zero version rather than from the start of the table.
 	Delta bool `json:"delta"`
 }
 
@@ -29,11 +29,9 @@ type RecoverReply struct {
 //
 // A restarted node does not start empty: its engine recovered a durable
 // prefix, and its recovered watermark (carried per table in the local
-// datalet's OpStats) bounds what it can be missing. When the watermark is
-// non-zero the source is asked for an incremental delta (OpExportDelta) —
-// only records newer than the watermark, tombstones included — and only
-// if the source cannot serve a complete delta does recovery fall back to
-// the full OpExport stream.
+// datalet's OpStats) bounds what it can be missing. The source's export
+// then starts at the watermark: only records newer than it, tombstones
+// included. An empty node's watermark is 0, so it takes the whole table.
 //
 // Under AA+EC the log applier first takes its position from the source's
 // controlet (logApplier.follow): the data below that cursor is what the
@@ -46,7 +44,7 @@ func (s *Server) recoverFrom(args RecoverArgs) (RecoverReply, error) {
 		// The source may itself be catching up right now (a shard under
 		// load that just lost a replica); give it a few seconds.
 		for attempt := 1; ; attempt++ {
-			_, err := s.aaec.follow(args.SourceControl, 0)
+			err := s.aaec.follow(args.SourceControl, 0)
 			if err == nil {
 				break
 			}
@@ -60,24 +58,16 @@ func (s *Server) recoverFrom(args RecoverArgs) (RecoverReply, error) {
 			}
 		}
 	}
-	return s.backfill(args, nil)
-}
-
-// logGap describes what a live AA+EC replica that fell below its log's
-// floor is missing, in versions: every record it did not apply carries a
-// version above since, and the backfill source has applied every record
-// with a version up to upto (0: not known).
-type logGap struct {
-	since, upto uint64
+	return s.backfill(args, 0)
 }
 
 // backfill is recoverFrom's data leg: the source datalet's tables into the
-// local one. With a gap the local datalet is neither empty nor restarted
-// but stale, and what it missed includes deletions: the delta is then taken
-// from gap.since, tombstones and all, and where the source's engine cannot
-// serve one, the full export is followed by a sweep of the local keys the
-// source no longer has (prune).
-func (s *Server) backfill(args RecoverArgs, gap *logGap) (RecoverReply, error) {
+// local one, as one export per table of every record above a version,
+// tombstones applied as versioned deletes. since is where every table's
+// export starts — a live AA+EC replica that fell below its log's floor
+// passes the version it had applied up to — and 0 takes each table's local
+// recovered watermark instead (0 for a node that started empty).
+func (s *Server) backfill(args RecoverArgs, since uint64) (RecoverReply, error) {
 	var reply RecoverReply
 	codec := s.cfg.DataletCodec
 	if args.Codec != "" {
@@ -111,8 +101,8 @@ func (s *Server) backfill(args RecoverArgs, gap *logGap) (RecoverReply, error) {
 
 	local := s.local.Get()
 
-	// The local datalet's per-table recovered watermarks decide between
-	// incremental and full recovery.
+	// The local datalet's per-table recovered watermarks: where each
+	// table's export starts unless the caller named a version.
 	watermarks := map[string]uint64{}
 	var localStats wire.Response
 	if err := local.Do(&wire.Request{Op: wire.OpStats}, &localStats); err == nil && localStats.ErrValue() == nil {
@@ -153,83 +143,16 @@ func (s *Server) backfill(args RecoverArgs, gap *logGap) (RecoverReply, error) {
 			return nil
 		}
 
-		usedDelta := false
-		since := watermarks[table]
-		if gap != nil {
-			since = gap.since
+		from := since
+		if from == 0 {
+			from = watermarks[table]
 		}
-		if since > 0 {
-			err := src.ExportSince(table, since, apply)
-			switch {
-			case err == nil:
-				usedDelta = true
-				s.cfg.Logf("controlet %s: rejoined table %q from %s with an incremental delta since v%d",
-					s.cfg.NodeID, table, args.SourceDatalet, since)
-			case errors.Is(err, datalet.ErrDeltaUnavailable):
-				s.cfg.Logf("controlet %s: table %q: delta since v%d unavailable at %s, falling back to full export",
-					s.cfg.NodeID, table, since, args.SourceDatalet)
-			default:
-				return reply, fmt.Errorf("recover: delta export table %q: %w", table, err)
-			}
+		if err := src.Export(table, from, apply); err != nil {
+			return reply, fmt.Errorf("recover: export table %q since v%d: %w", table, from, err)
 		}
-		if !usedDelta {
-			reply.Delta = false
-			var exported map[string]struct{}
-			if gap != nil && gap.upto > 0 {
-				exported = map[string]struct{}{}
-			}
-			err := src.Export(table, func(kv wire.KV) error {
-				if exported != nil {
-					exported[string(kv.Key)] = struct{}{}
-				}
-				return apply(kv, false)
-			})
-			if err != nil {
-				return reply, fmt.Errorf("recover: export table %q: %w", table, err)
-			}
-			if exported != nil {
-				if err := s.prune(local, table, exported, gap.upto); err != nil {
-					return reply, fmt.Errorf("recover: prune table %q: %w", table, err)
-				}
-			}
-		}
-		s.cfg.Logf("controlet %s: recovered %d records of table %q from %s (delta=%v)",
-			s.cfg.NodeID, reply.Pairs, table, args.SourceDatalet, usedDelta)
+		reply.Delta = reply.Delta && from > 0
+		s.cfg.Logf("controlet %s: recovered %d records of table %q from %s since v%d",
+			s.cfg.NodeID, reply.Pairs, table, args.SourceDatalet, from)
 	}
 	return reply, nil
-}
-
-// prune deletes from the local table every key that a full export of the
-// source did not list and whose version is at most upto. The source has
-// applied every record up to that version, so such a key was deleted there,
-// by a record this replica will never see; the export, which lists live
-// pairs only, cannot say so. A key above upto is one the log still delivers
-// news of. The tombstone takes version upto: below everything the log will
-// deliver, at or above the deletion it stands in for. The caller holds the
-// source's whole key set in memory meanwhile: the price of an engine that
-// cannot list its tombstones.
-func (s *Server) prune(local *datalet.Client, table string, exported map[string]struct{}, upto uint64) error {
-	var stale [][]byte
-	err := local.Export(table, func(kv wire.KV) error {
-		if _, ok := exported[string(kv.Key)]; !ok && kv.Version <= upto {
-			stale = append(stale, append([]byte(nil), kv.Key...))
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for _, key := range stale {
-		var resp wire.Response
-		if err := local.Do(&wire.Request{Op: wire.OpDel, Table: table, Key: key, Version: upto}, &resp); err != nil {
-			return err
-		}
-		if resp.Status == wire.StatusErr {
-			return resp.ErrValue()
-		}
-	}
-	if len(stale) > 0 {
-		s.cfg.Logf("controlet %s: table %q: deleted %d keys the backfill source no longer has", s.cfg.NodeID, table, len(stale))
-	}
-	return nil
 }

@@ -376,6 +376,15 @@ func (s *Server) handleHeartbeat(hb Heartbeat) (HeartbeatReply, error) {
 	return HeartbeatReply{Epoch: epoch}, nil
 }
 
+// LastSeen reports when the failure detector last heard a heartbeat from
+// nodeID with its datalet OK. Exposed for tests.
+func (s *Server) LastSeen(nodeID string) (time.Time, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t, ok := s.lastSeen[nodeID]
+	return t, ok
+}
+
 func (s *Server) handleRegisterStandby(n topology.Node) (struct{}, error) {
 	if n.ID == "" || n.ControletAddr == "" || n.DataletAddr == "" {
 		return struct{}{}, errors.New("coordinator: standby needs ID, controlet and datalet addresses")

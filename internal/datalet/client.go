@@ -587,65 +587,22 @@ func (c *Client) Err() error {
 // Pool.Get balances on.
 func (c *Client) Load() int { return int(c.load.Load() &^ failedLoad) }
 
-// Export streams the table's pairs, calling fn for each. The stream shares
-// the pipelined connection: responses for requests submitted after the
-// export simply queue behind the stream's frames.
-func (c *Client) Export(table string, fn func(kv wire.KV) error) error {
+// Export streams every record of the table with version newer than since
+// (0: all of it), calling fn with tombstone=true for deletions. The stream
+// shares the pipelined connection: responses for requests submitted after
+// the export simply queue behind the stream's frames.
+func (c *Client) Export(table string, since uint64, fn func(kv wire.KV, tombstone bool) error) error {
 	var scratch wire.Response
 	cl := &call{
-		req:  &wire.Request{Op: wire.OpExport, Table: table},
+		req:  &wire.Request{Op: wire.OpExport, Table: table, Version: since},
 		resp: &scratch,
 		errc: make(chan error, 1),
 	}
 	cl.stream = func(resp *wire.Response) (bool, error) {
-		if resp.Status != wire.StatusOK {
-			if err := resp.ErrValue(); err != nil {
-				return true, err
-			}
-			return true, fmt.Errorf("datalet: export %q: %s %s", table, resp.Status, resp.Err)
-		}
-		if len(resp.Pairs) == 0 {
+		switch {
+		case resp.Status == wire.StatusOK && len(resp.Pairs) == 0:
 			return true, nil // sentinel
-		}
-		for i := range resp.Pairs {
-			if err := fn(resp.Pairs[i]); err != nil {
-				return true, streamAbort{err}
-			}
-		}
-		return false, nil
-	}
-	if _, err := c.submit(cl, cl.req, cl.resp); err != nil {
-		return err
-	}
-	return <-cl.errc
-}
-
-// ErrDeltaUnavailable reports that the server cannot serve a complete
-// delta from the requested watermark (engine without delta support, or
-// compaction already discarded needed tombstones); the caller should fall
-// back to a full Export.
-var ErrDeltaUnavailable = errors.New("datalet: delta export unavailable")
-
-// ExportSince streams every record with version newer than since, calling
-// fn with tombstone=true for deletions. Returns ErrDeltaUnavailable when
-// the server cannot serve a complete delta.
-func (c *Client) ExportSince(table string, since uint64, fn func(kv wire.KV, tombstone bool) error) error {
-	var scratch wire.Response
-	cl := &call{
-		req:  &wire.Request{Op: wire.OpExportDelta, Table: table, Version: since},
-		resp: &scratch,
-		errc: make(chan error, 1),
-	}
-	cl.stream = func(resp *wire.Response) (bool, error) {
-		switch resp.Status {
-		case wire.StatusOK, wire.StatusNotFound:
-			if resp.Status == wire.StatusOK && len(resp.Pairs) == 0 {
-				return true, nil // sentinel
-			}
-			if resp.Status == wire.StatusNotFound && len(resp.Pairs) == 0 {
-				// "no such table" terminal response, not a tombstone batch.
-				return true, fmt.Errorf("datalet: export delta %q: %s", table, resp.Err)
-			}
+		case resp.Status == wire.StatusOK, resp.Status == wire.StatusNotFound && len(resp.Pairs) > 0:
 			tombstone := resp.Status == wire.StatusNotFound
 			for i := range resp.Pairs {
 				if err := fn(resp.Pairs[i], tombstone); err != nil {
@@ -653,17 +610,12 @@ func (c *Client) ExportSince(table string, since uint64, fn func(kv wire.KV, tom
 				}
 			}
 			return false, nil
-		case wire.StatusErr:
-			if resp.Err == "delta export unavailable" {
-				return true, ErrDeltaUnavailable
-			}
-			return true, resp.ErrValue()
-		default:
-			if err := resp.ErrValue(); err != nil {
-				return true, err
-			}
-			return true, fmt.Errorf("datalet: export delta %q: %s %s", table, resp.Status, resp.Err)
 		}
+		// "no such table" (StatusNotFound without pairs) or a failed stream.
+		if err := resp.ErrValue(); err != nil {
+			return true, err
+		}
+		return true, fmt.Errorf("datalet: export %q: %s %s", table, resp.Status, resp.Err)
 	}
 	if _, err := c.submit(cl, cl.req, cl.resp); err != nil {
 		return err

@@ -190,14 +190,11 @@ func (s *Server) serveConn(conn transport.Conn) {
 	}
 }
 
-// handleConn is the connection loop's handler: the two export streams write
-// their own frames, everything else is answered into resp.
+// handleConn is the connection loop's handler: the export stream writes
+// its own frames, everything else is answered into resp.
 func (s *Server) handleConn(req *wire.Request, resp *wire.Response, bw *bufio.Writer) (streamed bool, err error) {
-	switch req.Op {
-	case wire.OpExport:
+	if req.Op == wire.OpExport {
 		return true, s.streamExport(bw, req)
-	case wire.OpExportDelta:
-		return true, s.streamExportDelta(bw, req)
 	}
 	s.handleAdmit(req, resp)
 	return false, nil
@@ -502,8 +499,10 @@ func (s *Server) multiPut(req *wire.Request, resp *wire.Response) {
 	}
 }
 
-// streamExport writes the requested table as a sequence of batched
-// responses terminated by an empty-Pairs sentinel carrying the total count.
+// streamExport writes every record of the table newer than req.Version
+// (0: all of it) as batched responses — live pairs under StatusOK,
+// tombstones under StatusNotFound — terminated by an empty StatusOK
+// sentinel carrying the record count.
 func (s *Server) streamExport(bw *bufio.Writer, req *wire.Request) error {
 	e, ok := s.engineFor(req.Table)
 	if !ok {
@@ -517,67 +516,13 @@ func (s *Server) streamExport(bw *bufio.Writer, req *wire.Request) error {
 	if bcd, ok := s.cfg.Codec.(wire.BufferedCodec); ok {
 		writeBatch = bcd.EncodeResponse
 	}
-	var batch wire.Response
-	batch.ID = req.ID
-	total := uint64(0)
-	err := e.Snapshot(func(kv store.KV) error {
-		batch.Pairs = append(batch.Pairs, wire.KV{
-			Key:     store.CloneBytes(kv.Key),
-			Value:   store.CloneBytes(kv.Value),
-			Version: kv.Version,
-		})
-		total++
-		if len(batch.Pairs) >= exportBatch {
-			if err := writeBatch(bw, &batch); err != nil {
-				return err
-			}
-			batch.Pairs = batch.Pairs[:0]
-		}
-		return nil
-	})
-	if err == nil && len(batch.Pairs) > 0 {
-		err = writeBatch(bw, &batch)
-	}
-	if err != nil {
-		resp := wire.Response{ID: req.ID, Status: wire.StatusErr, Err: err.Error()}
-		return s.cfg.Codec.WriteResponse(bw, &resp)
-	}
-	final := wire.Response{ID: req.ID, Status: wire.StatusOK, Version: total}
-	return s.cfg.Codec.WriteResponse(bw, &final)
-}
-
-// deltaUnavailable is the error marker a delta export answers when the
-// engine cannot serve a complete delta from the requested watermark;
-// clients recognize it and fall back to a full export.
-const deltaUnavailable = "delta export unavailable"
-
-// streamExportDelta writes every record newer than req.Version as batched
-// responses — live pairs under StatusOK, tombstones under StatusNotFound —
-// terminated by an empty StatusOK sentinel carrying the record count. An
-// engine without delta support (or one whose compaction already discarded
-// tombstones the delta would need) answers a StatusErr marker instead.
-func (s *Server) streamExportDelta(bw *bufio.Writer, req *wire.Request) error {
-	e, ok := s.engineFor(req.Table)
-	if !ok {
-		resp := wire.Response{ID: req.ID, Status: wire.StatusNotFound, Err: "no such table: " + req.Table}
-		return s.cfg.Codec.WriteResponse(bw, &resp)
-	}
-	ds, ok := e.(store.DeltaSnapshotter)
-	if !ok {
-		resp := wire.Response{ID: req.ID, Status: wire.StatusErr, Err: deltaUnavailable}
-		return s.cfg.Codec.WriteResponse(bw, &resp)
-	}
-	writeBatch := s.cfg.Codec.WriteResponse
-	if bcd, ok := s.cfg.Codec.(wire.BufferedCodec); ok {
-		writeBatch = bcd.EncodeResponse
-	}
 	// Live and tombstone records accumulate in separate batches keyed by
 	// status; each flushes independently as it fills.
 	var live, tomb wire.Response
 	live.ID, live.Status = req.ID, wire.StatusOK
 	tomb.ID, tomb.Status = req.ID, wire.StatusNotFound
 	total := uint64(0)
-	complete, err := ds.SnapshotSince(req.Version, func(kv store.KV, tombstone bool) error {
+	err := e.Snapshot(req.Version, func(kv store.KV, tombstone bool) error {
 		batch := &live
 		if tombstone {
 			batch = &tomb
@@ -596,12 +541,6 @@ func (s *Server) streamExportDelta(bw *bufio.Writer, req *wire.Request) error {
 		}
 		return nil
 	})
-	if err == nil && !complete {
-		// Nothing has been streamed yet: SnapshotSince reports
-		// incompleteness before emitting any record.
-		resp := wire.Response{ID: req.ID, Status: wire.StatusErr, Err: deltaUnavailable}
-		return s.cfg.Codec.WriteResponse(bw, &resp)
-	}
 	if err == nil && len(live.Pairs) > 0 {
 		err = writeBatch(bw, &live)
 	}

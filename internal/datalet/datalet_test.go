@@ -219,22 +219,43 @@ func TestVersionedWritesLWW(t *testing.T) {
 	}
 }
 
+// TestExportStream: an export from 0 lists every pair and every
+// tombstone, over several batches of each; one from a version exactly the
+// records written after it.
 func TestExportStream(t *testing.T) {
 	srv, cli := newServer(t, "binary", nil)
 	const n = 1000 // several batches
 	for i := 0; i < n; i++ {
 		do(t, cli, wire.Request{Op: wire.OpPut, Key: []byte(fmt.Sprintf("key-%04d", i)), Value: []byte("v")})
 	}
-	got := map[string]bool{}
-	err := cli.Export("", func(kv wire.KV) error {
-		got[string(kv.Key)] = true
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < n; i += 2 {
+		do(t, cli, wire.Request{Op: wire.OpDel, Key: []byte(fmt.Sprintf("key-%04d", i))})
 	}
+	export := func(since uint64) map[string]bool {
+		t.Helper()
+		got := map[string]bool{} // key -> tombstone
+		if err := cli.Export("", since, func(kv wire.KV, tombstone bool) error {
+			got[string(kv.Key)] = tombstone
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	got := export(0)
 	if len(got) != n {
 		t.Fatalf("export saw %d keys, want %d", len(got), n)
+	}
+	for i := 0; i < n; i++ {
+		if k := fmt.Sprintf("key-%04d", i); got[k] != (i%2 == 0) {
+			t.Fatalf("%s: tombstone=%v", k, got[k])
+		}
+	}
+	mark := do(t, cli, wire.Request{Op: wire.OpPut, Key: []byte("key-0001"), Value: []byte("w")}).Version
+	do(t, cli, wire.Request{Op: wire.OpPut, Key: []byte("key-0002"), Value: []byte("w")})
+	do(t, cli, wire.Request{Op: wire.OpDel, Key: []byte("key-0003")})
+	if got := export(mark); len(got) != 2 || got["key-0002"] || !got["key-0003"] {
+		t.Fatalf("export since v%d = %v, want {key-0002:live key-0003:tombstone}", mark, got)
 	}
 	// Connection still usable after export.
 	if err := cli.Ping(); err != nil {
@@ -245,7 +266,7 @@ func TestExportStream(t *testing.T) {
 
 func TestExportMissingTable(t *testing.T) {
 	_, cli := newServer(t, "binary", nil)
-	err := cli.Export("ghost", func(wire.KV) error { return nil })
+	err := cli.Export("ghost", 0, func(wire.KV, bool) error { return nil })
 	if err == nil {
 		t.Fatal("export of missing table must fail")
 	}

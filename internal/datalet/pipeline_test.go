@@ -347,7 +347,7 @@ func TestExportSharesPipeline(t *testing.T) {
 		}(g)
 	}
 	got := 0
-	if err := cli.Export("", func(kv wire.KV) error {
+	if err := cli.Export("", 0, func(kv wire.KV, _ bool) error {
 		if !strings.HasPrefix(string(kv.Key), "e") {
 			return fmt.Errorf("unexpected key %q", kv.Key)
 		}
@@ -383,7 +383,7 @@ func TestExportConsumerAbort(t *testing.T) {
 		}
 	}
 	boom := errors.New("consumer boom")
-	err := cli.Export("", func(kv wire.KV) error { return boom })
+	err := cli.Export("", 0, func(wire.KV, bool) error { return boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("Export: %v, want consumer error", err)
 	}

@@ -54,7 +54,7 @@ func LaneOf(op wire.Op) Lane {
 		return LaneControl
 	case wire.OpChainPut, wire.OpChainDel, wire.OpChainMPut,
 		wire.OpReplPut, wire.OpReplDel, wire.OpHandoff,
-		wire.OpExport, wire.OpExportDelta, wire.OpDelRange:
+		wire.OpExport, wire.OpDelRange:
 		return LaneInternal
 	default:
 		return LaneData

@@ -24,7 +24,6 @@ func TestLaneOf(t *testing.T) {
 		{wire.OpReplDel, LaneInternal},
 		{wire.OpHandoff, LaneInternal},
 		{wire.OpExport, LaneInternal},
-		{wire.OpExportDelta, LaneInternal},
 		{wire.OpDelRange, LaneInternal},
 		{wire.OpPut, LaneData},
 		{wire.OpGet, LaneData},

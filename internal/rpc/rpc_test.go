@@ -18,28 +18,44 @@ type addArgs struct{ A, B int }
 
 func newPair(t *testing.T) (*Server, *Client) {
 	t.Helper()
+	s, c, _ := newParkingPair(t)
+	return s, c
+}
+
+// newParkingPair is newPair whose server also answers "Park": the call
+// waits until the test calls release (at the latest, at cleanup), so no
+// test sleeps to a fixed time to keep a call in flight.
+func newParkingPair(t *testing.T) (s *Server, c *Client, release func()) {
+	t.Helper()
 	net, err := transport.Lookup("inproc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer()
+	s = NewServer()
 	HandleFunc(s, "Add", func(a addArgs) (int, error) { return a.A + a.B, nil })
 	HandleFunc(s, "Fail", func(struct{}) (int, error) { return 0, errors.New("boom") })
 	HandleFunc(s, "Slow", func(d int) (int, error) {
 		time.Sleep(time.Duration(d) * time.Millisecond)
 		return d, nil
 	})
+	parked := make(chan struct{})
+	HandleFunc(s, "Park", func(struct{}) (int, error) {
+		<-parked
+		return 0, nil
+	})
 	addr, err := s.Serve(net, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	c, err := DialClient(net, addr)
+	c, err = DialClient(net, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return s, c
+	release = sync.OnceFunc(func() { close(parked) })
+	t.Cleanup(release) // runs first: Close waits for the parked handlers
+	return s, c, release
 }
 
 func TestCall(t *testing.T) {
@@ -136,13 +152,14 @@ func TestManyConcurrentClients(t *testing.T) {
 }
 
 func TestInFlightCallsFailOnClose(t *testing.T) {
-	s, c := newPair(t)
+	s, c, release := newParkingPair(t)
 	done := make(chan error, 1)
 	go func() {
-		done <- c.Call("Slow", 5000, nil)
+		done <- c.Call("Park", struct{}{}, nil)
 	}()
-	time.Sleep(20 * time.Millisecond)
-	s.Close()
+	time.Sleep(20 * time.Millisecond) // let the call reach the server
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }() // returns once the parked handler does
 	select {
 	case err := <-done:
 		if err == nil {
@@ -150,6 +167,10 @@ func TestInFlightCallsFailOnClose(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("in-flight call hung after server close")
+	}
+	release()
+	if err := <-closed; err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -199,17 +220,20 @@ func TestDuplicateHandlerPanics(t *testing.T) {
 }
 
 func TestCallTimeout(t *testing.T) {
-	_, c := newPair(t)
+	_, c, release := newParkingPair(t)
 	c.CallTimeout = 50 * time.Millisecond
 	var out int
-	start := time.Now()
-	err := c.Call("Slow", 5_000, &out)
-	if !errors.Is(err, ErrCallTimeout) {
-		t.Fatalf("want ErrCallTimeout, got %v", err)
+	done := make(chan error, 1)
+	go func() { done <- c.Call("Park", struct{}{}, nil) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrCallTimeout) {
+			t.Fatalf("want ErrCallTimeout, got %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a parked call outlived its 50ms timeout by 2s")
 	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("timeout took %v", elapsed)
-	}
+	release()
 	// The connection survives a timed-out call; later calls still work,
 	// and the abandoned call's late response is discarded silently.
 	c.CallTimeout = DefaultCallTimeout

@@ -441,28 +441,6 @@ func (s *Store) Len() int {
 	return s.live
 }
 
-// Snapshot calls fn for every live pair (hash order).
-func (s *Store) Snapshot(fn func(store.KV) error) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return store.ErrClosed
-	}
-	for k, e := range s.index {
-		if e.tombstone {
-			continue
-		}
-		value, err := s.readValueLocked(e)
-		if err != nil {
-			return err
-		}
-		if err := fn(store.KV{Key: []byte(k), Value: value, Version: e.version}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // GarbageRatio reports the fraction of indexed history that is dead.
 func (s *Store) GarbageRatio() float64 {
 	s.mu.RLock()
@@ -474,7 +452,7 @@ func (s *Store) GarbageRatio() float64 {
 	return float64(s.garbage) / float64(total)
 }
 
-// Compact rewrites the live set (and surviving tombstones) into fresh
+// Compact rewrites the live set (and every tombstone) into fresh
 // segments and removes the old ones.
 func (s *Store) Compact() error {
 	s.mu.Lock()
@@ -554,14 +532,14 @@ func (s *Store) MaxVersion() uint64 {
 // replay; 0 for stores that started empty.
 func (s *Store) RecoveredVersion() uint64 { return s.recoveredVer }
 
-// SnapshotSince calls fn for every record — live or tombstone — with
-// version > since. The index keeps tombstones (and Compact rewrites
-// them), so the log can always serve a complete delta (ok is always true).
-func (s *Store) SnapshotSince(since uint64, fn func(kv store.KV, tombstone bool) error) (bool, error) {
+// Snapshot calls fn for every record with version > since, tombstones
+// included, in hash order. The index keeps tombstones (and Compact
+// rewrites them), so the list is complete from any version.
+func (s *Store) Snapshot(since uint64, fn func(kv store.KV, tombstone bool) error) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		return false, store.ErrClosed
+		return store.ErrClosed
 	}
 	for k, e := range s.index {
 		if e.version <= since {
@@ -571,20 +549,19 @@ func (s *Store) SnapshotSince(since uint64, fn func(kv store.KV, tombstone bool)
 		if !e.tombstone {
 			v, err := s.readValueLocked(e)
 			if err != nil {
-				return true, err
+				return err
 			}
 			value = v
 		}
 		if err := fn(store.KV{Key: []byte(k), Value: value, Version: e.version}, e.tombstone); err != nil {
-			return true, err
+			return err
 		}
 	}
-	return true, nil
+	return nil
 }
 
 var (
-	_ store.Engine           = (*Store)(nil)
-	_ store.Versioned        = (*Store)(nil)
-	_ store.Recovered        = (*Store)(nil)
-	_ store.DeltaSnapshotter = (*Store)(nil)
+	_ store.Engine    = (*Store)(nil)
+	_ store.Versioned = (*Store)(nil)
+	_ store.Recovered = (*Store)(nil)
 )

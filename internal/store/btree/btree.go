@@ -4,7 +4,7 @@
 // queries (§IV-B) and the read-intensive analytics side of Fig. 6.
 //
 // Deletions write tombstone items in place, so the tree never rebalances on
-// delete; tombstones are skipped by reads and purged when their leaf splits.
+// delete; tombstones are skipped by reads and kept, as store.Engine asks.
 package btree
 
 import (
@@ -135,12 +135,9 @@ func (s *Store) write(key []byte, e entry) (uint64, error) {
 	return e.version, nil
 }
 
-// splitLeaf splits an overfull leaf, purging tombstones first when that
-// alone restores headroom, then propagates splits up the remembered path.
+// splitLeaf splits an overfull leaf, then propagates splits up the
+// remembered path.
 func (s *Store) splitLeaf(leaf *node, path []*node) {
-	if purged := purgeTombstones(leaf); purged && len(leaf.keys) < degree-degree/4 {
-		return
-	}
 	mid := len(leaf.keys) / 2
 	right := &node{leaf: true, next: leaf.next}
 	right.keys = append(right.keys, leaf.keys[mid:]...)
@@ -149,24 +146,6 @@ func (s *Store) splitLeaf(leaf *node, path []*node) {
 	leaf.items = leaf.items[:mid:mid]
 	leaf.next = right
 	s.insertUp(path, leaf, right, right.keys[0])
-}
-
-func purgeTombstones(leaf *node) bool {
-	w := 0
-	for i := range leaf.keys {
-		if leaf.items[i].tombstone {
-			continue
-		}
-		leaf.keys[w] = leaf.keys[i]
-		leaf.items[w] = leaf.items[i]
-		w++
-	}
-	if w == len(leaf.keys) {
-		return false
-	}
-	leaf.keys = leaf.keys[:w]
-	leaf.items = leaf.items[:w]
-	return true
 }
 
 // insertUp installs right as the sibling of left under the deepest node in
@@ -281,29 +260,6 @@ func (s *Store) Len() int {
 	return s.live
 }
 
-// Snapshot calls fn for every live pair in key order.
-func (s *Store) Snapshot(fn func(store.KV) error) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return store.ErrClosed
-	}
-	leaf := s.leftmostLeaf()
-	for leaf != nil {
-		for i := range leaf.keys {
-			if leaf.items[i].tombstone {
-				continue
-			}
-			kv := store.KV{Key: leaf.keys[i], Value: leaf.items[i].value, Version: leaf.items[i].version}
-			if err := fn(kv); err != nil {
-				return err
-			}
-		}
-		leaf = leaf.next
-	}
-	return nil
-}
-
 func (s *Store) leftmostLeaf() *node {
 	n := s.root
 	for !n.leaf {
@@ -312,9 +268,10 @@ func (s *Store) leftmostLeaf() *node {
 	return n
 }
 
-// SnapshotAll calls fn for every item including tombstones, in key order.
-// The LSM engine uses it when flushing a memtable so deletions propagate.
-func (s *Store) SnapshotAll(fn func(key, value []byte, version uint64, tombstone bool) error) error {
+// Snapshot calls fn for every item with version > since, tombstones
+// included, in key order. The LSM engine flushes memtables through it, so
+// deletions reach its tables.
+func (s *Store) Snapshot(since uint64, fn func(kv store.KV, tombstone bool) error) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
@@ -324,7 +281,10 @@ func (s *Store) SnapshotAll(fn func(key, value []byte, version uint64, tombstone
 	for leaf != nil {
 		for i := range leaf.keys {
 			it := leaf.items[i]
-			if err := fn(leaf.keys[i], it.value, it.version, it.tombstone); err != nil {
+			if it.version <= since {
+				continue
+			}
+			if err := fn(store.KV{Key: leaf.keys[i], Value: it.value, Version: it.version}, it.tombstone); err != nil {
 				return err
 			}
 		}

@@ -52,27 +52,38 @@ func TestManySplits(t *testing.T) {
 	}
 }
 
-// TestTombstonePurgeOnSplit fills a leaf with tombstones and confirms the
-// tree purges them rather than splitting forever.
-func TestTombstonePurgeOnSplit(t *testing.T) {
+// TestTombstoneSurvivesSplit deletes a leaf's worth of keys, splits their
+// leaves many times over with fresh keys, and then replays the deleted
+// keys' older versions: every one stays deleted, because every tombstone
+// is still in the tree.
+func TestTombstoneSurvivesSplit(t *testing.T) {
 	s := New()
 	defer s.Close()
-	for round := 0; round < 50; round++ {
-		for i := 0; i < degree-1; i++ {
-			k := []byte(fmt.Sprintf("r%02d-k%02d", round, i))
-			if _, err := s.Put(k, []byte("v"), 0); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := s.Delete(k, 0); err != nil {
-				t.Fatal(err)
-			}
+	for i := 0; i < degree-1; i++ {
+		k := []byte(fmt.Sprintf("k%02d", i))
+		if _, err := s.Put(k, []byte("v"), 100); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.Delete(k, 200); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if s.Len() != 0 {
-		t.Fatalf("Len=%d, want 0", s.Len())
+	for i := 0; i < 10*degree; i++ {
+		if _, err := s.Put([]byte(fmt.Sprintf("k%02d-%04d", i%(degree-1), i)), []byte("v"), 0); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := s.Items(); got > 10*degree {
-		t.Fatalf("tombstones not purged: %d items remain", got)
+	for i := 0; i < degree-1; i++ {
+		k := []byte(fmt.Sprintf("k%02d", i))
+		if winner, err := s.Put(k, []byte("zombie"), 150); err != nil || winner != 200 {
+			t.Fatalf("stale put of %s: winner=%d err=%v, want the tombstone's 200", k, winner, err)
+		}
+		if _, _, ok, _ := s.Get(k); ok {
+			t.Fatalf("%s came back after its leaf split", k)
+		}
+	}
+	if got, want := s.Items(), 11*degree-1; got != want {
+		t.Fatalf("Items=%d, want %d (every tombstone kept)", got, want)
 	}
 }
 
@@ -126,7 +137,7 @@ func TestSnapshotAllIncludesTombstones(t *testing.T) {
 	s.Put([]byte("b"), []byte("2"), 0)
 	s.Delete([]byte("a"), 0)
 	var liveN, tombN int
-	err := s.SnapshotAll(func(key, value []byte, version uint64, tombstone bool) error {
+	err := s.Snapshot(0, func(_ store.KV, tombstone bool) error {
 		if tombstone {
 			tombN++
 		} else {

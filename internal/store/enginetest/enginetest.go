@@ -1,7 +1,8 @@
 // Package enginetest is a conformance suite every store.Engine must pass.
 // Engine packages call Run from their tests with a factory; the suite
-// covers the LWW contract, tombstone semantics, concurrency safety, scans
-// on ordered engines, snapshot completeness, and a randomized model-based
+// covers the LWW contract, tombstone semantics (a tombstone outlives leaf
+// splits, flushes and compactions), concurrency safety, scans on ordered
+// engines, the Snapshot change feed, and a randomized model-based
 // check against a reference map (via testing/quick).
 package enginetest
 
@@ -29,7 +30,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("Delete", func(t *testing.T) { testDelete(t, f(t)) })
 	t.Run("DeleteMissing", func(t *testing.T) { testDeleteMissing(t, f(t)) })
 	t.Run("VersionLWW", func(t *testing.T) { testVersionLWW(t, f(t)) })
-	t.Run("TombstoneBlocksStalePut", func(t *testing.T) { testTombstoneBlocksStalePut(t, f(t)) })
+	t.Run("TombstoneBlocksStalePut", func(t *testing.T) { testTombstoneBlocksStalePut(t, f) })
 	t.Run("VersionsMonotonicAfterReplicated", func(t *testing.T) { testVersionMonotonic(t, f(t)) })
 	t.Run("Len", func(t *testing.T) { testLen(t, f(t)) })
 	t.Run("Snapshot", func(t *testing.T) { testSnapshot(t, f(t)) })
@@ -140,20 +141,75 @@ func testVersionLWW(t *testing.T, e store.Engine) {
 	}
 }
 
-func testTombstoneBlocksStalePut(t *testing.T, e store.Engine) {
-	defer e.Close()
-	mustPut(t, e, "k", "v", 5)
-	if _, _, err := e.Delete([]byte("k"), 9); err != nil {
-		t.Fatal(err)
+// churnKeys is how many keys the stale-put cases write after a deletion:
+// twice the B+-tree's leaf degree (64), so the tombstone's leaf splits, in
+// the btree engine and in the LSM memtable alike.
+const churnKeys = 2 * 64
+
+// flush pushes an engine's buffered writes into its lower levels where it
+// has any (the LSM memtable into its tables); a no-op elsewhere.
+func flush(e store.Engine) {
+	if f, ok := e.(interface{ Flush() }); ok {
+		f.Flush()
 	}
-	mustPut(t, e, "k", "zombie", 7) // older than the tombstone
-	if _, _, ok := mustGet(t, e, "k"); ok {
-		t.Fatal("stale put resurrected a deleted key")
+}
+
+// churn writes n fresh keys next to k (so they share its leaf).
+func churn(t *testing.T, e store.Engine, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		mustPut(t, e, fmt.Sprintf("k%04d", i), "churn", 0)
 	}
-	mustPut(t, e, "k", "fresh", 11)
-	v, _, ok := mustGet(t, e, "k")
-	if !ok || v != "fresh" {
-		t.Fatalf("newer put after tombstone lost: (%q,%v)", v, ok)
+}
+
+// testTombstoneBlocksStalePut: a key deleted at v9 stays deleted when a
+// stale put at v7 arrives — right away, after the tombstone's leaf split
+// and a flush, and when the value it deleted already sits in a flushed
+// table (there the acknowledged delete itself must also hold).
+func testTombstoneBlocksStalePut(t *testing.T, f Factory) {
+	for _, c := range []struct {
+		name string
+		// before runs between the put at v5 and the delete at v9, after
+		// between the delete and the stale put.
+		before, after func(t *testing.T, e store.Engine)
+	}{
+		{name: "alone"},
+		{name: "after-split-and-flush", after: func(t *testing.T, e store.Engine) {
+			churn(t, e, churnKeys)
+			flush(e)
+		}},
+		{name: "over-a-flushed-value",
+			before: func(t *testing.T, e store.Engine) { flush(e) },
+			after: func(t *testing.T, e store.Engine) {
+				churn(t, e, 199)
+				if _, _, ok := mustGet(t, e, "k"); ok {
+					t.Fatal("an acknowledged delete came back")
+				}
+			}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := f(t)
+			defer e.Close()
+			mustPut(t, e, "k", "v", 5)
+			if c.before != nil {
+				c.before(t, e)
+			}
+			if _, _, err := e.Delete([]byte("k"), 9); err != nil {
+				t.Fatal(err)
+			}
+			if c.after != nil {
+				c.after(t, e)
+			}
+			mustPut(t, e, "k", "zombie", 7) // older than the tombstone
+			if _, _, ok := mustGet(t, e, "k"); ok {
+				t.Fatal("stale put resurrected a deleted key")
+			}
+			mustPut(t, e, "k", "fresh", 1<<40)
+			v, _, ok := mustGet(t, e, "k")
+			if !ok || v != "fresh" {
+				t.Fatalf("newer put after tombstone lost: (%q,%v)", v, ok)
+			}
+		})
 	}
 }
 
@@ -188,6 +244,8 @@ func testLen(t *testing.T, e store.Engine) {
 	}
 }
 
+// testSnapshot: Snapshot(0) lists every live pair and every tombstone;
+// Snapshot(mark) exactly the records written after mark.
 func testSnapshot(t *testing.T, e store.Engine) {
 	defer e.Close()
 	want := map[string]string{}
@@ -202,23 +260,44 @@ func testSnapshot(t *testing.T, e store.Engine) {
 		if _, _, err := e.Delete([]byte(k), 0); err != nil {
 			t.Fatal(err)
 		}
-		delete(want, k)
+		want[k] = "<tombstone>"
 	}
-	got := map[string]string{}
-	err := e.Snapshot(func(kv store.KV) error {
-		got[string(kv.Key)] = string(kv.Value)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	list := func(since uint64) map[string]string {
+		t.Helper()
+		got := map[string]string{}
+		err := e.Snapshot(since, func(kv store.KV, tombstone bool) error {
+			if kv.Version <= since {
+				t.Errorf("Snapshot(%d) listed %q at v%d", since, kv.Key, kv.Version)
+			}
+			got[string(kv.Key)] = string(kv.Value)
+			if tombstone {
+				got[string(kv.Key)] = "<tombstone>"
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
 	}
+	got := list(0)
 	if len(got) != len(want) {
-		t.Fatalf("snapshot has %d pairs, want %d", len(got), len(want))
+		t.Fatalf("snapshot has %d records, want %d", len(got), len(want))
 	}
 	for k, v := range want {
 		if got[k] != v {
 			t.Fatalf("snapshot[%q]=%q, want %q", k, got[k], v)
 		}
+	}
+
+	mark := mustPut(t, e, "key-001", "newer", 0)
+	mustPut(t, e, "key-002", "newest", 0)
+	if _, _, err := e.Delete([]byte("key-003"), 0); err != nil {
+		t.Fatal(err)
+	}
+	got = list(mark)
+	if len(got) != 2 || got["key-002"] != "newest" || got["key-003"] != "<tombstone>" {
+		t.Fatalf("Snapshot(%d) = %v, want {key-002:newest key-003:<tombstone>}", mark, got)
 	}
 }
 
@@ -228,7 +307,7 @@ func testSnapshotError(t *testing.T, e store.Engine) {
 	mustPut(t, e, "b", "2", 0)
 	wantErr := fmt.Errorf("stop")
 	calls := 0
-	err := e.Snapshot(func(store.KV) error {
+	err := e.Snapshot(0, func(store.KV, bool) error {
 		calls++
 		return wantErr
 	})
@@ -296,7 +375,7 @@ func testClosed(t *testing.T, e store.Engine) {
 	if _, _, err := e.Delete([]byte("k"), 0); err != store.ErrClosed {
 		t.Fatalf("Delete on closed: %v, want ErrClosed", err)
 	}
-	if err := e.Snapshot(func(store.KV) error { return nil }); err != store.ErrClosed {
+	if err := e.Snapshot(0, func(store.KV, bool) error { return nil }); err != store.ErrClosed {
 		t.Fatalf("Snapshot on closed: %v, want ErrClosed", err)
 	}
 }
@@ -342,7 +421,12 @@ func testConcurrent(t *testing.T, e store.Engine) {
 	// The engine must still be internally consistent: Len equals the
 	// number of live snapshot pairs.
 	n := 0
-	if err := e.Snapshot(func(store.KV) error { n++; return nil }); err != nil {
+	if err := e.Snapshot(0, func(_ store.KV, tombstone bool) error {
+		if !tombstone {
+			n++
+		}
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if n != e.Len() {

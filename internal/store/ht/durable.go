@@ -191,46 +191,11 @@ func (s *Store) MaxVersion() uint64 { return s.maxVer.Load() }
 // recovery; 0 for in-memory stores and stores that started empty.
 func (s *Store) RecoveredVersion() uint64 { return s.recoveredVer }
 
-// SnapshotSince calls fn for every record — live or tombstone — with
-// version > since. The hash table never discards tombstones, so it can
-// always serve a complete delta (ok is always true).
-func (s *Store) SnapshotSince(since uint64, fn func(kv store.KV, tombstone bool) error) (bool, error) {
-	if s.closed.Load() {
-		return false, store.ErrClosed
-	}
-	type rec struct {
-		kv   store.KV
-		tomb bool
-	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		batch := make([]rec, 0, len(sh.m))
-		for k, e := range sh.m {
-			if e.version <= since {
-				continue
-			}
-			batch = append(batch, rec{
-				kv:   store.KV{Key: []byte(k), Value: e.value, Version: e.version},
-				tomb: e.tombstone,
-			})
-		}
-		sh.mu.RUnlock()
-		for _, r := range batch {
-			if err := fn(r.kv, r.tomb); err != nil {
-				return true, err
-			}
-		}
-	}
-	return true, nil
-}
-
 // WAL exposes the underlying log for white-box tests and benches; nil for
 // in-memory stores.
 func (s *Store) WAL() *wal.Log { return s.wal }
 
 var (
-	_ store.Versioned        = (*Store)(nil)
-	_ store.Recovered        = (*Store)(nil)
-	_ store.DeltaSnapshotter = (*Store)(nil)
+	_ store.Versioned = (*Store)(nil)
+	_ store.Recovered = (*Store)(nil)
 )

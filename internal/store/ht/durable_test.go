@@ -213,7 +213,9 @@ func TestCrashBetweenCheckpointAndReset(t *testing.T) {
 	}
 }
 
-func TestSnapshotSinceDelta(t *testing.T) {
+// TestSnapshotDelta: a durable table lists exactly the records newer than
+// a watermark, the deletion among them as a tombstone.
+func TestSnapshotDelta(t *testing.T) {
 	s, err := Open(Options{Dir: "ht", FS: wal.NewMemFS()})
 	if err != nil {
 		t.Fatal(err)
@@ -232,12 +234,12 @@ func TestSnapshotSinceDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := map[string]bool{} // key -> tombstone
-	ok, err := s.SnapshotSince(mark, func(kv store.KV, tomb bool) error {
+	err = s.Snapshot(mark, func(kv store.KV, tomb bool) error {
 		got[string(kv.Key)] = tomb
 		return nil
 	})
-	if err != nil || !ok {
-		t.Fatalf("SnapshotSince: ok=%v err=%v", ok, err)
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
 	}
 	if len(got) != 2 || got["k3"] || !got["k5"] {
 		t.Fatalf("delta = %v, want k3 live + k5 tombstone only", got)

@@ -198,25 +198,34 @@ func (s *Store) Scan(start, end []byte, limit int) ([]store.KV, error) {
 // Len returns the number of live keys.
 func (s *Store) Len() int { return int(s.live.Load()) }
 
-// Snapshot calls fn for every live pair in shard order.
-func (s *Store) Snapshot(fn func(store.KV) error) error {
+// Snapshot calls fn for every record with version > since, tombstones
+// included, in shard order.
+func (s *Store) Snapshot(since uint64, fn func(kv store.KV, tombstone bool) error) error {
 	if s.closed.Load() {
 		return store.ErrClosed
 	}
+	type rec struct {
+		kv   store.KV
+		tomb bool
+	}
+	var batch []rec
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		// Copy the shard's live pairs so fn runs without the lock held.
-		batch := make([]store.KV, 0, len(sh.m))
+		// Copy the shard's records so fn runs without the lock held.
+		batch = batch[:0]
 		for k, e := range sh.m {
-			if e.tombstone {
+			if e.version <= since {
 				continue
 			}
-			batch = append(batch, store.KV{Key: []byte(k), Value: e.value, Version: e.version})
+			batch = append(batch, rec{
+				kv:   store.KV{Key: []byte(k), Value: e.value, Version: e.version},
+				tomb: e.tombstone,
+			})
 		}
 		sh.mu.RUnlock()
-		for _, kv := range batch {
-			if err := fn(kv); err != nil {
+		for _, r := range batch {
+			if err := fn(r.kv, r.tomb); err != nil {
 				return err
 			}
 		}

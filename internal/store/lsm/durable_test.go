@@ -243,11 +243,11 @@ func TestCleanCloseFlushesMemtable(t *testing.T) {
 	}
 }
 
-// TestSnapshotSinceDeltaAndTombFloor checks the incremental-rejoin hooks:
-// a fresh store serves exact deltas (live + tombstones), and once
-// bottom-level compaction drops tombstones the store refuses deltas older
-// than the drop watermark instead of silently serving an incomplete one.
-func TestSnapshotSinceDeltaAndTombFloor(t *testing.T) {
+// TestSnapshotDeltaSurvivesCompaction checks the incremental-rejoin feed:
+// the store lists exactly the records newer than a watermark (live and
+// tombstones), and still does after the tombstone was compacted into the
+// bottom level.
+func TestSnapshotDeltaSurvivesCompaction(t *testing.T) {
 	s, err := New(Options{
 		Dir: "node", FS: wal.NewMemFS(), Durable: true,
 		MemtableBytes: 1 << 20, SyncCompaction: true, FanoutLimit: 1, MaxLevels: 2,
@@ -268,34 +268,33 @@ func TestSnapshotSinceDeltaAndTombFloor(t *testing.T) {
 	if _, _, err := s.Delete([]byte("k5"), 0); err != nil {
 		t.Fatal(err)
 	}
-	got := map[string]bool{} // key -> tombstone
-	ok, err := s.SnapshotSince(mark, func(kv store.KV, tomb bool) error {
-		got[string(kv.Key)] = tomb
-		return nil
-	})
-	if err != nil || !ok {
-		t.Fatalf("SnapshotSince: ok=%v err=%v", ok, err)
+	delta := func() map[string]bool {
+		t.Helper()
+		got := map[string]bool{} // key -> tombstone
+		if err := s.Snapshot(mark, func(kv store.KV, tomb bool) error {
+			got[string(kv.Key)] = tomb
+			return nil
+		}); err != nil {
+			t.Fatalf("Snapshot: %v", err)
+		}
+		return got
 	}
-	if len(got) != 2 || got["k3"] != false || got["k5"] != true {
+	if got := delta(); len(got) != 2 || got["k3"] != false || got["k5"] != true {
 		t.Fatalf("delta = %v, want {k3:live, k5:tombstone}", got)
 	}
 
-	// Force the tombstone into the bottom level where compaction drops it:
-	// two flushed tables exceed FanoutLimit 1 and compact into the bottom.
+	// Push the tombstone into the bottom level: two flushed tables exceed
+	// FanoutLimit 1 and compact into it.
 	s.Flush()
 	if _, err := s.Put([]byte("kx"), []byte("v"), 0); err != nil {
 		t.Fatal(err)
 	}
 	s.Flush()
-	if floor := s.tombFloor.Load(); floor == 0 {
-		t.Fatal("bottom-level compaction did not record dropped tombstone")
+	if st := s.Stats(); st.Compactions == 0 {
+		t.Fatal("no compaction into the bottom level")
 	}
-	if ok, err := s.SnapshotSince(mark, func(store.KV, bool) error { return nil }); err != nil || ok {
-		t.Fatalf("SnapshotSince below tombFloor: ok=%v err=%v, want ok=false (full export fallback)", ok, err)
-	}
-	// A delta from the current watermark is still fine.
-	if ok, err := s.SnapshotSince(s.MaxVersion(), func(store.KV, bool) error { return nil }); err != nil || !ok {
-		t.Fatalf("SnapshotSince at head: ok=%v err=%v", ok, err)
+	if got := delta(); len(got) != 3 || got["k3"] != false || got["k5"] != true || got["kx"] != false {
+		t.Fatalf("delta after compaction = %v, want {k3:live, k5:tombstone, kx:live}", got)
 	}
 }
 

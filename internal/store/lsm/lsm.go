@@ -40,8 +40,7 @@ type Options struct {
 	// FanoutLimit is the max tables per level before compaction into the
 	// next level (default 4).
 	FanoutLimit int
-	// MaxLevels bounds the tree depth (default 4); the bottom level is
-	// where tombstones are dropped.
+	// MaxLevels bounds the tree depth (default 4).
 	MaxLevels int
 	// SyncCompaction runs flush+compaction inline with the triggering Put
 	// instead of in the background; deterministic mode for tests.
@@ -110,9 +109,6 @@ type Store struct {
 	nextTableID  atomic.Uint64
 	maxVer       atomic.Uint64
 	recoveredVer uint64
-	// tombFloor is the highest version among tombstones dropped by
-	// bottom-level compaction; deltas since < tombFloor are incomplete.
-	tombFloor atomic.Uint64
 
 	// CompactionBytes counts bytes rewritten by flushes and compactions;
 	// the write-amplification ablation bench reads it.
@@ -444,11 +440,11 @@ func (s *Store) flushAndCompact() {
 		s.mu.Unlock()
 
 		var entries []sstEntry
-		_ = it.mem.SnapshotAll(func(key, value []byte, version uint64, tomb bool) error {
+		_ = it.mem.Snapshot(0, func(kv store.KV, tomb bool) error {
 			entries = append(entries, sstEntry{
-				key:       append([]byte(nil), key...),
-				value:     append([]byte(nil), value...),
-				version:   version,
+				key:       append([]byte(nil), kv.Key...),
+				value:     append([]byte(nil), kv.Value...),
+				version:   kv.Version,
 				tombstone: tomb,
 			})
 			return nil
@@ -505,9 +501,7 @@ func (s *Store) compactLevels() {
 		victims := append(append([]*sstable(nil), s.levels[lvl]...), s.levels[lvl+1]...)
 		s.mu.Unlock()
 
-		bottom := lvl+1 == s.opts.MaxLevels-1
-		merged, droppedTomb := mergeTables(victims, bottom)
-		t := newSSTable(s.nextTableID.Add(1), merged)
+		t := newSSTable(s.nextTableID.Add(1), mergeTables(victims))
 		s.compactionBytes.Add(t.bytes)
 		s.compactions.Add(1)
 		persisted := true
@@ -515,14 +509,6 @@ func (s *Store) compactLevels() {
 			if err := t.persist(s.fs, s.opts.Dir, s.tablePath(t.id)); err != nil {
 				t.path = ""
 				persisted = false
-			}
-		}
-		if droppedTomb > 0 {
-			for {
-				cur := s.tombFloor.Load()
-				if droppedTomb <= cur || s.tombFloor.CompareAndSwap(cur, droppedTomb) {
-					break
-				}
 			}
 		}
 		s.mu.Lock()
@@ -622,24 +608,39 @@ func (s *Store) collectLocked(start, end []byte) (map[string]sstEntry, error) {
 // Len returns the number of live keys (a full merge count).
 func (s *Store) Len() int {
 	n := 0
-	_ = s.Snapshot(func(store.KV) error { n++; return nil })
+	_ = s.Snapshot(0, func(_ store.KV, tomb bool) error {
+		if !tomb {
+			n++
+		}
+		return nil
+	})
 	return n
 }
 
-// Snapshot calls fn for every live pair in key order.
-func (s *Store) Snapshot(fn func(store.KV) error) error {
+// Snapshot calls fn for every record with version > since, tombstones
+// included, in key order: the freshest record of each key across the
+// memtables and every level.
+func (s *Store) Snapshot(since uint64, fn func(kv store.KV, tombstone bool) error) error {
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
 		return store.ErrClosed
 	}
+	best, err := s.collectLocked(nil, nil)
 	s.mu.RUnlock()
-	kvs, err := s.Scan(nil, nil, 0)
 	if err != nil {
 		return err
 	}
-	for _, kv := range kvs {
-		if err := fn(kv); err != nil {
+	keys := make([]string, 0, len(best))
+	for k, e := range best {
+		if e.version > since {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		e := best[k]
+		if err := fn(store.KV{Key: []byte(k), Value: e.value, Version: e.version}, e.tombstone); err != nil {
 			return err
 		}
 	}
@@ -652,40 +653,6 @@ func (s *Store) MaxVersion() uint64 { return s.maxVer.Load() }
 // RecoveredVersion returns the version watermark recovered at Open (from
 // sstables plus WAL replay); 0 when the store started empty.
 func (s *Store) RecoveredVersion() uint64 { return s.recoveredVer }
-
-// SnapshotSince calls fn for every record — live or tombstone — with
-// version > since, in key order. ok is false when bottom-level compaction
-// has already dropped tombstones newer than since, in which case the
-// caller must fall back to a full export.
-func (s *Store) SnapshotSince(since uint64, fn func(kv store.KV, tombstone bool) error) (bool, error) {
-	if since < s.tombFloor.Load() {
-		return false, nil
-	}
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return false, store.ErrClosed
-	}
-	best, err := s.collectLocked(nil, nil)
-	s.mu.RUnlock()
-	if err != nil {
-		return false, err
-	}
-	keys := make([]string, 0, len(best))
-	for k, e := range best {
-		if e.version > since {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		e := best[k]
-		if err := fn(store.KV{Key: []byte(k), Value: e.value, Version: e.version}, e.tombstone); err != nil {
-			return true, err
-		}
-	}
-	return true, nil
-}
 
 // Stats reports flush/compaction activity for ablation benches.
 type Stats struct {
@@ -760,8 +727,7 @@ func (s *Store) Close() error {
 }
 
 var (
-	_ store.Engine           = (*Store)(nil)
-	_ store.Versioned        = (*Store)(nil)
-	_ store.Recovered        = (*Store)(nil)
-	_ store.DeltaSnapshotter = (*Store)(nil)
+	_ store.Engine    = (*Store)(nil)
+	_ store.Versioned = (*Store)(nil)
+	_ store.Recovered = (*Store)(nil)
 )

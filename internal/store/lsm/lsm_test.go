@@ -101,7 +101,11 @@ func TestOverwritesResolveAcrossTables(t *testing.T) {
 	}
 }
 
-func TestTombstonesDroppedAtBottomLevel(t *testing.T) {
+// TestTombstonesKeptAtBottomLevel deletes every key it writes, lets the
+// tables compact into the single bottom level, then replays older
+// versions of the deleted keys: none comes back, because the bottom level
+// keeps the tombstones.
+func TestTombstonesKeptAtBottomLevel(t *testing.T) {
 	s, err := New(Options{SyncCompaction: true, MemtableBytes: 1024, FanoutLimit: 1, MaxLevels: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -109,18 +113,22 @@ func TestTombstonesDroppedAtBottomLevel(t *testing.T) {
 	defer s.Close()
 	for i := 0; i < 200; i++ {
 		k := []byte(fmt.Sprintf("k%03d", i))
-		s.Put(k, make([]byte, 32), 0)
-		s.Delete(k, 0)
+		s.Put(k, make([]byte, 32), uint64(1000+2*i))
+		s.Delete(k, uint64(1001+2*i))
 	}
 	s.Flush()
-	st := s.Stats()
-	if st.Tables == 0 {
-		t.Skip("everything still in memtable")
+	if st := s.Stats(); st.Compactions == 0 {
+		t.Fatal("nothing compacted into the bottom level")
 	}
-	// After deletes dominate and the single bottom level absorbed them,
-	// the live count must be zero.
 	if got := s.Len(); got != 0 {
 		t.Fatalf("Len=%d, want 0 after delete-all", got)
+	}
+	for i := 0; i < 200; i++ {
+		k := []byte(fmt.Sprintf("k%03d", i))
+		s.Put(k, []byte("zombie"), uint64(1000+2*i))
+		if _, _, ok, _ := s.Get(k); ok {
+			t.Fatalf("%s came back after its tombstone reached the bottom level", k)
+		}
 	}
 }
 

@@ -236,11 +236,8 @@ func loadSSTable(fs wal.FS, id uint64, path string) (*sstable, error) {
 }
 
 // mergeTables k-way merges newest-first tables into one sorted run,
-// keeping the highest version per key and optionally dropping tombstones
-// (safe only when merging into the bottommost level). droppedTomb is the
-// highest version among dropped tombstones: deltas at or below that
-// watermark can no longer be served completely.
-func mergeTables(tables []*sstable, dropTombstones bool) (out []sstEntry, droppedTomb uint64) {
+// keeping the highest version per key, tombstones included.
+func mergeTables(tables []*sstable) (out []sstEntry) {
 	// tables[0] is newest. Walk all tables with cursors picking the
 	// smallest key; on ties the newest table wins and the rest advance.
 	cursors := make([]int, len(tables))
@@ -261,7 +258,7 @@ func mergeTables(tables []*sstable, dropTombstones bool) (out []sstEntry, droppe
 			// On c==0 keep the earlier (newer) table as best.
 		}
 		if best == -1 {
-			return out, droppedTomb
+			return out
 		}
 		winner := tables[best].entries[cursors[best]]
 		// Resolve ties across tables by version, advancing every cursor
@@ -278,12 +275,6 @@ func mergeTables(tables []*sstable, dropTombstones bool) (out []sstEntry, droppe
 				winner = e
 			}
 			cursors[i]++
-		}
-		if dropTombstones && winner.tombstone {
-			if winner.version > droppedTomb {
-				droppedTomb = winner.version
-			}
-			continue
 		}
 		out = append(out, winner)
 	}

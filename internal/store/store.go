@@ -10,7 +10,10 @@
 // version (replicated writes and log replay), which makes propagation
 // idempotent and order-insensitive where eventual consistency permits.
 // Deletes write tombstones under the same rule so a late Put cannot
-// resurrect a newer Delete.
+// resurrect a newer Delete. An engine keeps every tombstone it writes: one
+// dropped early lets any older version of its key still in flight on
+// another replica come back, and takes the deletion out of Snapshot, which
+// is how a replica that missed it learns of it.
 package store
 
 import (
@@ -18,8 +21,8 @@ import (
 	"errors"
 )
 
-// KV is one live key/value pair with its version, as surfaced by Scan and
-// Snapshot.
+// KV is one key/value pair with its version, as surfaced by Scan and
+// Snapshot (a tombstone's Value is empty).
 type KV struct {
 	Key     []byte
 	Value   []byte
@@ -59,10 +62,13 @@ type Engine interface {
 	Scan(start, end []byte, limit int) ([]KV, error)
 	// Len returns the number of live keys.
 	Len() int
-	// Snapshot calls fn for every live pair; used for recovery export.
+	// Snapshot calls fn for every record with version > since, tombstones
+	// included (tombstone true, Value empty): since 0 lists the whole
+	// table, a replica's watermark exactly the writes it has missed. It is
+	// the one change feed recovery, catch-up, repair and backup read.
 	// Iteration order is engine-specific. fn must not retain the KV's
 	// slices past the call.
-	Snapshot(fn func(KV) error) error
+	Snapshot(since uint64, fn func(kv KV, tombstone bool) error) error
 	// Close releases resources. The engine must not be used afterwards.
 	Close() error
 }
@@ -85,15 +91,6 @@ type Recovered interface {
 	// RecoveredVersion returns the engine's version watermark as of the
 	// end of open-time recovery (0 when the engine started empty).
 	RecoveredVersion() uint64
-}
-
-// DeltaSnapshotter is implemented by engines that can enumerate every
-// record — including tombstones — with version > since. ok is false when
-// the engine cannot guarantee completeness above since (e.g. compaction
-// already dropped tombstones from that range); callers must fall back to
-// a full Snapshot export.
-type DeltaSnapshotter interface {
-	SnapshotSince(since uint64, fn func(kv KV, tombstone bool) error) (ok bool, err error)
 }
 
 // InRange reports whether key falls within [start, end); empty end means

@@ -44,7 +44,11 @@ const (
 	OpReplPut
 	// OpReplDel asynchronously propagates a Del to a replica.
 	OpReplDel
-	// OpExport streams every pair a node holds; used for standby recovery.
+	// OpExport streams every record — live or tombstone — with version >
+	// Request.Version (0: the whole table); used for standby recovery,
+	// incremental rejoin and catch-up. Live pairs arrive in StatusOK
+	// batches, tombstones in StatusNotFound batches, and an empty StatusOK
+	// frame carrying the record count ends the stream.
 	OpExport
 	// OpStats returns server statistics.
 	OpStats
@@ -55,12 +59,6 @@ const (
 	// migration GC primitive. Each tombstone inherits the record's stored
 	// version, so the sweep never clobbers a concurrent newer write.
 	OpDelRange
-	// OpExportDelta streams every record — live or tombstone — with
-	// version > Request.Version; used for incremental rejoin after a
-	// restart. Live pairs arrive in StatusOK batches, tombstones in
-	// StatusNotFound batches; a server that cannot serve a complete delta
-	// answers StatusErr and the caller falls back to a full OpExport.
-	OpExportDelta
 
 	// OpMGet reads Request.Pairs[i].Key for every i in one frame. The
 	// response carries values in Pairs (index-aligned with the request)
@@ -126,8 +124,6 @@ func (o Op) String() string {
 		return "HANDOFF"
 	case OpDelRange:
 		return "DELRANGE"
-	case OpExportDelta:
-		return "EXPORTDELTA"
 	case OpMGet:
 		return "MGET"
 	case OpMPut:

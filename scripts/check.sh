@@ -85,14 +85,20 @@ run() {
 		$GO test -race -run 'TestNemesis' ./internal/cluster/
 		;;
 
-	# Crash-restart durability: WAL and faultfs units, the durable
-	# ht/lsm/applog engine recovery suites, then the cluster crash-restart
-	# and incremental-rejoin scenarios.
+	# Crash-restart durability and the one change feed: every store suite
+	# (WAL and faultfs units, the durable ht/lsm/applog recovery suites,
+	# and the enginetest conformance run on all four engines, whose
+	# tombstones must outlive leaf splits, flushes and compactions), then
+	# the cluster crash-restart and incremental-rejoin scenarios. Then the
+	# grep that keeps one feed: no delta side-interface, no engine that
+	# drops tombstones, no export that cannot list them, no prune sweep.
 	crash)
-		$GO test -race ./internal/store/wal/... ./internal/store/faultfs/...
-		$GO test -race -run 'Durable|Crash|Torn|WAL|Recover|Snapshot|Persist|CleanClose' \
-			./internal/store/ht/ ./internal/store/lsm/ ./internal/store/applog/
+		$GO test -race ./internal/store/...
 		$GO test -race -run 'TestCrashRestart|TestRejoin' ./internal/cluster/
+		if grep -rnE --include='*.go' 'SnapshotSince|DeltaSnapshotter|ErrDeltaUnavailable|OpExportDelta|ExportSince|purgeTombstones|tombFloor|func \(s \*Server\) prune' internal/; then
+			echo "check.sh: a second change feed; every engine keeps its tombstones and lists them through Snapshot(since)" >&2
+			exit 1
+		fi
 		;;
 
 	# Direct-read data path: the multi-op wire frames (fuzz seeds
@@ -210,17 +216,19 @@ run() {
 	# (contiguous offsets under 32 appenders, a failed Append fails exactly
 	# its frame, a stream change neither merges nor reorders, stop releases
 	# every waiter), framed apply against the entry-by-entry oracle, the
-	# retried frame, catch-up when every replica is behind; the bounded log
+	# retried frame, catch-up when every replica is behind (on each of the
+	# four engines), no cursor offered by a replica still backfilling its
+	# own gap; the bounded log
 	# (retention window, ReadReply.Oldest, identical trimming on a replicated
 	# group and after restore, wire fuzz seeds); the cluster suites that
 	# cross the window — a partitioned replica whose gap holds deletions (on
-	# an engine with a delta export and on one without), a standby promotion
+	# each of the four engines), a standby promotion
 	# and a trimmed floor record — with the AA+EC suites that must not notice; all
 	# under the race detector. Then the lone-append allocation ceiling (not
 	# under -race, where sync.Pool sheds) and one pass of the two layer
 	# benchmarks.
 	aaec)
-		$GO test -race -run 'TestFramedApply|TestFailedFrame|TestAllReplicasBehind|TestCombiner|TestLogRecord' ./internal/controlet/
+		$GO test -race -run 'TestFramedApply|TestFailedFrame|TestAllReplicasBehind|TestCatchingUp|TestCombiner|TestLogRecord' ./internal/controlet/
 		$GO test -race -run 'TestRetentionWindow|TestReplicatedRetention|TestArenaSegments|Fuzz' ./internal/sharedlog/
 		$GO test -race -run 'TestAAECPartitionedReplicaRebootstraps|TestFailoverStandbyRecoveryAAEC|TestJoinNodeAAEC|TestNemesisChaosAAEC|TestAAECConcurrentWritersConverge|TestAAECShardsStayIsolated|TestTransitionAAECToMSEC' ./internal/cluster/
 		$GO test -run TestLoneAppendAllocs ./internal/controlet/
