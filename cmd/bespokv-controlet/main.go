@@ -17,7 +17,6 @@
 //	  "topology":    "ms",
 //	  "consistency": "strong",
 //	  "coordinator": "127.0.0.1:7000",
-//	  "dlm":         "127.0.0.1:7001",
 //	  "sharedlog":   "127.0.0.1:7002"
 //	}
 //
@@ -53,7 +52,6 @@ type fileConfig struct {
 	Topology     string `json:"topology"`
 	Consistency  string `json:"consistency"`
 	Coordinator  string `json:"coordinator,omitempty"`
-	DLM          string `json:"dlm,omitempty"`
 	SharedLog    string `json:"sharedlog,omitempty"`
 }
 
@@ -109,7 +107,6 @@ func main() {
 		DataletCodec:    dataletCodec,
 		Mode:            mode,
 		CoordinatorAddr: fc.Coordinator,
-		DLMAddr:         fc.DLM,
 		SharedLogAddr:   fc.SharedLog,
 	})
 	if err != nil {

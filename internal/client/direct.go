@@ -26,8 +26,9 @@ import (
 //     linearizable answer its controlet would give
 //   - MS+EC default reads: the master's datalet (freshest copy)
 //
-// AA+SC strong reads stay on the controlet path (they are served under
-// their slot's DLM lease), as does everything during a transition.
+// AA+SC strong reads stay on the controlet path (their slot's owner serves
+// them once no write of the key is in flight), as does everything during a
+// transition.
 
 // dataletLink returns the direct link to n's datalet, in the datalet's own
 // protocol. A link that is down fails the read's frame, and the caller

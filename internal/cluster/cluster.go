@@ -580,7 +580,6 @@ func (c *Cluster) startPair(nodeID, shardID, engine string, dataletCodec wire.Co
 		DataletCodec:      dataletCodec,
 		Mode:              mode,
 		CoordinatorAddr:   c.controlAddr(c.coordIDs),
-		DLMAddr:           c.controlAddr(c.dlmIDs),
 		SharedLogAddr:     c.controlAddr(c.logIDs),
 		HeartbeatInterval: c.Opts.HeartbeatInterval,
 		TelemetryInterval: c.Opts.TelemetryInterval,
@@ -760,7 +759,6 @@ func (c *Cluster) Transition(to topology.Mode) error {
 				DataletCodec:      dataletCodec,
 				Mode:              to,
 				CoordinatorAddr:   c.controlAddr(c.coordIDs),
-				DLMAddr:           c.controlAddr(c.dlmIDs),
 				SharedLogAddr:     c.controlAddr(c.logIDs),
 				HeartbeatInterval: c.Opts.HeartbeatInterval,
 				TelemetryInterval: c.Opts.TelemetryInterval,

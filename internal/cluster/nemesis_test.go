@@ -326,7 +326,7 @@ func TestNemesisChaosMSSC(t *testing.T) {
 }
 
 // TestNemesisChaosAASC is the AA chaos variant: crashes plus lossy links
-// with per-key DLM locking in the write path.
+// with slot owners writing all replicas.
 func TestNemesisChaosAASC(t *testing.T) {
 	runNemesisChaos(t, chaosCase{
 		mode:  topology.Mode{Topology: topology.AA, Consistency: topology.Strong},
@@ -356,17 +356,19 @@ func TestNemesisChaosAAEC(t *testing.T) {
 // TestNemesisLinearizableMSSC runs the linearizability nemesis (below)
 // against MS+SC.
 func TestNemesisLinearizableMSSC(t *testing.T) {
-	runLinearizableNemesis(t, msSC, 3*time.Millisecond, nil)
+	runLinearizableNemesis(t, Options{Mode: msSC}, 3, 3*time.Millisecond, nil)
 }
 
 // runLinearizableNemesis records a concurrent read/write history (6
-// clients, 8 keys, globally unique write values) against a 1×3 cluster in
-// mode while a partition/heal schedule runs — plus whatever during does
-// alongside it until stop closes — then requires the checker to verify every
+// clients, 8 keys, globally unique write values) against a 1×3 cluster
+// with a standby, in opts' mode and control plane (heartbeat timeout
+// 400 ms unless opts sets one), while a partition/heal schedule of rounds
+// rounds runs — plus whatever during does alongside it until stop closes —
+// then requires the checker to verify every
 // key linearizable, and to reject the same history once deliberately
 // corrupted with a phantom read. A client pauses 3 ms after each op, and
 // failPause after a failed one.
-func runLinearizableNemesis(t *testing.T, mode topology.Mode, failPause time.Duration,
+func runLinearizableNemesis(t *testing.T, opts Options, rounds int, failPause time.Duration,
 	during func(c *Cluster, f *faultnet.Fabric, keys []string, stop <-chan struct{})) {
 	t.Helper()
 	if testing.Short() {
@@ -374,15 +376,13 @@ func runLinearizableNemesis(t *testing.T, mode topology.Mode, failPause time.Dur
 	}
 	seed := nemesisSeed(t)
 	logSeed(t, seed)
-	c, f := startFaultCluster(t, seed, Options{
-		Mode:             mode,
-		Shards:           1,
-		Replicas:         3,
-		Standbys:         1,
-		HeartbeatTimeout: 400 * time.Millisecond,
-	})
+	opts.Shards, opts.Replicas, opts.Standbys = 1, 3, 1
+	if opts.HeartbeatTimeout == 0 {
+		opts.HeartbeatTimeout = 400 * time.Millisecond
+	}
+	c, f := startFaultCluster(t, seed, opts)
 	sched := faultnet.Generate(seed, c.Hosts(), faultnet.GenOptions{
-		Rounds: 3,
+		Rounds: rounds,
 		Dwell:  500 * time.Millisecond,
 		Pause:  400 * time.Millisecond,
 		Kinds:  []faultnet.Kind{faultnet.KindIsolate, faultnet.KindSplit, faultnet.KindOneWay},

@@ -14,7 +14,10 @@ import (
 // apply accepted and wait for the tail's ack.
 func (s *Server) replicateChain(m *topology.Map, shard topology.Shard, w *writeSet) error {
 	c := s.forwardChain(m, shard, 0, w)
-	return c.wait(s)
+	if err := c.wait(s); err != nil {
+		return downstream{"replicate", err}
+	}
+	return nil
 }
 
 // forwardChain launches w's applied pairs toward the successor of position

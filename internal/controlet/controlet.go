@@ -3,7 +3,7 @@
 // sharding, replication, a topology (master-slave or active-active), a
 // consistency model (strong or eventual), failover recovery, and seamless
 // online mode transitions. One controlet fronts one datalet (the paper's
-// one-to-one mapping); a set of controlets plus the coordinator, DLM and
+// one-to-one mapping); a set of controlets plus the coordinator and the
 // shared log form a complete distributed KV store.
 //
 // The four pre-built modes follow §IV and Appendix C of the paper:
@@ -11,8 +11,8 @@
 //   - MS+SC: chain replication (CRAQ-style head ack after tail ack);
 //     strong reads at the tail.
 //   - MS+EC: master commits locally, acks, propagates asynchronously.
-//   - AA+SC: write-all under the key's slot lease from the DLM, which the
-//     slot's owner keeps across operations.
+//   - AA+SC: the owner of the key's slot under the cluster map applies the
+//     write at every replica before the ack and serves strong reads.
 //   - AA+EC: every write is sequenced through the shared log; replicas
 //     apply in log order, so concurrent multi-master writes converge.
 package controlet
@@ -71,26 +71,23 @@ type Config struct {
 	// Mode is the initial topology+consistency pair this controlet
 	// implements.
 	Mode topology.Mode
-	// CoordinatorAddr, DLMAddr and SharedLogAddr locate the control
-	// services. The coordinator is optional for static single-shard
-	// setups; the DLM is required for AA+SC; the shared log for AA+EC.
+	// CoordinatorAddr and SharedLogAddr locate the control services. The
+	// coordinator is optional for static single-shard setups; the shared
+	// log is required for AA+EC.
 	CoordinatorAddr string
-	DLMAddr         string
 	SharedLogAddr   string
 	// HeartbeatInterval paces liveness reports (default 250ms; the
 	// paper's testbed used 5s — scaled down for single-box runs).
 	HeartbeatInterval time.Duration
 	// FenceTimeout, when > 0 (and CoordinatorAddr is set), makes the
 	// controlet self-fence: if no heartbeat has been acknowledged for this
-	// long, MS-mode writes and strong reads answer StatusUnavailable until
-	// contact resumes. Set it to the coordinator's failure-detection
+	// long, MS and AA+SC writes and strong reads answer StatusUnavailable
+	// until contact resumes. Set it to the coordinator's failure-detection
 	// timeout and a partitioned head/tail stops serving at the same moment
 	// the coordinator starts promoting its replacement — closing the
 	// window where an isolated tail keeps answering strong reads that no
 	// longer reflect the surviving chain.
 	FenceTimeout time.Duration
-	// LockTTL bounds AA+SC leases (default 2s).
-	LockTTL time.Duration
 	// P2PRouting enables the §IV-E P2P-style topology: this controlet
 	// accepts requests for keys it does not own and routes them to the
 	// owning shard via the cluster map (see p2p.go).
@@ -162,8 +159,8 @@ type Server struct {
 	// AA+EC shared-log plumbing (see aaec.go).
 	aaec *logApplier
 
-	// AA+SC lock client and slot leases (see aasc.go).
-	locks *lockClient
+	// AA+SC slot authority (see aasc.go).
+	slots *slotTable
 
 	// draining is set while a transition drain is in flight; new writes
 	// are forwarded to the new-mode controlet.
@@ -211,9 +208,6 @@ func Serve(cfg Config) (*Server, error) {
 	}
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = 250 * time.Millisecond
-	}
-	if cfg.LockTTL <= 0 {
-		cfg.LockTTL = 2 * time.Second
 	}
 	if cfg.MaxInflight == 0 {
 		cfg.MaxInflight = 1024
@@ -350,8 +344,7 @@ func (s *Server) Close() error {
 	}
 	close(s.stopCh)
 	// What a request handler can be parked on — the propagation queues, the
-	// log combiner, a lock wait — is stopped before srv.Close waits for the
-	// handlers.
+	// log combiner — is stopped before srv.Close waits for the handlers.
 	if s.ctl != nil {
 		_ = s.ctl.Close()
 	}
@@ -360,9 +353,6 @@ func (s *Server) Close() error {
 	}
 	if s.aaec != nil {
 		s.aaec.stop()
-	}
-	if s.locks != nil {
-		s.locks.close()
 	}
 	if ms := s.mig.Load(); ms != nil {
 		ms.mover.Stop()
@@ -399,14 +389,16 @@ func (s *Server) SetMap(m *topology.Map) {
 	s.mapMu.Lock()
 	installed := s.curMap == nil || m.Epoch >= s.curMap.Epoch
 	if installed {
+		// The slot view goes first: an operation that loads this map finds
+		// the view of it, or of a later one, never of an earlier one.
+		if s.slots != nil {
+			s.slots.remap(clone)
+		}
 		s.curMap = clone
 		s.curRing = ring
 	}
 	s.mapMu.Unlock()
 	if installed {
-		if s.locks != nil {
-			s.locks.remap()
-		}
 		// Grant the local datalet its epoch lease so it can fence direct
 		// client reads against the map that just took effect.
 		s.pushEpochLease(clone.Epoch)
@@ -535,16 +527,25 @@ func (s *Server) epoch() uint64 {
 }
 
 // fenced reports whether this controlet has lost coordinator contact for a
-// full FenceTimeout and must stop acknowledging MS writes and strong reads.
+// full FenceTimeout and must stop acknowledging writes and strong reads.
 // The hazard it closes: a node isolated from clients' view of the cluster —
 // coordinator unreachable but data path still up — would otherwise keep
-// serving from a chain the coordinator is in the middle of replacing
-// (double-acked writes at an old head, stale strong reads at an old tail).
+// serving from a replica set the coordinator is in the middle of replacing
+// (double-acked writes at an old head or slot owner, stale strong reads at
+// an old tail).
 func (s *Server) fenced() bool {
+	at := s.fenceAt()
+	return at != 0 && time.Now().UnixNano() > at
+}
+
+// fenceAt is the instant (UnixNano) this controlet fences itself unless a
+// heartbeat is acknowledged first: the send time of the last acknowledged
+// one plus FenceTimeout. 0: it never fences.
+func (s *Server) fenceAt() int64 {
 	if s.cfg.FenceTimeout <= 0 || s.cfg.CoordinatorAddr == "" {
-		return false
+		return 0
 	}
-	return time.Since(time.Unix(0, s.lastBeat.Load())) > s.cfg.FenceTimeout
+	return s.lastBeat.Load() + int64(s.cfg.FenceTimeout)
 }
 
 // heartbeatLoop reports liveness (including the local datalet's) to the
@@ -598,19 +599,24 @@ func (s *Server) heartbeatLoop(cc *coordinator.Client) {
 		// coordinator stamped this heartbeat on arrival, so an isolated
 		// node fences no later than its replacement can be promoted. A
 		// heartbeat reporting a failed datalet refreshes nothing there, so
-		// it refreshes nothing here either.
-		if dataletOK {
-			s.lastBeat.Store(sent.UnixNano())
-		}
+		// it refreshes nothing here either; nor does one that told of a
+		// newer map before that map is installed — a node failed out while
+		// fenced must not serve again under the map that still names it.
 		cur := s.Map()
 		if cur == nil || epoch > cur.Epoch {
 			if m, err := cc.GetMap(); err == nil {
 				s.SetMap(m)
+			} else if cur != nil {
+				ctlHeartbeatErrs.Inc()
+				continue
 			}
 		} else {
 			// Same epoch: refresh the datalet's lease TTL so direct reads
 			// keep flowing exactly as long as this controlet is unfenced.
 			s.pushEpochLease(cur.Epoch)
+		}
+		if dataletOK {
+			s.lastBeat.Store(sent.UnixNano())
 		}
 		// Telemetry rides the already-open heartbeat connection; a failed
 		// report costs nothing but this tick's freshness at the aggregator.

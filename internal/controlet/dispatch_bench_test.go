@@ -11,7 +11,7 @@ import (
 // through admission, routing and the mode's write or read path of a
 // 1-replica shard, the local datalet one in-process hop away. No client
 // library and no peer hop, so what differs between modes is the mode's own
-// cost (DLM lease round trips, shared-log append) on top of the shared
+// cost (slot exclusion, shared-log append) on top of the shared
 // stages. Run with -benchmem: the single-key cells are allocation gates.
 func BenchmarkDispatch(b *testing.B) {
 	for _, mode := range fourModes {

@@ -3,9 +3,9 @@ package controlet
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"bespokv/internal/datalet"
-	"bespokv/internal/dlm"
 	"bespokv/internal/sharedlog"
 	"bespokv/internal/store"
 	"bespokv/internal/store/ht"
@@ -22,7 +22,7 @@ var fourModes = []topology.Mode{
 }
 
 // testShard is one coordinator-less shard of real controlet+datalet pairs
-// over the in-process transport, with the DLM or shared log its mode needs.
+// over the in-process transport, with the shared log AA+EC needs.
 type testShard struct {
 	ctls     []*Server
 	datalets []*datalet.Server
@@ -36,6 +36,9 @@ type shardOpts struct {
 	engine func(replica int, e store.Engine) store.Engine
 	// logSegment is the shared log's SegmentEntries.
 	logSegment int
+	// fence is every controlet's FenceTimeout, against a coordinator
+	// address nobody answers: the fence runs from boot.
+	fence time.Duration
 }
 
 func startDatalet(tb testing.TB, name string, wrap func(store.Engine) store.Engine) *datalet.Server {
@@ -72,13 +75,8 @@ func startShardOpts(tb testing.TB, mode topology.Mode, n int, opts shardOpts, ex
 	tb.Helper()
 	net, _ := transport.Lookup("inproc")
 	cfg := Config{ShardID: "shard-0", Network: net, Codec: wire.BinaryCodec{}, Mode: mode, Logf: tb.Logf}
-	if mode.Topology == topology.AA && mode.Consistency == topology.Strong {
-		l, err := dlm.Serve(dlm.Config{Network: net})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		tb.Cleanup(func() { l.Close() })
-		cfg.DLMAddr = l.Addr()
+	if opts.fence > 0 {
+		cfg.CoordinatorAddr, cfg.FenceTimeout = "nowhere", opts.fence
 	}
 	if mode.Topology == topology.AA && mode.Consistency == topology.Eventual {
 		l, err := sharedlog.Serve(sharedlog.Config{Network: net, SegmentEntries: opts.logSegment})

@@ -20,12 +20,12 @@ type policy struct {
 	// is lost for FenceTimeout.
 	fenced bool
 	// readOwner names the replica that serves strong reads; nil means any
-	// replica does — under the key's slot lease when lease is set, best
-	// effort otherwise.
+	// replica does — the key's slot owner when bySlot is set, best effort
+	// otherwise.
 	readOwner func(topology.Shard) topology.Node
-	// lease: order, apply, replicate and read each key under its slot's
-	// exclusive DLM lease (aasc.go).
-	lease bool
+	// bySlot: order, apply, replicate and read each key at the owner of its
+	// slot under the installed map (aasc.go).
+	bySlot bool
 	// perKey: the orderer takes one key at a time, so a batch walks the
 	// commit stages once per pair.
 	perKey bool
@@ -52,10 +52,10 @@ var policies = map[topology.Mode]policy{
 		headOnly: true, fenced: true, readOwner: topology.Shard.Head,
 		order: (*Server).orderLamport, replicate: (*Server).replicateAsync, start: (*Server).startPropagator,
 	},
-	// AA+SC: write-all under the key's slot lease.
+	// AA+SC: the key's slot owner writes all replicas.
 	{Topology: topology.AA, Consistency: topology.Strong}: {
-		lease: true, perKey: true,
-		order: (*Server).orderLamport, replicate: (*Server).replicateAll, start: (*Server).startLocks,
+		fenced: true, bySlot: true, perKey: true,
+		order: (*Server).orderOwner, replicate: (*Server).replicateAll, start: (*Server).startSlots,
 	},
 	// AA+EC: the shared log orders the write and carries it to the other
 	// replicas, so there is nothing left to replicate before the ack.
@@ -161,8 +161,8 @@ func (s *Server) handleRead(req *wire.Request, resp *wire.Response) {
 		refuse(resp, "controlet: node not in current map")
 	case !strong:
 		s.localCall(req, resp)
-	case s.pol.lease:
-		s.lockedRead(m, shard, req, resp)
+	case s.pol.bySlot:
+		s.lockedRead(req, resp)
 	case s.pol.readOwner == nil:
 		// AA+EC: best effort, serve locally (the paper's AA+EC offers no
 		// strong reads either).
@@ -231,12 +231,24 @@ func (s *Server) ddlLocal(req *wire.Request) error {
 }
 
 // handleRepl applies a repl record from a peer: MS+EC propagation, or the
-// AA+SC write-all. A propagated record carries no deadline — it is post-ack
-// (the master already answered its client), so dropping it would lose an
-// acknowledged write. A write-all frame carries its slot lease's doneBy,
-// and one whose budget is spent is refused, not applied: the lease may
-// have passed to another controlet (aasc.go).
+// AA+SC write-all. A propagated record carries no deadline and no epoch —
+// it is post-ack (the master already answered its client), so dropping it
+// would lose an acknowledged write. A write-all frame carries its owner's
+// map epoch and fence instant, and is refused, not applied, when it was
+// stamped before the slot's owner last changed here, in an epoch this
+// replica has not installed yet, or its budget is spent: the slot may have
+// passed to another controlet (aasc.go). The answer carries the version
+// the key holds here, which is above the frame's when a newer write
+// shadowed it.
 func (s *Server) handleRepl(req *wire.Request, resp *wire.Response) {
+	if s.slots != nil && req.Epoch != 0 {
+		if v := s.slots.view.Load(); v.m == nil || req.Epoch > v.m.Epoch || req.Epoch < v.moved[topology.SlotOf(req.Key)] {
+			resp.Status = wire.StatusWrongEpoch
+			resp.Err = "controlet: write-all from another epoch than its slot's owner's here"
+			resp.Epoch = s.epoch()
+			return
+		}
+	}
 	w := decodeWrite(req)
 	defer w.release()
 	s.observeVersion(req.Version)
@@ -245,5 +257,5 @@ func (s *Server) handleRepl(req *wire.Request, resp *wire.Response) {
 		return
 	}
 	resp.Status = wire.StatusOK
-	resp.Version = req.Version
+	resp.Version = max(req.Version, w.newer)
 }

@@ -1,6 +1,7 @@
 package controlet
 
 import (
+	"math/bits"
 	"time"
 
 	"bespokv/internal/metrics"
@@ -36,18 +37,11 @@ var (
 	// rising while aaec_applied_offset stands still is a stalled replica.
 	ctlAAECApplyRetries = metrics.Default.Counter("bespokv_controlet_aaec_apply_retries_total")
 
-	// AA+SC lease acquisition: the DLM wait is the paper's SC overhead.
+	// AA+SC slot handoffs: how long a gaining owner waited for the previous
+	// owner's barrier (install the new map, drain its writes in flight).
 	ctlLockWait = metrics.Default.Histogram("bespokv_controlet_lock_wait_seconds")
-	// AA+SC slot leases, bespokv_controlet_slot_lease_total{event}: Locks an
-	// operation waited for (acquire) and that tend sent to extend an owned
-	// lease (renew), Unlocks (release), single-key ops sent on to their
-	// slot's owner (relay) and ops served by a replica that does not own
-	// their slot (fallback). (acquire + renew) ÷ ops is the DLM calls per op.
-	ctlSlotAcquire  = metrics.Default.Counter("bespokv_controlet_slot_lease_total", "event", "acquire")
-	ctlSlotRenew    = metrics.Default.Counter("bespokv_controlet_slot_lease_total", "event", "renew")
-	ctlSlotRelease  = metrics.Default.Counter("bespokv_controlet_slot_lease_total", "event", "release")
-	ctlSlotRelay    = metrics.Default.Counter("bespokv_controlet_slot_lease_total", "event", "relay")
-	ctlSlotFallback = metrics.Default.Counter("bespokv_controlet_slot_lease_total", "event", "fallback")
+	// AA+SC single-key ops a replica sent on to their slot's owner.
+	ctlSlotRelay = metrics.Default.Counter("bespokv_controlet_slot_lease_total", "event", "relay")
 
 	// Coordinator liveness reporting.
 	ctlHeartbeats    = metrics.Default.Counter("bespokv_controlet_heartbeats_total")
@@ -65,8 +59,9 @@ var (
 	ctlTelemetryErrs    = metrics.Default.Counter("bespokv_controlet_telemetry_errors_total")
 )
 
-// observeWait records how long a write waited on a control service (DLM
-// lease, shared-log append) into h and, for sampled requests, as a span.
+// observeWait records how long a write waited on a control service or a
+// peer's barrier (shared-log append, slot handoff) into h and, for sampled
+// requests, as a span.
 func (s *Server) observeWait(h *metrics.Histogram, tid uint64, span string, start time.Time, err error) {
 	dur := time.Since(start)
 	h.Observe(dur)
@@ -125,8 +120,12 @@ func (s *Server) Status() any {
 	if s.aaec != nil {
 		st["aaec_applied_offset"] = s.aaec.applied.Load()
 	}
-	if s.locks != nil {
-		st["slot_leases_held"] = s.locks.held()
+	if s.slots != nil {
+		owned := 0
+		for _, w := range s.slots.view.Load().owned {
+			owned += bits.OnesCount64(w)
+		}
+		st["slots_owned"] = owned
 	}
 	return st
 }

@@ -29,7 +29,7 @@ func (s *Server) dispatchAdmit(req *wire.Request, resp *wire.Response) {
 }
 
 // downstream marks a failure of something this node depends on to finish
-// a write — a peer replica, the DLM, the shared log. The client sees the
+// a write — a peer replica, the shared log. The client sees the
 // retryable StatusUnavailable: the coordinator repairs the replica set (or
 // the service fails over) and the retry lands on the new topology.
 type downstream struct {
@@ -44,17 +44,39 @@ func (d downstream) Unwrap() error { return d.err }
 // past the enqueue grace.
 var errBacklog = fmt.Errorf("%w: replication backlog", errShed)
 
+// refusal is an op this node must not serve right now, and the status that
+// tells the client so.
+type refusal struct {
+	status wire.Status
+	why    string
+}
+
+func (r refusal) Error() string { return r.why }
+
+// The AA+SC refusals (aasc.go): the slot is another replica's under this
+// node's map; the slot is this node's but its previous owner has not
+// handed it over yet; this node has lost coordinator contact.
+var (
+	errNotOwner = refusal{wire.StatusWrongEpoch, "controlet: not the slot's owner"}
+	errUnarmed  = refusal{wire.StatusUnavailable, "controlet: slot handoff in progress"}
+	errFenced   = refusal{wire.StatusUnavailable, "controlet: fenced (no coordinator contact)"}
+)
+
 // statusOf is the write path's one error→status mapping. Shed and
 // spent-deadline failures are the retryable StatusOverloaded wherever on
 // the path they happened — a downstream shed keeps its class through
 // every hop back to the client, which backs off instead of hammering the
-// repaired chain; other downstream failures are StatusUnavailable; the
-// rest (the local engine refused) keep StatusErr. None of them was acked.
+// repaired chain; a refusal carries its own status; other downstream
+// failures are StatusUnavailable; the rest (the local engine refused) keep
+// StatusErr. None of them was acked.
 func statusOf(err error) wire.Status {
 	var d downstream
+	var r refusal
 	switch {
 	case errors.Is(err, errShed):
 		return wire.StatusOverloaded
+	case errors.As(err, &r):
+		return r.status
 	case errors.As(err, &d):
 		return wire.StatusUnavailable
 	default:

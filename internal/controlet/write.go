@@ -38,7 +38,10 @@ type writeSet struct {
 	// status is each pair's outcome so far, index-aligned with pairs;
 	// later stages skip pairs an earlier one failed.
 	status []wire.Status
-	one    [1]wire.KV // backs pairs of a single-key frame
+	// newer is the highest version the local datalet reported governing a
+	// pair applyLocal took: the pair's own, or one that shadowed it.
+	newer uint64
+	one   [1]wire.KV // backs pairs of a single-key frame
 }
 
 // errNoTable is applyLocal's refusal of a write to a table the local
@@ -150,6 +153,12 @@ func (w *writeSet) ack(resp *wire.Response) {
 // handleWrite is the client-facing write path: Put, Del, MPut, and the
 // writes an old-mode controlet hands off during a transition.
 func (s *Server) handleWrite(req *wire.Request, resp *wire.Response) {
+	// An AA+SC write on a slot another replica owns is relayed there
+	// before it counts as in flight here: the owner's handoff barrier may
+	// be quiescing this node, and must not wait for it.
+	if s.pol.bySlot && req.Op != wire.OpMPut && s.relaySlot(req, resp) {
+		return
+	}
 	s.inflight.RLock()
 	defer s.inflight.RUnlock()
 	w := decodeWrite(req)
@@ -212,11 +221,10 @@ func (s *Server) handleWrite(req *wire.Request, resp *wire.Response) {
 		}
 	}
 	// Self-fencing: a node out of coordinator contact cannot know whether
-	// it is still in the chain — the coordinator may be promoting its
-	// replacement right now, and an ack issued here would exist only on
-	// the deposed chain. AA policies are unfenced: AA+SC writes must win a
-	// DLM lease (unreachable under the same partition) and AA+EC acks are
-	// sequenced through the shared log.
+	// it is still in the chain or still owns its slots — the coordinator
+	// may be promoting its replacement right now, and an ack issued here
+	// would exist only on the deposed replicas. AA+EC is unfenced: its acks
+	// are sequenced through the shared log.
 	if s.pol.fenced && s.fenced() {
 		ctlFencedRejects.Inc()
 		refuse(resp, "controlet: fenced (no coordinator contact)")
@@ -228,20 +236,21 @@ func (s *Server) handleWrite(req *wire.Request, resp *wire.Response) {
 		s.toOwner(shard.Head().ControletAddr, req, resp)
 		return
 	}
-	if s.pol.lease && !w.batch && s.relaySlot(m, shard, req, resp) {
-		return
-	}
 
 	// --- order + apply-local → replicate → mirror ---
 	if w.batch && s.pol.perKey {
-		// The AA orderers work a key at a time (one DLM lease, one log
+		// The AA orderers work a key at a time (one slot owner, one log
 		// record each): narrow the set to each pair in turn and walk it
-		// through as a single-key write. A pair's failure is its own.
-		// (commit may narrow the deadline to one pair's lease.)
+		// through as a single-key write, relayed when another replica owns
+		// its slot. A pair's failure is its own. (commit may narrow the
+		// deadline to the owner's fence.)
 		pairs, status, dlAt := w.pairs, w.status, w.dlAt
 		w.batch = false
 		for i := range pairs {
 			w.pairs, w.status, w.dlAt = pairs[i:i+1], status[i:i+1], dlAt
+			if s.pol.bySlot && s.relayWrite(w) {
+				continue
+			}
 			if err := s.commit(m, shard, w); err != nil {
 				status[i] = statusOf(err)
 			}
@@ -261,24 +270,28 @@ func (s *Server) handleWrite(req *wire.Request, resp *wire.Response) {
 // replicate func does whatever the mode owes the other replicas before an
 // ack, and what survived both is mirrored to an active migration.
 func (s *Server) commit(m *topology.Map, shard topology.Shard, w *writeSet) error {
-	if s.pol.lease {
-		op, err := s.lockWrite(w)
+	if s.pol.bySlot {
+		// As the slot's owner, across the local apply and the write-all, by
+		// its fence instant: every frame carries it as its deadline, so no
+		// replica applies the write after the owner may have been failed out.
+		op, err := s.slots.enter(w.pairs[0].Key, true)
 		if err != nil {
 			return err
 		}
-		defer s.locks.exit(op)
+		defer s.slots.exit(op)
+		w.dlAt = op.bound(w.dlAt)
 	}
 	if err := s.pol.order(s, w); err != nil {
 		return err
 	}
-	if m != nil && s.pol.replicate != nil {
+	// A replica that cannot take the write fails it (a downstream error);
+	// the coordinator repairs the replica set and the client retries
+	// against the new topology (LWW re-apply is idempotent). A downstream
+	// shed keeps its overload class so the client backs off instead of
+	// hammering the repaired set. With no map there are no peers.
+	if s.pol.replicate != nil {
 		if err := s.pol.replicate(s, m, shard, w); err != nil {
-			// A replica that cannot take the write fails it; the
-			// coordinator repairs the replica set and the client retries
-			// against the new topology (LWW re-apply is idempotent). A
-			// downstream shed keeps its overload class so the client
-			// backs off instead of hammering the repaired set.
-			return downstream{"replicate", err}
+			return err
 		}
 	}
 	// Dual-apply what is about to be acknowledged to its post-cutover
@@ -297,11 +310,8 @@ func (s *Server) commit(m *topology.Map, shard topology.Shard, w *writeSet) erro
 	return nil
 }
 
-// orderLamport is the orderer of every mode whose versions come from this
-// node's Lamport clock: MS (only the head orders), and AA+SC (the lease
-// holder orders; the synchronous write-all under the exclusive lease
-// delivers the version to every peer before the lease is released, so the
-// key's next writer has observed it and assigns a strictly larger one).
+// orderLamport is the MS orderer: the head versions the write from its
+// Lamport clock and applies it locally.
 func (s *Server) orderLamport(w *writeSet) error { return s.applyLocal(w, true) }
 
 // applyLocal applies w's pairs to the local datalet in one frame.
@@ -316,8 +326,8 @@ func (s *Server) orderLamport(w *writeSet) error { return s.applyLocal(w, true) 
 //
 // Without assign the pairs carry their versions (chain hops, repl records,
 // log-ordered writes): losing the LWW race there is the correct outcome,
-// and a rejected pair fails the frame — a replica cannot ack what it did
-// not store.
+// recorded in w.newer, and a rejected pair fails the frame — a replica
+// cannot ack what it did not store.
 //
 // The datalet is handed the shrinking remainder of w's deadline; a spent
 // budget fails the write before it touches the engine. The error return
@@ -377,6 +387,7 @@ func (s *Server) applyLocal(w *writeSet, assign bool) error {
 				racing++
 			default:
 				w.status[i] = wire.StatusOK
+				w.newer = max(w.newer, winner)
 			}
 		}
 		if racing == 0 {
@@ -386,8 +397,10 @@ func (s *Server) applyLocal(w *writeSet, assign bool) error {
 		lreq.Reset()
 		lresp.Reset()
 	}
-	return errors.New("controlet: local write kept losing version races")
+	return errVersionRaces
 }
+
+var errVersionRaces = errors.New("controlet: write kept losing version races")
 
 // peerCall is one frame in flight toward a peer controlet on a pipelined
 // connection: send launches it, the caller overlaps its own work with the
@@ -398,6 +411,8 @@ type peerCall struct {
 	presp *wire.Response
 	errc  <-chan error
 	err   error // set instead of errc when the frame never left
+	// version is the Version of the peer's answer, once waited for.
+	version uint64
 }
 
 // send launches fwd, a pooled request it takes over, toward a peer. The
@@ -426,6 +441,7 @@ func (c *peerCall) wait(s *Server) error {
 	if err == nil {
 		err = peerErrValue(c.presp)
 	}
+	c.version = c.presp.Version
 	wire.PutRequest(c.fwd)
 	wire.PutResponse(c.presp)
 	return err

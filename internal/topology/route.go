@@ -4,10 +4,9 @@ package topology
 // read by clients when they pick a target and by controlets when they relay
 // for one, so the two cannot disagree on who owns what.
 
-// Slots is the number of lease slots each shard's key space is split into.
-// Under AA+SC a slot, not a key, is what a controlet holds a DLM lease on,
-// so the leases in play are bounded by Slots × shards × tables whatever the
-// key count.
+// Slots is the number of slots each shard's key space is split into. Under
+// AA+SC a slot, not a key, is what the map gives an owner, so a map change
+// moves at most Slots owners per shard whatever the key count.
 const Slots = 256
 
 // SlotOf returns key's slot: the low bits of the key's hash (the ring
@@ -100,8 +99,8 @@ func (r Route) ReadTarget(strong bool) Target {
 func (m Mode) Route() Route {
 	switch {
 	case m.Topology == AA && m.Consistency == Strong:
-		// A slot's owner keeps its DLM lease across operations, so its
-		// keys go there; any replica still accepts any key.
+		// A slot's owner orders its keys' writes and serves their strong
+		// reads, so they go there; another replica relays them once.
 		return Route{Write: ToOwner, Read: ToOwner, Strong: true}
 	case m.Topology == AA:
 		return Route{Write: ToAny, Read: ToAny}

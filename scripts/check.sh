@@ -235,36 +235,47 @@ run() {
 		$GO test -run NONE -bench 'LogApply|LogAppend' -benchtime 20000x -benchmem -cpu 1,2 ./internal/controlet/
 		;;
 
-	# AA+SC without a lock round trip per op: the slot/owner function and
-	# the per-mode route row every client pick reads (a routed MS+SC GET's
-	# pick allocates nothing), the one rule resolving a read's level, the
-	# DLM waking a waiter at its holder's expiry, a lease holder's reads and
-	# writes of one key taking turns (a read waits out the key's write-all
-	# in flight), the write-all frames carrying the lease's end as their
-	# deadline, and the cluster suites of slot leases — linearizable under
-	# isolate/split/one-way faults plus an owner crash, acked writes readable
-	# under chaos, a dead owner's slot taken over within LockTTL plus the
-	# failure-detection timeout, disagreeing maps relaying an op at most
-	# once, no lease left with an old-mode controlet after two transitions,
-	# one hot key hammered through all three controlets — under the race
-	# detector. Then the greps that keep it so: the client routes by the
-	# route row, not by the mode, and only the slot-lease table calls the
-	# DLM's Lock. Last, the steady-state DLM Lock calls per client op on a
-	# uniform 50 % PUT load (gate: < 0.1).
+	# AA+SC with the map as the only authority over a slot: the slot/owner
+	# function and the per-mode route row every client pick reads (a routed
+	# MS+SC GET's pick allocates nothing), the one rule resolving a read's
+	# level, an owner's reads and writes of one key taking turns (a read
+	# waits out the key's write-all in flight), write-all frames carrying
+	# the owner's epoch and fence instant (a fenced owner serves nothing), a
+	# peer refusing a frame from before its slot moved, a gained slot
+	# unarmed until its live previous owner quiesces, a write-all re-sent
+	# above a peer's newer version, and the cluster suites — linearizable
+	# under isolate/split/one-way faults plus an owner crash, a write-all
+	# held past the owner's fence and a control-leader kill, acked writes
+	# readable under chaos, a dead owner's slot taken over within
+	# HeartbeatTimeout + FenceTimeout, disagreeing maps never serving as a
+	# non-owner, writes kept through two transitions, one hot key hammered
+	# through all three controlets — under the race detector. Then the
+	# greps that keep it so: the client routes by the route row, not by the
+	# mode; nothing outside internal/dlm calls the DLM's Lock, and neither
+	# the controlet nor a command imports the DLM; the slot-lease table's
+	# options, counters and lease keeping stay gone. Last, the DLM Lock
+	# calls per client op on a uniform 50 % PUT load (gate: none).
 	aasc)
 		$GO test -race -run 'TestSlot|TestRoute|TestPick|TestReadTarget' ./internal/topology/
 		$GO test -race -run 'TestLevelStrong' ./internal/wire/
 		$GO test -race -run 'TestAASC|TestKeyUse' ./internal/controlet/
 		$GO test -race -run 'TestSlotOwnerRouting|TestReadTarget|TestWriteTarget' ./internal/client/
-		$GO test -race -run 'TestWaiterWakesAtExpiry|TestLeaseExpiry|TestReentrantOwner' ./internal/dlm/
 		$GO test -race -run 'TestAASC|TestNemesisLinearizableAASC|TestNemesisChaosAASC|TestTransitionPreservesData' ./internal/cluster/
 		if grep -rnE --include='*.go' '\.Mode\.(Topology|Consistency)' internal/client/ | grep -v '_test\.go:'; then
 			echo "check.sh: the client branches on the mode; read its topology.Route row" >&2
 			exit 1
 		fi
 		if grep -rnE --include='*.go' 'LockTraced\(|\.Lock\([^)]*dlm\.(Read|Write)' cmd/ examples/ internal/ |
-			grep -v '_test\.go:' | grep -vE '^internal/(controlet/aasc\.go|dlm/)'; then
-			echo "check.sh: a DLM Lock outside the slot-lease table (internal/controlet/aasc.go)" >&2
+			grep -v '_test\.go:' | grep -v '^internal/dlm/'; then
+			echo "check.sh: a DLM Lock outside internal/dlm; the map is AA+SC's authority" >&2
+			exit 1
+		fi
+		if grep -rln --include='*.go' '"bespokv/internal/dlm"' internal/controlet/ cmd/; then
+			echo "check.sh: the controlet or a command imports the DLM" >&2
+			exit 1
+		fi
+		if grep -rnE --include='*.go' 'LockTTL|DLMAddr|ctlSlotAcquire|ctlSlotRenew|ctlSlotRelease|ctlSlotFallback|func \(l \*lockClient\) (tend|renew|release)' internal/ cmd/; then
+			echo "check.sh: the AA+SC slot-lease table is back" >&2
 			exit 1
 		fi
 		log=$(mktemp)
