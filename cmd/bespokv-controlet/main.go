@@ -17,11 +17,19 @@
 //	  "topology":    "ms",
 //	  "consistency": "strong",
 //	  "coordinator": "127.0.0.1:7000",
-//	  "sharedlog":   "127.0.0.1:7002"
+//	  "sharedlog":   "127.0.0.1:7002",
+//	  "heartbeat_timeout": "5s"
 //	}
 //
 // "datalet" is the local datalet's TCP address or, for a datalet started
 // with -local-addr on the same machine, "unix:<path>" of its socket file.
+//
+// "heartbeat_timeout" is the coordinator's -heartbeat-timeout (both default
+// to 5s). With a coordinator, a controlet that has had no heartbeat
+// acknowledged for that long fences itself: an MS+SC head or AA+SC owner cut
+// off from the coordinator stops acking writes when its replacement can be
+// promoted. "0s" turns fencing off, for a coordinator run with
+// -disable-failover.
 package main
 
 import (
@@ -32,6 +40,7 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"bespokv/internal/controlet"
 	"bespokv/internal/obs"
@@ -41,18 +50,76 @@ import (
 )
 
 type fileConfig struct {
-	NodeID       string `json:"node_id"`
-	ShardID      string `json:"shard_id"`
-	Network      string `json:"network,omitempty"`
-	DataAddr     string `json:"data_addr"`
-	CtlAddr      string `json:"ctl_addr"`
-	Codec        string `json:"codec,omitempty"`
-	Datalet      string `json:"datalet"`
-	DataletCodec string `json:"datalet_codec,omitempty"`
-	Topology     string `json:"topology"`
-	Consistency  string `json:"consistency"`
-	Coordinator  string `json:"coordinator,omitempty"`
-	SharedLog    string `json:"sharedlog,omitempty"`
+	NodeID           string `json:"node_id"`
+	ShardID          string `json:"shard_id"`
+	Network          string `json:"network,omitempty"`
+	DataAddr         string `json:"data_addr"`
+	CtlAddr          string `json:"ctl_addr"`
+	Codec            string `json:"codec,omitempty"`
+	Datalet          string `json:"datalet"`
+	DataletCodec     string `json:"datalet_codec,omitempty"`
+	Topology         string `json:"topology"`
+	Consistency      string `json:"consistency"`
+	Coordinator      string `json:"coordinator,omitempty"`
+	SharedLog        string `json:"sharedlog,omitempty"`
+	HeartbeatTimeout string `json:"heartbeat_timeout,omitempty"`
+}
+
+// parseConfig maps a configuration file onto the controlet's Config,
+// filling in the defaults.
+func parseConfig(raw []byte) (controlet.Config, error) {
+	var fc fileConfig
+	if err := json.Unmarshal(raw, &fc); err != nil {
+		return controlet.Config{}, err
+	}
+	if fc.Network == "" {
+		fc.Network = "tcp"
+	}
+	if fc.Codec == "" {
+		fc.Codec = "binary"
+	}
+	if fc.DataletCodec == "" {
+		fc.DataletCodec = fc.Codec
+	}
+	if fc.HeartbeatTimeout == "" {
+		fc.HeartbeatTimeout = "5s" // the coordinator's default
+	}
+	net, err := transport.Lookup(fc.Network)
+	if err != nil {
+		return controlet.Config{}, err
+	}
+	codec, err := wire.LookupCodec(fc.Codec)
+	if err != nil {
+		return controlet.Config{}, err
+	}
+	dataletCodec, err := wire.LookupCodec(fc.DataletCodec)
+	if err != nil {
+		return controlet.Config{}, err
+	}
+	hbTimeout, err := time.ParseDuration(fc.HeartbeatTimeout)
+	if err != nil || hbTimeout < 0 {
+		return controlet.Config{}, fmt.Errorf("heartbeat_timeout %q: want a duration >= 0", fc.HeartbeatTimeout)
+	}
+	cfg := controlet.Config{
+		NodeID:       fc.NodeID,
+		ShardID:      fc.ShardID,
+		Network:      net,
+		DataAddr:     fc.DataAddr,
+		CtlAddr:      fc.CtlAddr,
+		Codec:        codec,
+		DataletAddr:  fc.Datalet,
+		DataletCodec: dataletCodec,
+		Mode: topology.Mode{
+			Topology:    topology.Topology(fc.Topology),
+			Consistency: topology.Consistency(fc.Consistency),
+		},
+		CoordinatorAddr: fc.Coordinator,
+		SharedLogAddr:   fc.SharedLog,
+	}
+	if fc.Coordinator != "" {
+		cfg.FenceTimeout = hbTimeout
+	}
+	return cfg, nil
 }
 
 func main() {
@@ -67,53 +134,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var fc fileConfig
-	if err := json.Unmarshal(raw, &fc); err != nil {
+	cfg, err := parseConfig(raw)
+	if err != nil {
 		log.Fatalf("parse %s: %v", *configPath, err)
 	}
-	if fc.Network == "" {
-		fc.Network = "tcp"
-	}
-	if fc.Codec == "" {
-		fc.Codec = "binary"
-	}
-	if fc.DataletCodec == "" {
-		fc.DataletCodec = fc.Codec
-	}
-	net, err := transport.Lookup(fc.Network)
-	if err != nil {
-		log.Fatal(err)
-	}
-	codec, err := wire.LookupCodec(fc.Codec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	dataletCodec, err := wire.LookupCodec(fc.DataletCodec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mode := topology.Mode{
-		Topology:    topology.Topology(fc.Topology),
-		Consistency: topology.Consistency(fc.Consistency),
-	}
-	s, err := controlet.Serve(controlet.Config{
-		NodeID:          fc.NodeID,
-		ShardID:         fc.ShardID,
-		Network:         net,
-		DataAddr:        fc.DataAddr,
-		CtlAddr:         fc.CtlAddr,
-		Codec:           codec,
-		DataletAddr:     fc.Datalet,
-		DataletCodec:    dataletCodec,
-		Mode:            mode,
-		CoordinatorAddr: fc.Coordinator,
-		SharedLogAddr:   fc.SharedLog,
-	})
+	s, err := controlet.Serve(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("bespokv-controlet %s (%s, shard %s): data=%s ctl=%s datalet=%s\n",
-		fc.NodeID, mode, fc.ShardID, s.DataAddr(), s.CtlAddr(), fc.Datalet)
+		cfg.NodeID, cfg.Mode, cfg.ShardID, s.DataAddr(), s.CtlAddr(), cfg.DataletAddr)
 	o, err := obs.Start(*obsAddr, s.Status)
 	if err != nil {
 		log.Fatal(err)

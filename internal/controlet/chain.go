@@ -37,7 +37,7 @@ func (s *Server) forwardChain(m *topology.Map, shard topology.Shard, pos int, w 
 	// successor compares against its map is always its direct sender's.
 	fwd.Epoch = m.Epoch
 	c := s.send(shard.Replicas[pos+1].ControletAddr, fwd)
-	if c.errc != nil {
+	if c.fwd != nil {
 		ctlChainForwards.Inc()
 	}
 	return c

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"bespokv/internal/topology"
 	"bespokv/internal/wire"
 )
 
@@ -13,29 +14,34 @@ import (
 // library and no peer hop, so what differs between modes is the mode's own
 // cost (slot exclusion, shared-log append) on top of the shared
 // stages. Run with -benchmem: the single-key cells are allocation gates.
+//
+// The put-r3 cells are the write hop: a put at the head (MS+SC) or at the
+// key's slot owner (AA+SC) of a 3-replica shard, whose replication is two
+// chained peer frames or two concurrent write-all frames.
 func BenchmarkDispatch(b *testing.B) {
-	for _, mode := range fourModes {
-		sh := startShard(b, mode, 1)
-		s := sh.ctls[0]
-		value := make([]byte, 32)
-		key := func(i int) []byte { return []byte(fmt.Sprintf("key-%06d", i%4096)) }
-		var resp wire.Response
-		run := func(name string, req *wire.Request, next func(i int)) {
-			b.Run(mode.String()+"/"+name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					next(i)
-					resp.Reset()
-					s.dispatchAdmit(req, &resp)
-					if resp.Status != wire.StatusOK {
-						b.Fatalf("%s: %+v", name, resp)
-					}
+	value := make([]byte, 32)
+	keys := make([][]byte, 4096)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%06d", i))
+	}
+	var resp wire.Response
+	cell := func(s *Server, name string, req *wire.Request, next func(i int)) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				next(i)
+				resp.Reset()
+				s.dispatchAdmit(req, &resp)
+				if resp.Status != wire.StatusOK {
+					b.Fatalf("%s: %+v", name, resp)
 				}
-			})
-		}
-		keys := make([][]byte, 4096)
-		for i := range keys {
-			keys[i] = key(i)
+			}
+		})
+	}
+	for _, mode := range fourModes {
+		s := startShard(b, mode, 1).ctls[0]
+		run := func(name string, req *wire.Request, next func(i int)) {
+			cell(s, mode.String()+"/"+name, req, next)
 		}
 		put := &wire.Request{Op: wire.OpPut, Value: value}
 		for _, k := range keys { // every get finds its key at any -benchtime
@@ -54,5 +60,17 @@ func BenchmarkDispatch(b *testing.B) {
 				mput.Pairs[j] = wire.KV{Key: keys[(i*16+j)%len(keys)], Value: value}
 			}
 		})
+	}
+	for _, mode := range []topology.Mode{fourModes[0], fourModes[2]} {
+		sh := startShard(b, mode, 3)
+		shard := sh.m.Shards[0]
+		var owned [][]byte // keys of n0's slots: an AA+SC non-owner would relay
+		for _, k := range keys {
+			if shard.SlotOwner(topology.SlotOf(k)).ID == "n0" {
+				owned = append(owned, k)
+			}
+		}
+		put := &wire.Request{Op: wire.OpPut, Value: value}
+		cell(sh.ctls[0], mode.String()+"/put-r3", put, func(i int) { put.Key = owned[i%len(owned)] })
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"bespokv/internal/datalet"
 	"bespokv/internal/topology"
 	"bespokv/internal/wire"
 )
@@ -407,10 +408,10 @@ var errVersionRaces = errors.New("controlet: write kept losing version races")
 // network hop, wait collects the answer. The zero value waits as an
 // immediate success (a chain tail has nobody to forward to).
 type peerCall struct {
-	fwd   *wire.Request
+	fwd   *wire.Request // nil when the frame never left
 	presp *wire.Response
-	errc  <-chan error
-	err   error // set instead of errc when the frame never left
+	p     datalet.Pending
+	err   error // why the frame never left
 	// version is the Version of the peer's answer, once waited for.
 	version uint64
 }
@@ -426,7 +427,7 @@ func (s *Server) send(addr string, fwd *wire.Request) peerCall {
 		return peerCall{err: errDeadlineSpent}
 	}
 	c := peerCall{fwd: fwd, presp: wire.GetResponse()}
-	c.errc = s.peer(addr).DoAsync(fwd, c.presp)
+	c.p = s.peer(addr).Start(fwd, c.presp)
 	return c
 }
 
@@ -434,10 +435,10 @@ func (s *Server) send(addr string, fwd *wire.Request) peerCall {
 // every node through the tail applied the write — and recycles the pooled
 // messages. A peer's Overloaded comes back as errShed.
 func (c *peerCall) wait(s *Server) error {
-	if c.errc == nil {
+	if c.fwd == nil {
 		return c.err
 	}
-	err := <-c.errc
+	err := c.p.Wait()
 	if err == nil {
 		err = peerErrValue(c.presp)
 	}

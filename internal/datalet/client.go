@@ -5,7 +5,9 @@
 // syscall covers a burst), and a reader goroutine matches responses to
 // waiters in FIFO order, which every server in this repo guarantees per
 // connection (see the comment on datalet.(*Server).serveConn; the text
-// protocol depends on it by design).
+// protocol depends on it by design). A call started on an idle connection
+// skips both goroutines: its caller sends the frame and, unless a call
+// queued behind it needs the reply read first, reads the answer itself.
 package datalet
 
 import (
@@ -47,6 +49,10 @@ type call struct {
 	// mid-stream — the remaining frames can no longer be parsed away).
 	stream func(resp *wire.Response) (done bool, err error)
 	errc   chan error // buffered(1); delivers exactly one completion
+	// inline marks a call its starter sent itself and means to read the
+	// reply of; the reader leaves it alone while nothing is queued behind
+	// it. Guarded by Client.mu.
+	inline bool
 }
 
 // streamAbort marks a stream callback error as connection-fatal.
@@ -57,16 +63,17 @@ func (a streamAbort) Error() string { return a.err.Error() }
 // Client is a pipelined, multiplexed connection to one datalet (or to any
 // server speaking the wire protocol — controlets reuse it for peer
 // forwarding). Any number of goroutines may issue requests concurrently;
-// they share the connection with many requests in flight. The blocking Do
-// keeps the old lock-step signature; DoAsync exposes the pipeline to
-// fan-out callers.
+// they share the connection with many requests in flight. Start and Wait
+// split one call around work the caller overlaps with the hop; Do is the two
+// back to back; DoAsync exposes the pipeline to callers that fan out many
+// frames before they wait.
 type Client struct {
 	conn  transport.Conn
 	codec wire.Codec
 	bcd   wire.BufferedCodec // nil if codec cannot defer flushes
-	br    *bufio.Reader      // owned by the reader goroutine
-	bw    *bufio.Writer      // owned by the writer goroutine
-	seq   uint64             // request ID source (writer only)
+	br    *bufio.Reader      // owned by whoever set readerBusy
+	bw    *bufio.Writer      // owned by whoever set writerBusy
+	seq   uint64             // request ID source (whoever holds bw)
 
 	// mu guards the two queues and the sticky error. Callers append to
 	// sendQ; the writer moves calls to respQ as it encodes them; the
@@ -77,15 +84,14 @@ type Client struct {
 	respQ []*call
 	free  []*call // recycled calls (and their completion channels)
 	err   error   // sticky transport error
-	// Connection-ownership flags for the idle fast path: a lone Do on an
-	// otherwise-idle connection runs lock-step inline (the caller encodes,
-	// flushes, and decodes itself — no goroutine handoffs), which matters
-	// because a connection with exactly one caller gets pipelining's
-	// overhead but none of its overlap. Each flag marks a goroutine that
-	// may touch bw/br outside mu.
-	inlineActive bool // a fast-path Do owns both bw and br
-	writerBusy   bool // writeLoop is encoding/flushing a batch (owns bw)
-	readerBusy   bool // readLoop is decoding a popped batch (owns br)
+	// Buffer ownership. A goroutine that set one of these under mu may use
+	// the buffer outside it: the writer for a batch, the reader for a
+	// batch, and on the idle fast path the caller itself — Start holds bw
+	// until its flush, Wait holds br while it reads its own reply. A lone
+	// caller gets none of pipelining's overlap, so it should not pay for
+	// its goroutine handoffs either.
+	writerBusy bool
+	readerBusy bool
 	// lastBatch is the size of the writer's most recent batch — the
 	// hysteresis for the fast path. Under concurrency the queues drain to
 	// empty between rounds, so "idle right now" alone would route the
@@ -111,7 +117,9 @@ type Client struct {
 	// lost response desynchronizes everything behind it. The watchdog
 	// therefore monitors *progress* — if calls are outstanding and no
 	// response frame arrives for a full timeout, the connection is failed
-	// with ErrCallTimeout and every waiter is released.
+	// with ErrCallTimeout and every waiter is released. A started call
+	// whose caller is busy elsewhere is not a stall: at the first poll
+	// without progress the watchdog hands its reply to the reader.
 	timeout  atomic.Int64 // nanoseconds; 0 = no watchdog
 	progress atomic.Int64 // response frames decoded (stall detector)
 	dogOnce  sync.Once
@@ -183,6 +191,12 @@ func (c *Client) watchdog() {
 		}
 		if stalled.IsZero() {
 			stalled = time.Now()
+			c.mu.Lock()
+			if len(c.respQ) > 0 && c.respQ[0].inline {
+				c.respQ[0].inline = false
+				c.respReady.Signal()
+			}
+			c.mu.Unlock()
 			continue
 		}
 		if time.Since(stalled) >= d {
@@ -192,79 +206,118 @@ func (c *Client) watchdog() {
 	}
 }
 
-// Do sends req and decodes the reply into resp. The writer assigns req.ID;
-// Do blocks until the response arrives or the connection fails. Safe for
+// Pending is a call Start launched. Wait must be called on it exactly once.
+type Pending struct {
+	c      *Client
+	cl     *call
+	inline bool  // the caller sent the frame and may read the reply
+	err    error // the call never left: Wait returns it
+}
+
+// Start sends req, or queues it for the writer, and returns at once; the
+// reply lands in resp once Wait returns nil. Neither may be touched in
+// between. On an idle connection the caller encodes and flushes the frame
+// itself and, in Wait, reads the reply — no goroutine handoff on either
+// side. The caller holds the send buffer only until its flush, and the
+// reader takes the reply over when a call queued behind it needs the
+// stream, so Waits on one connection complete in any order. Safe for
 // concurrent use; concurrent callers pipeline onto the shared connection.
-func (c *Client) Do(req *wire.Request, resp *wire.Response) error {
+func (c *Client) Start(req *wire.Request, resp *wire.Response) Pending {
 	c.mu.Lock()
-	if c.err == nil && c.lastBatch <= 1 && !c.inlineActive && !c.writerBusy &&
-		!c.readerBusy && len(c.sendQ) == 0 && len(c.respQ) == 0 {
-		// The connection is completely idle: take exclusive ownership
-		// of both buffers and run the round trip lock-step, exactly as
-		// the old synchronous client did. A lone caller gets none of
-		// pipelining's overlap, so it shouldn't pay for its goroutine
-		// handoffs either; under concurrency the queues are non-empty
-		// and everyone takes the pipelined path below.
-		c.inlineActive = true
+	if c.err == nil && c.lastBatch <= 1 && !c.writerBusy && !c.readerBusy &&
+		len(c.sendQ) == 0 && len(c.respQ) == 0 {
+		cl := c.newCall(req, resp)
+		cl.inline = true
+		c.writerBusy = true
 		c.seq++
 		req.ID = c.seq
+		c.respQ = append(c.respQ, cl)
+		c.load.Add(1)
 		c.mu.Unlock()
-		return c.doInline(req, resp)
+		cliInline.Inc()
+		err := c.codec.WriteRequest(c.bw, req)
+		c.mu.Lock()
+		c.writerBusy = false
+		kick := len(c.sendQ) > 0
+		c.mu.Unlock()
+		if err != nil {
+			c.fail(err) // completes cl, which is in respQ
+		} else if kick {
+			c.sendReady.Signal()
+		}
+		return Pending{c: c, cl: cl, inline: true}
 	}
 	c.mu.Unlock()
 	cl, err := c.submit(nil, req, resp)
 	if err != nil {
-		return err
+		return Pending{err: err}
 	}
-	err = <-cl.errc
-	// The receive above drained the completion channel, so the call can
-	// be recycled for a future Do.
+	return Pending{c: c, cl: cl}
+}
+
+// Wait blocks until the call's reply is in resp or the connection failed.
+func (p Pending) Wait() error {
+	if p.cl == nil {
+		return p.err
+	}
+	c, cl := p.c, p.cl
+	if p.inline {
+		c.mu.Lock()
+		if cl.inline && len(c.respQ) > 0 && c.respQ[0] == cl {
+			// Still first in line and unclaimed, so nobody holds br: an
+			// inline start needs an idle reader, and the reader takes
+			// respQ whole. Read the reply here.
+			n := copy(c.respQ, c.respQ[1:])
+			c.respQ[n] = nil
+			c.respQ = c.respQ[:n]
+			c.readerBusy = true
+			c.mu.Unlock()
+			err := c.readInline(cl)
+			c.mu.Lock()
+			c.readerBusy = false
+			if len(c.respQ) > 0 {
+				c.respReady.Signal()
+			}
+			c.recycle(cl)
+			c.mu.Unlock()
+			return err
+		}
+		c.mu.Unlock()
+	}
+	err := <-cl.errc
 	c.mu.Lock()
-	cl.req, cl.resp, cl.stream = nil, nil, nil
-	c.free = append(c.free, cl)
+	c.recycle(cl)
 	c.mu.Unlock()
 	return err
 }
 
-// doInline completes a fast-path Do that owns the connection's buffers.
-func (c *Client) doInline(req *wire.Request, resp *wire.Response) error {
-	c.load.Add(1)
-	cliInline.Inc()
-	defer c.load.Add(-1)
-	err := c.codec.WriteRequest(c.bw, req)
+// readInline decodes the reply of a call its waiter claimed from the head
+// of respQ.
+func (c *Client) readInline(cl *call) error {
+	cl.resp.Reset()
+	err := c.codec.ReadResponse(c.br, cl.resp)
 	if err == nil {
-		resp.Reset()
-		err = c.codec.ReadResponse(c.br, resp)
-		c.progress.Add(1)
+		err = c.checkID(cl)
 	}
-	if err == nil && resp.ID != 0 && resp.ID != req.ID {
-		err = fmt.Errorf("datalet: pipeline desync: response ID %d for request %d", resp.ID, req.ID)
-	}
+	c.progress.Add(1)
+	c.load.Add(-1)
 	if err != nil {
 		c.fail(err)
-		c.mu.Lock()
-		c.inlineActive = false
-		c.mu.Unlock()
 		return c.Err()
 	}
-	resp.ID = req.ID
-	c.mu.Lock()
-	c.inlineActive = false
-	kick := len(c.sendQ) > 0
-	c.mu.Unlock()
-	if kick {
-		// Pipelined submissions queued up behind us; hand the writer
-		// the connection.
-		c.sendReady.Signal()
-	}
 	return nil
+}
+
+// Do sends req and decodes the reply into resp: Start, then Wait.
+func (c *Client) Do(req *wire.Request, resp *wire.Response) error {
+	return c.Start(req, resp).Wait()
 }
 
 // DoAsync enqueues req and returns a channel that delivers the completion
 // error (nil on success, after which resp holds the reply). Neither req nor
 // resp may be touched until the channel delivers. Used by fan-out paths —
-// chain forwarding, asynchronous propagation, quorum replication — to keep
-// many peer ops in flight on one connection.
+// asynchronous propagation, migration, multi-key and hedged reads — to keep
+// many ops in flight on one connection.
 func (c *Client) DoAsync(req *wire.Request, resp *wire.Response) <-chan error {
 	cl := &call{req: req, resp: resp, errc: make(chan error, 1)}
 	if _, err := c.submit(cl, req, resp); err != nil {
@@ -274,7 +327,7 @@ func (c *Client) DoAsync(req *wire.Request, resp *wire.Response) <-chan error {
 }
 
 // submit enqueues a call for the writer. Passing cl == nil draws one from
-// the freelist (the Do path, whose receive provably drains the completion
+// the freelist (the Start path, whose Wait provably drains the completion
 // channel before recycling); DoAsync and Export pass their own, since they
 // hand the channel to the caller. A nil error means the pipeline owns the
 // call and will complete errc exactly once; otherwise nothing was sent.
@@ -289,15 +342,7 @@ func (c *Client) submit(cl *call, req *wire.Request, resp *wire.Response) (*call
 		return nil, err
 	}
 	if cl == nil {
-		if n := len(c.free); n > 0 {
-			cl = c.free[n-1]
-			c.free[n-1] = nil
-			c.free = c.free[:n-1]
-		} else {
-			cl = &call{errc: make(chan error, 1)}
-		}
-		cl.req = req
-		cl.resp = resp
+		cl = c.newCall(req, resp)
 	}
 	c.sendQ = append(c.sendQ, cl)
 	if len(c.sendQ) == 1 {
@@ -308,6 +353,27 @@ func (c *Client) submit(cl *call, req *wire.Request, resp *wire.Response) (*call
 	return cl, nil
 }
 
+// newCall draws a call from the freelist. Called with mu held.
+func (c *Client) newCall(req *wire.Request, resp *wire.Response) *call {
+	var cl *call
+	if n := len(c.free); n > 0 {
+		cl = c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+	} else {
+		cl = &call{errc: make(chan error, 1)}
+	}
+	cl.req, cl.resp = req, resp
+	return cl
+}
+
+// recycle returns a call whose completion channel is drained, or was never
+// used, to the freelist. Called with mu held.
+func (c *Client) recycle(cl *call) {
+	cl.req, cl.resp, cl.stream, cl.inline = nil, nil, nil, false
+	c.free = append(c.free, cl)
+}
+
 // writeLoop drains the submission queue in batches: everything that
 // accumulated while the previous batch was being encoded and flushed forms
 // the next batch, so coalescing deepens exactly as fast as the connection
@@ -316,13 +382,12 @@ func (c *Client) submit(cl *call, req *wire.Request, resp *wire.Response) (*call
 func (c *Client) writeLoop() {
 	defer c.wg.Done()
 	var batch []*call
+	c.mu.Lock()
 	for {
-		c.mu.Lock()
-		c.writerBusy = false // previous batch fully flushed
-		for c.err == nil && (c.inlineActive || len(c.sendQ) == 0 || len(c.respQ) >= maxInflight) {
-			if c.inlineActive || len(c.sendQ) == 0 {
-				// Also parks while a fast-path Do owns the buffers;
-				// its completion signals sendReady.
+		for c.err == nil && (c.writerBusy || len(c.sendQ) == 0 || len(c.respQ) >= maxInflight) {
+			if c.writerBusy || len(c.sendQ) == 0 {
+				// Also parks while an inline Start owns bw; its
+				// flush signals sendReady.
 				c.sendReady.Wait()
 			} else {
 				// The reader will drain respQ; all previous frames
@@ -344,11 +409,11 @@ func (c *Client) writeLoop() {
 		// really is idle.
 		runtime.Gosched()
 		c.mu.Lock()
-		if c.err != nil || len(c.sendQ) == 0 {
+		if c.err != nil {
 			c.mu.Unlock()
-			if c.err != nil {
-				return
-			}
+			return
+		}
+		if c.writerBusy || len(c.sendQ) == 0 {
 			continue
 		}
 		// Take as much of sendQ as in-flight capacity allows. From here
@@ -395,16 +460,15 @@ func (c *Client) writeLoop() {
 			c.fail(c.Err()) // re-enter to complete the batch
 			return
 		}
-		wasEmpty := len(c.respQ) == 0
 		c.respQ = append(c.respQ, batch...)
-		if wasEmpty {
-			c.respReady.Signal()
-		}
+		c.respReady.Signal() // the reader may be parked behind an inline head
 		c.mu.Unlock()
 		if err := c.bw.Flush(); err != nil {
 			c.fail(err)
 			return
 		}
+		c.mu.Lock()
+		c.writerBusy = false
 	}
 }
 
@@ -428,15 +492,19 @@ func (c *Client) encode(req *wire.Request) error {
 func (c *Client) readLoop() {
 	defer c.wg.Done()
 	var batch, doneOK []*call
+	c.mu.Lock()
 	for {
-		c.mu.Lock()
-		c.readerBusy = false // previous batch fully decoded
-		for len(c.respQ) == 0 {
-			if c.err != nil {
-				c.mu.Unlock()
-				return
-			}
+		// An inline call alone at the head is its starter's to read; with
+		// calls behind it, the reader reads it on the starter's behalf.
+		for c.err == nil && (c.readerBusy || len(c.respQ) == 0 ||
+			len(c.respQ) == 1 && c.respQ[0].inline) {
 			c.respReady.Wait()
+		}
+		if c.err != nil {
+			// fail() drained respQ, or will: a writer that finds the
+			// error after queueing calls fails again to complete them.
+			c.mu.Unlock()
+			return
 		}
 		// Swap out the whole in-flight queue in one critical section.
 		// From here until the batch is decoded, the reader owns br.
@@ -475,6 +543,8 @@ func (c *Client) readLoop() {
 			doneOK = append(doneOK, cl)
 		}
 		doneOK = c.completeOK(doneOK)
+		c.mu.Lock()
+		c.readerBusy = false
 	}
 }
 

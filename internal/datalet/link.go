@@ -206,11 +206,17 @@ func (l *Link) heal(dead *Pool) error {
 
 // Do dispatches one request on the least-loaded live connection.
 func (l *Link) Do(req *wire.Request, resp *wire.Response) error {
+	return l.Start(req, resp).Wait()
+}
+
+// Start launches one request on the least-loaded live connection (see
+// Client.Start); a link that is down returns its error from Wait.
+func (l *Link) Start(req *wire.Request, resp *wire.Response) Pending {
 	c, err := l.get()
 	if err != nil {
-		return err
+		return Pending{err: err}
 	}
-	return c.Do(req, resp)
+	return c.Start(req, resp)
 }
 
 // DoAsync dispatches one request asynchronously on the least-loaded live

@@ -154,7 +154,7 @@ func BenchmarkLockstep(b *testing.B) {
 
 // BenchmarkPipelinedWindow measures 16 concurrent callers each keeping a
 // window of DoAsync requests in flight on one shared connection — the
-// controlet fan-out shape (chain forwarding, write-all, propagation) at
+// controlet fan-out shape (propagation, migration) at
 // client-driver concurrency. Each caller amortizes its own wakeup across
 // the window, so this isolates the connection's capacity from per-call
 // scheduling costs.

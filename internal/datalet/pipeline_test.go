@@ -3,6 +3,8 @@ package datalet
 import (
 	"errors"
 	"fmt"
+	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -27,7 +29,9 @@ func listenAddr(network string) string {
 // TestPipelineStress hammers one pipelined client from many goroutines over
 // both transports and both codecs, checking that every response carries its
 // own request's data — the FIFO-matching invariant the whole design rests
-// on. Run under -race this also exercises the sender/reader locking.
+// on. Each round goes through Do, DoAsync or two Starts waited in reverse
+// order, so inline and pipelined calls share the connection. Run under
+// -race this also exercises the sender/reader locking.
 func TestPipelineStress(t *testing.T) {
 	const (
 		goroutines = 32
@@ -64,12 +68,33 @@ func TestPipelineStress(t *testing.T) {
 					wg.Add(1)
 					go func(g int) {
 						defer wg.Done()
-						var resp wire.Response
+						var resp, resp2 wire.Response
 						for i := 0; i < opsPerG; i++ {
 							key := []byte(fmt.Sprintf("k-%d-%d", g, i))
 							val := []byte(fmt.Sprintf("v-%d-%d", g, i))
 							put := wire.Request{Op: wire.OpPut, Key: key, Value: val}
-							if err := cli.Do(&put, &resp); err != nil {
+							var err error
+							switch (g + i) % 3 {
+							case 0:
+								err = cli.Do(&put, &resp)
+							case 1:
+								err = <-cli.DoAsync(&put, &resp)
+							case 2:
+								// A second frame started behind the put
+								// and waited first: the reader must
+								// collect the put's reply for it.
+								nop := wire.Request{Op: wire.OpNop}
+								p := cli.Start(&put, &resp)
+								p2 := cli.Start(&nop, &resp2)
+								runtime.Gosched() // work between Start and Wait
+								if err = p2.Wait(); err == nil && resp2.ID != nop.ID {
+									err = fmt.Errorf("nop response ID %d for request %d", resp2.ID, nop.ID)
+								}
+								if werr := p.Wait(); err == nil {
+									err = werr
+								}
+							}
+							if err != nil {
 								errCh <- err
 								return
 							}
@@ -78,7 +103,12 @@ func TestPipelineStress(t *testing.T) {
 								return
 							}
 							get := wire.Request{Op: wire.OpGet, Key: key}
-							if err := cli.Do(&get, &resp); err != nil {
+							if i%2 == 0 {
+								err = cli.Do(&get, &resp)
+							} else {
+								err = cli.Start(&get, &resp).Wait()
+							}
+							if err != nil {
 								errCh <- err
 								return
 							}
@@ -389,5 +419,126 @@ func TestExportConsumerAbort(t *testing.T) {
 	}
 	if cli.Err() == nil {
 		t.Fatal("aborted export must fail the connection")
+	}
+}
+
+// An inline Start holds the send buffer only until its flush: a call queued
+// behind it reaches the server while the starter has not waited yet.
+func TestStartReleasesSendBuffer(t *testing.T) {
+	srv, cli := newServer(t, "binary", nil)
+	net, _ := transport.Lookup("inproc")
+	probe, err := Dial(net, srv.Addr(), wire.BinaryCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer probe.Close()
+
+	var r1, r2 wire.Response
+	p := cli.Start(&wire.Request{Op: wire.OpPut, Key: []byte("a"), Value: []byte("1")}, &r1)
+	if !p.inline {
+		t.Fatal("a Start on an idle connection was queued, not sent inline")
+	}
+	queued := cli.DoAsync(&wire.Request{Op: wire.OpPut, Key: []byte("b"), Value: []byte("2")}, &r2)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		var resp wire.Response
+		if err := probe.Do(&wire.Request{Op: wire.OpGet, Key: []byte("b")}, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status == wire.StatusOK {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a call queued behind an unwaited inline Start never reached the server")
+		}
+	}
+	if err := p.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-queued; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// No order of Waits deadlocks: a call started behind an inline one and
+// waited first completes, because the reader reads the inline reply on its
+// starter's behalf.
+func TestWaitOrderFree(t *testing.T) {
+	_, cli := newServer(t, "binary", nil)
+	var r1, r2 wire.Response
+	p1 := cli.Start(&wire.Request{Op: wire.OpPut, Key: []byte("a"), Value: []byte("1")}, &r1)
+	p2 := cli.Start(&wire.Request{Op: wire.OpGet, Key: []byte("a")}, &r2)
+	if !p1.inline || p2.inline {
+		t.Fatalf("inline = %v, %v; want the first call inline and the second queued", p1.inline, p2.inline)
+	}
+	done := make(chan error, 1)
+	go func() { done <- p2.Wait() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a call waited before the inline call ahead of it never completed")
+	}
+	if err := p1.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if r1.Status != wire.StatusOK || string(r2.Value) != "1" {
+		t.Fatalf("put %s, get %q; want OK and \"1\"", r1.Status, r2.Value)
+	}
+}
+
+// The watchdog fails no connection whose reply has arrived: a caller busy
+// elsewhere for longer than the call timeout between Start and Wait is not
+// a stalled pipeline. A blackholed peer still fails with ErrCallTimeout,
+// whether its caller waits at once or later.
+func TestStartedCallOutlivesWatchdog(t *testing.T) {
+	const timeout = 40 * time.Millisecond
+	_, cli := newServer(t, "binary", nil)
+	cli.SetCallTimeout(timeout)
+	var resp wire.Response
+	p := cli.Start(&wire.Request{Op: wire.OpPut, Key: []byte("a"), Value: []byte("1")}, &resp)
+	if !p.inline {
+		t.Fatal("a Start on an idle connection was queued, not sent inline")
+	}
+	time.Sleep(6 * timeout) // local work
+	if err := p.Wait(); err != nil {
+		t.Fatalf("Wait after local work: %v", err)
+	}
+	if err := cli.Err(); err != nil {
+		t.Fatalf("connection failed while its reply sat unread: %v", err)
+	}
+
+	net, _ := transport.Lookup("inproc")
+	ln, err := net.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() { // accept and swallow every frame, answer none
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() { _, _ = io.Copy(io.Discard, conn) }()
+		}
+	}()
+	for _, work := range []time.Duration{0, 6 * timeout} {
+		bh, err := Dial(net, ln.Addr(), wire.BinaryCodec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bh.SetCallTimeout(timeout)
+		start := time.Now()
+		p := bh.Start(&wire.Request{Op: wire.OpNop}, &resp)
+		time.Sleep(work)
+		if err := p.Wait(); !errors.Is(err, ErrCallTimeout) {
+			t.Fatalf("Wait after %v on a blackholed peer: %v, want ErrCallTimeout", work, err)
+		}
+		if took := time.Since(start); took > work+50*timeout {
+			t.Fatalf("blackholed call took %v to fail", took)
+		}
+		bh.Close()
 	}
 }

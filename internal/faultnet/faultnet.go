@@ -75,10 +75,10 @@ type Fabric struct {
 	seed  int64
 
 	mu      sync.Mutex
-	cond    *sync.Cond            // broadcast on any state change
-	owners  map[string]string     // inner listener addr → host name
-	rules   map[linkKey]Rule      // directed fault rules
-	blocked map[linkKey]bool      // directed blackholes ("*" wildcards)
+	cond    *sync.Cond        // broadcast on any state change
+	owners  map[string]string // inner listener addr → host name
+	rules   map[linkKey]Rule  // directed fault rules
+	blocked map[linkKey]bool  // directed blackholes ("*" wildcards)
 	rngs    map[linkKey]*rand.Rand
 }
 

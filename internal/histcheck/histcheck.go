@@ -378,8 +378,8 @@ func cacheKey(b bitset, s regState) (uint64, cacheEnt) {
 func searchRegister(ops []Op, maxStates int) (Outcome, int, *Op) {
 	head := buildList(ops)
 	type frame struct {
-		e     *entry
-		prev  regState
+		e    *entry
+		prev regState
 	}
 	var stack []frame
 	linearized := newBitset(len(ops))

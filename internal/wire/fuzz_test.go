@@ -305,18 +305,18 @@ func TestMultiOpOversizedPairCountRejected(t *testing.T) {
 	var body []byte
 	put := func(v uint64) { body = binary.AppendUvarint(body, v) }
 	putBytes := func(b []byte) { put(uint64(len(b))); body = append(body, b...) }
-	put(1)                 // ID
-	put(uint64(OpMPut))    // Op
-	putBytes([]byte("t"))  // Table
-	putBytes(nil)          // Key
-	putBytes(nil)          // Value
-	putBytes(nil)          // EndKey
-	put(0)                 // Limit
-	put(0)                 // Version
-	put(0)                 // Level
-	put(0)                 // Epoch
-	put(0)                 // TraceID
-	put(uint64(1) << 40)   // pair count: absurd
+	put(1)                // ID
+	put(uint64(OpMPut))   // Op
+	putBytes([]byte("t")) // Table
+	putBytes(nil)         // Key
+	putBytes(nil)         // Value
+	putBytes(nil)         // EndKey
+	put(0)                // Limit
+	put(0)                // Version
+	put(0)                // Level
+	put(0)                // Epoch
+	put(0)                // TraceID
+	put(uint64(1) << 40)  // pair count: absurd
 	frame := make([]byte, 4, 4+len(body))
 	binary.LittleEndian.PutUint32(frame, uint32(len(body)))
 	frame = append(frame, body...)

@@ -23,6 +23,10 @@
 # more than the spread of the --against side's quartiles; "unchanged"
 # otherwise. A pair in which both sides lie more than 3x off their own
 # median is disturbed: it is dropped from the cell and listed.
+#
+# A run that exits non-zero or prints no result line is listed under
+# "failed_runs" with the tail of its stderr and run again with the same
+# seed; a run that fails three times stops the pairing.
 set -euo pipefail
 
 usage() {
@@ -61,21 +65,28 @@ fi
 # steal prints the host's cumulative CPU steal and total jiffies.
 steal() { awk '/^cpu /{t=0; for(i=2;i<=NF;i++) t+=$i; print $9, t; exit}' /proc/stat; }
 
-runs=$work/runs.jsonl
+runs=$work/runs.jsonl fails=$work/fails.jsonl
 : >"$runs"
+: >"$fails"
 for w in ${workloads//,/ }; do
 	for i in $(seq 1 "$pairs"); do
 		order="base head"
 		[ $((i % 2)) -eq 0 ] && order="head base"
 		for side in $order; do
-			before=$(steal)
-			line=$(bash "$work/$side/benchmark/run.sh" --workload "$w" --seed "$i" --seconds 12 --trace 0 \
-				--out "$work/out-$side" 2>"$work/err" | tail -n 1) || {
-				cat "$work/err" >&2
-				echo "benchpair: $side run of $w seed $i failed" >&2
-				exit 1
-			}
-			after=$(steal)
+			for attempt in 1 2 3; do
+				before=$(steal)
+				status=0
+				line=$(bash "$work/$side/benchmark/run.sh" --workload "$w" --seed "$i" --seconds 12 --trace 0 \
+					--out "$work/out-$side" 2>"$work/err" | tail -n 1) || status=$?
+				after=$(steal)
+				case $status$line in 0{*) break ;; esac
+				tail -n 20 "$work/err" >&2
+				echo "benchpair: $side run of $w seed $i failed (exit $status, attempt $attempt)" >&2
+				printf '{"workload":"%s","pair":%d,"side":"%s","attempt":%d,"exit":%d,"stderr_tail":%s}\n' \
+					"$w" "$i" "$side" "$attempt" "$status" \
+					"$(tail -n 5 "$work/err" | python3 -c 'import json,sys; print(json.dumps(sys.stdin.read()))')" >>"$fails"
+				[ "$attempt" -lt 3 ] || exit 1
+			done
 			echo "benchpair: $w pair $i $side: $line" >&2
 			printf '{"workload":"%s","pair":%d,"side":"%s","steal":[%s],"result":%s}\n' \
 				"$w" "$i" "$side" "${before/ /,},${after/ /,}" "$line" >>"$runs"
@@ -83,10 +94,10 @@ for w in ${workloads//,/ }; do
 	done
 done
 
-python3 - "$runs" "$work/head/BENCHMARK.json" "$base_sha" "$head_sha" "$pairs" "$out" <<'EOF'
+python3 - "$runs" "$fails" "$work/head/BENCHMARK.json" "$base_sha" "$head_sha" "$pairs" "$out" <<'EOF'
 import json, os, statistics, sys
 
-runs_path, contract_path, base_sha, head_sha, pairs, out = sys.argv[1:]
+runs_path, fails_path, contract_path, base_sha, head_sha, pairs, out = sys.argv[1:]
 contract = json.load(open(contract_path))
 runs = [json.loads(l) for l in open(runs_path)]
 
@@ -102,7 +113,7 @@ def steal_share(r):
 
 report = {"against": base_sha, "head": head_sha, "nproc": os.cpu_count(),
           "pairs": int(pairs), "command": "bash benchmark/run.sh --workload W --seed i --seconds 12 --trace 0",
-          "cells": {}}
+          "failed_runs": [json.loads(l) for l in open(fails_path)], "cells": {}}
 for w in dict.fromkeys(r["workload"] for r in runs):
     by = {(r["pair"], r["side"]): r for r in runs if r["workload"] == w}
     ids = sorted({p for p, _ in by})
@@ -148,4 +159,6 @@ for w, cell in report["cells"].items():
         print(f'{w:18s} {name:16s} base {m["base"]["median"]:10.3f} head {m["head"]["median"]:10.3f} '
               f'{m["change"]:+7.1%} wins {m["wins"]:2d}/{len(m["head"]["values"])} {m["verdict"]}')
     print(f'{w:18s} failed share     base {cell["failed_share"]["base"]:.2e} head {cell["failed_share"]["head"]:.2e}')
+for f in report["failed_runs"]:
+    print(f'failed run: {f["workload"]} pair {f["pair"]} {f["side"]} attempt {f["attempt"]} exit {f["exit"]}')
 EOF

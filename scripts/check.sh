@@ -18,16 +18,32 @@ run() {
 	check)
 		for t in $ALL; do run "$t"; done
 		;;
-	vet) $GO vet ./... ;;
+	# go vet, and gofmt over every Go file of the repository (the nested
+	# benchmark module included): any file it lists fails the gate.
+	vet)
+		$GO vet ./...
+		unformatted=$(gofmt -l bench_test.go benchmark cmd examples internal)
+		if [ -n "$unformatted" ]; then
+			echo "check.sh: not gofmt-clean (run gofmt -w):" >&2
+			echo "$unformatted" >&2
+			exit 1
+		fi
+		;;
 	build) $GO build ./... ;;
 	test) $GO test ./... ;;
 
 	# Packages whose concurrency is stress-tested under the race detector:
 	# the pipelined datalet client, the rpc layer, transports, controlet
-	# replication paths, and the client router.
+	# replication paths, and the client router. Then, repeated, the
+	# split-phase call's properties — a queued call is not held behind an
+	# unwaited inline one, Waits complete in any order, a caller busy
+	# between Start and Wait is not a stall — and the stress run mixing
+	# Start/Wait, Do and DoAsync on shared connections.
 	race)
 		$GO test -race ./internal/datalet/... ./internal/rpc/... ./internal/transport/... \
 			./internal/controlet/... ./internal/client/...
+		$GO test -race -count=5 -run 'TestPipelineStress|TestStartReleasesSendBuffer|TestWaitOrderFree|TestStartedCallOutlivesWatchdog' \
+			./internal/datalet/
 		;;
 
 	# Observability stack: race the metrics registry, trace recorder and
@@ -207,9 +223,18 @@ run() {
 	# classes), every chain hop stamps its own epoch, no pooled request
 	# aliases a connection's Pairs — then one pass of the dispatch layer
 	# benchmark so it keeps compiling and its alloc columns stay in view.
+	# Last, the write hop's allocation ceiling: a 3-replica put at the
+	# MS+SC head (two chained peer frames) and at the AA+SC slot owner (two
+	# write-all frames), sent and collected on the caller's goroutine.
 	writepath)
 		$GO test -race -run 'TestWritePath|TestChainForward|TestWriteToUnknownTable|TestPutCopy' ./internal/controlet/
 		$GO test -run NONE -bench Dispatch -benchtime 1x -benchmem ./internal/controlet/
+		out=$($GO test -run NONE -bench 'Dispatch/(ms|aa)\+strong/put-r3' -benchtime 20000x -benchmem ./internal/controlet/)
+		echo "$out"
+		echo "$out" | awk '/ms\+strong\/put-r3/ && $(NF-1) > 6 { bad = 1 }
+			/aa\+strong\/put-r3/ && $(NF-1) > 7 { bad = 1 }
+			/put-r3/ { n++ }
+			END { if (bad || n != 2) { print "check.sh: the write hop allocates more than 6 (MS+SC) / 7 (AA+SC) per 3-replica put"; exit 1 } }'
 		;;
 
 	# The AA+EC log path, where everything is a frame: the append combiner
