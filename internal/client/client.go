@@ -154,7 +154,8 @@ type Client struct {
 	breakers    *overload.BreakerSet
 	overloadSig *overload.Signal
 
-	refreshing sync.Mutex // serializes map refreshes
+	refreshing sync.Mutex  // serializes map refreshes
+	refreshBg  atomic.Bool // a refreshAsync is in flight
 
 	stopCh  chan struct{}
 	wg      sync.WaitGroup
@@ -387,6 +388,28 @@ func (c *Client) refreshMap() {
 	}
 }
 
+// refreshAsync refreshes the map in the background, prompted by a reply
+// showing that the installed map is older than epoch (0: by how much is
+// unknown). A burst of such replies — every op in flight when a client
+// misses an epoch bump gets one — makes one GetMap round trip, not one
+// each: none starts while another is in flight, nor once the installed map
+// has reached epoch.
+func (c *Client) refreshAsync(epoch uint64) {
+	if c.coord == nil {
+		return
+	}
+	if m := c.Map(); epoch != 0 && m != nil && m.Epoch >= epoch {
+		return
+	}
+	if !c.refreshBg.CompareAndSwap(false, true) {
+		return
+	}
+	go func() {
+		defer c.refreshBg.Store(false)
+		c.refreshMap()
+	}()
+}
+
 // randInt draws from math/rand/v2's per-P sharded global source, so
 // replica picks on the read hot path never serialize behind a mutex the
 // way a shared *rand.Rand would (see BenchmarkRandIntParallel).
@@ -511,7 +534,7 @@ retry:
 				if resp.Epoch > epoch {
 					// The server hinted our map is stale; refresh in
 					// the background for next time.
-					go c.refreshMap()
+					c.refreshAsync(resp.Epoch)
 				}
 				return nil
 			case wire.StatusRedirect:

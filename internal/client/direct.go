@@ -110,7 +110,7 @@ func (c *Client) directGet(table string, key []byte, level wire.Level) (val []by
 	}
 	if resp.Status != wire.StatusOK || len(resp.Pairs) != 1 || len(resp.Statuses) != 1 {
 		if resp.Status == wire.StatusWrongEpoch {
-			go c.refreshMap() // the datalet outed our stale map
+			c.refreshAsync(resp.Epoch) // the datalet outed our stale map
 		}
 		clientDirectFallbacks.Inc()
 		return nil, false, false
@@ -132,14 +132,14 @@ type pendingMGet struct {
 	b     *bucket
 	req   *wire.Request
 	resp  *wire.Response
-	errc  <-chan error
+	call  datalet.Pending
 	start time.Time
 }
 
-// submitDirectMGet fires one bucket's OpDirectGet frame without waiting for
-// the reply, so a MultiGet's shard fan-out pipelines every frame before the
-// first response is read. ok=false means the bucket is not direct-eligible
-// and should go through the controlet path.
+// submitDirectMGet starts one bucket's OpDirectGet frame without waiting
+// for the reply, so a MultiGet's shard fan-out has every frame on the wire
+// before the first reply is read. ok=false means the bucket is not
+// direct-eligible and should go through the controlet path.
 func (c *Client) submitDirectMGet(table string, level wire.Level, b *bucket) (pendingMGet, bool) {
 	shard, m, eligible := c.directReadable(b.keys[0])
 	if !eligible {
@@ -164,7 +164,7 @@ func (c *Client) submitDirectMGet(table string, level wire.Level, b *bucket) (pe
 	}
 	return pendingMGet{
 		b: b, req: req, resp: resp,
-		errc:  link.DoAsync(req, resp),
+		call:  link.Start(req, resp),
 		start: metrics.Start(false),
 	}, true
 }
@@ -174,7 +174,7 @@ func (c *Client) submitDirectMGet(table string, level wire.Level, b *bucket) (pe
 // bounced (stale epoch, dead datalet) and the bucket needs the controlet
 // fallback.
 func (c *Client) awaitDirectMGet(pd pendingMGet, out []MultiResult) bool {
-	err := <-pd.errc
+	err := pd.call.Wait()
 	defer wire.PutRequest(pd.req)
 	defer wire.PutResponse(pd.resp)
 	resp, keys := pd.resp, pd.b.keys
@@ -184,7 +184,7 @@ func (c *Client) awaitDirectMGet(pd pendingMGet, out []MultiResult) bool {
 	}
 	if resp.Status != wire.StatusOK || len(resp.Pairs) != len(keys) || len(resp.Statuses) != len(keys) {
 		if resp.Status == wire.StatusWrongEpoch {
-			go c.refreshMap()
+			c.refreshAsync(resp.Epoch)
 		}
 		clientDirectFallbacks.Inc()
 		return false

@@ -117,7 +117,10 @@ func (h *hedgeState) allow() bool {
 // not answered within the hedge delay (and the budget allows), races an
 // identical request against alt. It returns the winning response and a
 // release func that recycles it; a non-nil error means no leg produced a
-// response. alt may be nil (single-leg call with pooled buffers).
+// response. alt may be nil: a single leg with pooled buffers, which has no
+// second leg to select against, so it is a split-phase call — on an idle
+// connection this goroutine sends the frame and reads the reply. Only a
+// race takes the pipeline's completion channels.
 func (c *Client) hedgedRace(primary, alt *datalet.Link, build func(*wire.Request)) (*wire.Response, func(), error) {
 	launch := func(p *datalet.Link) (*wire.Request, *wire.Response, <-chan error) {
 		req := wire.GetRequest()
@@ -143,10 +146,12 @@ func (c *Client) hedgedRace(primary, alt *datalet.Link, build func(*wire.Request
 		}()
 	}
 
-	req1, resp1, errc1 := launch(primary)
 	if alt == nil || c.hedge == nil {
-		return finish(req1, resp1, <-errc1)
+		req, resp := wire.GetRequest(), wire.GetResponse()
+		build(req)
+		return finish(req, resp, primary.Do(req, resp))
 	}
+	req1, resp1, errc1 := launch(primary)
 	timer := time.NewTimer(c.hedge.delay())
 	defer timer.Stop()
 	select {
@@ -238,7 +243,7 @@ func (c *Client) hedgedControletGet(req *wire.Request, level wire.Level) (val []
 		c.rec.Count(wire.OpGet, dur)
 		return nil, false, true
 	case wire.StatusWrongEpoch:
-		go c.refreshMap()
+		c.refreshAsync(resp.Epoch)
 	}
 	return nil, false, false
 }

@@ -12,9 +12,9 @@ import (
 // Shard-coalesced batch API: MultiGet/MultiPut bucket keys by destination
 // shard under the current map, ship one multi-op frame per shard (decoded
 // server-side into a single engine pass), fan the buckets out concurrently
-// over the existing pipelined connections, and reassemble answers in the
-// caller's key order with per-key error reporting. A batch of N keys
-// touching S shards costs S frames instead of N round trips.
+// over the existing connections, and reassemble answers in the caller's key
+// order with per-key error reporting. A batch of N keys touching S shards
+// costs S frames instead of N round trips.
 
 // MultiResult is the per-key outcome of a batch operation.
 type MultiResult struct {
@@ -35,20 +35,25 @@ func statusErr(st wire.Status) error {
 // bucket is the slice of a batch that goes out as one frame.
 type bucket struct {
 	keys [][]byte // batch keys, same order as idxs
-	idxs []int    // positions in the caller's slice
+	idxs []int    // positions in the caller's slice, ascending
 }
 
-// bucketKey is where a bucket's frame goes: its shard and, when the mode
-// sends each key to its slot's owner, that owner.
-type bucketKey struct {
-	shard int
+// bucketDest is where a bucket's frame goes within its shard: when the
+// mode sends each key to its slot's owner, that owner. next chains the
+// buckets of one shard (-1 ends the chain); n counts the bucket's keys.
+type bucketDest struct {
 	owner string
+	next  int
+	n     int
 }
 
 // bucketByShard groups batch positions by owning shard and, for an op the
 // mode routes to slot owners (AA+SC writes and strong reads), by owner
-// within the shard.
-func (c *Client) bucketByShard(keys [][]byte, write bool, level wire.Level) (map[bucketKey]*bucket, error) {
+// within the shard. Buckets come in the order of their first key. A
+// counting pass sizes every bucket first, so the keys and positions of all
+// of them are windows of one backing array each: a batch costs the same
+// few allocations however its keys spread.
+func (c *Client) bucketByShard(keys [][]byte, write bool, level wire.Level) ([]bucket, error) {
 	c.mu.RLock()
 	m, ring := c.m, c.ring
 	c.mu.RUnlock()
@@ -60,21 +65,52 @@ func (c *Client) bucketByShard(keys [][]byte, write bool, level wire.Level) (map
 	if !write {
 		byOwner = rt.Read == topology.ToOwner && level.Strong(rt.Strong)
 	}
-	buckets := make(map[bucketKey]*bucket)
+	// first[s] is 1 + the number of shard s's first bucket (0: none yet).
+	var firstBuf [16]int
+	first := firstBuf[:]
+	if len(m.Shards) > len(first) {
+		first = make([]int, len(m.Shards))
+	}
+	var destBuf [8]bucketDest
+	dests := destBuf[:0]
+	of := make([]int, len(keys)) // each position's bucket
 	for i, k := range keys {
-		bk := bucketKey{shard: m.ShardFor(k, ring)}
+		s := m.ShardFor(k, ring)
+		owner := ""
 		if byOwner {
-			bk.owner = m.Shards[bk.shard].SlotOwner(topology.SlotOf(k)).ID
+			owner = m.Shards[s].SlotOwner(topology.SlotOf(k)).ID
 		}
-		b := buckets[bk]
-		if b == nil {
-			b = &bucket{}
-			buckets[bk] = b
+		b := first[s] - 1
+		if b < 0 {
+			b = len(dests)
+			first[s] = b + 1
+			dests = append(dests, bucketDest{owner: owner, next: -1})
 		}
+		for dests[b].owner != owner {
+			if dests[b].next < 0 {
+				dests[b].next = len(dests)
+				dests = append(dests, bucketDest{owner: owner, next: -1})
+			}
+			b = dests[b].next
+		}
+		dests[b].n++
+		of[i] = b
+	}
+	out := make([]bucket, len(dests))
+	allKeys := make([][]byte, len(keys))
+	allIdxs := make([]int, len(keys))
+	off := 0
+	for b := range out {
+		end := off + dests[b].n
+		out[b] = bucket{keys: allKeys[off:off:end], idxs: allIdxs[off:off:end]}
+		off = end
+	}
+	for i, k := range keys {
+		b := &out[of[i]]
 		b.keys = append(b.keys, k)
 		b.idxs = append(b.idxs, i)
 	}
-	return buckets, nil
+	return out, nil
 }
 
 // MultiGet reads every key in one coalesced sweep at the mode's default
@@ -94,16 +130,19 @@ func (c *Client) MultiGetLevel(table string, keys [][]byte, level wire.Level) ([
 	if err != nil {
 		return nil, err
 	}
-	// Direct-eligible buckets ride the pipelined DoAsync machinery: every
-	// frame is submitted before any response is awaited, so the shard
-	// fan-out overlaps on the connections' write loops and costs no
-	// goroutine spawns. Ineligible buckets (no lease, AA strong reads,
-	// mid-transition) take the retrying controlet path concurrently.
+	// Direct-eligible buckets are split-phase calls: every frame is
+	// started before any reply is awaited, so the datalets work on their
+	// buckets at once, and on an idle connection this goroutine sends the
+	// frame and reads the reply itself — no goroutine spawn, no handoff.
+	// Ineligible buckets (no lease, AA strong reads, mid-transition) take
+	// the retrying controlet path concurrently.
 	var (
-		pend []pendingMGet
-		wg   sync.WaitGroup
+		pendBuf [4]pendingMGet
+		pend    = pendBuf[:0]
+		wg      sync.WaitGroup
 	)
-	for _, b := range buckets {
+	for i := range buckets {
+		b := &buckets[i]
 		if pd, ok := c.submitDirectMGet(table, level, b); ok {
 			pend = append(pend, pd)
 			continue
@@ -187,12 +226,12 @@ func (c *Client) MultiPut(table string, pairs []wire.KV) ([]error, error) {
 		return nil, err
 	}
 	var wg sync.WaitGroup
-	for _, b := range buckets {
+	for i := range buckets {
 		wg.Add(1)
 		go func(b *bucket) {
 			defer wg.Done()
 			c.mputBucket(table, pairs, b, errs)
-		}(b)
+		}(&buckets[i])
 	}
 	wg.Wait()
 	if c.hot != nil {

@@ -469,3 +469,274 @@ func TestMSSCLinearizableWithDirectReads(t *testing.T) {
 		t.Fatalf("history with direct reads not linearizable: %s", rep)
 	}
 }
+
+// msecDirectCluster starts the 2x3 MS+EC cluster the direct multi-get tests
+// and benchmark read from (inproc, binary codec, ht engines), with a roomy
+// heartbeat timeout so a direct-read lease outlives the test's pauses.
+func msecDirectCluster(tb testing.TB, logf func(string, ...any)) *Cluster {
+	tb.Helper()
+	c, err := Start(Options{
+		Mode:             topology.Mode{Topology: topology.MS, Consistency: topology.Eventual},
+		Shards:           2,
+		Replicas:         3,
+		Engine:           "ht",
+		CodecName:        "binary",
+		DisableFailover:  true,
+		HeartbeatTimeout: 10 * time.Second,
+		Logf:             logf,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(c.Close)
+	return c
+}
+
+// spanningKeys returns n keys, half on each of the map's two shards, with
+// their values written through cli and readable from every replica (an
+// eventual read may go to any of them).
+func spanningKeys(tb testing.TB, c *Cluster, cli *client.Client, n int) [][]byte {
+	tb.Helper()
+	m := cli.Map()
+	ring := topology.BuildRing(m)
+	var (
+		pairs   []wire.KV
+		shardOf []int
+	)
+	perShard := map[int]int{}
+	for i := 0; len(pairs) < n; i++ {
+		k := []byte(fmt.Sprintf("user%012d", i))
+		si := m.ShardFor(k, ring)
+		if perShard[si] >= n/2 {
+			continue
+		}
+		perShard[si]++
+		pairs = append(pairs, wire.KV{Key: k, Value: []byte("v-" + string(k))})
+		shardOf = append(shardOf, si)
+	}
+	errs, err := cli.MultiPut("", pairs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	keys := make([][]byte, n)
+	for i, e := range errs {
+		if e != nil {
+			tb.Fatalf("preload %d: %v", i, e)
+		}
+		keys[i] = pairs[i].Key
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		problem := ""
+		for i, k := range keys {
+			for ri, p := range c.Shards[shardOf[i]] {
+				if v, _, ok, _ := p.Datalet.Engine("").Get(k); !ok || string(v) != "v-"+string(k) {
+					problem = fmt.Sprintf("replica %d/%d lacks %s", shardOf[i], ri, k)
+				}
+			}
+		}
+		if problem == "" {
+			return keys
+		}
+		if time.Now().After(deadline) {
+			tb.Fatal(problem)
+		}
+	}
+}
+
+// multiGetProblem says how res differs from keys' preloaded values, in
+// order ("": it does not).
+func multiGetProblem(keys [][]byte, res []client.MultiResult, err error) string {
+	if err != nil {
+		return err.Error()
+	}
+	for i, r := range res {
+		if r.Err != nil || !r.Found || string(r.Value) != "v-"+string(keys[i]) {
+			return fmt.Sprintf("key %d (%s): %+v", i, keys[i], r)
+		}
+	}
+	return ""
+}
+
+// checkMultiGet fails unless res is keys' preloaded values, in order.
+func checkMultiGet(tb testing.TB, keys [][]byte, res []client.MultiResult, err error) {
+	tb.Helper()
+	if p := multiGetProblem(keys, res, err); p != "" {
+		tb.Fatal(p)
+	}
+}
+
+// TestMultiGetDirectInline: from a client with one connection per datalet,
+// a direct MultiGet's bucket frames are sent and read by the calling
+// goroutine — 1 000 16-key MultiGets over two shards are 2 000 inline calls
+// and next to no writer-goroutine batches — and so is an unhedged
+// single-key direct Get.
+func TestMultiGetDirectInline(t *testing.T) {
+	c := msecDirectCluster(t, t.Logf)
+	cli, err := c.ClientConfig(client.Config{PoolSize: 1, DirectReads: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	keys := spanningKeys(t, c, cli, 16)
+	res, err := cli.MultiGet("", keys) // dials the datalet links
+	checkMultiGet(t, keys, res, err)
+
+	const n = 1000
+	inline0 := counterValue("bespokv_datalet_client_inline_total")
+	batches0 := counterValue("bespokv_datalet_client_batches_total")
+	direct0 := counterValue("bespokv_client_direct_reads_total")
+	for i := 0; i < n; i++ {
+		res, err := cli.MultiGet("", keys)
+		checkMultiGet(t, keys, res, err)
+	}
+	inline := counterValue("bespokv_datalet_client_inline_total") - inline0
+	batches := counterValue("bespokv_datalet_client_batches_total") - batches0
+	direct := counterValue("bespokv_client_direct_reads_total") - direct0
+	t.Logf("%d MultiGets: %d direct frames, %d inline calls, %d writer batches", n, direct, inline, batches)
+	if direct != 2*n {
+		t.Fatalf("%d direct frames for %d two-shard MultiGets, want %d", direct, n, 2*n)
+	}
+	if inline < 2*n || batches >= 50 {
+		t.Fatalf("%d inline calls and %d writer batches for %d two-shard MultiGets; want >= %d and < 50",
+			inline, batches, n, 2*n)
+	}
+
+	inline0 = counterValue("bespokv_datalet_client_inline_total")
+	batches0 = counterValue("bespokv_datalet_client_batches_total")
+	direct0 = counterValue("bespokv_client_direct_reads_total")
+	for i := 0; i < n; i++ {
+		k := keys[i%len(keys)]
+		v, ok, err := cli.Get("", k)
+		if err != nil || !ok || string(v) != "v-"+string(k) {
+			t.Fatalf("get %s: %q %v %v", k, v, ok, err)
+		}
+	}
+	inline = counterValue("bespokv_datalet_client_inline_total") - inline0
+	batches = counterValue("bespokv_datalet_client_batches_total") - batches0
+	direct = counterValue("bespokv_client_direct_reads_total") - direct0
+	t.Logf("%d Gets: %d direct, %d inline calls, %d writer batches", n, direct, inline, batches)
+	if direct != n {
+		t.Fatalf("%d of %d Gets were direct", direct, n)
+	}
+	if inline < n || batches >= 50 {
+		t.Fatalf("%d inline calls and %d writer batches for %d direct Gets; want >= %d and < 50", inline, batches, n, n)
+	}
+}
+
+// TestDirectReadStaleMapRefreshesOnce: a client that missed an epoch bump
+// (watch off) hears of it from every direct frame and controlet reply of a
+// burst of 32 concurrent MultiGets. The burst must still read correctly,
+// and it must cost the coordinator one or two GetMap round trips, not one
+// per reply that noticed.
+func TestDirectReadStaleMapRefreshesOnce(t *testing.T) {
+	c := msecDirectCluster(t, t.Logf)
+	cli, err := c.ClientConfig(client.Config{DirectReads: true, DisableWatch: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	keys := spanningKeys(t, c, cli, 16)
+	res, err := cli.MultiGet("", keys)
+	checkMultiGet(t, keys, res, err)
+	stale := cli.Map().Epoch
+
+	admin, err := c.Admin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer admin.Close()
+	m, err := admin.GetMap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := admin.SetMap(m); err != nil {
+		t.Fatal(err)
+	}
+	// Every datalet fences the old epoch (so every direct frame of the
+	// burst is refused) once every controlet has fetched the new map.
+	eventually(t, 5*time.Second, func() string {
+		for si := 0; si < 2; si++ {
+			for ri := 0; ri < 3; ri++ {
+				if ep, live := c.Pair(si, ri).Datalet.LeaseEpoch(); !live || ep <= stale {
+					return fmt.Sprintf("datalet %d/%d still at epoch %d", si, ri, ep)
+				}
+			}
+		}
+		return ""
+	})
+
+	getMaps := metrics.Default.Counter("bespokv_rpc_calls_total", "method", "GetMap")
+	before := getMaps.Value()
+	const callers = 32
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan string, callers)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			res, err := cli.MultiGet("", keys)
+			if p := multiGetProblem(keys, res, err); p != "" {
+				errs <- p
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+	eventually(t, 5*time.Second, func() string {
+		if cli.Map().Epoch <= stale {
+			return "client map still stale"
+		}
+		return ""
+	})
+	// Let refreshes still in flight land before counting.
+	for last := int64(-1); ; {
+		time.Sleep(100 * time.Millisecond)
+		cur := getMaps.Value()
+		if cur == last {
+			break
+		}
+		last = cur
+	}
+	calls := getMaps.Value() - before
+	t.Logf("%d stale MultiGets made %d GetMap calls", callers, calls)
+	if calls > 2 {
+		t.Fatalf("%d stale MultiGets made %d GetMap calls, want at most 2", callers, calls)
+	}
+}
+
+// BenchmarkMultiGetDirect is one 16-key direct MultiGet over a 2x3 MS+EC
+// cluster (inproc, binary codec, ht engines) from a client with one
+// connection per datalet. Its allocs/op, counted over the whole process and
+// so the datalets' side too, is the ceiling check.sh wirespeed holds the
+// direct multi-get path to.
+func BenchmarkMultiGetDirect(b *testing.B) {
+	c := msecDirectCluster(b, func(string, ...any) {})
+	cli, err := c.ClientConfig(client.Config{PoolSize: 1, DirectReads: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cli.Close()
+	keys := spanningKeys(b, c, cli, 16)
+	res, err := cli.MultiGet("", keys)
+	checkMultiGet(b, keys, res, err)
+	direct0 := counterValue("bespokv_client_direct_reads_total")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err = cli.MultiGet("", keys)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	checkMultiGet(b, keys, res, err)
+	if d := counterValue("bespokv_client_direct_reads_total") - direct0; d != int64(2*b.N) {
+		b.Fatalf("%d direct frames for %d MultiGets, want %d", d, b.N, 2*b.N)
+	}
+}

@@ -469,7 +469,9 @@ func (s *Server) multiGet(req *wire.Request, resp *wire.Response) {
 			resp.Pairs = append(resp.Pairs, wire.KV{})
 			resp.Statuses = append(resp.Statuses, wire.StatusNotFound)
 		default:
-			resp.Pairs = append(resp.Pairs, wire.KV{Value: append([]byte(nil), v...), Version: ver})
+			// The engine's value is already a private copy (store.Engine
+			// Get); it goes into the reply as it is.
+			resp.Pairs = append(resp.Pairs, wire.KV{Value: v, Version: ver})
 			resp.Statuses = append(resp.Statuses, wire.StatusOK)
 		}
 	}

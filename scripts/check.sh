@@ -129,7 +129,15 @@ run() {
 	# keeps to the connection sets that are dial-once on purpose (the
 	# controlet's local link, the raw benchmark clients, the fixed backends
 	# of the twemproxy and dynomite baselines); the lookup every op pays is
-	# printed beside the mutex + map it replaced.
+	# printed beside the mutex + map it replaced. A direct read costs its
+	# keys: the client's bucket grouping agrees with the map-based oracle
+	# (TestBucketByShard), a direct MultiGet's bucket frames and an unhedged
+	# direct Get are sent and read by the caller (TestMultiGetDirectInline),
+	# a burst of replies telling a stale client of an epoch bump makes one
+	# map fetch, not one each (TestDirectReadStaleMapRefreshesOnce); the
+	# client calls DoAsync only to race a hedge's two legs, and a 16-key
+	# direct MultiGet over two shards allocates at most 44 times, datalets
+	# included (not under -race, where sync.Pool sheds).
 	wirespeed)
 		$GO test -race -run 'Multi|Fuzz' ./internal/wire/
 		$GO test -race ./internal/client/
@@ -145,6 +153,14 @@ run() {
 			exit 1
 		fi
 		$GO test -run NONE -bench LinksGet -benchmem -cpu 1,2 ./internal/datalet/
+		if grep -rn --include='*.go' 'DoAsync' internal/client/ | grep -v '_test\.go:' | grep -v '^internal/client/hedge\.go:'; then
+			echo "check.sh: the client calls DoAsync outside a hedge; start a lone call with Link.Start" >&2
+			exit 1
+		fi
+		out=$($GO test -run NONE -bench 'MultiGetDirect$' -benchtime 20000x -benchmem ./internal/cluster/)
+		echo "$out"
+		echo "$out" | awk '/^BenchmarkMultiGetDirect/ { n++; if ($(NF-1) > 44) bad = 1 }
+			END { if (bad || n != 1) { print "check.sh: a 16-key direct MultiGet allocates more than 44 times"; exit 1 } }'
 		;;
 
 	# The control plane, one RSM group per service: the Raft-style core
