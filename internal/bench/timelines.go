@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"bespokv/internal/client"
 	"bespokv/internal/cluster"
 	"bespokv/internal/metrics"
 	"bespokv/internal/topology"
@@ -182,7 +183,7 @@ func Fig16Failover(p Params) error {
 			// Fail fast: a request to the killed shard must release its
 			// worker in milliseconds so surviving shards keep their
 			// throughput (the proportional dip the paper shows).
-			cli, err := c.ClientTuned(1, time.Millisecond)
+			cli, err := c.ClientConfig(client.Config{Retries: 1, RetryBackoff: time.Millisecond})
 			if err != nil {
 				c.Close()
 				return err

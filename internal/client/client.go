@@ -56,13 +56,6 @@ type Config struct {
 	// notices a blackholed (partitioned) controlet — a dead one refuses
 	// connections, but a partitioned one just goes silent. 0 disables.
 	OpTimeout time.Duration
-	// TimeoutRetries caps how many timed-out attempts a single operation
-	// may burn (default 3). Timeouts are the expensive failure class —
-	// each costs a full OpTimeout — and they signal a partition, which
-	// more retries rarely outrun; refused connections and unavailability
-	// keep the full Retries budget, since those are the failover-in-
-	// progress signatures that retrying is for.
-	TimeoutRetries int
 	// HotKeyThreshold enables client-side hot-key load balancing
 	// (Appendix C): keys accessed at least this many times get a shadow
 	// copy on a rehashed shard, and eventual reads spread across primary
@@ -99,13 +92,11 @@ type Config struct {
 	// BreakerThreshold trips a per-endpoint circuit breaker after this
 	// many consecutive transport failures (dial errors, call timeouts —
 	// never application statuses, which prove the endpoint is talking).
-	// A tripped endpoint fast-fails locally until a jittered cooldown
-	// admits a half-open probe. Default 8; < 0 disables.
+	// A tripped endpoint fast-fails locally until a cooldown (250ms,
+	// jittered to [125ms, 375ms) so a fleet's probes don't stampede a
+	// recovering endpoint) admits a half-open probe. Default 8; < 0
+	// disables.
 	BreakerThreshold int
-	// BreakerCooldown is the breaker's base open period, jittered to
-	// [0.5c, 1.5c) so a fleet's probes don't stampede a recovering
-	// endpoint. Default 250ms.
-	BreakerCooldown time.Duration
 	// Logf receives diagnostics; nil uses log.Printf.
 	Logf func(format string, args ...any)
 }
@@ -179,9 +170,6 @@ func New(cfg Config) (*Client, error) {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 2 * time.Millisecond
 	}
-	if cfg.TimeoutRetries <= 0 {
-		cfg.TimeoutRetries = 3
-	}
 	if cfg.HedgeBudgetPct <= 0 {
 		cfg.HedgeBudgetPct = 10
 	}
@@ -203,8 +191,8 @@ func New(cfg Config) (*Client, error) {
 	if cfg.HedgeAfter > 0 {
 		c.hedge = newHedgeState(cfg.HedgeAfter, cfg.HedgeBudgetPct)
 	}
-	c.retryBudget = overload.NewRetryBudget(cfg.RetryBudgetPct)
-	c.breakers = overload.NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown)
+	c.retryBudget = overload.NewRetryBudget(cfg.RetryBudgetPct, overload.BudgetBurst)
+	c.breakers = overload.NewBreakerSet(cfg.BreakerThreshold, 0) // 0: the breaker's 250ms default
 	c.overloadSig = overload.NewSignal(overloadWindow, overloadMin)
 	registerOverload(c)
 	if cfg.StaticMap != nil {
@@ -258,9 +246,6 @@ func (c *Client) Close() error {
 	c.stopped = true
 	c.mu.Unlock()
 	close(c.stopCh)
-	if c.hedge != nil {
-		unregisterHedge(c.hedge)
-	}
 	unregisterOverload(c)
 	if c.coord != nil {
 		_ = c.coord.Close() // aborts an in-flight refresh call
@@ -468,12 +453,20 @@ func (e errOut) Error() string {
 
 func (e errOut) Unwrap() error { return e.last }
 
+// timeoutRetries caps how many timed-out attempts a single operation may
+// burn. Timeouts are the expensive failure class — each costs a full
+// OpTimeout — and they signal a partition, which more retries rarely
+// outrun; refused connections and unavailability keep the full Retries
+// budget, since those are the failover-in-progress signatures that
+// retrying is for.
+const timeoutRetries = 3
+
 // execute retries an operation across redirects, stale epochs, transitions
 // and failovers. route picks the target from the current map; it is
 // re-evaluated after every refresh.
 func (c *Client) execute(req *wire.Request, resp *wire.Response, route func() (string, uint64, error)) (err error) {
 	// Head-based sampling starts here: a sampled request carries its trace
-	// ID through every hop it touches (controlets, replicas, datalets, DLM,
+	// ID through every hop it touches (controlets, replicas, datalets, the
 	// shared log), and the client span brackets the whole operation
 	// including retries.
 	if req.TraceID == 0 {
@@ -566,7 +559,7 @@ retry:
 				// a blackhole. Refusals keep the full budget — they are
 				// cheap and usually mean a failover is replacing the
 				// node we just tried.
-				if timeouts++; timeouts >= c.cfg.TimeoutRetries {
+				if timeouts++; timeouts >= timeoutRetries {
 					lastErr = fmt.Errorf("gave up after %d call timeouts (target partitioned?): %w", timeouts, err)
 					break retry
 				}

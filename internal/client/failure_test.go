@@ -133,7 +133,7 @@ func TestBreakerFastFails(t *testing.T) {
 	c, err := New(Config{
 		Network: net, Codec: codec, StaticMap: staticMapTo("nobody-home"),
 		Retries: 6, RetryBackoff: time.Millisecond,
-		BreakerThreshold: 2, BreakerCooldown: time.Second, Logf: t.Logf,
+		BreakerThreshold: 2, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,8 +144,9 @@ func TestBreakerFastFails(t *testing.T) {
 		t.Fatal("put against a dead endpoint must fail")
 	}
 	// Attempts 1-2 are refused dials (tripping the breaker at threshold
-	// 2); the backoffs total far under the 1s cooldown, so the final
-	// attempts are breaker fast-fails and the last error names it.
+	// 2); the backoffs total about 31ms, far under the cooldown's 125ms
+	// jittered floor, so the final attempts are breaker fast-fails and
+	// the last error names it.
 	if !errors.Is(err, errBreakerOpen) {
 		t.Fatalf("final error is not the breaker fast-fail: %v", err)
 	}

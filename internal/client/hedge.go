@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"bespokv/internal/datalet"
+	"bespokv/internal/overload"
 	"bespokv/internal/wire"
 )
 
@@ -21,22 +22,15 @@ import (
 // the losing leg means abandoning it: a goroutine drains the late response
 // and recycles its buffers, and the connection stays usable.
 
-const (
-	// hedgeTokenScale is the token cost of one hedge; each completed read
-	// credits HedgeBudgetPct tokens, so hedges sustain at BudgetPct% of
-	// the read rate.
-	hedgeTokenScale = 100
-	// hedgeTokenCap bounds banked tokens (a burst of 10 hedges).
-	hedgeTokenCap = 10 * hedgeTokenScale
-	// hedgeWindow is the latency sample reservoir for the p99 estimate.
-	hedgeWindow = 64
-)
+// hedgeWindow is the latency sample reservoir for the p99 estimate.
+const hedgeWindow = 64
 
-// hedgeState tracks the hedge delay estimate and spend budget.
+// hedgeState tracks the hedge delay estimate and spend budget. Each
+// completed read credits HedgeBudgetPct tokens, so hedges sustain at
+// HedgeBudgetPct% of the read rate; one hedge is banked at startup.
 type hedgeState struct {
 	floor  time.Duration
-	pct    int
-	tokens atomic.Int64
+	budget *overload.RetryBudget
 	p99    atomic.Int64 // nanoseconds
 
 	mu     sync.Mutex
@@ -46,28 +40,14 @@ type hedgeState struct {
 }
 
 func newHedgeState(floor time.Duration, pct int) *hedgeState {
-	h := &hedgeState{floor: floor, pct: pct}
-	h.tokens.Store(hedgeTokenScale) // one banked hedge at startup
+	h := &hedgeState{floor: floor, budget: overload.NewRetryBudget(pct, 1)}
 	h.p99.Store(int64(floor))
-	registerHedge(h)
 	return h
 }
 
 // observe records a completed read's latency and credits the budget.
 func (h *hedgeState) observe(d time.Duration) {
-	for {
-		cur := h.tokens.Load()
-		if cur >= hedgeTokenCap {
-			break
-		}
-		next := cur + int64(h.pct)
-		if next > hedgeTokenCap {
-			next = hedgeTokenCap
-		}
-		if h.tokens.CompareAndSwap(cur, next) {
-			break
-		}
-	}
+	h.budget.Observe()
 	h.mu.Lock()
 	h.window[h.idx%hedgeWindow] = d
 	h.idx++
@@ -98,19 +78,6 @@ func (h *hedgeState) delay() time.Duration {
 		d = h.floor
 	}
 	return d
-}
-
-// allow consumes one hedge from the budget, reporting whether it fit.
-func (h *hedgeState) allow() bool {
-	for {
-		cur := h.tokens.Load()
-		if cur < hedgeTokenScale {
-			return false
-		}
-		if h.tokens.CompareAndSwap(cur, cur-hedgeTokenScale) {
-			return true
-		}
-	}
 }
 
 // hedgedRace issues one request built by build to primary and, if it has
@@ -159,7 +126,7 @@ func (c *Client) hedgedRace(primary, alt *datalet.Link, build func(*wire.Request
 		return finish(req1, resp1, err)
 	case <-timer.C:
 	}
-	if !c.hedge.allow() {
+	if !c.hedge.budget.Allow() {
 		return finish(req1, resp1, <-errc1)
 	}
 	clientHedgedReads.Inc()

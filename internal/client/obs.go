@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"bespokv/internal/metrics"
+	"bespokv/internal/overload"
 	"bespokv/internal/telemetry"
 )
 
@@ -38,71 +39,11 @@ var (
 	clientHedgeSuppressed = metrics.Default.Counter("bespokv_client_hedge_suppressed_total")
 )
 
-// Live hedge-state registry backing the hedging gauges: the p99 estimate
-// and token budget live in each client's hedgeState, so the gauges walk
-// the set at scrape time instead of charging reads for scrape-only
-// numbers (same tactic as the datalet's pipelined-client gauges).
-var (
-	hedgeMu  sync.Mutex
-	hedgeSet = map[*hedgeState]struct{}{}
-)
-
-func registerHedge(h *hedgeState) {
-	hedgeMu.Lock()
-	hedgeSet[h] = struct{}{}
-	hedgeMu.Unlock()
-}
-
-func unregisterHedge(h *hedgeState) {
-	hedgeMu.Lock()
-	delete(hedgeSet, h)
-	hedgeMu.Unlock()
-}
-
-func init() {
-	// The hedge delay IS the observed read p99 (floored at HedgeAfter);
-	// across clients the max is the honest merge — hedging is tail-driven.
-	metrics.Default.GaugeFunc("bespokv_client_hedge_p99_seconds", func() float64 {
-		hedgeMu.Lock()
-		defer hedgeMu.Unlock()
-		var worst int64
-		for h := range hedgeSet {
-			if v := h.p99.Load(); v > worst {
-				worst = v
-			}
-		}
-		return time.Duration(worst).Seconds()
-	})
-	// Banked hedges immediately affordable across live clients (tokens
-	// are hedgeTokenScale per hedge).
-	metrics.Default.GaugeFunc("bespokv_client_hedge_tokens", func() float64 {
-		hedgeMu.Lock()
-		defer hedgeMu.Unlock()
-		var t int64
-		for h := range hedgeSet {
-			t += h.tokens.Load()
-		}
-		return float64(t) / hedgeTokenScale
-	})
-	// Fraction of the total token budget still unspent (1 = idle, 0 =
-	// every client exhausted — reads are uniformly slow, not one straggler).
-	metrics.Default.GaugeFunc("bespokv_client_hedge_budget_frac", func() float64 {
-		hedgeMu.Lock()
-		defer hedgeMu.Unlock()
-		if len(hedgeSet) == 0 {
-			return 1
-		}
-		var t int64
-		for h := range hedgeSet {
-			t += h.tokens.Load()
-		}
-		return float64(t) / float64(int64(len(hedgeSet))*hedgeTokenCap)
-	})
-}
-
-// Live-client registry backing the overload gauges (breaker positions and
-// banked retry tokens live per client; gauges merge at scrape time — the
-// same tactic as the hedge-state registry above).
+// Live-client registry backing the overload and hedging gauges (breaker
+// positions, banked retry and hedge tokens and the hedge p99 estimate live
+// per client; the gauges walk the set at scrape time instead of charging
+// ops for scrape-only numbers, the same tactic as the datalet's
+// pipelined-client gauges).
 var (
 	ovMu      sync.Mutex
 	ovClients = map[*Client]struct{}{}
@@ -148,5 +89,43 @@ func init() {
 			t += c.retryBudget.Tokens()
 		}
 		return t
+	})
+	// The hedge delay IS the observed read p99 (floored at HedgeAfter);
+	// across clients the max is the honest merge — hedging is tail-driven.
+	metrics.Default.GaugeFunc("bespokv_client_hedge_p99_seconds", func() float64 {
+		ovMu.Lock()
+		defer ovMu.Unlock()
+		var worst int64
+		for c := range ovClients {
+			if c.hedge != nil {
+				worst = max(worst, c.hedge.p99.Load())
+			}
+		}
+		return time.Duration(worst).Seconds()
+	})
+	// Banked hedges immediately affordable across live hedging clients.
+	hedgeTokens := func() (t float64, n int) {
+		ovMu.Lock()
+		defer ovMu.Unlock()
+		for c := range ovClients {
+			if c.hedge != nil {
+				t += c.hedge.budget.Tokens()
+				n++
+			}
+		}
+		return t, n
+	}
+	metrics.Default.GaugeFunc("bespokv_client_hedge_tokens", func() float64 {
+		t, _ := hedgeTokens()
+		return t
+	})
+	// Fraction of the total token budget still unspent (1 = idle, 0 =
+	// every client exhausted — reads are uniformly slow, not one straggler).
+	metrics.Default.GaugeFunc("bespokv_client_hedge_budget_frac", func() float64 {
+		t, n := hedgeTokens()
+		if n == 0 {
+			return 1
+		}
+		return t / float64(n*overload.BudgetBurst)
 	})
 }

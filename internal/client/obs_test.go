@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"bespokv/internal/metrics"
+	"bespokv/internal/overload"
 )
 
 // promValue extracts one sample's value from a WriteProm dump.
@@ -28,7 +29,9 @@ func promValue(t *testing.T, out, name string) float64 {
 
 func TestHedgeGauges(t *testing.T) {
 	h := newHedgeState(2*time.Millisecond, 10)
-	defer unregisterHedge(h)
+	c := &Client{hedge: h}
+	registerOverload(c)
+	defer unregisterOverload(c)
 
 	// Feed a window with a clear tail so the p99 estimate climbs above the
 	// floor: 63 fast reads and one 40ms straggler, then past the recompute
@@ -54,8 +57,8 @@ func TestHedgeGauges(t *testing.T) {
 	// 96 observes at 10%% credit cap the bank quickly; at least the
 	// startup token must be visible, never more than the burst cap.
 	tokens := promValue(t, out, "bespokv_client_hedge_tokens")
-	if tokens < 1 || tokens > hedgeTokenCap/hedgeTokenScale {
-		t.Fatalf("hedge token gauge %.2f outside [1, %d]", tokens, hedgeTokenCap/hedgeTokenScale)
+	if tokens < 1 || tokens > overload.BudgetBurst {
+		t.Fatalf("hedge token gauge %.2f outside [1, %d]", tokens, overload.BudgetBurst)
 	}
 	frac := promValue(t, out, "bespokv_client_hedge_budget_frac")
 	if frac <= 0 || frac > 1 {
@@ -63,7 +66,7 @@ func TestHedgeGauges(t *testing.T) {
 	}
 
 	// Spending the bank dry shows up as a drained budget.
-	for h.allow() {
+	for h.budget.Allow() {
 	}
 	sb.Reset()
 	if err := metrics.Default.WriteProm(&sb); err != nil {
@@ -75,10 +78,10 @@ func TestHedgeGauges(t *testing.T) {
 	}
 
 	// Unregistering (Client.Close) removes the state from the scrape set.
-	unregisterHedge(h)
-	hedgeMu.Lock()
-	_, still := hedgeSet[h]
-	hedgeMu.Unlock()
+	unregisterOverload(c)
+	ovMu.Lock()
+	_, still := ovClients[c]
+	ovMu.Unlock()
 	if still {
 		t.Fatal("hedge state still in scrape set after unregister")
 	}

@@ -43,7 +43,7 @@ const (
 	failUnavailable
 	// failTransport: the endpoint did not answer at all (dial error, call
 	// timeout, breaker fast-fail). Counts toward the endpoint's breaker
-	// and, for timeouts, toward the TimeoutRetries cap.
+	// and, for timeouts, toward the timeoutRetries cap.
 	failTransport
 )
 

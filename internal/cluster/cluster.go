@@ -155,11 +155,6 @@ type Pair struct {
 	fs      *faultfs.FS
 }
 
-// FS returns the pair's fault-injecting filesystem (nil unless the
-// cluster runs with Options.Durable); tests use it for white-box fault
-// injection.
-func (p *Pair) FS() *faultfs.FS { return p.fs }
-
 // Kill abruptly stops the pair (both processes), emulating a node crash.
 func (p *Pair) Kill() {
 	if p.killed.Swap(true) {
@@ -568,14 +563,28 @@ func (c *Cluster) startPair(nodeID, shardID, engine string, dataletCodec wire.Co
 	if err != nil {
 		return nil, err
 	}
-	ctl, err := controlet.Serve(controlet.Config{
+	ctl, err := c.serveControlet(nodeID, shardID, d.Addr(), d, dataletCodec, mode)
+	if err != nil {
+		d.Close()
+		return nil, err
+	}
+	node := ctl.Node()
+	node.DataletCodec = c.Opts.DataletCodecName
+	return &Pair{Node: node, Datalet: d, Controlet: ctl, shardID: shardID, engine: engine, fs: nodeFS}, nil
+}
+
+// serveControlet boots a controlet in mode over the datalet at dataletAddr;
+// d is that datalet's server when this cluster runs it (nil otherwise), so
+// the controlet can take its local listener.
+func (c *Cluster) serveControlet(nodeID, shardID, dataletAddr string, d *datalet.Server, dataletCodec wire.Codec, mode topology.Mode) (*controlet.Server, error) {
+	return controlet.Serve(controlet.Config{
 		NodeID:            nodeID,
 		ShardID:           shardID,
 		Network:           c.hostNet(c.Net, nodeID),
 		DataAddr:          listenAddr(c.Opts.NetworkName),
 		CtlAddr:           listenAddr(c.Opts.NetworkName),
 		Codec:             c.Codec,
-		DataletAddr:       d.Addr(),
+		DataletAddr:       dataletAddr,
 		LocalDatalet:      localLink(d),
 		DataletCodec:      dataletCodec,
 		Mode:              mode,
@@ -589,25 +598,11 @@ func (c *Cluster) startPair(nodeID, shardID, engine string, dataletCodec wire.Co
 		ShedTarget:        c.Opts.ShedTarget,
 		Logf:              c.Opts.Logf,
 	})
-	if err != nil {
-		d.Close()
-		return nil, err
-	}
-	node := ctl.Node()
-	node.DataletCodec = c.Opts.DataletCodecName
-	return &Pair{Node: node, Datalet: d, Controlet: ctl, shardID: shardID, engine: engine, fs: nodeFS}, nil
 }
 
 // Client opens a coordinator-backed client for this cluster.
 func (c *Cluster) Client() (*client.Client, error) {
 	return c.ClientConfig(client.Config{})
-}
-
-// ClientTuned opens a client with an explicit retry budget and backoff —
-// failover experiments use fail-fast clients so one dead shard parks a
-// load worker for milliseconds, not the full default budget.
-func (c *Cluster) ClientTuned(retries int, backoff time.Duration) (*client.Client, error) {
-	return c.ClientConfig(client.Config{Retries: retries, RetryBackoff: backoff})
 }
 
 // ClientConfig opens a client with caller-supplied tuning (op timeouts,
@@ -747,27 +742,7 @@ func (c *Cluster) Transition(to topology.Mode) error {
 				return err
 			}
 			d := c.dataletOf(old.DataletAddr)
-			ctl, err := controlet.Serve(controlet.Config{
-				NodeID:            nodeID,
-				ShardID:           shard.ID,
-				Network:           c.hostNet(c.Net, nodeID),
-				DataAddr:          listenAddr(c.Opts.NetworkName),
-				CtlAddr:           listenAddr(c.Opts.NetworkName),
-				Codec:             c.Codec,
-				DataletAddr:       old.DataletAddr,
-				LocalDatalet:      localLink(d),
-				DataletCodec:      dataletCodec,
-				Mode:              to,
-				CoordinatorAddr:   c.controlAddr(c.coordIDs),
-				SharedLogAddr:     c.controlAddr(c.logIDs),
-				HeartbeatInterval: c.Opts.HeartbeatInterval,
-				TelemetryInterval: c.Opts.TelemetryInterval,
-				FenceTimeout:      c.fenceTimeout(),
-				P2PRouting:        c.Opts.P2PRouting,
-				MaxInflight:       c.Opts.MaxInflight,
-				ShedTarget:        c.Opts.ShedTarget,
-				Logf:              c.Opts.Logf,
-			})
+			ctl, err := c.serveControlet(nodeID, shard.ID, old.DataletAddr, d, dataletCodec, to)
 			if err != nil {
 				return err
 			}

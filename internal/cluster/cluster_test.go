@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -80,6 +81,18 @@ func eventually(t *testing.T, d time.Duration, fn func() string) {
 			t.Fatal(problem)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestOptionsDefaults: the zero Options deploy one shard of three MS+SC
+// replicas on the hash-table engine.
+func TestOptionsDefaults(t *testing.T) {
+	var o Options
+	if err := o.defaults(); err != nil {
+		t.Fatal(err)
+	}
+	if o.Shards != 1 || o.Replicas != 3 || o.Mode != msSC || o.Engine != "ht" {
+		t.Fatalf("zero Options default to %d×%d %s on %q", o.Shards, o.Replicas, o.Mode, o.Engine)
 	}
 }
 
@@ -365,6 +378,23 @@ func TestPolyglotPersistence(t *testing.T) {
 		wantName := []string{"lsm", "btree", "applog"}[ri]
 		if e.Name() != wantName {
 			t.Fatalf("replica %d engine = %s, want %s", ri, e.Name(), wantName)
+		}
+	}
+
+	// Start refuses an engine it does not know, whether named for every
+	// replica or for one.
+	for _, opts := range []Options{
+		{Engine: "rocksdb"},
+		{EnginesByReplica: []string{"ht", "rocksdb", "btree"}},
+	} {
+		opts.Logf = t.Logf
+		bad, err := Start(opts)
+		if err == nil {
+			bad.Close()
+			t.Fatalf("Start(Engine %q, EnginesByReplica %q) accepted an unknown engine", opts.Engine, opts.EnginesByReplica)
+		}
+		if !strings.Contains(err.Error(), `"rocksdb"`) {
+			t.Fatalf("refusal does not name the engine: %v", err)
 		}
 	}
 }

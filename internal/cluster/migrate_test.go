@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"bespokv/internal/client"
 	"bespokv/internal/topology"
 )
 
@@ -37,7 +38,7 @@ func startMigLoad(t *testing.T, c *Cluster, keys [][]byte, writers, readers int)
 	// itself on one core, so each op is lightly paced.
 	const loadRetries, loadBackoff = 30, 10 * time.Millisecond
 	for w := 0; w < writers; w++ {
-		cli, err := c.ClientTuned(loadRetries, loadBackoff)
+		cli, err := c.ClientConfig(client.Config{Retries: loadRetries, RetryBackoff: loadBackoff})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +67,7 @@ func startMigLoad(t *testing.T, c *Cluster, keys [][]byte, writers, readers int)
 		}(w)
 	}
 	for r := 0; r < readers; r++ {
-		cli, err := c.ClientTuned(loadRetries, loadBackoff)
+		cli, err := c.ClientConfig(client.Config{Retries: loadRetries, RetryBackoff: loadBackoff})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,9 +34,6 @@ func DialCoordinator(network transport.Network, addr string) (*Client, error) {
 // its timeout must stay under the call timeout.
 func (c *Client) SetCallTimeout(d time.Duration) { c.rc.SetCallTimeout(d) }
 
-// Addr reports the member the client currently targets (tests, logs).
-func (c *Client) Addr() string { return c.rc.Addr() }
-
 func (c *Client) call(method string, args, reply any) error {
 	return c.rc.Call(0, method, args, reply, 0)
 }

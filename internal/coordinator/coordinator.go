@@ -27,25 +27,19 @@ type Config struct {
 	Network transport.Network
 	Addr    string
 	// HeartbeatTimeout declares a node dead after this silence (default
-	// 2s; the paper uses a 5s heartbeat interval on its testbed).
+	// 2s; the paper uses a 5s heartbeat interval on its testbed). The
+	// failure detector sweeps every HeartbeatTimeout/4. It is also how
+	// long a client may trust a map granted via LeaseMap for direct
+	// datalet reads (a client's trust window never outlives the failure
+	// detector's), and how long a node's telemetry stays fresh
+	// (staleness tracks the failure detector's view of liveness).
 	HeartbeatTimeout time.Duration
-	// CheckInterval is the failure-detector sweep period (default
-	// HeartbeatTimeout/4).
-	CheckInterval time.Duration
 	// DisableFailover turns the failure detector off (benchmarks that
 	// kill nodes deliberately re-enable it per-experiment).
 	DisableFailover bool
-	// LeaseTTL is how long a client may trust a map granted via LeaseMap
-	// for direct datalet reads without renewing (default HeartbeatTimeout:
-	// a client's trust window never outlives the failure detector's).
-	LeaseTTL time.Duration
 	// SLOs is the alerting policy the telemetry aggregator enforces
 	// (nil installs telemetry.DefaultObjectives; empty non-nil disables).
 	SLOs []telemetry.Objective
-	// TelemetryStaleAfter marks a node's telemetry stale after this
-	// silence (default HeartbeatTimeout: telemetry staleness tracks the
-	// failure detector's view of liveness).
-	TelemetryStaleAfter time.Duration
 	// Replication makes this coordinator one member of a replicated
 	// control-plane group (see ReplicationConfig); nil is a group of one at
 	// Addr that keeps nothing, the single-process coordinator.
@@ -137,20 +131,11 @@ func Serve(cfg Config) (*Server, error) {
 	if cfg.HeartbeatTimeout <= 0 {
 		cfg.HeartbeatTimeout = 2 * time.Second
 	}
-	if cfg.CheckInterval <= 0 {
-		cfg.CheckInterval = cfg.HeartbeatTimeout / 4
-	}
-	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = cfg.HeartbeatTimeout
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
 	if cfg.SLOs == nil {
 		cfg.SLOs = telemetry.DefaultObjectives()
-	}
-	if cfg.TelemetryStaleAfter <= 0 {
-		cfg.TelemetryStaleAfter = cfg.HeartbeatTimeout
 	}
 	s := &Server{
 		cfg:       cfg,
@@ -160,7 +145,7 @@ func Serve(cfg Config) (*Server, error) {
 		epochCh:   make(chan struct{}),
 		stopCh:    make(chan struct{}),
 		agg: telemetry.NewAggregator(telemetry.AggregatorOptions{
-			StaleAfter: cfg.TelemetryStaleAfter,
+			StaleAfter: cfg.HeartbeatTimeout,
 			Objectives: cfg.SLOs,
 		}),
 	}
@@ -304,7 +289,7 @@ func (s *Server) handleLeaseMap(args WatchArgs) (LeaseReply, error) {
 	if err != nil {
 		return LeaseReply{}, err
 	}
-	return LeaseReply{Map: m, TTLMs: int(s.cfg.LeaseTTL / time.Millisecond)}, nil
+	return LeaseReply{Map: m, TTLMs: int(s.cfg.HeartbeatTimeout / time.Millisecond)}, nil
 }
 
 func (s *Server) handleSetMap(m *topology.Map) (HeartbeatReply, error) {

@@ -203,7 +203,7 @@ func TestFailNodeRepairsChain(t *testing.T) {
 }
 
 func TestHeartbeatTimeoutTriggersFailover(t *testing.T) {
-	_, c := newCoord(t, Config{HeartbeatTimeout: 150 * time.Millisecond, CheckInterval: 25 * time.Millisecond})
+	_, c := newCoord(t, Config{HeartbeatTimeout: 150 * time.Millisecond})
 	if _, err := c.SetMap(sampleMap(1, 3)); err != nil {
 		t.Fatal(err)
 	}

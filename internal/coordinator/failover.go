@@ -12,7 +12,7 @@ import (
 // nodes that went silent.
 func (s *Server) failureDetector() {
 	defer s.wg.Done()
-	ticker := time.NewTicker(s.cfg.CheckInterval)
+	ticker := time.NewTicker(s.cfg.HeartbeatTimeout / 4)
 	defer ticker.Stop()
 	for {
 		select {

@@ -13,7 +13,7 @@ import (
 // shards mid-switch would leave the new shards inconsistent); once the
 // transition completes, failover proceeds.
 func TestFailoverDeferredDuringTransition(t *testing.T) {
-	s, c := newCoord(t, Config{HeartbeatTimeout: 100 * time.Millisecond, CheckInterval: 20 * time.Millisecond})
+	s, c := newCoord(t, Config{HeartbeatTimeout: 100 * time.Millisecond})
 	if _, err := c.SetMap(sampleMap(1, 3)); err != nil {
 		t.Fatal(err)
 	}

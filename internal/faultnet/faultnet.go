@@ -97,9 +97,6 @@ func New(inner transport.Network, seed int64) *Fabric {
 	return f
 }
 
-// Seed returns the fabric's seed (for failure logs).
-func (f *Fabric) Seed() int64 { return f.seed }
-
 // Inner returns the wrapped network.
 func (f *Fabric) Inner() transport.Network { return f.inner }
 

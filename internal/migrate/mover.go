@@ -140,9 +140,6 @@ func New(cfg Config) (*Mover, error) {
 	return m, nil
 }
 
-// ID returns the migration run this mover belongs to.
-func (m *Mover) ID() string { return m.cfg.Spec.ID }
-
 func (m *Mover) setPhase(p Phase) {
 	m.phase.Store(int32(p))
 	m.phaseGauge.set(p)

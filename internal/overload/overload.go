@@ -329,31 +329,35 @@ func (a *Admission) Status() map[string]any {
 	}
 }
 
-// budgetTokenScale is the cost of one retry in budget tokens; each
-// completed primary request credits RetryBudgetPct tokens, so the
-// sustained retry rate converges to pct% of the primary rate (the same
-// bucket arithmetic as the client's hedging budget).
+// budgetTokenScale is the cost of one spend in budget tokens; each
+// completed primary request credits pct tokens, so the sustained spend
+// rate converges to pct% of the primary rate.
 const budgetTokenScale = 100
 
-// budgetTokenCap bounds banked retries to a burst of 10.
-const budgetTokenCap = 10 * budgetTokenScale
+// BudgetBurst bounds banked spends: a budget never holds more than this
+// many at once.
+const BudgetBurst = 10
 
-// RetryBudget is a token bucket limiting retries to a fraction of primary
-// traffic. A nil budget (pct <= 0) allows every retry — the pre-overload
-// behavior.
+// budgetTokenCap is BudgetBurst in tokens.
+const budgetTokenCap = BudgetBurst * budgetTokenScale
+
+// RetryBudget is a token bucket limiting extra requests — retries, hedges —
+// to a fraction of primary traffic. A nil budget (pct <= 0) allows every
+// spend — the pre-overload behavior.
 type RetryBudget struct {
 	pct    int64
 	tokens atomic.Int64
 }
 
 // NewRetryBudget builds a budget crediting pct tokens per completed
-// request; pct <= 0 returns nil (unlimited retries).
-func NewRetryBudget(pct int) *RetryBudget {
+// request and starting with banked spends affordable (at most
+// BudgetBurst); pct <= 0 returns nil (unlimited).
+func NewRetryBudget(pct, banked int) *RetryBudget {
 	if pct <= 0 {
 		return nil
 	}
 	b := &RetryBudget{pct: int64(pct)}
-	b.tokens.Store(budgetTokenCap) // start with a full burst banked
+	b.tokens.Store(min(int64(banked)*budgetTokenScale, budgetTokenCap))
 	return b
 }
 
@@ -375,8 +379,8 @@ func (b *RetryBudget) Observe() {
 }
 
 // Allow spends one retry's worth of tokens, reporting false when the
-// budget is exhausted — the caller should fail the op instead of
-// amplifying load.
+// budget is exhausted — the caller should skip the extra request instead
+// of amplifying load.
 func (b *RetryBudget) Allow() bool {
 	if b == nil {
 		return true
@@ -392,7 +396,7 @@ func (b *RetryBudget) Allow() bool {
 	}
 }
 
-// Tokens reports banked retries (fractional), for gauges.
+// Tokens reports banked spends (fractional), for gauges.
 func (b *RetryBudget) Tokens() float64 {
 	if b == nil {
 		return 0

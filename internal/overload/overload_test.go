@@ -317,7 +317,7 @@ func TestGateConcurrentStress(t *testing.T) {
 }
 
 func TestRetryBudget(t *testing.T) {
-	if b := NewRetryBudget(0); b != nil {
+	if b := NewRetryBudget(0, BudgetBurst); b != nil {
 		t.Fatal("pct 0 should disable the budget")
 	}
 	var nilB *RetryBudget
@@ -326,7 +326,7 @@ func TestRetryBudget(t *testing.T) {
 	}
 	nilB.Observe() // must not panic
 
-	b := NewRetryBudget(10)
+	b := NewRetryBudget(10, BudgetBurst)
 	// Starts with a full burst of 10 retries banked.
 	for i := 0; i < 10; i++ {
 		if !b.Allow() {

@@ -1,10 +1,10 @@
 // Package rpc is the id-matched request/response layer over the transport
 // abstraction that carries everything which is not a data-plane wire frame:
-// coordinator, telemetry and RSM control traffic, and — on every AA+SC and
-// AA+EC operation — the lock manager and the shared log. Those two sit on
-// the per-request path, so the envelope is binary and the per-operation
-// messages encode themselves (Wire); everything cold keeps encoding/json
-// payloads and needs no code of its own.
+// coordinator, telemetry and RSM control traffic, the lock manager, and — on
+// every AA+EC operation — the shared log. The log append sits on the
+// per-request path, so the envelope is binary and the hot messages (the
+// append, the lock manager's Lock and Unlock) encode themselves (Wire);
+// everything cold keeps encoding/json payloads and needs no code of its own.
 //
 // Frame layout (all integers little-endian, fixed width):
 //

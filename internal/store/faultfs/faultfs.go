@@ -40,11 +40,6 @@ type FS struct {
 	writeErr      error
 	syncErrAfter  int
 	syncErr       error
-
-	// counters
-	writes   uint64
-	syncs    uint64
-	dirSyncs uint64
 }
 
 // dirOp is a directory-level mutation not yet made durable. For renames,
@@ -161,22 +156,6 @@ func (fs *FS) FailSyncs(n int, err error) {
 	fs.syncErrAfter, fs.syncErr = n, err
 }
 
-// Counters reports lifetime write, file-sync, and dir-sync counts.
-func (fs *FS) Counters() (writes, syncs, dirSyncs uint64) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.writes, fs.syncs, fs.dirSyncs
-}
-
-// DurableBytes reports the durable image size of path and whether the
-// file durably exists. Test instrumentation.
-func (fs *FS) DurableBytes(path string) (int, bool) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	b, ok := fs.durable[path]
-	return len(b), ok
-}
-
 // ---- wal.FS ----
 
 type handle struct {
@@ -242,7 +221,6 @@ func (h handle) WriteAt(p []byte, off int64) (int, error) {
 	copy(data[off:], p)
 	h.fs.live[h.path] = data
 	h.fs.markDirtyLocked(h.path, int(off))
-	h.fs.writes++
 	return len(p), nil
 }
 
@@ -296,7 +274,6 @@ func (h handle) Sync() error {
 		h.fs.durable[h.path] = append(dur[:d], data[d:]...)
 		delete(h.fs.dirty, h.path)
 	}
-	h.fs.syncs++
 	return nil
 }
 
@@ -413,7 +390,6 @@ func (fs *FS) SyncDir(dir string) error {
 		delete(fs.durable, op.oldPath)
 	}
 	fs.pending = kept
-	fs.dirSyncs++
 	return nil
 }
 

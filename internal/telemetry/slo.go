@@ -347,10 +347,3 @@ func (e *SLOEngine) Alerts() []Alert {
 	})
 	return out
 }
-
-// Objectives returns the engine's (defaulted) objective list.
-func (e *SLOEngine) Objectives() []Objective {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]Objective(nil), e.objectives...)
-}
