@@ -22,7 +22,7 @@ run() {
 	# benchmark module included): any file it lists fails the gate.
 	vet)
 		$GO vet ./...
-		unformatted=$(gofmt -l bench_test.go benchmark cmd examples internal scripts)
+		unformatted=$(gofmt -l bench_test.go benchmark cmd examples internal)
 		if [ -n "$unformatted" ]; then
 			echo "check.sh: not gofmt-clean (run gofmt -w):" >&2
 			echo "$unformatted" >&2
@@ -374,11 +374,34 @@ run() {
 
 	# The configuration surface: every field of cluster.Options,
 	# controlet.Config, client.Config, datalet.Config and
-	# coordinator.Config is assigned somewhere outside its defining file
-	# (a test or the benchmark counts), and the five hold at most 80
-	# fields. A field nothing sets is a value the code already knows:
-	# derive it. Type-checks the repository from source, ~20 s.
-	options) $GO run ./scripts/optionscheck ;;
+	# coordinator.Config is assigned — a literal key, an assignment or
+	# increment, its address taken — somewhere outside its defining file,
+	# and the five hold at most 80 fields. A field nothing sets is a value
+	# the code already knows: derive it. Tests and the benchmark count as
+	# setters. The search is by name, in the files that name the struct
+	# (pkg.Type anywhere, Type inside its own package).
+	options) (
+			set +x # one grep per field
+			total=0 bad=0
+			for spec in cluster:Options controlet:Config client:Config datalet:Config coordinator:Config; do
+				pkg=${spec%:*} typ=${spec#*:}
+				def=$(grep -l "^type $typ struct {" internal/$pkg/*.go)
+				fields=$(awk -v t="$typ" '$0 ~ "^type " t " struct \\{" { on = 1; next }
+					on && /^}/ { exit }
+					on && /^\t[A-Z][A-Za-z0-9]* / { print $1 }' "$def")
+				users=$({ grep -rlw --include='*.go' "$pkg\.$typ" bench_test.go benchmark cmd examples internal
+					grep -lw "$typ" internal/$pkg/*.go; } | sort -u | grep -vx "$def" || true)
+				for f in $fields; do
+					total=$((total + 1))
+					if [ -z "$users" ] || ! grep -qE "(^|[^A-Za-z0-9_.])$f:|\.$f[[:space:]]*([-+*/%&|^]?=[^=]|<<=|>>=|\+\+|--)|&[A-Za-z_][A-Za-z0-9_.]*\.$f([^A-Za-z0-9_]|\$)" $users; then
+						echo "check.sh: $pkg.$typ.$f is assigned nowhere outside $def" >&2
+						bad=1
+					fi
+				done
+			done
+			echo "check.sh: $total fields in the five config structs (at most 80)"
+			[ "$bad" = 0 ] && [ "$total" -le 80 ] || exit 1
+		) ;;
 
 	# The repository benchmark (benchmark/, a nested module outside ./...)
 	# at -quick sizes, ~5 s: all six workloads end to end with the output
