@@ -106,6 +106,7 @@ type Client struct {
 	cfg Config
 
 	rec *telemetry.Recorder // per-op counts and latencies, via Count
+	lat metrics.Sampler     // which of this client's ops Count is given a latency for
 
 	// coord serves foreground map refreshes and watch the map long-polls,
 	// which then never hold up a refresh nor share its call timeout. Both
@@ -472,7 +473,7 @@ func (c *Client) execute(req *wire.Request, resp *wire.Response, route func() (s
 	if req.TraceID == 0 {
 		req.TraceID = trace.Sample()
 	}
-	start := metrics.Start(req.TraceID != 0)
+	start := c.lat.Start(req.TraceID != 0)
 	defer func() {
 		// Every completed op — success or not — credits the retry budget,
 		// so sustained retries converge to RetryBudgetPct% of op rate.
@@ -675,7 +676,7 @@ func (c *Client) GetLevel(table string, key []byte, level wire.Level) ([]byte, b
 	if err := resp.ErrValue(); err != nil {
 		return nil, false, err
 	}
-	return append([]byte(nil), resp.Value...), true, nil
+	return resp.Value, true, nil // decoded into this call's own resp
 }
 
 // Del deletes key from table; found reports whether it existed.

@@ -88,7 +88,7 @@ func (c *Client) directGet(table string, key []byte, level wire.Level) (val []by
 			alt = c.dataletLink(n)
 		}
 	}
-	start := metrics.Start(c.hedge != nil)
+	start := c.lat.Start(c.hedge != nil)
 	resp, release, err := c.hedgedRace(primary, alt, func(r *wire.Request) {
 		r.Op = wire.OpDirectGet
 		r.Table = table
@@ -165,7 +165,7 @@ func (c *Client) submitDirectMGet(table string, level wire.Level, b *bucket) (pe
 	return pendingMGet{
 		b: b, req: req, resp: resp,
 		call:  link.Start(req, resp),
-		start: metrics.Start(false),
+		start: c.lat.Start(false),
 	}, true
 }
 

@@ -84,7 +84,7 @@ const (
 // answers.
 func (c *Client) doGuarded(addr string, req *wire.Request, resp *wire.Response) error {
 	br := c.breakers.For(addr)
-	if !br.Allow(time.Now()) {
+	if !br.AllowNow() {
 		clientBreakerDenied.Inc()
 		return fmt.Errorf("%w: %s", errBreakerOpen, addr)
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,8 +22,20 @@ import (
 // Wire-speed read suite: leased direct datalet reads, shard-coalesced
 // multi-get/multi-put, and hedged requests (ISSUE 6).
 
+// counterValue reads an unlabelled counter as a scrape does, whether a
+// Counter or a CounterFunc keeps it.
 func counterValue(name string) int64 {
-	return metrics.Default.Counter(name).Value()
+	var b strings.Builder
+	if err := metrics.Default.WriteProm(&b); err != nil {
+		panic(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, _ := strconv.ParseInt(v, 10, 64)
+			return n
+		}
+	}
+	return 0
 }
 
 // TestDirectReadWrongEpochFallback pins a client to a stale map (watch
@@ -738,5 +752,45 @@ func BenchmarkMultiGetDirect(b *testing.B) {
 	checkMultiGet(b, keys, res, err)
 	if d := counterValue("bespokv_client_direct_reads_total") - direct0; d != int64(2*b.N) {
 		b.Fatalf("%d direct frames for %d MultiGets, want %d", d, b.N, 2*b.N)
+	}
+}
+
+// BenchmarkRoutedGet: one client Get through a 1x3 MS+SC cluster — client
+// route, controlet dispatch to the tail, datalet, and back — on a client
+// with one connection per address, so every call runs inline. Its
+// allocs/op count the whole hop, datalets included.
+func BenchmarkRoutedGet(b *testing.B) {
+	c, err := Start(Options{
+		Mode:             topology.Mode{Topology: topology.MS, Consistency: topology.Strong},
+		Shards:           1,
+		Replicas:         3,
+		DisableFailover:  true,
+		HeartbeatTimeout: 10 * time.Second,
+		Logf:             func(string, ...any) {},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	cli, err := c.ClientConfig(client.Config{PoolSize: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cli.Close()
+	key, val := []byte("routed-key"), []byte("routed-value-of-32-bytes-exact!!")
+	if err := cli.Put("", key, val); err != nil {
+		b.Fatal(err)
+	}
+	get := func() {
+		v, ok, err := cli.Get("", key)
+		if err != nil || !ok || string(v) != string(val) {
+			b.Fatalf("get: %q %v %v", v, ok, err)
+		}
+	}
+	get() // dials the route
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		get()
 	}
 }

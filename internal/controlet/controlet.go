@@ -142,9 +142,11 @@ type Server struct {
 
 	clock atomic.Uint64 // Lamport clock for LWW versions
 
-	mapMu   sync.RWMutex
-	curMap  *topology.Map
-	curRing *topology.Ring
+	// cur is the installed map with its ring, replaced whole so a reader
+	// takes one atomic load and sees the two together; mapMu orders the
+	// installers.
+	mapMu sync.Mutex
+	cur   atomic.Pointer[mapView]
 
 	// Self-healing links to peers on cfg.Network: peer controlets at their
 	// data addresses in cfg.Codec, and peer datalets at their map-advertised
@@ -387,15 +389,15 @@ func (s *Server) SetMap(m *topology.Map) {
 	clone := m.Clone()
 	ring := topology.BuildRing(clone)
 	s.mapMu.Lock()
-	installed := s.curMap == nil || m.Epoch >= s.curMap.Epoch
+	old := s.Map()
+	installed := old == nil || m.Epoch >= old.Epoch
 	if installed {
 		// The slot view goes first: an operation that loads this map finds
 		// the view of it, or of a later one, never of an earlier one.
 		if s.slots != nil {
 			s.slots.remap(clone)
 		}
-		s.curMap = clone
-		s.curRing = ring
+		s.cur.Store(&mapView{m: clone, ring: ring})
 	}
 	s.mapMu.Unlock()
 	if installed {
@@ -427,9 +429,8 @@ func (s *Server) pushEpochLease(epoch uint64) {
 
 // Map returns the controlet's current cluster map (may be nil).
 func (s *Server) Map() *topology.Map {
-	s.mapMu.RLock()
-	defer s.mapMu.RUnlock()
-	return s.curMap
+	m, _ := s.mapAndRing()
+	return m
 }
 
 // myShard returns the shard containing this controlet and its position in

@@ -120,19 +120,18 @@ func putCopy(fwd *wire.Request) {
 }
 
 // localCall forwards a request verbatim to the local datalet, handing it
-// whatever remains of the propagated deadline budget.
+// whatever remains of the propagated deadline budget. It sends req itself:
+// the send rewrites only its ID and Deadline, which are put back after.
 func (s *Server) localCall(req *wire.Request, resp *wire.Response) {
-	fwd := wire.GetRequest()
-	*fwd = *req
-	if !fwd.RestampDeadline(time.Now) {
-		putCopy(fwd)
+	id, deadline := req.ID, req.Deadline
+	if !req.RestampDeadline(time.Now) {
 		s.admit.Expired.Inc()
 		resp.Status = wire.StatusOverloaded
 		resp.Err = "controlet: deadline expired"
 		return
 	}
-	err := s.local.Do(fwd, resp)
-	putCopy(fwd)
+	err := s.local.Do(req, resp)
+	req.ID, req.Deadline = id, deadline
 	if err != nil {
 		resp.Reset()
 		refuse(resp, "local datalet: "+err.Error())

@@ -11,7 +11,7 @@ import (
 
 // Hot-path metrics are resolved once at init (see the registry contract in
 // internal/metrics): counting an op is one atomic add; latency timing is
-// sampled (metrics.SampleLatency) because the clock pair dominates the
+// sampled (metrics.Sampler) because the clock pair dominates the
 // bookkeeping cost. Control-path metrics (heartbeats, failover,
 // propagation give-ups) may use labeled lookups freely.
 var (

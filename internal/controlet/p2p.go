@@ -103,9 +103,16 @@ func (s *Server) relay(addr string, fwd *wire.Request, resp *wire.Response) erro
 	return err
 }
 
+// mapView is an installed map with its consistent-hash ring.
+type mapView struct {
+	m    *topology.Map
+	ring *topology.Ring
+}
+
 // mapAndRing returns the current map with its cached consistent-hash ring.
 func (s *Server) mapAndRing() (*topology.Map, *topology.Ring) {
-	s.mapMu.RLock()
-	defer s.mapMu.RUnlock()
-	return s.curMap, s.curRing
+	if v := s.cur.Load(); v != nil {
+		return v.m, v.ring
+	}
+	return nil, nil
 }

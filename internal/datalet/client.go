@@ -84,6 +84,9 @@ type Client struct {
 	respQ []*call
 	free  []*call // recycled calls (and their completion channels)
 	err   error   // sticky transport error
+	// inline counts the calls whose caller sent the frame itself, summed
+	// over every client at scrape time (bespokv_datalet_client_inline_total).
+	inline int64
 	// Buffer ownership. A goroutine that set one of these under mu may use
 	// the buffer outside it: the writer for a batch, the reader for a
 	// batch, and on the idle fast path the caller itself — Start holds bw
@@ -233,8 +236,8 @@ func (c *Client) Start(req *wire.Request, resp *wire.Response) Pending {
 		req.ID = c.seq
 		c.respQ = append(c.respQ, cl)
 		c.load.Add(1)
+		c.inline++
 		c.mu.Unlock()
-		cliInline.Inc()
 		err := c.codec.WriteRequest(c.bw, req)
 		c.mu.Lock()
 		c.writerBusy = false

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bespokv/internal/overload"
@@ -70,8 +71,11 @@ type Server struct {
 	srv  *transport.Server // Addr's listener and LocalAddr's, one connection set
 	conn wire.ConnHandler
 
-	mu           sync.RWMutex
-	tables       map[string]store.Engine
+	// tables is replaced, never changed, so an op finds its engine without
+	// a lock; mu orders the writers (table DDL, Close) and the readers that
+	// must not see an engine closed under them (OpStats, /statusz).
+	tables       atomic.Pointer[map[string]store.Engine]
+	mu           sync.Mutex
 	closeEngines sync.Once
 
 	// Epoch lease for direct client reads, granted and refreshed by the
@@ -145,7 +149,7 @@ func Serve(cfg Config) (*Server, error) {
 	if err != nil {
 		return fail(err)
 	}
-	s.tables = map[string]store.Engine{"": def}
+	s.tables.Store(&map[string]store.Engine{"": def})
 	for _, l := range listeners {
 		s.srv.Serve(l, func(err error) {
 			srvAcceptErrs.Inc()
@@ -164,9 +168,7 @@ func (s *Server) LocalAddr() string { return s.cfg.LocalAddr }
 // Engine returns the engine backing table (nil if absent); tests and the
 // in-process harness use it for white-box checks.
 func (s *Server) Engine(table string) store.Engine {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.tables[table]
+	return (*s.tables.Load())[table]
 }
 
 // Close stops the listeners (unlinking the local socket file), drains every
@@ -177,7 +179,7 @@ func (s *Server) Close() error {
 	s.closeEngines.Do(func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		for _, e := range s.tables {
+		for _, e := range *s.tables.Load() {
 			_ = e.Close()
 		}
 	})
@@ -209,10 +211,24 @@ func (s *Server) handleAdmit(req *wire.Request, resp *wire.Response) {
 }
 
 func (s *Server) engineFor(table string) (store.Engine, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.tables[table]
+	e, ok := (*s.tables.Load())[table]
 	return e, ok
+}
+
+// setTables publishes a copy of the table set with table bound to e, or
+// removed when e is nil. The caller holds mu.
+func (s *Server) setTables(table string, e store.Engine) {
+	old := *s.tables.Load()
+	next := make(map[string]store.Engine, len(old)+1)
+	for name, oe := range old {
+		next[name] = oe
+	}
+	if e == nil {
+		delete(next, table)
+	} else {
+		next[table] = e
+	}
+	s.tables.Store(&next)
 }
 
 func (s *Server) handle(req *wire.Request, resp *wire.Response) {
@@ -223,7 +239,7 @@ func (s *Server) handle(req *wire.Request, resp *wire.Response) {
 	case wire.OpCreateTable:
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if _, exists := s.tables[req.Table]; exists {
+		if _, exists := s.engineFor(req.Table); exists {
 			resp.Status = wire.StatusOK // idempotent
 			return
 		}
@@ -232,18 +248,18 @@ func (s *Server) handle(req *wire.Request, resp *wire.Response) {
 			fail(resp, err)
 			return
 		}
-		s.tables[req.Table] = e
+		s.setTables(req.Table, e)
 		resp.Status = wire.StatusOK
 
 	case wire.OpDeleteTable:
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		e, exists := s.tables[req.Table]
+		e, exists := s.engineFor(req.Table)
 		if !exists || req.Table == "" {
 			resp.Status = wire.StatusNotFound
 			return
 		}
-		delete(s.tables, req.Table)
+		s.setTables(req.Table, nil)
 		_ = e.Close()
 		resp.Status = wire.StatusOK
 
@@ -379,30 +395,31 @@ func (s *Server) handle(req *wire.Request, resp *wire.Response) {
 		resp.Value = append(resp.Value[:0], buf...)
 
 	case wire.OpStats:
-		s.mu.RLock()
-		names := make([]string, 0, len(s.tables))
-		for name := range s.tables {
+		s.mu.Lock()
+		tables := *s.tables.Load()
+		names := make([]string, 0, len(tables))
+		for name := range tables {
 			names = append(names, name)
 		}
 		sort.Strings(names)
 		for _, name := range names {
 			kv := wire.KV{
 				Key:   []byte(name),
-				Value: []byte(strconv.Itoa(s.tables[name].Len())),
+				Value: []byte(strconv.Itoa(tables[name].Len())),
 			}
 			// Per-table recovered watermark rides along in Version so a
 			// restarted node's controlet can request an incremental
 			// delta instead of a full export.
-			if r, ok := s.tables[name].(store.Recovered); ok {
+			if r, ok := tables[name].(store.Recovered); ok {
 				kv.Version = r.RecoveredVersion()
 			}
 			resp.Pairs = append(resp.Pairs, kv)
 		}
 		var engineName string
-		if e, ok := s.tables[""]; ok {
+		if e, ok := tables[""]; ok {
 			engineName = e.Name()
 		}
-		s.mu.RUnlock()
+		s.mu.Unlock()
 		resp.Status = wire.StatusOK
 		resp.Value = []byte(engineName)
 

@@ -23,7 +23,6 @@ var (
 	// wire. Average coalesced batch size = batched_requests / batches.
 	cliBatches    = metrics.Default.Counter("bespokv_datalet_client_batches_total")
 	cliBatchedReq = metrics.Default.Counter("bespokv_datalet_client_batched_requests_total")
-	cliInline     = metrics.Default.Counter("bespokv_datalet_client_inline_total")
 
 	// Links (see link.go): generations dialled in place of a dead one, and
 	// dials that failed. Touched on the re-dial path only.
@@ -35,12 +34,14 @@ var (
 )
 
 // Live-connection registry backing the pipeline gauges. Conn count,
-// in-flight requests and queue depth are computed at scrape time by
-// walking this set — per-request gauge atomics would charge every op for
-// numbers only a scrape reads.
+// in-flight requests, queue depth and inline calls are computed at scrape
+// time by walking this set — per-request atomics every connection shares
+// would charge every op for numbers only a scrape reads. cliInlineGone
+// keeps the inline calls of connections that have left it.
 var (
-	cliMu  sync.Mutex
-	cliSet = map[*Client]struct{}{}
+	cliMu         sync.Mutex
+	cliSet        = map[*Client]struct{}{}
+	cliInlineGone int64
 )
 
 func registerClient(c *Client) {
@@ -55,6 +56,9 @@ func registerClient(c *Client) {
 func unregisterClient(c *Client) {
 	cliMu.Lock()
 	delete(cliSet, c)
+	c.mu.Lock()
+	cliInlineGone += c.inline
+	c.mu.Unlock()
 	cliMu.Unlock()
 }
 
@@ -73,6 +77,17 @@ func init() {
 		}
 		return float64(n)
 	})
+	metrics.Default.CounterFunc("bespokv_datalet_client_inline_total", func() int64 {
+		cliMu.Lock()
+		defer cliMu.Unlock()
+		n := cliInlineGone
+		for c := range cliSet {
+			c.mu.Lock()
+			n += c.inline
+			c.mu.Unlock()
+		}
+		return n
+	})
 	metrics.Default.GaugeFunc("bespokv_datalet_client_queue_depth", func() float64 {
 		cliMu.Lock()
 		defer cliMu.Unlock()
@@ -88,14 +103,15 @@ func init() {
 
 // Status reports the datalet's identity and per-table sizes for /statusz.
 func (s *Server) Status() any {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	tables := make(map[string]int, len(s.tables))
-	for name, e := range s.tables {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	all := *s.tables.Load()
+	tables := make(map[string]int, len(all))
+	for name, e := range all {
 		tables[name] = e.Len()
 	}
 	var engineName string
-	if e, ok := s.tables[""]; ok {
+	if e, ok := all[""]; ok {
 		engineName = e.Name()
 	}
 	return map[string]any{

@@ -306,3 +306,41 @@ func TestLatencySampling(t *testing.T) {
 		t.Fatal("period 0 must behave like 1")
 	}
 }
+
+// TestSamplerPerStream: streams that keep their own Sampler each time
+// exactly 1 in N of their own calls, however their calls interleave with
+// each other's and with the process-wide stream's.
+func TestSamplerPerStream(t *testing.T) {
+	prev := SetLatencySampleEvery(8)
+	defer SetLatencySampleEvery(prev)
+	const calls = 8 * 5000
+	var a, b Sampler
+	var hitsA, hitsB int
+	var wg sync.WaitGroup
+	for _, st := range []struct {
+		s    *Sampler
+		hits *int
+	}{{&a, &hitsA}, {&b, &hitsB}} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				if st.s.Sample() {
+					*st.hits++
+				}
+				SampleLatency()
+			}
+		}()
+	}
+	wg.Wait()
+	if hitsA != calls/8 || hitsB != calls/8 {
+		t.Fatalf("streams timed %d and %d of %d calls each, want %d", hitsA, hitsB, calls, calls/8)
+	}
+	var s Sampler
+	if got := s.Start(true); got.IsZero() {
+		t.Fatal("a needed start must read the clock")
+	}
+	if got := s.Start(false); !got.IsZero() || Since(got) != -1 {
+		t.Fatal("the first unneeded start of a stream is not its sampled one")
+	}
+}

@@ -96,19 +96,31 @@ func (s Stats) Sheds() uint64 { return s.ShedCoDel + s.ShedWait }
 
 // Gate is a per-listener admission controller: an inflight cap (the
 // queue) plus a CoDel-style controller on slot-wait sojourn time (the
-// shedder). While the gate is uncontended and the controller idle, Admit
-// costs one channel send; only requests that actually wait — and the
-// zero-wait admits that follow them until the controller is back at rest —
-// pay for the clock, timers and the control law.
+// shedder). While the gate is below its cap and the controller idle, Admit
+// is one CAS on one word and its release one atomic add; only requests
+// that actually wait — and the zero-wait admits that follow them until
+// the controller is back at rest — pay for the clock, timers, a wake
+// channel and the control law.
 type Gate struct {
-	slots   chan struct{}
+	// word packs the two counts every admit and release touch, so the
+	// fast path is one CAS: the ops inside in the low inflightBits, the
+	// admits ever made above them (modulo 2^(64-inflightBits)).
+	word    atomic.Uint64
+	max     uint64 // the cap, at most inflightMask
 	maxWait time.Duration
 	// release is what Admit hands out. It is bound once here: the method
 	// value `g.free` evaluated per call would allocate per admitted op.
 	release func()
 
+	// queued counts waiters; a release that sees one leaves a token in
+	// wake. Every waiter counts itself before its last look at word, and a
+	// release frees its slot before it looks at queued, so either the
+	// waiter sees the slot or the release sees the waiter: no wake-up is
+	// lost. wake holds up to cap tokens, one per slot freed while
+	// somebody waited; a token whose slot another admit took costs its
+	// waiter one more look.
 	queued    atomic.Int64
-	admitted  atomic.Uint64
+	wake      chan struct{}
 	shedCoDel atomic.Uint64
 	shedWait  atomic.Uint64
 
@@ -129,8 +141,15 @@ type Gate struct {
 	dropCount  int
 }
 
+// The layout of Gate.word.
+const (
+	inflightBits = 20
+	inflightMask = 1<<inflightBits - 1
+	admitOne     = 1<<inflightBits | 1 // one more admitted, one more inside
+)
+
 // NewGate builds a gate from cfg, or returns nil (admit-everything) when
-// the cap is disabled.
+// the cap is disabled. A cap above 2^20-1 is clamped to it.
 func NewGate(cfg Config) *Gate {
 	if cfg.MaxInflight <= 0 {
 		return nil
@@ -144,8 +163,10 @@ func NewGate(cfg Config) *Gate {
 	if cfg.MaxWait <= 0 {
 		cfg.MaxWait = 4 * cfg.Target
 	}
+	limit := min(uint64(cfg.MaxInflight), inflightMask)
 	g := &Gate{
-		slots:    make(chan struct{}, cfg.MaxInflight),
+		max:      limit,
+		wake:     make(chan struct{}, limit),
 		maxWait:  cfg.MaxWait,
 		target:   cfg.Target,
 		interval: cfg.Interval,
@@ -164,42 +185,65 @@ func (g *Gate) Admit() (release func(), ok bool) {
 	if g == nil {
 		return noRelease, true
 	}
-	select {
-	case g.slots <- struct{}{}:
+	if g.tryAdmit() {
 		// No wait: sojourn 0 feeds the controller so a drained queue
 		// disengages shedding.
 		if g.engaged.Load() {
 			g.observe(time.Now(), 0)
 		}
-		g.admitted.Add(1)
 		return g.release, true
-	default:
 	}
 	g.queued.Add(1)
 	defer g.queued.Add(-1)
 	start := time.Now()
 	timer := time.NewTimer(g.maxWait)
 	defer timer.Stop()
-	select {
-	case g.slots <- struct{}{}:
-		now := time.Now()
-		if g.observe(now, now.Sub(start)) {
-			// The CoDel law sheds this request: give the slot back so
-			// the shed actually relieves the queue behind it.
-			<-g.slots
-			g.shedCoDel.Add(1)
+	for !g.tryAdmit() {
+		select {
+		case <-g.wake:
+		case <-timer.C:
+			g.observe(time.Now(), g.maxWait)
+			g.shedWait.Add(1)
 			return nil, false
 		}
-		g.admitted.Add(1)
-		return g.release, true
-	case <-timer.C:
-		g.observe(time.Now(), g.maxWait)
-		g.shedWait.Add(1)
+	}
+	now := time.Now()
+	if g.observe(now, now.Sub(start)) {
+		// The CoDel law sheds this request: give the slot back, and the
+		// admit with it, so the shed actually relieves the queue behind it.
+		g.leave(admitOne)
+		g.shedCoDel.Add(1)
 		return nil, false
+	}
+	return g.release, true
+}
+
+// tryAdmit takes a slot if one is free.
+func (g *Gate) tryAdmit() bool {
+	for {
+		w := g.word.Load()
+		if w&inflightMask >= g.max {
+			return false
+		}
+		if g.word.CompareAndSwap(w, w+admitOne) {
+			return true
+		}
 	}
 }
 
-func (g *Gate) free() { <-g.slots }
+func (g *Gate) free() { g.leave(1) }
+
+// leave takes d off word — a slot, or a slot and its admit — and passes
+// the slot on to a waiter if there is one.
+func (g *Gate) leave(d uint64) {
+	g.word.Add(-d)
+	if g.queued.Load() > 0 {
+		select {
+		case g.wake <- struct{}{}:
+		default: // cap tokens already wait to be taken
+		}
+	}
+}
 
 // observe runs the CoDel control law on one measured sojourn and reports
 // whether the request should be shed. Sojourns below target reset the
@@ -246,11 +290,12 @@ func (g *Gate) Snapshot() Stats {
 	g.mu.Lock()
 	dropping := g.dropping
 	g.mu.Unlock()
+	w := g.word.Load()
 	return Stats{
-		MaxInflight: cap(g.slots),
-		Inflight:    len(g.slots),
+		MaxInflight: int(g.max),
+		Inflight:    int(w & inflightMask),
 		Queued:      int(g.queued.Load()),
-		Admitted:    g.admitted.Load(),
+		Admitted:    w >> inflightBits,
 		ShedCoDel:   g.shedCoDel.Load(),
 		ShedWait:    g.shedWait.Load(),
 		Dropping:    dropping,
@@ -441,6 +486,11 @@ type Breaker struct {
 	threshold int
 	cooldown  time.Duration
 
+	// healthy is "closed, no failure counted, no probe out", written under
+	// mu. While it holds, Allow and Success have nothing to decide or reset
+	// and read only it: no lock, and no clock reading (AllowNow).
+	healthy atomic.Bool
+
 	mu      sync.Mutex
 	state   BreakerState
 	fails   int
@@ -457,14 +507,16 @@ func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
 	if cooldown <= 0 {
 		cooldown = 250 * time.Millisecond
 	}
-	return &Breaker{threshold: threshold, cooldown: cooldown}
+	b := &Breaker{threshold: threshold, cooldown: cooldown}
+	b.healthy.Store(true)
+	return b
 }
 
 // Allow reports whether a request may be sent now. While open it returns
 // false until the jittered cooldown lapses, then admits exactly one probe
 // at a time. Nil breakers always allow.
 func (b *Breaker) Allow(now time.Time) bool {
-	if b == nil {
+	if b == nil || b.healthy.Load() {
 		return true
 	}
 	b.mu.Lock()
@@ -488,16 +540,26 @@ func (b *Breaker) Allow(now time.Time) bool {
 	}
 }
 
+// AllowNow is Allow at the current time, which it reads only when the
+// breaker is not healthy.
+func (b *Breaker) AllowNow() bool {
+	if b == nil || b.healthy.Load() {
+		return true
+	}
+	return b.Allow(time.Now())
+}
+
 // Success records a completed exchange (any response, even an error
 // status, proves the endpoint is talking) and closes the breaker.
 func (b *Breaker) Success() {
-	if b == nil {
+	if b == nil || b.healthy.Load() {
 		return
 	}
 	b.mu.Lock()
 	b.state = BreakerClosed
 	b.fails = 0
 	b.probing = false
+	b.healthy.Store(true)
 	b.mu.Unlock()
 }
 
@@ -511,6 +573,7 @@ func (b *Breaker) Failure(now time.Time) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.healthy.Store(false)
 	b.fails++
 	wasProbe := b.state == BreakerHalfOpen
 	b.probing = false
@@ -539,8 +602,10 @@ type BreakerSet struct {
 	threshold int
 	cooldown  time.Duration
 
+	// m is replaced, never changed, so For reads it without a lock; mu
+	// orders the writers.
+	m  atomic.Pointer[map[string]*Breaker]
 	mu sync.Mutex
-	m  map[string]*Breaker
 }
 
 // NewBreakerSet builds a set sharing one threshold/cooldown across
@@ -549,7 +614,9 @@ func NewBreakerSet(threshold int, cooldown time.Duration) *BreakerSet {
 	if threshold <= 0 {
 		return nil
 	}
-	return &BreakerSet{threshold: threshold, cooldown: cooldown, m: map[string]*Breaker{}}
+	s := &BreakerSet{threshold: threshold, cooldown: cooldown}
+	s.m.Store(&map[string]*Breaker{})
+	return s
 }
 
 // For returns the endpoint's breaker, creating it on first use.
@@ -557,13 +624,22 @@ func (s *BreakerSet) For(addr string) *Breaker {
 	if s == nil {
 		return nil
 	}
+	if b := (*s.m.Load())[addr]; b != nil {
+		return b
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b := s.m[addr]
-	if b == nil {
-		b = NewBreaker(s.threshold, s.cooldown)
-		s.m[addr] = b
+	old := *s.m.Load()
+	if b := old[addr]; b != nil {
+		return b
 	}
+	b := NewBreaker(s.threshold, s.cooldown)
+	next := make(map[string]*Breaker, len(old)+1)
+	for a, ob := range old {
+		next[a] = ob
+	}
+	next[addr] = b
+	s.m.Store(&next)
 	return b
 }
 
@@ -572,9 +648,7 @@ func (s *BreakerSet) States() (closed, open, half int) {
 	if s == nil {
 		return 0, 0, 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, b := range s.m {
+	for _, b := range *s.m.Load() {
 		switch b.State() {
 		case BreakerOpen:
 			open++

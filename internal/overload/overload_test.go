@@ -2,6 +2,7 @@ package overload
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -291,6 +292,50 @@ func TestGateCoDelLaw(t *testing.T) {
 	}
 }
 
+// TestGateCapAndWakeups: the one-CAS admit under contention. N goroutines
+// against a cap of k never have more than k inside; every queued waiter is
+// admitted when a slot frees, none left to wait out MaxWait (the controller
+// is kept at rest, so a shed here can only be a lost wake-up); and the
+// gate reads empty afterwards.
+func TestGateCapAndWakeups(t *testing.T) {
+	const k, workers, rounds = 3, 24, 200
+	g := NewGate(Config{MaxInflight: k, Target: time.Minute, Interval: time.Hour, MaxWait: 10 * time.Second})
+	var inside, most atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < rounds; j++ {
+				release, ok := g.Admit()
+				if !ok {
+					t.Error("shed with the controller at rest: a waiter missed its wake-up")
+					return
+				}
+				n := inside.Add(1)
+				for m := most.Load(); n > m && !most.CompareAndSwap(m, n); m = most.Load() {
+				}
+				if j%8 == 0 {
+					time.Sleep(20 * time.Microsecond)
+				}
+				inside.Add(-1)
+				release()
+			}
+		}()
+	}
+	wg.Wait()
+	if m := most.Load(); m > k {
+		t.Fatalf("%d ops inside a gate capped at %d", m, k)
+	}
+	s := g.Snapshot()
+	if s.Inflight != 0 || s.Queued != 0 {
+		t.Fatalf("gate not empty after the run: %+v", s)
+	}
+	if s.Admitted != workers*rounds || s.Sheds() != 0 {
+		t.Fatalf("admitted %d, shed %d; want %d and 0", s.Admitted, s.Sheds(), workers*rounds)
+	}
+}
+
 func TestGateConcurrentStress(t *testing.T) {
 	g := NewGate(Config{MaxInflight: 4, Target: time.Millisecond, MaxWait: 2 * time.Millisecond})
 	var wg sync.WaitGroup
@@ -414,6 +459,84 @@ func TestBreakerLifecycle(t *testing.T) {
 	b.Failure(again)
 	if b.State() != BreakerClosed {
 		t.Fatal("failure count should have reset on close")
+	}
+}
+
+// TestBreakerHealthyPath: a closed breaker with no failure counted answers
+// Allow, AllowNow and Success from its healthy word alone — they complete
+// while another goroutine holds its lock. One failure takes it off that
+// path; a trip, a half-open probe after the cooldown and the probe's
+// success put it back.
+func TestBreakerHealthyPath(t *testing.T) {
+	b := NewBreaker(3, 100*time.Millisecond)
+	lockFree := func() bool {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		done := make(chan bool, 1)
+		go func() {
+			ok := b.AllowNow() && b.Allow(time.Time{})
+			b.Success()
+			done <- ok
+		}()
+		select {
+		case ok := <-done:
+			if !ok {
+				t.Fatal("a healthy breaker refused")
+			}
+			return true
+		case <-time.After(100 * time.Millisecond):
+			return false
+		}
+	}
+	if !b.healthy.Load() || !lockFree() {
+		t.Fatal("a new breaker is not on the lock-free path")
+	}
+	now := time.Unix(6000, 0)
+	b.Failure(now)
+	if b.healthy.Load() || b.State() != BreakerClosed || !b.Allow(now) {
+		t.Fatal("one failure must leave the breaker closed but off the lock-free path")
+	}
+	b.Success()
+	if !b.healthy.Load() {
+		t.Fatal("a success must reset the count and restore the lock-free path")
+	}
+	for i := 0; i < 3; i++ {
+		b.Failure(now)
+	}
+	if b.State() != BreakerOpen || b.Allow(now) {
+		t.Fatal("three failures must trip the breaker")
+	}
+	probeAt := now.Add(150 * time.Millisecond)
+	if !b.Allow(probeAt) || b.State() != BreakerHalfOpen || b.healthy.Load() {
+		t.Fatal("the cooldown must end in a half-open probe, off the lock-free path")
+	}
+	b.Success()
+	if b.State() != BreakerClosed || !b.healthy.Load() || !lockFree() {
+		t.Fatal("a probe success must close the breaker and restore the lock-free path")
+	}
+
+	// The two paths agree under concurrency (run with -race).
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < 500; j++ {
+				switch (i + j) % 3 {
+				case 0:
+					b.AllowNow()
+				case 1:
+					b.Success()
+				default:
+					b.Failure(time.Now())
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	b.Success()
+	if b.State() != BreakerClosed || !b.healthy.Load() {
+		t.Fatal("a success after the storm must close the breaker onto the lock-free path")
 	}
 }
 

@@ -210,7 +210,7 @@ type Window struct {
 	Ops  [ClassCount]int64 `json:"ops"`
 	Errs [ClassCount]int64 `json:"errs"`
 	// Lat carries per-class latency deltas. Latency is sampled on the hot
-	// path (see metrics.SampleLatency), so Lat counts are a uniform subset
+	// path (see metrics.Sampler), so Lat counts are a uniform subset
 	// of Ops; rates use Ops, distributions use Lat.
 	Lat [ClassCount]HistSnapshot `json:"lat"`
 }
@@ -325,7 +325,7 @@ func newRecorder(l *Layer, opts Options) *Recorder {
 
 // Count accounts one op by its code alone: its counter, and its latency
 // when it was timed (d >= 0; callers pass -1 for unsampled ops, see
-// metrics.SampleLatency). It is the whole record of a client op. An op code
+// metrics.Sampler). It is the whole record of a client op. An op code
 // off the table is counted as NOP.
 func (r *Recorder) Count(op wire.Op, d time.Duration) {
 	if op > wire.OpMax {

@@ -30,7 +30,7 @@ type ConnHandler struct {
 	// Record, when set, is the server's per-op record (its
 	// telemetry.Recorder's RecordOp), called once for every request
 	// ServeConn answers. dur is negative when the request was not timed
-	// (latency is sampled, see metrics.SampleLatency).
+	// (latency is sampled, see metrics.Sampler).
 	Record func(req *Request, resp *Response, dur time.Duration)
 	// Epoch, when set, reports the server's current cluster-map epoch: a
 	// request stamped with an older one is answered with the current one
@@ -51,6 +51,7 @@ func ServeConn(conn io.ReadWriter, h *ConnHandler) error {
 	bcd, _ := h.Codec.(BufferedCodec)
 	var req Request
 	var resp Response
+	var lat metrics.Sampler // this connection's 1-in-N latency tick
 	for {
 		req.Reset()
 		if err := h.Codec.ReadRequest(br, &req); err != nil {
@@ -61,7 +62,7 @@ func ServeConn(conn io.ReadWriter, h *ConnHandler) error {
 		}
 		resp.Reset()
 		req.ArmDeadline(time.Now)
-		start := metrics.Start(req.TraceID != 0)
+		start := lat.Start(req.TraceID != 0)
 		streamed, err := h.Handle(&req, &resp, bw)
 		if err != nil {
 			return nil

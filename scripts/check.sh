@@ -135,8 +135,9 @@ run() {
 	# direct Get are sent and read by the caller (TestMultiGetDirectInline),
 	# a burst of replies telling a stale client of an epoch bump makes one
 	# map fetch, not one each (TestDirectReadStaleMapRefreshesOnce); the
-	# client calls DoAsync only to race a hedge's two legs, and a 16-key
-	# direct MultiGet over two shards allocates at most 44 times, datalets
+	# client calls DoAsync only to race a hedge's two legs, a 16-key
+	# direct MultiGet over two shards allocates at most 44 times and a
+	# routed single-key GET through a 1x3 MS+SC cluster at most 4, datalets
 	# included (not under -race, where sync.Pool sheds).
 	wirespeed)
 		$GO test -race -run 'Multi|Fuzz' ./internal/wire/
@@ -157,10 +158,12 @@ run() {
 			echo "check.sh: the client calls DoAsync outside a hedge; start a lone call with Link.Start" >&2
 			exit 1
 		fi
-		out=$($GO test -run NONE -bench 'MultiGetDirect$' -benchtime 20000x -benchmem ./internal/cluster/)
+		out=$($GO test -run NONE -bench 'MultiGetDirect$|RoutedGet$' -benchtime 20000x -benchmem ./internal/cluster/)
 		echo "$out"
 		echo "$out" | awk '/^BenchmarkMultiGetDirect/ { n++; if ($(NF-1) > 44) bad = 1 }
 			END { if (bad || n != 1) { print "check.sh: a 16-key direct MultiGet allocates more than 44 times"; exit 1 } }'
+		echo "$out" | awk '/^BenchmarkRoutedGet/ { n++; if ($(NF-1) > 4) bad = 1 }
+			END { if (bad || n != 1) { print "check.sh: a routed single-key GET allocates more than 4 times"; exit 1 } }'
 		;;
 
 	# The control plane, one RSM group per service: the Raft-style core
