@@ -38,6 +38,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("EmptyValue", func(t *testing.T) { testEmptyValue(t, f(t)) })
 	t.Run("LargeValues", func(t *testing.T) { testLargeValues(t, f(t)) })
 	t.Run("NoAliasing", func(t *testing.T) { testNoAliasing(t, f(t)) })
+	t.Run("ScanNoAliasing", func(t *testing.T) { testScanNoAliasing(t, f(t)) })
 	t.Run("ClosedEngine", func(t *testing.T) { testClosed(t, f(t)) })
 	t.Run("ConcurrentMixed", func(t *testing.T) { testConcurrent(t, f(t)) })
 	t.Run("ModelQuick", func(t *testing.T) { testModelQuick(t, f) })
@@ -358,6 +359,31 @@ func testNoAliasing(t *testing.T, e store.Engine) {
 	v, _, _ = mustGet(t, e, "mutable")
 	if v != "vvvv" {
 		t.Fatal("engine returned aliased internal buffer")
+	}
+}
+
+// testScanNoAliasing: the pairs Scan returns are the caller's; writing
+// into them changes nothing the engine holds.
+func testScanNoAliasing(t *testing.T, e store.Engine) {
+	defer e.Close()
+	mustPut(t, e, "mutable", "vvvv", 0)
+	got, err := e.Scan(nil, nil, 0)
+	if err == store.ErrUnordered {
+		t.Skipf("engine %s does not support scans", e.Name())
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 {
+		t.Fatalf("scan returned %d pairs, want 1", len(got))
+	}
+	got[0].Key[0] = 'X'
+	got[0].Value[0] = 'X'
+	if v, _, ok := mustGet(t, e, "mutable"); !ok || v != "vvvv" {
+		t.Fatalf("scan returned aliased internal buffers: (%q,%v)", v, ok)
+	}
+	if again, err := e.Scan(nil, nil, 0); err != nil || len(again) != 1 || string(again[0].Key) != "mutable" {
+		t.Fatalf("key changed by writing into a scanned pair: %v %v", scanKeys(again), err)
 	}
 }
 

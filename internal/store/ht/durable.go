@@ -87,26 +87,13 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
-// applyRecord applies one recovered record through the LWW rule. Replay
-// is thereby idempotent and order-insensitive, which is what makes the
-// checkpoint/WAL overlap (and group-commit reordering) safe.
+// applyRecord applies one recovered record through the LWW rule, the same
+// write path Put and Delete take. Replay is thereby idempotent and
+// order-insensitive, which is what makes the checkpoint/WAL overlap (and
+// group-commit reordering) safe.
 func (s *Store) applyRecord(r wal.Record) {
 	s.observeVersion(r.Version)
-	sh := s.shardFor(r.Key)
-	sh.mu.Lock()
-	old, exists := sh.m[string(r.Key)]
-	if exists && !old.wins(r.Version) {
-		sh.mu.Unlock()
-		return
-	}
-	sh.m[string(r.Key)] = entry{value: store.CloneBytes(r.Value), version: r.Version, tombstone: r.Tombstone}
-	sh.mu.Unlock()
-	wasLive := exists && !old.tombstone
-	if !r.Tombstone && !wasLive {
-		s.live.Add(1)
-	} else if r.Tombstone && wasLive {
-		s.live.Add(-1)
-	}
+	s.apply(r.Key, r.Value, r.Version, r.Tombstone)
 }
 
 // logRecord appends the record to the WAL and returns with ckptMu read-
@@ -159,24 +146,16 @@ func (s *Store) Checkpoint() error {
 	s.sinceCkpt.Store(0)
 	err := wal.WriteSnapshotFile(s.fs, s.dir, checkpointName, func(add func([]byte) error) error {
 		var scratch []byte
-		for i := range s.shards {
-			sh := &s.shards[i]
-			sh.mu.RLock()
-			for k, e := range sh.m {
-				scratch = wal.EncodeRecord(scratch[:0], wal.Record{
-					Tombstone: e.tombstone,
-					Version:   e.version,
-					Key:       []byte(k),
-					Value:     e.value,
-				})
-				if err := add(scratch); err != nil {
-					sh.mu.RUnlock()
-					return err
-				}
-			}
-			sh.mu.RUnlock()
-		}
-		return nil
+		all := func(record) bool { return true }
+		return s.walk(all, func(kv store.KV, tombstone bool) error {
+			scratch = wal.EncodeRecord(scratch[:0], wal.Record{
+				Tombstone: tombstone,
+				Version:   kv.Version,
+				Key:       kv.Key,
+				Value:     kv.Value,
+			})
+			return add(scratch)
+		})
 	})
 	if err != nil {
 		return err

@@ -1,11 +1,30 @@
 // Package ht implements the tHT datalet engine: a striped in-memory hash
 // table. It is the fastest engine for point operations and the default
 // backend in the paper's scalability experiments (Fig. 7).
+//
+// Each of the 64 stripes holds only pointer-free memory under one RWMutex:
+// an open-addressed []uint64 index and one []byte arena. An index word
+// packs a hash tag and the arena offset of a record; a record is a fixed
+// header (version, key length, value length, value capacity, flags), then
+// the key, then value-capacity bytes of which the first value-length hold
+// the value. A key costs one index word and one contiguous record, and the
+// garbage collector has nothing inside the table to scan.
+//
+// A write that fits its record's capacity overwrites it in place; any
+// other write appends a new record and counts the old one dead. When an
+// append does not fit the arena, the stripe copies its records the index
+// still points at into a new arena one and a half times their size, which
+// drops the dead ones: dead bytes never pass half the arena. Records are
+// never removed (the engine keeps every tombstone), so the index has no
+// delete and grows, by rehashing the keys in the arena, at 3/4 load.
 package ht
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"hash/maphash"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -15,29 +34,187 @@ import (
 )
 
 // shardCount stripes the table to reduce lock contention; a power of two so
-// the hash can be masked.
-const shardCount = 64
+// the low bits of a key's hash pick its stripe.
+const (
+	shardCount = 64
+	shardBits  = 6
+)
 
-type entry struct {
-	value     []byte
-	version   uint64
-	tombstone bool
+// The record header, little-endian at these offsets from the record start.
+const (
+	hdrVersion = 0  // uint64
+	hdrKeyLen  = 8  // uint32
+	hdrValLen  = 12 // uint32
+	hdrValCap  = 16 // uint32
+	hdrFlags   = 20 // byte
+	hdrSize    = 21
+
+	flagTombstone = 1
+)
+
+// An index word is tag<<offBits | offset. A tag is the hash's top 24 bits
+// with the lowest forced to 1, so no occupied word is 0, the empty slot.
+// Offsets of 40 bits address a terabyte per stripe.
+const (
+	offBits = 40
+	offMask = 1<<offBits - 1
+
+	minIndex = 16  // index slots of a new stripe
+	minArena = 512 // smallest arena a stripe allocates
+)
+
+// errTooLarge refuses what a record header's 32-bit lengths cannot hold.
+var errTooLarge = errors.New("ht: key or value of 4 GiB or more")
+
+// record is a view of one record: the slice starts at its header.
+type record []byte
+
+func (r record) version() uint64 { return binary.LittleEndian.Uint64(r[hdrVersion:]) }
+func (r record) keyLen() int     { return int(binary.LittleEndian.Uint32(r[hdrKeyLen:])) }
+func (r record) valLen() int     { return int(binary.LittleEndian.Uint32(r[hdrValLen:])) }
+func (r record) valCap() int     { return int(binary.LittleEndian.Uint32(r[hdrValCap:])) }
+func (r record) tombstone() bool { return r[hdrFlags]&flagTombstone != 0 }
+
+// size is the record's length in the arena, header and capacity included.
+func (r record) size() int { return hdrSize + r.keyLen() + r.valCap() }
+
+func (r record) key() []byte {
+	end := hdrSize + r.keyLen()
+	return r[hdrSize:end:end]
+}
+
+func (r record) value() []byte {
+	start := hdrSize + r.keyLen()
+	end := start + r.valLen()
+	return r[start:end:end]
+}
+
+// set overwrites the record's version, value and tombstone flag in place;
+// value must fit its capacity.
+func (r record) set(value []byte, version uint64, tombstone bool) {
+	binary.LittleEndian.PutUint64(r[hdrVersion:], version)
+	binary.LittleEndian.PutUint32(r[hdrValLen:], uint32(len(value)))
+	r[hdrFlags] = 0
+	if tombstone {
+		r[hdrFlags] = flagTombstone
+	}
+	copy(r[hdrSize+r.keyLen():], value)
 }
 
 type shard struct {
-	mu sync.RWMutex
-	m  map[string]entry
+	mu    sync.RWMutex
+	index []uint64 // length a power of two; 0 is an empty slot
+	arena []byte
+	keys  int // occupied index slots
+	dead  int // arena bytes of records no index word points at
+	_     [40]byte
+}
+
+func tagOf(h uint64) uint64 { return h>>offBits | 1 }
+
+// find returns the arena offset of key's record; when the key is absent,
+// slot is the empty index slot its record would take.
+func (sh *shard) find(h uint64, key []byte) (off, slot int, ok bool) {
+	mask := uint64(len(sh.index) - 1)
+	tag := tagOf(h)
+	for i := (h >> shardBits) & mask; ; i = (i + 1) & mask {
+		w := sh.index[i]
+		if w == 0 {
+			return 0, int(i), false
+		}
+		if w>>offBits == tag && bytes.Equal(record(sh.arena[w&offMask:]).key(), key) {
+			return int(w & offMask), int(i), true
+		}
+	}
+}
+
+// apply writes one record under the LWW rule with sh.mu write-held, h being
+// maphash(seed, key). It returns the version now governing the key, whether
+// a live value was visible before, and whether the write applied.
+func (sh *shard) apply(seed maphash.Seed, h uint64, key, value []byte, version uint64, tombstone bool) (winner uint64, wasLive, applied bool) {
+	off, slot, ok := sh.find(h, key)
+	if ok {
+		r := record(sh.arena[off:])
+		if version < r.version() {
+			return r.version(), !r.tombstone(), false
+		}
+		wasLive = !r.tombstone()
+		if len(value) <= r.valCap() {
+			r.set(value, version, tombstone)
+			return version, wasLive, true
+		}
+	} else if 4*(sh.keys+1) > 3*len(sh.index) {
+		sh.growIndex(seed)
+		_, slot, _ = sh.find(h, key)
+	}
+	need := hdrSize + len(key) + len(value)
+	sh.reserve(need) // may move records; slots stay put
+	if ok {
+		sh.dead += record(sh.arena[sh.index[slot]&offMask:]).size()
+	} else {
+		sh.keys++
+	}
+	off = len(sh.arena)
+	sh.arena = sh.arena[:off+need]
+	r := record(sh.arena[off:])
+	binary.LittleEndian.PutUint32(r[hdrKeyLen:], uint32(len(key)))
+	binary.LittleEndian.PutUint32(r[hdrValCap:], uint32(len(value)))
+	copy(r[hdrSize:], key)
+	r.set(value, version, tombstone)
+	sh.index[slot] = tagOf(h)<<offBits | uint64(off)
+	return version, wasLive, true
+}
+
+// reserve makes room for need more arena bytes. A full arena is replaced
+// by one 1.5 times the size of its live records plus need; when it holds
+// dead records, only the live ones are copied (compaction).
+func (sh *shard) reserve(need int) {
+	if len(sh.arena)+need <= cap(sh.arena) {
+		return
+	}
+	live := len(sh.arena) - sh.dead
+	arena := make([]byte, 0, max(minArena, (live+need)*3/2))
+	if sh.dead == 0 {
+		sh.arena = append(arena, sh.arena...)
+		return
+	}
+	for i, w := range sh.index {
+		if w == 0 {
+			continue
+		}
+		r := record(sh.arena[w&offMask:])
+		sh.index[i] = w&^offMask | uint64(len(arena))
+		arena = append(arena, r[:r.size()]...)
+	}
+	sh.arena, sh.dead = arena, 0
+}
+
+// growIndex doubles the index, rehashing every key in the arena.
+func (sh *shard) growIndex(seed maphash.Seed) {
+	index := make([]uint64, 2*len(sh.index))
+	mask := uint64(len(index) - 1)
+	for _, w := range sh.index {
+		if w == 0 {
+			continue
+		}
+		h := maphash.Bytes(seed, record(sh.arena[w&offMask:]).key())
+		i := (h >> shardBits) & mask
+		for index[i] != 0 {
+			i = (i + 1) & mask
+		}
+		index[i] = w
+	}
+	sh.index = index
 }
 
 // Store is a striped hash table engine: in-memory when built with New,
 // write-ahead-logged with checkpoint snapshots when built with Open.
 type Store struct {
-	shards  [shardCount]shard
-	seed    maphash.Seed
-	maxVer  atomic.Uint64
-	live    atomic.Int64
-	closed  atomic.Bool
-	nameStr string
+	shards [shardCount]shard
+	seed   maphash.Seed
+	maxVer atomic.Uint64
+	live   atomic.Int64
+	closed atomic.Bool
 
 	// Durable mode (nil/zero for in-memory stores). ckptMu is read-held
 	// across each WAL append + table apply so Checkpoint (write-held)
@@ -54,19 +231,37 @@ type Store struct {
 
 // New returns an empty hash-table engine.
 func New() *Store {
-	s := &Store{seed: maphash.MakeSeed(), nameStr: "ht"}
+	s := &Store{seed: maphash.MakeSeed()}
 	for i := range s.shards {
-		s.shards[i].m = make(map[string]entry)
+		s.shards[i].index = make([]uint64, minIndex)
 	}
 	return s
 }
 
 // Name reports "ht".
-func (s *Store) Name() string { return s.nameStr }
+func (s *Store) Name() string { return "ht" }
 
-func (s *Store) shardFor(key []byte) *shard {
+// hash is the one hash of a key: its low bits pick the stripe, the bits
+// above them the index slot, its top bits the tag.
+func (s *Store) hash(key []byte) (uint64, *shard) {
 	h := maphash.Bytes(s.seed, key)
-	return &s.shards[h&(shardCount-1)]
+	return h, &s.shards[h&(shardCount-1)]
+}
+
+// apply runs one write through its stripe and keeps the live count.
+func (s *Store) apply(key, value []byte, version uint64, tombstone bool) (winner uint64, wasLive, applied bool) {
+	h, sh := s.hash(key)
+	sh.mu.Lock()
+	winner, wasLive, applied = sh.apply(s.seed, h, key, value, version, tombstone)
+	sh.mu.Unlock()
+	if applied && wasLive == tombstone {
+		if tombstone {
+			s.live.Add(-1)
+		} else {
+			s.live.Add(1)
+		}
+	}
+	return winner, wasLive, applied
 }
 
 // nextVersion assigns a version strictly greater than any seen so far.
@@ -91,6 +286,9 @@ func (s *Store) Put(key, value []byte, version uint64) (uint64, error) {
 	if s.closed.Load() {
 		return 0, store.ErrClosed
 	}
+	if len(key) >= math.MaxUint32 || len(value) >= math.MaxUint32 {
+		return 0, errTooLarge
+	}
 	if version == 0 {
 		version = s.nextVersion()
 	} else {
@@ -102,42 +300,37 @@ func (s *Store) Put(key, value []byte, version uint64) (uint64, error) {
 		}
 		defer s.logDone()
 	}
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	old, exists := sh.m[string(key)]
-	if exists && !old.wins(version) {
-		sh.mu.Unlock()
-		return old.version, nil
-	}
-	sh.m[string(key)] = entry{value: store.CloneBytes(value), version: version}
-	sh.mu.Unlock()
-	if !exists || old.tombstone {
-		s.live.Add(1)
-	}
-	return version, nil
+	winner, _, _ := s.apply(key, value, version, false)
+	return winner, nil
 }
-
-func (e entry) wins(v uint64) bool { return v >= e.version }
 
 // Get returns the live value for key.
 func (s *Store) Get(key []byte) ([]byte, uint64, bool, error) {
 	if s.closed.Load() {
 		return nil, 0, false, store.ErrClosed
 	}
-	sh := s.shardFor(key)
+	h, sh := s.hash(key)
 	sh.mu.RLock()
-	e, ok := sh.m[string(key)]
-	sh.mu.RUnlock()
-	if !ok || e.tombstone {
+	off, _, ok := sh.find(h, key)
+	if !ok || record(sh.arena[off:]).tombstone() {
+		sh.mu.RUnlock()
 		return nil, 0, false, nil
 	}
-	return store.CloneBytes(e.value), e.version, true, nil
+	r := record(sh.arena[off:])
+	value := make([]byte, r.valLen())
+	copy(value, r.value())
+	version := r.version()
+	sh.mu.RUnlock()
+	return value, version, true, nil
 }
 
 // Delete writes a tombstone for key under LWW semantics.
 func (s *Store) Delete(key []byte, version uint64) (bool, uint64, error) {
 	if s.closed.Load() {
 		return false, 0, store.ErrClosed
+	}
+	if len(key) >= math.MaxUint32 {
+		return false, 0, errTooLarge
 	}
 	if version == 0 {
 		version = s.nextVersion()
@@ -150,20 +343,43 @@ func (s *Store) Delete(key []byte, version uint64) (bool, uint64, error) {
 		}
 		defer s.logDone()
 	}
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	old, exists := sh.m[string(key)]
-	if exists && !old.wins(version) {
-		sh.mu.Unlock()
-		return !old.tombstone, old.version, nil
+	winner, wasLive, _ := s.apply(key, nil, version, true)
+	return wasLive, winner, nil
+}
+
+// walk lists the table stripe by stripe: under a stripe's read lock it
+// copies every record keep accepts into one buffer, then calls fn for each
+// copy with no lock held. fn's slices are reused after it returns.
+func (s *Store) walk(keep func(record) bool, fn func(kv store.KV, tombstone bool) error) error {
+	var buf []byte
+	for i := range s.shards {
+		sh := &s.shards[i]
+		buf = buf[:0]
+		sh.mu.RLock()
+		for _, w := range sh.index {
+			if w == 0 {
+				continue
+			}
+			r := record(sh.arena[w&offMask:])
+			if !keep(r) {
+				continue
+			}
+			// Copy up to the value's end and shrink the copy's capacity
+			// to match, so the buffer reads back record by record.
+			n := hdrSize + r.keyLen() + r.valLen()
+			buf = append(buf, r[:n]...)
+			binary.LittleEndian.PutUint32(buf[len(buf)-n+hdrValCap:], uint32(r.valLen()))
+		}
+		sh.mu.RUnlock()
+		for p := 0; p < len(buf); {
+			r := record(buf[p:])
+			p += r.size()
+			if err := fn(store.KV{Key: r.key(), Value: r.value(), Version: r.version()}, r.tombstone()); err != nil {
+				return err
+			}
+		}
 	}
-	sh.m[string(key)] = entry{version: version, tombstone: true}
-	sh.mu.Unlock()
-	existed := exists && !old.tombstone
-	if existed {
-		s.live.Add(-1)
-	}
-	return existed, version, nil
+	return nil
 }
 
 // Scan returns live pairs with start <= key < end in key order, up to
@@ -177,17 +393,14 @@ func (s *Store) Scan(start, end []byte, limit int) ([]store.KV, error) {
 		return nil, store.ErrClosed
 	}
 	var out []store.KV
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for k, e := range sh.m {
-			if e.tombstone || !store.InRange([]byte(k), start, end) {
-				continue
-			}
-			out = append(out, store.KV{Key: []byte(k), Value: e.value, Version: e.version})
-		}
-		sh.mu.RUnlock()
-	}
+	inRange := func(r record) bool { return !r.tombstone() && store.InRange(r.key(), start, end) }
+	_ = s.walk(inRange, func(kv store.KV, _ bool) error {
+		// One allocation per pair: the key, then the value.
+		b := append(append(make([]byte, 0, len(kv.Key)+len(kv.Value)), kv.Key...), kv.Value...)
+		k := len(kv.Key)
+		out = append(out, store.KV{Key: b[:k:k], Value: b[k:], Version: kv.Version})
+		return nil
+	})
 	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i].Key, out[j].Key) < 0 })
 	if limit > 0 && len(out) > limit {
 		out = out[:limit]
@@ -204,33 +417,7 @@ func (s *Store) Snapshot(since uint64, fn func(kv store.KV, tombstone bool) erro
 	if s.closed.Load() {
 		return store.ErrClosed
 	}
-	type rec struct {
-		kv   store.KV
-		tomb bool
-	}
-	var batch []rec
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		// Copy the shard's records so fn runs without the lock held.
-		batch = batch[:0]
-		for k, e := range sh.m {
-			if e.version <= since {
-				continue
-			}
-			batch = append(batch, rec{
-				kv:   store.KV{Key: []byte(k), Value: e.value, Version: e.version},
-				tomb: e.tombstone,
-			})
-		}
-		sh.mu.RUnlock()
-		for _, r := range batch {
-			if err := fn(r.kv, r.tomb); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return s.walk(func(r record) bool { return r.version() > since }, fn)
 }
 
 // Close marks the engine closed; in durable mode it fsyncs and closes

@@ -2,6 +2,7 @@ package ht
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -100,5 +101,50 @@ func BenchmarkGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Get(key)
+	}
+}
+
+// spreadKeys is the benchmark's key space: 100 k keys of the benchmark's
+// 16-byte keys and 32-byte values, far more than one cache holds.
+const spreadKeys = 100_000
+
+var sinkValue []byte
+
+// spreadKey writes the i-th key of the space into key (16 bytes).
+func spreadKey(key []byte, i int) []byte {
+	copy(key, "spread--")
+	binary.BigEndian.PutUint64(key[8:], uint64(i))
+	return key
+}
+
+func loadSpread(b *testing.B) (s *Store, key, value []byte) {
+	s = New()
+	key, value = make([]byte, 16), make([]byte, 32)
+	for i := 0; i < spreadKeys; i++ {
+		if _, err := s.Put(spreadKey(key, i), value, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	return s, key, value
+}
+
+// The benchmarks visit the key space in a scattered order: 7919 is prime,
+// so i*7919 mod spreadKeys is a permutation.
+
+func BenchmarkGetSpread(b *testing.B) {
+	s, key, _ := loadSpread(b)
+	defer s.Close()
+	for i := 0; i < b.N; i++ {
+		sinkValue, _, _, _ = s.Get(spreadKey(key, i*7919%spreadKeys))
+	}
+}
+
+func BenchmarkPutSpread(b *testing.B) {
+	s, key, value := loadSpread(b)
+	defer s.Close()
+	for i := 0; i < b.N; i++ {
+		s.Put(spreadKey(key, i*7919%spreadKeys), value, 0)
 	}
 }

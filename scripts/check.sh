@@ -106,10 +106,14 @@ run() {
 	# and the enginetest conformance run on all four engines, whose
 	# tombstones must outlive leaf splits, flushes and compactions), then
 	# the cluster crash-restart and incremental-rejoin scenarios. Then the
-	# grep that keeps one feed: no delta side-interface, no engine that
-	# drops tombstones, no export that cannot list them, no prune sweep.
+	# ht engine's pointer-free gate, not under -race: 100 k keys add fewer
+	# than 1 000 heap objects, a same-size overwrite allocates nothing, a
+	# Get only its value. Then the grep that keeps one feed: no delta
+	# side-interface, no engine that drops tombstones, no export that
+	# cannot list them, no prune sweep.
 	crash)
 		$GO test -race ./internal/store/...
+		$GO test -count=1 -run TestHTPointerFree ./internal/store/ht/
 		$GO test -race -run 'TestCrashRestart|TestRejoin' ./internal/cluster/
 		if grep -rnE --include='*.go' 'SnapshotSince|DeltaSnapshotter|ErrDeltaUnavailable|OpExportDelta|ExportSince|purgeTombstones|tombFloor|func \(s \*Server\) prune' internal/; then
 			echo "check.sh: a second change feed; every engine keeps its tombstones and lists them through Snapshot(since)" >&2
