@@ -365,7 +365,7 @@ func (n *node) applyLocal(req *wire.Request, resp *wire.Response, version uint64
 			resp.Status = wire.StatusNotFound
 		}
 	case wire.OpGet:
-		v, ver, ok, err := n.engine.Get(req.Key)
+		v, ver, ok, err := n.engine.AppendGet(resp.Value[:0], req.Key)
 		if err != nil {
 			resp.Status = wire.StatusErr
 			resp.Err = err.Error()
@@ -376,7 +376,7 @@ func (n *node) applyLocal(req *wire.Request, resp *wire.Response, version uint64
 			return
 		}
 		resp.Status = wire.StatusOK
-		resp.Value = append(resp.Value[:0], v...)
+		resp.Value = v
 		resp.Version = ver
 	case wire.OpScan:
 		kvs, err := n.engine.Scan(req.Key, req.EndKey, int(req.Limit))

@@ -70,7 +70,7 @@ func TestWriteAnywhereReplicatesEverywhere(t *testing.T) {
 	for {
 		all := true
 		for _, b := range backends {
-			if _, _, ok, _ := b.Engine("").Get([]byte("k")); !ok {
+			if _, _, ok, _ := b.Engine("").AppendGet(nil, []byte("k")); !ok {
 				all = false
 			}
 		}
@@ -111,7 +111,7 @@ func TestDeleteReplicates(t *testing.T) {
 	for {
 		gone := true
 		for _, b := range backends {
-			if _, _, ok, _ := b.Engine("").Get([]byte("k")); ok {
+			if _, _, ok, _ := b.Engine("").AppendGet(nil, []byte("k")); ok {
 				gone = false
 			}
 		}
@@ -156,8 +156,8 @@ func TestConflictWindowExists(t *testing.T) {
 		<-done
 		<-done
 		time.Sleep(30 * time.Millisecond) // let propagation settle
-		v0, _, ok0, _ := backends[0].Engine("").Get(key)
-		v1, _, ok1, _ := backends[1].Engine("").Get(key)
+		v0, _, ok0, _ := backends[0].Engine("").AppendGet(nil, key)
+		v1, _, ok1, _ := backends[1].Engine("").AppendGet(nil, key)
 		if ok0 && ok1 && string(v0) != string(v1) {
 			diverged = true
 		}

@@ -67,7 +67,7 @@ func Table1FeatureMatrix(p Params) error {
 			return err
 		}
 		for ri, pair := range c.Shards[0] {
-			if _, _, ok, _ := pair.Datalet.Engine("").Get([]byte("k")); !ok {
+			if _, _, ok, _ := pair.Datalet.Engine("").AppendGet(nil, []byte("k")); !ok {
 				return fmt.Errorf("replica %d missing the write", ri)
 			}
 		}

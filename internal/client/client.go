@@ -465,7 +465,18 @@ const timeoutRetries = 3
 // execute retries an operation across redirects, stale epochs, transitions
 // and failovers. route picks the target from the current map; it is
 // re-evaluated after every refresh.
-func (c *Client) execute(req *wire.Request, resp *wire.Response, route func() (string, uint64, error)) (err error) {
+func (c *Client) execute(req *wire.Request, resp *wire.Response, route func() (string, uint64, error)) error {
+	return c.executeShedding(req, resp, route, nil)
+}
+
+// executeShedding is execute for a multi-op frame whose reply can shed
+// some pairs (StatusOverloaded per pair) and apply the rest. After every
+// reply with per-pair statuses (StatusOK or StatusNotFound), settle takes
+// the answered pairs, narrows req to the shed ones and reports whether any
+// were shed; those are retried as a shed single op is: with backoff, under
+// the retry budget and the op budget.
+func (c *Client) executeShedding(req *wire.Request, resp *wire.Response, route func() (string, uint64, error),
+	settle func(*wire.Response) (shed bool)) (err error) {
 	// Head-based sampling starts here: a sampled request carries its trace
 	// ID through every hop it touches (controlets, replicas, datalets, the
 	// shared log), and the client span brackets the whole operation
@@ -522,6 +533,7 @@ retry:
 			req.Deadline = uint64(rem)
 		}
 		err = c.doGuarded(addr, req, resp)
+		kind := classifyFailure(resp.Status, err)
 		if err == nil {
 			switch resp.Status {
 			case wire.StatusOK, wire.StatusNotFound, wire.StatusErr:
@@ -530,7 +542,10 @@ retry:
 					// the background for next time.
 					c.refreshAsync(resp.Epoch)
 				}
-				return nil
+				if resp.Status == wire.StatusErr || settle == nil || !settle(resp) {
+					return nil
+				}
+				kind = failOverloaded // some pairs were shed
 			case wire.StatusRedirect:
 				clientRedirects.Inc()
 				redirect = resp.Err
@@ -538,7 +553,7 @@ retry:
 				continue // immediate: no backoff, no retry-budget spend
 			}
 		}
-		switch classifyFailure(resp.Status, err) {
+		switch kind {
 		case failOverloaded:
 			// The server is alive and explicitly shedding; back off and
 			// let the retry budget decide whether trying again is even
@@ -546,6 +561,9 @@ retry:
 			clientOverloaded.Inc()
 			c.noteOverloaded()
 			lastErr = errors.New(resp.Err)
+			if resp.Status != wire.StatusOverloaded { // pairs were shed
+				lastErr = statusErr(wire.StatusOverloaded)
+			}
 		case failUnavailable:
 			if resp.Status == wire.StatusWrongEpoch {
 				lastErr = errors.New("stale epoch")

@@ -191,15 +191,6 @@ func (c *Client) awaitDirectMGet(pd pendingMGet, out []MultiResult) bool {
 	}
 	clientDirectReads.Inc()
 	c.rec.Count(wire.OpDirectGet, metrics.Since(pd.start))
-	for i, idx := range pd.b.idxs {
-		switch resp.Statuses[i] {
-		case wire.StatusOK:
-			out[idx] = MultiResult{Value: append([]byte(nil), resp.Pairs[i].Value...), Found: true}
-		case wire.StatusNotFound:
-			out[idx] = MultiResult{}
-		default:
-			out[idx] = MultiResult{Err: statusErr(resp.Statuses[i])}
-		}
-	}
+	fillMultiGet(pd.b, resp, out)
 	return true
 }

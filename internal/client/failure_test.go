@@ -2,7 +2,9 @@ package client
 
 import (
 	"errors"
+	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -80,6 +82,82 @@ func TestOverloadedRetriedWithBackoff(t *testing.T) {
 	// jitter floor; a hot-retry regression finishes in microseconds.
 	if elapsed < 6*time.Millisecond {
 		t.Fatalf("3 attempts finished in %v: Overloaded is being retried hot", elapsed)
+	}
+}
+
+// TestMultiPutShedPairsRetriedWithBackoff is the MultiPut twin of
+// TestOverloadedRetriedWithBackoff: a pair the server sheds inside an OK
+// frame (the MS+EC backlog's per-pair StatusOverloaded) is retried with
+// backoff like a shed Put, alone with the other shed pairs, and a pair that
+// was applied is not sent again.
+func TestMultiPutShedPairsRetriedWithBackoff(t *testing.T) {
+	var calls atomic.Int64
+	var mu sync.Mutex
+	var sent [][]string // the keys of every frame the server saw
+	shedAlways := atomic.Bool{}
+	addr := fakeServer(t, func(req *wire.Request, resp *wire.Response) {
+		n := calls.Add(1)
+		var keys []string
+		for _, kv := range req.Pairs {
+			keys = append(keys, string(kv.Key))
+			st := wire.StatusOK
+			if shedAlways.Load() || n == 1 && string(kv.Key) != "a" {
+				st = wire.StatusOverloaded
+			}
+			resp.Pairs = append(resp.Pairs, wire.KV{Version: 1})
+			resp.Statuses = append(resp.Statuses, st)
+		}
+		mu.Lock()
+		sent = append(sent, keys)
+		mu.Unlock()
+		resp.Status = wire.StatusOK
+	})
+	net, _ := transport.Lookup("inproc")
+	codec, _ := wire.LookupCodec("binary")
+	c, err := New(Config{
+		Network: net, Codec: codec, StaticMap: staticMapTo(addr),
+		Retries: 3, RetryBackoff: 4 * time.Millisecond, BreakerThreshold: 2, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	pairs := []wire.KV{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("b"), Value: []byte("2")}, {Key: []byte("c"), Value: []byte("3")}}
+
+	// The first frame sheds b and c; the retry carries only those two.
+	errs, err := c.MultiPut("", pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range errs {
+		if e != nil {
+			t.Fatalf("pair %d: %v, want applied on the retry", i, e)
+		}
+	}
+	if want := [][]string{{"a", "b", "c"}, {"b", "c"}}; !reflect.DeepEqual(sent, want) {
+		t.Fatalf("frames sent %v, want %v", sent, want)
+	}
+
+	// A server that sheds everything: every attempt reaches it, backed
+	// off, and the pairs fail with the shed.
+	shedAlways.Store(true)
+	calls.Store(0)
+	start := time.Now()
+	errs, err = c.MultiPut("", pairs)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range errs {
+		if e == nil || !strings.Contains(e.Error(), "OVERLOADED") {
+			t.Fatalf("pair %d: %v, want the shed after retries", i, e)
+		}
+	}
+	if got := calls.Load(); got != 3 {
+		t.Fatalf("server called %d times, want 3 (breaker must not trip on a shed)", got)
+	}
+	if elapsed < 6*time.Millisecond {
+		t.Fatalf("3 attempts finished in %v: shed pairs are being retried hot", elapsed)
 	}
 }
 

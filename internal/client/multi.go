@@ -191,14 +191,32 @@ func (c *Client) mgetBucket(table string, level wire.Level, b *bucket, out []Mul
 		}
 		return
 	}
+	fillMultiGet(b, &resp, out)
+}
+
+// fillMultiGet fills out[b.idxs[i]] from a multi-get reply whose Pairs and
+// Statuses are index-aligned with b's keys. The bucket's values are copied
+// into one slab, one allocation however many keys it has; each result is
+// capped at its own length, so appending to one cannot reach the next.
+func fillMultiGet(b *bucket, resp *wire.Response, out []MultiResult) {
+	answered := min(len(b.idxs), len(resp.Statuses), len(resp.Pairs))
+	n := 0
+	for i := 0; i < answered; i++ {
+		if resp.Statuses[i] == wire.StatusOK {
+			n += len(resp.Pairs[i].Value)
+		}
+	}
+	slab := make([]byte, 0, n)
 	for i, idx := range b.idxs {
-		if i >= len(resp.Statuses) || i >= len(resp.Pairs) {
+		if i >= answered {
 			out[idx] = MultiResult{Err: errors.New("client: short multi-get response")}
 			continue
 		}
 		switch resp.Statuses[i] {
 		case wire.StatusOK:
-			out[idx] = MultiResult{Value: append([]byte(nil), resp.Pairs[i].Value...), Found: true}
+			start := len(slab)
+			slab = append(slab, resp.Pairs[i].Value...)
+			out[idx] = MultiResult{Value: slab[start:len(slab):len(slab)], Found: true}
 		case wire.StatusNotFound:
 			out[idx] = MultiResult{}
 		default:
@@ -245,35 +263,46 @@ func (c *Client) MultiPut(table string, pairs []wire.KV) ([]error, error) {
 }
 
 // mputBucket writes one bucket's pairs through the retrying controlet path.
+// A pair the server shed (StatusOverloaded: the MS+EC backlog is full) is
+// sent again with the rest of the shed pairs, as a shed Put would be; a
+// re-applied pair is idempotent under LWW.
 func (c *Client) mputBucket(table string, pairs []wire.KV, b *bucket, errs []error) {
 	req := wire.Request{Op: wire.OpMPut, Table: table}
 	for _, idx := range b.idxs {
 		req.Pairs = append(req.Pairs, wire.KV{Key: pairs[idx].Key, Value: pairs[idx].Value})
 	}
+	// pending holds the positions of the pairs still in req, index-aligned
+	// with req.Pairs.
+	pending := append([]int(nil), b.idxs...)
+	settle := func(resp *wire.Response) bool {
+		shed, kept := pending[:0], req.Pairs[:0]
+		for i, idx := range pending {
+			switch {
+			case i >= len(resp.Statuses):
+				errs[idx] = errors.New("client: short multi-put response")
+			case resp.Statuses[i] == wire.StatusOverloaded:
+				shed, kept = append(shed, idx), append(kept, req.Pairs[i])
+			case resp.Statuses[i] != wire.StatusOK:
+				errs[idx] = statusErr(resp.Statuses[i])
+			}
+		}
+		pending, req.Pairs = shed, kept
+		return len(pending) > 0
+	}
 	var resp wire.Response
-	err := c.execute(&req, &resp, func() (string, uint64, error) {
+	err := c.executeShedding(&req, &resp, func() (string, uint64, error) {
 		shard, m, err := c.shardFor(b.keys[0])
 		if err != nil {
 			return "", 0, err
 		}
 		return c.writeTarget(m, shard, b.keys[0]).ControletAddr, m.Epoch, nil
-	})
+	}, settle)
 	if err == nil {
 		err = resp.ErrValue()
 	}
 	if err != nil {
-		for _, idx := range b.idxs {
+		for _, idx := range pending {
 			errs[idx] = err
-		}
-		return
-	}
-	for i, idx := range b.idxs {
-		if i >= len(resp.Statuses) {
-			errs[idx] = errors.New("client: short multi-put response")
-			continue
-		}
-		if resp.Statuses[i] != wire.StatusOK {
-			errs[idx] = statusErr(resp.Statuses[i])
 		}
 	}
 }

@@ -318,8 +318,8 @@ func TestJoinNodeAAECFloorTrimmed(t *testing.T) {
 		}
 		for i := 0; i < 300; i++ {
 			k := []byte(fmt.Sprintf("key-%05d", i))
-			pv, pver, pok, _ := peer.Get(k)
-			sv, sver, sok, _ := sb.Get(k)
+			pv, pver, pok, _ := peer.AppendGet(nil, k)
+			sv, sver, sok, _ := sb.AppendGet(nil, k)
 			if pok != sok || pver != sver || string(pv) != string(sv) {
 				return fmt.Sprintf("%s: peer (%q, v%d, %v), new replica (%q, v%d, %v)", k, pv, pver, pok, sv, sver, sok)
 			}

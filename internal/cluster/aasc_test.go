@@ -357,7 +357,7 @@ func TestAASCMapSkewRelaysOnce(t *testing.T) {
 		t.Fatalf("%d relays for 6 ops while the maps disagree, want one each", got)
 	}
 	for _, p := range c.Shards[0] {
-		if v, _, ok, err := p.Datalet.Engine("").Get(key); err != nil || !ok || string(v) != "v0" {
+		if v, _, ok, err := p.Datalet.Engine("").AppendGet(nil, key); err != nil || !ok || string(v) != "v0" {
 			t.Fatalf("%s holds %q %v %v: a refused write landed", p.Node.ID, v, ok, err)
 		}
 	}

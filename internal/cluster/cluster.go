@@ -316,9 +316,9 @@ func (s slowEngine) Put(key, value []byte, version uint64) (uint64, error) {
 	return s.Engine.Put(key, value, version)
 }
 
-func (s slowEngine) Get(key []byte) ([]byte, uint64, bool, error) {
+func (s slowEngine) AppendGet(dst, key []byte) ([]byte, uint64, bool, error) {
 	time.Sleep(s.delay)
-	return s.Engine.Get(key)
+	return s.Engine.AppendGet(dst, key)
 }
 
 func (s slowEngine) Delete(key []byte, version uint64) (bool, uint64, error) {

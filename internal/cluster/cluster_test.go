@@ -162,7 +162,7 @@ func TestReplicasConvergeAllModes(t *testing.T) {
 			for i := 0; i < n; i += 13 {
 				k := []byte(fmt.Sprintf("key-%03d", i))
 				for ri, p := range c.Shards[0] {
-					v, _, ok, err := p.Datalet.Engine("").Get(k)
+					v, _, ok, err := p.Datalet.Engine("").AppendGet(nil, k)
 					if err != nil || !ok || !bytes.Equal(v, k) {
 						t.Fatalf("replica %d: Get(%s) = (%q,%v,%v)", ri, k, v, ok, err)
 					}
@@ -214,7 +214,7 @@ func TestAAECConcurrentWritersConverge(t *testing.T) {
 	for {
 		vals := map[string]bool{}
 		for _, p := range c.Shards[0] {
-			v, _, ok, err := p.Datalet.Engine("").Get([]byte("contended"))
+			v, _, ok, err := p.Datalet.Engine("").AppendGet(nil, []byte("contended"))
 			if err != nil || !ok {
 				vals["missing"] = true
 				continue

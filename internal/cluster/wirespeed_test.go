@@ -543,7 +543,7 @@ func spanningKeys(tb testing.TB, c *Cluster, cli *client.Client, n int) [][]byte
 		problem := ""
 		for i, k := range keys {
 			for ri, p := range c.Shards[shardOf[i]] {
-				if v, _, ok, _ := p.Datalet.Engine("").Get(k); !ok || string(v) != "v-"+string(k) {
+				if v, _, ok, _ := p.Datalet.Engine("").AppendGet(nil, k); !ok || string(v) != "v-"+string(k) {
 					problem = fmt.Sprintf("replica %d/%d lacks %s", shardOf[i], ri, k)
 				}
 			}

@@ -183,8 +183,8 @@ func TestFramedApplyEqualsEntryApply(t *testing.T) {
 
 	live := 0
 	for k := range keys {
-		gv, gver, gok, gerr := d.Engine(k.table).Get([]byte(k.key))
-		wv, wver, wok, werr := refD.Engine(k.table).Get([]byte(k.key))
+		gv, gver, gok, gerr := d.Engine(k.table).AppendGet(nil, []byte(k.key))
+		wv, wver, wok, werr := refD.Engine(k.table).AppendGet(nil, []byte(k.key))
 		if gerr != nil || werr != nil {
 			t.Fatal(gerr, werr)
 		}
@@ -201,11 +201,11 @@ func TestFramedApplyEqualsEntryApply(t *testing.T) {
 		}
 	}
 	for _, absent := range []string{"other-shard", "own-current", "own-current-2"} {
-		if _, _, ok, _ := d.Engine("").Get([]byte(absent)); ok {
+		if _, _, ok, _ := d.Engine("").AppendGet(nil, []byte(absent)); ok {
 			t.Errorf("%s was applied", absent)
 		}
 	}
-	if _, ver, ok, _ := d.Engine("").Get([]byte("own-stale")); !ok || ver <= aaecVersionBase+lift {
+	if _, ver, ok, _ := d.Engine("").AppendGet(nil, []byte("own-stale")); !ok || ver <= aaecVersionBase+lift {
 		t.Errorf("own-stale: found=%v version=%d, want it re-applied above the floor", ok, ver)
 	}
 	if live < 200 {
@@ -287,8 +287,8 @@ func TestFailedFrameIsRetried(t *testing.T) {
 	offset.Store(put("retried", "2"))
 	put("after", "3")
 	eventually(t, "the failed frame to land", func() bool {
-		_, _, retried, _ := sh.datalets[1].Engine("").Get([]byte("retried"))
-		_, _, after, _ := sh.datalets[1].Engine("").Get([]byte("after"))
+		_, _, retried, _ := sh.datalets[1].Engine("").AppendGet(nil, []byte("retried"))
+		_, _, after, _ := sh.datalets[1].Engine("").AppendGet(nil, []byte("after"))
 		return retried && after
 	})
 	if left := flaky.fails.Load(); left > 0 {
@@ -301,7 +301,7 @@ func TestFailedFrameIsRetried(t *testing.T) {
 	if passed.Load() != 0 {
 		t.Fatal("the cursor passed a record whose frame had not landed")
 	}
-	v, ver, ok, _ := sh.datalets[1].Engine("").Get([]byte("retried"))
+	v, ver, ok, _ := sh.datalets[1].Engine("").AppendGet(nil, []byte("retried"))
 	if !ok || string(v) != "2" || ver != aaecVersionBase+offset.Load()+1 {
 		t.Fatalf("retried write on n1: (%q, v%d, %v)", v, ver, ok)
 	}
@@ -357,7 +357,7 @@ func testAllReplicasBehindCatchUp(t *testing.T, newEngine func(*testing.T) store
 	var resp wire.Response
 	sh.ctls[1].dispatch(&wire.Request{Op: wire.OpPut, Key: []byte("gone"), Value: []byte("v")}, &resp)
 	eventually(t, "the doomed key to cross over", func() bool {
-		_, _, ok, _ := sh.datalets[0].Engine("").Get([]byte("gone"))
+		_, _, ok, _ := sh.datalets[0].Engine("").AppendGet(nil, []byte("gone"))
 		return ok
 	})
 	for i, e := range engines {
@@ -393,14 +393,14 @@ func testAllReplicasBehindCatchUp(t *testing.T, newEngine func(*testing.T) store
 		t.Fatalf("%d appliers noticed they were below the floor, want both", got)
 	}
 	eventually(t, "the deletion to reach replica 0", func() bool {
-		_, _, ok, _ := sh.datalets[0].Engine("").Get([]byte("gone"))
+		_, _, ok, _ := sh.datalets[0].Engine("").AppendGet(nil, []byte("gone"))
 		return !ok
 	})
 	for i := 0; i < each; i++ {
 		for _, prefix := range []string{"a-", "b-"} {
 			k := []byte(fmt.Sprintf("%s%03d", prefix, i))
-			_, v0, _, _ := sh.datalets[0].Engine("").Get(k)
-			_, v1, _, _ := sh.datalets[1].Engine("").Get(k)
+			_, v0, _, _ := sh.datalets[0].Engine("").AppendGet(nil, k)
+			_, v1, _, _ := sh.datalets[1].Engine("").AppendGet(nil, k)
 			if v0 != v1 || v0 <= aaecVersionBase {
 				t.Fatalf("%s: versions %d and %d", k, v0, v1)
 			}
@@ -409,7 +409,7 @@ func testAllReplicasBehindCatchUp(t *testing.T, newEngine func(*testing.T) store
 	// Both follow the log again.
 	sh.ctls[0].dispatch(&wire.Request{Op: wire.OpPut, Key: []byte("after"), Value: []byte("v")}, &resp)
 	eventually(t, "a new write to cross over", func() bool {
-		_, _, ok, _ := sh.datalets[1].Engine("").Get([]byte("after"))
+		_, _, ok, _ := sh.datalets[1].Engine("").AppendGet(nil, []byte("after"))
 		return ok
 	})
 }

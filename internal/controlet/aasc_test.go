@@ -286,7 +286,7 @@ func TestAASCWriteAllRepairsShadowedPeer(t *testing.T) {
 		t.Fatalf("put: %s %s", resp.Status, resp.Err)
 	}
 	for i, d := range sh.datalets {
-		v, ver, ok, err := d.Engine("").Get(key)
+		v, ver, ok, err := d.Engine("").AppendGet(nil, key)
 		if err != nil || !ok || string(v) != "acked" {
 			t.Fatalf("replica %d holds %q (version %d, found %v, %v) after the ack, want \"acked\"", i, v, ver, ok, err)
 		}

@@ -125,7 +125,7 @@ func TestOrderLamportBumpsPastNewerVersions(t *testing.T) {
 	if ver <= planted {
 		t.Fatalf("assigned version %d did not pass planted %d", ver, planted)
 	}
-	v, gotVer, ok, _ := d.Engine("").Get([]byte("k"))
+	v, gotVer, ok, _ := d.Engine("").AppendGet(nil, []byte("k"))
 	if !ok || string(v) != "new-era" || gotVer != ver {
 		t.Fatalf("write shadowed by old era: (%q,%d,%v)", v, gotVer, ok)
 	}

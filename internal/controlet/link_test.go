@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
@@ -31,40 +30,14 @@ var linkLayouts = []linkLayout{
 	{name: "tcp+unix", net: transport.TCP{}, addr: "127.0.0.1:0", unix: true},
 }
 
-// lendingEngine answers Get with the stored bytes themselves. ht.Get hands
-// out a copy, the one allocation of a routed GET and the engine's business;
-// lending instead (the datalet copies into its response at once) leaves
-// TestRoutedGetZeroAllocs counting only the path around the engine.
-type lendingEngine struct {
-	store.Engine
-	mu   *sync.Mutex
-	lent map[string][]byte
-}
-
-func (e lendingEngine) Put(key, value []byte, version uint64) (uint64, error) {
-	e.mu.Lock()
-	e.lent[string(key)] = append([]byte(nil), value...)
-	e.mu.Unlock()
-	return e.Engine.Put(key, value, version)
-}
-
-func (e lendingEngine) Get(key []byte) ([]byte, uint64, bool, error) {
-	e.mu.Lock()
-	v, ok := e.lent[string(key)]
-	e.mu.Unlock()
-	return v, 1, ok, nil
-}
-
 // startPairOn boots one MS+SC datalet+controlet pair in the given layout
 // with a static one-node map, and returns the controlet.
 func startPairOn(tb testing.TB, l linkLayout, cfg Config) *Server {
 	tb.Helper()
 	dcfg := datalet.Config{
 		Name: "d0", Network: l.net, Addr: l.addr, Codec: wire.BinaryCodec{},
-		NewEngine: func(string) (store.Engine, error) {
-			return lendingEngine{Engine: ht.New(), mu: new(sync.Mutex), lent: map[string][]byte{}}, nil
-		},
-		Logf: tb.Logf,
+		NewEngine: func(string) (store.Engine, error) { return ht.New(), nil },
+		Logf:      tb.Logf,
 	}
 	if l.unix {
 		dcfg.LocalAddr = filepath.Join(tb.TempDir(), "d0")

@@ -85,7 +85,7 @@ func TestPeerLinksSurvivePeerRestart(t *testing.T) {
 		for i, d := range datalets {
 			deadline := time.Now().Add(5 * time.Second)
 			for {
-				v, _, ok, err := d.Engine("").Get([]byte(key))
+				v, _, ok, err := d.Engine("").AppendGet(nil, []byte(key))
 				if err != nil {
 					t.Fatal(err)
 				}

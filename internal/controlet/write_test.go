@@ -198,7 +198,7 @@ func testWriteState(t *testing.T, mode topology.Mode) {
 		version uint64
 	}
 	read := func(d *datalet.Server, key string) (rec, bool) {
-		v, ver, ok, err := d.Engine("").Get([]byte(key))
+		v, ver, ok, err := d.Engine("").AppendGet(nil, []byte(key))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,8 @@
 package datalet
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -398,5 +400,115 @@ func TestUnsupportedOp(t *testing.T) {
 	r := do(t, cli, wire.Request{Op: wire.OpChainPut})
 	if r.Status != wire.StatusErr {
 		t.Fatalf("chain op on datalet: %+v", r)
+	}
+}
+
+// A datalet serves a GET, and a 16-key direct read, from the engine into
+// the connection's reply buffer: once that buffer has grown, neither
+// allocates. The caller is a raw connection replaying encoded frames, so
+// what AllocsPerRun (which counts process-wide) sees is the server's.
+func TestServeReadsZeroAllocs(t *testing.T) {
+	srv, cli := newServer(t, "binary", nil)
+	value := bytes.Repeat([]byte("v"), 32)
+	get := wire.Request{ID: 1, Op: wire.OpGet, Key: []byte("key-00")}
+	mget := wire.Request{ID: 2, Op: wire.OpDirectGet, Epoch: 3}
+	for i := 0; i < 16; i++ {
+		key := []byte(fmt.Sprintf("key-%02d", i))
+		do(t, cli, wire.Request{Op: wire.OpPut, Key: key, Value: value})
+		mget.Pairs = append(mget.Pairs, wire.KV{Key: key})
+	}
+	mget.Pairs[5].Key = []byte("missing")
+	do(t, cli, wire.Request{Op: wire.OpEpochSet, Epoch: 3})
+
+	conn, err := srv.cfg.Network.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	codec := wire.BinaryCodec{}
+	frame := func(req *wire.Request) []byte {
+		var buf bytes.Buffer
+		bw := bufio.NewWriter(&buf)
+		if err := codec.WriteRequest(bw, req); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var resp wire.Response
+	call := func(f []byte) {
+		if _, err := conn.Write(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := codec.ReadResponse(br, &resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		req   *wire.Request
+		check func() bool
+	}{
+		{"get", &get, func() bool { return resp.Status == wire.StatusOK && bytes.Equal(resp.Value, value) }},
+		{"direct get x16", &mget, func() bool {
+			if resp.Status != wire.StatusOK || len(resp.Pairs) != 16 || len(resp.Statuses) != 16 || len(resp.Value) != 0 {
+				return false
+			}
+			for i, kv := range resp.Pairs {
+				want, st := value, wire.StatusOK
+				if i == 5 {
+					want, st = nil, wire.StatusNotFound
+				}
+				if resp.Statuses[i] != st || !bytes.Equal(kv.Value, want) {
+					return false
+				}
+			}
+			return true
+		}},
+	} {
+		f := frame(tc.req)
+		for i := 0; i < 64; i++ { // grow the connection's buffers
+			call(f)
+		}
+		if !tc.check() {
+			t.Fatalf("%s: %+v", tc.name, resp)
+		}
+		if got := testing.AllocsPerRun(2000, func() { call(f) }); got != 0 {
+			t.Fatalf("%s: %.1f allocs/op on the datalet, want 0", tc.name, got)
+		}
+	}
+}
+
+// A multi-get frame's values share one reply slab that moves as it grows:
+// a frame of 300 keys with values from 0 to 1 KiB, misses among them,
+// reads every value back intact, on a connection whose slab is reused
+// across frames of different shapes.
+func TestMultiGetSlab(t *testing.T) {
+	_, cli := newServer(t, "binary", nil)
+	var all []wire.KV
+	want := map[string][]byte{}
+	for i := 0; i < 300; i++ {
+		key := fmt.Sprintf("key-%03d", i)
+		all = append(all, wire.KV{Key: []byte(key)})
+		if i%7 == 3 {
+			continue // a miss
+		}
+		v := bytes.Repeat([]byte{byte(i)}, i*37%1025)
+		want[key] = v
+		do(t, cli, wire.Request{Op: wire.OpPut, Key: []byte(key), Value: v})
+	}
+	for round, pairs := range [][]wire.KV{all, all[:5], all[100:], all} {
+		r := do(t, cli, wire.Request{Op: wire.OpMGet, Pairs: pairs})
+		if r.Status != wire.StatusOK || len(r.Pairs) != len(pairs) || len(r.Statuses) != len(pairs) {
+			t.Fatalf("round %d: %s with %d pairs, %d statuses", round, r.Status, len(r.Pairs), len(r.Statuses))
+		}
+		for i, kv := range pairs {
+			v, ok := want[string(kv.Key)]
+			st := map[bool]wire.Status{true: wire.StatusOK, false: wire.StatusNotFound}[ok]
+			if r.Statuses[i] != st || !bytes.Equal(r.Pairs[i].Value, v) {
+				t.Fatalf("round %d: %s = %s, %d bytes; want %s, %d bytes",
+					round, kv.Key, r.Statuses[i], len(r.Pairs[i].Value), st, len(v))
+			}
+		}
 	}
 }

@@ -58,16 +58,16 @@ func (n *probeNet) dialTimes(addr string) []time.Time {
 	return append([]time.Time(nil), n.dials[addr]...)
 }
 
-// gatedEngine blocks every Get until release closes: a Get is a call that
-// stays in flight for as long as the test wants; an OpNop passes.
+// gatedEngine blocks every read until release closes: a Get is a call
+// that stays in flight for as long as the test wants; an OpNop passes.
 type gatedEngine struct {
 	store.Engine
 	release chan struct{}
 }
 
-func (e gatedEngine) Get(key []byte) ([]byte, uint64, bool, error) {
+func (e gatedEngine) AppendGet(dst, key []byte) ([]byte, uint64, bool, error) {
 	<-e.release
-	return e.Engine.Get(key)
+	return e.Engine.AppendGet(dst, key)
 }
 
 // serveAt starts a datalet on addr ("" and "127.0.0.1:0" pick one). release

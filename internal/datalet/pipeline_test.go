@@ -200,9 +200,9 @@ type slowEngine struct {
 	delay time.Duration
 }
 
-func (s slowEngine) Get(key []byte) ([]byte, uint64, bool, error) {
+func (s slowEngine) AppendGet(dst, key []byte) ([]byte, uint64, bool, error) {
 	time.Sleep(s.delay)
-	return s.Engine.Get(key)
+	return s.Engine.AppendGet(dst, key)
 }
 
 // TestPipelineMidStreamFailure kills the server while dozens of Do and

@@ -17,6 +17,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -348,34 +349,41 @@ func (s *Store) maybeAutoCompactLocked() {
 	_ = s.compactLocked()
 }
 
-// Get reads the indexed record for key back from its segment.
-func (s *Store) Get(key []byte) ([]byte, uint64, bool, error) {
+// AppendGet reads the indexed record for key back from its segment and
+// appends its value to dst (see store.Engine).
+func (s *Store) AppendGet(dst, key []byte) ([]byte, uint64, bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		return nil, 0, false, store.ErrClosed
+		return dst, 0, false, store.ErrClosed
 	}
 	e, ok := s.index[string(key)]
 	if !ok || e.tombstone {
-		return nil, 0, false, nil
+		return dst, 0, false, nil
 	}
-	value, err := s.readValueLocked(e)
+	value, err := s.appendValueLocked(dst, e)
 	if err != nil {
-		return nil, 0, false, err
+		return dst, 0, false, err
 	}
 	return value, e.version, true, nil
 }
 
-func (s *Store) readValueLocked(e indexEntry) ([]byte, error) {
-	body := make([]byte, e.length-recordHeaderSize)
+// appendValueLocked reads e's record body into dst's spare capacity
+// (growing dst when it is short), decodes it there and moves the value
+// down to len(dst), so the read costs no buffer of its own.
+func (s *Store) appendValueLocked(dst []byte, e indexEntry) ([]byte, error) {
+	base := len(dst)
+	n := e.length - recordHeaderSize
+	dst = slices.Grow(dst, n)
+	body := dst[base : base+n]
 	if err := s.segs[e.seg].readAt(body, e.offset+recordHeaderSize); err != nil {
-		return nil, err
+		return dst[:base], err
 	}
 	_, value, _, _, err := decodeBody(body)
 	if err != nil {
-		return nil, err
+		return dst[:base], err
 	}
-	return store.CloneBytes(value), nil
+	return dst[:base+copy(body, value)], nil
 }
 
 // Delete appends a tombstone record under LWW semantics.
@@ -425,7 +433,7 @@ func (s *Store) Scan(start, end []byte, limit int) ([]store.KV, error) {
 	out := make([]store.KV, 0, len(keys))
 	for _, k := range keys {
 		e := s.index[k]
-		value, err := s.readValueLocked(e)
+		value, err := s.appendValueLocked(nil, e)
 		if err != nil {
 			return nil, err
 		}
@@ -547,7 +555,7 @@ func (s *Store) Snapshot(since uint64, fn func(kv store.KV, tombstone bool) erro
 		}
 		var value []byte
 		if !e.tombstone {
-			v, err := s.readValueLocked(e)
+			v, err := s.appendValueLocked(nil, e)
 			if err != nil {
 				return err
 			}

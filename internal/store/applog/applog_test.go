@@ -59,14 +59,14 @@ func TestRecoveryReplaysLog(t *testing.T) {
 	if re.Len() != 99 {
 		t.Fatalf("recovered Len=%d, want 99", re.Len())
 	}
-	if _, _, ok, _ := re.Get([]byte("k000")); ok {
+	if _, _, ok, _ := re.AppendGet(nil, []byte("k000")); ok {
 		t.Fatal("deleted key resurrected by replay")
 	}
-	v, _, ok, _ := re.Get([]byte("k001"))
+	v, _, ok, _ := re.AppendGet(nil, []byte("k001"))
 	if !ok || string(v) != "updated" {
 		t.Fatalf("k001 = (%q,%v) after replay", v, ok)
 	}
-	v, _, ok, _ = re.Get([]byte("k099"))
+	v, _, ok, _ = re.AppendGet(nil, []byte("k099"))
 	if !ok || string(v) != "vk099" {
 		t.Fatalf("k099 = (%q,%v) after replay", v, ok)
 	}
@@ -98,7 +98,7 @@ func TestRecoveryTruncatesTornTail(t *testing.T) {
 		t.Fatalf("replay must survive torn tail: %v", err)
 	}
 	defer re.Close()
-	v, _, ok, _ := re.Get([]byte("good"))
+	v, _, ok, _ := re.AppendGet(nil, []byte("good"))
 	if !ok || string(v) != "value" {
 		t.Fatalf("intact record lost: (%q,%v)", v, ok)
 	}
@@ -124,7 +124,7 @@ func TestSegmentRotation(t *testing.T) {
 	// All keys still readable across segments.
 	for i := 0; i < 100; i++ {
 		k := fmt.Sprintf("key-%04d", i)
-		if _, _, ok, err := s.Get([]byte(k)); err != nil || !ok {
+		if _, _, ok, err := s.AppendGet(nil, []byte(k)); err != nil || !ok {
 			t.Fatalf("Get(%q) after rotation: ok=%v err=%v", k, ok, err)
 		}
 	}
@@ -161,12 +161,12 @@ func TestCompactShrinksAndPreservesData(t *testing.T) {
 	if s.GarbageRatio() != 0 {
 		t.Fatalf("garbage after compaction: %f", s.GarbageRatio())
 	}
-	if _, _, ok, _ := s.Get([]byte("k00")); ok {
+	if _, _, ok, _ := s.AppendGet(nil, []byte("k00")); ok {
 		t.Fatal("deleted key visible after compaction")
 	}
 	for i := 1; i < 20; i++ {
 		k := fmt.Sprintf("k%02d", i)
-		v, _, ok, err := s.Get([]byte(k))
+		v, _, ok, err := s.AppendGet(nil, []byte(k))
 		if err != nil || !ok || string(v) != "r19" {
 			t.Fatalf("Get(%q) after compaction = (%q,%v,%v)", k, v, ok, err)
 		}
@@ -199,7 +199,7 @@ func TestCompactionSurvivesReplay(t *testing.T) {
 	if re.Len() != 11 {
 		t.Fatalf("Len=%d after replaying compacted log, want 11", re.Len())
 	}
-	v, _, ok, _ := re.Get([]byte("post"))
+	v, _, ok, _ := re.AppendGet(nil, []byte("post"))
 	if !ok || string(v) != "compact" {
 		t.Fatalf("post-compaction write lost: (%q,%v)", v, ok)
 	}
@@ -224,7 +224,7 @@ func TestAutoCompaction(t *testing.T) {
 	}
 	for i := 0; i < 16; i++ {
 		k := []byte(fmt.Sprintf("k%02d", i))
-		if _, _, ok, err := s.Get(k); err != nil || !ok {
+		if _, _, ok, err := s.AppendGet(nil, k); err != nil || !ok {
 			t.Fatalf("Get(%s) after auto-compaction: ok=%v err=%v", k, ok, err)
 		}
 	}
@@ -267,7 +267,7 @@ func BenchmarkGetMemory(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Get([]byte(fmt.Sprintf("key-%09d", i%n)))
+		s.AppendGet(nil, []byte(fmt.Sprintf("key-%09d", i%n)))
 	}
 }
 
@@ -316,7 +316,7 @@ func TestRecoveryTruncatesMidSegmentCorruption(t *testing.T) {
 		t.Fatalf("segment not truncated: %d bytes, corrupt image was %d", st.Size(), len(raw))
 	}
 	// The prefix before the corruption survives intact.
-	if v, _, ok, _ := re.Get([]byte("k00")); !ok || string(v) != "v0" {
+	if v, _, ok, _ := re.AppendGet(nil, []byte("k00")); !ok || string(v) != "v0" {
 		t.Fatalf("k00 = (%q,%v), want intact prefix", v, ok)
 	}
 	n := re.Len()
@@ -333,7 +333,7 @@ func TestRecoveryTruncatesMidSegmentCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re2.Close()
-	if v, _, ok, _ := re2.Get([]byte("post")); !ok || string(v) != "repair" {
+	if v, _, ok, _ := re2.AppendGet(nil, []byte("post")); !ok || string(v) != "repair" {
 		t.Fatalf("post-repair write lost: (%q,%v)", v, ok)
 	}
 	if got := re2.Len(); got != n+1 {

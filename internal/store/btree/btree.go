@@ -192,7 +192,7 @@ func (s *Store) Put(key, value []byte, version uint64) (uint64, error) {
 // Delete writes a tombstone for key.
 func (s *Store) Delete(key []byte, version uint64) (bool, uint64, error) {
 	s.mu.RLock()
-	_, _, existed, _ := s.getLocked(key)
+	_, _, existed, _ := s.appendGetLocked(nil, key)
 	s.mu.RUnlock()
 	winner, err := s.write(key, entry{version: version, tombstone: true})
 	if err != nil {
@@ -201,23 +201,23 @@ func (s *Store) Delete(key []byte, version uint64) (bool, uint64, error) {
 	return existed, winner, nil
 }
 
-func (s *Store) getLocked(key []byte) ([]byte, uint64, bool, error) {
+func (s *Store) appendGetLocked(dst, key []byte) ([]byte, uint64, bool, error) {
 	if s.closed {
-		return nil, 0, false, store.ErrClosed
+		return dst, 0, false, store.ErrClosed
 	}
 	leaf := s.findLeaf(key, nil)
 	i, found := searchLeaf(leaf.keys, key)
 	if !found || leaf.items[i].tombstone {
-		return nil, 0, false, nil
+		return dst, 0, false, nil
 	}
-	return store.CloneBytes(leaf.items[i].value), leaf.items[i].version, true, nil
+	return append(dst, leaf.items[i].value...), leaf.items[i].version, true, nil
 }
 
-// Get returns the live value for key.
-func (s *Store) Get(key []byte) ([]byte, uint64, bool, error) {
+// AppendGet appends key's live value to dst (see store.Engine).
+func (s *Store) AppendGet(dst, key []byte) ([]byte, uint64, bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.getLocked(key)
+	return s.appendGetLocked(dst, key)
 }
 
 // Scan returns live pairs in [start, end) in key order.
@@ -294,7 +294,9 @@ func (s *Store) Snapshot(since uint64, fn func(kv store.KV, tombstone bool) erro
 }
 
 // GetAll returns the item for key including tombstones; the LSM engine
-// uses it to read the memtable without filtering deletions.
+// uses it to read the memtable without filtering deletions. value is the
+// stored slice itself, which no write changes (a write replaces the item):
+// the caller must not modify it.
 func (s *Store) GetAll(key []byte) (value []byte, version uint64, tombstone, found bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -307,7 +309,7 @@ func (s *Store) GetAll(key []byte) (value []byte, version uint64, tombstone, fou
 		return nil, 0, false, false
 	}
 	it := leaf.items[i]
-	return store.CloneBytes(it.value), it.version, it.tombstone, true
+	return it.value, it.version, it.tombstone, true
 }
 
 // ScanAll calls fn for every item (including tombstones) with

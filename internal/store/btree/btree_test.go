@@ -45,7 +45,7 @@ func TestManySplits(t *testing.T) {
 	}
 	for i := 0; i < n; i += 997 {
 		k := fmt.Sprintf("key-%08d", i)
-		v, _, ok, err := s.Get([]byte(k))
+		v, _, ok, err := s.AppendGet(nil, []byte(k))
 		if err != nil || !ok || string(v) != k {
 			t.Fatalf("Get(%q) = (%q,%v,%v)", k, v, ok, err)
 		}
@@ -78,7 +78,7 @@ func TestTombstoneSurvivesSplit(t *testing.T) {
 		if winner, err := s.Put(k, []byte("zombie"), 150); err != nil || winner != 200 {
 			t.Fatalf("stale put of %s: winner=%d err=%v, want the tombstone's 200", k, winner, err)
 		}
-		if _, _, ok, _ := s.Get(k); ok {
+		if _, _, ok, _ := s.AppendGet(nil, k); ok {
 			t.Fatalf("%s came back after its leaf split", k)
 		}
 	}
@@ -173,6 +173,6 @@ func BenchmarkGet(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Get([]byte(fmt.Sprintf("key-%09d", i%n)))
+		s.AppendGet(nil, []byte(fmt.Sprintf("key-%09d", i%n)))
 	}
 }

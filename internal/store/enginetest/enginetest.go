@@ -38,6 +38,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("EmptyValue", func(t *testing.T) { testEmptyValue(t, f(t)) })
 	t.Run("LargeValues", func(t *testing.T) { testLargeValues(t, f(t)) })
 	t.Run("NoAliasing", func(t *testing.T) { testNoAliasing(t, f(t)) })
+	t.Run("AppendGet", func(t *testing.T) { testAppendGet(t, f(t)) })
 	t.Run("ScanNoAliasing", func(t *testing.T) { testScanNoAliasing(t, f(t)) })
 	t.Run("ClosedEngine", func(t *testing.T) { testClosed(t, f(t)) })
 	t.Run("ConcurrentMixed", func(t *testing.T) { testConcurrent(t, f(t)) })
@@ -56,9 +57,9 @@ func mustPut(t *testing.T, e store.Engine, k, v string, ver uint64) uint64 {
 
 func mustGet(t *testing.T, e store.Engine, k string) (string, uint64, bool) {
 	t.Helper()
-	v, ver, ok, err := e.Get([]byte(k))
+	v, ver, ok, err := e.AppendGet(nil, []byte(k))
 	if err != nil {
-		t.Fatalf("Get(%q): %v", k, err)
+		t.Fatalf("AppendGet(%q): %v", k, err)
 	}
 	return string(v), ver, ok
 }
@@ -335,7 +336,7 @@ func testLargeValues(t *testing.T, e store.Engine) {
 	if _, err := e.Put([]byte("big"), big, 0); err != nil {
 		t.Fatal(err)
 	}
-	v, _, ok, err := e.Get([]byte("big"))
+	v, _, ok, err := e.AppendGet(nil, []byte("big"))
 	if err != nil || !ok || !bytes.Equal(v, big) {
 		t.Fatalf("1 MiB value corrupted: ok=%v err=%v len=%d", ok, err, len(v))
 	}
@@ -354,11 +355,50 @@ func testNoAliasing(t *testing.T, e store.Engine) {
 	if !ok || v != "vvvv" {
 		t.Fatalf("engine aliased caller buffers: (%q,%v)", v, ok)
 	}
-	got, _, _, _ := e.Get([]byte("mutable"))
+	got, _, _, _ := e.AppendGet(nil, []byte("mutable"))
 	got[0] = 'Y'
 	v, _, _ = mustGet(t, e, "mutable")
 	if v != "vvvv" {
 		t.Fatal("engine returned aliased internal buffer")
+	}
+}
+
+// testAppendGet pins AppendGet's buffer contract: the value lands after
+// dst's prefix, in dst's own array when it has room; a miss or a tombstone
+// hands dst back untouched; and the appended bytes are the caller's, so an
+// in-place overwrite of the key (ht's same-size path) does not reach them.
+func testAppendGet(t *testing.T, e store.Engine) {
+	defer e.Close()
+	mustPut(t, e, "k", "aaaa", 0)
+	mustPut(t, e, "gone", "x", 0)
+	if _, _, err := e.Delete([]byte("gone"), 0); err != nil {
+		t.Fatal(err)
+	}
+	dst := append(make([]byte, 0, 64), "prefix-"...)
+	got, _, ok, err := e.AppendGet(dst, []byte("k"))
+	if err != nil || !ok || string(got) != "prefix-aaaa" {
+		t.Fatalf("AppendGet onto a prefix = (%q, %v, %v), want prefix-aaaa", got, ok, err)
+	}
+	if &got[0] != &dst[:1][0] {
+		t.Fatal("AppendGet moved a value that fit dst's capacity")
+	}
+	short := []byte("p-") // no spare capacity: the engine grows it
+	if got, _, ok, err := e.AppendGet(short[:2:2], []byte("k")); err != nil || !ok || string(got) != "p-aaaa" {
+		t.Fatalf("AppendGet onto a full slice = (%q, %v, %v), want p-aaaa", got, ok, err)
+	}
+	for _, k := range []string{"ghost", "gone"} {
+		miss, _, ok, err := e.AppendGet(dst, []byte(k))
+		if err != nil || ok || len(miss) != len(dst) || cap(miss) != cap(dst) || &miss[0] != &dst[0] ||
+			string(miss) != "prefix-" {
+			t.Fatalf("AppendGet(%q) = (%q, %v, %v), want dst unchanged", k, miss, ok, err)
+		}
+	}
+	mustPut(t, e, "k", "bbbb", 0)
+	if string(got) != "prefix-aaaa" {
+		t.Fatalf("an overwrite of the key changed a value already read: %q", got)
+	}
+	if v, _, ok := mustGet(t, e, "k"); !ok || v != "bbbb" {
+		t.Fatalf("re-read after overwrite = (%q, %v), want bbbb", v, ok)
 	}
 }
 
@@ -395,8 +435,8 @@ func testClosed(t *testing.T, e store.Engine) {
 	if _, err := e.Put([]byte("k"), []byte("v"), 0); err != store.ErrClosed {
 		t.Fatalf("Put on closed: %v, want ErrClosed", err)
 	}
-	if _, _, _, err := e.Get([]byte("k")); err != store.ErrClosed {
-		t.Fatalf("Get on closed: %v, want ErrClosed", err)
+	if _, _, _, err := e.AppendGet(nil, []byte("k")); err != store.ErrClosed {
+		t.Fatalf("AppendGet on closed: %v, want ErrClosed", err)
 	}
 	if _, _, err := e.Delete([]byte("k"), 0); err != store.ErrClosed {
 		t.Fatalf("Delete on closed: %v, want ErrClosed", err)
@@ -426,7 +466,7 @@ func testConcurrent(t *testing.T, e store.Engine) {
 						return
 					}
 				case 1, 2:
-					if _, _, _, err := e.Get(k); err != nil {
+					if _, _, _, err := e.AppendGet(nil, k); err != nil {
 						errCh <- err
 						return
 					}
@@ -492,7 +532,7 @@ func testModelQuick(t *testing.T, f Factory) {
 			return false
 		}
 		for k, want := range model {
-			v, _, ok, err := e.Get([]byte(k))
+			v, _, ok, err := e.AppendGet(nil, []byte(k))
 			if err != nil || !ok || string(v) != want {
 				return false
 			}

@@ -109,7 +109,7 @@ func TestArenaChurnModel(t *testing.T) {
 
 	live := 0
 	for k, c := range model {
-		v, version, ok, err := s.Get([]byte(k))
+		v, version, ok, err := s.AppendGet(nil, []byte(k))
 		if err != nil || ok == c.tomb || (ok && (string(v) != c.value || version != c.version)) {
 			t.Fatalf("Get(%s) = %x, v%d, %v, %v; model %+v", k, v, version, ok, err, *c)
 		}
@@ -172,7 +172,7 @@ func TestArenaBoundedUnderGrowingOverwrites(t *testing.T) {
 		}
 	}
 	for _, k := range keys {
-		if v, _, ok, _ := s.Get(k); !ok || len(v) != 1+9_999%300 {
+		if v, _, ok, _ := s.AppendGet(nil, k); !ok || len(v) != 1+9_999%300 {
 			t.Fatalf("Get(%s) = %d bytes, %v", k, len(v), ok)
 		}
 	}
@@ -258,7 +258,8 @@ func TestScanSnapshotNoTornValues(t *testing.T) {
 }
 
 // TestHTPointerFree: the table holds no per-key heap object, a same-size
-// overwrite allocates nothing, and Get allocates only the value it returns.
+// overwrite allocates nothing, and neither does AppendGet into a buffer
+// with room for the value.
 func TestHTPointerFree(t *testing.T) {
 	const keys = 100_000
 	var before, after runtime.MemStats
@@ -284,7 +285,8 @@ func TestHTPointerFree(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { s.Put(key, value, 0) }); n != 0 {
 		t.Errorf("a same-size overwrite allocates %.1f times, want 0", n)
 	}
-	if n := testing.AllocsPerRun(1000, func() { s.Get(key) }); n != 1 {
-		t.Errorf("Get allocates %.1f times, want 1", n)
+	buf := make([]byte, 0, len(value))
+	if n := testing.AllocsPerRun(1000, func() { s.AppendGet(buf, key) }); n != 0 {
+		t.Errorf("AppendGet into a buffer with room allocates %.1f times, want 0", n)
 	}
 }

@@ -80,7 +80,7 @@ func TestCrashRestartKeepsAckedWrites(t *testing.T) {
 		t.Fatalf("recovered watermark %d < acked max version %d", got, wantWatermark)
 	}
 	for key, want := range acked {
-		val, ver, ok, err := s2.Get([]byte(key))
+		val, ver, ok, err := s2.AppendGet(nil, []byte(key))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestTornCrashRecoversConsistentPrefix(t *testing.T) {
 		}
 		for i := 0; i < 50; i++ {
 			key := fmt.Sprintf("k%03d", i)
-			if _, _, ok, err := s2.Get([]byte(key)); err != nil || !ok {
+			if _, _, ok, err := s2.AppendGet(nil, []byte(key)); err != nil || !ok {
 				t.Fatalf("seed %d: acked key %s lost after torn crash (ok=%v err=%v)", seed, key, ok, err)
 			}
 		}
@@ -206,7 +206,7 @@ func TestCrashBetweenCheckpointAndReset(t *testing.T) {
 	}
 	for i := 0; i < 30; i++ {
 		key := fmt.Sprintf("k%02d", i)
-		val, _, ok, _ := s2.Get([]byte(key))
+		val, _, ok, _ := s2.AppendGet(nil, []byte(key))
 		if !ok || string(val) != fmt.Sprintf("v%d", i) {
 			t.Fatalf("key %s = (%q, %v) after checkpoint-window crash", key, val, ok)
 		}

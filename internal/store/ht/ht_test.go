@@ -99,8 +99,9 @@ func BenchmarkGet(b *testing.B) {
 	key := []byte("benchmark-key")
 	s.Put(key, []byte("benchmark-value"), 0)
 	b.ResetTimer()
+	var buf []byte
 	for i := 0; i < b.N; i++ {
-		s.Get(key)
+		buf, _, _, _ = s.AppendGet(buf[:0], key)
 	}
 }
 
@@ -137,7 +138,7 @@ func BenchmarkGetSpread(b *testing.B) {
 	s, key, _ := loadSpread(b)
 	defer s.Close()
 	for i := 0; i < b.N; i++ {
-		sinkValue, _, _, _ = s.Get(spreadKey(key, i*7919%spreadKeys))
+		sinkValue, _, _, _ = s.AppendGet(sinkValue[:0], spreadKey(key, i*7919%spreadKeys))
 	}
 }
 

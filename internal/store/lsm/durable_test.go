@@ -80,7 +80,7 @@ func TestCrashRestartKeepsAckedWrites(t *testing.T) {
 	s2 := open()
 	defer s2.Close()
 	for key, want := range acked {
-		val, ver, found, err := s2.Get([]byte(key))
+		val, ver, found, err := s2.AppendGet(nil, []byte(key))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestTornCrashRecovers(t *testing.T) {
 		}
 		for i := 0; i < 40; i++ {
 			key := fmt.Sprintf("k%02d", i)
-			val, _, found, err := s2.Get([]byte(key))
+			val, _, found, err := s2.AppendGet(nil, []byte(key))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,7 +200,7 @@ func TestSSTablesSurviveCrash(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		key := fmt.Sprintf("k%02d", i)
-		val, _, found, err := s2.Get([]byte(key))
+		val, _, found, err := s2.AppendGet(nil, []byte(key))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func TestCleanCloseFlushesMemtable(t *testing.T) {
 	if got := s2.Len(); got != 29 {
 		t.Fatalf("Len after clean restart = %d, want 29", got)
 	}
-	if _, _, found, _ := s2.Get([]byte("k05")); found {
+	if _, _, found, _ := s2.AppendGet(nil, []byte("k05")); found {
 		t.Fatal("deleted key resurrected after clean restart")
 	}
 }
@@ -336,7 +336,7 @@ func TestPersistFailureKeepsWAL(t *testing.T) {
 	defer s2.Close()
 	for i := 0; i < 20; i++ {
 		key := fmt.Sprintf("k%02d", i)
-		if _, _, found, _ := s2.Get([]byte(key)); !found {
+		if _, _, found, _ := s2.AppendGet(nil, []byte(key)); !found {
 			t.Fatalf("%s lost: WAL was dropped despite persist failure", key)
 		}
 	}

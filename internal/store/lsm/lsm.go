@@ -411,18 +411,18 @@ func (s *Store) lookupLocked(key []byte) (sstEntry, uint64, bool) {
 	return sstEntry{}, 0, false
 }
 
-// Get returns the live value for key.
-func (s *Store) Get(key []byte) ([]byte, uint64, bool, error) {
+// AppendGet appends key's live value to dst (see store.Engine).
+func (s *Store) AppendGet(dst, key []byte) ([]byte, uint64, bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		return nil, 0, false, store.ErrClosed
+		return dst, 0, false, store.ErrClosed
 	}
 	e, ver, found := s.lookupLocked(key)
 	if !found || e.tombstone {
-		return nil, 0, false, nil
+		return dst, 0, false, nil
 	}
-	return store.CloneBytes(e.value), ver, true, nil
+	return append(dst, e.value...), ver, true, nil
 }
 
 // flushAndCompact drains immutable memtables into level 0, then compacts

@@ -68,7 +68,7 @@ func TestFlushAndCompactionTriggered(t *testing.T) {
 	// Every key still readable after flush/compaction churn.
 	for i := 0; i < n; i += 97 {
 		k := []byte(fmt.Sprintf("key-%06d", i))
-		if _, _, ok, err := s.Get(k); err != nil || !ok {
+		if _, _, ok, err := s.AppendGet(nil, k); err != nil || !ok {
 			t.Fatalf("Get(%q) after compaction: ok=%v err=%v", k, ok, err)
 		}
 	}
@@ -91,7 +91,7 @@ func TestOverwritesResolveAcrossTables(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		k := []byte(fmt.Sprintf("k%02d", i))
-		v, _, ok, err := s.Get(k)
+		v, _, ok, err := s.AppendGet(nil, k)
 		if err != nil || !ok || string(v) != "round-39" {
 			t.Fatalf("Get(%q) = (%q,%v,%v), want round-39", k, v, ok, err)
 		}
@@ -126,7 +126,7 @@ func TestTombstonesKeptAtBottomLevel(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		k := []byte(fmt.Sprintf("k%03d", i))
 		s.Put(k, []byte("zombie"), uint64(1000+2*i))
-		if _, _, ok, _ := s.Get(k); ok {
+		if _, _, ok, _ := s.AppendGet(nil, k); ok {
 			t.Fatalf("%s came back after its tombstone reached the bottom level", k)
 		}
 	}
@@ -188,10 +188,10 @@ func TestDiskRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if _, _, ok, _ := re.Get([]byte("k000")); ok {
+	if _, _, ok, _ := re.AppendGet(nil, []byte("k000")); ok {
 		t.Fatal("deleted key resurrected after recovery")
 	}
-	v, _, ok, _ := re.Get([]byte("k199"))
+	v, _, ok, _ := re.AppendGet(nil, []byte("k199"))
 	if !ok || string(v) != "v199" {
 		t.Fatalf("k199 after recovery = (%q,%v)", v, ok)
 	}
@@ -260,6 +260,6 @@ func BenchmarkGet(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Get([]byte(fmt.Sprintf("key-%09d", i%n)))
+		s.AppendGet(nil, []byte(fmt.Sprintf("key-%09d", i%n)))
 	}
 }

@@ -39,7 +39,9 @@ var ErrClosed = errors.New("store: engine is closed")
 // Engine is a single-node KV store.
 //
 // All methods are safe for concurrent use. Key and value slices passed in
-// are copied; slices returned are private copies the caller owns.
+// are copied; slices returned are private copies the caller owns. A read
+// appends into a buffer the caller owns (AppendGet), so serving a value
+// costs one copy, from the engine into the reply.
 type Engine interface {
 	// Name identifies the engine family ("ht", "applog", "btree", "lsm").
 	Name() string
@@ -48,9 +50,13 @@ type Engine interface {
 	// version >= the stored version. It returns the version stored (or
 	// the winning existing version when the write lost).
 	Put(key, value []byte, version uint64) (uint64, error)
-	// Get returns the live value and version for key; ok is false when
-	// the key is absent or deleted.
-	Get(key []byte) (value []byte, version uint64, ok bool, err error)
+	// AppendGet appends key's live value to dst and returns the extended
+	// slice and the value's version; ok is false when the key is absent or
+	// deleted. dst's first len(dst) bytes are kept. A miss, a tombstone and
+	// an error return dst unchanged. The appended bytes are a copy: the
+	// result never aliases engine memory, so a later write of the key does
+	// not change it. The engine grows dst only when its capacity is short.
+	AppendGet(dst, key []byte) (value []byte, version uint64, ok bool, err error)
 	// Delete removes key under the same versioning rule as Put. existed
 	// reports whether a live value was visible before the call; winner is
 	// the version now governing the key (the tombstone's version when the

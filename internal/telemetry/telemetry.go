@@ -7,10 +7,10 @@
 // /clusterz and rendered by `bespokv-cli top`. It is the signal source the
 // workload autopilot (ROADMAP item 5) will act on.
 //
-// Recording contract: RecordOp, Count and Touch are safe for concurrent use
-// and allocation-free in steady state (Touch allocates only when the sketch
-// admits a brand-new key, which is bounded by the sketch capacity and the
-// eviction rate). Snapshot and everything downstream are control-path.
+// Recording contract: RecordOp and Count are safe for concurrent use and
+// allocation-free once the sketch's key buffers have grown to the keys it
+// sees (an evicted entry reuses its buffer). Snapshot and everything
+// downstream are control-path.
 package telemetry
 
 import (
@@ -263,9 +263,9 @@ func newBootID() uint64 {
 type Options struct {
 	// Interval is the window width (default 1s).
 	Interval time.Duration
-	// SketchSample touches the sketch for 1-in-N recorded keys, with
-	// weight N, to keep mutex pressure off the hot path (default 4;
-	// tests use 1 for exact counts).
+	// SketchSample touches the sketch for 1-in-N recorded keys of each
+	// served connection, with weight N, to keep mutex pressure off the
+	// hot path (default 4; tests use 1 for exact counts).
 	SketchSample int
 	// Start anchors the first window (default time.Now at construction).
 	Start time.Time
@@ -281,7 +281,6 @@ type Recorder struct {
 	bootID   uint64
 	sketch   *Sketch
 	sampleN  uint32
-	tick     atomic.Uint32
 
 	ops  [wire.OpMax + 1]atomic.Int64
 	errs [wire.OpMax + 1]atomic.Int64
@@ -342,13 +341,14 @@ func (r *Recorder) Count(op wire.Op, d time.Duration) {
 // classes the key and value sizes plus a hot-key sketch touch per key — a
 // multi-op frame is one op and one size sample and touch per pair, whether a
 // controlet answered it (ClassMGet, ClassMPut) or a datalet did directly
-// (ClassDirectGet). All of it is atomics plus a sampled sketch touch.
+// (ClassDirectGet). All of it is atomics plus a sketch touch sampled off
+// conn's tick: 1 in SketchSample keys of each connection.
 //
 // Err, Unavailable and Overloaded answers spend the availability budget — the
 // SLO burn engine must see an overloaded shard as burning, not healthy.
 // WrongEpoch does not: it is a routing miss that heals through the controlet
 // fallback.
-func (r *Recorder) RecordOp(req *wire.Request, resp *wire.Response, d time.Duration) {
+func (r *Recorder) RecordOp(conn *wire.ConnState, req *wire.Request, resp *wire.Response, d time.Duration) {
 	op := req.Op
 	if op > wire.OpMax {
 		op = wire.OpNop
@@ -361,25 +361,30 @@ func (r *Recorder) RecordOp(req *wire.Request, resp *wire.Response, d time.Durat
 	switch class := r.layer.classOf[op]; class {
 	case ClassGet:
 		r.recordKV(len(req.Key), len(resp.Value))
-		r.Touch(req.Key)
+		r.touch(conn, req.Key)
 	case ClassPut:
 		r.recordKV(len(req.Key), len(req.Value))
-		r.Touch(req.Key)
+		r.touch(conn, req.Key)
 	case ClassDel:
 		r.recordKV(len(req.Key), -1)
-		r.Touch(req.Key)
+		r.touch(conn, req.Key)
 	case ClassScan:
 		r.recordKV(len(req.Key), -1) // a range start is not a key access
 	case ClassMGet, ClassDirectGet, ClassMPut:
+		// A read frame's pairs carry keys only; sizes are added once per
+		// run of pairs in one bucket (keys of one length are the rule).
+		keys := sizeRun{hist: &r.keySizes}
+		vals := sizeRun{hist: &r.valSizes}
 		for i := range req.Pairs {
 			kv := &req.Pairs[i]
-			valLen := -1 // a read frame's pairs carry keys only
+			keys.add(sizeBucketOf(len(kv.Key)))
 			if class == ClassMPut {
-				valLen = len(kv.Value)
+				vals.add(sizeBucketOf(len(kv.Value)))
 			}
-			r.recordKV(len(kv.Key), valLen)
-			r.Touch(kv.Key)
+			r.touch(conn, kv.Key)
 		}
+		keys.flush()
+		vals.flush()
 	}
 }
 
@@ -391,12 +396,37 @@ func (r *Recorder) recordKV(keyLen, valLen int) {
 	}
 }
 
-// Touch feeds one key access into the hot-key sketch, sampled 1-in-N with
-// weight N so heavy hitters keep their relative mass.
-func (r *Recorder) Touch(key []byte) {
+// sizeRun adds a frame's size samples to hist one run of equal buckets at
+// a time: one atomic add per run, not one per pair.
+type sizeRun struct {
+	hist      *[sizeBuckets]atomic.Int64
+	bucket, n int
+}
+
+func (s *sizeRun) add(bucket int) {
+	if s.n > 0 && bucket != s.bucket {
+		s.flush()
+	}
+	s.bucket = bucket
+	s.n++
+}
+
+func (s *sizeRun) flush() {
+	if s.n > 0 {
+		s.hist[s.bucket].Add(int64(s.n))
+		s.n = 0
+	}
+}
+
+// touch feeds one key access into the hot-key sketch, sampled 1-in-N off
+// the connection's tick with weight N so heavy hitters keep their relative
+// mass.
+func (r *Recorder) touch(conn *wire.ConnState, key []byte) {
 	n := r.sampleN
-	if n > 1 && r.tick.Add(1)%n != 0 {
-		return
+	if n > 1 {
+		if conn.Tick++; conn.Tick%n != 0 {
+			return
+		}
 	}
 	r.sketch.Touch(key, int64(n))
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -18,7 +19,7 @@ var controletClasses = newLayer(ClassOf)
 
 // record accounts one answered frame for op with the given status.
 func record(r *Recorder, op wire.Op, status wire.Status, d time.Duration) {
-	r.RecordOp(&wire.Request{Op: op, Key: []byte("key-0001")}, &wire.Response{Status: status}, d)
+	r.RecordOp(new(wire.ConnState), &wire.Request{Op: op, Key: []byte("key-0001")}, &wire.Response{Status: status}, d)
 }
 
 func TestClassOf(t *testing.T) {
@@ -175,19 +176,36 @@ func TestRecorderSeqAndBootID(t *testing.T) {
 
 func TestRecordZeroAllocTelemetry(t *testing.T) {
 	r := newTestRecorder(Options{Interval: time.Hour, SketchSample: 1})
-	key := []byte("warm-key")
-	r.Touch(key) // admit the key so steady-state touches hit the map
-	req := wire.Request{Op: wire.OpGet, Key: key}
+	var conn wire.ConnState
+	req := wire.Request{Op: wire.OpGet, Key: []byte("warm-key")}
 	resp := wire.Response{Value: make([]byte, 128)}
-	if n := testing.AllocsPerRun(1000, func() {
-		r.RecordOp(&req, &resp, 250*time.Microsecond)
-	}); n != 0 {
-		t.Fatalf("RecordOp allocates %.1f/op", n)
+	record := func() { r.RecordOp(&conn, &req, &resp, 250*time.Microsecond) }
+	record() // admit the key so steady-state touches hit it
+	if n := testing.AllocsPerRun(1000, record); n != 0 {
+		t.Fatalf("RecordOp allocates %.1f/op on a warm key", n)
 	}
+	// A cold-key stream: 4096 keys in turn through a 64-key sketch, so
+	// every touch misses and evicts. One pass grows the key buffers.
+	keys := make([][]byte, 4096)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("cold-key-%05d", i))
+		req.Key = keys[i]
+		record()
+	}
+	i := 0
 	if n := testing.AllocsPerRun(1000, func() {
-		r.Touch(key)
+		req.Key = keys[i%len(keys)]
+		i++
+		record()
 	}); n != 0 {
-		t.Fatalf("Touch allocates %.1f/op on a warm key", n)
+		t.Fatalf("RecordOp allocates %.1f/op on cold keys (the sketch's eviction path)", n)
+	}
+	mget := wire.Request{Op: wire.OpDirectGet}
+	for _, k := range keys[:16] {
+		mget.Pairs = append(mget.Pairs, wire.KV{Key: k})
+	}
+	if n := testing.AllocsPerRun(1000, func() { r.RecordOp(&conn, &mget, &resp, -1) }); n != 0 {
+		t.Fatalf("RecordOp allocates %.1f/op on a 16-key frame", n)
 	}
 }
 
@@ -197,6 +215,7 @@ func BenchmarkTelemetryRecord(b *testing.B) {
 	r := newTestRecorder(Options{Interval: time.Hour})
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
+		var conn wire.ConnState
 		req := wire.Request{Op: wire.OpGet, Key: []byte("key-0001")}
 		resp := wire.Response{Value: make([]byte, 128)}
 		for pb.Next() {
@@ -204,24 +223,48 @@ func BenchmarkTelemetryRecord(b *testing.B) {
 			if metrics.SampleLatency() {
 				d = 250 * time.Microsecond
 			}
-			r.RecordOp(&req, &resp, d)
+			r.RecordOp(&conn, &req, &resp, d)
 		}
 	})
 }
 
+// BenchmarkSketchTouch times a connection's sampled touch of 32 warm keys:
+// the hit path, one touch in four.
 func BenchmarkSketchTouch(b *testing.B) {
 	r := newTestRecorder(Options{Interval: time.Hour, SketchSample: 4})
 	keys := make([][]byte, 32)
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("key-%02d", i))
-		r.Touch(keys[i])
+		r.sketch.Touch(keys[i], 1)
 	}
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
+		var conn wire.ConnState
 		i := 0
 		for pb.Next() {
-			r.Touch(keys[i&31])
+			r.touch(&conn, keys[i&31])
 			i++
+		}
+	})
+}
+
+// BenchmarkSketchTouchSpread times the sketch's miss path: every touch is
+// one of 8192 uniform keys, so nearly every one evicts the minimum of the
+// 64 monitored keys, as a uniform workload's sampled touches do.
+func BenchmarkSketchTouchSpread(b *testing.B) {
+	s := NewSketch(64)
+	keys := make([][]byte, 8192)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("user%012d", i))
+		s.Touch(keys[i], 1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := rand.Intn(len(keys))
+		for pb.Next() {
+			s.Touch(keys[i], 1)
+			i = (i + 4099) % len(keys) // 4099 is prime: a permutation
 		}
 	})
 }
@@ -255,7 +298,7 @@ func TestRecordOp(t *testing.T) {
 		{name: "chain put", req: wire.Request{Op: wire.OpChainPut, Key: []byte("k"), Value: []byte("v")}, class: ClassOther},
 	} {
 		r := newTestRecorder(Options{Interval: time.Hour, SketchSample: 1})
-		r.RecordOp(&tc.req, &tc.resp, time.Millisecond)
+		r.RecordOp(new(wire.ConnState), &tc.req, &tc.resp, time.Millisecond)
 		snap := r.Snapshot(time.Now(), Info{})
 		if snap.TotalOps[tc.class] != 1 {
 			t.Errorf("%s: ops %v, want one of class %s", tc.name, snap.TotalOps, tc.class)
@@ -295,7 +338,7 @@ func TestLayerTableAndRetiredTotals(t *testing.T) {
 	})
 	r1 := l.NewRecorder(Options{Interval: time.Hour, SketchSample: 1})
 	record(r1, wire.OpGet, wire.StatusOK, time.Millisecond)
-	r1.RecordOp(&wire.Request{Op: wire.OpDirectGet, Pairs: []wire.KV{{Key: []byte("d")}}}, &wire.Response{}, -1)
+	r1.RecordOp(new(wire.ConnState), &wire.Request{Op: wire.OpDirectGet, Pairs: []wire.KV{{Key: []byte("d")}}}, &wire.Response{}, -1)
 	snap := r1.Snapshot(time.Now(), Info{})
 	if snap.TotalOps[ClassOther] != 1 || snap.TotalOps[ClassDirectGet] != 1 || snap.TotalOps[ClassGet] != 0 {
 		t.Fatalf("classes by the layer's table: %v", snap.TotalOps)
