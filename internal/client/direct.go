@@ -27,7 +27,7 @@ import (
 //   - MS+EC default reads: the master's datalet (freshest copy)
 //
 // AA+SC strong reads stay on the controlet path (their slot's owner serves
-// them once no write of the key is in flight), as does everything during a
+// them from its copy, which it applies last), as does everything during a
 // transition.
 
 // dataletLink returns the direct link to n's datalet, in the datalet's own

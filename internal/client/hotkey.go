@@ -3,6 +3,7 @@ package client
 import (
 	"sync"
 
+	"bespokv/internal/telemetry"
 	"bespokv/internal/wire"
 )
 
@@ -13,9 +14,9 @@ import (
 // replicates this key on a shadow server that is rehashed by adding a
 // suffix to the key."
 //
-// hotTracker is that small metadata cache: a bounded count table with
-// periodic halving (a tiny space-saving counter). When a key's count
-// crosses the threshold the client starts writing a shadow copy under
+// hotTracker is that small metadata cache: a space-saving count summary
+// (telemetry.Sketch) with periodic halving. When a key's count crosses the
+// threshold the client starts writing a shadow copy under
 // key+shadowSuffix — which consistent-hashes to a different shard — and
 // spreads eventual reads of the key across the primary and the shadow.
 // Strong reads always use the primary (the shadow copy is asynchronous by
@@ -36,17 +37,17 @@ const (
 // and content can no longer be trusted, so reads use the primary until the
 // client re-establishes each shadow with a fresh write.
 type hotTracker struct {
-	mu        sync.Mutex
-	counts    map[string]int
+	mu        sync.Mutex // serializes touches; guards fresh
+	counts    *telemetry.Sketch
 	fresh     map[string]struct{}
-	threshold int
+	threshold int64
 }
 
 func newHotTracker(threshold int) *hotTracker {
 	return &hotTracker{
-		counts:    make(map[string]int),
+		counts:    telemetry.NewSketch(hotTableCap),
 		fresh:     make(map[string]struct{}),
-		threshold: threshold,
+		threshold: int64(threshold),
 	}
 }
 
@@ -75,38 +76,24 @@ func (h *hotTracker) invalidate() {
 	h.mu.Unlock()
 }
 
-// touch records one access and reports whether the key is now hot.
+// touch records one access and reports whether the key is now hot. A new
+// key finding the table full halves every count first, which evicts the
+// keys counted once.
 func (h *hotTracker) touch(key []byte) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	c := h.counts[string(key)] + 1
-	if len(h.counts) >= hotTableCap {
-		if _, tracked := h.counts[string(key)]; !tracked {
-			h.decayLocked()
-		}
+	if _, _, ok := h.counts.Count(key); !ok && h.counts.Len() >= hotTableCap {
+		h.counts.Decay()
 	}
-	h.counts[string(key)] = c
-	return c >= h.threshold
+	h.counts.Touch(key, 1)
+	return h.hot(key)
 }
 
-// hot reports whether key is currently above the threshold.
+// hot reports whether key is currently above the threshold: counted at
+// least that often even at the count's full over-estimation.
 func (h *hotTracker) hot(key []byte) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.counts[string(key)] >= h.threshold
-}
-
-// decayLocked halves every count and evicts zeros, bounding the table
-// while keeping genuinely hot keys hot.
-func (h *hotTracker) decayLocked() {
-	for k, c := range h.counts {
-		c /= 2
-		if c == 0 {
-			delete(h.counts, k)
-		} else {
-			h.counts[k] = c
-		}
-	}
+	c, err, _ := h.counts.Count(key)
+	return c-err >= h.threshold
 }
 
 // shadowKey derives the rehash key for a hot key.

@@ -39,9 +39,7 @@ func TestHotTrackerDecayBoundsTable(t *testing.T) {
 	for i := 0; i < hotTableCap*3; i++ {
 		h.touch([]byte(fmt.Sprintf("cold-%06d", i)))
 	}
-	h.mu.Lock()
-	size := len(h.counts)
-	h.mu.Unlock()
+	size := h.counts.Len()
 	if size > hotTableCap+1 {
 		t.Fatalf("tracker grew to %d entries (cap %d)", size, hotTableCap)
 	}

@@ -65,8 +65,8 @@ func rawDo(t *testing.T, raw *datalet.Client, req *wire.Request) *wire.Response 
 // clients pinned to different controlets. Two of them do not own the key's
 // slot and relay every op to the one that does, so each op's answer
 // travels back over a second hop while the owner already serves the next
-// one: the owner's key exclusion, not the order answers arrive in, must
-// keep the history linearizable.
+// one: the owner's copy, applied after every peer's, not the order answers
+// arrive in, must keep the history linearizable.
 func TestAASCLinearizableUnlockInFlight(t *testing.T) {
 	c := startCluster(t, Options{
 		Mode:            topology.Mode{Topology: topology.AA, Consistency: topology.Strong},

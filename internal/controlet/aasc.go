@@ -13,55 +13,15 @@ import (
 )
 
 // AA+SC (§C-B) applies a key's writes at every replica before the ack and
-// serves strong reads under exclusion, and the installed map is the only
+// serves strong reads from one copy, and the installed map is the only
 // authority over who does it: of topology.Slots slots per shard
 // (topology.SlotOf), it names each one's owner (topology.Shard.SlotOwner),
 // which orders the slot's writes and serves its strong reads while it is
-// unfenced. Other replicas relay a single-key op to the owner once. Inside
-// the owner a read of a key waits out the writes of that key in flight
-// (from local apply to the end of the write-all) and the other way round,
-// so a read never returns a value some replica may still lack. A write-all
+// unfenced. Other replicas relay a single-key op to the owner once. The
+// owner applies a write locally only after every peer has it, so its copy,
+// which a strong read returns, is never ahead of a peer's. A write-all
 // frame carries the owner's epoch and its fence instant as its deadline;
 // DESIGN.md "AA+SC slot authority" has the argument.
-
-// slotKeys is who is inside the keys of one slot at its owner.
-type slotKeys struct {
-	mu   sync.Mutex
-	cond sync.Cond // on mu: a key freed up
-	// keys holds, by KeyHash, the keys with an operation running or
-	// waiting; two keys whose hashes collide merely exclude each other.
-	keys map[uint64]keyUse
-}
-
-// keyUse is who is inside one key: reads, or writes, never both. Reads
-// share the key with reads and writes with writes (the Lamport stamps order
-// concurrent writes). An arriving operation also waits while the other kind
-// waits; when the last of one kind leaves, the waiting other kind goes
-// first, so a stream of one kind cannot starve the other.
-type keyUse struct {
-	readers, writers int32 // operations inside
-	waitR, waitW     int32 // operations waiting to get in
-	writeTurn        bool  // waiting writes go before waiting reads
-}
-
-// slotOp is one operation inside its slot, from enter to exit.
-type slotOp struct {
-	e     *slotKeys
-	h     uint64 // the key's KeyHash
-	write bool
-	// doneBy (UnixNano, 0 = none) is the owner's fence instant when the
-	// operation began: it bounds everything the operation does at any
-	// replica, stamped on its frames as their deadline.
-	doneBy int64
-}
-
-// bound returns the deadline dl narrowed to the operation's doneBy.
-func (op slotOp) bound(dl int64) int64 {
-	if op.doneBy != 0 && (dl == 0 || op.doneBy < dl) {
-		return op.doneBy
-	}
-	return dl
-}
 
 // slotMask is a set of slots.
 type slotMask [topology.Slots / 64]uint64
@@ -96,14 +56,10 @@ type slotTable struct {
 	mu     sync.Mutex // serializes view changes
 	view   atomic.Pointer[slotView]
 	arming atomic.Bool // a handoff barrier is in flight
-	keys   [topology.Slots]slotKeys
 }
 
 func (s *Server) startSlots() error {
 	l := &slotTable{s: s}
-	for i := range l.keys {
-		l.keys[i].cond.L = &l.keys[i].mu
-	}
 	l.view.Store(&slotView{})
 	s.slots = l
 	return nil
@@ -232,97 +188,18 @@ func (s *Server) barrier(node topology.Node, m *topology.Map) error {
 	return nil
 }
 
-// enter starts one read or write of key as its slot's owner, once no
-// operation of the other kind is inside the key. The caller exits when the
-// operation is done.
-func (l *slotTable) enter(key []byte, write bool) (slotOp, error) {
-	h := topology.KeyHash(key)
-	slot := int(h % topology.Slots) // topology.SlotOf(key)
-	if err := l.authorize(slot); err != nil {
-		return slotOp{}, err
+// admit authorizes one operation on key as its slot's owner and returns
+// the deadline dl narrowed to the owner's fence instant, which bounds
+// everything the operation does at any replica: its frames carry it as
+// their deadline.
+func (l *slotTable) admit(key []byte, dl int64) (int64, error) {
+	if err := l.authorize(topology.SlotOf(key)); err != nil {
+		return 0, err
 	}
-	e := &l.keys[slot]
-	op := slotOp{e: e, h: h, write: write, doneBy: l.s.fenceAt()}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for waited := false; !e.free(op, waited); waited = true {
-		e.await(op)
+	if doneBy := l.s.fenceAt(); doneBy != 0 && (dl == 0 || doneBy < dl) {
+		return doneBy, nil
 	}
-	e.join(op)
-	return op, nil
-}
-
-// exit ends an operation begun with enter.
-func (l *slotTable) exit(op slotOp) {
-	op.e.mu.Lock()
-	op.e.leave(op)
-	op.e.mu.Unlock()
-}
-
-// free reports whether op may get into its key now: nothing of the other
-// kind inside, and nothing of it waiting either — unless op has waited
-// itself and it is op's kind's turn. Caller holds e.mu.
-func (e *slotKeys) free(op slotOp, waited bool) bool {
-	k := e.keys[op.h]
-	return *k.inside(!op.write) == 0 && (*k.waiting(!op.write) == 0 || waited && k.writeTurn == op.write)
-}
-
-// await waits, counted as waiting for op's key, until something changes.
-// Caller holds e.mu.
-func (e *slotKeys) await(op slotOp) {
-	k := e.keys[op.h]
-	*k.waiting(op.write)++
-	e.put(op.h, k)
-	e.cond.Wait()
-	k = e.keys[op.h]
-	*k.waiting(op.write)--
-	e.put(op.h, k)
-}
-
-// join records op inside its key. Caller holds e.mu.
-func (e *slotKeys) join(op slotOp) {
-	k := e.keys[op.h]
-	*k.inside(op.write)++
-	e.put(op.h, k)
-}
-
-// leave takes op out of its key; the last of its kind out hands the key to
-// the other kind if any of it waits. Caller holds e.mu.
-func (e *slotKeys) leave(op slotOp) {
-	k := e.keys[op.h]
-	n := k.inside(op.write)
-	if *n--; *n == 0 && *k.waiting(!op.write) > 0 {
-		k.writeTurn = !op.write
-		e.cond.Broadcast()
-	}
-	e.put(op.h, k)
-}
-
-// put stores key h's entry, dropping it once nobody is inside or waiting.
-func (e *slotKeys) put(h uint64, k keyUse) {
-	switch {
-	case k.readers|k.writers|k.waitR|k.waitW != 0:
-		if e.keys == nil {
-			e.keys = make(map[uint64]keyUse)
-		}
-		e.keys[h] = k
-	case e.keys != nil:
-		delete(e.keys, h)
-	}
-}
-
-func (k *keyUse) inside(write bool) *int32 {
-	if write {
-		return &k.writers
-	}
-	return &k.readers
-}
-
-func (k *keyUse) waiting(write bool) *int32 {
-	if write {
-		return &k.waitW
-	}
-	return &k.waitR
+	return dl, nil
 }
 
 // relaySlot hands a single-key op on a slot another replica owns to that
@@ -420,16 +297,17 @@ func (s *Server) replicateAll(m *topology.Map, shard topology.Shard, w *writeSet
 	return errVersionRaces
 }
 
-// lockedRead is the AA+SC strong read: a local read at the key's slot
-// owner, once no write of the key is in flight here — the owner's copy is
-// the linearizable answer, because every acked write of the slot was
-// applied at every replica while the owner held the key. A GET on a slot
-// another replica owns is relayed there once; a batch is read key by key,
-// each relayed or served as a GET, and merged back into one frame.
-func (s *Server) lockedRead(req *wire.Request, resp *wire.Response) {
+// ownerRead is the AA+SC strong read: one local read at the key's slot
+// owner. The owner's copy is the linearizable answer with no per-key
+// exclusion: it changes only at the owner's local apply, which follows
+// every peer's, so each write takes effect there, and a strong read is one
+// atomic datalet read of it. A GET on a slot another replica owns is
+// relayed there once; a batch is read key by key, each relayed or served
+// as a GET, and merged back into one frame.
+func (s *Server) ownerRead(req *wire.Request, resp *wire.Response) {
 	if req.Op == wire.OpGet {
 		if !s.relaySlot(req, resp) {
-			s.lockedGet(req, resp)
+			s.ownerGet(req, resp)
 		}
 		return
 	}
@@ -443,7 +321,7 @@ func (s *Server) lockedRead(req *wire.Request, resp *wire.Response) {
 			Level: req.Level, TraceID: req.TraceID, DeadlineAt: req.DeadlineAt}
 		kresp.Reset()
 		if !s.relaySlot(kreq, kresp) {
-			s.lockedGet(kreq, kresp)
+			s.ownerGet(kreq, kresp)
 		}
 		kv := wire.KV{}
 		if kresp.Status == wire.StatusOK {
@@ -454,15 +332,20 @@ func (s *Server) lockedRead(req *wire.Request, resp *wire.Response) {
 	}
 }
 
-func (s *Server) lockedGet(req *wire.Request, resp *wire.Response) {
-	op, err := s.slots.enter(req.Key, false)
+// ownerGet reads key locally as its slot's owner, by the owner's fence
+// instant. It counts as in flight, like a write: a handoff barrier's
+// Quiesce waits it out, so it cannot reach the datalet after the next
+// owner's first write-all has and return a value that owner, which
+// applies last, does not serve yet.
+func (s *Server) ownerGet(req *wire.Request, resp *wire.Response) {
+	s.inflight.RLock()
+	defer s.inflight.RUnlock()
+	dl, err := s.slots.admit(req.Key, req.DeadlineAt)
 	if err != nil {
 		failWrite(resp, err)
 		return
 	}
-	dl := req.DeadlineAt
-	req.DeadlineAt = op.bound(dl)
+	dl, req.DeadlineAt = req.DeadlineAt, dl
 	s.localCall(req, resp)
 	req.DeadlineAt = dl
-	s.slots.exit(op)
 }

@@ -1,6 +1,7 @@
 package controlet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"bespokv/internal/rpc"
+	"bespokv/internal/store"
 	"bespokv/internal/topology"
 	"bespokv/internal/transport"
 	"bespokv/internal/wire"
@@ -29,9 +31,10 @@ func ownedKey(t *testing.T, shard topology.Shard, id string) []byte {
 	return nil
 }
 
-// At a slot's owner, a read of a key waits for the write of that key whose
-// write-all is still in flight, and then returns it; reads of other keys in
-// the slot go ahead.
+// At a slot's owner, a strong read of a key whose write-all is still in
+// flight answers at once with the owner's copy from before the write —
+// the owner applies last, so the in-flight value is nowhere it serves —
+// and returns the value once the put is acked.
 func TestAASCReadWaitsForWriteAll(t *testing.T) {
 	peer := startFakePeer(t, wire.StatusOK)
 	peer.hold = make(chan struct{})
@@ -41,13 +44,6 @@ func TestAASCReadWaitsForWriteAll(t *testing.T) {
 	t.Cleanup(unhold) // first: nothing shuts down while the peer holds a frame
 	s, shard := sh.ctls[0], sh.m.Shards[0]
 	key := ownedKey(t, shard, "n0")
-	var other []byte
-	for i := 0; other == nil; i++ {
-		k := []byte(fmt.Sprintf("other-%d", i))
-		if topology.SlotOf(k) == topology.SlotOf(key) && topology.KeyHash(k) != topology.KeyHash(key) {
-			other = k
-		}
-	}
 
 	put := make(chan wire.Status, 1)
 	go func() {
@@ -55,24 +51,8 @@ func TestAASCReadWaitsForWriteAll(t *testing.T) {
 		s.dispatch(&wire.Request{Op: wire.OpPut, Key: key, Value: []byte("v1")}, &resp)
 		put <- resp.Status
 	}()
-	// The put is in its write-all once the peer has its frame.
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		peer.mu.Lock()
-		_, sent := peer.deadlines[wire.OpReplPut]
-		peer.mu.Unlock()
-		if sent {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the write-all never reached the peer")
-		}
-	}
+	waitWriteAll(t, peer)
 
-	var resp wire.Response
-	s.dispatch(&wire.Request{Op: wire.OpGet, Key: other}, &resp)
-	if resp.Status != wire.StatusNotFound {
-		t.Fatalf("read of another key in the slot: %s %s, want NotFound at once", resp.Status, resp.Err)
-	}
 	got := make(chan wire.Response, 1)
 	go func() {
 		var resp wire.Response
@@ -81,15 +61,130 @@ func TestAASCReadWaitsForWriteAll(t *testing.T) {
 	}()
 	select {
 	case r := <-got:
-		t.Fatalf("read answered %s %q while the write-all was in flight", r.Status, r.Value)
-	case <-time.After(100 * time.Millisecond):
+		if r.Status != wire.StatusNotFound {
+			t.Fatalf("read while the write-all was in flight: %s %q, want NotFound, the owner's copy", r.Status, r.Value)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the read waited for the write-all in flight")
 	}
 	unhold()
 	if st := <-put; st != wire.StatusOK {
 		t.Fatalf("put: %s", st)
 	}
-	if r := <-got; r.Status != wire.StatusOK || string(r.Value) != "v1" {
-		t.Fatalf("read after the write-all: %s %q, want v1", r.Status, r.Value)
+	var resp wire.Response
+	s.dispatch(&wire.Request{Op: wire.OpGet, Key: key}, &resp)
+	if resp.Status != wire.StatusOK || string(resp.Value) != "v1" {
+		t.Fatalf("read after the put's ack: %s %q, want v1", resp.Status, resp.Value)
+	}
+}
+
+// waitWriteAll returns once the fake peer has been sent a write-all frame.
+func waitWriteAll(t *testing.T, peer *fakePeer) {
+	t.Helper()
+	eventually(t, "the write-all to reach the peer", func() bool {
+		peer.mu.Lock()
+		defer peer.mu.Unlock()
+		_, sent := peer.deadlines[wire.OpReplPut]
+		return sent
+	})
+}
+
+// heldGetEngine parks the first read of key until release is closed; parked
+// is closed once it waits.
+type heldGetEngine struct {
+	store.Engine
+	key             []byte
+	once            sync.Once
+	parked, release chan struct{}
+}
+
+func (e *heldGetEngine) AppendGet(dst, key []byte) ([]byte, uint64, bool, error) {
+	if bytes.Equal(key, e.key) {
+		e.once.Do(func() {
+			close(e.parked)
+			<-e.release
+		})
+	}
+	return e.Engine.AppendGet(dst, key)
+}
+
+// A strong read the previous owner authorized before a handoff counts as in
+// flight there: the new owner's barrier waits it out. Held at the previous
+// owner's datalet, it could otherwise read the new owner's first write-all
+// there and answer with a value the new owner, which applies last, does
+// not serve yet — a later read at the new owner would go back in time.
+func TestAASCHandoffDrainsOwnerRead(t *testing.T) {
+	peer := startFakePeer(t, wire.StatusOK)
+	peer.hold = make(chan struct{})
+	held := &heldGetEngine{parked: make(chan struct{}), release: make(chan struct{})}
+	sh := startShardOpts(t, aasc, 2, shardOpts{engine: func(i int, e store.Engine) store.Engine {
+		if i != 0 {
+			return e
+		}
+		held.Engine = e
+		return held
+	}}, peer.node("peer"))
+	var unholdPeer, unholdGet sync.Once
+	t.Cleanup(func() { // first: nothing shuts down while a frame or a read is held
+		unholdPeer.Do(func() { close(peer.hold) })
+		unholdGet.Do(func() { close(held.release) })
+	})
+	n0, n1 := sh.ctls[0], sh.ctls[1]
+	next := epochMap(sh.m, sh.m.Epoch+1, "n0") // n0 stays in the shard but owns nothing
+	for i := 0; held.key == nil; i++ {
+		k := []byte(fmt.Sprintf("k-%d", i))
+		slot := topology.SlotOf(k)
+		if sh.m.Shards[0].SlotOwner(slot).ID == "n0" && next.Shards[0].SlotOwner(slot).ID == "n1" {
+			held.key = k
+		}
+	}
+	key := held.key
+	get := func(s *Server) wire.Response {
+		var resp wire.Response
+		s.dispatch(&wire.Request{Op: wire.OpGet, Key: key}, &resp)
+		return resp
+	}
+
+	old := make(chan wire.Response, 1)
+	go func() { old <- get(n0) }()
+	<-held.parked // authorized at n0, parked at its datalet
+	n1.SetMap(next)
+	put := make(chan wire.Status, 1)
+	go func() {
+		var resp wire.Response
+		n1.dispatch(&wire.Request{Op: wire.OpPut, Key: key, Value: []byte("v1")}, &resp)
+		put <- resp.Status
+	}()
+	// Hold the read until the write-all has reached n0's datalet, or until
+	// a Quiesce at n0 (the new owner's barrier) has waited on it for 10
+	// polls in a row.
+	waited := 0
+	eventually(t, "the write-all to reach n0 or n0's Quiesce to wait", func() bool {
+		if _, _, ok, _ := held.Engine.AppendGet(nil, key); ok { // past the park
+			return true
+		}
+		if n0.inflight.TryRLock() {
+			n0.inflight.RUnlock()
+			waited = 0
+			return false
+		}
+		waited++
+		return waited >= 10
+	})
+	unholdGet.Do(func() { close(held.release) })
+	if r := <-old; r.Status != wire.StatusNotFound {
+		t.Fatalf("previous owner's read: %s %q, want NotFound, its copy from before the handoff", r.Status, r.Value)
+	}
+	waitWriteAll(t, peer)
+	if r := get(n1); r.Status != wire.StatusNotFound {
+		t.Fatalf("new owner's read while its write-all is held: %s %q, want NotFound", r.Status, r.Value)
+	}
+	unholdPeer.Do(func() { close(peer.hold) })
+	if st := <-put; st != wire.StatusOK {
+		t.Fatalf("put at the new owner: %s", st)
+	}
+	if r := get(n1); r.Status != wire.StatusOK || string(r.Value) != "v1" {
+		t.Fatalf("new owner's read after the ack: %s %q, want v1", r.Status, r.Value)
 	}
 }
 
@@ -312,75 +407,5 @@ func TestAASCFailedWriteAllLeavesOwnerCopy(t *testing.T) {
 	s.dispatch(&wire.Request{Op: wire.OpGet, Key: key}, &resp)
 	if resp.Status != wire.StatusNotFound {
 		t.Fatalf("get at the owner after a failed write-all: %s %q, want NotFound", resp.Status, resp.Value)
-	}
-}
-
-// One key's reads and writes take turns: a kind that waits is not
-// overtaken by newcomers of the kind inside, and gets the key as soon as
-// the last of that kind leaves.
-func TestKeyUseTakesTurns(t *testing.T) {
-	e := &slotKeys{}
-	e.cond.L = &e.mu
-	op := func(write bool) slotOp { return slotOp{e: e, h: 7, write: write} }
-	get := func(op slotOp) { // enter's key wait, without the authority check
-		for waited := false; !e.free(op, waited); waited = true {
-			e.await(op)
-		}
-		e.join(op)
-	}
-	waitFor := func(what string, cond func(keyUse) bool) {
-		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-			e.mu.Lock()
-			ok := cond(e.keys[7])
-			e.mu.Unlock()
-			if ok {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s", what)
-			}
-		}
-	}
-	start := func(op slotOp) <-chan struct{} {
-		in := make(chan struct{})
-		go func() {
-			e.mu.Lock()
-			get(op)
-			e.mu.Unlock()
-			close(in)
-		}()
-		return in
-	}
-
-	w1, r1, w2 := op(true), op(false), op(true)
-	e.mu.Lock()
-	get(w1)
-	e.mu.Unlock()
-	r1in := start(r1)
-	waitFor("the read to wait", func(k keyUse) bool { return k.waitR == 1 })
-	e.mu.Lock()
-	if e.free(op(false), false) || e.free(op(true), false) {
-		t.Fatal("a newcomer got in while a write was inside and a read waited")
-	}
-	e.mu.Unlock()
-	w2in := start(w2)
-	waitFor("the second write to wait", func(k keyUse) bool { return k.waitW == 1 })
-
-	e.mu.Lock()
-	e.leave(w1)
-	e.mu.Unlock()
-	<-r1in
-	waitFor("the read inside, the write still waiting", func(k keyUse) bool { return k.readers == 1 && k.writers == 0 && k.waitW == 1 })
-	e.mu.Lock()
-	e.leave(r1)
-	e.mu.Unlock()
-	<-w2in
-	e.mu.Lock()
-	e.leave(w2)
-	left := len(e.keys)
-	e.mu.Unlock()
-	if left != 0 {
-		t.Fatalf("%d key entries left after everyone left", left)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // through admission, routing and the mode's write or read path of a
 // 1-replica shard, the local datalet one in-process hop away. No client
 // library and no peer hop, so what differs between modes is the mode's own
-// cost (slot exclusion, shared-log append) on top of the shared
+// cost (slot authority, shared-log append) on top of the shared
 // stages. Run with -benchmem: the single-key cells are allocation gates.
 //
 // The put-r3 cells are the write hop: a put at the head (MS+SC) or at the

@@ -161,7 +161,7 @@ func (s *Server) handleRead(req *wire.Request, resp *wire.Response) {
 	case !strong:
 		s.localCall(req, resp)
 	case s.pol.bySlot:
-		s.lockedRead(req, resp)
+		s.ownerRead(req, resp)
 	case s.pol.readOwner == nil:
 		// AA+EC: best effort, serve locally (the paper's AA+EC offers no
 		// strong reads either).

@@ -272,15 +272,14 @@ func (s *Server) handleWrite(req *wire.Request, resp *wire.Response) {
 // ack, and what survived both is mirrored to an active migration.
 func (s *Server) commit(m *topology.Map, shard topology.Shard, w *writeSet) error {
 	if s.pol.bySlot {
-		// As the slot's owner, across the local apply and the write-all, by
-		// its fence instant: every frame carries it as its deadline, so no
-		// replica applies the write after the owner may have been failed out.
-		op, err := s.slots.enter(w.pairs[0].Key, true)
+		// As the slot's owner, by its fence instant: every frame carries it
+		// as its deadline, so no replica applies the write after the owner
+		// may have been failed out.
+		dl, err := s.slots.admit(w.pairs[0].Key, w.dlAt)
 		if err != nil {
 			return err
 		}
-		defer s.slots.exit(op)
-		w.dlAt = op.bound(w.dlAt)
+		w.dlAt = dl
 	}
 	if err := s.pol.order(s, w); err != nil {
 		return err

@@ -65,6 +65,9 @@ type Server struct {
 	cur       *topology.Map
 	lastSeen  map[string]time.Time
 	suspended map[string]bool // nodes already failed over
+	// tookOver is the term of the last take-over (onLeaderChange) this
+	// member ran, 0 before the first; the detector sweeps only in it.
+	tookOver  uint64
 	standbys  []topology.Node
 	epochCh   chan struct{} // closed and replaced on every epoch bump
 	migrating *migrationRun // active rebalance, nil when idle (see rebalance.go)

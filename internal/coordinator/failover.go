@@ -25,13 +25,17 @@ func (s *Server) failureDetector() {
 }
 
 func (s *Server) sweep() {
-	// Only the leader receives heartbeats; a follower sweeping its
-	// never-refreshed lastSeen view would fail everything.
+	// Only the leader receives heartbeats, and only its take-over for the
+	// term grants every node a fresh grace: a follower, or a leader whose
+	// take-over has not run yet, sweeping its never-refreshed lastSeen
+	// view would fail everything. The term is read before s.mu (see
+	// Status).
 	if !s.rsm.IsLeader() {
 		return
 	}
+	term := s.rsm.Status().Term
 	s.mu.Lock()
-	if s.cur == nil {
+	if s.cur == nil || s.tookOver != term {
 		s.mu.Unlock()
 		return
 	}

@@ -17,7 +17,20 @@ func TestFailoverDeferredDuringTransition(t *testing.T) {
 	if _, err := c.SetMap(sampleMap(1, 3)); err != nil {
 		t.Fatal(err)
 	}
-	// Install a transition directly so it stays in flight.
+	// Install a transition directly so it stays in flight — once the group
+	// of one has taken the lead: a take-over that ran after the install
+	// would find the transition and resume it.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.mu.Lock()
+		took := s.tookOver != 0
+		s.mu.Unlock()
+		if took {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the coordinator never took the lead")
+		}
+	}
 	to := topology.Mode{Topology: topology.AA, Consistency: topology.Eventual}
 	s.mu.Lock()
 	m := s.cur.Clone()
@@ -39,7 +52,15 @@ func TestFailoverDeferredDuringTransition(t *testing.T) {
 		t.Fatalf("detector failed nodes mid-transition: %d replicas", len(cur.Shards[0].Replicas))
 	}
 
-	// Complete the transition; failover works again.
+	// Complete the transition; failover works again. A transition's
+	// new-mode nodes heartbeat while it runs; here they are the silent old
+	// ones, so they report in first, or the detector would fail them all
+	// the moment it resumes, racing the FailNode below.
+	for _, id := range []string{"s0-r0", "s0-r1", "s0-r2"} {
+		if _, err := c.Heartbeat(id, true); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if _, err := c.CompleteTransition(); err != nil {
 		t.Fatal(err)
 	}

@@ -215,6 +215,7 @@ func (s *Server) onLeaderChange(term uint64, isLeader bool) {
 	now := time.Now()
 	s.suspended = map[string]bool{}
 	s.lastSeen = map[string]time.Time{}
+	s.tookOver = term
 	var resume bool
 	if s.cur != nil {
 		for _, shard := range s.cur.Shards {

@@ -162,6 +162,50 @@ func (s *Sketch) unlink(j int) {
 	s.slots[j] = 0
 }
 
+// Count returns key's count and the bound err on its over-estimation; ok
+// is false when key is not monitored.
+func (s *Sketch) Count(key []byte) (count, err int64, ok bool) {
+	h := maphash.Bytes(s.seed, key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	slot, ok := s.find(h, key)
+	if !ok {
+		return 0, 0, false
+	}
+	i := s.slots[slot] - 1
+	return s.counts[i], s.entries[i].err, true
+}
+
+// Len returns the number of monitored keys.
+func (s *Sketch) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.entries)
+}
+
+// Decay halves every count, error bound and the total, and stops
+// monitoring the keys whose count falls to zero, so newcomers take their
+// entries without evicting anything. Repeated, it ages the summary: the
+// keys that stay are the ones still touched.
+func (s *Sketch) Decay() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.total /= 2
+	clear(s.slots)
+	n := 0
+	for i, e := range s.entries {
+		if c := s.counts[i] / 2; c > 0 {
+			e.err /= 2
+			s.entries[n], s.counts[n] = e, c
+			slot, _ := s.find(e.hash, e.key)
+			s.slots[slot] = int32(n + 1)
+			n++
+		}
+	}
+	s.entries, s.counts = s.entries[:n], s.counts[:n]
+	s.min, s.next = 0, 0 // counts shrank: scan for the minimum anew
+}
+
 // Total returns the total weight touched.
 func (s *Sketch) Total() int64 {
 	s.mu.Lock()

@@ -237,3 +237,37 @@ func TestSketchConcurrentTouch(t *testing.T) {
 		t.Fatalf("counts sum to %d, total touched %d", sum, s.Total())
 	}
 }
+
+// Decay halves counts, error bounds and the total, drops the keys whose
+// count reaches zero, and leaves a sketch that evicts its minimum again.
+func TestDecayHalvesSketch(t *testing.T) {
+	s := NewSketch(2)
+	s.Touch([]byte("a"), 5)
+	s.Touch([]byte("b"), 1)
+	s.Touch([]byte("c"), 3) // evicts b: count 4, err 1
+	s.Decay()
+	if c, e, ok := s.Count([]byte("a")); !ok || c != 2 || e != 0 {
+		t.Fatalf("a after decay: %d±%d (monitored %v), want 2±0", c, e, ok)
+	}
+	if c, e, ok := s.Count([]byte("c")); !ok || c != 2 || e != 0 {
+		t.Fatalf("c after decay: %d±%d (monitored %v), want 2±0", c, e, ok)
+	}
+	if s.Total() != 4 {
+		t.Fatalf("total after decay = %d, want 4", s.Total())
+	}
+	s.Touch([]byte("a"), 1)
+	s.Decay() // a 3 → 1, c 2 → 1
+	s.Decay() // both reach 0
+	if n := s.Len(); n != 0 {
+		t.Fatalf("%d keys monitored once every count reached 0", n)
+	}
+	s.Touch([]byte("d"), 1)
+	s.Touch([]byte("e"), 2)
+	s.Touch([]byte("f"), 1) // full: evicts d, the minimum
+	if _, _, ok := s.Count([]byte("d")); ok {
+		t.Fatal("d still monitored after a newcomer evicted the minimum")
+	}
+	if c, e, ok := s.Count([]byte("f")); !ok || c != 2 || e != 1 {
+		t.Fatalf("f: %d±%d (monitored %v), want 2±1", c, e, ok)
+	}
+}

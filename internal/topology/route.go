@@ -12,15 +12,12 @@ const Slots = 256
 // SlotOf returns key's slot: the low bits of the key's hash (the ring
 // places keys by the high ones, so the keys of one shard still spread over
 // every slot).
-func SlotOf(key []byte) int { return int(KeyHash(key) % Slots) }
-
-// KeyHash is the 64-bit hash of key that SlotOf reduces to a slot.
-func KeyHash(key []byte) uint64 {
+func SlotOf(key []byte) int {
 	h := uint64(fnvOffset)
 	for _, b := range key {
 		h = (h ^ uint64(b)) * fnvPrime
 	}
-	return mix64(h)
+	return int(mix64(h) % Slots)
 }
 
 const (

@@ -292,12 +292,13 @@ run() {
 	# AA+SC with the map as the only authority over a slot: the slot/owner
 	# function and the per-mode route row every client pick reads (a routed
 	# MS+SC GET's pick allocates nothing), the one rule resolving a read's
-	# level, an owner's reads and writes of one key taking turns (a read
-	# waits out the key's write-all in flight), write-all frames carrying
-	# the owner's epoch and fence instant (a fenced owner serves nothing), a
-	# peer refusing a frame from before its slot moved, a gained slot
-	# unarmed until its live previous owner quiesces, a write-all re-sent
-	# above a peer's newer version, and the cluster suites — linearizable
+	# level, an owner's strong read answering from its own copy while a
+	# write-all of the key is in flight, a previous owner's read drained by
+	# the handoff barrier, write-all frames carrying the owner's epoch and
+	# fence instant (a fenced owner serves nothing), a peer refusing a frame
+	# from before its slot moved, a gained slot unarmed until its live
+	# previous owner quiesces, a write-all re-sent above a peer's newer
+	# version, and the cluster suites — linearizable
 	# under isolate/split/one-way faults plus an owner crash, a write-all
 	# held past the owner's fence and a control-leader kill, acked writes
 	# readable under chaos, a dead owner's slot taken over within
@@ -307,12 +308,13 @@ run() {
 	# greps that keep it so: the client routes by the route row, not by the
 	# mode; nothing outside internal/dlm calls the DLM's Lock, and neither
 	# the controlet nor a command imports the DLM; the slot-lease table's
-	# options, counters and lease keeping stay gone. Last, the DLM Lock
+	# options, counters and lease keeping stay gone, and so does the
+	# owner's per-key read/write exclusion. Last, the DLM Lock
 	# calls per client op on a uniform 50 % PUT load (gate: none).
 	aasc)
 		$GO test -race -run 'TestSlot|TestRoute|TestPick|TestReadTarget' ./internal/topology/
 		$GO test -race -run 'TestLevelStrong' ./internal/wire/
-		$GO test -race -run 'TestAASC|TestKeyUse' ./internal/controlet/
+		$GO test -race -run 'TestAASC' ./internal/controlet/
 		$GO test -race -run 'TestSlotOwnerRouting|TestReadTarget|TestWriteTarget' ./internal/client/
 		$GO test -race -run 'TestAASC|TestNemesisLinearizableAASC|TestNemesisChaosAASC|TestTransitionPreservesData' ./internal/cluster/
 		if grep -rnE --include='*.go' '\.Mode\.(Topology|Consistency)' internal/client/ | grep -v '_test\.go:'; then
@@ -330,6 +332,10 @@ run() {
 		fi
 		if grep -rnE --include='*.go' 'LockTTL|DLMAddr|ctlSlotAcquire|ctlSlotRenew|ctlSlotRelease|ctlSlotFallback|func \(l \*lockClient\) (tend|renew|release)' internal/ cmd/; then
 			echo "check.sh: the AA+SC slot-lease table is back" >&2
+			exit 1
+		fi
+		if grep -rnE --include='*.go' 'keyUse|slotKeys' internal/ cmd/; then
+			echo "check.sh: the AA+SC owner's per-key exclusion is back; its copy, applied last, is the answer" >&2
 			exit 1
 		fi
 		log=$(mktemp)
