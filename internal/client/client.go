@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bespokv/internal/clock"
 	"bespokv/internal/coordinator"
 	"bespokv/internal/datalet"
 	"bespokv/internal/metrics"
@@ -125,7 +126,7 @@ type Client struct {
 
 	hot *hotTracker // nil unless HotKeyThreshold > 0
 
-	// leaseUntil is the unix-nano instant through which the current map
+	// leaseUntil is the instant (clock.Mono) through which the current map
 	// may be trusted for direct datalet reads (math.MaxInt64 for static
 	// maps, whose epoch never moves). Renewed by the watch loop's
 	// LeaseMap long-polls.
@@ -295,7 +296,7 @@ func (c *Client) extendLease(ttl time.Duration) {
 		return
 	}
 	c.leaseTTL.Store(int64(ttl))
-	until := time.Now().Add(ttl).UnixNano()
+	until := clock.Mono() + int64(ttl)
 	for {
 		cur := c.leaseUntil.Load()
 		if until <= cur || c.leaseUntil.CompareAndSwap(cur, until) {
@@ -307,7 +308,7 @@ func (c *Client) extendLease(ttl time.Duration) {
 // leaseLive reports whether the current map may still be trusted for
 // coordinator-free direct reads.
 func (c *Client) leaseLive() bool {
-	return time.Now().UnixNano() < c.leaseUntil.Load()
+	return clock.Mono() < c.leaseUntil.Load()
 }
 
 // watchLoop keeps the map fresh with long-polls; transitions and failovers

@@ -3,14 +3,17 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"bespokv/internal/client"
+	"bespokv/internal/datalet"
 	"bespokv/internal/histcheck"
 	"bespokv/internal/metrics"
 	"bespokv/internal/sharedlog"
 	"bespokv/internal/topology"
+	"bespokv/internal/wire"
 )
 
 // The bounded-log suites: the shared log runs with 8-entry segments, so a
@@ -329,4 +332,86 @@ func TestJoinNodeAAECFloorTrimmed(t *testing.T) {
 		}
 		return ""
 	})
+}
+
+// TestAAECMultiPutConverges: one writer per controlet sends MultiPuts of
+// the same keys concurrently, each batch sequenced by one log Append; once
+// they stop, every replica holds the same value and version of every key,
+// at or above the highest version any writer was acked for it.
+func TestAAECMultiPutConverges(t *testing.T) {
+	c := startCluster(t, Options{Mode: aaecMode, Shards: 1, Replicas: 3, DisableFailover: true})
+	keys := make([][]byte, 16)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("ck%02d", i))
+	}
+	var mu sync.Mutex
+	acked := map[string]uint64{}
+	var wg sync.WaitGroup
+	for w, pair := range c.Shards[0] {
+		raw, err := datalet.Dial(c.Net, pair.Controlet.DataAddr(), c.Codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer raw.Close()
+		wg.Add(1)
+		go func(w int, raw *datalet.Client) {
+			defer wg.Done()
+			var resp wire.Response
+			for i := 0; i < 50; i++ {
+				req := wire.Request{Op: wire.OpMPut}
+				for _, k := range keys {
+					req.Pairs = append(req.Pairs, wire.KV{Key: k, Value: []byte(fmt.Sprintf("w%d-%d", w, i))})
+				}
+				if err := raw.Do(&req, &resp); err != nil || resp.Status != wire.StatusOK || len(resp.Statuses) != len(keys) {
+					t.Errorf("mput via controlet %d: %v %s %s", w, err, resp.Status, resp.Err)
+					return
+				}
+				mu.Lock()
+				for j, st := range resp.Statuses {
+					if st == wire.StatusOK {
+						acked[string(keys[j])] = max(acked[string(keys[j])], resp.Pairs[j].Version)
+					}
+				}
+				mu.Unlock()
+			}
+		}(w, raw)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	type rec struct {
+		value   string
+		version uint64
+	}
+	var last string
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		last = ""
+		for _, k := range keys {
+			var first rec
+			for r, p := range c.Shards[0] {
+				v, ver, ok, err := p.Datalet.Engine("").AppendGet(nil, k)
+				got := rec{string(v), ver}
+				switch {
+				case err != nil || !ok:
+					last = fmt.Sprintf("%s missing on replica %d (%v)", k, r, err)
+				case ver < acked[string(k)]:
+					last = fmt.Sprintf("%s at version %d on replica %d, below its acked %d", k, ver, r, acked[string(k)])
+				case r > 0 && got != first:
+					last = fmt.Sprintf("%s is %+v on replica %d, %+v on replica 0", k, got, r, first)
+				}
+				if r == 0 {
+					first = got
+				}
+			}
+		}
+		if last == "" {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replicas never converged: %s", last)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }

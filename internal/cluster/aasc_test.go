@@ -475,3 +475,136 @@ func TestAASCSteadyStateLockRatio(t *testing.T) {
 		t.Fatalf("%d DLM Lock calls under AA+SC load, want none", locks)
 	}
 }
+
+// TestAASCMultiPutLinearizable checks every key of concurrent MultiPuts and
+// Gets on shared keys under AA+SC: one writer per controlet sends raw
+// OpMPut frames spanning every owner (the entry node relays the pairs of
+// other owners' slots and writes all of its own as one set), a library
+// client sends MultiPuts bucketed by owner, and all of them read. Each
+// pair of a batch is its own write in the history; every key's history
+// must be linearizable.
+func TestAASCMultiPutLinearizable(t *testing.T) {
+	c := startCluster(t, Options{Mode: aaSC, Shards: 1, Replicas: 3, DisableFailover: true})
+	keys := make([]string, 8)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("mk%d", i)
+	}
+	rounds := 120
+	if testing.Short() {
+		rounds = 40
+	}
+	rec := histcheck.NewRecorder()
+	var vals atomic.Uint64
+	// mput writes every key once, each pair a write of its own in rec, and
+	// reports the per-pair errors through send.
+	mput := func(w int, send func([]wire.KV) []error) {
+		pairs := make([]wire.KV, len(keys))
+		refs := make([]histcheck.OpRef, len(keys))
+		for i, k := range keys {
+			v := fmt.Sprint(vals.Add(1))
+			pairs[i] = wire.KV{Key: []byte(k), Value: []byte(v)}
+			refs[i] = rec.BeginWrite(w, k, v)
+		}
+		for i, err := range send(pairs) {
+			rec.EndWrite(refs[i], err)
+		}
+	}
+	var failed atomic.Int64
+	var wg sync.WaitGroup
+	for w, pair := range c.Shards[0] {
+		raw, err := datalet.Dial(c.Net, pair.Controlet.DataAddr(), c.Codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer raw.Close()
+		wg.Add(1)
+		go func(w int, raw *datalet.Client) {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(uint64(w), 1))
+			var resp wire.Response
+			for i := 0; i < rounds; i++ {
+				if i%2 == 0 {
+					mput(w, func(pairs []wire.KV) []error {
+						errs := make([]error, len(pairs))
+						err := raw.Do(&wire.Request{Op: wire.OpMPut, Pairs: pairs}, &resp)
+						for j := range errs {
+							switch {
+							case err != nil:
+								errs[j] = err
+							case resp.Status != wire.StatusOK || j >= len(resp.Statuses):
+								errs[j] = fmt.Errorf("mput via controlet %d: %s %s", w, resp.Status, resp.Err)
+							case resp.Statuses[j] != wire.StatusOK:
+								errs[j] = fmt.Errorf("mput pair %d via controlet %d: %s", j, w, resp.Statuses[j])
+							}
+							if errs[j] != nil && failed.Add(1) == 1 {
+								t.Log(errs[j])
+							}
+						}
+						return errs
+					})
+					continue
+				}
+				k := keys[rng.IntN(len(keys))]
+				ref := rec.BeginRead(w, k)
+				err := raw.Do(&wire.Request{Op: wire.OpGet, Key: []byte(k)}, &resp)
+				found := resp.Status == wire.StatusOK
+				if err == nil && !found && resp.Status != wire.StatusNotFound {
+					err = fmt.Errorf("get via controlet %d: %s %s", w, resp.Status, resp.Err)
+				}
+				if err != nil {
+					failed.Add(1)
+				}
+				rec.EndRead(ref, string(resp.Value), found, err)
+			}
+		}(w, raw)
+	}
+	cli, err := c.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		const w = 3
+		rng := rand.New(rand.NewPCG(w, 1))
+		for i := 0; i < rounds; i++ {
+			if i%2 == 0 {
+				mput(w, func(pairs []wire.KV) []error {
+					errs, err := cli.MultiPut("", pairs)
+					if err != nil {
+						errs = make([]error, len(pairs))
+						for j := range errs {
+							errs[j] = err
+						}
+					}
+					for _, e := range errs {
+						if e != nil {
+							failed.Add(1)
+						}
+					}
+					return errs
+				})
+				continue
+			}
+			k := keys[rng.IntN(len(keys))]
+			ref := rec.BeginRead(w, k)
+			v, found, err := cli.Get("", []byte(k))
+			if err != nil {
+				failed.Add(1)
+			}
+			rec.EndRead(ref, string(v), found, err)
+		}
+	}()
+	wg.Wait()
+	// No faults are injected: every operation must have succeeded, or the
+	// history below is thinner than it claims.
+	if n := failed.Load(); n > 0 {
+		t.Errorf("%d operations failed with no fault injected", n)
+	}
+	rep := histcheck.Check(rec.Ops(), histcheck.Options{MaxStates: 5_000_000})
+	t.Logf("history: %d ops on %d keys; %s", rec.Len(), len(keys), rep)
+	if !rep.Ok() {
+		t.Fatalf("AA+SC MultiPut history is not linearizable: %s", rep)
+	}
+}

@@ -14,7 +14,7 @@ import (
 // apply accepted and wait for the tail's ack.
 func (s *Server) replicateChain(m *topology.Map, shard topology.Shard, w *writeSet) error {
 	c := s.forwardChain(m, shard, 0, w)
-	if err := c.wait(s); err != nil {
+	if err := c.wait(nil); err != nil {
 		return downstream{"replicate", err}
 	}
 	return nil
@@ -65,7 +65,7 @@ func (s *Server) handleChain(req *wire.Request, resp *wire.Response) {
 	ack := s.forwardChain(m, shard, pos, w)
 	err := s.applyLocal(w, false)
 	// Always collect the forward, even when the write already failed here.
-	if ferr := ack.wait(s); err == nil && ferr != nil {
+	if ferr := ack.wait(nil); err == nil && ferr != nil {
 		err = downstream{"chain", ferr}
 	}
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"bespokv/internal/clock"
 	"bespokv/internal/coordinator"
 	"bespokv/internal/datalet"
 	"bespokv/internal/faultnet"
@@ -236,20 +237,20 @@ func TestHeartbeatSurvivesCoordinatorRestart(t *testing.T) {
 			if !upAtBoot {
 				srv = serve()
 			}
-			waitBeatAfter := func(mark time.Time, what string) {
+			waitBeatAfter := func(mark int64, what string) {
 				t.Helper()
 				deadline := time.Now().Add(5 * time.Second)
-				for s.lastBeat.Load() <= mark.UnixNano() {
+				for s.lastBeat.Load() <= mark {
 					if time.Now().After(deadline) {
 						t.Fatalf("no heartbeat acknowledged %s", what)
 					}
 					time.Sleep(time.Millisecond)
 				}
 			}
-			waitBeatAfter(time.Now(), "before the restart")
+			waitBeatAfter(clock.Mono(), "before the restart")
 			srv.Close()
 			srv = serve()
-			waitBeatAfter(time.Now(), "after the restart")
+			waitBeatAfter(clock.Mono(), "after the restart")
 			if d := net.dials.Load(); d != 2 {
 				t.Fatalf("%d connections to the coordinator, want 2 (first contact, restart)", d)
 			}
@@ -305,9 +306,9 @@ func TestFenceClockStartsAtSend(t *testing.T) {
 			return beat != prev
 		})
 		seen, ok := coord.LastSeen("n0")
-		if !ok || beat > seen.UnixNano() {
-			t.Fatalf("heartbeat %d: the fence clock starts at %v, the coordinator's at %v (seen %v)",
-				i, time.Unix(0, beat).Format(time.StampMicro), seen.Format(time.StampMicro), ok)
+		if !ok || beat > clock.Of(seen) {
+			t.Fatalf("heartbeat %d: the fence clock starts %v after the coordinator's (seen %v)",
+				i, time.Duration(beat-clock.Of(seen)), ok)
 		}
 	}
 

@@ -96,7 +96,7 @@ func (s *Server) Status() any {
 		st["role"] = s.roleName(m, pos)
 	}
 	localConns, localLoad := s.local.Stats()
-	peers, dPeers := s.peers.Stats(), s.dPeers.Stats()
+	peers, relays, dPeers := s.peers.Stats(), s.relays.Stats(), s.dPeers.Stats()
 	st["pools"] = map[string]any{
 		"local_link":         s.localNet.Name() + ":" + s.localAddr,
 		"local_conns":        localConns,
@@ -105,6 +105,8 @@ func (s *Server) Status() any {
 		"peer_conns":         peers.Conns,
 		"peer_load":          peers.Load,
 		"peers_down":         peers.Down,
+		"relays":             relays.Links,
+		"relays_down":        relays.Down,
 		"peer_datalets":      dPeers.Links,
 		"peer_datalet_conns": dPeers.Conns,
 		"peer_datalet_load":  dPeers.Load,

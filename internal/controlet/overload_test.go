@@ -163,3 +163,28 @@ func TestControletDropsExpiredDeadline(t *testing.T) {
 		t.Fatalf("roomy-deadline put: %+v", resp)
 	}
 }
+
+// TestWriteAllBatchNeverShed: with the client-traffic cap taken, an
+// OpReplMPut — internal traffic, the rest of a write its owner admitted —
+// is still applied, while a client MultiPut is shed.
+func TestWriteAllBatchNeverShed(t *testing.T) {
+	s := startShardOpts(t, topology.Mode{Topology: topology.AA, Consistency: topology.Strong}, 1,
+		shardOpts{maxInflight: 1}).ctls[0]
+	hold, ok := s.admit.Gate.Admit() // the one slot: every gated op from here on waits
+	if !ok {
+		t.Fatal("first admit")
+	}
+	defer hold()
+	var resp wire.Response
+	s.dispatchAdmit(&wire.Request{Op: wire.OpReplMPut, Epoch: 5, Pairs: []wire.KV{
+		{Key: []byte("a"), Value: []byte("v"), Version: 7}, {Key: []byte("b"), Value: []byte("v"), Version: 7},
+	}}, &resp)
+	if resp.Status != wire.StatusOK || len(resp.Statuses) != 2 {
+		t.Fatalf("write-all batch under the cap: %s %s %v", resp.Status, resp.Err, resp.Statuses)
+	}
+	resp.Reset()
+	s.dispatchAdmit(mputOf("c", 2), &resp)
+	if resp.Status != wire.StatusOverloaded {
+		t.Fatalf("client batch under the cap: %s, want Overloaded", resp.Status)
+	}
+}

@@ -125,9 +125,11 @@ func TestPeerLinksSurvivePeerRestart(t *testing.T) {
 	if d := ctlPropDropped.Value() - dropped; d != 0 {
 		t.Fatalf("the propagator gave up on %d record(s)", d)
 	}
-	for i, s := range ctls {
-		if st := s.peers.Stats(); st.Links != 1 || st.Down != 0 {
-			t.Fatalf("n%d peer links after the restarts: %+v", i, st)
+	// The master reaches its slave on its peer links, the slave relays to
+	// its master on its relay links: one link each, healed.
+	for i, links := range []*datalet.Links{ctls[0].peers, ctls[1].relays} {
+		if st := links.Stats(); st.Links != 1 || st.Down != 0 {
+			t.Fatalf("n%d links to its peer after the restarts: %+v", i, st)
 		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bespokv/internal/clock"
 	"bespokv/internal/metrics"
 	"bespokv/internal/wire"
 )
@@ -53,7 +54,7 @@ func LaneOf(op wire.Op) Lane {
 	case wire.OpNop, wire.OpEpochSet, wire.OpTelemetry, wire.OpStats:
 		return LaneControl
 	case wire.OpChainPut, wire.OpChainDel, wire.OpChainMPut,
-		wire.OpReplPut, wire.OpReplDel, wire.OpHandoff,
+		wire.OpReplPut, wire.OpReplDel, wire.OpReplMPut, wire.OpHandoff,
 		wire.OpExport, wire.OpDelRange:
 		return LaneInternal
 	default:
@@ -346,7 +347,7 @@ func NewAdmission(layer string, gate *Gate) *Admission {
 // release. A control-lane op reads no clock and touches no atomic here.
 func (a *Admission) Admit(req *wire.Request, resp *wire.Response) (release func(), ok bool) {
 	lane := LaneOf(req.Op)
-	if lane != LaneControl && req.DeadlineExpired(time.Now) {
+	if lane != LaneControl && req.DeadlineExpired(clock.Mono) {
 		a.Expired.Inc()
 		resp.Status = wire.StatusOverloaded
 		resp.Err = a.errExpired

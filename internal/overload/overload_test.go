@@ -23,6 +23,7 @@ func TestLaneOf(t *testing.T) {
 		{wire.OpChainMPut, LaneInternal},
 		{wire.OpReplPut, LaneInternal},
 		{wire.OpReplDel, LaneInternal},
+		{wire.OpReplMPut, LaneInternal},
 		{wire.OpHandoff, LaneInternal},
 		{wire.OpExport, LaneInternal},
 		{wire.OpDelRange, LaneInternal},
@@ -184,6 +185,8 @@ func TestAdmission(t *testing.T) {
 		{"control, spent", spent(wire.OpEpochSet), ""},
 		{"internal, gate full", &wire.Request{Op: wire.OpChainPut}, ""},
 		{"internal, spent", spent(wire.OpChainPut), "admtest: deadline expired"},
+		{"write-all batch, gate full", &wire.Request{Op: wire.OpReplMPut, Pairs: []wire.KV{{Key: []byte("k"), Version: 1}}}, ""},
+		{"write-all batch, spent", spent(wire.OpReplMPut), "admtest: deadline expired"},
 		{"data, spent", spent(wire.OpGet), "admtest: deadline expired"},
 		{"data, gate full", &wire.Request{Op: wire.OpGet}, "admtest: overloaded"},
 	} {

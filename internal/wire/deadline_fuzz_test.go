@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"bespokv/internal/clock"
 )
 
 // legacyDecodeRequest reproduces the pre-deadline binary request decoder:
@@ -197,18 +199,18 @@ func FuzzDeadlineHeader(f *testing.F) {
 // that instant passes, and re-stamping hands the *shrunken* remainder to
 // the next hop (or refuses when the budget is spent).
 func TestDeadlineArmRestamp(t *testing.T) {
-	now := time.Unix(1000, 0)
-	at := func(d time.Duration) func() time.Time {
-		return func() time.Time { return now.Add(d) }
+	now := int64(1000 * time.Second)
+	at := func(d time.Duration) func() int64 {
+		return func() int64 { return now + int64(d) }
 	}
 	// A request without a deadline must not cost a clock reading.
-	unread := func() time.Time {
+	unread := func() int64 {
 		t.Fatal("clock read for a request that carries no deadline")
-		return time.Time{}
+		return 0
 	}
 	req := Request{Deadline: uint64(80 * time.Millisecond)}
 	req.ArmDeadline(at(0))
-	if req.DeadlineAt != now.UnixNano()+int64(80*time.Millisecond) {
+	if req.DeadlineAt != now+int64(80*time.Millisecond) {
 		t.Fatalf("armed DeadlineAt %d", req.DeadlineAt)
 	}
 	if req.DeadlineExpired(at(79 * time.Millisecond)) {
@@ -247,7 +249,7 @@ func TestDeadlineArmRestamp(t *testing.T) {
 
 	// Absurd budgets (fuzz input) must clamp, not overflow.
 	huge := Request{Deadline: ^uint64(0)}
-	huge.ArmDeadline(time.Now)
+	huge.ArmDeadline(clock.Mono)
 	if huge.DeadlineAt <= 0 {
 		t.Fatalf("overflowed DeadlineAt %d", huge.DeadlineAt)
 	}

@@ -198,16 +198,22 @@ func FuzzTraceHeader(f *testing.F) {
 // the multi-op frames through both codecs: whatever pair set the encoder
 // writes must decode identically, truncated frames must be rejected (never
 // mis-decoded), and oversized pair counts must error instead of
-// allocating.
+// allocating. The op is any of the multi-put frames: the client's, the
+// chain's and the write-all's.
 func FuzzMultiOp(f *testing.F) {
-	f.Add(uint64(1), []byte("k1"), []byte("v1"), []byte("k2"), []byte("v2"), uint64(7))
-	f.Add(uint64(0), []byte(""), []byte(""), []byte("x"), []byte(nil), uint64(0))
-	f.Add(uint64(9), []byte("a"), bytes.Repeat([]byte("b"), 300), []byte("c"), []byte("d"), uint64(1)<<62)
+	f.Add(uint8(0), uint64(1), []byte("k1"), []byte("v1"), []byte("k2"), []byte("v2"), uint64(7))
+	f.Add(uint8(0), uint64(0), []byte(""), []byte(""), []byte("x"), []byte(nil), uint64(0))
+	f.Add(uint8(0), uint64(9), []byte("a"), bytes.Repeat([]byte("b"), 300), []byte("c"), []byte("d"), uint64(1)<<62)
+	f.Add(uint8(1), uint64(5), []byte("k1"), []byte("v1"), []byte("k2"), []byte("v2"), uint64(1)<<40)
+	f.Add(uint8(2), uint64(5), []byte("k1"), []byte("v1"), []byte("k2"), []byte("v2"), uint64(1)<<40)
+	f.Add(uint8(2), uint64(0), []byte(""), bytes.Repeat([]byte("r"), 300), []byte("y"), []byte(nil), uint64(0))
 
-	f.Fuzz(func(t *testing.T, epoch uint64, k1, v1, k2, v2 []byte, ver uint64) {
+	multiPuts := []Op{OpMPut, OpChainMPut, OpReplMPut}
+	f.Fuzz(func(t *testing.T, opSel uint8, epoch uint64, k1, v1, k2, v2 []byte, ver uint64) {
+		op := multiPuts[int(opSel)%len(multiPuts)]
 		req := Request{
 			ID:    3,
-			Op:    OpMPut,
+			Op:    op,
 			Table: "t",
 			Epoch: epoch,
 			Pairs: []KV{
@@ -241,7 +247,7 @@ func FuzzMultiOp(f *testing.F) {
 					t.Fatalf("%s pair %d mismatch: %+v vs %+v", name, i, req.Pairs[i], got.Pairs[i])
 				}
 			}
-			if got.Epoch != epoch || got.Op != OpMPut {
+			if got.Epoch != epoch || got.Op != op {
 				t.Fatalf("%s header mismatch: %+v", name, got)
 			}
 

@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"time"
 
+	"bespokv/internal/clock"
 	"bespokv/internal/metrics"
 	"bespokv/internal/trace"
 )
@@ -81,7 +82,7 @@ func ServeConn(conn io.ReadWriter, h *ConnHandler) error {
 			return err
 		}
 		resp.Reset()
-		req.ArmDeadline(time.Now)
+		req.ArmDeadline(clock.Mono)
 		start := lat.Start(req.TraceID != 0)
 		streamed, err := h.Handle(&req, &resp, bw)
 		if err != nil {

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 )
 
 // Op identifies a request operation. Client-visible operations come first;
@@ -85,11 +84,16 @@ const (
 	// Response.Value); controlets attach it to their coordinator reports
 	// so direct-path reads that bypass the controlet still get counted.
 	OpTelemetry
+	// OpReplMPut is OpReplPut for a whole write set (the AA+SC write-all
+	// of an OpMPut) with owner-assigned versions in Pairs[i].Version; the
+	// response carries a per-pair Status in Statuses and the version each
+	// key holds at the replica in Pairs[i].Version.
+	OpReplMPut
 )
 
 // OpMax is the highest defined op code; per-op metric tables and verb
 // registries size and iterate off it.
-const OpMax = OpTelemetry
+const OpMax = OpReplMPut
 
 // String returns the operation mnemonic.
 func (o Op) String() string {
@@ -136,6 +140,8 @@ func (o Op) String() string {
 		return "CHAINMPUT"
 	case OpTelemetry:
 		return "TELEMETRY"
+	case OpReplMPut:
+		return "REPLMPUT"
 	default:
 		return fmt.Sprintf("OP(%d)", uint8(o))
 	}
@@ -258,8 +264,8 @@ type Request struct {
 	// ignore it and old frames decode with TraceID 0.
 	TraceID uint64
 	// Pairs carries the key set of a multi-op (OpMGet/OpDirectGet use
-	// Key only; OpMPut/OpChainMPut use Key+Value, plus Version on
-	// internal hops). Like TraceID it is an optional trailing field:
+	// Key only; OpMPut/OpChainMPut/OpReplMPut use Key+Value, plus Version
+	// on internal hops). Like TraceID it is an optional trailing field:
 	// absent on single-key frames, so old and new peers interoperate.
 	Pairs []KV
 	// Deadline is the request's remaining latency budget in nanoseconds at
@@ -272,26 +278,28 @@ type Request struct {
 	// ignore it and old frames decode with Deadline 0.
 	Deadline uint64
 
-	// DeadlineAt is the armed local-clock form of Deadline (UnixNano; 0 =
-	// none). It is never encoded — servers set it at decode time and
-	// forwarding paths that copy a request (*fwd = *req) inherit it.
+	// DeadlineAt is the armed form of Deadline: an instant on this
+	// process's monotonic clock (clock.Mono nanoseconds; 0 = none), so a
+	// wall-clock step cannot stretch it. It is never encoded — servers set
+	// it at decode time and forwarding paths that copy a request
+	// (*fwd = *req) inherit it.
 	DeadlineAt int64
 }
 
 // The three deadline methods take the clock, not a reading of it: almost
 // every request carries no deadline, and for those none of them calls now
 // (on some VM classes a clock reading costs more than the rest of the
-// check). Servers pass time.Now.
+// check). Servers pass clock.Mono; tests pass a clock they step.
 
 // ArmDeadline converts the wire-relative Deadline into an absolute local
 // instant, from which this hop's checks and re-stamps derive. A zero
 // Deadline clears any stale DeadlineAt.
-func (r *Request) ArmDeadline(now func() time.Time) {
+func (r *Request) ArmDeadline(now func() int64) {
 	if r.Deadline == 0 {
 		r.DeadlineAt = 0
 		return
 	}
-	n := now().UnixNano()
+	n := now()
 	if r.Deadline > math.MaxInt64-uint64(n) {
 		r.DeadlineAt = math.MaxInt64
 		return
@@ -301,19 +309,19 @@ func (r *Request) ArmDeadline(now func() time.Time) {
 
 // DeadlineExpired reports whether the request's armed budget is already
 // spent; executing it would be doomed work.
-func (r *Request) DeadlineExpired(now func() time.Time) bool {
-	return r.DeadlineAt != 0 && now().UnixNano() >= r.DeadlineAt
+func (r *Request) DeadlineExpired(now func() int64) bool {
+	return r.DeadlineAt != 0 && now() >= r.DeadlineAt
 }
 
 // RestampDeadline refreshes the wire-relative Deadline from the armed
 // DeadlineAt so the next hop receives the budget minus the time spent
 // here. It reports false when the budget is already spent (the caller
 // should drop the forward instead of sending it).
-func (r *Request) RestampDeadline(now func() time.Time) bool {
+func (r *Request) RestampDeadline(now func() int64) bool {
 	if r.DeadlineAt == 0 {
 		return true
 	}
-	rem := r.DeadlineAt - now().UnixNano()
+	rem := r.DeadlineAt - now()
 	if rem <= 0 {
 		return false
 	}

@@ -103,6 +103,52 @@ func TestRequestRoundtrip(t *testing.T) {
 	})
 }
 
+// TestMultiPutRoundtrip: every multi-put frame — the client's, the
+// chain's and the write-all's, versions set on the internal hops — and its
+// per-pair answer round-trip through both codecs.
+func TestMultiPutRoundtrip(t *testing.T) {
+	testCodecs(t, func(t *testing.T, c Codec) {
+		for _, op := range []Op{OpMPut, OpChainMPut, OpReplMPut} {
+			in := Request{
+				ID:       42,
+				Op:       op,
+				Table:    "t",
+				Epoch:    6,
+				TraceID:  11,
+				Deadline: 50_000,
+				Pairs: []KV{
+					{Key: []byte("a"), Value: []byte("1"), Version: 1 << 40},
+					{Key: []byte("b"), Value: []byte("22"), Version: 1<<40 + 1},
+				},
+			}
+			out := roundtripRequest(t, c, in)
+			if c.Name() == "text" {
+				in.ID = 0
+			}
+			normalizeReq(&in)
+			normalizeReq(&out)
+			if !reflect.DeepEqual(in, out) {
+				t.Fatalf("%s roundtrip mismatch:\n in=%+v\nout=%+v", op, in, out)
+			}
+		}
+		in := Response{
+			ID:       42,
+			Status:   StatusOK,
+			Pairs:    []KV{{Version: 1 << 40}, {}},
+			Statuses: []Status{StatusOK, StatusWrongEpoch},
+		}
+		out := roundtripResponse(t, c, in)
+		if c.Name() == "text" {
+			in.ID = 0
+		}
+		normalizeResp(&in)
+		normalizeResp(&out)
+		if !reflect.DeepEqual(in, out) {
+			t.Fatalf("per-pair answer roundtrip mismatch:\n in=%+v\nout=%+v", in, out)
+		}
+	})
+}
+
 func TestResponseRoundtrip(t *testing.T) {
 	testCodecs(t, func(t *testing.T, c Codec) {
 		in := Response{
