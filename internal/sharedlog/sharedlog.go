@@ -62,6 +62,11 @@ type Config struct {
 // rpc frame, 16 MiB).
 const maxSegmentBytes = 1 << 30
 
+// maxReadBytes caps the entry bytes of one Read reply, well inside an rpc
+// frame: a reader behind a run of large entries takes them in several
+// Reads. A reply always carries at least one entry.
+const maxReadBytes = 4 << 20
+
 // RetainSegments is how many of its most recent segments a stream keeps;
 // an append that starts one more drops the oldest. The log is a
 // replication channel, not the store of record — every record below a
@@ -358,6 +363,7 @@ func (s *Server) handleRead(args ReadArgs) (ReadReply, error) {
 				n = uint64(max)
 			}
 			reply := ReadReply{Entries: make([]Entry, 0, n)}
+			size := 0
 			for _, seg := range st.segs {
 				if seg.base+uint64(seg.count()) <= args.From {
 					continue
@@ -366,10 +372,16 @@ func (s *Server) handleRead(args ReadArgs) (ReadReply, error) {
 				if args.From > seg.base {
 					i = int(args.From - seg.base)
 				}
-				for ; i < seg.count() && len(reply.Entries) < int(n); i++ {
-					reply.Entries = append(reply.Entries, seg.entry(i))
+				for ; i < seg.count() && len(reply.Entries) < int(n) && size < maxReadBytes; i++ {
+					e := seg.entry(i)
+					if len(reply.Entries) > 0 && size+len(e.Data) > maxReadBytes {
+						size = maxReadBytes // the next Read starts here
+						break
+					}
+					size += len(e.Data)
+					reply.Entries = append(reply.Entries, e)
 				}
-				if len(reply.Entries) >= int(n) {
+				if len(reply.Entries) >= int(n) || size >= maxReadBytes {
 					break
 				}
 			}

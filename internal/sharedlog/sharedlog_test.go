@@ -81,6 +81,35 @@ func TestReadMax(t *testing.T) {
 	}
 }
 
+// A Read stops short of maxReadBytes, so a run of large entries, more
+// than an rpc frame together, comes back over several Reads; an entry
+// above the cap still comes alone.
+func TestReadCapsBytes(t *testing.T) {
+	_, c := newLog(t, Config{})
+	sizes := []int{maxReadBytes / 2, maxReadBytes / 2, maxReadBytes / 2, maxReadBytes + 1, 10}
+	for _, n := range sizes {
+		if _, err := c.Append(make([]byte, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got [][]int
+	for from := uint64(0); from < uint64(len(sizes)); {
+		entries, next, err := c.Read(from, 100, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var read []int
+		for _, e := range entries {
+			read = append(read, len(e.Data))
+		}
+		got, from = append(got, read), next
+	}
+	half := maxReadBytes / 2
+	if want := fmt.Sprint([][]int{{half, half}, {half}, {maxReadBytes + 1}, {10}}); fmt.Sprint(got) != want {
+		t.Fatalf("reads of %v bytes, want %v", got, want)
+	}
+}
+
 func TestReadSpansSegments(t *testing.T) {
 	_, c := newLog(t, Config{SegmentEntries: 4})
 	for i := 0; i < 20; i++ {

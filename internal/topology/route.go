@@ -12,18 +12,7 @@ const Slots = 256
 // SlotOf returns key's slot: the low bits of the key's hash (the ring
 // places keys by the high ones, so the keys of one shard still spread over
 // every slot).
-func SlotOf(key []byte) int {
-	h := uint64(fnvOffset)
-	for _, b := range key {
-		h = (h ^ uint64(b)) * fnvPrime
-	}
-	return int(mix64(h) % Slots)
-}
-
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
+func SlotOf(key []byte) int { return int(hash64Bytes(key) % Slots) }
 
 // SlotOwner returns the replica that owns slot: of the shard's
 // non-recovering replicas (all of them if every one is recovering), the one
