@@ -28,12 +28,6 @@ var errPeerBehind = errors.New("log cursor")
 const aaecVersionBase = uint64(1) << 63
 
 const (
-	// maxAppendFrame and maxAppendBytes cap the records, and their bytes,
-	// that one Append carries, well inside an rpc frame: the combiner
-	// joins appenders while both hold, and orderLog splits a batch larger
-	// than either. An appender above them goes alone.
-	maxAppendFrame = 128
-	maxAppendBytes = 4 << 20
 	// maxApplyFrame caps the pairs of one OpMPut the applier sends to the
 	// local datalet: large enough to amortise the round trip (a Read
 	// returns up to 4096 entries), small enough that the frame fits the
@@ -204,7 +198,7 @@ func (a *logApplier) lead(head *appender) {
 	stopped := a.stopped
 	n, records, size := 1, len(head.datas), head.size
 	for ; n < len(a.queue) && a.queue[n].stream == head.stream; n++ {
-		if records, size = records+len(a.queue[n].datas), size+a.queue[n].size; records > maxAppendFrame || size > maxAppendBytes {
+		if records, size = records+len(a.queue[n].datas), size+a.queue[n].size; records > maxFramePairs || size > maxFrameBytes {
 			break
 		}
 	}
@@ -224,7 +218,7 @@ func (a *logApplier) lead(head *appender) {
 	}
 	clear(datas)
 
-	var frame [maxAppendFrame]*appender
+	var frame [maxFramePairs]*appender
 	a.qmu.Lock()
 	a.datas = datas // the next leader's, once it is woken below
 	followers := frame[:copy(frame[:], a.queue[1:n])]
@@ -762,7 +756,7 @@ func (s *Server) orderLog(w *writeSet) error {
 	// A batch is one appender per Append it fills; each pair is versioned
 	// by its own record's offset.
 	for lo, hi := 0, 0; lo < len(w.recs); lo = hi {
-		for size := 0; hi < len(w.recs) && hi-lo < maxAppendFrame && (hi == lo || size+len(w.recs[hi]) <= maxAppendBytes); hi++ {
+		for size := 0; hi < len(w.recs) && hi-lo < maxFramePairs && (hi == lo || size+len(w.recs[hi]) <= maxFrameBytes); hi++ {
 			size += len(w.recs[hi])
 		}
 		start := time.Now()

@@ -900,7 +900,7 @@ func TestAAECBatchEmpty(t *testing.T) {
 }
 
 // A MultiPut whose records together outgrow an rpc frame (16 MB) is
-// sequenced in Appends of at most maxAppendBytes, each pair versioned by
+// sequenced in Appends of at most maxFrameBytes, each pair versioned by
 // its own record's offset, and reaches the other replica through Reads
 // that each stay under the frame limit too.
 func TestAAECBatchAboveFrameLimit(t *testing.T) {

@@ -17,7 +17,10 @@ import (
 //
 // The put-r3 cells are the write hop: a put at the head (MS+SC) or at the
 // key's slot owner (AA+SC) of a 3-replica shard, whose replication is two
-// chained peer frames or two concurrent write-all frames.
+// chained peer frames or two concurrent write-all frames. The mput16-r3
+// cell is a 16-pair MultiPut at the master of a 3-replica MS+EC shard; its
+// propagation runs behind the ack, so the cell waits for it to drain
+// before the clock stops.
 func BenchmarkDispatch(b *testing.B) {
 	value := make([]byte, 32)
 	keys := make([][]byte, 4096)
@@ -35,6 +38,9 @@ func BenchmarkDispatch(b *testing.B) {
 				if resp.Status != wire.StatusOK {
 					b.Fatalf("%s: %+v", name, resp)
 				}
+			}
+			if s.prop != nil {
+				s.prop.drain()
 			}
 		})
 	}
@@ -73,4 +79,10 @@ func BenchmarkDispatch(b *testing.B) {
 		put := &wire.Request{Op: wire.OpPut, Value: value}
 		cell(sh.ctls[0], mode.String()+"/put-r3", put, func(i int) { put.Key = owned[i%len(owned)] })
 	}
+	mput := &wire.Request{Op: wire.OpMPut, Pairs: make([]wire.KV, 16)}
+	cell(startShard(b, fourModes[1], 3).ctls[0], fourModes[1].String()+"/mput16-r3", mput, func(i int) {
+		for j := range mput.Pairs {
+			mput.Pairs[j] = wire.KV{Key: keys[(i*16+j)%len(keys)], Value: value}
+		}
+	})
 }

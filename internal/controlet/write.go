@@ -47,6 +47,9 @@ type writeSet struct {
 	one [1]wire.KV // backs pairs of a single-key frame
 	// recs backs the shared-log records of an AA+EC write (orderLog).
 	recs [][]byte
+	// props backs the propagation records of an MS+EC write
+	// (replicateAsync).
+	props []propRecord
 	// stripes is the key stripes an AA+SC owner holds for it (lockKeys).
 	stripes []uint16
 }
@@ -100,7 +103,8 @@ func zeroed[T any](s []T, n int) []T {
 
 func (w *writeSet) release() {
 	clear(w.recs)
-	*w = writeSet{status: w.status[:0], won: w.won[:0], recs: w.recs[:0], stripes: w.stripes[:0]}
+	clear(w.props)
+	*w = writeSet{status: w.status[:0], won: w.won[:0], recs: w.recs[:0], props: w.props[:0], stripes: w.stripes[:0]}
 	writePool.Put(w)
 }
 
@@ -145,6 +149,16 @@ const (
 	frameLocal = iota // to the local datalet
 	frameChain        // down the replication chain
 	frameRepl         // to a peer replica, version already decided
+)
+
+// maxFramePairs and maxFrameBytes cap the records, and their bytes, that
+// one frame a controlet assembles from queued writes carries, well inside
+// an rpc frame: an AA+EC Append (the combiner joins appenders while both
+// hold, orderLog splits a batch larger than either) and an MS+EC
+// propagation frame (cutFrame). A record above them goes alone.
+const (
+	maxFramePairs = 128
+	maxFrameBytes = 4 << 20
 )
 
 // encode is the one place a write set becomes a wire frame: the pairs

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -34,6 +35,8 @@ type fakePeer struct {
 	deadlines map[wire.Op]uint64 // deadline budget of the last frame seen, by op
 	frames    map[wire.Op]int    // frames seen, by op
 	pairs     map[wire.Op]int    // pairs those frames carried, by op
+	largest   int                // the most key and value bytes one frame carried
+	trail     []string           // every frame seen: its op and its keys
 }
 
 func startFakePeer(t *testing.T, status wire.Status) *fakePeer {
@@ -77,6 +80,15 @@ func startFakePeer(t *testing.T, status wire.Status) *fakePeer {
 					f.deadlines[req.Op] = req.Deadline
 					f.frames[req.Op]++
 					f.pairs[req.Op] += len(req.Pairs)
+					size, keys := len(req.Key)+len(req.Value), []string{string(req.Key)}
+					if len(req.Pairs) > 0 {
+						size, keys = 0, keys[:0]
+						for _, kv := range req.Pairs {
+							size, keys = size+len(kv.Key)+len(kv.Value), append(keys, string(kv.Key))
+						}
+					}
+					f.largest = max(f.largest, size)
+					f.trail = append(f.trail, req.Op.String()+" "+strings.Join(keys, ","))
 					f.mu.Unlock()
 					if f.hold != nil {
 						<-f.hold
