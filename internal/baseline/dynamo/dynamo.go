@@ -431,11 +431,12 @@ func (n *node) replicationPump() {
 	}
 }
 
+// replicateBatch starts every copy of the window, then waits for them all.
 func (n *node) replicateBatch(batch []replRecord) {
 	type flight struct {
 		req  *wire.Request
 		resp *wire.Response
-		errc <-chan error
+		p    datalet.Pending
 	}
 	flights := make([]flight, 0, len(batch))
 	for _, rec := range batch {
@@ -449,10 +450,10 @@ func (n *node) replicateBatch(batch []replRecord) {
 		req.Value = rec.value
 		req.Version = rec.version
 		resp := wire.GetResponse()
-		flights = append(flights, flight{req, resp, n.peer(rec.owner).DoAsync(req, resp)})
+		flights = append(flights, flight{req, resp, n.peer(rec.owner).Start(req, resp)})
 	}
 	for _, f := range flights {
-		<-f.errc // a copy that failed is dropped; anti-entropy territory
+		_ = f.p.Wait() // a copy that failed is dropped; anti-entropy territory
 		wire.PutRequest(f.req)
 		wire.PutResponse(f.resp)
 	}

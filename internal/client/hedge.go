@@ -87,13 +87,15 @@ func (h *hedgeState) delay() time.Duration {
 // response. alt may be nil: a single leg with pooled buffers, which has no
 // second leg to select against, so it is a split-phase call — on an idle
 // connection this goroutine sends the frame and reads the reply. Only a
-// race takes the pipeline's completion channels.
+// race runs each leg's call on a goroutine of its own, to select on.
 func (c *Client) hedgedRace(primary, alt *datalet.Link, build func(*wire.Request)) (*wire.Response, func(), error) {
 	launch := func(p *datalet.Link) (*wire.Request, *wire.Response, <-chan error) {
 		req := wire.GetRequest()
 		build(req)
 		resp := wire.GetResponse()
-		return req, resp, p.DoAsync(req, resp)
+		errc := make(chan error, 1)
+		go func() { errc <- p.Do(req, resp) }()
+		return req, resp, errc
 	}
 	finish := func(req *wire.Request, resp *wire.Response, err error) (*wire.Response, func(), error) {
 		if err != nil {

@@ -28,11 +28,6 @@ var errPeerBehind = errors.New("log cursor")
 const aaecVersionBase = uint64(1) << 63
 
 const (
-	// maxApplyFrame caps the pairs of one OpMPut the applier sends to the
-	// local datalet: large enough to amortise the round trip (a Read
-	// returns up to 4096 entries), small enough that the frame fits the
-	// connection buffers and a retry re-sends little.
-	maxApplyFrame = 256
 	// applyRetryMin/Max bound the backoff of a frame the local datalet
 	// did not take.
 	applyRetryMin = 10 * time.Millisecond
@@ -574,7 +569,7 @@ func (a *logApplier) catchUp(since, floor uint64, done chan<- error) {
 // consecutive puts to one table travel as one OpMPut carrying their
 // offset-derived versions; a delete (the datalet has no multi-delete), a
 // floor record (it changes the versions after it), a table change and
-// maxApplyFrame close the frame. This node's own records (already applied
+// maxFramePairs close the frame. This node's own records (already applied
 // by their writers) and other shards' are skipped. A frame the datalet did
 // not take is retried until it lands: the writes in it are acknowledged,
 // and moving on would lose them on this replica for good. Every refusal
@@ -654,7 +649,7 @@ func (a *logApplier) applyEntries(stream string, entries []sharedlog.Entry, paus
 			continue // another shard's stream
 		}
 		newTable := string(rec.table) != w.table
-		if rec.del || newTable || len(w.pairs) == maxApplyFrame {
+		if rec.del || newTable || len(w.pairs) == maxFramePairs {
 			if !flush() {
 				return false
 			}

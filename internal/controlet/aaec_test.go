@@ -127,7 +127,7 @@ func TestFramedApplyEqualsEntryApply(t *testing.T) {
 		pending = nil
 	}
 	// A run longer than one frame, then the table flips back and forth.
-	for i := 0; i < maxApplyFrame+40; i++ {
+	for i := 0; i < maxFramePairs+40; i++ {
 		rec("peer", "shard-0", 0, false, "", fmt.Sprintf("k%03d", i%200), fmt.Sprintf("v%d", i))
 	}
 	for i := 0; i < 30; i++ {

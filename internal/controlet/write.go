@@ -154,8 +154,9 @@ const (
 // maxFramePairs and maxFrameBytes cap the records, and their bytes, that
 // one frame a controlet assembles from queued writes carries, well inside
 // an rpc frame: an AA+EC Append (the combiner joins appenders while both
-// hold, orderLog splits a batch larger than either) and an MS+EC
-// propagation frame (cutFrame). A record above them goes alone.
+// hold, orderLog splits a batch larger than either), an MS+EC propagation
+// frame (cutFrame) and the AA+EC applier's OpMPut to the local datalet
+// (maxFramePairs only). A record above them goes alone.
 const (
 	maxFramePairs = 128
 	maxFrameBytes = 4 << 20

@@ -65,8 +65,8 @@ func (a streamAbort) Error() string { return a.err.Error() }
 // forwarding). Any number of goroutines may issue requests concurrently;
 // they share the connection with many requests in flight. Start and Wait
 // split one call around work the caller overlaps with the hop; Do is the two
-// back to back; DoAsync exposes the pipeline to callers that fan out many
-// frames before they wait.
+// back to back; a caller that fans out starts every frame, then waits on
+// each.
 type Client struct {
 	conn  transport.Conn
 	codec wire.Codec
@@ -82,8 +82,7 @@ type Client struct {
 	mu    sync.Mutex
 	sendQ []*call
 	respQ []*call
-	free  []*call // recycled calls (and their completion channels)
-	err   error   // sticky transport error
+	err   error // sticky transport error
 	// inline counts the calls whose caller sent the frame itself, summed
 	// over every client at scrape time (bespokv_datalet_client_inline_total).
 	inline int64
@@ -229,7 +228,7 @@ func (c *Client) Start(req *wire.Request, resp *wire.Response) Pending {
 	c.mu.Lock()
 	if c.err == nil && c.lastBatch <= 1 && !c.writerBusy && !c.readerBusy &&
 		len(c.sendQ) == 0 && len(c.respQ) == 0 {
-		cl := c.newCall(req, resp)
+		cl := newCall(req, resp)
 		cl.inline = true
 		c.writerBusy = true
 		c.seq++
@@ -281,16 +280,14 @@ func (p Pending) Wait() error {
 			if len(c.respQ) > 0 {
 				c.respReady.Signal()
 			}
-			c.recycle(cl)
 			c.mu.Unlock()
+			recycle(cl)
 			return err
 		}
 		c.mu.Unlock()
 	}
 	err := <-cl.errc
-	c.mu.Lock()
-	c.recycle(cl)
-	c.mu.Unlock()
+	recycle(cl)
 	return err
 }
 
@@ -316,24 +313,11 @@ func (c *Client) Do(req *wire.Request, resp *wire.Response) error {
 	return c.Start(req, resp).Wait()
 }
 
-// DoAsync enqueues req and returns a channel that delivers the completion
-// error (nil on success, after which resp holds the reply). Neither req nor
-// resp may be touched until the channel delivers. Used by fan-out paths —
-// asynchronous propagation, migration, multi-key and hedged reads — to keep
-// many ops in flight on one connection.
-func (c *Client) DoAsync(req *wire.Request, resp *wire.Response) <-chan error {
-	cl := &call{req: req, resp: resp, errc: make(chan error, 1)}
-	if _, err := c.submit(cl, req, resp); err != nil {
-		cl.errc <- err
-	}
-	return cl.errc
-}
-
 // submit enqueues a call for the writer. Passing cl == nil draws one from
-// the freelist (the Start path, whose Wait provably drains the completion
-// channel before recycling); DoAsync and Export pass their own, since they
-// hand the channel to the caller. A nil error means the pipeline owns the
-// call and will complete errc exactly once; otherwise nothing was sent.
+// the pool (the Start path, whose Wait provably drains the completion
+// channel before recycling); Export passes its own streaming call. A nil
+// error means the pipeline owns the call and will complete errc exactly
+// once; otherwise nothing was sent.
 func (c *Client) submit(cl *call, req *wire.Request, resp *wire.Response) (*call, error) {
 	c.mu.Lock()
 	for c.err == nil && len(c.sendQ) >= maxInflight {
@@ -345,7 +329,7 @@ func (c *Client) submit(cl *call, req *wire.Request, resp *wire.Response) (*call
 		return nil, err
 	}
 	if cl == nil {
-		cl = c.newCall(req, resp)
+		cl = newCall(req, resp)
 	}
 	c.sendQ = append(c.sendQ, cl)
 	if len(c.sendQ) == 1 {
@@ -356,25 +340,25 @@ func (c *Client) submit(cl *call, req *wire.Request, resp *wire.Response) (*call
 	return cl, nil
 }
 
-// newCall draws a call from the freelist. Called with mu held.
-func (c *Client) newCall(req *wire.Request, resp *wire.Response) *call {
-	var cl *call
-	if n := len(c.free); n > 0 {
-		cl = c.free[n-1]
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
-	} else {
-		cl = &call{errc: make(chan error, 1)}
-	}
+// calls recycles calls and their completion channels. It is a process-wide
+// pool, not a list under Client.mu: a Wait that recycles under mu contends
+// with the writer and the reader, and with 16 callers fanning out on one
+// connection (BenchmarkPipelinedWindow) that cost about a quarter of the
+// throughput.
+var calls = sync.Pool{New: func() any { return &call{errc: make(chan error, 1)} }}
+
+// newCall draws a call from the pool.
+func newCall(req *wire.Request, resp *wire.Response) *call {
+	cl := calls.Get().(*call)
 	cl.req, cl.resp = req, resp
 	return cl
 }
 
 // recycle returns a call whose completion channel is drained, or was never
-// used, to the freelist. Called with mu held.
-func (c *Client) recycle(cl *call) {
+// used, to the pool.
+func recycle(cl *call) {
 	cl.req, cl.resp, cl.stream, cl.inline = nil, nil, nil, false
-	c.free = append(c.free, cl)
+	calls.Put(cl)
 }
 
 // writeLoop drains the submission queue in batches: everything that
@@ -777,13 +761,13 @@ func (p *Pool) Get() *Client {
 
 // Do dispatches one request on the least-loaded pooled connection.
 func (p *Pool) Do(req *wire.Request, resp *wire.Response) error {
-	return p.Get().Do(req, resp)
+	return p.Start(req, resp).Wait()
 }
 
-// DoAsync dispatches one request asynchronously on the least-loaded pooled
-// connection.
-func (p *Pool) DoAsync(req *wire.Request, resp *wire.Response) <-chan error {
-	return p.Get().DoAsync(req, resp)
+// Start launches one request on the least-loaded pooled connection (see
+// Client.Start).
+func (p *Pool) Start(req *wire.Request, resp *wire.Response) Pending {
+	return p.Get().Start(req, resp)
 }
 
 // Close closes every pooled connection.

@@ -218,15 +218,3 @@ func (l *Link) Start(req *wire.Request, resp *wire.Response) Pending {
 	}
 	return c.Start(req, resp)
 }
-
-// DoAsync dispatches one request asynchronously on the least-loaded live
-// connection; a link that is down delivers its error on the channel.
-func (l *Link) DoAsync(req *wire.Request, resp *wire.Response) <-chan error {
-	c, err := l.get()
-	if err != nil {
-		errc := make(chan error, 1)
-		errc <- err
-		return errc
-	}
-	return c.DoAsync(req, resp)
-}

@@ -153,11 +153,11 @@ func BenchmarkLockstep(b *testing.B) {
 }
 
 // BenchmarkPipelinedWindow measures 16 concurrent callers each keeping a
-// window of DoAsync requests in flight on one shared connection — the
-// controlet fan-out shape (propagation, migration) at
-// client-driver concurrency. Each caller amortizes its own wakeup across
-// the window, so this isolates the connection's capacity from per-call
-// scheduling costs.
+// window of 16 started requests in flight on one shared connection, then
+// waiting for them all. No caller in the tree has this shape (fan-outs start
+// from one goroutine, or from a few with a handful of frames each); it
+// isolates the connection's capacity from per-call scheduling costs, each
+// caller amortizing its own wakeup across the window.
 func BenchmarkPipelinedWindow(b *testing.B) {
 	const callers = 16
 	const window = 16
@@ -187,7 +187,7 @@ func BenchmarkPipelinedWindow(b *testing.B) {
 					key := []byte("bench-key")
 					reqs := make([]*wire.Request, window)
 					resps := make([]*wire.Response, window)
-					acks := make([]<-chan error, window)
+					acks := make([]Pending, window)
 					for i := range reqs {
 						reqs[i] = new(wire.Request)
 						resps[i] = new(wire.Response)
@@ -199,10 +199,10 @@ func BenchmarkPipelinedWindow(b *testing.B) {
 						}
 						for i := 0; i < w; i++ {
 							*reqs[i] = wire.Request{Op: wire.OpGet, Key: key}
-							acks[i] = cli.DoAsync(reqs[i], resps[i])
+							acks[i] = cli.Start(reqs[i], resps[i])
 						}
 						for i := 0; i < w; i++ {
-							if err := <-acks[i]; err != nil {
+							if err := acks[i].Wait(); err != nil {
 								b.Error(err)
 								return
 							}
@@ -216,9 +216,9 @@ func BenchmarkPipelinedWindow(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelinedAsync measures DoAsync fan-out: each caller keeps a
-// window of requests in flight, the shape the controlet replication paths
-// (chain forwarding, write-all, propagation) use.
+// BenchmarkPipelinedAsync measures one caller's fan-out: it starts a window
+// of 16 requests, then waits for each — the shape of the mover's snapshot
+// and GC chunks and of the dynamo baseline's replication rounds.
 func BenchmarkPipelinedAsync(b *testing.B) {
 	const window = 16
 	srv, net, codec := benchServer(b, "inproc")
@@ -234,7 +234,7 @@ func BenchmarkPipelinedAsync(b *testing.B) {
 	b.ResetTimer()
 	reqs := make([]*wire.Request, window)
 	resps := make([]*wire.Response, window)
-	acks := make([]<-chan error, window)
+	acks := make([]Pending, window)
 	for i := range reqs {
 		reqs[i] = new(wire.Request)
 		resps[i] = new(wire.Response)
@@ -246,10 +246,10 @@ func BenchmarkPipelinedAsync(b *testing.B) {
 		}
 		for i := 0; i < w; i++ {
 			*reqs[i] = wire.Request{Op: wire.OpGet, Key: []byte("bench-key")}
-			acks[i] = cli.DoAsync(reqs[i], resps[i])
+			acks[i] = cli.Start(reqs[i], resps[i])
 		}
 		for i := 0; i < w; i++ {
-			if err := <-acks[i]; err != nil {
+			if err := acks[i].Wait(); err != nil {
 				b.Fatal(err)
 			}
 		}

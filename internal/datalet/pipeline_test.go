@@ -29,8 +29,9 @@ func listenAddr(network string) string {
 // TestPipelineStress hammers one pipelined client from many goroutines over
 // both transports and both codecs, checking that every response carries its
 // own request's data — the FIFO-matching invariant the whole design rests
-// on. Each round goes through Do, DoAsync or two Starts waited in reverse
-// order, so inline and pipelined calls share the connection. Run under
+// on. Each round goes through Do, a Start waited after a yield, or two
+// Starts waited in reverse order, so inline and pipelined calls share the
+// connection. Run under
 // -race this also exercises the sender/reader locking.
 func TestPipelineStress(t *testing.T) {
 	const (
@@ -78,7 +79,9 @@ func TestPipelineStress(t *testing.T) {
 							case 0:
 								err = cli.Do(&put, &resp)
 							case 1:
-								err = <-cli.DoAsync(&put, &resp)
+								p := cli.Start(&put, &resp)
+								runtime.Gosched() // work between Start and Wait
+								err = p.Wait()
 							case 2:
 								// A second frame started behind the put
 								// and waited first: the reader must
@@ -135,9 +138,10 @@ func TestPipelineStress(t *testing.T) {
 	}
 }
 
-// TestPipelineDoAsyncStress interleaves batches of DoAsync with blocking
-// Dos on the same connection and checks every completion.
-func TestPipelineDoAsyncStress(t *testing.T) {
+// TestPipelineStartStress interleaves fan-outs — a batch of Starts, then
+// their Waits — with blocking Dos on the same connection and checks every
+// completion.
+func TestPipelineStartStress(t *testing.T) {
 	_, cli := newServer(t, "binary", nil)
 	const (
 		goroutines = 16
@@ -153,7 +157,7 @@ func TestPipelineDoAsyncStress(t *testing.T) {
 			for b := 0; b < batches; b++ {
 				reqs := make([]*wire.Request, width)
 				resps := make([]*wire.Response, width)
-				acks := make([]<-chan error, width)
+				acks := make([]Pending, width)
 				for i := 0; i < width; i++ {
 					reqs[i] = &wire.Request{
 						Op:    wire.OpPut,
@@ -161,10 +165,10 @@ func TestPipelineDoAsyncStress(t *testing.T) {
 						Value: []byte(fmt.Sprintf("v-%d-%d-%d", g, b, i)),
 					}
 					resps[i] = new(wire.Response)
-					acks[i] = cli.DoAsync(reqs[i], resps[i])
+					acks[i] = cli.Start(reqs[i], resps[i])
 				}
 				for i := 0; i < width; i++ {
-					if err := <-acks[i]; err != nil {
+					if err := acks[i].Wait(); err != nil {
 						errCh <- err
 						return
 					}
@@ -206,7 +210,7 @@ func (s slowEngine) AppendGet(dst, key []byte) ([]byte, uint64, bool, error) {
 }
 
 // TestPipelineMidStreamFailure kills the server while dozens of Do and
-// DoAsync calls are in flight: every one must complete with an error (no
+// Start/Wait calls are in flight: every one must complete with an error (no
 // deadlock, no lost completion), and the client must stay failed.
 func TestPipelineMidStreamFailure(t *testing.T) {
 	for _, tn := range []string{"inproc", "tcp"} {
@@ -250,7 +254,7 @@ func TestPipelineMidStreamFailure(t *testing.T) {
 						if i%2 == 0 {
 							err = cli.Do(&req, &resp)
 						} else {
-							err = <-cli.DoAsync(&req, &resp)
+							err = cli.Start(&req, &resp).Wait()
 						}
 						if err != nil {
 							failed.Add(1)
@@ -279,8 +283,8 @@ func TestPipelineMidStreamFailure(t *testing.T) {
 			if err := cli.Do(&wire.Request{Op: wire.OpNop}, &resp); err == nil {
 				t.Fatal("Do after connection failure must error")
 			}
-			if err := <-cli.DoAsync(&wire.Request{Op: wire.OpNop}, &resp); err == nil {
-				t.Fatal("DoAsync after connection failure must error")
+			if err := cli.Start(&wire.Request{Op: wire.OpNop}, &resp).Wait(); err == nil {
+				t.Fatal("Start after connection failure must error")
 			}
 			if time.Since(start) > time.Second {
 				t.Fatal("failed client must reject immediately, not block")
@@ -438,7 +442,10 @@ func TestStartReleasesSendBuffer(t *testing.T) {
 	if !p.inline {
 		t.Fatal("a Start on an idle connection was queued, not sent inline")
 	}
-	queued := cli.DoAsync(&wire.Request{Op: wire.OpPut, Key: []byte("b"), Value: []byte("2")}, &r2)
+	queued := cli.Start(&wire.Request{Op: wire.OpPut, Key: []byte("b"), Value: []byte("2")}, &r2)
+	if queued.inline {
+		t.Fatal("a Start behind an unwaited inline one was sent inline")
+	}
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		var resp wire.Response
 		if err := probe.Do(&wire.Request{Op: wire.OpGet, Key: []byte("b")}, &resp); err != nil {
@@ -454,7 +461,7 @@ func TestStartReleasesSendBuffer(t *testing.T) {
 	if err := p.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-queued; err != nil {
+	if err := queued.Wait(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"bespokv/internal/datalet"
 	"bespokv/internal/topology"
 	"bespokv/internal/wire"
 )
@@ -26,6 +28,7 @@ type fakeDatalet struct {
 	mu       sync.Mutex
 	tables   map[string]map[string]rec
 	failPuts atomic.Int32 // fail this many Puts with StatusErr first
+	failDels atomic.Int32 // fail this many Dels with StatusErr first
 	puts     atomic.Int64
 }
 
@@ -97,6 +100,12 @@ func (f *fakeDatalet) Do(req *wire.Request, resp *wire.Response) error {
 		}
 		resp.Version = v
 	case wire.OpDel:
+		if f.failDels.Load() > 0 {
+			f.failDels.Add(-1)
+			resp.Status = wire.StatusErr
+			resp.Err = "injected delete failure"
+			return nil
+		}
 		t, ok := f.tables[req.Table]
 		if !ok {
 			resp.Status = wire.StatusNotFound
@@ -157,10 +166,11 @@ func (f *fakeDatalet) Do(req *wire.Request, resp *wire.Response) error {
 	return nil
 }
 
-func (f *fakeDatalet) DoAsync(req *wire.Request, resp *wire.Response) <-chan error {
-	ch := make(chan error, 1)
-	ch <- f.Do(req, resp)
-	return ch
+// Start serves the call at once; the zero Pending waits as a success, and
+// Do never fails a call.
+func (f *fakeDatalet) Start(req *wire.Request, resp *wire.Response) datalet.Pending {
+	_ = f.Do(req, resp)
+	return datalet.Pending{}
 }
 
 // testTopo builds an n-shard hash map s0..s{n-1}, one replica each.
@@ -400,6 +410,69 @@ func TestMoverCatchupRetriesUntilDelivered(t *testing.T) {
 	}
 	if p := dests["n1"].puts.Load(); p != 4 {
 		t.Fatalf("destination saw %d puts, want 3 failures + 1 success", p)
+	}
+}
+
+// fillSource puts n keys into the source's default table.
+func fillSource(src *fakeDatalet, n int) {
+	for i := 0; i < n; i++ {
+		src.put("", fmt.Sprintf("key-%04d", i), "v", uint64(i+1))
+	}
+}
+
+func TestMoverStreamFailsOnRefusedPut(t *testing.T) {
+	src := newFakeDatalet()
+	fillSource(src, 200)
+	m, dests := testMover(t, testTopo(2), src)
+	dests["n1"].failPuts.Store(1 << 20)
+	_, _, err := m.Stream()
+	if err == nil || !strings.Contains(err.Error(), "injected put failure") {
+		t.Fatalf("Stream = %v, want the destination's refusal", err)
+	}
+	if st := m.Status(); st.Phase != "failed" || st.Err != err.Error() {
+		t.Fatalf("status = %+v, want phase failed with %q", st, err)
+	}
+}
+
+func TestMoverGCFailsOnRefusedDelete(t *testing.T) {
+	src := newFakeDatalet()
+	fillSource(src, 200)
+	m, _ := testMover(t, testTopo(2), src)
+	if _, _, err := m.Stream(); err != nil {
+		t.Fatal(err)
+	}
+	m.BeginCutover()
+	m.DrainQueue()
+	src.failDels.Store(1 << 20)
+	_, err := m.GC()
+	if err == nil || !strings.Contains(err.Error(), "injected delete failure") {
+		t.Fatalf("GC = %v, want the local datalet's refusal", err)
+	}
+	if st := m.Status(); st.Phase != "failed" {
+		t.Fatalf("status = %+v, want phase failed", st)
+	}
+}
+
+// The GC walk shares the snapshot's scanner, so it also stops between
+// chunks once the mover is stopped: what it leaves is garbage the source no
+// longer owns, the state a failed GC leaves too.
+func TestMoverGCStopsOnStop(t *testing.T) {
+	src := newFakeDatalet()
+	fillSource(src, 2*scanBatch)
+	m, _ := testMover(t, testTopo(2), src)
+	m.Stop()
+	if _, err := m.GC(); err != errMoverStopped {
+		t.Fatalf("GC after Stop = %v, want %v", err, errMoverStopped)
+	}
+	// Keys sort in insertion order, so the first chunk is the first half.
+	for i := 0; i < 2*scanBatch; i++ {
+		k := fmt.Sprintf("key-%04d", i)
+		if !m.Moves([]byte(k)) {
+			continue
+		}
+		if _, ok := src.get("", k); ok != (i >= scanBatch) {
+			t.Fatalf("moved key %q present = %v after a GC stopped past its first chunk", k, ok)
+		}
 	}
 }
 

@@ -37,13 +37,19 @@ run() {
 	# replication paths, and the client router. Then, repeated, the
 	# split-phase call's properties — a queued call is not held behind an
 	# unwaited inline one, Waits complete in any order, a caller busy
-	# between Start and Wait is not a stall — and the stress run mixing
-	# Start/Wait, Do and DoAsync on shared connections.
+	# between Start and Wait is not a stall — and the stress runs mixing
+	# Start/Wait and Do on shared connections, one caller at a time and in
+	# fan-outs. Last, the grep that keeps Start the one way to put a call in
+	# flight: no DoAsync anywhere in the program or its tests.
 	race)
 		$GO test -race ./internal/datalet/... ./internal/rpc/... ./internal/transport/... \
 			./internal/controlet/... ./internal/client/...
-		$GO test -race -count=5 -run 'TestPipelineStress|TestStartReleasesSendBuffer|TestWaitOrderFree|TestStartedCallOutlivesWatchdog' \
+		$GO test -race -count=5 -run 'TestPipelineStress|TestPipelineStartStress|TestStartReleasesSendBuffer|TestWaitOrderFree|TestStartedCallOutlivesWatchdog' \
 			./internal/datalet/
+		if grep -rn --include='*.go' 'DoAsync' cmd/ examples/ internal/; then
+			echo "check.sh: DoAsync is back; start a call with Start and collect it with Wait" >&2
+			exit 1
+		fi
 		;;
 
 	# Observability stack: race the metrics registry, trace recorder and
@@ -140,8 +146,7 @@ run() {
 	# (TestBucketByShard), a direct MultiGet's bucket frames and an unhedged
 	# direct Get are sent and read by the caller (TestMultiGetDirectInline),
 	# a burst of replies telling a stale client of an epoch bump makes one
-	# map fetch, not one each (TestDirectReadStaleMapRefreshesOnce); the
-	# client calls DoAsync only to race a hedge's two legs, a 16-key
+	# map fetch, not one each (TestDirectReadStaleMapRefreshesOnce); a 16-key
 	# direct MultiGet over two shards allocates at most 14 times (8: the
 	# engines append into the reply and the client copies once per bucket)
 	# and a routed single-key GET through a 1x3 MS+SC cluster at most 3,
@@ -163,10 +168,6 @@ run() {
 			exit 1
 		fi
 		$GO test -run NONE -bench LinksGet -benchmem -cpu 1,2 ./internal/datalet/
-		if grep -rn --include='*.go' 'DoAsync' internal/client/ | grep -v '_test\.go:' | grep -v '^internal/client/hedge\.go:'; then
-			echo "check.sh: the client calls DoAsync outside a hedge; start a lone call with Link.Start" >&2
-			exit 1
-		fi
 		$GO test -run 'TestServeReadsZeroAllocs|TestMultiGetSlab' ./internal/datalet/
 		out=$($GO test -run NONE -bench 'MultiGetDirect$|RoutedGet$' -benchtime 20000x -benchmem ./internal/cluster/)
 		echo "$out"
@@ -258,8 +259,7 @@ run() {
 	# sheds the rest of a write after its grace, and a mixed load from two
 	# clients converges on every slave — then one pass of the dispatch
 	# layer benchmark so it keeps compiling and its alloc columns stay in
-	# view, and the grep that keeps the propagator on the write path's
-	# send/wait. Last, the write hop's allocation ceilings: a 3-replica put
+	# view. Last, the write hop's allocation ceilings: a 3-replica put
 	# at the MS+SC head (two chained peer frames) and at the AA+SC slot
 	# owner (two write-all frames), sent and collected on the caller's
 	# goroutine; a 16-pair MultiPut at a 3-replica MS+EC master, propagation
@@ -269,10 +269,6 @@ run() {
 		$GO test -race -run 'TestWritePath|TestChainForward|TestWriteToUnknownTable|TestPutCopy|TestMSEC|TestPropagation' ./internal/controlet/
 		$GO test -race -run 'TestMSECMultiPutConverges' ./internal/cluster/
 		$GO test -run NONE -bench Dispatch -benchtime 1x -benchmem ./internal/controlet/
-		if grep -n 'DoAsync' internal/controlet/async.go; then
-			echo "check.sh: MS+EC propagation sends through send/wait, not DoAsync" >&2
-			exit 1
-		fi
 		out=$($GO test -run NONE -bench 'Dispatch/(ms|aa)\+strong/put-r3|Dispatch/ms\+eventual/(put|mput16)' -benchtime 20000x -benchmem ./internal/controlet/)
 		echo "$out"
 		echo "$out" | awk '/ms\+strong\/put-r3/ && $(NF-1) > 6 { bad = 1 }
