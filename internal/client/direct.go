@@ -52,12 +52,16 @@ func directTarget(m *topology.Map, shard topology.Shard, key []byte, level wire.
 	}
 }
 
-// directReadable reports whether direct reads are even on the table right
-// now, returning the routing snapshot when they are.
+// directOn reports whether direct reads are on the table right now: the
+// client is configured for them and its map lease is live. It reads the
+// clock, so a MultiGet asks once for all its buckets.
+func (c *Client) directOn() bool {
+	return c.cfg.DirectReads && c.leaseLive()
+}
+
+// directReadable returns the routing snapshot for a direct read of key,
+// once directOn has said yes; false while the map is mid-transition.
 func (c *Client) directReadable(key []byte) (topology.Shard, *topology.Map, bool) {
-	if !c.cfg.DirectReads || !c.leaseLive() {
-		return topology.Shard{}, nil, false
-	}
 	shard, m, err := c.shardFor(key)
 	if err != nil || m.Transition != nil {
 		// Mid-transition routing is the controlet's business (handoffs,
@@ -71,6 +75,9 @@ func (c *Client) directReadable(key []byte) (topology.Shard, *topology.Map, bool
 // the caller should take the controlet path (ineligible, unreachable
 // datalet, stale epoch, expired datalet lease — all fall back, never fail).
 func (c *Client) directGet(table string, key []byte, level wire.Level) (val []byte, found, ok bool) {
+	if !c.directOn() {
+		return nil, false, false
+	}
 	shard, m, eligible := c.directReadable(key)
 	if !eligible {
 		return nil, false, false
@@ -138,8 +145,9 @@ type pendingMGet struct {
 
 // submitDirectMGet starts one bucket's OpDirectGet frame without waiting
 // for the reply, so a MultiGet's shard fan-out has every frame on the wire
-// before the first reply is read. ok=false means the bucket is not
-// direct-eligible and should go through the controlet path.
+// before the first reply is read. The caller has checked directOn.
+// ok=false means the bucket is not direct-eligible and should go through
+// the controlet path.
 func (c *Client) submitDirectMGet(table string, level wire.Level, b *bucket) (pendingMGet, bool) {
 	shard, m, eligible := c.directReadable(b.keys[0])
 	if !eligible {

@@ -140,12 +140,15 @@ func (c *Client) MultiGetLevel(table string, keys [][]byte, level wire.Level) ([
 		pendBuf [4]pendingMGet
 		pend    = pendBuf[:0]
 		wg      sync.WaitGroup
+		direct  = c.directOn() // one lease-clock read for every bucket
 	)
 	for i := range buckets {
 		b := &buckets[i]
-		if pd, ok := c.submitDirectMGet(table, level, b); ok {
-			pend = append(pend, pd)
-			continue
+		if direct {
+			if pd, ok := c.submitDirectMGet(table, level, b); ok {
+				pend = append(pend, pd)
+				continue
+			}
 		}
 		wg.Add(1)
 		go func(b *bucket) {

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -511,4 +513,62 @@ func TestMultiGetSlab(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestConnBufferFootprint: a dialled Client and the connection the datalet
+// serves it on hold at most 4 × wire.ConnBufSize of bufio buffers between
+// them, a reader and a writer at each end (beside the four small bufio
+// structs). The buffers are counted from an exact heap profile, by the
+// bufio constructor that made them.
+func TestConnBufferFootprint(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	srv, cli := newServer(t, "binary", nil)
+	do(t, cli, wire.Request{Op: wire.OpPut, Key: []byte("k"), Value: []byte("v")})
+	const conns = 4
+	before := bufioInUse()
+	for i := 0; i < conns; i++ {
+		c, err := Dial(srv.cfg.Network, srv.Addr(), srv.cfg.Codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		do(t, c, wire.Request{Op: wire.OpGet, Key: []byte("k")}) // the served end is up
+	}
+	per := (bufioInUse() - before) / conns
+	t.Logf("a connection holds %d B of bufio buffers at its two ends (ConnBufSize %d)", per, wire.ConnBufSize)
+	if limit := int64(4*wire.ConnBufSize + 4*128); per <= 0 || per > limit {
+		t.Fatalf("a connection holds %d B of bufio buffers at its two ends, want (0, %d]", per, limit)
+	}
+}
+
+// bufioInUse sums the live heap bytes that bufio constructors allocated,
+// as of a fresh garbage collection.
+func bufioInUse() int64 {
+	runtime.GC()
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	for n, _ := runtime.MemProfile(nil, true); ; {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		var ok bool
+		if n, ok = runtime.MemProfile(recs, true); ok {
+			recs = recs[:n]
+			break
+		}
+	}
+	var sum int64
+	for i := range recs {
+		frames := runtime.CallersFrames(recs[i].Stack())
+		for {
+			f, more := frames.Next()
+			if strings.HasPrefix(f.Function, "bufio.New") {
+				sum += recs[i].InUseBytes()
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return sum
 }

@@ -78,8 +78,9 @@ type Trace struct {
 // seen. The zero value is unusable; use NewRecorder.
 type Recorder struct {
 	mu    sync.Mutex
-	ring  []Span // capacity fixed at construction
-	next  int    // next slot to overwrite
+	ring  []Span // made at the first Record, with capacity size
+	size  int
+	next  int // next slot to overwrite, once the ring is full
 	full  bool
 	total uint64
 	slow  []Span // kept sorted descending by Dur, bounded at slowCap
@@ -92,12 +93,14 @@ const slowCap = 64
 // shows complete traces.
 var Default = NewRecorder(4096)
 
-// NewRecorder returns a recorder retaining the last size spans.
+// NewRecorder returns a recorder retaining the last size spans. The ring
+// is made when the first span is recorded, so an untraced process never
+// holds it.
 func NewRecorder(size int) *Recorder {
 	if size < 1 {
 		size = 1
 	}
-	return &Recorder{ring: make([]Span, 0, size)}
+	return &Recorder{size: size}
 }
 
 // Record stores one span. Call only for sampled requests (tid != 0); the
@@ -110,11 +113,14 @@ func (r *Recorder) Record(tid uint64, node, stage string, start time.Time, dur t
 	sp := Span{Trace: tid, Node: node, Stage: stage, Start: start, Dur: dur, Err: errStr}
 	r.mu.Lock()
 	r.total++
-	if len(r.ring) < cap(r.ring) {
+	if r.ring == nil {
+		r.ring = make([]Span, 0, r.size)
+	}
+	if len(r.ring) < r.size {
 		r.ring = append(r.ring, sp)
 	} else {
 		r.ring[r.next] = sp
-		r.next = (r.next + 1) % cap(r.ring)
+		r.next = (r.next + 1) % r.size
 		r.full = true
 	}
 	// Insert into the slowest list if it qualifies.

@@ -106,6 +106,24 @@ func TestRecorderRingBound(t *testing.T) {
 	}
 }
 
+// TestRecorderRingOnFirstUse: a recorder holds no ring until its first
+// span, then one of its full size, which never grows past it.
+func TestRecorderRingOnFirstUse(t *testing.T) {
+	r := NewRecorder(4096)
+	if r.ring != nil {
+		t.Fatalf("an unused recorder holds a ring of %d spans", cap(r.ring))
+	}
+	for i := 0; i < 5000; i++ {
+		r.Record(uint64(i+1), "n", "s", time.Now(), time.Microsecond, "")
+		if cap(r.ring) != 4096 {
+			t.Fatalf("after %d spans the ring has room for %d, want 4096", i+1, cap(r.ring))
+		}
+	}
+	if spans := r.snapshot(); len(spans) != 4096 || spans[0].Trace != 5000-4096+1 || spans[4095].Trace != 5000 {
+		t.Fatalf("ring holds %d spans, from trace %d to %d", len(spans), spans[0].Trace, spans[len(spans)-1].Trace)
+	}
+}
+
 func TestRecorderSlowest(t *testing.T) {
 	r := NewRecorder(4) // tiny ring: slow list must outlive evictions
 	base := time.Now()

@@ -12,9 +12,14 @@ import (
 	"bespokv/internal/trace"
 )
 
-// ConnBufSize sizes a served connection's read and write buffers; matched to
-// the pipelined client's so one flush there fits in one read here.
-const ConnBufSize = 64 << 10
+// ConnBufSize sizes the read and write buffers at both ends of a data
+// connection: a served one here and a pipelined datalet.Client, so one
+// flush there fits in one read here. It is matched to the largest frame the
+// workloads send, a 64-pair MultiPut preload frame of about 4 KB, since
+// their pipelined batches average about one request. A larger frame is
+// read through fillFrame's pooled scratch buffer, and a larger burst costs
+// one more flush.
+const ConnBufSize = 8 << 10
 
 // ConnHandler is what a server plugs into ServeConn: its codec, the handler
 // that answers a request, and its per-op record. One value serves every

@@ -162,3 +162,22 @@ func TestServeConnState(t *testing.T) {
 		t.Fatalf("32 connections all started their tick at %v mod 4", starts)
 	}
 }
+
+// TestPreloadFrameFitsConnBuf: the largest frame the workloads send, a
+// 64-pair MultiPut of 16-byte keys and 32-byte values (versioned on the
+// replication hop), fits ConnBufSize, so it is parsed in place from the
+// connection's read buffer rather than through the scratch path.
+func TestPreloadFrameFitsConnBuf(t *testing.T) {
+	for _, op := range []Op{OpMPut, OpReplMPut} {
+		req := Request{ID: 1 << 20, Op: op, Table: "default", Epoch: 1 << 20, TraceID: 1 << 60}
+		for i := 0; i < 64; i++ {
+			key := fmt.Sprintf("key-%012d", i)
+			req.Pairs = append(req.Pairs, KV{Key: []byte(key), Value: bytes.Repeat([]byte("v"), 32), Version: 1 << 50})
+		}
+		n := len(encodeRequests(t, &req))
+		t.Logf("%s: a 64-pair frame of %d bytes, ConnBufSize %d", op, n, ConnBufSize)
+		if n > ConnBufSize {
+			t.Errorf("%s: a 64-pair frame of %d bytes does not fit ConnBufSize (%d)", op, n, ConnBufSize)
+		}
+	}
+}

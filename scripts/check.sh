@@ -114,14 +114,16 @@ run() {
 	# and the enginetest conformance run on all four engines, whose
 	# tombstones must outlive leaf splits, flushes and compactions), then
 	# the cluster crash-restart and incremental-rejoin scenarios. Then the
-	# ht engine's pointer-free gate, not under -race: 100 k keys add fewer
-	# than 1 000 heap objects, a same-size overwrite allocates nothing, nor
-	# does an AppendGet into a buffer with room. Then the grep that keeps
+	# ht engine's pointer-free and footprint gates, not under -race: 100 k
+	# keys add fewer than 1 000 heap objects, a same-size overwrite
+	# allocates nothing, nor does an AppendGet into a buffer with room, and
+	# 100 k keys of 16 B with 32 B values cost at most 88 B each of arena
+	# capacity and index (TestHTBytesPerKey). Then the grep that keeps
 	# one feed: no delta side-interface, no engine that drops tombstones,
 	# no export that cannot list them, no prune sweep.
 	crash)
 		$GO test -race ./internal/store/...
-		$GO test -count=1 -run TestHTPointerFree ./internal/store/ht/
+		$GO test -count=1 -run 'TestHTPointerFree|TestHTBytesPerKey' ./internal/store/ht/
 		$GO test -race -run 'TestCrashRestart|TestRejoin' ./internal/cluster/
 		if grep -rnE --include='*.go' 'SnapshotSince|DeltaSnapshotter|ErrDeltaUnavailable|OpExportDelta|ExportSince|purgeTombstones|tombFloor|func \(s \*Server\) prune' internal/; then
 			echo "check.sh: a second change feed; every engine keeps its tombstones and lists them through Snapshot(since)" >&2
@@ -152,7 +154,10 @@ run() {
 	# and a routed single-key GET through a 1x3 MS+SC cluster at most 3,
 	# datalets included (not under -race, where sync.Pool sheds); a
 	# datalet serves a GET and a 16-key direct read with no allocation,
-	# every value of a frame in one reply slab.
+	# every value of a frame in one reply slab. A connection costs its
+	# frames: a dialled datalet.Client and its served connection hold at
+	# most 4 x wire.ConnBufSize of bufio buffers (TestConnBufferFootprint),
+	# and the workloads' largest frame, a 64-pair MultiPut, fits one.
 	wirespeed)
 		$GO test -race -run 'Multi|Fuzz' ./internal/wire/
 		$GO test -race ./internal/client/
@@ -168,7 +173,8 @@ run() {
 			exit 1
 		fi
 		$GO test -run NONE -bench LinksGet -benchmem -cpu 1,2 ./internal/datalet/
-		$GO test -run 'TestServeReadsZeroAllocs|TestMultiGetSlab' ./internal/datalet/
+		$GO test -run 'TestServeReadsZeroAllocs|TestMultiGetSlab|TestConnBufferFootprint' ./internal/datalet/
+		$GO test -run 'TestPreloadFrameFitsConnBuf' ./internal/wire/
 		out=$($GO test -run NONE -bench 'MultiGetDirect$|RoutedGet$' -benchtime 20000x -benchmem ./internal/cluster/)
 		echo "$out"
 		echo "$out" | awk '/^BenchmarkMultiGetDirect/ { n++; if ($(NF-1) > 14) bad = 1 }
